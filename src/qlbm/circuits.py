@@ -6,7 +6,10 @@ records over a :class:`RegisterLayout`, grouped into named sections
 high-level vocabulary (joint diagonals, multi-controlled X, state
 preparation rotations); :func:`lower_circuit` rewrites everything into
 single-qubit gates plus CNOT with exact unitary equality, which is what the
-resource estimator counts.
+resource estimator counts. The whole-pipeline builders take ``encode``: the
+resource estimator counts the rotation-network encode section, while the
+simulator loads the amplitudes directly and builds without it (the field
+arguments are then unread and the other sections are unchanged).
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -494,11 +497,12 @@ def _collision_k_sitewise(scheme: LatticeScheme, velocity_fields, n_codes: int, 
     return out
 
 
-def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field, velocity) -> CircuitIR:
+def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field, velocity, *, encode: bool = True) -> CircuitIR:
     """One advected-scalar step: encode, collide, stream, merge links."""
     layout = RegisterLayout.for_scheme(scheme, extent)
     circ = CircuitIR(layout)
-    circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, field)))
+    if encode:
+        circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, field)))
     k = _collision_k_uniform(scheme, velocity, 1 << layout.n_d)
     circ.add_section("collision", build_collision_ops(layout, k, layout.d))
     circ.add_section("streaming", build_streaming_ops(layout, scheme))
@@ -506,11 +510,12 @@ def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field,
     return circ
 
 
-def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_fields, *, boundary: bool = True) -> CircuitIR:
+def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_fields, *, boundary: bool = True, encode: bool = True) -> CircuitIR:
     """One vorticity transport step with site-dependent collision coefficients."""
     layout = RegisterLayout.for_scheme(scheme, extent, boundary=boundary)
     circ = CircuitIR(layout)
-    circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, omega)))
+    if encode:
+        circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, omega)))
     k = _collision_k_sitewise(scheme, velocity_fields, 1 << layout.n_d, layout.n_sites)
     circ.add_section(
         "collision", build_collision_ops(layout, k, layout.site_qubits + layout.d)
@@ -522,7 +527,7 @@ def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_
     return circ
 
 
-def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, *, boundary: bool = True) -> CircuitIR:
+def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, *, boundary: bool = True, encode: bool = True) -> CircuitIR:
     """One relaxation sweep of the stream-function field with a folded source.
 
     The source flag is prepared alongside the field (s = 0 holds psi, s = 1
@@ -531,8 +536,9 @@ def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scale
     """
     layout = RegisterLayout.for_scheme(scheme, extent, source=True, boundary=boundary)
     circ = CircuitIR(layout)
-    vec = encoding_vector(layout, scheme, psi, source=scaled_source)
-    circ.add_section("encode", _prep_section(layout, vec))
+    if encode:
+        vec = encoding_vector(layout, scheme, psi, source=scaled_source)
+        circ.add_section("encode", _prep_section(layout, vec))
     circ.add_section("source-fold", [GateOp("H", (layout.s[0],))])
     k = _collision_k_uniform(scheme, np.zeros(scheme.dimension), 1 << layout.n_d)
     circ.add_section("collision", build_collision_ops(layout, k, layout.d))
@@ -543,7 +549,7 @@ def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scale
     return circ
 
 
-def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, omega, velocity_fields) -> CircuitIR:
+def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, omega, velocity_fields, *, encode: bool = True) -> CircuitIR:
     """Combined cavity step: both field updates in one gate list.
 
     The stream-function stages run controlled on source flag 0 and the
@@ -555,8 +561,9 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
     layout = RegisterLayout.for_scheme(scheme, extent, source=True, boundary=True)
     circ = CircuitIR(layout)
     s = layout.s[0]
-    vec = encoding_vector(layout, scheme, psi, source=scaled_source)
-    circ.add_section("encode", _prep_section(layout, vec))
+    if encode:
+        vec = encoding_vector(layout, scheme, psi, source=scaled_source)
+        circ.add_section("encode", _prep_section(layout, vec))
     circ.add_section("source-fold", [GateOp("H", (s,))])
     k_sf = _collision_k_uniform(scheme, np.zeros(scheme.dimension), 1 << layout.n_d)
     circ.add_section(

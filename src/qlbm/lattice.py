@@ -162,6 +162,10 @@ class CavitySpec:
     steps: int = 80
     delta: float = 1.0
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+
 
 @dataclass
 class CavityHistory:

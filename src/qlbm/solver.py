@@ -1,17 +1,22 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
-Each transport step builds the circuit for the current fields, loads the
-amplitude layout directly (the rotation-network encode section is counted by
-the resource estimator but equivalent, so the simulator skips it), applies
-the remaining sections, selects the ancilla/link/flag registers, and decodes
-the updated field. The cavity driver runs the stream-function and vorticity
-jobs concurrently from the previous step's fields, exactly like the
-classical reference.
+Each transport step loads the amplitude layout directly, applies the
+collision / streaming / macro (and boundary) sections, selects the
+ancilla/link/flag registers, and decodes the updated field. Circuits are
+built without their encode section: the rotation-network state prep is
+counted by the resource estimator, and loading the amplitudes is equivalent.
+Advection with a uniform velocity has a step body that depends on neither
+the field nor the step, so it is built once per run; the cavity circuits
+carry the current velocity field and are built every step.
+
+The cavity driver runs the stream-function job and then the vorticity job,
+both from the previous step's fields, exactly like the classical reference.
+On hardware the two frugal circuits run concurrently; the resource estimator
+counts that as ``concurrent_depth``, and the simulator runs them in turn.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -25,7 +30,7 @@ from .circuits import (
     build_vorticity_circuit,
     encoding_vector,
 )
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, EncodingError, SimulationError
 from .lattice import (
     CavitySpec,
     D1Q3,
@@ -146,13 +151,21 @@ def run_advection_diffusion(
     backend "statevector" decodes exact amplitudes; "sampling" reconstructs
     each step's field from measured counts (shot noise then propagates into
     subsequent steps, since every step re-encodes the previous output).
+    Counts carry no sign, so the sampling backend rejects negative fields.
     """
     if backend not in ("statevector", "sampling"):
         raise ConfigurationError(f"unknown backend {backend!r}")
+    if steps < 0:
+        raise ConfigurationError(f"steps must be >= 0, got {steps}")
     field = np.asarray(field0, dtype=float)
     extent = field.shape[0]
     if field.shape != _field_shape(scheme, extent):
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
+    if backend == "sampling" and np.any(field < 0):
+        raise EncodingError("the sampling backend cannot recover negative field values")
+    circ = build_advection_diffusion_circuit(scheme, extent, field, velocity, encode=False)
+    layout = circ.layout
+    body = circ.section_ops(["collision", "streaming", "macro"])
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
@@ -160,12 +173,10 @@ def run_advection_diffusion(
             records.append(StepRecord(step, "advection", {}, 0.0, zero_input=True))
             fields.append(field.copy())
             continue
-        circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
-        layout = circ.layout
         vec = encoding_vector(layout, scheme, field)
         state = amplitude_encode(vec, layout.qubit_count)
         nf0 = state.norm_factor
-        _run_sections(circ, state, ["collision", "streaming", "macro"])
+        apply_circuit(state, body)
         if backend == "statevector":
             state, probs = postselect_many(state, _selection_plan(layout))
             flat = decode_field(state, layout, folded=False)
@@ -192,7 +203,7 @@ def _sf_job(extent, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
     vec_norm = np.linalg.norm(psi) + np.linalg.norm(scaled_source)
     if vec_norm == 0.0:
         return np.zeros((extent, extent)), StepRecord(step, "stream-function", {}, 0.0, True)
-    circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source)
+    circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source, encode=False)
     layout = circ.layout
     state = amplitude_encode(encoding_vector(layout, D2Q5, psi, source=scaled_source), layout.qubit_count)
     _run_sections(circ, state, ["source-fold", "collision", "streaming", "macro", "boundary"])
@@ -204,7 +215,7 @@ def _sf_job(extent, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
 def _vorticity_job(extent, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
     if not np.any(omega):
         return np.zeros((extent, extent)), StepRecord(step, "vorticity", {}, 0.0, True)
-    circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields)
+    circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields, encode=False)
     layout = circ.layout
     state = amplitude_encode(encoding_vector(layout, D2Q5, omega), layout.qubit_count)
     _run_sections(circ, state, ["collision", "streaming", "macro", "boundary"])
@@ -225,7 +236,7 @@ def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
             StepRecord(step, "stream-function", {}, 0.0, True),
             StepRecord(step, "vorticity", {}, 0.0, True),
         ]
-    circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields)
+    circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields, encode=False)
     layout = circ.layout
     records = []
 
@@ -259,8 +270,8 @@ def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
 def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: str = "frugal") -> CavityRunResult:
     """Lid-driven cavity on the gate pipeline ("frugal" pair or "single" list).
 
-    The frugal variant runs two separate circuits per step on a two-worker
-    pool; the single variant executes sector passes of the combined gate
+    The frugal variant runs two separate circuits per step, one after the
+    other; the single variant executes sector passes of the combined gate
     list. Both decode, then impose the wall values classically.
     """
     if variant not in ("frugal", "single"):
@@ -272,24 +283,21 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
     omega = np.zeros((n, n))
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for step in range(1, spec.steps + 1):
-            u, v = velocity_from_stream_function(psi, spec.delta)
-            vel = np.stack([u, v])
-            if variant == "frugal":
-                fut_sf = pool.submit(_sf_job, n, psi, scale * omega, step)
-                fut_w = pool.submit(_vorticity_job, n, omega, vel, step)
-                psi_new, rec_sf = fut_sf.result()
-                omega_new, rec_w = fut_w.result()
-                records += [rec_sf, rec_w]
-            else:
-                psi_new, omega_new, recs = _single_step(n, psi, omega, scale * omega, vel, step)
-                records += recs
-            psi, omega, _ = apply_cavity_boundaries(psi_new, omega_new, spec)
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
-                raise SimulationError("cavity run diverged", step=step)
-            psi_hist.append(psi)
-            omega_hist.append(omega)
+    for step in range(1, spec.steps + 1):
+        u, v = velocity_from_stream_function(psi, spec.delta)
+        vel = np.stack([u, v])
+        if variant == "frugal":
+            psi_new, rec_sf = _sf_job(n, psi, scale * omega, step)
+            omega_new, rec_w = _vorticity_job(n, omega, vel, step)
+            records += [rec_sf, rec_w]
+        else:
+            psi_new, omega_new, recs = _single_step(n, psi, omega, scale * omega, vel, step)
+            records += recs
+        psi, omega, _ = apply_cavity_boundaries(psi_new, omega_new, spec)
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
+            raise SimulationError("cavity run diverged", step=step)
+        psi_hist.append(psi)
+        omega_hist.append(omega)
     return CavityRunResult(variant, np.stack(psi_hist), np.stack(omega_hist), records)
 
 
@@ -318,7 +326,7 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     velocity = (0.2,)
     for _ in range(steps - 1):
         field = step_advection_diffusion(D1Q3, field, velocity)
-    circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity)
+    circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity, encode=False)
     layout = circ.layout
     state = amplitude_encode(encoding_vector(layout, D1Q3, field), layout.qubit_count)
     _run_sections(circ, state, ["collision", "streaming", "macro"])

@@ -73,6 +73,8 @@ def amplitude_encode(values, n_qubits: int) -> QuantumState:
     size = 1 << n_qubits
     if v.size > size:
         raise EncodingError(f"{v.size} values do not fit in {n_qubits} qubits")
+    if not np.all(np.isfinite(v)):
+        raise EncodingError("cannot amplitude-encode a field with non-finite values")
     peak = float(np.abs(v).max()) if v.size else 0.0
     if peak == 0.0:
         raise EncodingError("cannot amplitude-encode an all-zero field")
@@ -101,8 +103,8 @@ def apply_circuit(state: QuantumState, ops) -> QuantumState:
         kind = op.kind
         if kind == "MCX":
             _kernels.apply_mcx(amps, 1 << op.targets[0], cmask, cval)
-        elif kind == "PHASE" and not op.controls:
-            _kernels.apply_phase(amps, 1 << op.targets[0], complex(np.exp(1j * op.params[0])))
+        elif kind == "PHASE":
+            _kernels.apply_phase(amps, 1 << op.targets[0], cmask, cval, complex(np.exp(1j * op.params[0])))
         elif kind == "DIAG":
             qpos = np.array(op.targets, dtype=np.int64)
             phases = np.exp(1j * np.asarray(op.params, dtype=float))

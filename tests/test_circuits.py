@@ -24,8 +24,11 @@ from qlbm.circuits import (
     build_collision_ops,
     build_macro_ops,
     build_shift_ops,
+    build_single_cavity_circuit,
     build_state_prep,
+    build_stream_function_circuit,
     build_streaming_ops,
+    build_vorticity_circuit,
     cavity_wall_mask,
     circuit_from_text,
     circuit_to_text,
@@ -38,6 +41,7 @@ from qlbm.circuits import (
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
+from qlbm.statevector import QuantumState, apply_circuit
 
 # ---------------------------------------------------------------------------
 # dense reference, independent of the module's application paths
@@ -437,6 +441,54 @@ def test_lowered_sections_keep_order_and_names():
     assert circ.section_names() == ["encode", "collision", "streaming", "macro"]
     low = lower_circuit(circ)
     assert low.section_names() == ["encode", "collision", "streaming", "macro"]
+
+
+# ---------------------------------------------------------------------------
+# whole-pipeline builders at their smallest extent
+# ---------------------------------------------------------------------------
+
+
+def _pipeline_inputs():
+    rng = np.random.default_rng(11)
+    field = 0.1 + 0.3 * rng.random((2, 2))
+    source = 0.05 * rng.standard_normal((2, 2))
+    velocity_fields = 0.1 * rng.uniform(-1.0, 1.0, (2, 2, 2))
+    return field, source, velocity_fields
+
+
+_PIPELINE_BUILDERS = {
+    "advection": lambda f, s, vel, **kw: build_advection_diffusion_circuit(D2Q5, 2, f, (0.1, -0.05), **kw),
+    "stream-function": lambda f, s, vel, **kw: build_stream_function_circuit(D2Q5, 2, f, s, **kw),
+    "vorticity": lambda f, s, vel, **kw: build_vorticity_circuit(D2Q5, 2, f, vel, **kw),
+    "single": lambda f, s, vel, **kw: build_single_cavity_circuit(D2Q5, 2, f, s, f, vel, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIPELINE_BUILDERS))
+def test_builder_without_encode_drops_only_the_encode_span(name):
+    build = _PIPELINE_BUILDERS[name]
+    full = build(*_pipeline_inputs(), encode=True)
+    bare = build(*_pipeline_inputs(), encode=False)
+    (enc_start, enc_stop), = [(lo, hi) for sec, lo, hi in full.sections if sec == "encode"]
+    assert enc_start == 0 and enc_stop > 0
+    assert bare.layout == full.layout
+    assert bare.gates == full.gates[enc_stop:]
+    assert bare.sections == [(sec, lo - enc_stop, hi - enc_stop) for sec, lo, hi in full.sections if sec != "encode"]
+
+
+@pytest.mark.parametrize("name", sorted(_PIPELINE_BUILDERS))
+def test_simulator_runs_lowered_pipeline_like_the_reference(name):
+    circ = _PIPELINE_BUILDERS[name](*_pipeline_inputs(), encode=True)
+    n = circ.n_qubits
+    assert n <= 8
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    reference = apply_ops_numpy(amps, circ.gates, n)
+    direct = apply_circuit(QuantumState(n, amps.copy()), circ.gates).amplitudes
+    lowered = apply_circuit(QuantumState(n, amps.copy()), lower_circuit(circ).gates).amplitudes
+    np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lowered, reference, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import qlbm.solver
 from qlbm.circuits import RegisterLayout
-from qlbm.errors import ConfigurationError
+from qlbm.errors import ConfigurationError, EncodingError
 from qlbm.lattice import (
     D1Q2,
     D1Q3,
@@ -83,6 +84,26 @@ def test_advection_rejects_unknown_backend():
 def test_advection_rejects_mismatched_field_shape():
     with pytest.raises(ConfigurationError, match="does not fit"):
         run_advection_diffusion(D2Q5, np.ones(8), (0.0, 0.0), 1)
+
+
+def test_advection_rejects_negative_steps():
+    with pytest.raises(ConfigurationError, match="steps"):
+        run_advection_diffusion(D1Q2, np.ones(8), (0.0,), -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_advection_rejects_non_finite_field(bad):
+    field0 = _impulse_field(D1Q3, 8)
+    field0[2] = bad
+    with pytest.raises(EncodingError, match="non-finite"):
+        run_advection_diffusion(D1Q3, field0, (0.2,), 2)
+
+
+def test_sampling_backend_rejects_negative_field():
+    field0 = _impulse_field(D1Q2, 8)
+    field0[1] = -0.05
+    with pytest.raises(EncodingError, match="negative"):
+        run_advection_diffusion(D1Q2, field0, (0.1,), 1, backend="sampling")
 
 
 def test_sampling_backend_approximates_statevector():
@@ -166,6 +187,12 @@ def test_cavity_rejects_unknown_variant():
         run_cavity(CavitySpec(n=8, steps=1), variant="both")
 
 
+def test_cavity_rejects_negative_steps():
+    # the spec itself refuses, so the classical reference cannot take it either
+    with pytest.raises(ConfigurationError, match="steps"):
+        run_cavity(CavitySpec(n=8, steps=-1))
+
+
 def test_cavity_at_rest_short_circuits():
     result = run_cavity(CavitySpec(n=8, lid_velocity=0.0, steps=4))
     assert np.all(result.psi == 0.0)
@@ -183,6 +210,43 @@ def test_cavity_records_both_jobs_every_step():
     for rec in result.records[2:]:
         assert not rec.zero_input
         assert rec.select_probs
+
+
+# ---------------------------------------------------------------------------
+# circuit builds
+# ---------------------------------------------------------------------------
+
+
+def _spy_on_builders(monkeypatch):
+    built = []
+    for name in (
+        "build_advection_diffusion_circuit",
+        "build_single_cavity_circuit",
+        "build_stream_function_circuit",
+        "build_vorticity_circuit",
+    ):
+        def spy(*args, _build=getattr(qlbm.solver, name), **kwargs):
+            circ = _build(*args, **kwargs)
+            built.append(circ)
+            return circ
+
+        monkeypatch.setattr(qlbm.solver, name, spy)
+    return built
+
+
+def test_advection_builds_once_per_run_without_encode(monkeypatch):
+    built = _spy_on_builders(monkeypatch)
+    run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 5)
+    assert len(built) == 1
+    assert "encode" not in built[0].section_names()
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_cavity_builds_without_encode(monkeypatch, variant):
+    built = _spy_on_builders(monkeypatch)
+    run_cavity(CavitySpec(n=4, steps=3), variant=variant)
+    assert built
+    assert all("encode" not in circ.section_names() for circ in built)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ def test_amplitude_encode_rejects_zero_vector():
         amplitude_encode(np.zeros(4), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_amplitude_encode_rejects_non_finite_values(bad):
+    with pytest.raises(EncodingError, match="non-finite"):
+        amplitude_encode([1.0, bad], 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8).filter(lambda v: any(x != 0.0 for x in v)))
 def test_encode_decode_round_trip(values):
