@@ -1,144 +1,74 @@
-"""Hot statevector kernels: numba-compiled with a pure-numpy fallback.
+"""Statevector kernels on strided views of the amplitude array.
 
-Gate application over the full amplitude array is where simulation time goes,
-so these four kernels (1-qubit unitary, multi-controlled X, diagonal, phase)
-carry ``numba.njit`` bodies. Set ``QLBM_KERNELS=numpy`` in the environment to
-select the pure-numpy twins instead (used on machines without a working numba,
-and by ``benchmarks/bench_kernels.py`` to compare both paths).
+The amplitudes (complex128, length 2**n) are viewed as ``amps.reshape((2,) * n)``,
+so qubit ``q`` is axis ``n - 1 - q``. Fixing each control axis to its control
+value with an integer index leaves a view of the controlled subspace; fixing
+the target axis to 0 or 1 as well gives the two halves a gate mixes. Every
+kernel writes through those views, in place, without index arrays (the
+bit-axis layout of standard statevector simulators, Häner & Steiger,
+arXiv:1704.01127).
 
-All kernels mutate ``amps`` (complex128, length 2**n) in place. Control
-conditions are encoded as a bit mask plus expected value so a single integer
-compare handles any mix of 0/1-polarity controls.
+Control conditions arrive as a bit mask plus expected value, so any mix of
+0/1-polarity controls is one argument pair.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numba bodies (also plain-python-executable when numba is absent)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _apply_1q_nb(amps, t_mask, c_mask, c_val, u00, u01, u10, u11):
-    n = amps.shape[0]
-    for i in range(n):
-        if (i & t_mask) == 0 and (i & c_mask) == c_val:
-            j = i | t_mask
-            a0 = amps[i]
-            a1 = amps[j]
-            amps[i] = u00 * a0 + u01 * a1
-            amps[j] = u10 * a0 + u11 * a1
-
-
-@njit(cache=True)
-def _apply_mcx_nb(amps, t_mask, c_mask, c_val):
-    n = amps.shape[0]
-    for i in range(n):
-        if (i & t_mask) == 0 and (i & c_mask) == c_val:
-            j = i | t_mask
-            tmp = amps[i]
-            amps[i] = amps[j]
-            amps[j] = tmp
-
-
-@njit(cache=True)
-def _apply_phase_nb(amps, t_mask, c_mask, c_val, phase):
-    n = amps.shape[0]
-    for i in range(n):
-        if (i & t_mask) != 0 and (i & c_mask) == c_val:
-            amps[i] = amps[i] * phase
-
-
-@njit(cache=True)
-def _apply_diag_nb(amps, qpos, phases, c_mask, c_val):
-    n = amps.shape[0]
-    m = qpos.shape[0]
-    for i in range(n):
-        if (i & c_mask) == c_val:
-            k = 0
-            for b in range(m):
-                if i & (1 << qpos[b]):
-                    k |= 1 << b
-            amps[i] = amps[i] * phases[k]
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy twins
-# ---------------------------------------------------------------------------
-
-
-def _apply_1q_np(amps, t_mask, c_mask, c_val, u00, u01, u10, u11):
-    idx = np.arange(amps.shape[0])
-    i0 = idx[((idx & t_mask) == 0) & ((idx & c_mask) == c_val)]
-    i1 = i0 | t_mask
-    a0 = amps[i0].copy()
-    a1 = amps[i1]
-    amps[i0] = u00 * a0 + u01 * a1
-    amps[i1] = u10 * a0 + u11 * a1
-
-
-def _apply_mcx_np(amps, t_mask, c_mask, c_val):
-    idx = np.arange(amps.shape[0])
-    i0 = idx[((idx & t_mask) == 0) & ((idx & c_mask) == c_val)]
-    i1 = i0 | t_mask
-    a0 = amps[i0].copy()
-    amps[i0] = amps[i1]
-    amps[i1] = a0
-
-
-def _apply_phase_np(amps, t_mask, c_mask, c_val, phase):
-    idx = np.arange(amps.shape[0])
-    sel = idx[((idx & t_mask) != 0) & ((idx & c_mask) == c_val)]
-    amps[sel] *= phase
-
-
-def _apply_diag_np(amps, qpos, phases, c_mask, c_val):
-    idx = np.arange(amps.shape[0])
-    k = np.zeros(amps.shape[0], dtype=np.int64)
-    for b, q in enumerate(qpos):
-        k |= ((idx >> int(q)) & 1) << b
-    sel = (idx & c_mask) == c_val
-    amps[sel] *= phases[k[sel]]
-
-
-_NUMPY_KERNELS = (_apply_1q_np, _apply_mcx_np, _apply_phase_np, _apply_diag_np)
-_NUMBA_KERNELS = (_apply_1q_nb, _apply_mcx_nb, _apply_phase_nb, _apply_diag_nb)
-
 
 def active_backend() -> str:
-    """Name of the kernel path selected at import time ('numba' or 'numpy')."""
-    return _BACKEND
+    """Name of the kernel path (there is one: strided numpy views)."""
+    return "numpy"
 
 
-_BACKEND = "numpy"
-if HAS_NUMBA and os.environ.get("QLBM_KERNELS", "numba").lower() != "numpy":
-    _BACKEND = "numba"
-    apply_1q, apply_mcx, apply_phase, apply_diag = _NUMBA_KERNELS
-else:
-    apply_1q, apply_mcx, apply_phase, apply_diag = _NUMPY_KERNELS
+def _controlled(amps, c_mask, c_val):
+    """(2,)*n view of ``amps`` and the per-axis index fixing every control."""
+    n = amps.size.bit_length() - 1
+    idx = [(c_val >> q) & 1 if (c_mask >> q) & 1 else slice(None) for q in range(n - 1, -1, -1)]
+    return amps.reshape((2,) * n), idx
 
 
-def warm_up():
-    """Trigger JIT compilation on tiny inputs so timed runs measure the algorithm."""
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
-    apply_1q(amps, 1, 0, 0, 0.6 + 0j, 0.8 + 0j, 0.8 + 0j, -0.6 + 0j)
-    apply_mcx(amps, 2, 1, 1)
-    apply_phase(amps, 1, 0, 0, 1j)
-    apply_diag(amps, np.array([0, 1], dtype=np.int64), np.exp(1j * np.arange(4)), 0, 0)
+def _halves(amps, t_mask, c_mask, c_val):
+    """Writable views of the controlled target=0 and target=1 amplitudes.
+
+    The trailing Ellipsis keeps the result a view even when the target and
+    controls fix every axis (plain integer indexing would return a scalar).
+    """
+    view, idx = _controlled(amps, c_mask, c_val)
+    axis = len(idx) - t_mask.bit_length()
+    idx[axis] = 0
+    v0 = view[(*idx, ...)]
+    idx[axis] = 1
+    return v0, view[(*idx, ...)]
+
+
+def apply_1q(amps, t_mask, c_mask, c_val, u00, u01, u10, u11):
+    v0, v1 = _halves(amps, t_mask, c_mask, c_val)
+    a0 = v0.copy()
+    v0[...] = u00 * a0 + u01 * v1
+    v1[...] = u10 * a0 + u11 * v1
+
+
+def apply_mcx(amps, t_mask, c_mask, c_val):
+    v0, v1 = _halves(amps, t_mask, c_mask, c_val)
+    a0 = v0.copy()
+    v0[...] = v1
+    v1[...] = a0
+
+
+def apply_phase(amps, t_mask, c_mask, c_val, phase):
+    _, v1 = _halves(amps, t_mask, c_mask, c_val)
+    v1 *= phase
+
+
+def apply_diag(amps, qpos, phases, c_mask, c_val):
+    """Multiply amplitude i by phases[k], where bit b of k is bit qpos[b] of i."""
+    view, idx = _controlled(amps, c_mask, c_val)
+    sub = view[(*idx, ...)]
+    qpos = [int(q) for q in qpos]
+    m = len(qpos)
+    # axis j of phases.reshape((2,)*m) carries qubit qpos[m-1-j]; order the
+    # axes by descending qubit like the view, then give every other free
+    # qubit a broadcast axis of length 1
+    order = sorted(range(m), key=lambda j: qpos[m - 1 - j], reverse=True)
+    free = [len(idx) - 1 - a for a, i in enumerate(idx) if isinstance(i, slice)]
+    sub *= phases.reshape((2,) * m).transpose(order).reshape([2 if q in qpos else 1 for q in free])

@@ -5,8 +5,7 @@ travels separately in ``norm_factor``. Post-selecting a register multiplies
 the norm factor by sqrt(p) and renormalizes, so decoded field values are
 invariant under where in the pipeline the selection happens.
 
-Gate application dispatches to the compiled kernels in :mod:`qlbm._kernels`
-(numba when available, numpy otherwise).
+Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import _kernels
-from .circuits import GateOp, gate_matrix_1q
+from .circuits import _control_mask_val, gate_matrix_1q
 from .errors import ConfigurationError, EncodingError, PostSelectionError
 
 __all__ = [
@@ -86,15 +85,6 @@ def amplitude_encode(values, n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps, peak * unit_norm)
 
 
-def _control_mask_val(op: GateOp) -> tuple[int, int]:
-    mask = 0
-    val = 0
-    for q, v in zip(op.controls, op.control_values):
-        mask |= 1 << q
-        val |= v << q
-    return mask, val
-
-
 def apply_circuit(state: QuantumState, ops) -> QuantumState:
     """Apply a gate sequence in place (returns the same state for chaining)."""
     amps = state.amplitudes
@@ -130,15 +120,18 @@ def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumStat
     """
     if value not in (0, 1):
         raise ConfigurationError("selection value must be 0 or 1")
+    if not 0 <= qubit < state.n_qubits:
+        raise ConfigurationError(f"qubit {qubit} is outside a {state.n_qubits}-qubit state")
     amps = state.amplitudes
-    idx = np.arange(amps.size)
-    keep = ((idx >> qubit) & 1) == value
-    p = float(np.sum(np.abs(amps[keep]) ** 2))
+    shape = (amps.size >> (qubit + 1), 2, 1 << qubit)
+    kept = amps.reshape(shape)[:, value, :]
+    p = float(np.sum(np.abs(kept) ** 2))
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(
             f"selecting qubit {qubit} = {value} has probability {p:.3e}"
         )
-    new = np.where(keep, amps, 0.0) / np.sqrt(p)
+    new = np.zeros_like(amps)
+    new.reshape(shape)[:, value, :] = kept / np.sqrt(p)
     return QuantumState(state.n_qubits, new, state.norm_factor * np.sqrt(p)), p
 
 

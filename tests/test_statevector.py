@@ -107,6 +107,12 @@ def test_postselect_rejects_impossible_branch():
         postselect(state, 0, 1)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2, 5])
+def test_postselect_rejects_qubit_outside_state(qubit):
+    with pytest.raises(ConfigurationError, match="outside"):
+        postselect(QuantumState.zero(2), qubit, 0)
+
+
 def test_postselect_many_composes():
     state = _random_state(4, 3)
     joint, probs = postselect_many(state.copy(), {0: 1, 3: 0})
