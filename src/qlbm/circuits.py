@@ -19,9 +19,10 @@ collision ancilla a on top.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "build_stream_function_circuit",
     "build_single_cavity_circuit",
     "lower_op",
+    "lowered_rows",
     "lower_circuit",
     "iter_lowered",
     "apply_ops_numpy",
@@ -53,7 +55,15 @@ __all__ = [
     "circuit_from_text",
 ]
 
-GATE_KINDS = frozenset({"H", "X", "RY", "RZ", "PHASE", "U1Q", "DIAG", "MCX", "GPHASE"})
+# (target count, parameter count) per kind; DIAG takes any number of targets
+# and one phase per basis state of them
+_GATE_SHAPES = {
+    "H": (1, 0), "X": (1, 0), "MCX": (1, 0),
+    "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1), "U1Q": (1, 8),
+    "GPHASE": (0, 1),
+}
+GATE_KINDS = frozenset(_GATE_SHAPES) | {"DIAG"}
+_BITS = frozenset((0, 1))
 
 # tolerance for collision coefficients that poke past |k| = 1 by float slop
 _COEFF_SLACK = 1e-9
@@ -65,7 +75,8 @@ class GateOp:
 
     Controls apply to every kind. ``control_values`` holds the required bit
     (0 or 1) per control qubit. Parameters are angles except for U1Q, which
-    carries its 2x2 matrix as (re, im) pairs in row-major order.
+    carries its 2x2 matrix as (re, im) pairs in row-major order. DIAG carries
+    one phase per basis state of its targets (targets[0] least significant).
     """
 
     kind: str
@@ -75,15 +86,28 @@ class GateOp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ConfigurationError(f"unknown gate kind {self.kind!r}")
-        if len(self.controls) != len(self.control_values):
+        kind, targets, controls = self.kind, self.targets, self.controls
+        shape = _GATE_SHAPES.get(kind)
+        if shape is None:
+            if kind != "DIAG":
+                raise ConfigurationError(f"unknown gate kind {kind!r}")
+            if not targets:
+                raise ConfigurationError("DIAG needs at least one target")
+            shape = (len(targets), 1 << len(targets))
+        if len(targets) != shape[0] or len(self.params) != shape[1]:
+            raise ConfigurationError(
+                f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
+                f"got {len(targets)} and {len(self.params)}"
+            )
+        if len(controls) != len(self.control_values):
             raise ConfigurationError("controls and control_values must pair up")
-        if any(v not in (0, 1) for v in self.control_values):
+        if not _BITS.issuperset(self.control_values):
             raise ConfigurationError("control values must be 0 or 1")
-        seen = set(self.targets) | set(self.controls)
-        if len(seen) != len(self.targets) + len(self.controls):
-            raise ConfigurationError(f"overlapping target/control qubits in {self.kind}")
+        seen = {*targets, *controls}
+        if len(seen) != len(targets) + len(controls):
+            raise ConfigurationError(f"overlapping target/control qubits in {kind}")
+        if seen and min(seen) < 0:
+            raise ConfigurationError(f"negative qubit index in {kind}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -220,12 +244,37 @@ class CircuitIR:
         return self.layout.qubit_count
 
     def add_section(self, name: str, ops: Iterable[GateOp]) -> None:
+        ops = list(ops)
+        top = max((max(op.targets + op.controls, default=-1) for op in ops), default=-1)
+        if top >= self.n_qubits:
+            raise ConfigurationError(
+                f"section {name!r} touches qubit {top} of a {self.n_qubits}-qubit circuit"
+            )
         start = len(self.gates)
         self.gates.extend(ops)
         self.sections.append((name, start, len(self.gates)))
 
     def section_names(self) -> list[str]:
         return [name for name, _, _ in self.sections]
+
+    def section_runs(self) -> Iterator[tuple[str, int, int]]:
+        """(name, start, stop) runs covering every gate once, in gate order.
+
+        Gates outside every section run under ``""``. Sections are expected
+        in order and disjoint, as :meth:`add_section` makes them; where a
+        listed span reaches back over gates already covered, those gates keep
+        their earlier name.
+        """
+        pos = 0
+        for name, start, stop in self.sections:
+            if start > pos:
+                yield "", pos, start
+                pos = start
+            if stop > pos:
+                yield name, pos, stop
+                pos = stop
+        if pos < len(self.gates):
+            yield "", pos, len(self.gates)
 
     def iter_section(self, name: str) -> Iterator[GateOp]:
         found = False
@@ -264,6 +313,19 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def _gray_ladder(k: int) -> Iterator[tuple[int, int]]:
+    """(angle index, control position) per rung of the k-control gray-code ladder.
+
+    Rung i rotates by the transformed angle of gray code i, then flips the
+    target on the control whose bit changes between gray codes i and i + 1
+    (the last rung wraps round on the top control).
+    """
+    last = (1 << k) - 1
+    for i in range(last + 1):
+        flip = k - 1 if i == last else ((i + 1) & -(i + 1)).bit_length() - 1
+        yield i ^ (i >> 1), flip
+
+
 def _multiplexed_rotation(kind: str, target: int, controls: tuple[int, ...], angles) -> list[GateOp]:
     """Uniformly-controlled RY/RZ: rotation angle angles[b] on control branch b.
 
@@ -277,15 +339,10 @@ def _multiplexed_rotation(kind: str, target: int, controls: tuple[int, ...], ang
         raise ConfigurationError(f"need {1 << k} angles for {k} controls, got {angles.shape}")
     if k == 0:
         return [GateOp(kind, (target,), params=(float(angles[0]),))]
-    transformed = _fwht(angles) / (1 << k)
+    transformed = (_fwht(angles) / (1 << k)).tolist()
     ops: list[GateOp] = []
-    for i in range(1 << k):
-        gray = i ^ (i >> 1)
-        ops.append(GateOp(kind, (target,), params=(float(transformed[gray]),)))
-        if i == (1 << k) - 1:
-            flip = k - 1
-        else:
-            flip = ((i + 1) & -(i + 1)).bit_length() - 1
+    for gray, flip in _gray_ladder(k):
+        ops.append(GateOp(kind, (target,), params=(transformed[gray],)))
         ops.append(GateOp("MCX", (target,), (controls[flip],), (1,)))
     return ops
 
@@ -593,8 +650,20 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # ---------------------------------------------------------------------------
 # lowering to single-qubit + CNOT
 # ---------------------------------------------------------------------------
-
-_LOWERED_1Q = frozenset({"H", "X", "RY", "RZ", "PHASE", "U1Q"})
+#
+# A lowering is a sequence of basis rows ``(kind, target, control, params)``
+# on relative qubit slots: ``control`` is -1 for a single-qubit gate,
+# ``target`` is -1 for the global phase, and every controlled row is a CNOT on
+# control value 1. :func:`lowered_rows` pairs the rows with the qubit each slot
+# stands for; :func:`lower_op` and :func:`iter_lowered` emit gates from them
+# and the resource counter walks them as they are.
+#
+# MCX and controlled single-qubit gates lower through one template per shape
+# (kind, number of controls, params): the all-ones-controls core, with the
+# controls on slots 0..m-1 and the target on slot m, expanded once and shared
+# by every gate of that shape. Zero-polarity controls are wrapped in X when
+# the template is emitted. Diagonals depend on their phases and are expanded
+# per gate.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -694,14 +763,52 @@ def _multi_controlled_unitary(u: np.ndarray, controls: tuple[int, ...], target: 
 
 
 def _multi_controlled_x(controls: tuple[int, ...], target: int) -> list[GateOp]:
-    m = len(controls)
-    if m == 0:
-        return [GateOp("X", (target,))]
-    if m == 1:
-        return [GateOp("MCX", (target,), controls, (1,))]
-    if m == 2:
-        return _toffoli_ops(controls[0], controls[1], target)
-    return _multi_controlled_unitary(_X_MAT, controls, target)
+    return _emit(_core_template("MCX", len(controls), ()), controls + (target,))
+
+
+def _core_ops(kind: str, m: int, params: tuple) -> list[GateOp]:
+    """Lowered all-ones-controls core on slots: controls 0..m-1, target m."""
+    slots = tuple(range(m))
+    if kind == "MCX":
+        if m == 0:
+            return [GateOp("X", (0,))]
+        if m == 1:
+            return [GateOp("MCX", (1,), (0,), (1,))]
+        if m == 2:
+            return _toffoli_ops(0, 1, 2)
+        return _multi_controlled_unitary(_X_MAT, slots, m)
+    if m == 1 and kind == "RZ":
+        # two-CNOT special case: half rotations cancel on the idle branch
+        (theta,) = params
+        return [
+            GateOp("RZ", (1,), params=(theta / 2.0,)),
+            GateOp("MCX", (1,), (0,), (1,)),
+            GateOp("RZ", (1,), params=(-theta / 2.0,)),
+            GateOp("MCX", (1,), (0,), (1,)),
+        ]
+    return _multi_controlled_unitary(gate_matrix_1q(GateOp(kind, (m,), params=params)), slots, m)
+
+
+@functools.lru_cache(maxsize=128)
+def _core_template(kind: str, m: int, params: tuple) -> tuple[tuple, ...]:
+    """Basis rows of the core of one gate shape (params that compare equal share one)."""
+    return tuple(
+        (op.kind, op.targets[0], op.controls[0] if op.controls else -1, op.params)
+        for op in _core_ops(kind, m, params)
+    )
+
+
+def _emit(rows, qubits: tuple[int, ...]) -> list[GateOp]:
+    """Gates of basis rows with slot s placed on qubits[s]."""
+    ops = []
+    for kind, t, c, params in rows:
+        if c >= 0:
+            ops.append(GateOp(kind, (qubits[t],), (qubits[c],), (1,), params))
+        elif t >= 0:
+            ops.append(GateOp(kind, (qubits[t],), params=params))
+        else:
+            ops.append(GateOp(kind, (), params=params))
+    return ops
 
 
 def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
@@ -717,85 +824,63 @@ def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     return targets + op.controls, merged
 
 
-def _diag_ops(qubits: tuple[int, ...], phases: np.ndarray) -> list[GateOp]:
-    """Exact diagonal phase gate as multiplexed RZ stages plus a global phase."""
-    m = len(qubits)
-    if m == 1:
-        ops = []
+def _diag_rows(phases: np.ndarray) -> list[tuple]:
+    """Exact diagonal phase gate as multiplexed RZ stages plus a global phase.
+
+    Slot j is bit j of the phase index; the top slot is the target of the
+    last stage, which the lower slots control.
+    """
+    if phases.size == 2:
+        rows = []
         if phases[0]:
-            ops.append(GateOp("GPHASE", (), params=(float(phases[0]),)))
+            rows.append(("GPHASE", -1, -1, (float(phases[0]),)))
         delta = float(phases[1] - phases[0])
         if delta:
-            ops.append(GateOp("PHASE", (qubits[0],), params=(delta,)))
-        return ops
+            rows.append(("PHASE", 0, -1, (delta,)))
+        return rows
     half = phases.size >> 1
     low, high = phases[:half], phases[half:]
-    ops = _diag_ops(qubits[:-1], (low + high) / 2.0)
+    rows = _diag_rows((low + high) / 2.0)
     diff = high - low
     if np.any(diff):
-        ops += _multiplexed_rotation("RZ", qubits[-1], qubits[:-1], diff)
-    return ops
+        k = half.bit_length() - 1
+        transformed = (_fwht(diff) / half).tolist()
+        for gray, flip in _gray_ladder(k):
+            rows.append(("RZ", k, -1, (transformed[gray],)))
+            rows.append(("MCX", k, flip, ()))
+    return rows
+
+
+def lowered_rows(op: GateOp) -> tuple[Sequence[tuple], tuple[int, ...]]:
+    """Basis rows of one gate's exact lowering, and the qubit each slot stands for."""
+    kind = op.kind
+    if kind == "GPHASE":
+        if op.controls:
+            raise ConfigurationError("controlled global phase is not supported")
+        return (("GPHASE", -1, -1, op.params),), ()
+    if kind == "DIAG":
+        qubits, phases = _merged_diag_phases(op)
+        return _diag_rows(phases), qubits
+    if not op.controls and kind != "MCX":
+        return ((kind, 0, -1, op.params),), op.targets
+    rows = _core_template(kind, len(op.controls), op.params)
+    if 0 in op.control_values:
+        wrap = tuple(("X", i, -1, ()) for i, v in enumerate(op.control_values) if not v)
+        rows = wrap + rows + wrap
+    return rows, op.controls + op.targets
 
 
 def lower_op(op: GateOp) -> list[GateOp]:
     """Rewrite one gate into the single-qubit + CNOT basis, exactly."""
-    if op.kind == "GPHASE":
-        return [op]
-    if op.kind == "DIAG":
-        qubits, phases = _merged_diag_phases(op)
-        return _diag_ops(qubits, phases)
-
-    wrap = [
-        GateOp("X", (q,)) for q, v in zip(op.controls, op.control_values) if v == 0
-    ]
-    if op.kind == "MCX":
-        core = _multi_controlled_x(op.controls, op.targets[0])
-    elif op.kind in _LOWERED_1Q:
-        if not op.controls:
-            return [op]
-        if len(op.controls) == 1 and op.kind == "RZ":
-            # two-CNOT special case: half rotations cancel on the idle branch
-            (theta,) = op.params
-            (t,) = op.targets
-            core = [
-                GateOp("RZ", (t,), params=(theta / 2.0,)),
-                GateOp("MCX", (t,), op.controls, (1,)),
-                GateOp("RZ", (t,), params=(-theta / 2.0,)),
-                GateOp("MCX", (t,), op.controls, (1,)),
-            ]
-        else:
-            core = _multi_controlled_unitary(gate_matrix_1q(op), op.controls, op.targets[0])
-    else:
-        raise ConfigurationError(f"cannot lower gate kind {op.kind!r}")
-    return wrap + core + wrap
-
-
-def _is_basis_op(op: GateOp) -> bool:
-    if op.controls:
-        return op.kind == "MCX" and len(op.controls) == 1 and op.control_values == (1,)
-    return op.kind in _LOWERED_1Q or op.kind == "GPHASE"
+    return _emit(*lowered_rows(op))
 
 
 def iter_lowered(circ: CircuitIR) -> Iterator[tuple[str, GateOp]]:
-    """Stream (section, basis op) pairs without materializing the lowered list."""
-    bounds = {i: name for name, start, stop in circ.sections for i in range(start, stop)}
-    for i, op in enumerate(circ.gates):
-        section = bounds.get(i, "")
-        if _is_basis_op(op):
-            yield section, op
-            continue
-        for low in lower_op(op):
-            if _is_basis_op(low):
+    """(section, basis op) pairs of the lowered circuit, in gate order."""
+    for section, start, stop in circ.section_runs():
+        for op in circ.gates[start:stop]:
+            for low in lower_op(op):
                 yield section, low
-            else:
-                # recursion artifacts (multi-controlled pieces) need another pass
-                stack = [low]
-                while stack:
-                    item = stack.pop()
-                    if _is_basis_op(item):
-                        yield section, item
-                    else:
-                        stack.extend(reversed(lower_op(item)))
 
 
 def lower_circuit(circ: CircuitIR) -> CircuitIR:

@@ -13,7 +13,7 @@ replaces every link population with its equilibrium value, streams, and sums.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -173,7 +173,6 @@ class CavityHistory:
 
     psi: np.ndarray  # (steps+1, n, n)
     omega: np.ndarray  # (steps+1, n, n)
-    wall_distributions: list = dataclass_field(default_factory=list)
 
     @property
     def steps(self) -> int:
@@ -287,7 +286,7 @@ def velocity_from_stream_function(psi: np.ndarray, delta: float = 1.0):
     return u, v
 
 
-def apply_cavity_boundaries(psi, omega, spec: CavitySpec, populations=None):
+def apply_cavity_boundaries(psi, omega, spec: CavitySpec):
     """Impose cavity walls on freshly updated (psi, omega) fields.
 
     psi is zeroed on all four walls. Wall vorticity comes from the second-order
@@ -295,13 +294,6 @@ def apply_cavity_boundaries(psi, omega, spec: CavitySpec, populations=None):
     omega_wall = -2 (psi_first_interior/delta^2 + U_wall/delta), U_wall being
     lid_velocity on the top row and 0 elsewhere. The top row is written last so
     lid-row corners take the lid value.
-
-    Returns (psi', omega', wall_g) where wall_g holds the inward-pointing wall
-    link populations implied by the update: the value that, added to the
-    remaining streamed-in link populations at the wall site, reproduces the
-    imposed wall vorticity. When the post-streaming populations are not
-    supplied the remaining-link sum is reconstructed from the pre-overwrite
-    wall field (rest-weighted equilibrium split).
     """
     n = spec.n
     d = spec.delta
@@ -316,31 +308,11 @@ def apply_cavity_boundaries(psi, omega, spec: CavitySpec, populations=None):
     psi2[:, 0] = 0.0
     psi2[:, -1] = 0.0
 
-    omega_in = omega2.copy()  # streamed-in values before the overwrite
     omega2[0, :] = -2.0 * psi2[1, :] / d**2
     omega2[:, 0] = -2.0 * psi2[:, 1] / d**2
     omega2[:, -1] = -2.0 * psi2[:, -2] / d**2
     omega2[-1, :] = -2.0 * (psi2[-2, :] / d**2 + u_lid / d)
-
-    # Bookkeeping: inward link population at each wall site. Link order is
-    # (rest, +x, +y, -x, -y); the inward direction points into the fluid.
-    inward = {"bottom": 2, "top": 4, "left": 1, "right": 3}
-    rows = {
-        "bottom": (np.s_[0, :], omega2[0, :]),
-        "top": (np.s_[-1, :], omega2[-1, :]),
-        "left": (np.s_[:, 0], omega2[:, 0]),
-        "right": (np.s_[:, -1], omega2[:, -1]),
-    }
-    wall_g = {}
-    for wall, (sl, target) in rows.items():
-        a_in = inward[wall]
-        if populations is not None:
-            rest = sum(populations[a][sl] for a in range(populations.shape[0]) if a != a_in)
-        else:
-            w = D2Q5.weight_array
-            rest = (1.0 - w[a_in]) * omega_in[sl]
-        wall_g[wall] = target - rest
-    return psi2, omega2, wall_g
+    return psi2, omega2
 
 
 def cavity_step_classical(psi, omega, spec: CavitySpec, params: FlowParams):
@@ -357,15 +329,10 @@ def cavity_step_classical(psi, omega, spec: CavitySpec, params: FlowParams):
     f_streamed = stream_periodic(D2Q5, k * omega[None, ...])
     omega_next = macro_moment(f_streamed)
     psi_next = step_poisson(D2Q5, psi, -omega, params)
-    return apply_cavity_boundaries(psi_next, omega_next, spec, populations=f_streamed)
+    return apply_cavity_boundaries(psi_next, omega_next, spec)
 
 
-def solve_cavity_classical(
-    spec: CavitySpec,
-    params: FlowParams | None = None,
-    *,
-    keep_wall_distributions: bool = False,
-) -> CavityHistory:
+def solve_cavity_classical(spec: CavitySpec, params: FlowParams | None = None) -> CavityHistory:
     """Run the classical lid-driven cavity for spec.steps steps from rest."""
     params = params or FlowParams(lid_velocity=spec.lid_velocity)
     _require_power_of_two_extent((spec.n,))
@@ -373,16 +340,13 @@ def solve_cavity_classical(
     omega = np.zeros((spec.n, spec.n))
     psi_hist = [psi]
     omega_hist = [omega]
-    walls = []
     for step in range(1, spec.steps + 1):
-        psi, omega, wall_g = cavity_step_classical(psi, omega, spec, params)
+        psi, omega = cavity_step_classical(psi, omega, spec, params)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
             raise SimulationError("cavity run diverged", step=step)
         psi_hist.append(psi)
         omega_hist.append(omega)
-        if keep_wall_distributions:
-            walls.append(wall_g)
-    return CavityHistory(psi=np.stack(psi_hist), omega=np.stack(omega_hist), wall_distributions=walls)
+    return CavityHistory(psi=np.stack(psi_hist), omega=np.stack(omega_hist))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Gate counting, depth, and runtime estimates for the lowered circuits.
 
-Circuits are streamed through :func:`qlbm.circuits.iter_lowered` one basis
-gate at a time, so the 64 x 64 combined circuit (about a million gates after
-lowering) never has to be materialized. Depth is the length of the longest
-per-qubit dependency chain; runtime replaces unit layers with per-gate
-durations on the same chains. Global-phase bookkeeping gates touch no qubits
-and are excluded from every count.
+The counter never builds the lowered gate list. For each gate it takes the
+basis rows of its lowering from :func:`qlbm.circuits.lowered_rows`: plain
+``(kind, target slot, control slot, params)`` tuples plus the qubit each
+slot stands for. Multi-controlled gates share one memoized template per
+shape, so the 64 x 64 combined circuit (about a million gates after
+lowering) is counted on Python ints and floats without one ``GateOp`` per
+lowered gate. Depth is the length of the longest per-qubit dependency chain;
+runtime replaces unit layers with per-gate durations on the same chains.
+Global-phase bookkeeping gates touch no qubits and are excluded from every
+count. Section tallies follow the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,
@@ -25,7 +29,8 @@ from .circuits import (
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
-    iter_lowered,
+    iter_lowered,  # noqa: F401  (perfbench/spans.py hooks qlbm.resources.iter_lowered)
+    lowered_rows,
 )
 from .errors import ConfigurationError
 from .lattice import CavitySpec, D2Q5, FlowParams, solve_cavity_classical, velocity_from_stream_function
@@ -97,41 +102,39 @@ class ResourceReport:
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
     """Count the lowered circuit without materializing it."""
     durations = durations or GateDurationTable()
+    t1q, tcx = durations.single_qubit, durations.cnot
     n = circ.n_qubits
-    last_layer = np.zeros(n, dtype=np.int64)
-    ready_at = np.zeros(n, dtype=float)
-    cnot = 0
-    single = 0
+    last_layer = [0] * n
+    ready_at = [0.0] * n
     sections: dict[str, SectionTally] = {}
-    for section, op in iter_lowered(circ):
-        if op.kind == "GPHASE":
-            continue
-        qubits = op.qubits
-        is_cnot = op.kind == "MCX"
-        if is_cnot:
-            cnot += 1
-            dur = durations.cnot
-        else:
-            single += 1
-            dur = durations.single_qubit
-        tally = sections.setdefault(section, SectionTally())
-        if is_cnot:
-            tally.cnot += 1
-        else:
-            tally.single_qubit += 1
-        qs = list(qubits)
-        layer = max(last_layer[q] for q in qs) + 1
-        start = max(ready_at[q] for q in qs)
-        for q in qs:
-            last_layer[q] = layer
-            ready_at[q] = start + dur
+    for section, start, stop in circ.section_runs():
+        cnot = single = 0
+        for op in circ.gates[start:stop]:
+            rows, qubits = lowered_rows(op)
+            for _, t, c, _ in rows:
+                if c >= 0:
+                    cnot += 1
+                    qt, qc = qubits[t], qubits[c]
+                    lt, lc = last_layer[qt], last_layer[qc]
+                    rt, rc = ready_at[qt], ready_at[qc]
+                    last_layer[qt] = last_layer[qc] = (lt if lt > lc else lc) + 1
+                    ready_at[qt] = ready_at[qc] = (rt if rt > rc else rc) + tcx
+                elif t >= 0:  # t < 0 is the global phase, which touches no qubit
+                    single += 1
+                    qt = qubits[t]
+                    last_layer[qt] += 1
+                    ready_at[qt] += t1q
+        if cnot or single:
+            tally = sections.setdefault(section, SectionTally())
+            tally.cnot += cnot
+            tally.single_qubit += single
     return ResourceReport(
         label=label,
         qubit_count=n,
-        cnot=cnot,
-        single_qubit=single,
-        depth=int(last_layer.max(initial=0)),
-        runtime_seconds=float(ready_at.max(initial=0.0)),
+        cnot=sum(t.cnot for t in sections.values()),
+        single_qubit=sum(t.single_qubit for t in sections.values()),
+        depth=max(last_layer, default=0),
+        runtime_seconds=max(ready_at, default=0.0),
         sections=sections,
     )
 

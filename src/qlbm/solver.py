@@ -293,7 +293,7 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
         else:
             psi_new, omega_new, recs = _single_step(n, psi, omega, scale * omega, vel, step)
             records += recs
-        psi, omega, _ = apply_cavity_boundaries(psi_new, omega_new, spec)
+        psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
             raise SimulationError("cavity run diverged", step=step)
         psi_hist.append(psi)

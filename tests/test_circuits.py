@@ -119,6 +119,46 @@ def test_gate_op_rejects_overlapping_qubits():
         GateOp("X", (0,), controls=(0,), control_values=(1,))
 
 
+@pytest.mark.parametrize("kind, targets, params", [
+    ("MCX", (0, 1), ()),           # would lower, run and count as targets[0] only
+    ("H", (0, 1), ()),
+    ("X", (), ()),
+    ("GPHASE", (0,), (0.3,)),
+    ("GPHASE", (), ()),
+    ("RY", (0,), ()),
+    ("RZ", (0,), (0.1, 0.2)),
+    ("MCX", (0,), (0.5,)),
+    ("U1Q", (0,), (1.0, 0.0, 0.0, 0.0)),
+    ("DIAG", (0, 1), (0.1, 0.2)),
+    ("DIAG", (), (0.1,)),
+])
+def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
+    with pytest.raises(ConfigurationError):
+        GateOp(kind, targets, params=params)
+
+
+@pytest.mark.parametrize("targets, controls", [((-1,), ()), ((0,), (-2,))])
+def test_gate_op_rejects_negative_qubits(targets, controls):
+    with pytest.raises(ConfigurationError, match="negative"):
+        GateOp("MCX", targets, controls, (1,) * len(controls))
+
+
+def test_add_section_rejects_qubit_outside_the_layout():
+    circ = CircuitIR(RegisterLayout(n_r0=2, n_a=0))
+    with pytest.raises(ConfigurationError, match="qubit 2 of a 2-qubit"):
+        circ.add_section("body", [GateOp("H", (0,)), GateOp("MCX", (0,), (2,), (1,))])
+    assert circ.gates == [] and circ.sections == []
+    circ.add_section("body", [GateOp("MCX", (1,), (0,), (1,))])
+    assert circ.section_names() == ["body"]
+
+
+def test_section_runs_cover_every_gate_once_in_order():
+    circ = CircuitIR(RegisterLayout(n_r0=1, n_a=0))
+    circ.gates = [GateOp("H", (0,))] * 6
+    circ.sections = [("a", 1, 3), ("empty", 3, 3), ("b", 2, 5)]
+    assert list(circ.section_runs()) == [("", 0, 1), ("a", 1, 3), ("b", 3, 5), ("", 5, 6)]
+
+
 @pytest.mark.parametrize(
     "scheme,extent,source,boundary,expected",
     [
@@ -441,6 +481,98 @@ def test_lowered_sections_keep_order_and_names():
     assert circ.section_names() == ["encode", "collision", "streaming", "macro"]
     low = lower_circuit(circ)
     assert low.section_names() == ["encode", "collision", "streaming", "macro"]
+
+
+def _is_basis(op: GateOp) -> bool:
+    if op.controls:
+        return op.kind == "MCX" and len(op.controls) == 1 and op.control_values == (1,)
+    return op.kind in ("H", "X", "RY", "RZ", "PHASE", "U1Q", "GPHASE")
+
+
+def _naive_lowered(circ: CircuitIR) -> list:
+    """(section, gate) stream by stack expansion of lower_op, one gate at a time."""
+    names = {i: name for name, start, stop in circ.sections for i in range(start, stop)}
+    out = []
+    for i, op in enumerate(circ.gates):
+        stack = [op]
+        while stack:
+            item = stack.pop()
+            if _is_basis(item):
+                out.append((names.get(i, ""), item))
+            else:
+                stack.extend(reversed(lower_op(item)))
+    return out
+
+
+def _exact(stream) -> list:
+    # repr keeps apart floats that == merges (0.0 and -0.0)
+    return [
+        (sec, op.kind, op.targets, op.controls, op.control_values, tuple(map(repr, op.params)))
+        for sec, op in stream
+    ]
+
+
+def _builders_at_extent_four():
+    rng = np.random.default_rng(31)
+    psi, omega = rng.uniform(-1, 1, (2, 4, 4))
+    vel = rng.uniform(-0.2, 0.2, (2, 4, 4))
+    return {
+        "advection": build_advection_diffusion_circuit(D2Q5, 4, rng.random((4, 4)) + 0.1, (0.1, -0.05)),
+        "vorticity": build_vorticity_circuit(D2Q5, 4, omega, vel),
+        "stream-function": build_stream_function_circuit(D2Q5, 4, psi, 0.1 * omega),
+        "stream-function-nb": build_stream_function_circuit(D2Q5, 4, psi, 0.1 * omega, boundary=False),
+        "single": build_single_cavity_circuit(D2Q5, 4, psi, 0.1 * omega, omega, vel),
+    }
+
+
+@pytest.mark.parametrize("name", ["advection", "vorticity", "stream-function", "stream-function-nb", "single"])
+def test_iter_lowered_equals_naive_expansion_for_every_builder(name):
+    circ = _builders_at_extent_four()[name]
+    assert _exact(iter_lowered(circ)) == _exact(_naive_lowered(circ))
+
+
+def _mixed_controlled_gates():
+    rng = np.random.default_rng(32)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u1q = tuple(float(x) for z in q.ravel() for x in (z.real, z.imag))
+    ops = []
+    for m in range(7):
+        controls = tuple(rng.permutation(7)[:m].tolist())
+        target = next(t for t in range(7) if t not in controls)
+        values = tuple(rng.integers(0, 2, m).tolist())
+        ops.append(GateOp("MCX", (target,), controls, values))
+        ops.append(GateOp("RY", (target,), controls, values, (float(rng.uniform(-3, 3)),)))
+        ops.append(GateOp("U1Q", (target,), controls, values, u1q))
+    return ops
+
+
+def test_iter_lowered_equals_naive_expansion_for_mixed_polarity_controls():
+    circ = CircuitIR(RegisterLayout(n_r0=7, n_a=0))
+    circ.add_section("body", _mixed_controlled_gates())
+    stream = list(iter_lowered(circ))
+    assert _exact(stream) == _exact(_naive_lowered(circ))
+    assert all(_is_basis(op) for _, op in stream)
+
+
+@pytest.mark.parametrize("index", range(12))  # 0-3 controls of MCX, RY and U1Q
+def test_templated_lowering_of_mixed_polarity_controls_is_exact(index):
+    op = _mixed_controlled_gates()[index]
+    lowered = lower_op(op)
+    again = lower_op(op)  # served from the template made by the first call
+    assert _exact(("", o) for o in lowered) == _exact(("", o) for o in again)
+    np.testing.assert_allclose(circuit_unitary(lowered, 7), _dense_op(op, 7), atol=1e-10)
+
+
+def test_lower_op_rejects_controlled_global_phase():
+    op = GateOp("GPHASE", (), (0,), (1,), (0.3,))
+    circ = CircuitIR(RegisterLayout(n_r0=1, n_a=0))
+    circ.add_section("body", [op])
+    with pytest.raises(ConfigurationError, match="controlled global phase"):
+        lower_op(op)
+    with pytest.raises(ConfigurationError, match="controlled global phase"):
+        list(iter_lowered(circ))
+    with pytest.raises(ConfigurationError, match="controlled global phase"):
+        lower_circuit(circ)
 
 
 # ---------------------------------------------------------------------------

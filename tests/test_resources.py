@@ -3,9 +3,12 @@ the combined-versus-pair cavity comparison numbers."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlbm.circuits import (
     CircuitIR,
@@ -30,6 +33,7 @@ from qlbm.resources import (
 
 _1Q = GateDurationTable().single_qubit
 _CX = GateDurationTable().cnot
+_DATA = Path(__file__).parent / "data"
 
 
 def _tiny_circuit(ops, n_qubits=3):
@@ -72,9 +76,11 @@ def test_count_parallel_gates_share_a_layer():
 def test_count_excludes_global_phase():
     base = _tiny_circuit([GateOp("H", (0,))])
     with_gp = _tiny_circuit([GateOp("H", (0,)), GateOp("GPHASE", (), params=(0.4,))])
+    with_gp.add_section("phase", [GateOp("GPHASE", (), params=(0.2,))])
     a = count_resources(base, "a")
     b = count_resources(with_gp, "b")
     assert (a.cnot, a.single_qubit, a.depth) == (b.cnot, b.single_qubit, b.depth)
+    assert list(b.sections) == ["body"]  # a section of global phases alone gets no tally
 
 
 def test_count_lowers_toffoli_to_known_split():
@@ -117,6 +123,61 @@ def test_streamed_counts_match_materialized_lowering():
     assert [op for _, op in iter_lowered(circ)] == low.gates
 
 
+def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
+    """(cnot, single_qubit, depth, runtime) over the materialized lowering."""
+    layers = [0] * circ.n_qubits
+    ready = [0.0] * circ.n_qubits
+    cnot = single = 0
+    for op in lower_circuit(circ).gates:
+        if op.kind == "GPHASE":
+            continue
+        if op.kind == "MCX":
+            cnot += 1
+        else:
+            single += 1
+        layer = max(layers[q] for q in op.qubits) + 1
+        done = max(ready[q] for q in op.qubits) + (_CX if op.kind == "MCX" else _1Q)
+        for q in op.qubits:
+            layers[q], ready[q] = layer, done
+    return cnot, single, max(layers), max(ready)
+
+
+@st.composite
+def _controlled_gates(draw):
+    n = draw(st.integers(2, 7))
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["MCX", "H", "X", "RY", "RZ", "PHASE", "DIAG", "GPHASE"]))
+        qubits = draw(st.permutations(range(n)))
+        if kind == "GPHASE":
+            ops.append(GateOp("GPHASE", (), params=(draw(st.floats(-3, 3)),)))
+            continue
+        n_targets = draw(st.integers(1, min(3, n))) if kind == "DIAG" else 1
+        m = draw(st.integers(0, n - n_targets))
+        targets = tuple(qubits[:n_targets])
+        controls = tuple(qubits[n_targets : n_targets + m])
+        values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        n_params = {"MCX": 0, "H": 0, "X": 0, "DIAG": 1 << n_targets}.get(kind, 1)
+        params = tuple(draw(st.lists(st.floats(-3, 3), min_size=n_params, max_size=n_params)))
+        ops.append(GateOp(kind, targets, controls, values, params))
+    return n, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(_controlled_gates())
+def test_counts_match_the_materialized_lowering_on_random_controlled_gates(case):
+    n, ops = case
+    circ = _tiny_circuit(ops, n_qubits=n)
+    rep = count_resources(circ, "random")
+    assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+
+
+def test_count_rejects_controlled_global_phase():
+    circ = _tiny_circuit([GateOp("GPHASE", (), (0,), (1,), (0.3,))])
+    with pytest.raises(ConfigurationError, match="controlled global phase"):
+        count_resources(circ, "gphase")
+
+
 # ---------------------------------------------------------------------------
 # cavity comparison
 # ---------------------------------------------------------------------------
@@ -152,6 +213,18 @@ def test_comparison_at_extent_eight_frozen_numbers():
     assert comp.depth_gap == 15578
     assert comp.cnot_reduction == pytest.approx(0.560, abs=0.001)
     assert comp.depth_reduction == pytest.approx(0.776, abs=0.001)
+
+
+def test_comparison_at_extent_eight_matches_the_frozen_report():
+    # every count, depth, runtime and section tally, with section order
+    frozen = (_DATA / "comparison_extent8.json").read_text()
+    assert json.dumps(compare_single_vs_frugal(8).to_dict(), indent=1) + "\n" == frozen
+
+
+def test_comparison_csv_matches_the_frozen_bytes(tmp_path):
+    path = tmp_path / "resources.csv"
+    write_comparison_csv(path, scaling_sweep([2, 4, 8]))
+    assert path.read_bytes() == (_DATA / "comparison_extents_2_4_8.csv").read_bytes()
 
 
 def test_comparison_runtime_tracks_depth_direction():
