@@ -139,14 +139,6 @@ def gate_matrix_1q(op: GateOp) -> np.ndarray:
     raise ConfigurationError(f"{k} has no 2x2 matrix")
 
 
-def _u1q(target: int, mat: np.ndarray, controls=(), control_values=()) -> GateOp:
-    p = []
-    for r in range(2):
-        for c in range(2):
-            p += [float(mat[r, c].real), float(mat[r, c].imag)]
-    return GateOp("U1Q", (target,), tuple(controls), tuple(control_values), tuple(p))
-
-
 # ---------------------------------------------------------------------------
 # register layout
 # ---------------------------------------------------------------------------
@@ -661,9 +653,10 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # MCX and controlled single-qubit gates lower through one template per shape
 # (kind, number of controls, params): the all-ones-controls core, with the
 # controls on slots 0..m-1 and the target on slot m, expanded once and shared
-# by every gate of that shape. Zero-polarity controls are wrapped in X when
-# the template is emitted. Diagonals depend on their phases and are expanded
-# per gate.
+# by every gate of that shape. The recursion builds rows on slots from the
+# bottom up, and its inner MCX is a smaller cached core with its slots
+# remapped. Zero-polarity controls are wrapped in X when the template is
+# emitted. Diagonals depend on their phases and are expanded per gate.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -692,110 +685,97 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
-def _controlled_1q_exact(u: np.ndarray, control: int, target: int) -> list[GateOp]:
+def _controlled_1q_rows(u: np.ndarray, control: int, target: int) -> list[tuple]:
     """Singly-controlled 2x2 unitary with two CNOTs (ABC decomposition)."""
     alpha, beta, gamma, delta = _zyz_angles(u)
-    ops: list[GateOp] = []
+    rows: list[tuple] = []
     c_angle = (delta - beta) / 2.0
     if c_angle:
-        ops.append(GateOp("RZ", (target,), params=(c_angle,)))
-    ops.append(GateOp("MCX", (target,), (control,), (1,)))
+        rows.append(("RZ", target, -1, (c_angle,)))
+    rows.append(("MCX", target, control, ()))
     b_rz = -(delta + beta) / 2.0
     if b_rz:
-        ops.append(GateOp("RZ", (target,), params=(b_rz,)))
+        rows.append(("RZ", target, -1, (b_rz,)))
     if gamma:
-        ops.append(GateOp("RY", (target,), params=(-gamma / 2.0,)))
-    ops.append(GateOp("MCX", (target,), (control,), (1,)))
+        rows.append(("RY", target, -1, (-gamma / 2.0,)))
+    rows.append(("MCX", target, control, ()))
     if gamma:
-        ops.append(GateOp("RY", (target,), params=(gamma / 2.0,)))
+        rows.append(("RY", target, -1, (gamma / 2.0,)))
     if beta:
-        ops.append(GateOp("RZ", (target,), params=(beta,)))
+        rows.append(("RZ", target, -1, (beta,)))
     if alpha:
-        ops.append(GateOp("PHASE", (control,), params=(alpha,)))
-    return ops
+        rows.append(("PHASE", control, -1, (alpha,)))
+    return rows
 
 
 _TOFFOLI_T = math.pi / 4.0
 
-
-def _toffoli_ops(c0: int, c1: int, target: int) -> list[GateOp]:
-    """Canonical doubly-controlled X: six CNOTs plus T-layer single qubit gates."""
-    t, tdg = (_TOFFOLI_T,), (-_TOFFOLI_T,)
-    return [
-        GateOp("H", (target,)),
-        GateOp("MCX", (target,), (c1,), (1,)),
-        GateOp("PHASE", (target,), params=tdg),
-        GateOp("MCX", (target,), (c0,), (1,)),
-        GateOp("PHASE", (target,), params=t),
-        GateOp("MCX", (target,), (c1,), (1,)),
-        GateOp("PHASE", (target,), params=tdg),
-        GateOp("MCX", (target,), (c0,), (1,)),
-        GateOp("PHASE", (target,), params=t),
-        GateOp("PHASE", (c1,), params=t),
-        GateOp("H", (target,)),
-        GateOp("MCX", (c1,), (c0,), (1,)),
-        GateOp("PHASE", (c0,), params=t),
-        GateOp("PHASE", (c1,), params=tdg),
-        GateOp("MCX", (c1,), (c0,), (1,)),
-    ]
-
+# canonical doubly-controlled X on slots (0, 1 -> 2): six CNOTs plus a T layer
+_TOFFOLI_ROWS = (
+    ("H", 2, -1, ()),
+    ("MCX", 2, 1, ()),
+    ("PHASE", 2, -1, (-_TOFFOLI_T,)),
+    ("MCX", 2, 0, ()),
+    ("PHASE", 2, -1, (_TOFFOLI_T,)),
+    ("MCX", 2, 1, ()),
+    ("PHASE", 2, -1, (-_TOFFOLI_T,)),
+    ("MCX", 2, 0, ()),
+    ("PHASE", 2, -1, (_TOFFOLI_T,)),
+    ("PHASE", 1, -1, (_TOFFOLI_T,)),
+    ("H", 2, -1, ()),
+    ("MCX", 1, 0, ()),
+    ("PHASE", 0, -1, (_TOFFOLI_T,)),
+    ("PHASE", 1, -1, (-_TOFFOLI_T,)),
+    ("MCX", 1, 0, ()),
+)
 
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _multi_controlled_unitary(u: np.ndarray, controls: tuple[int, ...], target: int) -> list[GateOp]:
-    """C^m(U) on all-ones controls, ancilla-free square-root recursion."""
-    m = len(controls)
-    if m == 0:
-        return [_u1q(target, u)]
-    if m == 1:
-        return _controlled_1q_exact(u, controls[0], target)
+def _multi_controlled_rows(u: np.ndarray, controls: tuple[int, ...], target: int) -> list[tuple]:
+    """C^m(U) on all-ones controls (m >= 1), ancilla-free square-root recursion."""
+    if len(controls) == 1:
+        return _controlled_1q_rows(u, controls[0], target)
     v = _sqrt_2x2(u)
-    vdg = v.conj().T
     rest, last = controls[:-1], controls[-1]
-    ops: list[GateOp] = []
-    ops += _controlled_1q_exact(v, last, target)
-    ops += _multi_controlled_x(rest, last)
-    ops += _controlled_1q_exact(vdg, last, target)
-    ops += _multi_controlled_x(rest, last)
-    ops += _multi_controlled_unitary(v, rest, target)
-    return ops
-
-
-def _multi_controlled_x(controls: tuple[int, ...], target: int) -> list[GateOp]:
-    return _emit(_core_template("MCX", len(controls), ()), controls + (target,))
-
-
-def _core_ops(kind: str, m: int, params: tuple) -> list[GateOp]:
-    """Lowered all-ones-controls core on slots: controls 0..m-1, target m."""
-    slots = tuple(range(m))
-    if kind == "MCX":
-        if m == 0:
-            return [GateOp("X", (0,))]
-        if m == 1:
-            return [GateOp("MCX", (1,), (0,), (1,))]
-        if m == 2:
-            return _toffoli_ops(0, 1, 2)
-        return _multi_controlled_unitary(_X_MAT, slots, m)
-    if m == 1 and kind == "RZ":
-        # two-CNOT special case: half rotations cancel on the idle branch
-        (theta,) = params
-        return [
-            GateOp("RZ", (1,), params=(theta / 2.0,)),
-            GateOp("MCX", (1,), (0,), (1,)),
-            GateOp("RZ", (1,), params=(-theta / 2.0,)),
-            GateOp("MCX", (1,), (0,), (1,)),
-        ]
-    return _multi_controlled_unitary(gate_matrix_1q(GateOp(kind, (m,), params=params)), slots, m)
+    # C^{m-1}(X) from rest onto last: the smaller core, its slots remapped
+    mcx = [(k, controls[t], controls[c] if c >= 0 else -1, p) for k, t, c, p in _core_template("MCX", len(rest), ())]
+    return [
+        *_controlled_1q_rows(v, last, target),
+        *mcx,
+        *_controlled_1q_rows(v.conj().T, last, target),
+        *mcx,
+        *_multi_controlled_rows(v, rest, target),
+    ]
 
 
 @functools.lru_cache(maxsize=128)
 def _core_template(kind: str, m: int, params: tuple) -> tuple[tuple, ...]:
-    """Basis rows of the core of one gate shape (params that compare equal share one)."""
-    return tuple(
-        (op.kind, op.targets[0], op.controls[0] if op.controls else -1, op.params)
-        for op in _core_ops(kind, m, params)
-    )
+    """Basis rows of the all-ones-controls core of one gate shape.
+
+    Controls sit on slots 0..m-1 and the target on slot m; params that
+    compare equal share one template.
+    """
+    slots = tuple(range(m))
+    if kind == "MCX":
+        if m == 0:
+            return (("X", 0, -1, ()),)
+        if m == 1:
+            return (("MCX", 1, 0, ()),)
+        if m == 2:
+            return _TOFFOLI_ROWS
+        return tuple(_multi_controlled_rows(_X_MAT, slots, m))
+    if m == 1 and kind == "RZ":
+        # two-CNOT special case: half rotations cancel on the idle branch
+        (theta,) = params
+        return (
+            ("RZ", 1, -1, (theta / 2.0,)),
+            ("MCX", 1, 0, ()),
+            ("RZ", 1, -1, (-theta / 2.0,)),
+            ("MCX", 1, 0, ()),
+        )
+    u = gate_matrix_1q(GateOp(kind, (m,), params=params))
+    return tuple(_multi_controlled_rows(u, slots, m))
 
 
 def _emit(rows, qubits: tuple[int, ...]) -> list[GateOp]:

@@ -117,14 +117,16 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     for key, (parse, default) in spec.items():
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            cfg[key] = parse(cli_value) if isinstance(cli_value, str) else cli_value
+            raw, source = cli_value, "--" + key.replace("_", "-")
         elif key in manifest:
-            try:
-                cfg[key] = parse(manifest[key])
-            except ValueError as exc:
-                raise ConfigurationError(f"manifest key {key}: {exc}") from None
+            raw, source = manifest[key], f"manifest key {key}"
         else:
             cfg[key] = default
+            continue
+        try:
+            cfg[key] = parse(raw) if isinstance(raw, str) else raw
+        except ValueError as exc:
+            raise ConfigurationError(f"{source}: {exc}") from None
     return cfg
 
 
@@ -290,6 +292,8 @@ def _cmd_cavity(cfg: dict) -> int:
 
 
 def _cmd_fidelity(cfg: dict) -> int:
+    if cfg["shots_min_exp"] < 0:
+        raise ConfigurationError(f"shots-min-exp must be >= 0, got {cfg['shots_min_exp']}")
     if cfg["shots_min_exp"] > cfg["shots_max_exp"]:
         raise ConfigurationError("shots-min-exp must not exceed shots-max-exp")
     shots = [1 << e for e in range(cfg["shots_min_exp"], cfg["shots_max_exp"] + 1)]

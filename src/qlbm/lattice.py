@@ -165,6 +165,7 @@ class CavitySpec:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        _require_power_of_two_extent((self.n,))
 
 
 @dataclass
@@ -335,7 +336,6 @@ def cavity_step_classical(psi, omega, spec: CavitySpec, params: FlowParams):
 def solve_cavity_classical(spec: CavitySpec, params: FlowParams | None = None) -> CavityHistory:
     """Run the classical lid-driven cavity for spec.steps steps from rest."""
     params = params or FlowParams(lid_velocity=spec.lid_velocity)
-    _require_power_of_two_extent((spec.n,))
     psi = np.zeros((spec.n, spec.n))
     omega = np.zeros((spec.n, spec.n))
     psi_hist = [psi]
@@ -373,29 +373,34 @@ def save_field_csv(path, field) -> None:
 
 
 def load_field_csv(path) -> np.ndarray:
+    """Read a field written by :func:`save_field_csv`; every site must appear once."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != "x,y,value":
             raise ConfigurationError(f"bad field CSV header: {header!r}")
-        xs, ys, vals = [], [], []
-        for line in fh:
+        values: dict[tuple[int, int], float] = {}
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            x_s, y_s, v_s = line.split(",")
-            xs.append(int(x_s))
-            ys.append(int(y_s))
-            vals.append(float(v_s))
-    nx, ny = max(xs) + 1, max(ys) + 1
-    if ny == 1:
-        out = np.empty(nx)
-        for x, v in zip(xs, vals):
-            out[x] = v
-        return out
+            try:
+                x_s, y_s, v_s = line.split(",")
+                site, value = (int(x_s), int(y_s)), float(v_s)
+            except ValueError:
+                raise ConfigurationError(f"{path}:{lineno}: expected x,y,value, got {line!r}") from None
+            if site in values:
+                raise ConfigurationError(f"{path}:{lineno}: site {site} is listed twice")
+            values[site] = value
+    if not values:
+        raise ConfigurationError(f"field CSV {path} has no sites")
+    nx = max(x for x, _ in values) + 1
+    ny = max(y for _, y in values) + 1
+    if min(min(site) for site in values) < 0 or len(values) != nx * ny:
+        raise ConfigurationError(f"field CSV {path} does not list each of its {nx}x{ny} sites once")
     out = np.empty((ny, nx))
-    for x, y, v in zip(xs, ys, vals):
+    for (x, y), v in values.items():
         out[y, x] = v
-    return out
+    return out[0] if ny == 1 else out
 
 
 def save_field_qlbf(path, field) -> None:

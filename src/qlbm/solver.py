@@ -1,13 +1,14 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
-Each transport step loads the amplitude layout directly, applies the
-collision / streaming / macro (and boundary) sections, selects the
-ancilla/link/flag registers, and decodes the updated field. Circuits are
-built without their encode section: the rotation-network state prep is
-counted by the resource estimator, and loading the amplitudes is equivalent.
-Advection with a uniform velocity has a step body that depends on neither
-the field nor the step, so it is built once per run; the cavity circuits
-carry the current velocity field and are built every step.
+Every circuit execution is one job on one path, ``_run_job``: load the
+amplitude layout directly, apply the gates and select every register but the
+sites; the caller decodes the field. Circuits are built without their encode
+section: the resource estimator counts the rotation-network state prep, and
+loading the amplitudes is equivalent. Advection's step body does not depend
+on the field, so it is built once per run; the cavity circuits carry the
+current velocity field and are built every step. A job whose inputs are all
+exactly zero (``np.any`` is false) is idle: it builds and runs nothing and
+records ``zero_input``. Magnitude plays no part, as encoding scales by the peak.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .circuits import (
-    CircuitIR,
     RegisterLayout,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
@@ -121,19 +121,24 @@ def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = 
     return block.real * state.norm_factor * _decode_factor(layout, folded)
 
 
-def _selection_plan(layout: RegisterLayout, s_value: int | None = None) -> dict[int, int]:
+def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
     plan = {q: 0 for q in layout.a + layout.d + layout.b}
     if layout.n_s:
-        plan[layout.s[0]] = 0 if s_value is None else s_value
+        plan[layout.s[0]] = s_value
     return plan
 
 
-def _run_sections(circ: CircuitIR, state: QuantumState, names) -> QuantumState:
-    return apply_circuit(state, circ.section_ops(names))
+def _run_job(ops, layout: RegisterLayout, vec, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
+    """Load ``vec``, apply ``ops``, select every register but the sites."""
+    state = amplitude_encode(vec, layout.qubit_count)
+    apply_circuit(state, ops)
+    state, probs = postselect_many(state, _selection_plan(layout, s_value))
+    return state, StepRecord(step, job, probs, state.norm_factor)
 
 
-def _field_shape(scheme: LatticeScheme, extent: int) -> tuple[int, ...]:
-    return (extent,) * scheme.dimension
+def _idle(step: int, job: str) -> StepRecord:
+    """Record of a job whose inputs are all zero: nothing was built or run."""
+    return StepRecord(step, job, {}, 0.0, zero_input=True)
 
 
 def run_advection_diffusion(
@@ -159,33 +164,28 @@ def run_advection_diffusion(
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
     field = np.asarray(field0, dtype=float)
     extent = field.shape[0]
-    if field.shape != _field_shape(scheme, extent):
+    if field.shape != (extent,) * scheme.dimension:
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
     if backend == "sampling" and np.any(field < 0):
         raise EncodingError("the sampling backend cannot recover negative field values")
     circ = build_advection_diffusion_circuit(scheme, extent, field, velocity, encode=False)
     layout = circ.layout
-    body = circ.section_ops(["collision", "streaming", "macro"])
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
         if not np.any(field):
-            records.append(StepRecord(step, "advection", {}, 0.0, zero_input=True))
+            records.append(_idle(step, "advection"))
             fields.append(field.copy())
             continue
         vec = encoding_vector(layout, scheme, field)
-        state = amplitude_encode(vec, layout.qubit_count)
-        nf0 = state.norm_factor
-        apply_circuit(state, body)
         if backend == "statevector":
-            state, probs = postselect_many(state, _selection_plan(layout))
-            flat = decode_field(state, layout, folded=False)
-            record = StepRecord(step, "advection", probs, state.norm_factor)
+            state, record = _run_job(circ.gates, layout, vec, step, "advection")
+            flat = decode_field(state, layout)
         else:
-            hist = sample(state, shots, seed + 7919 * step)
-            freq = hist.frequencies()[: layout.n_sites]
-            flat = np.sqrt(freq) * nf0 * _decode_factor(layout, False)
-            record = StepRecord(step, "advection", {}, nf0)
+            state = apply_circuit(amplitude_encode(vec, layout.qubit_count), circ.gates)
+            freq = sample(state, shots, seed + 7919 * step).frequencies()[: layout.n_sites]
+            flat = np.sqrt(freq) * state.norm_factor * _decode_factor(layout, False)
+            record = StepRecord(step, "advection", {}, state.norm_factor)
         field = flat.reshape(field.shape)
         if not np.all(np.isfinite(field)):
             raise SimulationError("advection run diverged", step=step)
@@ -200,28 +200,22 @@ def run_advection_diffusion(
 
 
 def _sf_job(extent, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
-    vec_norm = np.linalg.norm(psi) + np.linalg.norm(scaled_source)
-    if vec_norm == 0.0:
-        return np.zeros((extent, extent)), StepRecord(step, "stream-function", {}, 0.0, True)
+    if not (np.any(psi) or np.any(scaled_source)):
+        return np.zeros((extent, extent)), _idle(step, "stream-function")
     circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source, encode=False)
     layout = circ.layout
-    state = amplitude_encode(encoding_vector(layout, D2Q5, psi, source=scaled_source), layout.qubit_count)
-    _run_sections(circ, state, ["source-fold", "collision", "streaming", "macro", "boundary"])
-    state, probs = postselect_many(state, _selection_plan(layout, s_value=0))
-    flat = decode_field(state, layout, folded=True)
-    return flat.reshape(extent, extent), StepRecord(step, "stream-function", probs, state.norm_factor)
+    vec = encoding_vector(layout, D2Q5, psi, source=scaled_source)
+    state, record = _run_job(circ.gates, layout, vec, step, "stream-function")
+    return decode_field(state, layout, folded=True).reshape(extent, extent), record
 
 
 def _vorticity_job(extent, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
     if not np.any(omega):
-        return np.zeros((extent, extent)), StepRecord(step, "vorticity", {}, 0.0, True)
+        return np.zeros((extent, extent)), _idle(step, "vorticity")
     circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields, encode=False)
     layout = circ.layout
-    state = amplitude_encode(encoding_vector(layout, D2Q5, omega), layout.qubit_count)
-    _run_sections(circ, state, ["collision", "streaming", "macro", "boundary"])
-    state, probs = postselect_many(state, _selection_plan(layout))
-    flat = decode_field(state, layout, folded=False)
-    return flat.reshape(extent, extent), StepRecord(step, "vorticity", probs, state.norm_factor)
+    state, record = _run_job(circ.gates, layout, encoding_vector(layout, D2Q5, omega), step, "vorticity")
+    return decode_field(state, layout).reshape(extent, extent), record
 
 
 _SINGLE_SF_SPANS = ["source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
@@ -230,40 +224,22 @@ _SINGLE_W_SPANS = ["collision-vorticity", "streaming-vorticity", "macro", "bound
 
 def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
     """Both cavity updates from the combined gate list, one sector pass each."""
-    if not (np.any(psi) or np.any(scaled_source) or np.any(omega)):
-        zeros = np.zeros((extent, extent))
-        return zeros, zeros.copy(), [
-            StepRecord(step, "stream-function", {}, 0.0, True),
-            StepRecord(step, "vorticity", {}, 0.0, True),
-        ]
+    sf_live = np.any(psi) or np.any(scaled_source)
+    w_live = np.any(omega)
+    psi_new, omega_new = np.zeros((extent, extent)), np.zeros((extent, extent))
+    records = [_idle(step, "stream-function"), _idle(step, "vorticity")]
+    if not (sf_live or w_live):
+        return psi_new, omega_new, records
     circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields, encode=False)
     layout = circ.layout
-    records = []
-
-    if np.linalg.norm(psi) + np.linalg.norm(scaled_source) == 0.0:
-        psi_new = np.zeros((extent, extent))
-        records.append(StepRecord(step, "stream-function", {}, 0.0, True))
-    else:
+    if sf_live:
         vec = encoding_vector(layout, D2Q5, psi, source=scaled_source)
-        state = amplitude_encode(vec, layout.qubit_count)
-        _run_sections(circ, state, _SINGLE_SF_SPANS)
-        state, probs = postselect_many(state, _selection_plan(layout, s_value=0))
+        state, records[0] = _run_job(circ.section_ops(_SINGLE_SF_SPANS), layout, vec, step, "stream-function")
         psi_new = decode_field(state, layout, folded=True).reshape(extent, extent)
-        records.append(StepRecord(step, "stream-function", probs, state.norm_factor))
-
-    if not np.any(omega):
-        omega_new = np.zeros((extent, extent))
-        records.append(StepRecord(step, "vorticity", {}, 0.0, True))
-    else:
+    if w_live:
         vec = encoding_vector(layout, D2Q5, np.zeros((extent, extent)), source=omega)
-        state = amplitude_encode(vec, layout.qubit_count)
-        _run_sections(circ, state, _SINGLE_W_SPANS)
-        state, probs = postselect_many(state, _selection_plan(layout, s_value=1))
-        omega_new = decode_field(
-            state, layout, folded=False, sector={layout.s[0]: 1}
-        ).reshape(extent, extent)
-        records.append(StepRecord(step, "vorticity", probs, state.norm_factor))
-
+        state, records[1] = _run_job(circ.section_ops(_SINGLE_W_SPANS), layout, vec, step, "vorticity", s_value=1)
+        omega_new = decode_field(state, layout, sector={layout.s[0]: 1}).reshape(extent, extent)
     return psi_new, omega_new, records
 
 
@@ -328,9 +304,7 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
         field = step_advection_diffusion(D1Q3, field, velocity)
     circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity, encode=False)
     layout = circ.layout
-    state = amplitude_encode(encoding_vector(layout, D1Q3, field), layout.qubit_count)
-    _run_sections(circ, state, ["collision", "streaming", "macro"])
-    state, _ = postselect_many(state, _selection_plan(layout))
+    state, _ = _run_job(circ.gates, layout, encoding_vector(layout, D1Q3, field), steps, "advection")
     return state
 
 

@@ -172,6 +172,18 @@ def test_cavity_variants_write_fields(tmp_path, capsys, variant):
     assert summary["psi_min"] == psi.min()
 
 
+@pytest.mark.parametrize("variant", ["frugal", "single", "classical"])
+@pytest.mark.parametrize("extent", ["1", "6"])
+def test_cavity_extent_not_a_power_of_two_is_config_error(tmp_path, capsys, variant, extent):
+    code, _, err = _run(
+        capsys, "cavity", "--extent", extent, "--steps", "1",
+        "--variant", variant, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "power of two" in err
+    assert not (tmp_path / "psi_final.csv").exists()
+
+
 def test_cavity_quantum_output_matches_classical_output(tmp_path, capsys):
     a, b = tmp_path / "q", tmp_path / "c"
     assert main(["cavity", "--extent", "8", "--steps", "6", "--variant", "frugal", "--out", str(a)]) == 0
@@ -204,6 +216,18 @@ def test_fidelity_rejects_inverted_shot_range(tmp_path, capsys):
     )
     assert code == 2
     assert "shots-min-exp" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["advdiff", "--velocity", "abc"], "--velocity"),
+    (["advdiff", "--impulse-site", "x"], "--impulse-site"),
+    (["resources", "--extents", "2,x"], "--extents"),
+    (["fidelity", "--shots-min-exp", "-1", "--shots-max-exp", "2"], "shots-min-exp"),
+], ids=["velocity", "impulse-site", "extents", "shots-min-exp"])
+def test_malformed_flag_value_is_config_error(tmp_path, capsys, argv, flag):
+    code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert flag in err and "Traceback" not in err
 
 
 def test_resources_outputs(tmp_path, capsys):

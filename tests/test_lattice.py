@@ -319,6 +319,12 @@ def test_cavity_boundaries_lid_row_wins_corners():
     np.testing.assert_allclose(omega[0, :], 0.0)
 
 
+@pytest.mark.parametrize("n", [-4, 0, 1, 3, 6, 12])
+def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
+    with pytest.raises(ConfigurationError, match="power of two"):
+        CavitySpec(n=n, steps=1)
+
+
 def test_cavity_at_rest_stays_at_rest():
     hist = solve_cavity_classical(CavitySpec(n=8, lid_velocity=0.0, steps=10))
     assert np.all(hist.psi == 0.0)
@@ -392,6 +398,20 @@ def test_field_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0,0,1.0\n")
     with pytest.raises(ConfigurationError, match="header"):
+        load_field_csv(path)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ("0,0,1.0\n1,0,2.0\n0,1,3.0\n", "each of its 2x2 sites"),
+    ("0,0,1.0\n1,0,2.0\n0,0,3.0\n", "listed twice"),
+    ("", "no sites"),
+    ("0,0\n", "expected x,y,value"),
+    ("-1,0,1.0\n0,0,2.0\n", "sites once"),
+], ids=["missing", "duplicate", "header-only", "malformed", "negative"])
+def test_field_csv_rejects_missing_duplicate_or_malformed_sites(tmp_path, rows, match):
+    path = tmp_path / "field.csv"
+    path.write_text("x,y,value\n" + rows)
+    with pytest.raises(ConfigurationError, match=match):
         load_field_csv(path)
 
 
