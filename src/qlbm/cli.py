@@ -35,6 +35,7 @@ from .solver import (
     run_advection_diffusion,
     run_cavity,
 )
+from .statevector import MAX_SHOTS
 
 __all__ = ["main"]
 
@@ -200,6 +201,7 @@ def _records_payload(records) -> list[dict]:
             "zero_input": r.zero_input,
             "norm_factor": r.norm_factor,
             "select_probs": {str(q): p for q, p in r.select_probs.items()},
+            "success_prob": r.success_prob,
         }
         for r in records
     ]
@@ -231,6 +233,8 @@ def _cmd_advdiff(cfg: dict) -> int:
         raise ConfigurationError(
             f"velocity {cfg['velocity']} does not match dimension {scheme.dimension}"
         )
+    if not 1 <= cfg["shots"] <= MAX_SHOTS:
+        raise ConfigurationError(f"--shots must lie in [1, 2**63 - 1], got {cfg['shots']}")
     field0 = _initial_field(scheme, cfg)
     result = run_advection_diffusion(
         scheme, field0, cfg["velocity"], cfg["steps"],
@@ -296,6 +300,9 @@ def _cmd_fidelity(cfg: dict) -> int:
         raise ConfigurationError(f"shots-min-exp must be >= 0, got {cfg['shots_min_exp']}")
     if cfg["shots_min_exp"] > cfg["shots_max_exp"]:
         raise ConfigurationError("shots-min-exp must not exceed shots-max-exp")
+    top = MAX_SHOTS.bit_length() - 1
+    if cfg["shots_max_exp"] > top:
+        raise ConfigurationError(f"shots-max-exp must be <= {top}, got {cfg['shots_max_exp']}")
     shots = [1 << e for e in range(cfg["shots_min_exp"], cfg["shots_max_exp"] + 1)]
     result = fidelity_sweep(shots, cfg["trials"], cfg["seed"])
     out = _ensure_out(cfg)

@@ -1,14 +1,19 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
 Every circuit execution is one job on one path, ``_run_job``: load the
-amplitude layout directly, apply the gates and select every register but the
-sites; the caller decodes the field. Circuits are built without their encode
-section: the resource estimator counts the rotation-network state prep, and
-loading the amplitudes is equivalent. Advection's step body does not depend
-on the field, so it is built once per run; the cavity circuits carry the
-current velocity field and are built every step. A job whose inputs are all
-exactly zero (``np.any`` is false) is idle: it builds and runs nothing and
-records ``zero_input``. Magnitude plays no part, as encoding scales by the peak.
+amplitude layout directly and apply the gates while selecting every register
+but the sites. Each selected qubit leaves the state right after the last gate
+that targets it (the collision ancilla after collision, each link qubit
+after its merge Hadamard, the wall flag after the wall projector, a source
+flag no gate targets at load), so the job returns the site amplitudes alone
+and the caller decodes the field from them. Circuits are built without their
+encode section: the resource estimator counts the rotation-network state
+prep, and loading the amplitudes is equivalent. Advection's step body does
+not depend on the field, so it is built once per run; the cavity circuits
+carry the current velocity field and are built every step. A job whose
+inputs are all exactly zero (``np.any`` is false) is idle: it builds and
+runs nothing and records ``zero_input``. Magnitude plays no part, as
+encoding scales by the peak.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -18,6 +23,7 @@ counts that as ``concurrent_depth``, and the simulator runs them in turn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,7 +52,6 @@ from .statevector import (
     amplitude_encode,
     apply_circuit,
     fidelity_from_histogram,
-    postselect_many,
     sample,
 )
 
@@ -75,13 +80,23 @@ def relative_error(result, reference, floor: float = ERROR_FLOOR) -> np.ndarray:
 
 @dataclass
 class StepRecord:
-    """Diagnostics for one circuit execution."""
+    """Diagnostics for one circuit execution.
+
+    ``select_probs`` maps each selected qubit to the conditional probability
+    of its selection, given the ones before it, in selection order; the
+    per-qubit values depend on that order, their product does not.
+    """
 
     step: int
     job: str
     select_probs: dict = dataclass_field(default_factory=dict)
     norm_factor: float = 0.0
     zero_input: bool = False
+
+    @property
+    def success_prob(self) -> float:
+        """Probability that every selection succeeds (1.0 when nothing was selected)."""
+        return math.prod(self.select_probs.values())
 
 
 @dataclass
@@ -107,18 +122,13 @@ def _decode_factor(layout: RegisterLayout, folded: bool) -> float:
     return float(np.sqrt(2.0) ** (layout.n_d + (1 if folded else 0)))
 
 
-def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = False, sector: dict | None = None) -> np.ndarray:
-    """Read the updated field out of a fully selected state.
+def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = False) -> np.ndarray:
+    """Read the updated field out of a selected state.
 
-    All non-site registers must already be selected; ``sector`` names any
-    register bits that were selected to 1 (their basis offset). Returns the
-    flat real field over the sites.
+    Every register but the sites must already be selected away, which leaves
+    the site amplitudes first. Returns the flat real field over the sites.
     """
-    base = 0
-    for qubit, bit in (sector or {}).items():
-        base |= bit << qubit
-    block = state.amplitudes[base : base + layout.n_sites]
-    return block.real * state.norm_factor * _decode_factor(layout, folded)
+    return state.amplitudes[: layout.n_sites].real * state.norm_factor * _decode_factor(layout, folded)
 
 
 def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
@@ -129,10 +139,12 @@ def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
 
 
 def _run_job(ops, layout: RegisterLayout, vec, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
-    """Load ``vec``, apply ``ops``, select every register but the sites."""
+    """Load ``vec``, apply ``ops`` and select every register but the sites as they finish.
+
+    The returned state holds the ``layout.n_sites`` site amplitudes only.
+    """
     state = amplitude_encode(vec, layout.qubit_count)
-    apply_circuit(state, ops)
-    state, probs = postselect_many(state, _selection_plan(layout, s_value))
+    state, probs = apply_circuit(state, ops, select=_selection_plan(layout, s_value))
     return state, StepRecord(step, job, probs, state.norm_factor)
 
 
@@ -239,7 +251,7 @@ def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
     if w_live:
         vec = encoding_vector(layout, D2Q5, np.zeros((extent, extent)), source=omega)
         state, records[1] = _run_job(circ.section_ops(_SINGLE_W_SPANS), layout, vec, step, "vorticity", s_value=1)
-        omega_new = decode_field(state, layout, sector={layout.s[0]: 1}).reshape(extent, extent)
+        omega_new = decode_field(state, layout).reshape(extent, extent)
     return psi_new, omega_new, records
 
 
@@ -295,7 +307,8 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
 
     Three-link transport of the localized-bump initial condition, advanced
     classically to the final step and then through the circuit once, so the
-    returned state is the exact post-selection target of that last step.
+    returned state is the exact post-selection target of that last step. It
+    holds the site qubits only.
     """
     field = np.full(extent, 0.1)
     field[10] = 0.2

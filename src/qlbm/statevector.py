@@ -6,6 +6,13 @@ the norm factor by sqrt(p) and renormalizes, so decoded field values are
 invariant under where in the pipeline the selection happens.
 
 Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`.
+Given a selection plan, :func:`apply_circuit` selects each planned qubit in
+the same gate loop, right after the last gate that targets it, and drops it
+from the state, so every later gate runs on half as many amplitudes; an
+uncontrolled single-qubit gate and the selection after it are one
+contraction (gate fusion, Häner & Steiger, arXiv:1704.01127).
+:func:`postselect` and :func:`postselect_many` select a finished state and
+keep its size; they are the reference the in-loop selection is tested against.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import _kernels
-from .circuits import _control_mask_val, gate_matrix_1q
+from .circuits import gate_matrix_1q
 from .errors import ConfigurationError, EncodingError, PostSelectionError
 
 __all__ = [
+    "MAX_SHOTS",
     "QuantumState",
     "SampleHistogram",
     "amplitude_encode",
@@ -36,6 +44,9 @@ __all__ = [
 ]
 
 _MIN_SELECT_PROBABILITY = 1e-14
+
+# numpy's multinomial draws take the shot count as a C long
+MAX_SHOTS = (1 << 63) - 1
 
 
 @dataclass
@@ -85,31 +96,129 @@ def amplitude_encode(values, n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps, peak * unit_norm)
 
 
-def apply_circuit(state: QuantumState, ops) -> QuantumState:
-    """Apply a gate sequence in place (returns the same state for chaining)."""
+def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None):
+    """Apply a gate sequence; with ``select``, post-select while the gates run.
+
+    Without ``select`` the gates act on ``state`` in place and the same state
+    is returned for chaining.
+
+    ``select`` maps qubit -> value (0 or 1). Each planned qubit is projected
+    onto its value and leaves the state right after the last gate that
+    targets it, or at load when no gate does; the amplitude array halves.
+    A later gate controlled on a dropped qubit runs without that control
+    when the selected value matches and is skipped when it does not. Both
+    are exact, because the projector commutes with a gate that only
+    controls on the qubit. When that last gate is an uncontrolled
+    single-qubit gate U, gate and selection are one contraction of the two
+    halves, ``U[v, 0] * a0 + U[v, 1] * a1``. Every selection raises
+    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
+
+    Returns ``(selected, probs)``: the state over the kept qubits (in their
+    original order, so bit k is the k-th lowest kept qubit) and the
+    conditional probability of each selection, in selection order. The
+    amplitudes of ``state`` are used as scratch space.
+    """
+    plan = {} if select is None else _checked_plan(select, state.n_qubits)
+    ops = list(ops)
+    last = dict.fromkeys(plan, -1)
+    for i, op in enumerate(ops):
+        if op.qubits and max(op.qubits) >= state.n_qubits:
+            raise ConfigurationError(f"{op.kind} on qubit {max(op.qubits)} is outside a {state.n_qubits}-qubit state")
+        for q in op.targets:
+            if q in last:
+                last[q] = i
+    due: dict[int, list[int]] = {}
+    for q in sorted(plan):
+        due.setdefault(last[q], []).append(q)
+
     amps = state.amplitudes
-    for op in ops:
-        cmask, cval = _control_mask_val(op)
+    norm = state.norm_factor
+    probs: dict[int, float] = {}
+    bit_of = {q: q for q in range(state.n_qubits)}  # qubit -> bit in amps, kept qubits only
+
+    def drop(q, row=None):
+        nonlocal amps, norm, bit_of
+        amps, p = _drop_bit(amps, bit_of[q], plan[q], q, row)
+        norm *= np.sqrt(p)
+        probs[q] = p
+        kept = sorted(k for k in bit_of if k != q)
+        bit_of = {k: b for b, k in enumerate(kept)}
+
+    for q in due.get(-1, ()):
+        drop(q)
+    for i, op in enumerate(ops):
         kind = op.kind
-        if kind == "MCX":
-            _kernels.apply_mcx(amps, 1 << op.targets[0], cmask, cval)
-        elif kind == "PHASE":
-            _kernels.apply_phase(amps, 1 << op.targets[0], cmask, cval, complex(np.exp(1j * op.params[0])))
-        elif kind == "DIAG":
-            qpos = np.array(op.targets, dtype=np.int64)
-            phases = np.exp(1j * np.asarray(op.params, dtype=float))
-            _kernels.apply_diag(amps, qpos, phases, cmask, cval)
-        elif kind == "GPHASE":
-            if op.controls:
-                raise ConfigurationError("controlled global phase is not supported")
-            amps *= np.exp(1j * op.params[0])
+        if kind == "GPHASE" and op.controls:
+            raise ConfigurationError("controlled global phase is not supported")
+        chosen = due.get(i, ())
+        cmask = cval = 0
+        for q, v in zip(op.controls, op.control_values):
+            if q in bit_of:
+                cmask |= 1 << bit_of[q]
+                cval |= v << bit_of[q]
+            elif v != plan[q]:
+                break  # selected away on the other value: the gate acts as identity
         else:
-            u = gate_matrix_1q(op)
-            _kernels.apply_1q(
-                amps, 1 << op.targets[0], cmask, cval,
-                complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]),
-            )
-    return state
+            if kind == "MCX":
+                _kernels.apply_mcx(amps, 1 << bit_of[op.targets[0]], cmask, cval)
+            elif kind == "PHASE":
+                _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
+            elif kind == "DIAG":
+                qpos = np.array([bit_of[q] for q in op.targets], dtype=np.int64)
+                phases = np.exp(1j * np.asarray(op.params, dtype=float))
+                _kernels.apply_diag(amps, qpos, phases, cmask, cval)
+            elif kind == "GPHASE":
+                amps *= np.exp(1j * op.params[0])
+            else:
+                u = gate_matrix_1q(op)
+                if chosen and not cmask:
+                    (q,) = chosen
+                    drop(q, u[plan[q]])
+                    continue
+                _kernels.apply_1q(
+                    amps, 1 << bit_of[op.targets[0]], cmask, cval,
+                    complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]),
+                )
+        for q in chosen:
+            drop(q)
+    if select is None:
+        return state
+    return QuantumState(len(bit_of), amps, norm), probs
+
+
+def _checked_plan(select, n_qubits: int) -> dict[int, int]:
+    for qubit, value in select.items():
+        if not 0 <= qubit < n_qubits:
+            raise ConfigurationError(f"selected qubit {qubit} is outside a {n_qubits}-qubit state")
+        if value not in (0, 1):
+            raise ConfigurationError(f"selection value for qubit {qubit} must be 0 or 1, got {value!r}")
+    return dict(select)
+
+
+def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> tuple[np.ndarray, float]:
+    """Half of ``amps`` where ``bit`` equals ``value``, renormalized, and its probability.
+
+    With ``row``, row ``value`` of a single-qubit gate on ``bit``, the gate
+    is applied to that half only: the new half is the row times the two old
+    halves. The result is a new contiguous array without ``bit``; ``amps``
+    is left scrambled.
+    """
+    halves = amps.reshape(-1, 2, 1 << bit)
+    if row is None:
+        kept = halves[:, value, :].copy()
+    else:
+        # ``amps`` is discarded, so the second term is scaled in place: one
+        # new half-size array instead of three, each of which page-faults in
+        kept = np.multiply(halves[:, 0, :], complex(row[0]))
+        other = halves[:, 1, :]
+        other *= complex(row[1])
+        kept += other
+    kept = kept.reshape(-1)
+    p = float(np.vdot(kept, kept).real)
+    if p < _MIN_SELECT_PROBABILITY:
+        raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
+    kept *= 1.0 / np.sqrt(p)  # a complex array divides far slower than it multiplies
+    return kept, p
 
 
 def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumState, float]:
@@ -163,8 +272,8 @@ class SampleHistogram:
 
 def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     """Draw measurement counts with a counter-based generator (reproducible)."""
-    if shots < 1:
-        raise ConfigurationError("shots must be positive")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ConfigurationError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     rng = np.random.Generator(np.random.Philox(seed))
     p = state.probabilities()
     p = p / p.sum()

@@ -5,6 +5,7 @@ reasonable; outputs land in tmp_path.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ def test_advdiff_writes_outputs_and_passes(tmp_path, capsys):
     field = load_field_qlbf(tmp_path / "field_final.qlbf")
     assert field.shape == (16,)
     np.testing.assert_allclose(field.sum(), summary["final_mass"])
+    for record in summary["records"]:
+        assert record["success_prob"] == pytest.approx(math.prod(record["select_probs"].values()), rel=1e-12)
 
 
 def test_advdiff_2d_scheme(tmp_path, capsys):
@@ -223,7 +226,9 @@ def test_fidelity_rejects_inverted_shot_range(tmp_path, capsys):
     (["advdiff", "--impulse-site", "x"], "--impulse-site"),
     (["resources", "--extents", "2,x"], "--extents"),
     (["fidelity", "--shots-min-exp", "-1", "--shots-max-exp", "2"], "shots-min-exp"),
-], ids=["velocity", "impulse-site", "extents", "shots-min-exp"])
+    (["fidelity", "--shots-min-exp", "70", "--shots-max-exp", "70"], "shots-max-exp"),
+    (["advdiff", "--backend", "sampling", "--shots", str(1 << 63)], "--shots"),
+], ids=["velocity", "impulse-site", "extents", "shots-min-exp", "shots-max-exp", "shots"])
 def test_malformed_flag_value_is_config_error(tmp_path, capsys, argv, flag):
     code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2

@@ -2,6 +2,8 @@
 reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
 
 MCX is a permutation, so it must match exactly; the others to rounding.
+``apply_circuit`` with a selection plan must agree with the reference run in
+full followed by ``postselect`` in the order the plan was carried out.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from qlbm import _kernels
 from qlbm.circuits import GATE_KINDS, GateOp, _control_mask_val, apply_ops_numpy, gate_matrix_1q
 from qlbm.errors import ConfigurationError
-from qlbm.statevector import QuantumState, apply_circuit
+from qlbm.statevector import QuantumState, apply_circuit, postselect
 
 
 def _random_state(n_qubits, seed):
@@ -159,8 +161,8 @@ def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE"}))):
 
 
 @st.composite
-def _circuits(draw):
-    n_qubits = draw(st.integers(1, 6))
+def _circuits(draw, max_qubits=6):
+    n_qubits = draw(st.integers(1, max_qubits))
     ops = draw(st.lists(_gate_ops(n_qubits), max_size=12))
     if draw(st.booleans()):  # an uncontrolled global phase somewhere in the list
         ops.insert(draw(st.integers(0, len(ops))), GateOp("GPHASE", (), params=(draw(_angle),)))
@@ -183,3 +185,35 @@ def test_apply_circuit_rejects_controlled_global_phase(drawn):
     op = GateOp("GPHASE", (), (qubits[0],), (value,), params=(0.4,))
     with pytest.raises(ConfigurationError):
         apply_circuit(QuantumState.zero(n_qubits), [op])
+
+
+@st.composite
+def _selected_circuits(draw):
+    """Random circuit plus a plan over a random subset of its qubits.
+
+    Controls of either polarity land on planned qubits, and with at most 12
+    gates on up to 7 qubits many planned qubits are never targeted.
+    """
+    n_qubits, ops = draw(_circuits(max_qubits=7))
+    planned = draw(st.lists(st.integers(0, n_qubits - 1), unique=True, max_size=n_qubits))
+    return n_qubits, ops, {q: draw(st.integers(0, 1)) for q in planned}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_selected_circuits(), st.integers(0, 2**16))
+def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
+    n_qubits, ops, plan = circuit
+    amps = _random_state(n_qubits, seed)
+    out, probs = apply_circuit(QuantumState(n_qubits, amps.copy(), 1.7), ops, select=plan)
+    ref = QuantumState(n_qubits, apply_ops_numpy(amps, ops, n_qubits), 1.7)
+    assert sorted(probs) == sorted(plan)
+    for q, p in probs.items():
+        ref, p_ref = postselect(ref, q, plan[q])
+        assert abs(p - p_ref) <= 1e-12
+    idx = np.arange(1 << n_qubits)
+    kept = np.ones(idx.size, dtype=bool)
+    for q, v in plan.items():
+        kept &= ((idx >> q) & 1) == v
+    assert out.n_qubits == n_qubits - len(plan)
+    np.testing.assert_allclose(out.amplitudes, ref.amplitudes[kept], rtol=0, atol=1e-12)
+    assert abs(out.norm_factor - ref.norm_factor) <= 1e-12

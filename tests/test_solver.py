@@ -1,10 +1,19 @@
 """Gate-level transport drivers against the classical reference, step by step."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qlbm.solver
-from qlbm.circuits import RegisterLayout
+from qlbm.circuits import (
+    RegisterLayout,
+    build_advection_diffusion_circuit,
+    build_single_cavity_circuit,
+    build_stream_function_circuit,
+    build_vorticity_circuit,
+    encoding_vector,
+)
 from qlbm.errors import ConfigurationError, EncodingError
 from qlbm.lattice import (
     D1Q2,
@@ -24,7 +33,7 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from qlbm.statevector import QuantumState
+from qlbm.statevector import QuantumState, amplitude_encode, apply_circuit, postselect_many
 
 
 def _impulse_field(scheme, extent):
@@ -74,6 +83,7 @@ def test_advection_records_selection_probabilities():
         assert rec.select_probs
         for p in rec.select_probs.values():
             assert 0.0 < p <= 1.0
+        assert rec.success_prob == math.prod(rec.select_probs.values())
 
 
 def test_advection_rejects_unknown_backend():
@@ -147,13 +157,11 @@ def test_decode_factor_accounts_for_link_merge():
     )
 
 
-def test_decode_field_reads_selected_sector():
+def test_decode_field_reads_a_site_only_state():
+    # every other register selected away, as the solver's jobs return it
     layout = RegisterLayout(n_r0=1, n_s=1)
-    amps = np.zeros(1 << layout.qubit_count, dtype=complex)
-    amps[2:4] = [0.6, 0.8]  # s = 1 block (qubit 1 set)
-    state = QuantumState(layout.qubit_count, amps)
-    out = decode_field(state, layout, sector={layout.s[0]: 1})
-    np.testing.assert_allclose(out, [0.6, 0.8])
+    state = QuantumState(len(layout.site_qubits), np.array([0.6, 0.8]), norm_factor=2.0)
+    np.testing.assert_allclose(decode_field(state, layout), [1.2, 1.6])
 
 
 def test_relative_error_floors_small_references():
@@ -261,9 +269,59 @@ def test_cavity_builds_without_encode(monkeypatch, variant):
     assert all("encode" not in circ.section_names() for circ in built)
 
 
+# ---------------------------------------------------------------------------
+# selecting while the gates run, against a full-state run selected at the end
+# ---------------------------------------------------------------------------
+
+
+def _cavity_inputs(extent, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.uniform(-1.0, 1.0, (extent, extent))
+    omega = rng.uniform(-1.0, 1.0, (extent, extent))
+    velocity = rng.uniform(-0.1, 0.1, (2, extent, extent))
+    return psi, 0.05 * omega, omega, velocity
+
+
+def _builder_jobs():
+    """(name, ops, layout, vec, s_value, folded) for every builder and pass."""
+    for scheme, extent, velocity in [(D1Q2, 8, (0.2,)), (D1Q3, 8, (-0.15,)), (D2Q5, 4, (0.15, -0.1))]:
+        field = _impulse_field(scheme, extent)
+        circ = build_advection_diffusion_circuit(scheme, extent, field, velocity, encode=False)
+        yield scheme.name, circ.gates, circ.layout, encoding_vector(circ.layout, scheme, field), 0, False
+    psi, source, omega, velocity = _cavity_inputs(4, 1)
+    circ = build_stream_function_circuit(D2Q5, 4, psi, source, encode=False)
+    yield "stream-function", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, psi, source=source), 0, True
+    circ = build_vorticity_circuit(D2Q5, 4, omega, velocity, encode=False)
+    yield "vorticity", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, omega), 0, False
+    circ = build_single_cavity_circuit(D2Q5, 4, psi, source, omega, velocity, encode=False)
+    layout = circ.layout
+    yield ("single-stream-function", circ.section_ops(qlbm.solver._SINGLE_SF_SPANS), layout,
+           encoding_vector(layout, D2Q5, psi, source=source), 0, True)
+    yield ("single-vorticity", circ.section_ops(qlbm.solver._SINGLE_W_SPANS), layout,
+           encoding_vector(layout, D2Q5, np.zeros((4, 4)), source=omega), 1, False)
+
+
+@pytest.mark.parametrize("job", list(_builder_jobs()), ids=lambda job: job[0])
+def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
+    name, ops, layout, vec, s_value, folded = job
+    state, record = qlbm.solver._run_job(ops, layout, vec, 1, name, s_value=s_value)
+    assert state.n_qubits == len(layout.site_qubits)
+    assert state.amplitudes.size == layout.n_sites
+
+    plan = qlbm.solver._selection_plan(layout, s_value)
+    full = apply_circuit(amplitude_encode(vec, layout.qubit_count), ops)
+    full, probs = postselect_many(full, plan)
+    base = sum(v << q for q, v in plan.items())
+    sites = QuantumState(state.n_qubits, full.amplitudes[base : base + layout.n_sites], full.norm_factor)
+    expected = decode_field(sites, layout, folded=folded)
+    got = decode_field(state, layout, folded=folded)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    assert abs(record.success_prob - math.prod(probs.values())) <= 1e-12 * math.prod(probs.values())
+
+
 # the names the benchmark's tracer wraps on qlbm.solver, which every job must
 # call through the module so that no traced layer reads as absent
-_JOB_PATH = ("amplitude_encode", "apply_circuit", "postselect_many", "decode_field", "_sf_job", "_vorticity_job")
+_JOB_PATH = ("amplitude_encode", "apply_circuit", "decode_field", "_sf_job", "_vorticity_job")
 
 
 @pytest.mark.parametrize("case", ["statevector", "sampling", "frugal", "single"])
@@ -287,7 +345,6 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
     assert calls == {
         "amplitude_encode": live,
         "apply_circuit": live,
-        "postselect_many": selected,
         "decode_field": selected,
         "_sf_job": frugal_steps,
         "_vorticity_job": frugal_steps,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qlbm.circuits import GateOp
 from qlbm.errors import ConfigurationError, EncodingError, PostSelectionError
 from qlbm.statevector import (
+    MAX_SHOTS,
     QuantumState,
     SampleHistogram,
     amplitude_encode,
@@ -143,6 +144,52 @@ def test_apply_circuit_global_phase():
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
 
+def test_selecting_apply_drops_an_h_layer_into_a_block_sum():
+    # H on every qubit, then qubits 1 and 2 selected to 0: each fused H and
+    # selection halves the state, leaving qubit 0 in |+> with p = 1/2 twice
+    state = QuantumState.zero(3)
+    ops = [GateOp("H", (q,)) for q in range(3)]
+    out, probs = apply_circuit(state, ops, select={2: 0, 1: 0})
+    assert out.n_qubits == 1
+    np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
+    assert list(probs) == [1, 2]  # selection order: qubit 1's last gate comes first
+    np.testing.assert_allclose(list(probs.values()), [0.5, 0.5], atol=1e-15)
+    assert out.norm_factor == pytest.approx(0.5)
+
+
+def test_selecting_apply_follows_the_selected_value_of_a_dropped_control():
+    # qubit 1 is never targeted, so it is selected at load; the X controlled
+    # on it being 1 is skipped, the one controlled on it being 0 runs
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 1.0
+    ops = [GateOp("X", (0,), (1,), (1,)), GateOp("RY", (0,), (1,), (0,), params=(np.pi / 2,))]
+    out, probs = apply_circuit(QuantumState(2, amps), ops, select={1: 0})
+    assert probs == {1: 1.0}
+    np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["X", "MCX"])
+def test_selecting_apply_raises_at_a_selection_mid_circuit(kind):
+    # the flip is qubit 1's last targeting gate (X is fused with the
+    # selection, MCX is applied by its kernel first); gates follow it
+    ops = [GateOp(kind, (1,)), GateOp("H", (0,), (1,), (0,)), GateOp("H", (0,))]
+    with pytest.raises(PostSelectionError, match="qubit 1 = 0"):
+        apply_circuit(QuantumState.zero(2), ops, select={1: 0})
+
+
+@pytest.mark.parametrize("op", [GateOp("H", (3,)), GateOp("H", (0,), (5,), (1,))], ids=["target", "control"])
+@pytest.mark.parametrize("plan", [None, {0: 0}])
+def test_apply_rejects_a_gate_outside_the_state(op, plan):
+    with pytest.raises(ConfigurationError, match="outside a 2-qubit state"):
+        apply_circuit(QuantumState.zero(2), [op], select=plan)
+
+
+@pytest.mark.parametrize("plan", [{2: 0}, {-1: 0}, {0: 2}, {1: -1}])
+def test_selecting_apply_rejects_a_bad_plan(plan):
+    with pytest.raises(ConfigurationError, match="select"):
+        apply_circuit(QuantumState.zero(2), [GateOp("H", (0,))], select=plan)
+
+
 # ---------------------------------------------------------------------------
 # sampling and fidelity
 # ---------------------------------------------------------------------------
@@ -161,6 +208,13 @@ def test_sampling_is_deterministic_per_seed():
 def test_sample_rejects_nonpositive_shots():
     with pytest.raises(ConfigurationError, match="shots"):
         sample(QuantumState.zero(2), 0, seed=1)
+
+
+def test_sample_takes_up_to_the_largest_multinomial_count():
+    hist = sample(QuantumState.zero(1), MAX_SHOTS, seed=1)
+    assert hist.counts.tolist() == [MAX_SHOTS, 0]
+    with pytest.raises(ConfigurationError, match="shots"):
+        sample(QuantumState.zero(1), MAX_SHOTS + 1, seed=1)
 
 
 def test_state_fidelity_identities():
