@@ -15,8 +15,6 @@ from .circuits import (
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     lower_circuit,
 )

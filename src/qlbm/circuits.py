@@ -3,20 +3,21 @@
 The circuit intermediate representation is a flat list of :class:`GateOp`
 records over a :class:`RegisterLayout`, grouped into named sections
 (encode / collision / streaming / macro / boundary). Builders emit a
-high-level vocabulary (joint diagonals, multi-controlled X, state
-preparation rotations); :func:`lower_circuit` rewrites everything into
-single-qubit gates plus CNOT with exact unitary equality, which is what the
-resource estimator counts. The whole-pipeline builders take ``encode``: the
-resource estimator counts the rotation-network encode section, while the
-simulator loads the amplitudes directly and builds without it (the field
-arguments are then unread and the other sections are unchanged).
+high-level vocabulary (state preparation, joint diagonals, multi-controlled
+X); :func:`lower_circuit` rewrites everything into single-qubit gates plus
+CNOT with exact unitary equality, which is what the resource estimator
+counts. Every whole-pipeline builder's encode section is one ``PREP`` gate
+that holds the amplitude layout to load. The simulator applies it by
+loading; lowering expands it into the Möttönen rotation network
+(arXiv:quant-ph/0407010), whose gate structure depends only on the qubit
+count, so the estimator counts a cached structure-only template and never
+computes the angles.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
 register d, then the optional source flag s and wall flag b, with the
 collision ancilla a on top.
 """
-
 from __future__ import annotations
 
 import functools
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CoefficientRangeError, ConfigurationError
+from .errors import CoefficientRangeError, ConfigurationError, EncodingError
 from .lattice import LatticeScheme, collision_coefficients
 
 __all__ = [
@@ -51,18 +52,17 @@ __all__ = [
     "iter_lowered",
     "apply_ops_numpy",
     "circuit_unitary",
-    "circuit_to_text",
-    "circuit_from_text",
+    "unit_amplitudes",
 ]
 
-# (target count, parameter count) per kind; DIAG takes any number of targets
-# and one phase per basis state of them
+# (target count, parameter count) per kind; DIAG and PREP take any number of
+# targets and one parameter per basis state of them
 _GATE_SHAPES = {
     "H": (1, 0), "X": (1, 0), "MCX": (1, 0),
     "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1), "U1Q": (1, 8),
     "GPHASE": (0, 1),
 }
-GATE_KINDS = frozenset(_GATE_SHAPES) | {"DIAG"}
+GATE_KINDS = frozenset(_GATE_SHAPES) | {"DIAG", "PREP"}
 _BITS = frozenset((0, 1))
 
 # tolerance for collision coefficients that poke past |k| = 1 by float slop
@@ -73,27 +73,44 @@ _COEFF_SLACK = 1e-9
 class GateOp:
     """One gate: kind, target qubits, control qubits with polarities, params.
 
-    Controls apply to every kind. ``control_values`` holds the required bit
-    (0 or 1) per control qubit. Parameters are angles except for U1Q, which
-    carries its 2x2 matrix as (re, im) pairs in row-major order. DIAG carries
-    one phase per basis state of its targets (targets[0] least significant).
+    Controls apply to every kind but PREP. ``control_values`` holds the
+    required bit (0 or 1) per control qubit. Parameters are angles except
+    for U1Q, which carries its 2x2 matrix as (re, im) pairs in row-major
+    order. DIAG carries one phase per basis state of its targets (targets[0]
+    least significant). PREP loads a real vector onto targets that are all
+    |0>, normalized by :func:`unit_amplitudes`; its parameter is that vector,
+    one entry per basis state of the targets, held as a read-only float64
+    array. A read-only float64 array that owns its memory, such as
+    :func:`encoding_vector` returns, cannot change under the gate and is
+    kept as it is; anything else is copied.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     control_values: tuple[int, ...] = ()
-    params: tuple[float, ...] = ()
+    params: tuple[float, ...] | np.ndarray = ()
 
     def __post_init__(self):
         kind, targets, controls = self.kind, self.targets, self.controls
         shape = _GATE_SHAPES.get(kind)
         if shape is None:
-            if kind != "DIAG":
+            if kind not in GATE_KINDS:
                 raise ConfigurationError(f"unknown gate kind {kind!r}")
             if not targets:
-                raise ConfigurationError("DIAG needs at least one target")
+                raise ConfigurationError(f"{kind} needs at least one target")
             shape = (len(targets), 1 << len(targets))
+        if kind == "PREP":
+            if controls:
+                raise ConfigurationError("PREP takes no controls")
+            vector = self.params
+            if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+                    and vector.base is None and not vector.flags.writeable):
+                vector = np.array(vector, dtype=np.float64)
+                vector.flags.writeable = False
+            if vector.ndim != 1:
+                raise ConfigurationError(f"PREP takes a flat vector, got shape {vector.shape}")
+            object.__setattr__(self, "params", vector)
         if len(targets) != shape[0] or len(self.params) != shape[1]:
             raise ConfigurationError(
                 f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
@@ -108,6 +125,22 @@ class GateOp:
             raise ConfigurationError(f"overlapping target/control qubits in {kind}")
         if seen and min(seen) < 0:
             raise ConfigurationError(f"negative qubit index in {kind}")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.targets, self.controls, self.control_values)
+
+    def __eq__(self, other):
+        if not isinstance(other, GateOp):
+            return NotImplemented
+        if self._key() != other._key():
+            return False
+        if self.kind == "PREP":
+            return np.array_equal(self.params, other.params)
+        return self.params == other.params
+
+    def __hash__(self):
+        # a PREP vector is an array, which has no hash; equal gates still hash equal
+        return hash(self._key() + (None if self.kind == "PREP" else self.params,))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -216,6 +249,11 @@ class RegisterLayout:
     @property
     def axis_registers(self) -> tuple[tuple[int, ...], ...]:
         return (self.r0, self.r1) if self.n_r1 else (self.r0,)
+
+    @property
+    def encoded_qubits(self) -> tuple[int, ...]:
+        """Targets of the encode section's PREP: sites, links and source flag."""
+        return self.site_qubits + self.d + self.s
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +377,26 @@ def _multiplexed_rotation(kind: str, target: int, controls: tuple[int, ...], ang
     return ops
 
 
+def unit_amplitudes(values) -> tuple[np.ndarray, float]:
+    """``values`` scaled to unit norm, and the norm it was scaled from.
+
+    The vector is divided by its peak magnitude before the norm is taken,
+    so squaring cannot under- or overflow. This is the one normalization
+    rule of every load: PREP applied, PREP lowered, and
+    :func:`qlbm.statevector.amplitude_encode`.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise EncodingError("cannot amplitude-encode a field with non-finite values")
+    peak = float(np.abs(v).max()) if v.size else 0.0
+    if peak == 0.0:
+        raise EncodingError("cannot amplitude-encode an all-zero field")
+    unit = v / peak
+    unit_norm = float(np.linalg.norm(unit))
+    unit /= unit_norm
+    return unit, peak * unit_norm
+
+
 def build_state_prep(vector, qubits: tuple[int, ...]) -> list[GateOp]:
     """Rotation network preparing a real unit vector from the all-zeros state.
 
@@ -419,8 +477,8 @@ def build_streaming_ops(layout: RegisterLayout, scheme: LatticeScheme, controls=
 
 
 def _coefficient_angles(k_flat: np.ndarray) -> np.ndarray:
-    bad = np.abs(k_flat) > 1.0 + _COEFF_SLACK
-    if np.any(bad):
+    # written so that NaN, which compares false both ways, is rejected too
+    if not np.all(np.abs(k_flat) <= 1.0 + _COEFF_SLACK):
         worst = float(np.max(np.abs(k_flat)))
         raise CoefficientRangeError(
             f"collision coefficients must lie in [-1, 1]; max |k| = {worst:.6g}"
@@ -496,12 +554,13 @@ def cavity_wall_mask(extent: int) -> np.ndarray:
 
 
 def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source=None, source_scale: float = 1.0) -> np.ndarray:
-    """Unnormalized amplitude layout for the encode stage.
+    """Unnormalized amplitude layout for the encode stage, as a read-only array.
 
     The field is replicated across the link codes actually used by the scheme
     (codes past n_links stay zero). With a source field present the source
     flag splits the space: s = 0 carries the field, s = 1 carries
-    source_scale * source, both replicated the same way.
+    source_scale * source, both replicated the same way. Being read-only, it
+    becomes a PREP's parameter without a copy.
     """
     field = np.asarray(field, dtype=float).ravel()
     if field.size != layout.n_sites:
@@ -519,15 +578,8 @@ def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source
         off = n_sites * codes
         for code in range(scheme.n_links):
             v[off + code * n_sites : off + (code + 1) * n_sites] = source
+    v.flags.writeable = False
     return v
-
-
-def _prep_section(layout: RegisterLayout, vector: np.ndarray) -> list[GateOp]:
-    qubits = layout.site_qubits + layout.d + layout.s
-    norm = np.linalg.norm(vector)
-    if norm == 0.0:
-        raise ConfigurationError("cannot prepare the zero vector")
-    return build_state_prep(vector / norm, qubits)
 
 
 def _collision_k_uniform(scheme: LatticeScheme, velocity, n_codes: int) -> np.ndarray:
@@ -546,12 +598,15 @@ def _collision_k_sitewise(scheme: LatticeScheme, velocity_fields, n_codes: int, 
     return out
 
 
-def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field, velocity, *, encode: bool = True) -> CircuitIR:
+def _encode(layout: RegisterLayout, vector) -> list[GateOp]:
+    return [GateOp("PREP", layout.encoded_qubits, params=vector)]
+
+
+def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field, velocity) -> CircuitIR:
     """One advected-scalar step: encode, collide, stream, merge links."""
     layout = RegisterLayout.for_scheme(scheme, extent)
     circ = CircuitIR(layout)
-    if encode:
-        circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, field)))
+    circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, field)))
     k = _collision_k_uniform(scheme, velocity, 1 << layout.n_d)
     circ.add_section("collision", build_collision_ops(layout, k, layout.d))
     circ.add_section("streaming", build_streaming_ops(layout, scheme))
@@ -559,12 +614,11 @@ def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field,
     return circ
 
 
-def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_fields, *, boundary: bool = True, encode: bool = True) -> CircuitIR:
+def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_fields, *, boundary: bool = True) -> CircuitIR:
     """One vorticity transport step with site-dependent collision coefficients."""
     layout = RegisterLayout.for_scheme(scheme, extent, boundary=boundary)
     circ = CircuitIR(layout)
-    if encode:
-        circ.add_section("encode", _prep_section(layout, encoding_vector(layout, scheme, omega)))
+    circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, omega)))
     k = _collision_k_sitewise(scheme, velocity_fields, 1 << layout.n_d, layout.n_sites)
     circ.add_section(
         "collision", build_collision_ops(layout, k, layout.site_qubits + layout.d)
@@ -576,7 +630,7 @@ def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_
     return circ
 
 
-def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, *, boundary: bool = True, encode: bool = True) -> CircuitIR:
+def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, *, boundary: bool = True) -> CircuitIR:
     """One relaxation sweep of the stream-function field with a folded source.
 
     The source flag is prepared alongside the field (s = 0 holds psi, s = 1
@@ -585,9 +639,7 @@ def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scale
     """
     layout = RegisterLayout.for_scheme(scheme, extent, source=True, boundary=boundary)
     circ = CircuitIR(layout)
-    if encode:
-        vec = encoding_vector(layout, scheme, psi, source=scaled_source)
-        circ.add_section("encode", _prep_section(layout, vec))
+    circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, psi, source=scaled_source)))
     circ.add_section("source-fold", [GateOp("H", (layout.s[0],))])
     k = _collision_k_uniform(scheme, np.zeros(scheme.dimension), 1 << layout.n_d)
     circ.add_section("collision", build_collision_ops(layout, k, layout.d))
@@ -598,21 +650,19 @@ def build_stream_function_circuit(scheme: LatticeScheme, extent: int, psi, scale
     return circ
 
 
-def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, omega, velocity_fields, *, encode: bool = True) -> CircuitIR:
+def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_source, omega, velocity_fields) -> CircuitIR:
     """Combined cavity step: both field updates in one gate list.
 
     The stream-function stages run controlled on source flag 0 and the
     vorticity stages controlled on source flag 1, sharing one link-merge and
     one wall-projector section. The encode section holds the joint
-    stream-function input; a vorticity pass re-prepares the s = 1 sector and
-    executes only its own spans.
+    stream-function input; a vorticity pass puts its own PREP of the s = 1
+    sector in front of its own spans.
     """
     layout = RegisterLayout.for_scheme(scheme, extent, source=True, boundary=True)
     circ = CircuitIR(layout)
     s = layout.s[0]
-    if encode:
-        vec = encoding_vector(layout, scheme, psi, source=scaled_source)
-        circ.add_section("encode", _prep_section(layout, vec))
+    circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, psi, source=scaled_source)))
     circ.add_section("source-fold", [GateOp("H", (s,))])
     k_sf = _collision_k_uniform(scheme, np.zeros(scheme.dimension), 1 << layout.n_d)
     circ.add_section(
@@ -656,7 +706,10 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # by every gate of that shape. The recursion builds rows on slots from the
 # bottom up, and its inner MCX is a smaller cached core with its slots
 # remapped. Zero-polarity controls are wrapped in X when the template is
-# emitted. Diagonals depend on their phases and are expanded per gate.
+# emitted. Diagonals depend on their phases and are expanded per gate. State
+# preparation has one template per qubit count that holds the structure of
+# the rotation network only: its rotation rows carry no angle, so it serves
+# counting, while :func:`lower_op` builds the network with its angles.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -831,9 +884,35 @@ def _diag_rows(phases: np.ndarray) -> list[tuple]:
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _prep_template(m: int) -> tuple[tuple, ...]:
+    """Rows of :func:`build_state_prep` on slots 0..m-1, without the angles.
+
+    The same rows in the same order for every vector: each stage's
+    multiplexed rotation emits all of its rungs whatever the angles.
+    Repeated rows are one shared tuple.
+    """
+    rows: list[tuple] = []
+    for j in range(m - 1, -1, -1):
+        rotate = ("RY", j, -1, ())
+        if j == m - 1:
+            rows.append(rotate)
+            continue
+        flips = [("MCX", j, c, ()) for c in range(j + 1, m)]
+        for _, flip in _gray_ladder(m - 1 - j):
+            rows += (rotate, flips[flip])
+    return tuple(rows)
+
+
 def lowered_rows(op: GateOp) -> tuple[Sequence[tuple], tuple[int, ...]]:
-    """Basis rows of one gate's exact lowering, and the qubit each slot stands for."""
+    """Basis rows of one gate's lowering, and the qubit each slot stands for.
+
+    The rows are exact for every kind but PREP, whose rows give the
+    rotation network's structure with no angles (see :func:`lower_op`).
+    """
     kind = op.kind
+    if kind == "PREP":
+        return _prep_template(len(op.targets)), op.targets
     if kind == "GPHASE":
         if op.controls:
             raise ConfigurationError("controlled global phase is not supported")
@@ -851,7 +930,13 @@ def lowered_rows(op: GateOp) -> tuple[Sequence[tuple], tuple[int, ...]]:
 
 
 def lower_op(op: GateOp) -> list[GateOp]:
-    """Rewrite one gate into the single-qubit + CNOT basis, exactly."""
+    """Rewrite one gate into the single-qubit + CNOT basis, exactly.
+
+    A PREP becomes the rotation network that prepares its unit vector from
+    |0> on its targets; on a target register in |0> the two agree.
+    """
+    if op.kind == "PREP":
+        return build_state_prep(unit_amplitudes(op.params)[0], op.targets)
     return _emit(*lowered_rows(op))
 
 
@@ -898,13 +983,17 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
     """Apply gates to an amplitude array (first axis = 2^n basis index).
 
     Vectorized fancy-indexing reference path, deliberately separate from the
-    compiled kernels so the two implementations can check each other.
+    compiled kernels so the two implementations can check each other. A PREP
+    runs as its rotation network (:func:`lower_op`).
     """
     arr = np.asarray(array, dtype=complex).copy()
     if arr.shape[0] != 1 << n_qubits:
         raise ConfigurationError("array leading axis must be 2^n_qubits")
     idx = np.arange(1 << n_qubits)
     for op in ops:
+        if op.kind == "PREP":
+            arr = apply_ops_numpy(arr, lower_op(op), n_qubits)
+            continue
         cmask, cval = _control_mask_val(op)
         if op.kind == "GPHASE":
             (theta,) = op.params
@@ -942,73 +1031,3 @@ def circuit_unitary(ops: Iterable[GateOp], n_qubits: int) -> np.ndarray:
     if n_qubits > 10:
         raise ConfigurationError("dense unitary extraction is capped at 10 qubits")
     return apply_ops_numpy(np.eye(1 << n_qubits, dtype=complex), ops, n_qubits)
-
-
-# ---------------------------------------------------------------------------
-# text serialization
-# ---------------------------------------------------------------------------
-
-_IR_HEADER = "qlbm-circuit v1"
-
-
-def circuit_to_text(circ: CircuitIR) -> str:
-    lay = circ.layout
-    lines = [
-        _IR_HEADER,
-        f"registers r0={lay.n_r0} r1={lay.n_r1} d={lay.n_d} s={lay.n_s} b={lay.n_b} a={lay.n_a}",
-    ]
-    for name, start, stop in circ.sections:
-        lines.append(f"section {name} {start} {stop}")
-    for op in circ.gates:
-        targets = ",".join(str(t) for t in op.targets) if op.targets else "-"
-        line = f"{op.kind} {targets}"
-        if op.controls:
-            line += " @ " + ",".join(f"{q}={v}" for q, v in zip(op.controls, op.control_values))
-        if op.params:
-            line += " : " + ",".join(repr(p) for p in op.params)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> CircuitIR:
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _IR_HEADER:
-        raise ConfigurationError("not a circuit file (bad header)")
-    if len(lines) < 2 or not lines[1].startswith("registers "):
-        raise ConfigurationError("missing registers line")
-    counts = {}
-    for tok in lines[1].split()[1:]:
-        name, _, num = tok.partition("=")
-        counts[name] = int(num)
-    try:
-        layout = RegisterLayout(
-            n_r0=counts["r0"], n_r1=counts["r1"], n_d=counts["d"],
-            n_s=counts["s"], n_b=counts["b"], n_a=counts["a"],
-        )
-    except KeyError as missing:
-        raise ConfigurationError(f"registers line lacks {missing}") from None
-    circ = CircuitIR(layout)
-    for line in lines[2:]:
-        if line.startswith("section "):
-            _, name, start, stop = line.split()
-            circ.sections.append((name, int(start), int(stop)))
-            continue
-        head, _, params_part = line.partition(" : ")
-        head, _, ctrl_part = head.partition(" @ ")
-        pieces = head.split()
-        if len(pieces) != 2:
-            raise ConfigurationError(f"malformed gate line: {line!r}")
-        kind, targets_csv = pieces
-        targets = () if targets_csv == "-" else tuple(int(t) for t in targets_csv.split(","))
-        controls: tuple[int, ...] = ()
-        values: tuple[int, ...] = ()
-        if ctrl_part:
-            pairs = [tok.partition("=") for tok in ctrl_part.split(",")]
-            controls = tuple(int(p[0]) for p in pairs)
-            values = tuple(int(p[2]) for p in pairs)
-        params = tuple(float(p) for p in params_part.split(",")) if params_part else ()
-        circ.gates.append(GateOp(kind, targets, controls, values, params))
-    for name, start, stop in circ.sections:
-        if not (0 <= start <= stop <= len(circ.gates)):
-            raise ConfigurationError(f"section {name!r} span out of range")
-    return circ

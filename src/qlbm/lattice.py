@@ -12,6 +12,7 @@ replaces every link population with its equilibrium value, streams, and sums.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,6 +166,10 @@ class CavitySpec:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        if not (math.isfinite(self.lid_velocity) and math.isfinite(self.delta)):
+            raise ConfigurationError(
+                f"lid velocity and grid spacing must be finite, got {self.lid_velocity} and {self.delta}"
+            )
         _require_power_of_two_extent((self.n,))
 
 

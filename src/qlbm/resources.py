@@ -4,7 +4,9 @@ The counter never builds the lowered gate list. For each gate it takes the
 basis rows of its lowering from :func:`qlbm.circuits.lowered_rows`: plain
 ``(kind, target slot, control slot, params)`` tuples plus the qubit each
 slot stands for. Multi-controlled gates share one memoized template per
-shape, so the 64 x 64 combined circuit (about a million gates after
+shape, and each encode section's one ``PREP`` gate is counted from a
+memoized template of its rotation network's structure, which computes no
+angles. So the 64 x 64 combined circuit (about a million gates after
 lowering) is counted on Python ints and floats without one ``GateOp`` per
 lowered gate. Depth is the length of the longest per-qubit dependency chain;
 runtime replaces unit layers with per-gate durations on the same chains.
@@ -148,8 +150,9 @@ def representative_cavity_fields(extent: int, steps: int = 80):
     """Developed cavity fields used to parameterize the counted circuits.
 
     The gate counts depend only on register spans, but building from real
-    evolved fields keeps every encode and collision section honest (no
-    degenerate zero vectors except where physics makes them so).
+    evolved fields keeps every collision section honest and gives every
+    encode PREP a vector the simulator could load (no degenerate zero
+    vectors except where physics makes them so).
     """
     spec = CavitySpec(n=extent, lid_velocity=1.0, steps=steps)
     hist = solve_cavity_classical(spec)

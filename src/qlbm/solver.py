@@ -1,19 +1,20 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
-Every circuit execution is one job on one path, ``_run_job``: load the
-amplitude layout directly and apply the gates while selecting every register
-but the sites. Each selected qubit leaves the state right after the last gate
-that targets it (the collision ancilla after collision, each link qubit
-after its merge Hadamard, the wall flag after the wall projector, a source
-flag no gate targets at load), so the job returns the site amplitudes alone
-and the caller decodes the field from them. Circuits are built without their
-encode section: the resource estimator counts the rotation-network state
-prep, and loading the amplitudes is equivalent. Advection's step body does
-not depend on the field, so it is built once per run; the cavity circuits
-carry the current velocity field and are built every step. A job whose
-inputs are all exactly zero (``np.any`` is false) is idle: it builds and
-runs nothing and records ``zero_input``. Magnitude plays no part, as
-encoding scales by the peak.
+Every circuit execution is one job on one path, ``_run_job``: apply the
+job's gates to |0>, its encode PREP first, while selecting every register
+but the sites. The simulator runs the circuit the resource estimator
+counts; the PREP loads the amplitude layout, where the estimator counts the
+rotation network. Each selected qubit leaves the state right after the last
+gate that targets it (the collision ancilla after collision, each link
+qubit after its merge Hadamard, the wall flag after the wall projector, a
+source flag after the PREP when no later gate targets it), so the job
+returns the site amplitudes alone and the caller decodes the field from
+them. Advection's step body does not depend on the field, so it is built
+once per run and each step puts a fresh PREP in front of it; the cavity
+circuits carry the current velocity field and are built every step. A job
+whose inputs are all exactly zero (``np.any`` is false) is idle: it builds
+and runs nothing and records ``zero_input``. Magnitude plays no part, as
+the PREP scales by the peak.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .circuits import (
+    GateOp,
     RegisterLayout,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
@@ -49,7 +51,6 @@ from .lattice import (
 )
 from .statevector import (
     QuantumState,
-    amplitude_encode,
     apply_circuit,
     fidelity_from_histogram,
     sample,
@@ -138,12 +139,12 @@ def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
     return plan
 
 
-def _run_job(ops, layout: RegisterLayout, vec, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
-    """Load ``vec``, apply ``ops`` and select every register but the sites as they finish.
+def _run_job(ops, layout: RegisterLayout, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
+    """Apply ``ops``, a PREP first, to |0> and select every register but the sites as they finish.
 
     The returned state holds the ``layout.n_sites`` site amplitudes only.
     """
-    state = amplitude_encode(vec, layout.qubit_count)
+    state = QuantumState.zero(layout.qubit_count)
     state, probs = apply_circuit(state, ops, select=_selection_plan(layout, s_value))
     return state, StepRecord(step, job, probs, state.norm_factor)
 
@@ -174,14 +175,17 @@ def run_advection_diffusion(
         raise ConfigurationError(f"unknown backend {backend!r}")
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    if not np.all(np.isfinite(np.asarray(velocity, dtype=float))):
+        raise ConfigurationError(f"velocity must be finite, got {velocity}")
     field = np.asarray(field0, dtype=float)
     extent = field.shape[0]
     if field.shape != (extent,) * scheme.dimension:
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
     if backend == "sampling" and np.any(field < 0):
         raise EncodingError("the sampling backend cannot recover negative field values")
-    circ = build_advection_diffusion_circuit(scheme, extent, field, velocity, encode=False)
+    circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
     layout = circ.layout
+    body = circ.gates[1:]  # every section after the encode PREP
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
@@ -189,12 +193,12 @@ def run_advection_diffusion(
             records.append(_idle(step, "advection"))
             fields.append(field.copy())
             continue
-        vec = encoding_vector(layout, scheme, field)
+        ops = [GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field)), *body]
         if backend == "statevector":
-            state, record = _run_job(circ.gates, layout, vec, step, "advection")
+            state, record = _run_job(ops, layout, step, "advection")
             flat = decode_field(state, layout)
         else:
-            state = apply_circuit(amplitude_encode(vec, layout.qubit_count), circ.gates)
+            state = apply_circuit(QuantumState.zero(layout.qubit_count), ops)
             freq = sample(state, shots, seed + 7919 * step).frequencies()[: layout.n_sites]
             flat = np.sqrt(freq) * state.norm_factor * _decode_factor(layout, False)
             record = StepRecord(step, "advection", {}, state.norm_factor)
@@ -214,23 +218,20 @@ def run_advection_diffusion(
 def _sf_job(extent, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
     if not (np.any(psi) or np.any(scaled_source)):
         return np.zeros((extent, extent)), _idle(step, "stream-function")
-    circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source, encode=False)
-    layout = circ.layout
-    vec = encoding_vector(layout, D2Q5, psi, source=scaled_source)
-    state, record = _run_job(circ.gates, layout, vec, step, "stream-function")
-    return decode_field(state, layout, folded=True).reshape(extent, extent), record
+    circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source)
+    state, record = _run_job(circ.gates, circ.layout, step, "stream-function")
+    return decode_field(state, circ.layout, folded=True).reshape(extent, extent), record
 
 
 def _vorticity_job(extent, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
     if not np.any(omega):
         return np.zeros((extent, extent)), _idle(step, "vorticity")
-    circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields, encode=False)
-    layout = circ.layout
-    state, record = _run_job(circ.gates, layout, encoding_vector(layout, D2Q5, omega), step, "vorticity")
-    return decode_field(state, layout).reshape(extent, extent), record
+    circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields)
+    state, record = _run_job(circ.gates, circ.layout, step, "vorticity")
+    return decode_field(state, circ.layout).reshape(extent, extent), record
 
 
-_SINGLE_SF_SPANS = ["source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
+_SINGLE_SF_SPANS = ["encode", "source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
 _SINGLE_W_SPANS = ["collision-vorticity", "streaming-vorticity", "macro", "boundary"]
 
 
@@ -242,15 +243,15 @@ def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
     records = [_idle(step, "stream-function"), _idle(step, "vorticity")]
     if not (sf_live or w_live):
         return psi_new, omega_new, records
-    circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields, encode=False)
+    circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields)
     layout = circ.layout
     if sf_live:
-        vec = encoding_vector(layout, D2Q5, psi, source=scaled_source)
-        state, records[0] = _run_job(circ.section_ops(_SINGLE_SF_SPANS), layout, vec, step, "stream-function")
+        state, records[0] = _run_job(circ.section_ops(_SINGLE_SF_SPANS), layout, step, "stream-function")
         psi_new = decode_field(state, layout, folded=True).reshape(extent, extent)
     if w_live:
         vec = encoding_vector(layout, D2Q5, np.zeros((extent, extent)), source=omega)
-        state, records[1] = _run_job(circ.section_ops(_SINGLE_W_SPANS), layout, vec, step, "vorticity", s_value=1)
+        ops = [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(_SINGLE_W_SPANS)]
+        state, records[1] = _run_job(ops, layout, step, "vorticity", s_value=1)
         omega_new = decode_field(state, layout).reshape(extent, extent)
     return psi_new, omega_new, records
 
@@ -315,9 +316,8 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     velocity = (0.2,)
     for _ in range(steps - 1):
         field = step_advection_diffusion(D1Q3, field, velocity)
-    circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity, encode=False)
-    layout = circ.layout
-    state, _ = _run_job(circ.gates, layout, encoding_vector(layout, D1Q3, field), steps, "advection")
+    circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity)
+    state, _ = _run_job(circ.gates, circ.layout, steps, "advection")
     return state
 
 

@@ -5,12 +5,14 @@ travels separately in ``norm_factor``. Post-selecting a register multiplies
 the norm factor by sqrt(p) and renormalizes, so decoded field values are
 invariant under where in the pipeline the selection happens.
 
-Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`.
-Given a selection plan, :func:`apply_circuit` selects each planned qubit in
-the same gate loop, right after the last gate that targets it, and drops it
-from the state, so every later gate runs on half as many amplitudes; an
-uncontrolled single-qubit gate and the selection after it are one
-contraction (gate fusion, Häner & Steiger, arXiv:1704.01127).
+Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`;
+a ``PREP`` gate loads its vector onto qubits that are all |0>, as
+:func:`amplitude_encode` loads a fresh state. Given a selection plan,
+:func:`apply_circuit` selects each planned qubit in the same gate loop,
+right after the last gate that targets it, and drops it from the state, so
+every later gate runs on half as many amplitudes; an uncontrolled
+single-qubit gate and the selection after it are one contraction (gate
+fusion, Häner & Steiger, arXiv:1704.01127).
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import _kernels
-from .circuits import gate_matrix_1q
+from .circuits import gate_matrix_1q, unit_amplitudes
 from .errors import ConfigurationError, EncodingError, PostSelectionError
 
 __all__ = [
@@ -44,6 +46,10 @@ __all__ = [
 ]
 
 _MIN_SELECT_PROBABILITY = 1e-14
+
+# a PREP's targets count as all |0> when the part of the unit-norm state with
+# every target at 0 holds all of the probability to within this slack
+_PREP_SLACK = 1e-12
 
 # numpy's multinomial draws take the shot count as a C long
 MAX_SHOTS = (1 << 63) - 1
@@ -83,17 +89,10 @@ def amplitude_encode(values, n_qubits: int) -> QuantumState:
     size = 1 << n_qubits
     if v.size > size:
         raise EncodingError(f"{v.size} values do not fit in {n_qubits} qubits")
-    if not np.all(np.isfinite(v)):
-        raise EncodingError("cannot amplitude-encode a field with non-finite values")
-    peak = float(np.abs(v).max()) if v.size else 0.0
-    if peak == 0.0:
-        raise EncodingError("cannot amplitude-encode an all-zero field")
-    # normalize against the peak first so squaring cannot under/overflow
-    unit = v / peak
-    unit_norm = float(np.linalg.norm(unit))
+    unit, scale = unit_amplitudes(v)
     amps = np.zeros(size, dtype=np.complex128)
-    amps[: v.size] = unit / unit_norm
-    return QuantumState(n_qubits, amps, peak * unit_norm)
+    amps[: v.size] = unit
+    return QuantumState(n_qubits, amps, scale)
 
 
 def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None):
@@ -101,6 +100,11 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
 
     Without ``select`` the gates act on ``state`` in place and the same state
     is returned for chaining.
+
+    A PREP replaces its targets, which must be all |0>, with its vector
+    normalized by :func:`~qlbm.circuits.unit_amplitudes`, and multiplies the
+    norm factor by the norm it was scaled from; a target that is not |0>
+    raises :class:`ConfigurationError`.
 
     ``select`` maps qubit -> value (0 or 1). Each planned qubit is projected
     onto its value and leaves the state right after the last gate that
@@ -169,6 +173,8 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
                 _kernels.apply_diag(amps, qpos, phases, cmask, cval)
             elif kind == "GPHASE":
                 amps *= np.exp(1j * op.params[0])
+            elif kind == "PREP":
+                norm *= _load(amps, [bit_of[q] for q in op.targets], op.params)
             else:
                 u = gate_matrix_1q(op)
                 if chosen and not cmask:
@@ -182,6 +188,7 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
         for q in chosen:
             drop(q)
     if select is None:
+        state.norm_factor = norm
         return state
     return QuantumState(len(bit_of), amps, norm), probs
 
@@ -193,6 +200,33 @@ def _checked_plan(select, n_qubits: int) -> dict[int, int]:
         if value not in (0, 1):
             raise ConfigurationError(f"selection value for qubit {qubit} must be 0 or 1, got {value!r}")
     return dict(select)
+
+
+def _load(amps: np.ndarray, bits: list[int], vector) -> float:
+    """Load ``vector`` onto ``bits`` of ``amps``, in place; returns the norm it was scaled from.
+
+    ``bits`` must be all 0 in ``amps``. Each block of amplitudes that share
+    the other bits becomes the unit vector (index bit j on ``bits[j]``)
+    times the block's old amplitude at all-zero ``bits``. Only blocks where
+    that amplitude is nonzero are written: with ``bits`` in |0> the others
+    are zero already, and the probability check bounds what they can hold
+    by ``_PREP_SLACK``. Loading a fresh state therefore writes the one block
+    :func:`amplitude_encode` writes and allocates nothing of the state's size.
+    """
+    n, m = amps.size.bit_length() - 1, len(bits)
+    unit, scale = unit_amplitudes(vector)
+    # bit b is axis n - 1 - b of the (2,) * n view; put the other bits' axes
+    # first and the targets' last, bits[m - 1] first as in the unit vector
+    others = [b for b in range(n - 1, -1, -1) if b not in bits]
+    blocks = amps.reshape((2,) * n).transpose([n - 1 - b for b in others + bits[::-1]])
+    rest = blocks[(Ellipsis,) + (0,) * m].reshape(-1).copy()
+    p = float(np.vdot(rest, rest).real)
+    if abs(1.0 - p) > _PREP_SLACK:
+        raise ConfigurationError(f"PREP needs its targets in |0>; they are there with probability {p:.6g}")
+    unit = unit.reshape((2,) * m)
+    for r in np.flatnonzero(rest):
+        np.multiply(unit, rest[r], out=blocks[np.unravel_index(r, (2,) * len(others))])
+    return scale
 
 
 def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> tuple[np.ndarray, float]:

@@ -30,16 +30,16 @@ from qlbm.circuits import (
     build_streaming_ops,
     build_vorticity_circuit,
     cavity_wall_mask,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     encoding_vector,
     gate_matrix_1q,
     iter_lowered,
     lower_circuit,
     lower_op,
+    lowered_rows,
+    unit_amplitudes,
 )
-from qlbm.errors import CoefficientRangeError, ConfigurationError
+from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
 from qlbm.statevector import QuantumState, apply_circuit
 
@@ -275,6 +275,13 @@ def test_collision_block_rejects_out_of_range_coefficients():
         build_collision_ops(layout, [0.5, 1.5, 0.0, 0.0], layout.r0 + layout.d)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_collision_block_rejects_non_finite_coefficients(bad):
+    layout = RegisterLayout(n_r0=1, n_d=1)
+    with pytest.raises(CoefficientRangeError, match="max \\|k\\|"):
+        build_collision_ops(layout, [0.5, bad, 0.0, 0.0], layout.r0 + layout.d)
+
+
 def test_collision_block_rejects_wrong_coefficient_count():
     layout = RegisterLayout(n_r0=1, n_d=1)
     with pytest.raises(ConfigurationError, match="coefficients"):
@@ -334,6 +341,131 @@ def test_state_prep_rejects_unnormalized_vector():
 def test_state_prep_rejects_wrong_length():
     with pytest.raises(ConfigurationError, match="does not fit"):
         build_state_prep(np.ones(3) / np.sqrt(3), (0, 1))
+
+
+def _prep_case(m, seed):
+    """(n, targets, ops before the PREP, the PREP): random signed vector on
+    m scattered targets of an (m + 2)-qubit state whose other qubits are in
+    superposition."""
+    rng = np.random.default_rng(seed)
+    n = m + 2
+    order = rng.permutation(n).tolist()
+    targets, others = tuple(order[:m]), order[m:]
+    before = [GateOp("RY", (others[0],), params=(float(rng.uniform(0.3, 2.8)),)),
+              GateOp("H", (others[1],), (others[0],), (1,))]
+    prep = GateOp("PREP", targets, params=rng.standard_normal(1 << m) * 10.0 ** rng.integers(-3, 4))
+    return n, targets, before, prep
+
+
+def _dense_load(amps, targets, vector):
+    """Rest of the state (targets at 0) times the unit vector, index by index."""
+    unit = vector / np.linalg.norm(vector)
+    mask = sum(1 << q for q in targets)
+    out = np.zeros_like(amps)
+    for i in range(amps.size):
+        sub = sum(((i >> q) & 1) << pos for pos, q in enumerate(targets))
+        out[i] = amps[i & ~mask] * unit[sub]
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_prep_load_ladder_and_lowering_agree_with_the_dense_reference(m):
+    n, targets, before, prep = _prep_case(m, seed=40 + m)
+    zero = QuantumState.zero(n).amplitudes
+    prepared = apply_ops_numpy(zero, before, n)
+    assert np.abs(prepared).max() < 1.0  # a non-target qubit is in superposition
+    expected = _dense_load(prepared, targets, prep.params)
+    loaded = apply_circuit(QuantumState.zero(n), before + [prep])
+    ladder = apply_ops_numpy(zero, before + [prep], n)
+    lowered = apply_circuit(QuantumState.zero(n), before + lower_op(prep))
+    for got in (loaded.amplitudes, ladder, lowered.amplitudes):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    assert loaded.norm_factor == unit_amplitudes(prep.params)[1]
+    assert lowered.norm_factor == 1.0  # rotations carry no norm
+
+
+def test_prep_on_every_qubit_loads_the_vector_in_target_order():
+    state = apply_circuit(QuantumState.zero(2), [GateOp("PREP", (1, 0), params=(1.0, -2.0, 3.0, 4.0))])
+    np.testing.assert_allclose(state.amplitudes, np.array([1.0, 3.0, -2.0, 4.0]) / math.sqrt(30.0), rtol=0, atol=1e-15)
+    assert state.norm_factor == pytest.approx(math.sqrt(30.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_prep_load_selects_like_the_reference(m):
+    n, targets, before, prep = _prep_case(m, seed=60 + m)
+    plan = {q: 0 for q in range(n) if q not in targets}
+    plan[targets[-1]] = 1
+    selected, probs = apply_circuit(QuantumState.zero(n), before + [prep], select=plan)
+    full = _dense_load(apply_ops_numpy(QuantumState.zero(n).amplitudes, before, n), targets, prep.params)
+    keep = [i for i in range(1 << n) if all(((i >> q) & 1) == v for q, v in plan.items())]
+    expected = full[keep] / np.linalg.norm(full[keep])
+    np.testing.assert_allclose(selected.amplitudes, expected, rtol=0, atol=1e-12)
+    assert math.prod(probs.values()) == pytest.approx(np.vdot(full[keep], full[keep]).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("select", [None, {2: 0}])
+def test_prep_rejects_a_target_that_is_not_zero(select):
+    ops = [GateOp("RY", (1,), params=(1e-5,)), GateOp("PREP", (0, 1), params=(1.0, 2.0, 3.0, 4.0))]
+    with pytest.raises(ConfigurationError, match=r"\|0>"):
+        apply_circuit(QuantumState.zero(3), ops, select=select)
+    # a qubit outside the targets may hold anything
+    ops[0] = GateOp("H", (2,))
+    apply_circuit(QuantumState.zero(3), ops, select=select)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0, 0, 0])])
+def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
+    prep = GateOp("PREP", (0, 1), params=bad)
+    with pytest.raises(EncodingError):
+        apply_circuit(QuantumState.zero(2), [prep])
+    with pytest.raises(EncodingError):
+        lower_op(prep)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_prep_template_has_the_rows_of_the_state_prep_network(m):
+    rng = np.random.default_rng(m)
+    targets = tuple(int(q) for q in rng.permutation(m + 1)[:m])
+    prep = GateOp("PREP", targets, params=rng.standard_normal(1 << m))
+    rows, qubits = lowered_rows(prep)
+    assert qubits == targets
+    network = build_state_prep(unit_amplitudes(prep.params)[0], targets)
+    structure = [(kind, (qubits[t],), (qubits[c],) if c >= 0 else ()) for kind, t, c, _ in rows]
+    assert structure == [(op.kind, op.targets, op.controls) for op in network]
+    assert {params for *_, params in rows} == {()}  # structure only: no angle is computed
+
+
+def test_prep_gates_compare_by_value_and_hold_a_read_only_copy():
+    vector = np.array([0.5, -1.0, 0.25, 2.0])
+    a = GateOp("PREP", (0, 1), params=vector)
+    b = GateOp("PREP", (0, 1), params=tuple(vector))
+    assert a == b and hash(a) == hash(b)
+    assert a != GateOp("PREP", (0, 1), params=vector[::-1])
+    assert a != GateOp("PREP", (1, 0), params=vector)
+    assert a != GateOp("DIAG", (0, 1), params=tuple(vector))
+    assert [a] == [b] and a in {b}
+    vector[0] = 9.0  # the gate keeps its own copy
+    assert a.params[0] == 0.5 and a.params.dtype == np.float64
+    with pytest.raises(ValueError):
+        a.params[0] = 1.0
+    # a read-only vector that owns its memory is kept as it is; a read-only view is copied
+    layout = RegisterLayout.for_scheme(D1Q3, 4)
+    frozen = encoding_vector(layout, D1Q3, np.arange(4.0))
+    assert GateOp("PREP", layout.encoded_qubits, params=frozen).params is frozen
+    view = np.arange(8.0)[:4]
+    view.flags.writeable = False
+    assert GateOp("PREP", (0, 1), params=view).params is not view
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"targets": (0, 1), "params": np.ones(3)}, "parameter"),
+    ({"targets": (), "params": np.ones(1)}, "at least one target"),
+    ({"targets": (0,), "params": np.ones((2, 1))}, "flat vector"),
+    ({"targets": (0,), "params": np.ones(2), "controls": (1,), "control_values": (1,)}, "no controls"),
+])
+def test_prep_rejects_malformed_gates(kwargs, match):
+    with pytest.raises(ConfigurationError, match=match):
+        GateOp("PREP", **kwargs)
 
 
 def test_encoding_vector_replicates_field_over_links():
@@ -598,61 +730,45 @@ _PIPELINE_BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(_PIPELINE_BUILDERS))
 def test_builder_without_encode_drops_only_the_encode_span(name):
-    build = _PIPELINE_BUILDERS[name]
-    full = build(*_pipeline_inputs(), encode=True)
-    bare = build(*_pipeline_inputs(), encode=False)
-    (enc_start, enc_stop), = [(lo, hi) for sec, lo, hi in full.sections if sec == "encode"]
-    assert enc_start == 0 and enc_stop > 0
-    assert bare.layout == full.layout
-    assert bare.gates == full.gates[enc_stop:]
-    assert bare.sections == [(sec, lo - enc_stop, hi - enc_stop) for sec, lo, hi in full.sections if sec != "encode"]
+    # the encode section is exactly one PREP at index 0; the body follows it
+    circ = _PIPELINE_BUILDERS[name](*_pipeline_inputs())
+    assert circ.sections[0] == ("encode", 0, 1)
+    (prep,) = circ.iter_section("encode")
+    assert prep.kind == "PREP" and prep.targets == circ.layout.encoded_qubits
+    assert all(sec != "encode" and lo >= 1 for sec, lo, _ in circ.sections[1:])
+    body = circ.section_ops(circ.section_names()[1:])
+    assert body == circ.gates[1:] and all(op.kind != "PREP" for op in body)
 
 
 @pytest.mark.parametrize("name", sorted(_PIPELINE_BUILDERS))
 def test_simulator_runs_lowered_pipeline_like_the_reference(name):
-    circ = _PIPELINE_BUILDERS[name](*_pipeline_inputs(), encode=True)
+    circ = _PIPELINE_BUILDERS[name](*_pipeline_inputs())
     n = circ.n_qubits
     assert n <= 8
+    lowered = lower_circuit(circ)
+    # the body on random amplitudes
     rng = np.random.default_rng(3)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
-    reference = apply_ops_numpy(amps, circ.gates, n)
-    direct = apply_circuit(QuantumState(n, amps.copy()), circ.gates).amplitudes
-    lowered = apply_circuit(QuantumState(n, amps.copy()), lower_circuit(circ).gates).amplitudes
+    body = circ.gates[1:]
+    low_body = lowered.section_ops(lowered.section_names()[1:])
+    reference = apply_ops_numpy(amps, body, n)
+    direct = apply_circuit(QuantumState(n, amps.copy()), body).amplitudes
+    low = apply_circuit(QuantumState(n, amps.copy()), low_body).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(lowered, reference, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
+    # the whole circuit, PREP first, from |0>
+    zero = QuantumState.zero(n).amplitudes
+    reference = apply_ops_numpy(zero, circ.gates, n)
+    direct = apply_circuit(QuantumState.zero(n), circ.gates).amplitudes
+    low = apply_circuit(QuantumState.zero(n), lowered.gates).amplitudes
+    np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# text round trip
+# sections
 # ---------------------------------------------------------------------------
-
-
-def test_circuit_text_round_trip_is_exact():
-    field = np.full(8, 0.11)
-    field[3] = 0.37
-    circ = build_advection_diffusion_circuit(D1Q3, 8, field, (0.2,))
-    clone = circuit_from_text(circuit_to_text(circ))
-    assert clone.gates == circ.gates
-    assert clone.sections == circ.sections
-    assert clone.layout == circ.layout
-
-
-def test_circuit_text_rejects_bad_header():
-    with pytest.raises(ConfigurationError, match="header"):
-        circuit_from_text("something else\nregisters r0=1 r1=0 d=0 s=0 b=0 a=1\n")
-
-
-def test_circuit_text_rejects_malformed_gate_line():
-    text = "qlbm-circuit v1\nregisters r0=1 r1=0 d=0 s=0 b=0 a=1\nH\n"
-    with pytest.raises(ConfigurationError, match="malformed"):
-        circuit_from_text(text)
-
-
-def test_circuit_text_rejects_out_of_range_section():
-    text = "qlbm-circuit v1\nregisters r0=1 r1=0 d=0 s=0 b=0 a=1\nsection foo 0 5\nH 0\n"
-    with pytest.raises(ConfigurationError, match="span"):
-        circuit_from_text(text)
 
 
 def test_iter_section_rejects_unknown_name():

@@ -94,6 +94,19 @@ def test_advdiff_superunit_velocity_is_simulation_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("backend", ["statevector", "sampling"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.1,nan"])
+def test_advdiff_non_finite_velocity_is_config_error(tmp_path, capsys, backend, bad):
+    scheme, site = ("d2q5", "2,2") if "," in bad else ("d1q3", "2")
+    code, _, err = _run(
+        capsys, "advdiff", "--scheme", scheme, "--extent", "8", "--steps", "1",
+        "--impulse-site", site, f"--velocity={bad}", "--backend", backend, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "finite" in err and "diverged" not in err
+    assert not (tmp_path / "field_final.csv").exists()
+
+
 def test_manifest_supplies_options(tmp_path, capsys):
     manifest = tmp_path / "run.manifest"
     manifest.write_text(
@@ -184,6 +197,18 @@ def test_cavity_extent_not_a_power_of_two_is_config_error(tmp_path, capsys, vari
     )
     assert code == 2
     assert "power of two" in err
+    assert not (tmp_path / "psi_final.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single", "classical"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cavity_non_finite_lid_velocity_is_config_error(tmp_path, capsys, variant, bad):
+    code, _, err = _run(
+        capsys, "cavity", "--extent", "4", "--steps", "2", f"--lid-velocity={bad}",
+        "--variant", variant, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "finite" in err and "diverged" not in err
     assert not (tmp_path / "psi_final.csv").exists()
 
 

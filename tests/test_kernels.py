@@ -136,7 +136,7 @@ _angle = st.floats(-np.pi, np.pi, allow_nan=False)
 
 
 @st.composite
-def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE"}))):
+def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE", "PREP"}))):
     kind = draw(st.sampled_from(kinds))
     qubits = draw(st.permutations(range(n_qubits)))
     n_targets = draw(st.integers(1, n_qubits)) if kind == "DIAG" else 1

@@ -325,6 +325,13 @@ def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
         CavitySpec(n=n, steps=1)
 
 
+@pytest.mark.parametrize("field", ["lid_velocity", "delta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cavity_spec_rejects_non_finite_values(field, bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        CavitySpec(n=4, steps=1, **{field: bad})
+
+
 def test_cavity_at_rest_stays_at_rest():
     hist = solve_cavity_classical(CavitySpec(n=8, lid_velocity=0.0, steps=10))
     assert np.all(hist.psi == 0.0)

@@ -147,10 +147,16 @@ def _controlled_gates(draw):
     n = draw(st.integers(2, 7))
     ops = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["MCX", "H", "X", "RY", "RZ", "PHASE", "DIAG", "GPHASE"]))
+        kind = draw(st.sampled_from(["MCX", "H", "X", "RY", "RZ", "PHASE", "DIAG", "GPHASE", "PREP"]))
         qubits = draw(st.permutations(range(n)))
         if kind == "GPHASE":
             ops.append(GateOp("GPHASE", (), params=(draw(st.floats(-3, 3)),)))
+            continue
+        if kind == "PREP":
+            targets = tuple(qubits[: draw(st.integers(1, min(4, n)))])
+            size = 1 << len(targets)
+            vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size).filter(any))
+            ops.append(GateOp("PREP", targets, params=vector))
             continue
         n_targets = draw(st.integers(1, min(3, n))) if kind == "DIAG" else 1
         m = draw(st.integers(0, n - n_targets))
@@ -225,6 +231,18 @@ def test_comparison_csv_matches_the_frozen_bytes(tmp_path):
     path = tmp_path / "resources.csv"
     write_comparison_csv(path, scaling_sweep([2, 4, 8]))
     assert path.read_bytes() == (_DATA / "comparison_extents_2_4_8.csv").read_bytes()
+
+
+def test_comparison_at_extent_64_matches_the_parent():
+    # the extent-64 encode PREP spans 16 qubits, past the frozen extents <= 8
+    got = {name: (r.cnot, r.single_qubit, r.depth) for name, r in compare_single_vs_frugal(64).reports.items()}
+    assert got == {
+        "single": (394998, 604865, 750292),
+        "stream-function": (107446, 142471, 208093),
+        "vorticity": (107438, 142462, 208125),
+        "stream-function-nb": (103350, 138373, 200028),
+        "vorticity-nb": (103342, 138364, 200060),
+    }
 
 
 def test_comparison_runtime_tracks_depth_direction():

@@ -7,6 +7,7 @@ import pytest
 
 import qlbm.solver
 from qlbm.circuits import (
+    GateOp,
     RegisterLayout,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
@@ -99,6 +100,20 @@ def test_advection_rejects_mismatched_field_shape():
 def test_advection_rejects_negative_steps():
     with pytest.raises(ConfigurationError, match="steps"):
         run_advection_diffusion(D1Q2, np.ones(8), (0.0,), -1)
+
+
+@pytest.mark.parametrize("backend", ["statevector", "sampling"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_advection_rejects_non_finite_velocity(bad, backend):
+    with pytest.raises(ConfigurationError, match="velocity must be finite"):
+        run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, bad), 1, backend=backend)
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cavity_rejects_non_finite_lid_velocity(bad, variant):
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_cavity(CavitySpec(n=4, lid_velocity=bad, steps=2), variant=variant)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -254,19 +269,44 @@ def _spy_on_builders(monkeypatch):
     return built
 
 
+def _spy_on_apply(monkeypatch):
+    applied = []
+
+    def spy(state, ops, *args, _apply=qlbm.solver.apply_circuit, **kwargs):
+        applied.append(list(ops))
+        return _apply(state, ops, *args, **kwargs)
+
+    monkeypatch.setattr(qlbm.solver, "apply_circuit", spy)
+    return applied
+
+
 def test_advection_builds_once_per_run_without_encode(monkeypatch):
+    # the body is built once; each step runs it behind a fresh PREP, never the built one
     built = _spy_on_builders(monkeypatch)
-    run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 5)
-    assert len(built) == 1
-    assert "encode" not in built[0].section_names()
+    applied = _spy_on_apply(monkeypatch)
+    result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 5)
+    (circ,) = built
+    assert len(applied) == 5
+    for step, ops in enumerate(applied):
+        prep, *body = ops
+        assert prep.kind == "PREP" and prep is not circ.gates[0]
+        assert all(a is b for a, b in zip(body, circ.gates[1:])) and len(body) == len(circ.gates) - 1
+        np.testing.assert_array_equal(prep.params, encoding_vector(circ.layout, D2Q5, result.fields[step]))
 
 
 @pytest.mark.parametrize("variant", ["frugal", "single"])
-def test_cavity_builds_without_encode(monkeypatch, variant):
+def test_cavity_runs_the_encode_it_builds(monkeypatch, variant):
     built = _spy_on_builders(monkeypatch)
+    applied = _spy_on_apply(monkeypatch)
     run_cavity(CavitySpec(n=4, steps=3), variant=variant)
-    assert built
-    assert all("encode" not in circ.section_names() for circ in built)
+    assert built and applied
+    for circ in built:
+        assert circ.sections[0] == ("encode", 0, 1)
+    # every job starts with a PREP and holds no other
+    assert all(ops[0].kind == "PREP" and all(op.kind != "PREP" for op in ops[1:]) for ops in applied)
+    preps = [ops[0] for ops in applied]
+    if variant == "frugal":
+        assert all(any(p is circ.gates[0] for circ in built) for p in preps)
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +323,35 @@ def _cavity_inputs(extent, seed):
 
 
 def _builder_jobs():
-    """(name, ops, layout, vec, s_value, folded) for every builder and pass."""
+    """(name, ops, layout, vec, s_value, folded) for every builder and pass; ops[0] is the PREP of vec."""
     for scheme, extent, velocity in [(D1Q2, 8, (0.2,)), (D1Q3, 8, (-0.15,)), (D2Q5, 4, (0.15, -0.1))]:
         field = _impulse_field(scheme, extent)
-        circ = build_advection_diffusion_circuit(scheme, extent, field, velocity, encode=False)
+        circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
         yield scheme.name, circ.gates, circ.layout, encoding_vector(circ.layout, scheme, field), 0, False
     psi, source, omega, velocity = _cavity_inputs(4, 1)
-    circ = build_stream_function_circuit(D2Q5, 4, psi, source, encode=False)
+    circ = build_stream_function_circuit(D2Q5, 4, psi, source)
     yield "stream-function", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, psi, source=source), 0, True
-    circ = build_vorticity_circuit(D2Q5, 4, omega, velocity, encode=False)
+    circ = build_vorticity_circuit(D2Q5, 4, omega, velocity)
     yield "vorticity", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, omega), 0, False
-    circ = build_single_cavity_circuit(D2Q5, 4, psi, source, omega, velocity, encode=False)
+    circ = build_single_cavity_circuit(D2Q5, 4, psi, source, omega, velocity)
     layout = circ.layout
     yield ("single-stream-function", circ.section_ops(qlbm.solver._SINGLE_SF_SPANS), layout,
            encoding_vector(layout, D2Q5, psi, source=source), 0, True)
-    yield ("single-vorticity", circ.section_ops(qlbm.solver._SINGLE_W_SPANS), layout,
-           encoding_vector(layout, D2Q5, np.zeros((4, 4)), source=omega), 1, False)
+    vec = encoding_vector(layout, D2Q5, np.zeros((4, 4)), source=omega)
+    yield ("single-vorticity", [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(qlbm.solver._SINGLE_W_SPANS)],
+           layout, vec, 1, False)
 
 
 @pytest.mark.parametrize("job", list(_builder_jobs()), ids=lambda job: job[0])
 def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
     name, ops, layout, vec, s_value, folded = job
-    state, record = qlbm.solver._run_job(ops, layout, vec, 1, name, s_value=s_value)
+    assert ops[0] == GateOp("PREP", layout.encoded_qubits, params=vec)
+    state, record = qlbm.solver._run_job(ops, layout, 1, name, s_value=s_value)
     assert state.n_qubits == len(layout.site_qubits)
     assert state.amplitudes.size == layout.n_sites
 
     plan = qlbm.solver._selection_plan(layout, s_value)
-    full = apply_circuit(amplitude_encode(vec, layout.qubit_count), ops)
+    full = apply_circuit(amplitude_encode(vec, layout.qubit_count), ops[1:])
     full, probs = postselect_many(full, plan)
     base = sum(v << q for q, v in plan.items())
     sites = QuantumState(state.n_qubits, full.amplitudes[base : base + layout.n_sites], full.norm_factor)
@@ -321,7 +363,7 @@ def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
 
 # the names the benchmark's tracer wraps on qlbm.solver, which every job must
 # call through the module so that no traced layer reads as absent
-_JOB_PATH = ("amplitude_encode", "apply_circuit", "decode_field", "_sf_job", "_vorticity_job")
+_JOB_PATH = ("apply_circuit", "decode_field", "_sf_job", "_vorticity_job")
 
 
 @pytest.mark.parametrize("case", ["statevector", "sampling", "frugal", "single"])
@@ -343,7 +385,6 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
     selected = 0 if case == "sampling" else live
     frugal_steps = steps if case == "frugal" else 0
     assert calls == {
-        "amplitude_encode": live,
         "apply_circuit": live,
         "decode_field": selected,
         "_sf_job": frugal_steps,
