@@ -6,7 +6,6 @@ cavity in a stream-function / vorticity split), and a resource estimator
 comparing the combined cavity circuit against the concurrent per-field pair.
 """
 
-from ._kernels import active_backend
 from .circuits import (
     CircuitIR,
     GateOp,
@@ -63,16 +62,10 @@ from .solver import (
 from .statevector import (
     QuantumState,
     SampleHistogram,
-    amplitude_encode,
     apply_circuit,
     fidelity_from_histogram,
-    load_histogram_csv,
-    load_state_qstv,
     postselect,
     sample,
-    save_histogram_csv,
-    save_state_qstv,
-    state_fidelity,
 )
 
 __version__ = "0.1.0"

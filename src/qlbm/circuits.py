@@ -382,8 +382,7 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
 
     The vector is divided by its peak magnitude before the norm is taken,
     so squaring cannot under- or overflow. This is the one normalization
-    rule of every load: PREP applied, PREP lowered, and
-    :func:`qlbm.statevector.amplitude_encode`.
+    rule of every load: PREP applied and PREP lowered.
     """
     v = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(v)):

@@ -3,15 +3,16 @@
 Subcommands: advdiff, cavity, fidelity, resources, verify. Every option can
 also come from a manifest file of ``key = value`` lines (``#`` comments);
 explicit flags override manifest entries, which override defaults. Outputs
-are deterministic for a fixed manifest and seed — anything wall-clock goes
-to stderr. Exit codes: 0 success, 2 configuration/manifest problem,
-3 simulation or verification failure.
+are deterministic for fixed options (sampling draws from ``--seed``) —
+anything wall-clock goes to stderr. Exit codes: 0 success,
+2 configuration/manifest problem, 3 simulation or verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -72,7 +73,6 @@ _SPECS = {
         "steps": (int, 80),
         "lid_velocity": (float, 1.0),
         "variant": (str, "frugal"),
-        "seed": (int, 0),
         "out": (str, "."),
     },
     "fidelity": {
@@ -86,9 +86,7 @@ _SPECS = {
         "extents": (_parse_ints, (2, 4, 8, 16, 32, 64)),
         "out": (str, "."),
     },
-    "verify": {
-        "seed": (int, 0),
-    },
+    "verify": {},
 }
 
 
@@ -161,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--lid-velocity", dest="lid_velocity", type=float)
     p.add_argument("--variant", choices=["frugal", "single", "classical"])
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
     p = add("fidelity", "sampling fidelity sweep against the exact state")
@@ -175,8 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extents", help="comma-separated lattice extents")
     p.add_argument("--out")
 
-    p = add("verify", "quick end-to-end checks against the classical reference")
-    p.add_argument("--seed", type=int)
+    add("verify", "quick end-to-end checks against the classical reference")
 
     return parser
 
@@ -214,8 +210,12 @@ def _records_payload(records) -> list[dict]:
 
 def _initial_field(scheme, cfg) -> np.ndarray:
     extent = cfg["extent"]
-    shape = (extent,) * scheme.dimension
-    field = np.full(shape, cfg["background"])
+    if extent < 2 or extent & (extent - 1):
+        raise ConfigurationError(f"--extent {extent} is not a power of two >= 2")
+    for key in ("background", "impulse_value"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigurationError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
+    field = np.full((extent,) * scheme.dimension, cfg["background"])
     site = cfg["impulse_site"]
     if len(site) != scheme.dimension:
         raise ConfigurationError(
@@ -298,8 +298,8 @@ def _cmd_cavity(cfg: dict) -> int:
 def _cmd_fidelity(cfg: dict) -> int:
     if cfg["shots_min_exp"] < 0:
         raise ConfigurationError(f"shots-min-exp must be >= 0, got {cfg['shots_min_exp']}")
-    if cfg["shots_min_exp"] > cfg["shots_max_exp"]:
-        raise ConfigurationError("shots-min-exp must not exceed shots-max-exp")
+    if cfg["shots_min_exp"] >= cfg["shots_max_exp"]:
+        raise ConfigurationError("shots-min-exp must be less than shots-max-exp")
     top = MAX_SHOTS.bit_length() - 1
     if cfg["shots_max_exp"] > top:
         raise ConfigurationError(f"shots-max-exp must be <= {top}, got {cfg['shots_max_exp']}")

@@ -129,22 +129,18 @@ def scheme_by_name(name: str) -> LatticeScheme:
 class FlowParams:
     """Relaxation and flow parameters shared by the solvers.
 
-    The relaxation ratio ``epsilon = dt/tau`` is stored but the solvers only
-    support the full-replacement value 1. The diffusion constant is derived
-    per scheme: D = c_s^2 (tau - dt/2).
+    The solvers support only the full-replacement regime, relaxation ratio
+    dt/tau = 1. The diffusion constant is derived per scheme:
+    D = c_s^2 (tau - dt/2).
     """
 
     tau: float = 1.0
     dt: float = 1.0
-    epsilon: float = 1.0
-    velocity: tuple[float, ...] = ()
     lid_velocity: float = 1.0
 
     def __post_init__(self):
-        if abs(self.epsilon - self.dt / self.tau) > 1e-12:
-            raise ConfigurationError("epsilon must equal dt/tau")
-        if abs(self.epsilon - 1.0) > 1e-12:
-            raise ConfigurationError("only the full-replacement regime (epsilon=1) is supported")
+        if abs(self.dt / self.tau - 1.0) > 1e-12:
+            raise ConfigurationError("only the full-replacement regime (dt/tau = 1) is supported")
 
     def diffusion(self, scheme: LatticeScheme) -> float:
         return float(scheme.sound_speed_sq) * (self.tau - self.dt / 2.0)
@@ -252,7 +248,7 @@ def macro_moment(populations: np.ndarray) -> np.ndarray:
     return np.asarray(populations).sum(axis=0)
 
 
-def step_advection_diffusion(scheme, field, velocity, params: FlowParams | None = None) -> np.ndarray:
+def step_advection_diffusion(scheme, field, velocity) -> np.ndarray:
     """One full-replacement collide-and-stream step of the advected scalar."""
     field = np.asarray(field, dtype=float)
     _require_power_of_two_extent(field.shape)

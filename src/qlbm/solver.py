@@ -325,6 +325,8 @@ def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | Non
     """Mean reconstruction infidelity per shot count, with a log-log slope fit."""
     if trials < 1:
         raise ConfigurationError("need at least one trial")
+    if len(set(shots_list)) < 2:
+        raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {list(shots_list)}")
     state = state or reference_sweep_state()
     rows = []
     means = []

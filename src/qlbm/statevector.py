@@ -6,8 +6,8 @@ the norm factor by sqrt(p) and renormalizes, so decoded field values are
 invariant under where in the pipeline the selection happens.
 
 Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`;
-a ``PREP`` gate loads its vector onto qubits that are all |0>, as
-:func:`amplitude_encode` loads a fresh state. Given a selection plan,
+a ``PREP`` gate loads its vector onto qubits that are all |0>, and is the
+only way amplitudes enter a state. Given a selection plan,
 :func:`apply_circuit` selects each planned qubit in the same gate loop,
 right after the last gate that targets it, and drops it from the state, so
 every later gate runs on half as many amplitudes; an uncontrolled
@@ -19,30 +19,23 @@ keep its size; they are the reference the in-loop selection is tested against.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import _kernels
 from .circuits import gate_matrix_1q, unit_amplitudes
-from .errors import ConfigurationError, EncodingError, PostSelectionError
+from .errors import ConfigurationError, PostSelectionError
 
 __all__ = [
     "MAX_SHOTS",
     "QuantumState",
     "SampleHistogram",
-    "amplitude_encode",
     "apply_circuit",
     "postselect",
     "postselect_many",
     "sample",
-    "state_fidelity",
     "fidelity_from_histogram",
-    "save_state_qstv",
-    "load_state_qstv",
-    "save_histogram_csv",
-    "load_histogram_csv",
 ]
 
 _MIN_SELECT_PROBABILITY = 1e-14
@@ -81,18 +74,6 @@ class QuantumState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-def amplitude_encode(values, n_qubits: int) -> QuantumState:
-    """Load a real vector into amplitudes, zero-padded up to 2^n_qubits."""
-    v = np.asarray(values, dtype=float).ravel()
-    size = 1 << n_qubits
-    if v.size > size:
-        raise EncodingError(f"{v.size} values do not fit in {n_qubits} qubits")
-    unit, scale = unit_amplitudes(v)
-    amps = np.zeros(size, dtype=np.complex128)
-    amps[: v.size] = unit
-    return QuantumState(n_qubits, amps, scale)
 
 
 def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None):
@@ -210,8 +191,9 @@ def _load(amps: np.ndarray, bits: list[int], vector) -> float:
     times the block's old amplitude at all-zero ``bits``. Only blocks where
     that amplitude is nonzero are written: with ``bits`` in |0> the others
     are zero already, and the probability check bounds what they can hold
-    by ``_PREP_SLACK``. Loading a fresh state therefore writes the one block
-    :func:`amplitude_encode` writes and allocates nothing of the state's size.
+    by ``_PREP_SLACK``. Loading onto a fresh |0...0> state therefore writes
+    the one block where the other bits are 0 and allocates nothing of the
+    state's size.
     """
     n, m = amps.size.bit_length() - 1, len(bits)
     unit, scale = unit_amplitudes(vector)
@@ -315,13 +297,6 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     return SampleHistogram(state.n_qubits, shots, counts)
 
 
-def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|^2 on the normalized amplitude vectors."""
-    if a.n_qubits != b.n_qubits:
-        raise ConfigurationError("states live on different qubit counts")
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
 def fidelity_from_histogram(ideal: QuantumState, hist: SampleHistogram) -> float:
     """Fidelity against the state reconstructed as sqrt(count/shots).
 
@@ -333,62 +308,3 @@ def fidelity_from_histogram(ideal: QuantumState, hist: SampleHistogram) -> float
         raise ConfigurationError("histogram does not match the state size")
     est = np.sqrt(hist.frequencies())
     return float(np.sum(np.abs(ideal.amplitudes) * est) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_QSTV_MAGIC = b"QSTV"
-
-
-def save_state_qstv(path, state: QuantumState) -> None:
-    """Binary state dump: magic, u32 qubit count, f64 norm factor, re/im pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_QSTV_MAGIC)
-        fh.write(struct.pack("<I", state.n_qubits))
-        fh.write(struct.pack("<d", state.norm_factor))
-        inter = np.empty(2 * state.amplitudes.size)
-        inter[0::2] = state.amplitudes.real
-        inter[1::2] = state.amplitudes.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def load_state_qstv(path) -> QuantumState:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _QSTV_MAGIC:
-            raise ConfigurationError("not a statevector file (bad magic)")
-        (n_qubits,) = struct.unpack("<I", fh.read(4))
-        (norm_factor,) = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != 2 << n_qubits:
-        raise ConfigurationError("statevector payload has the wrong length")
-    amps = data[0::2] + 1j * data[1::2]
-    return QuantumState(n_qubits, amps, norm_factor)
-
-
-def save_histogram_csv(path, hist: SampleHistogram) -> None:
-    """Nonzero counts as CSV: basis index, bitstring (msb first), count."""
-    with open(path, "w", newline="") as fh:
-        fh.write("basis_index,bitstring,count\n")
-        for i in np.flatnonzero(hist.counts):
-            bits = format(i, f"0{hist.n_qubits}b")
-            fh.write(f"{i},{bits},{hist.counts[i]}\n")
-
-
-def load_histogram_csv(path) -> SampleHistogram:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "basis_index,bitstring,count":
-            raise ConfigurationError(f"bad histogram header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ConfigurationError("histogram file has no counts")
-    n_qubits = len(rows[0][1])
-    counts = np.zeros(1 << n_qubits, dtype=np.int64)
-    for idx_s, bits, count_s in rows:
-        i = int(idx_s)
-        if int(bits, 2) != i:
-            raise ConfigurationError(f"bitstring {bits} does not match index {i}")
-        counts[i] = int(count_s)
-    return SampleHistogram(n_qubits, int(counts.sum()), counts)

@@ -144,6 +144,18 @@ def test_unknown_manifest_key_is_rejected(tmp_path, capsys):
     assert "turbo" in err
 
 
+@pytest.mark.parametrize("command", ["cavity", "verify"])
+def test_seed_is_not_an_option_of_a_command_that_draws_nothing(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    manifest = tmp_path / "run.manifest"
+    manifest.write_text("seed = 1\n")
+    code, _, err = _run(capsys, command, "--manifest", str(manifest))
+    assert code == 2
+    assert "seed" in err
+
+
 def test_missing_manifest_is_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "advdiff", "--manifest", str(tmp_path / "nope.manifest"))
     assert code == 2
@@ -252,8 +264,14 @@ def test_fidelity_rejects_inverted_shot_range(tmp_path, capsys):
     (["resources", "--extents", "2,x"], "--extents"),
     (["fidelity", "--shots-min-exp", "-1", "--shots-max-exp", "2"], "shots-min-exp"),
     (["fidelity", "--shots-min-exp", "70", "--shots-max-exp", "70"], "shots-max-exp"),
+    (["fidelity", "--shots-min-exp", "10", "--shots-max-exp", "10"], "shots-min-exp"),
     (["advdiff", "--backend", "sampling", "--shots", str(1 << 63)], "--shots"),
-], ids=["velocity", "impulse-site", "extents", "shots-min-exp", "shots-max-exp", "shots"])
+    (["advdiff", "--extent", "-4"], "--extent"),
+    (["advdiff", "--extent", "12"], "--extent"),
+    (["advdiff", "--impulse-value", "nan"], "--impulse-value"),
+    (["advdiff", "--background", "inf"], "--background"),
+], ids=["velocity", "impulse-site", "extents", "shots-min-exp", "shots-max-exp", "one-shot-count", "shots",
+        "negative-extent", "extent-not-power-of-two", "impulse-value", "background"])
 def test_malformed_flag_value_is_config_error(tmp_path, capsys, argv, flag):
     code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2

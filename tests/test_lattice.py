@@ -81,14 +81,9 @@ def test_flow_params_defaults():
     assert params.diffusion(D2Q5) == pytest.approx(1.0 / 6.0)
 
 
-def test_flow_params_rejects_inconsistent_epsilon():
-    with pytest.raises(ConfigurationError, match="epsilon must equal dt/tau"):
-        FlowParams(tau=2.0, dt=1.0, epsilon=1.0)
-
-
 def test_flow_params_rejects_partial_relaxation():
     with pytest.raises(ConfigurationError, match="full-replacement"):
-        FlowParams(tau=2.0, dt=1.0, epsilon=0.5)
+        FlowParams(tau=2.0, dt=1.0)
 
 
 def test_cavity_reynolds_number():

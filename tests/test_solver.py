@@ -14,6 +14,7 @@ from qlbm.circuits import (
     build_stream_function_circuit,
     build_vorticity_circuit,
     encoding_vector,
+    unit_amplitudes,
 )
 from qlbm.errors import ConfigurationError, EncodingError
 from qlbm.lattice import (
@@ -34,7 +35,7 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from qlbm.statevector import QuantumState, amplitude_encode, apply_circuit, postselect_many
+from qlbm.statevector import QuantumState, apply_circuit, postselect_many
 
 
 def _impulse_field(scheme, extent):
@@ -351,7 +352,11 @@ def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
     assert state.amplitudes.size == layout.n_sites
 
     plan = qlbm.solver._selection_plan(layout, s_value)
-    full = apply_circuit(amplitude_encode(vec, layout.qubit_count), ops[1:])
+    # the reference loads the vector itself, not through the PREP under test
+    unit, scale = unit_amplitudes(vec)
+    amps = np.zeros(1 << layout.qubit_count, dtype=complex)
+    amps[: unit.size] = unit
+    full = apply_circuit(QuantumState(layout.qubit_count, amps, scale), ops[1:])
     full, probs = postselect_many(full, plan)
     base = sum(v << q for q, v in plan.items())
     sites = QuantumState(state.n_qubits, full.amplitudes[base : base + layout.n_sites], full.norm_factor)
@@ -419,6 +424,12 @@ def test_fidelity_sweep_slope_and_rows():
 def test_fidelity_sweep_rejects_zero_trials():
     with pytest.raises(ConfigurationError, match="trial"):
         fidelity_sweep([128], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("shots", [[], [1024], [1024, 1024]], ids=["none", "one", "repeated"])
+def test_fidelity_sweep_needs_two_distinct_shot_counts(shots):
+    with pytest.raises(ConfigurationError, match="two distinct shot counts"):
+        fidelity_sweep(shots, trials=1, seed=0)
 
 
 def test_fidelity_sweep_is_seed_deterministic():

@@ -1,4 +1,4 @@
-"""Statevector mechanics: encoding, selection accounting, sampling, file formats."""
+"""Statevector mechanics: loading, selection accounting, sampling."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlbm.circuits import GateOp
-from qlbm.errors import ConfigurationError, EncodingError, PostSelectionError
+from qlbm.errors import ConfigurationError, PostSelectionError
 from qlbm.statevector import (
     MAX_SHOTS,
     QuantumState,
     SampleHistogram,
-    amplitude_encode,
     apply_circuit,
     fidelity_from_histogram,
-    load_histogram_csv,
-    load_state_qstv,
     postselect,
     postselect_many,
     sample,
-    save_histogram_csv,
-    save_state_qstv,
-    state_fidelity,
 )
 
 
@@ -36,34 +30,11 @@ def _random_state(n_qubits, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_amplitude_encode_preserves_values():
-    values = np.array([3.0, 0.0, 4.0])
-    state = amplitude_encode(values, 2)
-    np.testing.assert_allclose(np.linalg.norm(state.amplitudes), 1.0)
-    np.testing.assert_allclose(state.amplitudes[:3].real * state.norm_factor, values)
-    assert state.amplitudes[3] == 0.0
-
-
-def test_amplitude_encode_rejects_overflow():
-    with pytest.raises(EncodingError, match="do not fit"):
-        amplitude_encode(np.ones(5), 2)
-
-
-def test_amplitude_encode_rejects_zero_vector():
-    with pytest.raises(EncodingError, match="all-zero"):
-        amplitude_encode(np.zeros(4), 2)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_amplitude_encode_rejects_non_finite_values(bad):
-    with pytest.raises(EncodingError, match="non-finite"):
-        amplitude_encode([1.0, bad], 1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8).filter(lambda v: any(x != 0.0 for x in v)))
 def test_encode_decode_round_trip(values):
-    state = amplitude_encode(values, 3)
+    vector = np.pad(values, (0, 8 - len(values)))
+    state = apply_circuit(QuantumState.zero(3), [GateOp("PREP", (0, 1, 2), params=vector)])
     decoded = state.amplitudes[: len(values)].real * state.norm_factor
     np.testing.assert_allclose(decoded, values, atol=1e-12)
 
@@ -217,20 +188,11 @@ def test_sample_takes_up_to_the_largest_multinomial_count():
         sample(QuantumState.zero(1), MAX_SHOTS + 1, seed=1)
 
 
-def test_state_fidelity_identities():
-    a = _random_state(4, 1)
-    b = _random_state(4, 2)
-    assert state_fidelity(a, a) == pytest.approx(1.0)
-    f = state_fidelity(a, b)
-    assert 0.0 <= f < 1.0
-    assert state_fidelity(b, a) == pytest.approx(f)
-
-
 def test_fidelity_from_exact_histogram_is_one():
     # Counts exactly proportional to probabilities reconstruct the state
     # (nonnegative real amplitudes), so fidelity is 1.
     values = np.array([1.0, 2.0, 2.0, 4.0])
-    state = amplitude_encode(values, 2)
+    state = apply_circuit(QuantumState.zero(2), [GateOp("PREP", (0, 1), params=values)])
     counts = (state.probabilities() * 100).round().astype(np.int64)
     hist = SampleHistogram(2, int(counts.sum()), counts)
     assert fidelity_from_histogram(state, hist) == pytest.approx(1.0, abs=1e-12)
@@ -246,61 +208,3 @@ def test_infidelity_shrinks_with_shots():
     )
     assert large < small / 50  # 256x the shots, ~1/shots scaling
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_state_file_round_trip(tmp_path):
-    state = _random_state(5, 33)
-    state.norm_factor = 1.75
-    path = tmp_path / "state.qstv"
-    save_state_qstv(path, state)
-    loaded = load_state_qstv(path)
-    assert loaded.n_qubits == 5
-    assert loaded.norm_factor == 1.75
-    np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
-
-
-def test_state_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.qstv"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(ConfigurationError, match="magic"):
-        load_state_qstv(path)
-
-
-def test_state_file_rejects_truncation(tmp_path):
-    state = _random_state(3, 1)
-    path = tmp_path / "state.qstv"
-    save_state_qstv(path, state)
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ConfigurationError, match="wrong length"):
-        load_state_qstv(path)
-
-
-def test_histogram_csv_round_trip(tmp_path):
-    state = _random_state(4, 55)
-    hist = sample(state, 2048, seed=9)
-    path = tmp_path / "hist.csv"
-    save_histogram_csv(path, hist)
-    loaded = load_histogram_csv(path)
-    assert loaded.n_qubits == hist.n_qubits
-    assert loaded.shots == hist.shots
-    np.testing.assert_array_equal(loaded.counts, hist.counts)
-
-
-def test_histogram_csv_bitstring_is_msb_first(tmp_path):
-    counts = np.zeros(8, dtype=np.int64)
-    counts[4] = 10  # index 4 = binary 100
-    path = tmp_path / "hist.csv"
-    save_histogram_csv(path, SampleHistogram(3, 10, counts))
-    lines = path.read_text().splitlines()
-    assert lines[1] == "4,100,10"
-
-
-def test_histogram_csv_rejects_inconsistent_bitstring(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("basis_index,bitstring,count\n4,011,10\n")
-    with pytest.raises(ConfigurationError, match="does not match"):
-        load_histogram_csv(path)
