@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CoefficientRangeError, ConfigurationError, EncodingError
-from .lattice import LatticeScheme, collision_coefficients
+from .lattice import LatticeScheme, collision_coefficients, require_power_of_two
 
 __all__ = [
     "GateOp",
@@ -39,6 +39,7 @@ __all__ = [
     "build_shift_ops",
     "build_streaming_ops",
     "build_collision_ops",
+    "build_vorticity_collision_ops",
     "build_macro_ops",
     "build_boundary_ops",
     "encoding_vector",
@@ -62,7 +63,8 @@ _GATE_SHAPES = {
     "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1), "U1Q": (1, 8),
     "GPHASE": (0, 1),
 }
-GATE_KINDS = frozenset(_GATE_SHAPES) | {"DIAG", "PREP"}
+_ARRAY_KINDS = frozenset({"DIAG", "PREP"})  # params held as a read-only float64 array
+GATE_KINDS = frozenset(_GATE_SHAPES) | _ARRAY_KINDS
 _BITS = frozenset((0, 1))
 
 # tolerance for collision coefficients that poke past |k| = 1 by float slop
@@ -79,10 +81,10 @@ class GateOp:
     order. DIAG carries one phase per basis state of its targets (targets[0]
     least significant). PREP loads a real vector onto targets that are all
     |0>, normalized by :func:`unit_amplitudes`; its parameter is that vector,
-    one entry per basis state of the targets, held as a read-only float64
-    array. A read-only float64 array that owns its memory, such as
-    :func:`encoding_vector` returns, cannot change under the gate and is
-    kept as it is; anything else is copied.
+    one entry per basis state of the targets. DIAG and PREP hold theirs as a
+    read-only float64 array: one that is already read-only and owns its
+    memory, such as :func:`encoding_vector` returns, cannot change under the
+    gate and is kept as it is; anything else, a tuple included, is copied.
     """
 
     kind: str
@@ -100,8 +102,8 @@ class GateOp:
             if not targets:
                 raise ConfigurationError(f"{kind} needs at least one target")
             shape = (len(targets), 1 << len(targets))
-        if kind == "PREP":
-            if controls:
+        if kind in _ARRAY_KINDS:
+            if kind == "PREP" and controls:
                 raise ConfigurationError("PREP takes no controls")
             vector = self.params
             if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
@@ -109,7 +111,7 @@ class GateOp:
                 vector = np.array(vector, dtype=np.float64)
                 vector.flags.writeable = False
             if vector.ndim != 1:
-                raise ConfigurationError(f"PREP takes a flat vector, got shape {vector.shape}")
+                raise ConfigurationError(f"{kind} takes a flat vector, got shape {vector.shape}")
             object.__setattr__(self, "params", vector)
         if len(targets) != shape[0] or len(self.params) != shape[1]:
             raise ConfigurationError(
@@ -134,13 +136,13 @@ class GateOp:
             return NotImplemented
         if self._key() != other._key():
             return False
-        if self.kind == "PREP":
+        if self.kind in _ARRAY_KINDS:
             return np.array_equal(self.params, other.params)
         return self.params == other.params
 
     def __hash__(self):
-        # a PREP vector is an array, which has no hash; equal gates still hash equal
-        return hash(self._key() + (None if self.kind == "PREP" else self.params,))
+        # an array has no hash, so DIAG and PREP leave it out; equal gates still hash equal
+        return hash(self._key() + (None if self.kind in _ARRAY_KINDS else self.params,))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -195,8 +197,7 @@ class RegisterLayout:
 
     @classmethod
     def for_scheme(cls, scheme: LatticeScheme, extent: int, *, source: bool = False, boundary: bool = False):
-        if extent < 2 or extent & (extent - 1):
-            raise ConfigurationError(f"extent {extent} is not a power of two >= 2")
+        require_power_of_two(extent)
         m = extent.bit_length() - 1
         return cls(
             n_r0=m,
@@ -500,15 +501,10 @@ def build_collision_ops(layout: RegisterLayout, k_flat, value_qubits: tuple[int,
     theta = _coefficient_angles(k_flat)
     (anc,) = layout.a
     phases = np.concatenate([theta, -theta])
+    phases.flags.writeable = False  # the gate keeps it without a copy
     return [
         GateOp("H", (anc,)),
-        GateOp(
-            "DIAG",
-            tuple(value_qubits) + (anc,),
-            tuple(controls),
-            tuple(control_values),
-            tuple(float(t) for t in phases),
-        ),
+        GateOp("DIAG", tuple(value_qubits) + (anc,), tuple(controls), tuple(control_values), phases),
         GateOp("H", (anc,)),
     ]
 
@@ -533,9 +529,10 @@ def build_boundary_ops(layout: RegisterLayout, wall_mask) -> list[GateOp]:
     (bq,) = layout.b
     half = np.where(mask, math.pi / 2.0, 0.0)
     phases = np.concatenate([half, -half])
+    phases.flags.writeable = False
     return [
         GateOp("H", (bq,)),
-        GateOp("DIAG", layout.site_qubits + (bq,), params=tuple(float(t) for t in phases)),
+        GateOp("DIAG", layout.site_qubits + (bq,), params=phases),
         GateOp("H", (bq,)),
     ]
 
@@ -588,13 +585,20 @@ def _collision_k_uniform(scheme: LatticeScheme, velocity, n_codes: int) -> np.nd
     return out
 
 
-def _collision_k_sitewise(scheme: LatticeScheme, velocity_fields, n_codes: int, n_sites: int) -> np.ndarray:
-    shape = np.asarray(velocity_fields)[0].shape
-    k = collision_coefficients(scheme, np.asarray(velocity_fields, dtype=float), shape)
-    out = np.ones(n_codes * n_sites)
+def build_vorticity_collision_ops(layout: RegisterLayout, scheme: LatticeScheme, velocity_fields) -> list[GateOp]:
+    """Site-wise collision of the vorticity update, from the velocity at each site.
+
+    The only section of a cavity step besides the encode that depends on the
+    fields. On a layout with a source flag (the combined circuit) it runs
+    controlled on s = 1, the vorticity sector.
+    """
+    velocity_fields = np.asarray(velocity_fields, dtype=float)
+    k = collision_coefficients(scheme, velocity_fields, velocity_fields[0].shape)
+    n_sites = layout.n_sites
+    k_flat = np.ones(n_sites << layout.n_d)
     for code in range(scheme.n_links):
-        out[code * n_sites : (code + 1) * n_sites] = k[code].ravel()
-    return out
+        k_flat[code * n_sites : (code + 1) * n_sites] = k[code].ravel()
+    return build_collision_ops(layout, k_flat, layout.site_qubits + layout.d, layout.s, (1,) * layout.n_s)
 
 
 def _encode(layout: RegisterLayout, vector) -> list[GateOp]:
@@ -618,10 +622,7 @@ def build_vorticity_circuit(scheme: LatticeScheme, extent: int, omega, velocity_
     layout = RegisterLayout.for_scheme(scheme, extent, boundary=boundary)
     circ = CircuitIR(layout)
     circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, omega)))
-    k = _collision_k_sitewise(scheme, velocity_fields, 1 << layout.n_d, layout.n_sites)
-    circ.add_section(
-        "collision", build_collision_ops(layout, k, layout.site_qubits + layout.d)
-    )
+    circ.add_section("collision", build_vorticity_collision_ops(layout, scheme, velocity_fields))
     circ.add_section("streaming", build_streaming_ops(layout, scheme))
     circ.add_section("macro", build_macro_ops(layout))
     if boundary:
@@ -672,13 +673,7 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
         "streaming-stream-function",
         build_streaming_ops(layout, scheme, controls=(s,), control_values=(0,)),
     )
-    k_w = _collision_k_sitewise(scheme, velocity_fields, 1 << layout.n_d, layout.n_sites)
-    circ.add_section(
-        "collision-vorticity",
-        build_collision_ops(
-            layout, k_w, layout.site_qubits + layout.d, controls=(s,), control_values=(1,)
-        ),
-    )
+    circ.add_section("collision-vorticity", build_vorticity_collision_ops(layout, scheme, velocity_fields))
     circ.add_section(
         "streaming-vorticity",
         build_streaming_ops(layout, scheme, controls=(s,), control_values=(1,)),
@@ -845,7 +840,7 @@ def _emit(rows, qubits: tuple[int, ...]) -> list[GateOp]:
 
 def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     """Fold a diagonal's controls into the diagonal itself."""
-    phases = np.asarray(op.params, dtype=float)
+    phases = op.params
     targets = op.targets
     if not op.controls:
         return targets, phases

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, QLBMError
 from .lattice import (
     CavitySpec,
     FlowParams,
+    require_power_of_two,
     save_field_csv,
     save_field_qlbf,
     scheme_by_name,
@@ -210,8 +211,7 @@ def _records_payload(records) -> list[dict]:
 
 def _initial_field(scheme, cfg) -> np.ndarray:
     extent = cfg["extent"]
-    if extent < 2 or extent & (extent - 1):
-        raise ConfigurationError(f"--extent {extent} is not a power of two >= 2")
+    require_power_of_two(extent, name="--extent")
     for key in ("background", "impulse_value"):
         if not math.isfinite(cfg[key]):
             raise ConfigurationError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")

@@ -30,6 +30,7 @@ __all__ = [
     "D1Q3",
     "D2Q5",
     "scheme_by_name",
+    "require_power_of_two",
     "collision_coefficients",
     "equilibrium_distribution",
     "stream_periodic",
@@ -139,6 +140,8 @@ class FlowParams:
     lid_velocity: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0 for x in (self.tau, self.dt)):
+            raise ConfigurationError(f"tau and dt must be finite and positive, got {self.tau} and {self.dt}")
         if abs(self.dt / self.tau - 1.0) > 1e-12:
             raise ConfigurationError("only the full-replacement regime (dt/tau = 1) is supported")
 
@@ -166,7 +169,7 @@ class CavitySpec:
             raise ConfigurationError(
                 f"lid velocity and grid spacing must be finite, got {self.lid_velocity} and {self.delta}"
             )
-        _require_power_of_two_extent((self.n,))
+        require_power_of_two(self.n)
 
 
 @dataclass
@@ -181,10 +184,11 @@ class CavityHistory:
         return self.psi.shape[0] - 1
 
 
-def _require_power_of_two_extent(shape) -> None:
-    for n in shape:
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ConfigurationError(f"extent {n} is not a power of two >= 2")
+def require_power_of_two(*extents: int, name: str = "extent") -> None:
+    """Reject any extent that is not a power of two >= 2, reporting it as ``name``."""
+    for n in extents:
+        if n < 2 or n & (n - 1):
+            raise ConfigurationError(f"{name} {n} is not a power of two >= 2")
 
 
 def _broadcast_velocity(scheme: LatticeScheme, velocity, shape):
@@ -251,7 +255,7 @@ def macro_moment(populations: np.ndarray) -> np.ndarray:
 def step_advection_diffusion(scheme, field, velocity) -> np.ndarray:
     """One full-replacement collide-and-stream step of the advected scalar."""
     field = np.asarray(field, dtype=float)
-    _require_power_of_two_extent(field.shape)
+    require_power_of_two(*field.shape)
     f = equilibrium_distribution(scheme, field, velocity)
     return macro_moment(stream_periodic(scheme, f))
 
@@ -269,7 +273,7 @@ def step_poisson(scheme, psi, source, params: FlowParams | None = None) -> np.nd
     source = np.asarray(source, dtype=float)
     if psi.shape != source.shape:
         raise ConfigurationError(f"psi shape {psi.shape} != source shape {source.shape}")
-    _require_power_of_two_extent(psi.shape)
+    require_power_of_two(*psi.shape)
     gamma = -params.dt * params.diffusion(scheme)
     g = equilibrium_distribution(scheme, psi + gamma * source, np.zeros(scheme.dimension))
     return macro_moment(stream_periodic(scheme, g))

@@ -34,8 +34,14 @@ from .circuits import (
     iter_lowered,  # noqa: F401  (perfbench/spans.py hooks qlbm.resources.iter_lowered)
     lowered_rows,
 )
-from .errors import ConfigurationError
-from .lattice import CavitySpec, D2Q5, FlowParams, solve_cavity_classical, velocity_from_stream_function
+from .lattice import (
+    CavitySpec,
+    D2Q5,
+    FlowParams,
+    require_power_of_two,
+    solve_cavity_classical,
+    velocity_from_stream_function,
+)
 
 __all__ = [
     "GateDurationTable",
@@ -254,9 +260,7 @@ def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = 
 
 
 def scaling_sweep(extents, durations: GateDurationTable | None = None) -> list[ComparisonReport]:
-    for e in extents:
-        if e < 2 or e & (e - 1):
-            raise ConfigurationError(f"extent {e} is not a power of two >= 2")
+    require_power_of_two(*extents)
     return [compare_single_vs_frugal(e, durations) for e in extents]
 
 

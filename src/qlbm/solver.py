@@ -9,12 +9,14 @@ gate that targets it (the collision ancilla after collision, each link
 qubit after its merge Hadamard, the wall flag after the wall projector, a
 source flag after the PREP when no later gate targets it), so the job
 returns the site amplitudes alone and the caller decodes the field from
-them. Advection's step body does not depend on the field, so it is built
-once per run and each step puts a fresh PREP in front of it; the cavity
-circuits carry the current velocity field and are built every step. A job
-whose inputs are all exactly zero (``np.any`` is false) is idle: it builds
-and runs nothing and records ``zero_input``. Magnitude plays no part, as
-the PREP scales by the peak.
+them. Each run builds its circuit(s) once. Each job runs a fresh PREP of
+its fields in front of the built gates; a vorticity job also builds its
+collision afresh, the one other section that depends on the fields
+(through the velocity). Every other gate (source-fold, the stream-function
+collision, streaming, macro, boundary) runs as built. A job whose inputs
+are all exactly zero (``np.any`` is false) is idle: it runs nothing and
+records ``zero_input``. Magnitude plays no part, as the PREP scales by the
+peak.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -36,6 +38,7 @@ from .circuits import (
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
+    build_vorticity_collision_ops,
     encoding_vector,
 )
 from .errors import ConfigurationError, EncodingError, SimulationError
@@ -139,6 +142,11 @@ def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
     return plan
 
 
+def _prep(layout: RegisterLayout, scheme: LatticeScheme, field, source=None) -> GateOp:
+    """The encode PREP of one job's fields."""
+    return GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field, source=source))
+
+
 def _run_job(ops, layout: RegisterLayout, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
     """Apply ``ops``, a PREP first, to |0> and select every register but the sites as they finish.
 
@@ -150,7 +158,7 @@ def _run_job(ops, layout: RegisterLayout, step: int, job: str, s_value: int = 0)
 
 
 def _idle(step: int, job: str) -> StepRecord:
-    """Record of a job whose inputs are all zero: nothing was built or run."""
+    """Record of a job whose inputs are all zero: nothing was run."""
     return StepRecord(step, job, {}, 0.0, zero_input=True)
 
 
@@ -193,7 +201,7 @@ def run_advection_diffusion(
             records.append(_idle(step, "advection"))
             fields.append(field.copy())
             continue
-        ops = [GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field)), *body]
+        ops = [_prep(layout, scheme, field), *body]
         if backend == "statevector":
             state, record = _run_job(ops, layout, step, "advection")
             flat = decode_field(state, layout)
@@ -215,42 +223,55 @@ def run_advection_diffusion(
 # ---------------------------------------------------------------------------
 
 
-def _sf_job(extent, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
+# sections of the built circuit each cavity job runs as they are, after its
+# fresh PREP (and, in a vorticity job, its fresh collision)
+_FRUGAL_W_TAIL = ["streaming", "macro", "boundary"]
+_SINGLE_SF_TAIL = ["source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
+_SINGLE_W_TAIL = ["streaming-vorticity", "macro", "boundary"]
+
+
+def _sf_job(circ, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
+    """Stream-function update on the built frugal circuit: a fresh PREP, then every built gate after its own."""
+    extent = psi.shape[0]
     if not (np.any(psi) or np.any(scaled_source)):
         return np.zeros((extent, extent)), _idle(step, "stream-function")
-    circ = build_stream_function_circuit(D2Q5, extent, psi, scaled_source)
-    state, record = _run_job(circ.gates, circ.layout, step, "stream-function")
-    return decode_field(state, circ.layout, folded=True).reshape(extent, extent), record
+    layout = circ.layout
+    ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.gates[1:]]
+    state, record = _run_job(ops, layout, step, "stream-function")
+    return decode_field(state, layout, folded=True).reshape(extent, extent), record
 
 
-def _vorticity_job(extent, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
+def _vorticity_job(circ, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
+    """Vorticity update on the built frugal circuit: a fresh PREP and collision, then the built tail."""
+    extent = omega.shape[0]
     if not np.any(omega):
         return np.zeros((extent, extent)), _idle(step, "vorticity")
-    circ = build_vorticity_circuit(D2Q5, extent, omega, velocity_fields)
-    state, record = _run_job(circ.gates, circ.layout, step, "vorticity")
-    return decode_field(state, circ.layout).reshape(extent, extent), record
+    layout = circ.layout
+    ops = [
+        _prep(layout, D2Q5, omega),
+        *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
+        *circ.section_ops(_FRUGAL_W_TAIL),
+    ]
+    state, record = _run_job(ops, layout, step, "vorticity")
+    return decode_field(state, layout).reshape(extent, extent), record
 
 
-_SINGLE_SF_SPANS = ["encode", "source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
-_SINGLE_W_SPANS = ["collision-vorticity", "streaming-vorticity", "macro", "boundary"]
-
-
-def _single_step(extent, psi, omega, scaled_source, velocity_fields, step):
-    """Both cavity updates from the combined gate list, one sector pass each."""
-    sf_live = np.any(psi) or np.any(scaled_source)
-    w_live = np.any(omega)
+def _single_step(circ, psi, omega, scaled_source, velocity_fields, step):
+    """Both cavity updates on the built combined gate list, one sector pass each."""
+    extent = psi.shape[0]
     psi_new, omega_new = np.zeros((extent, extent)), np.zeros((extent, extent))
     records = [_idle(step, "stream-function"), _idle(step, "vorticity")]
-    if not (sf_live or w_live):
-        return psi_new, omega_new, records
-    circ = build_single_cavity_circuit(D2Q5, extent, psi, scaled_source, omega, velocity_fields)
     layout = circ.layout
-    if sf_live:
-        state, records[0] = _run_job(circ.section_ops(_SINGLE_SF_SPANS), layout, step, "stream-function")
+    if np.any(psi) or np.any(scaled_source):
+        ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.section_ops(_SINGLE_SF_TAIL)]
+        state, records[0] = _run_job(ops, layout, step, "stream-function")
         psi_new = decode_field(state, layout, folded=True).reshape(extent, extent)
-    if w_live:
-        vec = encoding_vector(layout, D2Q5, np.zeros((extent, extent)), source=omega)
-        ops = [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(_SINGLE_W_SPANS)]
+    if np.any(omega):
+        ops = [
+            _prep(layout, D2Q5, np.zeros((extent, extent)), omega),
+            *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
+            *circ.section_ops(_SINGLE_W_TAIL),
+        ]
         state, records[1] = _run_job(ops, layout, step, "vorticity", s_value=1)
         omega_new = decode_field(state, layout).reshape(extent, extent)
     return psi_new, omega_new, records
@@ -261,7 +282,8 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
 
     The frugal variant runs two separate circuits per step, one after the
     other; the single variant executes sector passes of the combined gate
-    list. Both decode, then impose the wall values classically.
+    list. Either is built once, from the fields at rest. Both decode, then
+    impose the wall values classically.
     """
     if variant not in ("frugal", "single"):
         raise ConfigurationError(f"unknown cavity variant {variant!r}")
@@ -270,17 +292,23 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
     scale = params.dt * params.diffusion(D2Q5)
     psi = np.zeros((n, n))
     omega = np.zeros((n, n))
+    rest = np.zeros((2, n, n))
+    if variant == "frugal":
+        sf_circ = build_stream_function_circuit(D2Q5, n, psi, omega)
+        w_circ = build_vorticity_circuit(D2Q5, n, omega, rest)
+    else:
+        circ = build_single_cavity_circuit(D2Q5, n, psi, omega, omega, rest)
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
         u, v = velocity_from_stream_function(psi, spec.delta)
         vel = np.stack([u, v])
         if variant == "frugal":
-            psi_new, rec_sf = _sf_job(n, psi, scale * omega, step)
-            omega_new, rec_w = _vorticity_job(n, omega, vel, step)
+            psi_new, rec_sf = _sf_job(sf_circ, psi, scale * omega, step)
+            omega_new, rec_w = _vorticity_job(w_circ, omega, vel, step)
             records += [rec_sf, rec_w]
         else:
-            psi_new, omega_new, recs = _single_step(n, psi, omega, scale * omega, vel, step)
+            psi_new, omega_new, recs = _single_step(circ, psi, omega, scale * omega, vel, step)
             records += recs
         psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):

@@ -150,7 +150,7 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
                 _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
             elif kind == "DIAG":
                 qpos = np.array([bit_of[q] for q in op.targets], dtype=np.int64)
-                phases = np.exp(1j * np.asarray(op.params, dtype=float))
+                phases = np.exp(1j * op.params)
                 _kernels.apply_diag(amps, qpos, phases, cmask, cval)
             elif kind == "GPHASE":
                 amps *= np.exp(1j * op.params[0])

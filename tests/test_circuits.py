@@ -457,6 +457,35 @@ def test_prep_gates_compare_by_value_and_hold_a_read_only_copy():
     assert GateOp("PREP", (0, 1), params=view).params is not view
 
 
+def test_diag_gates_hold_read_only_phases_and_compare_by_value():
+    phases = np.array([0.1, -0.2, 0.3, 0.4])
+    a = GateOp("DIAG", (0, 1), params=phases)
+    b = GateOp("DIAG", (0, 1), params=tuple(phases))
+    assert a == b and hash(a) == hash(b) and a in {b}
+    assert a != GateOp("DIAG", (0, 1), params=phases[::-1])
+    assert a != GateOp("DIAG", (0, 1), (2,), (1,), params=phases)
+    phases[0] = 9.0  # a writable caller array is copied
+    assert a.params[0] == 0.1 and a.params.dtype == np.float64
+    with pytest.raises(ValueError):
+        a.params[0] = 1.0
+    # the builders hand over read-only phases that own their memory, kept without a copy
+    layout = RegisterLayout.for_scheme(D1Q3, 4, boundary=True)
+    for _, diag, _ in (build_collision_ops(layout, np.full(4, 0.5), layout.d),
+                       build_boundary_ops(layout, [True, False, False, True])):
+        assert diag.kind == "DIAG" and not diag.params.flags.writeable and diag.params.base is None
+
+
+@pytest.mark.parametrize("params, match", [
+    (np.ones((4, 1)), "flat vector"),
+    (np.ones((2, 2)), "flat vector"),
+    (np.ones(3), "parameter"),
+    (np.ones(8), "parameter"),
+])
+def test_diag_rejects_malformed_phase_arrays(params, match):
+    with pytest.raises(ConfigurationError, match=match):
+        GateOp("DIAG", (0, 1), params=params)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"targets": (0, 1), "params": np.ones(3)}, "parameter"),
     ({"targets": (), "params": np.ones(1)}, "at least one target"),

@@ -5,6 +5,8 @@ system it is supposed to converge to, built here from scratch so the two
 implementations share no code.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from qlbm.lattice import (
     load_field_csv,
     load_field_qlbf,
     macro_moment,
+    require_power_of_two,
     save_field_csv,
     save_field_qlbf,
     scheme_by_name,
@@ -84,6 +87,23 @@ def test_flow_params_defaults():
 def test_flow_params_rejects_partial_relaxation():
     with pytest.raises(ConfigurationError, match="full-replacement"):
         FlowParams(tau=2.0, dt=1.0)
+
+
+@pytest.mark.parametrize("name", ["tau", "dt"])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0], ids=["zero", "nan", "inf", "negative"])
+def test_flow_params_rejects_non_finite_or_non_positive_times(name, value):
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        FlowParams(**{name: value})
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        FlowParams(tau=value, dt=value)
+
+
+def test_require_power_of_two_reports_the_name_it_is_given():
+    require_power_of_two(2, 4, 64)
+    with pytest.raises(ConfigurationError, match=r"^extent 12 is not a power of two >= 2$"):
+        require_power_of_two(4, 12)
+    with pytest.raises(ConfigurationError, match=r"^--extent 1 is not a power of two >= 2$"):
+        require_power_of_two(1, name="--extent")
 
 
 def test_cavity_reynolds_number():

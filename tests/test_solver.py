@@ -1,6 +1,8 @@
 """Gate-level transport drivers against the classical reference, step by step."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qlbm.circuits import (
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
+    build_vorticity_collision_ops,
     encoding_vector,
     unit_amplitudes,
 )
@@ -25,6 +28,7 @@ from qlbm.lattice import (
     FlowParams,
     solve_cavity_classical,
     step_advection_diffusion,
+    velocity_from_stream_function,
 )
 from qlbm.solver import (
     ERROR_FLOOR,
@@ -36,6 +40,9 @@ from qlbm.solver import (
     run_cavity,
 )
 from qlbm.statevector import QuantumState, apply_circuit, postselect_many
+
+
+_DATA = Path(__file__).parent / "data"
 
 
 def _impulse_field(scheme, extent):
@@ -206,6 +213,34 @@ def test_cavity_single_matches_frugal():
     np.testing.assert_allclose(single.omega, frugal.omega, atol=1e-12)
 
 
+def _cavity_outputs(result) -> dict:
+    """Fields and per-record selection numbers of a cavity run, as plain JSON values."""
+    return {
+        "psi": result.psi.tolist(),
+        "omega": result.omega.tolist(),
+        "records": [
+            {
+                "step": r.step,
+                "job": r.job,
+                "zero_input": r.zero_input,
+                "norm_factor": float(r.norm_factor),
+                "select_probs": [[q, float(p)] for q, p in r.select_probs.items()],
+            }
+            for r in result.records
+        ],
+    }
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_cavity_outputs_match_the_frozen_run(variant):
+    # tests/data/cavity_outputs_extent8.json holds {variant: _cavity_outputs(run)}
+    # written by json.dump(..., indent=1); JSON keeps each float's repr, so the
+    # comparison is exact, select_probs order included
+    frozen = json.loads((_DATA / "cavity_outputs_extent8.json").read_text())[variant]
+    result = run_cavity(CavitySpec(n=8, lid_velocity=0.7, steps=5), variant=variant)
+    assert _cavity_outputs(result) == frozen
+
+
 def test_cavity_rejects_unknown_variant():
     with pytest.raises(ConfigurationError, match="variant"):
         run_cavity(CavitySpec(n=8, steps=1), variant="both")
@@ -254,6 +289,7 @@ def test_cavity_records_both_jobs_every_step():
 
 
 def _spy_on_builders(monkeypatch):
+    """(builder name, circuit) per circuit the solver builds, in call order."""
     built = []
     for name in (
         "build_advection_diffusion_circuit",
@@ -261,9 +297,9 @@ def _spy_on_builders(monkeypatch):
         "build_stream_function_circuit",
         "build_vorticity_circuit",
     ):
-        def spy(*args, _build=getattr(qlbm.solver, name), **kwargs):
+        def spy(*args, _name=name, _build=getattr(qlbm.solver, name), **kwargs):
             circ = _build(*args, **kwargs)
-            built.append(circ)
+            built.append((_name, circ))
             return circ
 
         monkeypatch.setattr(qlbm.solver, name, spy)
@@ -286,7 +322,7 @@ def test_advection_builds_once_per_run_without_encode(monkeypatch):
     built = _spy_on_builders(monkeypatch)
     applied = _spy_on_apply(monkeypatch)
     result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 5)
-    (circ,) = built
+    ((_, circ),) = built
     assert len(applied) == 5
     for step, ops in enumerate(applied):
         prep, *body = ops
@@ -295,19 +331,67 @@ def test_advection_builds_once_per_run_without_encode(monkeypatch):
         np.testing.assert_array_equal(prep.params, encoding_vector(circ.layout, D2Q5, result.fields[step]))
 
 
+# per variant and job: the builder, the PREP's fields from the previous step's
+# (psi, omega, scale), whether a collision is built per job, and the sections
+# of the built circuit that follow
+_CAVITY_JOBS = {
+    "frugal": {
+        "stream-function": ("build_stream_function_circuit", lambda psi, omega, scale: (psi, scale * omega), False,
+                            ["source-fold", "collision", "streaming", "macro", "boundary"]),
+        "vorticity": ("build_vorticity_circuit", lambda psi, omega, scale: (omega, None), True,
+                      ["streaming", "macro", "boundary"]),
+    },
+    "single": {
+        "stream-function": ("build_single_cavity_circuit", lambda psi, omega, scale: (psi, scale * omega), False,
+                            ["source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]),
+        "vorticity": ("build_single_cavity_circuit", lambda psi, omega, scale: (np.zeros_like(omega), omega), True,
+                      ["streaming-vorticity", "macro", "boundary"]),
+    },
+}
+
+
 @pytest.mark.parametrize("variant", ["frugal", "single"])
-def test_cavity_runs_the_encode_it_builds(monkeypatch, variant):
+def test_cavity_builds_once_per_run_and_rebuilds_only_the_field_sections(monkeypatch, variant):
+    # each builder runs once; every live job is a fresh PREP of the previous step's
+    # fields, a fresh vorticity collision in the vorticity job, and otherwise the
+    # built circuit's own gates
     built = _spy_on_builders(monkeypatch)
     applied = _spy_on_apply(monkeypatch)
-    run_cavity(CavitySpec(n=4, steps=3), variant=variant)
-    assert built and applied
-    for circ in built:
-        assert circ.sections[0] == ("encode", 0, 1)
-    # every job starts with a PREP and holds no other
-    assert all(ops[0].kind == "PREP" and all(op.kind != "PREP" for op in ops[1:]) for ops in applied)
-    preps = [ops[0] for ops in applied]
-    if variant == "frugal":
-        assert all(any(p is circ.gates[0] for circ in built) for p in preps)
+    collisions = []
+
+    def spy(*args, _build=qlbm.solver.build_vorticity_collision_ops, **kwargs):
+        ops = _build(*args, **kwargs)
+        collisions.append(ops)
+        return ops
+
+    monkeypatch.setattr(qlbm.solver, "build_vorticity_collision_ops", spy)
+    spec = CavitySpec(n=4, lid_velocity=0.7, steps=4)
+    params = FlowParams(lid_velocity=spec.lid_velocity)
+    scale = params.dt * params.diffusion(D2Q5)
+    result = run_cavity(spec, params, variant=variant)
+
+    jobs = _CAVITY_JOBS[variant]
+    circuits = dict(built)
+    assert len(built) == len(circuits) == len({name for name, *_ in jobs.values()})
+    live = [r for r in result.records if not r.zero_input]
+    assert len(live) == len(applied) == 2 * (spec.steps - 1)
+    fresh = iter(collisions)
+    for record, ops in zip(live, applied):
+        builder, fields, collides, tail = jobs[record.job]
+        circ = circuits[builder]
+        psi, omega = result.psi[record.step - 1], result.omega[record.step - 1]
+        field, source = fields(psi, omega, scale)
+        prep, *rest = ops
+        assert prep.kind == "PREP" and prep is not circ.gates[0]
+        np.testing.assert_array_equal(prep.params, encoding_vector(circ.layout, D2Q5, field, source=source))
+        if collides:
+            collision, rest = rest[:3], rest[3:]
+            assert all(a is b for a, b in zip(collision, next(fresh)))
+            velocity = np.stack(velocity_from_stream_function(psi, spec.delta))
+            assert collision == build_vorticity_collision_ops(circ.layout, D2Q5, velocity)
+        expected = circ.section_ops(tail)
+        assert len(rest) == len(expected) and all(a is b for a, b in zip(rest, expected))
+    assert next(fresh, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +420,10 @@ def _builder_jobs():
     yield "vorticity", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, omega), 0, False
     circ = build_single_cavity_circuit(D2Q5, 4, psi, source, omega, velocity)
     layout = circ.layout
-    yield ("single-stream-function", circ.section_ops(qlbm.solver._SINGLE_SF_SPANS), layout,
+    yield ("single-stream-function", circ.section_ops(["encode", *qlbm.solver._SINGLE_SF_TAIL]), layout,
            encoding_vector(layout, D2Q5, psi, source=source), 0, True)
     vec = encoding_vector(layout, D2Q5, np.zeros((4, 4)), source=omega)
-    yield ("single-vorticity", [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(qlbm.solver._SINGLE_W_SPANS)],
+    yield ("single-vorticity", [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(["collision-vorticity", *qlbm.solver._SINGLE_W_TAIL])],
            layout, vec, 1, False)
 
 
