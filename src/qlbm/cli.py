@@ -255,6 +255,8 @@ def _cmd_advdiff(cfg: dict) -> int:
         "backend": cfg["backend"],
         "final_mass": float(result.final.sum()),
         "max_relative_error_vs_classical": max_err,
+        "success_prob": result.success_prob,
+        "shot_multiplier": result.shot_multiplier,
         "records": _records_payload(result.records),
     })
     print(f"advdiff {scheme.name} {cfg['extent']} sites, {cfg['steps']} steps: "
@@ -270,10 +272,11 @@ def _cmd_cavity(cfg: dict) -> int:
         hist = solve_cavity_classical(spec, params)
         psi, omega = hist.psi[-1], hist.omega[-1]
         records: list = []
+        success_prob = shot_multiplier = None  # no circuit runs
     else:
         run = run_cavity(spec, params, variant=cfg["variant"])
         psi, omega = run.psi[-1], run.omega[-1]
-        records = run.records
+        records, success_prob, shot_multiplier = run.records, run.success_prob, run.shot_multiplier
     out = _ensure_out(cfg)
     save_field_csv(os.path.join(out, "psi_final.csv"), psi)
     save_field_qlbf(os.path.join(out, "psi_final.qlbf"), psi)
@@ -287,6 +290,8 @@ def _cmd_cavity(cfg: dict) -> int:
         "reynolds": params.reynolds(cfg["extent"]),
         "psi_min": float(psi.min()),
         "psi_max": float(psi.max()),
+        "success_prob": success_prob,
+        "shot_multiplier": shot_multiplier,
         "records": _records_payload(records),
     })
     print(f"cavity {cfg['extent']}x{cfg['extent']} ({cfg['variant']}), {cfg['steps']} steps: "

@@ -16,6 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,9 @@ class LatticeScheme:
 
     Weights are kept as exact rationals so the defining identities
     (sum of weights = 1, zero first moment, isotropic second moment) hold
-    without float slop; ``weight_array`` is the float view used in compute.
+    without float slop, and are checked exactly; ``weight_array`` is the
+    float view used in compute. Derived values are computed once per scheme,
+    and the arrays among them are read-only.
     """
 
     name: str
@@ -70,27 +73,39 @@ class LatticeScheme:
         for d in range(self.dimension):
             if sum(w * e[d] for w, e in zip(self.weights, self.links)) != 0:
                 raise ConfigurationError(f"{self.name}: first moment must vanish")
+        cs2 = self.sound_speed_sq
+        for i in range(self.dimension):
+            for j in range(self.dimension):
+                if sum(w * e[i] * e[j] for w, e in zip(self.weights, self.links)) != (cs2 if i == j else 0):
+                    raise ConfigurationError(
+                        f"{self.name}: second moment must be isotropic, sum_a w_a e_a e_a = c_s^2 I"
+                    )
 
     @property
     def n_links(self) -> int:
         return len(self.links)
 
-    @property
+    @cached_property
     def sound_speed_sq(self) -> Fraction:
-        # isotropic second moment: sum_a w_a e_a e_a = c_s^2 I
+        # from axis 0; __post_init__ checks that every axis agrees
         return sum(w * e[0] * e[0] for w, e in zip(self.weights, self.links))
 
-    @property
+    @cached_property
     def weight_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        return _read_only(np.array([float(w) for w in self.weights]))
 
-    @property
+    @cached_property
     def link_array(self) -> np.ndarray:
-        return np.array(self.links, dtype=np.int64)
+        return _read_only(np.array(self.links, dtype=np.int64))
 
-    @property
+    @cached_property
     def n_link_qubits(self) -> int:
         return int(np.ceil(np.log2(self.n_links)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 D1Q2 = LatticeScheme(
@@ -169,6 +184,8 @@ class CavitySpec:
             raise ConfigurationError(
                 f"lid velocity and grid spacing must be finite, got {self.lid_velocity} and {self.delta}"
             )
+        if not self.delta > 0:
+            raise ConfigurationError(f"grid spacing must be positive, got {self.delta}")
         require_power_of_two(self.n)
 
 

@@ -1,22 +1,25 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
 Every circuit execution is one job on one path, ``_run_job``: apply the
-job's gates to |0>, its encode PREP first, while selecting every register
+job's gates to |0...0> (a :class:`~qlbm.statevector.ZeroState`, with no
+amplitude allocated), its encode PREP first, while selecting every register
 but the sites. The simulator runs the circuit the resource estimator
 counts; the PREP loads the amplitude layout, where the estimator counts the
-rotation network. Each selected qubit leaves the state right after the last
-gate that targets it (the collision ancilla after collision, each link
-qubit after its merge Hadamard, the wall flag after the wall projector, a
-source flag after the PREP when no later gate targets it), so the job
-returns the site amplitudes alone and the caller decodes the field from
-them. Each run builds its circuit(s) once. Each job runs a fresh PREP of
-its fields in front of the built gates; a vorticity job also builds its
-collision afresh, the one other section that depends on the fields
-(through the velocity). Every other gate (source-fold, the stream-function
-collision, streaming, macro, boundary) runs as built. A job whose inputs
-are all exactly zero (``np.any`` is false) is idle: it runs nothing and
-records ``zero_input``. Magnitude plays no part, as the PREP scales by the
-peak.
+rotation network. A qubit is in the state only between its first gate and
+its last: the PREP's unit vector is the job's first array, the collision
+ancilla and the wall flag enter at their first Hadamard, and each selected
+qubit leaves right after the last gate that targets it (the collision
+ancilla after collision, each link qubit after its merge Hadamard, the wall
+flag after the wall projector, a source flag after the PREP when no later
+gate targets it). So the job returns the site amplitudes alone and the
+caller decodes the field from them. Each run builds its circuit(s) once.
+Each job runs a fresh PREP of its fields in front of the built gates; a
+vorticity job also builds its collision afresh, the one other section that
+depends on the fields (through the velocity). Every other gate
+(source-fold, the stream-function collision, streaming, macro, boundary)
+runs as built. A job whose inputs are all exactly zero (``np.any`` is
+false) is idle: it runs nothing and records ``zero_input``. Magnitude plays
+no part, as the PREP scales by the peak.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -54,6 +57,7 @@ from .lattice import (
 )
 from .statevector import (
     QuantumState,
+    ZeroState,
     apply_circuit,
     fidelity_from_histogram,
     sample,
@@ -103,8 +107,26 @@ class StepRecord:
         return math.prod(self.select_probs.values())
 
 
+class _RunTotals:
+    """Run-level selection totals of a result over its ``records``."""
+
+    @property
+    def success_prob(self) -> float:
+        """Probability that every selection of the run succeeds: the product over its records.
+
+        A run on the sampling backend records no selection and reads 1.0.
+        """
+        return math.prod(r.success_prob for r in self.records)
+
+    @property
+    def shot_multiplier(self) -> float:
+        """Factor by which selection multiplies the shot cost: 1 / success_prob (inf when that is 0)."""
+        p = self.success_prob
+        return 1.0 / p if p > 0 else math.inf
+
+
 @dataclass
-class AdvectionResult:
+class AdvectionResult(_RunTotals):
     scheme: str
     fields: np.ndarray  # (steps+1,) + field shape
     records: list
@@ -115,7 +137,7 @@ class AdvectionResult:
 
 
 @dataclass
-class CavityRunResult:
+class CavityRunResult(_RunTotals):
     variant: str
     psi: np.ndarray  # (steps+1, n, n)
     omega: np.ndarray
@@ -152,8 +174,7 @@ def _run_job(ops, layout: RegisterLayout, step: int, job: str, s_value: int = 0)
 
     The returned state holds the ``layout.n_sites`` site amplitudes only.
     """
-    state = QuantumState.zero(layout.qubit_count)
-    state, probs = apply_circuit(state, ops, select=_selection_plan(layout, s_value))
+    state, probs = apply_circuit(ZeroState(layout.qubit_count), ops, select=_selection_plan(layout, s_value))
     return state, StepRecord(step, job, probs, state.norm_factor)
 
 
@@ -206,7 +227,7 @@ def run_advection_diffusion(
             state, record = _run_job(ops, layout, step, "advection")
             flat = decode_field(state, layout)
         else:
-            state = apply_circuit(QuantumState.zero(layout.qubit_count), ops)
+            state = apply_circuit(ZeroState(layout.qubit_count), ops)
             freq = sample(state, shots, seed + 7919 * step).frequencies()[: layout.n_sites]
             flat = np.sqrt(freq) * state.norm_factor * _decode_factor(layout, False)
             record = StepRecord(step, "advection", {}, state.norm_factor)

@@ -7,12 +7,17 @@ invariant under where in the pipeline the selection happens.
 
 Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`;
 a ``PREP`` gate loads its vector onto qubits that are all |0>, and is the
-only way amplitudes enter a state. Given a selection plan,
-:func:`apply_circuit` selects each planned qubit in the same gate loop,
-right after the last gate that targets it, and drops it from the state, so
-every later gate runs on half as many amplitudes; an uncontrolled
-single-qubit gate and the selection after it are one contraction (gate
-fusion, Häner & Steiger, arXiv:1704.01127).
+only way amplitudes enter a state. A qubit is in the amplitude array only
+between its first gate and its last. Started from a :class:`ZeroState`,
+:func:`apply_circuit` allocates nothing of the state's size: each qubit
+enters the array at the first gate that needs it there, and a PREP onto
+qubits outside it writes its unit vector straight into place. Given a
+selection plan, it selects each planned qubit in the same gate loop, right
+after the last gate that targets it, and drops it from the state, so every
+later gate runs on half as many amplitudes. An uncontrolled single-qubit
+gate on an entering qubit is one write of the two new halves, and one
+followed by a selection is one contraction (gate fusion, Häner & Steiger,
+arXiv:1704.01127).
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -30,6 +35,7 @@ from .errors import ConfigurationError, PostSelectionError
 __all__ = [
     "MAX_SHOTS",
     "QuantumState",
+    "ZeroState",
     "SampleHistogram",
     "apply_circuit",
     "postselect",
@@ -43,6 +49,8 @@ _MIN_SELECT_PROBABILITY = 1e-14
 # a PREP's targets count as all |0> when the part of the unit-norm state with
 # every target at 0 holds all of the probability to within this slack
 _PREP_SLACK = 1e-12
+
+_KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
 
 # numpy's multinomial draws take the shot count as a C long
 MAX_SHOTS = (1 << 63) - 1
@@ -76,39 +84,67 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
-def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None):
+@dataclass(frozen=True)
+class ZeroState:
+    """|0...0> on ``n_qubits`` qubits, held as the count alone.
+
+    :func:`apply_circuit` starts from it without allocating an amplitude
+    array of the state's size: each qubit enters the array at the first
+    gate that needs it there.
+    """
+
+    n_qubits: int
+
+
+def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] | None = None):
     """Apply a gate sequence; with ``select``, post-select while the gates run.
 
-    Without ``select`` the gates act on ``state`` in place and the same state
-    is returned for chaining.
+    Without ``select`` the gates act on a ``QuantumState`` in place and the
+    same state is returned for chaining; from a :class:`ZeroState` a new
+    state over every qubit is returned.
 
     A PREP replaces its targets, which must be all |0>, with its vector
     normalized by :func:`~qlbm.circuits.unit_amplitudes`, and multiplies the
     norm factor by the norm it was scaled from; a target that is not |0>
     raises :class:`ConfigurationError`.
 
+    Each qubit is either in the amplitude array or known to hold a value.
+    From a ``ZeroState`` every qubit starts out known to hold 0, and enters
+    the array at its sorted bit position at the first gate that needs it
+    there. A PREP whose targets are all outside writes its unit vector
+    straight into place; onto an empty array the unit vector is the new
+    array. An uncontrolled single-qubit gate U on an entering qubit writes
+    the two new halves ``U[0, 0] * a`` and ``U[1, 0] * a`` at once. A
+    diagonal gate lets no qubit enter: on a qubit that holds 0 it applies
+    its phases at that qubit's 0. A control on a known qubit is dropped when
+    the value matches, and the gate is skipped when it does not. A qubit
+    that no gate made enter and no selection planned enters in |0> at the
+    end, so the returned state holds every qubit not selected.
+
     ``select`` maps qubit -> value (0 or 1). Each planned qubit is projected
     onto its value and leaves the state right after the last gate that
-    targets it, or at load when no gate does; the amplitude array halves.
-    A later gate controlled on a dropped qubit runs without that control
-    when the selected value matches and is skipped when it does not. Both
-    are exact, because the projector commutes with a gate that only
-    controls on the qubit. When that last gate is an uncontrolled
-    single-qubit gate U, gate and selection are one contraction of the two
-    halves, ``U[v, 0] * a0 + U[v, 1] * a1``. Every selection raises
-    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
+    targets it, or at the start when no gate does; the amplitude array
+    halves and the qubit is known to hold its value from then on. Dropping
+    a later control on it is exact, because the projector commutes with a
+    gate that only controls on the qubit. When that last gate is an
+    uncontrolled single-qubit gate U, gate and selection are one contraction
+    of the two halves, ``U[v, 0] * a0 + U[v, 1] * a1``. A qubit that never
+    entered holds 0 for certain, so selecting 0 has probability 1. Every
+    selection raises :class:`PostSelectionError` below
+    ``_MIN_SELECT_PROBABILITY``.
 
     Returns ``(selected, probs)``: the state over the kept qubits (in their
     original order, so bit k is the k-th lowest kept qubit) and the
     conditional probability of each selection, in selection order. The
     amplitudes of ``state`` are used as scratch space.
     """
-    plan = {} if select is None else _checked_plan(select, state.n_qubits)
+    n_qubits = state.n_qubits
+    plan = {} if select is None else _checked_plan(select, n_qubits)
     ops = list(ops)
     last = dict.fromkeys(plan, -1)
     for i, op in enumerate(ops):
-        if op.qubits and max(op.qubits) >= state.n_qubits:
-            raise ConfigurationError(f"{op.kind} on qubit {max(op.qubits)} is outside a {state.n_qubits}-qubit state")
+        if op.qubits and max(op.qubits) >= n_qubits:
+            raise ConfigurationError(f"{op.kind} on qubit {max(op.qubits)} is outside a {n_qubits}-qubit state")
         for q in op.targets:
             if q in last:
                 last[q] = i
@@ -116,18 +152,44 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
     for q in sorted(plan):
         due.setdefault(last[q], []).append(q)
 
-    amps = state.amplitudes
-    norm = state.norm_factor
+    if isinstance(state, ZeroState):
+        amps, norm = np.ones(1, dtype=np.complex128), 1.0
+        known = dict.fromkeys(range(n_qubits), 0)  # qubit -> value, for qubits outside amps
+    else:
+        amps, norm, known = state.amplitudes, state.norm_factor, {}
+    bit_of = {q: q for q in range(n_qubits) if q not in known}  # qubit -> bit, for qubits in amps
     probs: dict[int, float] = {}
-    bit_of = {q: q for q in range(state.n_qubits)}  # qubit -> bit in amps, kept qubits only
+
+    def renumber(qubits):
+        nonlocal bit_of
+        bit_of = {q: b for b, q in enumerate(sorted(qubits))}
+
+    def enter(targets, unit=_KET0):
+        nonlocal amps
+        amps = _product(unit, targets, amps, sorted(bit_of))
+        for q in targets:
+            del known[q]
+        renumber([*bit_of, *targets])
 
     def drop(q, row=None):
-        nonlocal amps, norm, bit_of
+        nonlocal amps, norm
+        if q in known:  # never entered, so it holds 0
+            if plan[q] != known[q]:
+                raise PostSelectionError(f"selecting qubit {q} = {plan[q]} has probability 0")
+            probs[q] = 1.0
+            return
         amps, p = _drop_bit(amps, bit_of[q], plan[q], q, row)
         norm *= np.sqrt(p)
         probs[q] = p
-        kept = sorted(k for k in bit_of if k != q)
-        bit_of = {k: b for b, k in enumerate(kept)}
+        known[q] = plan[q]
+        renumber(k for k in bit_of if k != q)
+
+    def masks(live):
+        cmask = cval = 0
+        for q, v in live:
+            cmask |= 1 << bit_of[q]
+            cval |= v << bit_of[q]
+        return cmask, cval
 
     for q in due.get(-1, ()):
         drop(q)
@@ -136,39 +198,57 @@ def apply_circuit(state: QuantumState, ops, select: dict[int, int] | None = None
         if kind == "GPHASE" and op.controls:
             raise ConfigurationError("controlled global phase is not supported")
         chosen = due.get(i, ())
-        cmask = cval = 0
+        live = []  # controls on qubits in amps
         for q, v in zip(op.controls, op.control_values):
             if q in bit_of:
-                cmask |= 1 << bit_of[q]
-                cval |= v << bit_of[q]
-            elif v != plan[q]:
-                break  # selected away on the other value: the gate acts as identity
+                live.append((q, v))
+            elif v != known[q]:
+                break  # the control holds the other value: the gate acts as identity
         else:
-            if kind == "MCX":
-                _kernels.apply_mcx(amps, 1 << bit_of[op.targets[0]], cmask, cval)
-            elif kind == "PHASE":
-                _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
+            # a target outside amps has not entered yet and holds 0, because
+            # a qubit is dropped only after the last gate that targets it
+            entering = [q for q in op.targets if q in known]
+            if kind == "PREP" and len(entering) == len(op.targets):
+                unit, scale = unit_amplitudes(op.params)
+                enter(op.targets, unit)
+                norm *= scale
+            elif kind == "PHASE" and entering:
+                pass  # diag(1, e^{i theta}) on a qubit that holds 0
             elif kind == "DIAG":
-                qpos = np.array([bit_of[q] for q in op.targets], dtype=np.int64)
-                phases = np.exp(1j * op.params)
-                _kernels.apply_diag(amps, qpos, phases, cmask, cval)
-            elif kind == "GPHASE":
-                amps *= np.exp(1j * op.params[0])
-            elif kind == "PREP":
-                norm *= _load(amps, [bit_of[q] for q in op.targets], op.params)
+                targets, phases = _fix_known(op.targets, op.params, known)
+                qpos = np.array([bit_of[q] for q in targets], dtype=np.int64)
+                _kernels.apply_diag(amps, qpos, np.exp(1j * phases), *masks(live))
+            elif entering and not live and kind not in ("MCX", "PREP"):
+                enter(op.targets, gate_matrix_1q(op)[:, 0])  # U|0> in one write
             else:
-                u = gate_matrix_1q(op)
-                if chosen and not cmask:
-                    (q,) = chosen
-                    drop(q, u[plan[q]])
-                    continue
-                _kernels.apply_1q(
-                    amps, 1 << bit_of[op.targets[0]], cmask, cval,
-                    complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]),
-                )
+                for q in entering:
+                    enter((q,))
+                cmask, cval = masks(live)
+                if kind == "MCX":
+                    _kernels.apply_mcx(amps, 1 << bit_of[op.targets[0]], cmask, cval)
+                elif kind == "PHASE":
+                    _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
+                elif kind == "GPHASE":
+                    amps *= np.exp(1j * op.params[0])
+                elif kind == "PREP":
+                    norm *= _load(amps, [bit_of[q] for q in op.targets], op.params)
+                else:
+                    u = gate_matrix_1q(op)
+                    if chosen and not cmask:
+                        (q,) = chosen
+                        drop(q, u[plan[q]])
+                        continue
+                    _kernels.apply_1q(
+                        amps, 1 << bit_of[op.targets[0]], cmask, cval,
+                        complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]),
+                    )
         for q in chosen:
             drop(q)
+    for q in sorted(known.keys() - plan.keys()):
+        enter((q,))
     if select is None:
+        if isinstance(state, ZeroState):
+            return QuantumState(n_qubits, amps, norm)
         state.norm_factor = norm
         return state
     return QuantumState(len(bit_of), amps, norm), probs
@@ -209,6 +289,30 @@ def _load(amps: np.ndarray, bits: list[int], vector) -> float:
     for r in np.flatnonzero(rest):
         np.multiply(unit, rest[r], out=blocks[np.unravel_index(r, (2,) * len(others))])
     return scale
+
+
+def _product(unit: np.ndarray, targets, amps: np.ndarray, qubits) -> np.ndarray:
+    """The product of ``unit`` on ``targets`` and ``amps`` on ``qubits``, one new array.
+
+    Index bit j of ``unit`` is ``targets[j]``; bit k of ``amps`` is
+    ``qubits[k]``, which are ascending. Bit k of the result is the k-th
+    lowest of all the qubits. When every target lies above every qubit and
+    the targets ascend, the outer product is already in that order and is
+    written once: the unit vector onto an empty array, or a column ``U|0>``
+    for a qubit entering above the others (the mirror of :func:`_drop_bit`'s
+    ``row``).
+    """
+    axes = [*targets[::-1], *qubits[::-1]]  # the qubit on each axis of the outer product
+    prod = np.multiply.outer(unit.reshape((2,) * len(targets)), amps.reshape((2,) * len(qubits)))
+    order = sorted(range(len(axes)), key=axes.__getitem__, reverse=True)
+    return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
+
+
+def _fix_known(targets, phases: np.ndarray, known: dict[int, int]) -> tuple[list[int], np.ndarray]:
+    """A diagonal's targets in the array and its phases with every known target fixed at its value."""
+    # axis j of the (2,) * m view carries targets[m - 1 - j]
+    index = tuple(known.get(q, slice(None)) for q in reversed(targets))
+    return [q for q in targets if q not in known], phases.reshape((2,) * len(targets))[index].reshape(-1)
 
 
 def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> tuple[np.ndarray, float]:

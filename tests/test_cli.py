@@ -41,6 +41,15 @@ def test_advdiff_writes_outputs_and_passes(tmp_path, capsys):
     np.testing.assert_allclose(field.sum(), summary["final_mass"])
     for record in summary["records"]:
         assert record["success_prob"] == pytest.approx(math.prod(record["select_probs"].values()), rel=1e-12)
+    _check_run_totals(summary)
+
+
+def _check_run_totals(summary):
+    """The run's success probability and shot multiplier against its records' selections."""
+    p = math.prod(p for record in summary["records"] for p in record["select_probs"].values())
+    assert p < 1.0
+    assert abs(summary["success_prob"] - p) <= 1e-12 * p
+    assert abs(summary["shot_multiplier"] - 1.0 / p) <= 1e-12 / p
 
 
 def test_advdiff_2d_scheme(tmp_path, capsys):
@@ -198,6 +207,10 @@ def test_cavity_variants_write_fields(tmp_path, capsys, variant):
     omega = load_field_qlbf(tmp_path / "omega_final.qlbf")
     assert psi.shape == omega.shape == (8, 8)
     assert summary["psi_min"] == psi.min()
+    if variant == "classical":
+        assert summary["success_prob"] is summary["shot_multiplier"] is None
+    else:
+        _check_run_totals(summary)
 
 
 @pytest.mark.parametrize("variant", ["frugal", "single", "classical"])

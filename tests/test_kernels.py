@@ -3,7 +3,8 @@ reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
 
 MCX is a permutation, so it must match exactly; the others to rounding.
 ``apply_circuit`` with a selection plan must agree with the reference run in
-full followed by ``postselect`` in the order the plan was carried out.
+full followed by ``postselect`` in the order the plan was carried out, also
+from a ``ZeroState``, where each qubit enters the array at its first gate.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlbm import _kernels
-from qlbm.circuits import GATE_KINDS, GateOp, _control_mask_val, apply_ops_numpy, gate_matrix_1q
-from qlbm.errors import ConfigurationError
-from qlbm.statevector import QuantumState, apply_circuit, postselect
+from qlbm.circuits import GATE_KINDS, GateOp, _control_mask_val, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
+from qlbm.errors import ConfigurationError, PostSelectionError
+from qlbm.statevector import QuantumState, ZeroState, apply_circuit, postselect
 
 
 def _random_state(n_qubits, seed):
@@ -199,6 +200,15 @@ def _selected_circuits(draw):
     return n_qubits, ops, {q: draw(st.integers(0, 1)) for q in planned}
 
 
+def _kept(n_qubits, plan):
+    """Mask of the basis states that hold every planned value."""
+    idx = np.arange(1 << n_qubits)
+    kept = np.ones(idx.size, dtype=bool)
+    for q, v in plan.items():
+        kept &= ((idx >> q) & 1) == v
+    return kept
+
+
 @settings(max_examples=200, deadline=None)
 @given(_selected_circuits(), st.integers(0, 2**16))
 def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
@@ -210,10 +220,57 @@ def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
     for q, p in probs.items():
         ref, p_ref = postselect(ref, q, plan[q])
         assert abs(p - p_ref) <= 1e-12
-    idx = np.arange(1 << n_qubits)
-    kept = np.ones(idx.size, dtype=bool)
-    for q, v in plan.items():
-        kept &= ((idx >> q) & 1) == v
     assert out.n_qubits == n_qubits - len(plan)
-    np.testing.assert_allclose(out.amplitudes, ref.amplitudes[kept], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
     assert abs(out.norm_factor - ref.norm_factor) <= 1e-12
+
+
+@st.composite
+def _circuits_from_zero(draw):
+    """A circuit for |0...0> that opens with a PREP onto a random subset of the qubits, and a plan.
+
+    Every other qubit first appears where the random gates put it: as the
+    target of a single-qubit gate with or without controls or of an MCX,
+    inside a DIAG, as a control of either polarity, or never. The plan spans
+    a random subset, never-targeted qubits on value 0 and on value 1 among them.
+    """
+    n_qubits, ops = draw(_circuits(max_qubits=7))
+    loaded = draw(st.permutations(range(n_qubits)))[: draw(st.integers(1, n_qubits))]
+    vector = draw(st.lists(st.floats(-1.0, 1.0), min_size=1 << len(loaded), max_size=1 << len(loaded))
+                  .filter(lambda v: any(v)))
+    ops.insert(0, GateOp("PREP", tuple(loaded), params=vector))
+    planned = draw(st.lists(st.integers(0, n_qubits - 1), unique=True, max_size=n_qubits))
+    return n_qubits, ops, {q: draw(st.integers(0, 1)) for q in planned}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuits_from_zero())
+def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
+    n_qubits, ops, plan = circuit
+    zero = np.zeros(1 << n_qubits, dtype=complex)
+    zero[0] = 1.0
+    _, scale = unit_amplitudes(ops[0].params)
+    full = apply_ops_numpy(zero, ops, n_qubits)
+
+    out = apply_circuit(ZeroState(n_qubits), ops)
+    assert out.n_qubits == n_qubits
+    np.testing.assert_allclose(out.amplitudes, full, rtol=0, atol=1e-12)
+    assert abs(out.norm_factor - scale) <= 1e-12 * scale
+
+    # selection order: after the last gate that targets the qubit, at the start when none does
+    last = {q: max((i for i, op in enumerate(ops) if q in op.targets), default=-1) for q in plan}
+    ref, ref_probs = QuantumState(n_qubits, full, scale), {}
+    for q in sorted(plan, key=lambda q: (last[q], q)):
+        try:  # the reference raises below _MIN_SELECT_PROBABILITY, as apply_circuit must
+            ref, ref_probs[q] = postselect(ref, q, plan[q])
+        except PostSelectionError:
+            with pytest.raises(PostSelectionError):
+                apply_circuit(ZeroState(n_qubits), ops, select=plan)
+            return
+    selected, probs = apply_circuit(ZeroState(n_qubits), ops, select=plan)
+    assert list(probs) == list(ref_probs)
+    for q, p in probs.items():
+        assert abs(p - ref_probs[q]) <= 1e-12
+    assert selected.n_qubits == n_qubits - len(plan)
+    np.testing.assert_allclose(selected.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
+    assert abs(selected.norm_factor - ref.norm_factor) <= 1e-12 * scale

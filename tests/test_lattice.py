@@ -6,6 +6,7 @@ implementations share no code.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qlbm.lattice import (
     D2Q5,
     CavitySpec,
     FlowParams,
+    LatticeScheme,
     apply_cavity_boundaries,
     cavity_step_classical,
     collision_coefficients,
@@ -59,6 +61,27 @@ def test_sound_speeds():
     assert float(D1Q2.sound_speed_sq) == 1.0
     assert float(D1Q3.sound_speed_sq) == pytest.approx(1.0 / 3.0)
     assert float(D2Q5.sound_speed_sq) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("links, weights", [
+    # unequal axes: sum w e_x e_x = 1/2, sum w e_y e_y = 1/6
+    (((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), (Fraction(1, 3), Fraction(1, 4), Fraction(1, 4), Fraction(1, 12), Fraction(1, 12))),
+    # equal axes but a cross term: sum w e_x e_y = 1
+    (((1, 1), (-1, -1)), (Fraction(1, 2), Fraction(1, 2))),
+], ids=["axes", "cross"])
+def test_scheme_rejects_an_anisotropic_second_moment(links, weights):
+    with pytest.raises(ConfigurationError, match="isotropic"):
+        LatticeScheme("D2Qx", 2, links, weights)
+
+
+@pytest.mark.parametrize("scheme", [D1Q2, D1Q3, D2Q5], ids=lambda s: s.name)
+def test_scheme_arrays_are_built_once_and_read_only(scheme):
+    for name in ("weight_array", "link_array"):
+        array = getattr(scheme, name)
+        assert getattr(scheme, name) is array
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert scheme.sound_speed_sq is scheme.sound_speed_sq
 
 
 def test_link_qubit_counts():
@@ -345,6 +368,12 @@ def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
 def test_cavity_spec_rejects_non_finite_values(field, bad):
     with pytest.raises(ConfigurationError, match="finite"):
         CavitySpec(n=4, steps=1, **{field: bad})
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+def test_cavity_spec_rejects_a_grid_spacing_that_is_not_positive_and_finite(delta):
+    with pytest.raises(ConfigurationError):
+        CavitySpec(n=8, lid_velocity=0.7, steps=3, delta=delta)
 
 
 def test_cavity_at_rest_stays_at_rest():

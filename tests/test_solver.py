@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import qlbm.solver
+import qlbm.statevector
+from qlbm import _kernels
 from qlbm.circuits import (
     GateOp,
     RegisterLayout,
@@ -32,6 +34,8 @@ from qlbm.lattice import (
 )
 from qlbm.solver import (
     ERROR_FLOOR,
+    CavityRunResult,
+    StepRecord,
     decode_field,
     fidelity_sweep,
     reference_sweep_state,
@@ -281,6 +285,51 @@ def test_cavity_records_both_jobs_every_step():
     for rec in result.records[2:]:
         assert not rec.zero_input
         assert rec.select_probs
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 8), (0.15, -0.1), 3),
+    lambda: run_cavity(CavitySpec(n=8, steps=4), variant="frugal"),
+    lambda: run_cavity(CavitySpec(n=8, steps=4), variant="single"),
+], ids=["advection", "frugal", "single"])
+def test_run_success_probability_is_the_product_over_its_records(run):
+    result = run()
+    p = math.prod(p for record in result.records for p in record.select_probs.values())
+    assert p < 1.0
+    assert abs(result.success_prob - p) <= 1e-12 * p
+    assert abs(result.shot_multiplier - 1.0 / p) <= 1e-12 / p
+
+
+def test_shot_multiplier_is_infinite_when_a_run_cannot_succeed():
+    field = np.zeros((2, 4, 4))
+    result = CavityRunResult("frugal", field, field, [StepRecord(1, "vorticity", {0: 0.5}), StepRecord(2, "vorticity", {0: 0.0})])
+    assert result.success_prob == 0.0
+    assert result.shot_multiplier == math.inf
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_cavity_jobs_hold_only_the_qubits_their_gates_need(monkeypatch, variant):
+    # at extent 32 a job's PREP fills 2^14 of the 2^16 amplitudes of its qubits;
+    # the collision ancilla and the wall flag enter at their first gate, so
+    # streaming runs on the sites and links alone
+    sizes = []
+    for name in ("apply_1q", "apply_mcx", "apply_diag", "apply_phase"):
+        def spy(amps, *args, _name=name, _fn=getattr(_kernels, name)):
+            sizes.append((_name, amps.size))
+            return _fn(amps, *args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+
+    def spy_drop(amps, *args, _fn=qlbm.statevector._drop_bit):
+        sizes.append(("drop", amps.size))
+        return _fn(amps, *args)
+
+    monkeypatch.setattr(qlbm.statevector, "_drop_bit", spy_drop)
+    result = run_cavity(CavitySpec(32, 0.8, 2), variant=variant)
+    assert sum(not r.zero_input for r in result.records) == 2
+    layout = RegisterLayout.for_scheme(D2Q5, 32, source=True, boundary=True)
+    assert {size for name, size in sizes if name == "apply_mcx"} == {layout.n_sites << layout.n_d}
+    assert max(size for _, size in sizes) == 1 << 14
 
 
 # ---------------------------------------------------------------------------
