@@ -21,6 +21,7 @@ collision ancilla a on top.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -263,7 +264,11 @@ class RegisterLayout:
 
 
 class CircuitIR:
-    """Ordered gate list over a layout, with named (possibly repeated) sections."""
+    """Ordered gate list over a layout, with named (possibly repeated) sections.
+
+    ``sections`` holds the ``(name, start, stop)`` span of each
+    :meth:`add_section` call: contiguous from gate 0, covering every gate once.
+    """
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
@@ -284,28 +289,6 @@ class CircuitIR:
         start = len(self.gates)
         self.gates.extend(ops)
         self.sections.append((name, start, len(self.gates)))
-
-    def section_names(self) -> list[str]:
-        return [name for name, _, _ in self.sections]
-
-    def section_runs(self) -> Iterator[tuple[str, int, int]]:
-        """(name, start, stop) runs covering every gate once, in gate order.
-
-        Gates outside every section run under ``""``. Sections are expected
-        in order and disjoint, as :meth:`add_section` makes them; where a
-        listed span reaches back over gates already covered, those gates keep
-        their earlier name.
-        """
-        pos = 0
-        for name, start, stop in self.sections:
-            if start > pos:
-                yield "", pos, start
-                pos = start
-            if stop > pos:
-                yield name, pos, stop
-                pos = stop
-        if pos < len(self.gates):
-            yield "", pos, len(self.gates)
 
     def iter_section(self, name: str) -> Iterator[GateOp]:
         found = False
@@ -936,26 +919,17 @@ def lower_op(op: GateOp) -> list[GateOp]:
 
 def iter_lowered(circ: CircuitIR) -> Iterator[tuple[str, GateOp]]:
     """(section, basis op) pairs of the lowered circuit, in gate order."""
-    for section, start, stop in circ.section_runs():
+    for section, start, stop in circ.sections:
         for op in circ.gates[start:stop]:
             for low in lower_op(op):
                 yield section, low
 
 
 def lower_circuit(circ: CircuitIR) -> CircuitIR:
-    """Materialized lowering with section spans remapped onto the new indices."""
+    """Materialized lowering, one section per run of same-named sections that lowers to any gate."""
     out = CircuitIR(circ.layout)
-    current = None
-    start = 0
-    for section, op in iter_lowered(circ):
-        if section != current:
-            if current is not None and len(out.gates) > start:
-                out.sections.append((current, start, len(out.gates)))
-            current = section
-            start = len(out.gates)
-        out.gates.append(op)
-    if current is not None and len(out.gates) > start:
-        out.sections.append((current, start, len(out.gates)))
+    for section, pairs in itertools.groupby(iter_lowered(circ), key=lambda pair: pair[0]):
+        out.add_section(section, [op for _, op in pairs])
     return out
 
 

@@ -13,6 +13,7 @@ replaces every link population with its equilibrium value, streams, and sums.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ __all__ = [
     "D1Q3",
     "D2Q5",
     "scheme_by_name",
+    "require_count",
     "require_power_of_two",
     "collision_coefficients",
     "equilibrium_distribution",
@@ -178,8 +180,7 @@ class CavitySpec:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        require_count(self.steps, "steps")
         if not (math.isfinite(self.lid_velocity) and math.isfinite(self.delta)):
             raise ConfigurationError(
                 f"lid velocity and grid spacing must be finite, got {self.lid_velocity} and {self.delta}"
@@ -196,16 +197,18 @@ class CavityHistory:
     psi: np.ndarray  # (steps+1, n, n)
     omega: np.ndarray  # (steps+1, n, n)
 
-    @property
-    def steps(self) -> int:
-        return self.psi.shape[0] - 1
+
+def require_count(value: int, name: str) -> None:
+    """Reject ``value`` unless it is an integer >= 0 (numpy integers count), reporting it as ``name``."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def require_power_of_two(*extents: int, name: str = "extent") -> None:
-    """Reject any extent that is not a power of two >= 2, reporting it as ``name``."""
+    """Reject any extent that is not an integer power of two >= 2, reporting it as ``name``."""
     for n in extents:
-        if n < 2 or n & (n - 1):
-            raise ConfigurationError(f"{name} {n} is not a power of two >= 2")
+        if not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
+            raise ConfigurationError(f"{name} {n!r} is not a power of two >= 2")
 
 
 def _broadcast_velocity(scheme: LatticeScheme, velocity, shape):

@@ -115,7 +115,7 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
     last_layer = [0] * n
     ready_at = [0.0] * n
     sections: dict[str, SectionTally] = {}
-    for section, start, stop in circ.section_runs():
+    for section, start, stop in circ.sections:
         cnot = single = 0
         for op in circ.gates[start:stop]:
             rows, qubits = lowered_rows(op)

@@ -1,10 +1,11 @@
 """End-to-end drivers: run the gate-level pipeline and decode fields.
 
-Every circuit execution is one job on one path, ``_run_job``: apply the
-job's gates to |0...0> (a :class:`~qlbm.statevector.ZeroState`, with no
-amplitude allocated), its encode PREP first, while selecting every register
-but the sites. The simulator runs the circuit the resource estimator
-counts; the PREP loads the amplitude layout, where the estimator counts the
+Every circuit runs from |0...0>, a :class:`~qlbm.statevector.ZeroState`
+with no amplitude allocated, and its first gate, the encode PREP, loads the
+job's fields. On the statevector backend every job runs on one path,
+``_run_job``, which selects every register but the sites while the gates
+run. The simulator runs the circuit the resource estimator counts; the
+PREP loads the amplitude layout, where the estimator counts the
 rotation network. A qubit is in the state only between its first gate and
 its last: the PREP's unit vector is the job's first array, the collision
 ancilla and the wall flag enter at their first Hadamard, and each selected
@@ -19,7 +20,10 @@ depends on the fields (through the velocity). Every other gate
 (source-fold, the stream-function collision, streaming, macro, boundary)
 runs as built. A job whose inputs are all exactly zero (``np.any`` is
 false) is idle: it runs nothing and records ``zero_input``. Magnitude plays
-no part, as the PREP scales by the peak.
+no part, as the PREP scales by the peak. The sampling backend of
+:func:`run_advection_diffusion` runs the same gates without selecting,
+samples the whole state, and records as ``select_probs`` the measured
+shares of shots that hold each selected value.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
@@ -52,6 +56,7 @@ from .lattice import (
     FlowParams,
     LatticeScheme,
     apply_cavity_boundaries,
+    require_count,
     step_advection_diffusion,
     velocity_from_stream_function,
 )
@@ -92,7 +97,8 @@ class StepRecord:
 
     ``select_probs`` maps each selected qubit to the conditional probability
     of its selection, given the ones before it, in selection order; the
-    per-qubit values depend on that order, their product does not.
+    per-qubit values depend on that order, their product does not. On the
+    sampling backend they are measured: shares of the shots drawn.
     """
 
     step: int
@@ -114,7 +120,8 @@ class _RunTotals:
     def success_prob(self) -> float:
         """Probability that every selection of the run succeeds: the product over its records.
 
-        A run on the sampling backend records no selection and reads 1.0.
+        On the sampling backend each step contributes the share of its shots
+        that landed in the site sector.
         """
         return math.prod(r.success_prob for r in self.records)
 
@@ -164,6 +171,23 @@ def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
     return plan
 
 
+def _measured_selection(counts: np.ndarray, plan: dict[int, int]) -> dict[int, float]:
+    """Measured ``select_probs`` of a histogram's ``counts``, per planned qubit in sorted order.
+
+    Each is the share of the shots matching every earlier planned value that
+    also hold the qubit's own (0.0 when none matched), so their product is
+    the share of all shots that hold every planned value.
+    """
+    probs, matched = {}, int(counts.sum())
+    for dropped, q in enumerate(sorted(plan)):
+        # each earlier qubit lies below q and is gone, so q sits at bit q - dropped
+        counts = counts.reshape(-1, 2, 1 << (q - dropped))[:, plan[q], :]
+        kept = int(counts.sum())
+        probs[q] = kept / matched if matched else 0.0
+        matched = kept
+    return probs
+
+
 def _prep(layout: RegisterLayout, scheme: LatticeScheme, field, source=None) -> GateOp:
     """The encode PREP of one job's fields."""
     return GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field, source=source))
@@ -202,8 +226,7 @@ def run_advection_diffusion(
     """
     if backend not in ("statevector", "sampling"):
         raise ConfigurationError(f"unknown backend {backend!r}")
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    require_count(steps, "steps")
     if not np.all(np.isfinite(np.asarray(velocity, dtype=float))):
         raise ConfigurationError(f"velocity must be finite, got {velocity}")
     field = np.asarray(field0, dtype=float)
@@ -228,9 +251,9 @@ def run_advection_diffusion(
             flat = decode_field(state, layout)
         else:
             state = apply_circuit(ZeroState(layout.qubit_count), ops)
-            freq = sample(state, shots, seed + 7919 * step).frequencies()[: layout.n_sites]
-            flat = np.sqrt(freq) * state.norm_factor * _decode_factor(layout, False)
-            record = StepRecord(step, "advection", {}, state.norm_factor)
+            hist = sample(state, shots, seed + 7919 * step)
+            flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
+            record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection_plan(layout)), state.norm_factor)
         field = flat.reshape(field.shape)
         if not np.all(np.isfinite(field)):
             raise SimulationError("advection run diverged", step=step)

@@ -1,23 +1,22 @@
-"""Statevector simulation: encoding, gate application, selection, sampling.
+"""Statevector simulation: gate application, selection, sampling.
 
 Amplitudes are kept unit-normalized; the physical scale of the encoded field
 travels separately in ``norm_factor``. Post-selecting a register multiplies
 the norm factor by sqrt(p) and renormalizes, so decoded field values are
 invariant under where in the pipeline the selection happens.
 
-Gate application dispatches to the strided-view kernels in :mod:`qlbm._kernels`;
-a ``PREP`` gate loads its vector onto qubits that are all |0>, and is the
-only way amplitudes enter a state. A qubit is in the amplitude array only
-between its first gate and its last. Started from a :class:`ZeroState`,
-:func:`apply_circuit` allocates nothing of the state's size: each qubit
-enters the array at the first gate that needs it there, and a PREP onto
-qubits outside it writes its unit vector straight into place. Given a
-selection plan, it selects each planned qubit in the same gate loop, right
-after the last gate that targets it, and drops it from the state, so every
-later gate runs on half as many amplitudes. An uncontrolled single-qubit
-gate on an entering qubit is one write of the two new halves, and one
-followed by a selection is one contraction (gate fusion, Häner & Steiger,
-arXiv:1704.01127).
+Every circuit starts from |0...0>, a :class:`ZeroState`, and its amplitudes
+enter one way: a ``PREP`` gate writes its unit vector onto qubits that are
+still outside the amplitude array. Gate application dispatches to the
+strided-view kernels in :mod:`qlbm._kernels`. A qubit is in the array only
+between its first gate and its last, so :func:`apply_circuit` allocates
+nothing of the state's size: each qubit enters the array at the first gate
+that needs it there. Given a selection plan, it selects each planned qubit
+in the same gate loop, right after the last gate that targets it, and drops
+it from the state, so every later gate runs on half as many amplitudes. An
+uncontrolled single-qubit gate on an entering qubit is one write of the two
+new halves, and one followed by a selection is one contraction (gate
+fusion, Häner & Steiger, arXiv:1704.01127).
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -31,6 +30,7 @@ import numpy as np
 from . import _kernels
 from .circuits import gate_matrix_1q, unit_amplitudes
 from .errors import ConfigurationError, PostSelectionError
+from .lattice import require_count
 
 __all__ = [
     "MAX_SHOTS",
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 _MIN_SELECT_PROBABILITY = 1e-14
-
-# a PREP's targets count as all |0> when the part of the unit-norm state with
-# every target at 0 holds all of the probability to within this slack
-_PREP_SLACK = 1e-12
 
 _KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
 
@@ -71,48 +67,33 @@ class QuantumState:
                 f"amplitude vector of length {self.amplitudes.size} does not fit {self.n_qubits} qubits"
             )
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "QuantumState":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy(), self.norm_factor)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
 class ZeroState:
-    """|0...0> on ``n_qubits`` qubits, held as the count alone.
-
-    :func:`apply_circuit` starts from it without allocating an amplitude
-    array of the state's size: each qubit enters the array at the first
-    gate that needs it there.
-    """
+    """|0...0> on ``n_qubits`` qubits, held as the count alone: the start of every circuit."""
 
     n_qubits: int
 
+    def __post_init__(self):
+        require_count(self.n_qubits, "n_qubits")
 
-def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] | None = None):
-    """Apply a gate sequence; with ``select``, post-select while the gates run.
 
-    Without ``select`` the gates act on a ``QuantumState`` in place and the
-    same state is returned for chaining; from a :class:`ZeroState` a new
-    state over every qubit is returned.
+def apply_circuit(start: ZeroState, ops, select: dict[int, int] | None = None):
+    """Run a gate sequence from |0...0>; with ``select``, post-select while the gates run.
 
-    A PREP replaces its targets, which must be all |0>, with its vector
-    normalized by :func:`~qlbm.circuits.unit_amplitudes`, and multiplies the
-    norm factor by the norm it was scaled from; a target that is not |0>
-    raises :class:`ConfigurationError`.
+    A PREP writes its vector, normalized by
+    :func:`~qlbm.circuits.unit_amplitudes`, onto its targets and multiplies
+    the norm factor by the norm it was scaled from. Its targets must still
+    be outside the amplitude array, so in |0>: a PREP onto a qubit that an
+    earlier gate made enter raises :class:`ConfigurationError`.
 
     Each qubit is either in the amplitude array or known to hold a value.
-    From a ``ZeroState`` every qubit starts out known to hold 0, and enters
-    the array at its sorted bit position at the first gate that needs it
-    there. A PREP whose targets are all outside writes its unit vector
-    straight into place; onto an empty array the unit vector is the new
+    Every qubit starts out known to hold 0, and enters the array at its
+    sorted bit position at the first gate that needs it there. A PREP's
+    unit vector goes straight into place; onto an empty array it is the new
     array. An uncontrolled single-qubit gate U on an entering qubit writes
     the two new halves ``U[0, 0] * a`` and ``U[1, 0] * a`` at once. A
     diagonal gate lets no qubit enter: on a qubit that holds 0 it applies
@@ -133,12 +114,12 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
     selection raises :class:`PostSelectionError` below
     ``_MIN_SELECT_PROBABILITY``.
 
-    Returns ``(selected, probs)``: the state over the kept qubits (in their
+    Without ``select``, returns the new state over every qubit. With it,
+    returns ``(selected, probs)``: the state over the kept qubits (in their
     original order, so bit k is the k-th lowest kept qubit) and the
-    conditional probability of each selection, in selection order. The
-    amplitudes of ``state`` are used as scratch space.
+    conditional probability of each selection, in selection order.
     """
-    n_qubits = state.n_qubits
+    n_qubits = start.n_qubits
     plan = {} if select is None else _checked_plan(select, n_qubits)
     ops = list(ops)
     last = dict.fromkeys(plan, -1)
@@ -152,12 +133,9 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
     for q in sorted(plan):
         due.setdefault(last[q], []).append(q)
 
-    if isinstance(state, ZeroState):
-        amps, norm = np.ones(1, dtype=np.complex128), 1.0
-        known = dict.fromkeys(range(n_qubits), 0)  # qubit -> value, for qubits outside amps
-    else:
-        amps, norm, known = state.amplitudes, state.norm_factor, {}
-    bit_of = {q: q for q in range(n_qubits) if q not in known}  # qubit -> bit, for qubits in amps
+    amps, norm = np.ones(1, dtype=np.complex128), 1.0
+    known = dict.fromkeys(range(n_qubits), 0)  # qubit -> value, for qubits outside amps
+    bit_of: dict[int, int] = {}  # qubit -> bit, for qubits in amps
     probs: dict[int, float] = {}
 
     def renumber(qubits):
@@ -208,7 +186,10 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
             # a target outside amps has not entered yet and holds 0, because
             # a qubit is dropped only after the last gate that targets it
             entering = [q for q in op.targets if q in known]
-            if kind == "PREP" and len(entering) == len(op.targets):
+            if kind == "PREP":
+                for q in op.targets:
+                    if q in bit_of:
+                        raise ConfigurationError(f"PREP onto qubit {q} after a gate on it: a PREP loads only qubits still in |0>")
                 unit, scale = unit_amplitudes(op.params)
                 enter(op.targets, unit)
                 norm *= scale
@@ -218,7 +199,7 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
                 targets, phases = _fix_known(op.targets, op.params, known)
                 qpos = np.array([bit_of[q] for q in targets], dtype=np.int64)
                 _kernels.apply_diag(amps, qpos, np.exp(1j * phases), *masks(live))
-            elif entering and not live and kind not in ("MCX", "PREP"):
+            elif entering and not live and kind != "MCX":
                 enter(op.targets, gate_matrix_1q(op)[:, 0])  # U|0> in one write
             else:
                 for q in entering:
@@ -230,8 +211,6 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
                     _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
                 elif kind == "GPHASE":
                     amps *= np.exp(1j * op.params[0])
-                elif kind == "PREP":
-                    norm *= _load(amps, [bit_of[q] for q in op.targets], op.params)
                 else:
                     u = gate_matrix_1q(op)
                     if chosen and not cmask:
@@ -247,10 +226,7 @@ def apply_circuit(state: QuantumState | ZeroState, ops, select: dict[int, int] |
     for q in sorted(known.keys() - plan.keys()):
         enter((q,))
     if select is None:
-        if isinstance(state, ZeroState):
-            return QuantumState(n_qubits, amps, norm)
-        state.norm_factor = norm
-        return state
+        return QuantumState(n_qubits, amps, norm)
     return QuantumState(len(bit_of), amps, norm), probs
 
 
@@ -261,34 +237,6 @@ def _checked_plan(select, n_qubits: int) -> dict[int, int]:
         if value not in (0, 1):
             raise ConfigurationError(f"selection value for qubit {qubit} must be 0 or 1, got {value!r}")
     return dict(select)
-
-
-def _load(amps: np.ndarray, bits: list[int], vector) -> float:
-    """Load ``vector`` onto ``bits`` of ``amps``, in place; returns the norm it was scaled from.
-
-    ``bits`` must be all 0 in ``amps``. Each block of amplitudes that share
-    the other bits becomes the unit vector (index bit j on ``bits[j]``)
-    times the block's old amplitude at all-zero ``bits``. Only blocks where
-    that amplitude is nonzero are written: with ``bits`` in |0> the others
-    are zero already, and the probability check bounds what they can hold
-    by ``_PREP_SLACK``. Loading onto a fresh |0...0> state therefore writes
-    the one block where the other bits are 0 and allocates nothing of the
-    state's size.
-    """
-    n, m = amps.size.bit_length() - 1, len(bits)
-    unit, scale = unit_amplitudes(vector)
-    # bit b is axis n - 1 - b of the (2,) * n view; put the other bits' axes
-    # first and the targets' last, bits[m - 1] first as in the unit vector
-    others = [b for b in range(n - 1, -1, -1) if b not in bits]
-    blocks = amps.reshape((2,) * n).transpose([n - 1 - b for b in others + bits[::-1]])
-    rest = blocks[(Ellipsis,) + (0,) * m].reshape(-1).copy()
-    p = float(np.vdot(rest, rest).real)
-    if abs(1.0 - p) > _PREP_SLACK:
-        raise ConfigurationError(f"PREP needs its targets in |0>; they are there with probability {p:.6g}")
-    unit = unit.reshape((2,) * m)
-    for r in np.flatnonzero(rest):
-        np.multiply(unit, rest[r], out=blocks[np.unravel_index(r, (2,) * len(others))])
-    return scale
 
 
 def _product(unit: np.ndarray, targets, amps: np.ndarray, qubits) -> np.ndarray:

@@ -41,11 +41,20 @@ from qlbm.circuits import (
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
-from qlbm.statevector import QuantumState, apply_circuit
+from qlbm.resources import count_resources
+from qlbm.statevector import ZeroState, apply_circuit
+
+from prepared_state import load_ops
 
 # ---------------------------------------------------------------------------
 # dense reference, independent of the module's application paths
 # ---------------------------------------------------------------------------
+
+
+def _ket0(n_qubits: int) -> np.ndarray:
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[0] = 1.0
+    return amps
 
 
 def _dense_op(op: GateOp, n_qubits: int) -> np.ndarray:
@@ -149,14 +158,7 @@ def test_add_section_rejects_qubit_outside_the_layout():
         circ.add_section("body", [GateOp("H", (0,)), GateOp("MCX", (0,), (2,), (1,))])
     assert circ.gates == [] and circ.sections == []
     circ.add_section("body", [GateOp("MCX", (1,), (0,), (1,))])
-    assert circ.section_names() == ["body"]
-
-
-def test_section_runs_cover_every_gate_once_in_order():
-    circ = CircuitIR(RegisterLayout(n_r0=1, n_a=0))
-    circ.gates = [GateOp("H", (0,))] * 6
-    circ.sections = [("a", 1, 3), ("empty", 3, 3), ("b", 2, 5)]
-    assert list(circ.section_runs()) == [("", 0, 1), ("a", 1, 3), ("b", 3, 5), ("", 5, 6)]
+    assert circ.sections == [("body", 0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -371,13 +373,13 @@ def _dense_load(amps, targets, vector):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_prep_load_ladder_and_lowering_agree_with_the_dense_reference(m):
     n, targets, before, prep = _prep_case(m, seed=40 + m)
-    zero = QuantumState.zero(n).amplitudes
+    zero = _ket0(n)
     prepared = apply_ops_numpy(zero, before, n)
     assert np.abs(prepared).max() < 1.0  # a non-target qubit is in superposition
     expected = _dense_load(prepared, targets, prep.params)
-    loaded = apply_circuit(QuantumState.zero(n), before + [prep])
+    loaded = apply_circuit(ZeroState(n), before + [prep])
     ladder = apply_ops_numpy(zero, before + [prep], n)
-    lowered = apply_circuit(QuantumState.zero(n), before + lower_op(prep))
+    lowered = apply_circuit(ZeroState(n), before + lower_op(prep))
     for got in (loaded.amplitudes, ladder, lowered.amplitudes):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert loaded.norm_factor == unit_amplitudes(prep.params)[1]
@@ -385,7 +387,7 @@ def test_prep_load_ladder_and_lowering_agree_with_the_dense_reference(m):
 
 
 def test_prep_on_every_qubit_loads_the_vector_in_target_order():
-    state = apply_circuit(QuantumState.zero(2), [GateOp("PREP", (1, 0), params=(1.0, -2.0, 3.0, 4.0))])
+    state = apply_circuit(ZeroState(2), [GateOp("PREP", (1, 0), params=(1.0, -2.0, 3.0, 4.0))])
     np.testing.assert_allclose(state.amplitudes, np.array([1.0, 3.0, -2.0, 4.0]) / math.sqrt(30.0), rtol=0, atol=1e-15)
     assert state.norm_factor == pytest.approx(math.sqrt(30.0), rel=1e-15)
 
@@ -395,8 +397,8 @@ def test_prep_load_selects_like_the_reference(m):
     n, targets, before, prep = _prep_case(m, seed=60 + m)
     plan = {q: 0 for q in range(n) if q not in targets}
     plan[targets[-1]] = 1
-    selected, probs = apply_circuit(QuantumState.zero(n), before + [prep], select=plan)
-    full = _dense_load(apply_ops_numpy(QuantumState.zero(n).amplitudes, before, n), targets, prep.params)
+    selected, probs = apply_circuit(ZeroState(n), before + [prep], select=plan)
+    full = _dense_load(apply_ops_numpy(_ket0(n), before, n), targets, prep.params)
     keep = [i for i in range(1 << n) if all(((i >> q) & 1) == v for q, v in plan.items())]
     expected = full[keep] / np.linalg.norm(full[keep])
     np.testing.assert_allclose(selected.amplitudes, expected, rtol=0, atol=1e-12)
@@ -406,18 +408,21 @@ def test_prep_load_selects_like_the_reference(m):
 @pytest.mark.parametrize("select", [None, {2: 0}])
 def test_prep_rejects_a_target_that_is_not_zero(select):
     ops = [GateOp("RY", (1,), params=(1e-5,)), GateOp("PREP", (0, 1), params=(1.0, 2.0, 3.0, 4.0))]
-    with pytest.raises(ConfigurationError, match=r"\|0>"):
-        apply_circuit(QuantumState.zero(3), ops, select=select)
+    with pytest.raises(ConfigurationError, match=r"qubit 1 .*\|0>"):
+        apply_circuit(ZeroState(3), ops, select=select)
+    # the rule is structural: gates that return a target to |0> still put it in the array
+    with pytest.raises(ConfigurationError, match=r"qubit 0 .*\|0>"):
+        apply_circuit(ZeroState(3), [GateOp("X", (0,)), GateOp("X", (0,)), ops[1]], select=select)
     # a qubit outside the targets may hold anything
     ops[0] = GateOp("H", (2,))
-    apply_circuit(QuantumState.zero(3), ops, select=select)
+    apply_circuit(ZeroState(3), ops, select=select)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0, 0, 0])])
 def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
     prep = GateOp("PREP", (0, 1), params=bad)
     with pytest.raises(EncodingError):
-        apply_circuit(QuantumState.zero(2), [prep])
+        apply_circuit(ZeroState(2), [prep])
     with pytest.raises(EncodingError):
         lower_op(prep)
 
@@ -639,9 +644,9 @@ def test_iter_lowered_agrees_with_materialized_lowering():
 def test_lowered_sections_keep_order_and_names():
     field = np.full(4, 0.5)
     circ = build_advection_diffusion_circuit(D1Q2, 4, field, (0.0,))
-    assert circ.section_names() == ["encode", "collision", "streaming", "macro"]
+    assert [name for name, _, _ in circ.sections] == ["encode", "collision", "streaming", "macro"]
     low = lower_circuit(circ)
-    assert low.section_names() == ["encode", "collision", "streaming", "macro"]
+    assert [name for name, _, _ in low.sections] == ["encode", "collision", "streaming", "macro"]
 
 
 def _is_basis(op: GateOp) -> bool:
@@ -690,6 +695,24 @@ def _builders_at_extent_four():
 def test_iter_lowered_equals_naive_expansion_for_every_builder(name):
     circ = _builders_at_extent_four()[name]
     assert _exact(iter_lowered(circ)) == _exact(_naive_lowered(circ))
+
+
+@pytest.mark.parametrize("name", ["advection", "vorticity", "stream-function", "stream-function-nb", "single"])
+def test_sections_cover_every_gate_once_and_count_like_the_naive_expansion(name):
+    circ = _builders_at_extent_four()[name]
+    low = lower_circuit(circ)
+    for c in (circ, low):
+        stops = [0] + [stop for _, _, stop in c.sections]
+        assert [start for _, start, _ in c.sections] == stops[:-1]
+        assert stops[-1] == len(c.gates)
+    tally = {}
+    for sec, op in _naive_lowered(circ):
+        if op.targets:  # a global phase touches no qubit and is not counted
+            cnot, single = tally.get(sec, (0, 0))
+            tally[sec] = (cnot + 1, single) if op.controls else (cnot, single + 1)
+    for rep in (count_resources(circ, name), count_resources(low, name)):
+        assert {sec: (t.cnot, t.single_qubit) for sec, t in rep.sections.items()} == tally
+    assert count_resources(low, name).depth == count_resources(circ, name).depth
 
 
 def _mixed_controlled_gates():
@@ -765,7 +788,7 @@ def test_builder_without_encode_drops_only_the_encode_span(name):
     (prep,) = circ.iter_section("encode")
     assert prep.kind == "PREP" and prep.targets == circ.layout.encoded_qubits
     assert all(sec != "encode" and lo >= 1 for sec, lo, _ in circ.sections[1:])
-    body = circ.section_ops(circ.section_names()[1:])
+    body = circ.section_ops([name for name, _, _ in circ.sections[1:]])
     assert body == circ.gates[1:] and all(op.kind != "PREP" for op in body)
 
 
@@ -780,17 +803,17 @@ def test_simulator_runs_lowered_pipeline_like_the_reference(name):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
     body = circ.gates[1:]
-    low_body = lowered.section_ops(lowered.section_names()[1:])
+    low_body = lowered.section_ops([name for name, _, _ in lowered.sections[1:]])
     reference = apply_ops_numpy(amps, body, n)
-    direct = apply_circuit(QuantumState(n, amps.copy()), body).amplitudes
-    low = apply_circuit(QuantumState(n, amps.copy()), low_body).amplitudes
+    load = load_ops(amps)
+    direct = apply_circuit(ZeroState(n), load + body).amplitudes
+    low = apply_circuit(ZeroState(n), load + low_body).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
     np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
     # the whole circuit, PREP first, from |0>
-    zero = QuantumState.zero(n).amplitudes
-    reference = apply_ops_numpy(zero, circ.gates, n)
-    direct = apply_circuit(QuantumState.zero(n), circ.gates).amplitudes
-    low = apply_circuit(QuantumState.zero(n), lowered.gates).amplitudes
+    reference = apply_ops_numpy(_ket0(n), circ.gates, n)
+    direct = apply_circuit(ZeroState(n), circ.gates).amplitudes
+    low = apply_circuit(ZeroState(n), lowered.gates).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
     np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
 

@@ -2,9 +2,10 @@
 reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
 
 MCX is a permutation, so it must match exactly; the others to rounding.
-``apply_circuit`` with a selection plan must agree with the reference run in
-full followed by ``postselect`` in the order the plan was carried out, also
-from a ``ZeroState``, where each qubit enters the array at its first gate.
+``apply_circuit`` runs from a ``ZeroState``, where each qubit enters the
+array at its first gate; a random state is loaded by a PREP and DIAG in
+front of the gates. With a selection plan it must agree with the reference
+run in full followed by ``postselect`` in the order the plan was carried out.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from qlbm import _kernels
 from qlbm.circuits import GATE_KINDS, GateOp, _control_mask_val, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
 from qlbm.errors import ConfigurationError, PostSelectionError
 from qlbm.statevector import QuantumState, ZeroState, apply_circuit, postselect
+
+from prepared_state import load_ops
 
 
 def _random_state(n_qubits, seed):
@@ -175,7 +178,7 @@ def _circuits(draw, max_qubits=6):
 def test_apply_circuit_matches_reference_on_random_gates(circuit, seed):
     n_qubits, ops = circuit
     state = _random_state(n_qubits, seed)
-    out = apply_circuit(QuantumState(n_qubits, state.copy()), ops).amplitudes
+    out = apply_circuit(ZeroState(n_qubits), load_ops(state) + ops).amplitudes
     np.testing.assert_allclose(out, apply_ops_numpy(state, ops, n_qubits), rtol=0, atol=1e-12)
 
 
@@ -185,7 +188,7 @@ def test_apply_circuit_rejects_controlled_global_phase(drawn):
     n_qubits, qubits, value = drawn
     op = GateOp("GPHASE", (), (qubits[0],), (value,), params=(0.4,))
     with pytest.raises(ConfigurationError):
-        apply_circuit(QuantumState.zero(n_qubits), [op])
+        apply_circuit(ZeroState(n_qubits), [op])
 
 
 @st.composite
@@ -214,7 +217,7 @@ def _kept(n_qubits, plan):
 def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
     n_qubits, ops, plan = circuit
     amps = _random_state(n_qubits, seed)
-    out, probs = apply_circuit(QuantumState(n_qubits, amps.copy(), 1.7), ops, select=plan)
+    out, probs = apply_circuit(ZeroState(n_qubits), load_ops(amps, 1.7) + ops, select=plan)
     ref = QuantumState(n_qubits, apply_ops_numpy(amps, ops, n_qubits), 1.7)
     assert sorted(probs) == sorted(plan)
     for q, p in probs.items():
@@ -247,10 +250,15 @@ def _circuits_from_zero(draw):
 @given(_circuits_from_zero())
 def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
     n_qubits, ops, plan = circuit
-    zero = np.zeros(1 << n_qubits, dtype=complex)
-    zero[0] = 1.0
-    _, scale = unit_amplitudes(ops[0].params)
-    full = apply_ops_numpy(zero, ops, n_qubits)
+    # the reference writes the PREP's unit vector in index by index: its
+    # rotation network rounds at 1e-16, which a selection of probability
+    # 1e-13 would amplify past the tolerance (a load of a vector with
+    # entries 1e-8 and 5.3e-7 onto the selected branch does)
+    unit, scale = unit_amplitudes(ops[0].params)
+    loaded = np.zeros(1 << n_qubits, dtype=complex)
+    for sub, value in enumerate(unit):
+        loaded[sum(((sub >> j) & 1) << q for j, q in enumerate(ops[0].targets))] = value
+    full = apply_ops_numpy(loaded, ops[1:], n_qubits)
 
     out = apply_circuit(ZeroState(n_qubits), ops)
     assert out.n_qubits == n_qubits

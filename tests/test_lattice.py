@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qlbm.errors import ConfigurationError
+from qlbm.solver import run_advection_diffusion
+from qlbm.statevector import ZeroState
 from qlbm.lattice import (
     D1Q2,
     D1Q3,
@@ -127,6 +129,28 @@ def test_require_power_of_two_reports_the_name_it_is_given():
         require_power_of_two(4, 12)
     with pytest.raises(ConfigurationError, match=r"^--extent 1 is not a power of two >= 2$"):
         require_power_of_two(1, name="--extent")
+
+
+_INTEGER_INPUTS = {
+    "require_power_of_two": require_power_of_two,
+    "CavitySpec.n": lambda v: CavitySpec(v, 0.8, 2),
+    "CavitySpec.steps": lambda v: CavitySpec(8, 0.8, v),
+    "run_advection_diffusion.steps": lambda v: run_advection_diffusion(D1Q3, np.ones(8), (0.1,), v),
+    "ZeroState": ZeroState,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_INPUTS))
+@pytest.mark.parametrize("value", [8.0, 2.5, "8"])
+def test_non_integer_extents_and_counts_are_rejected(name, value):
+    with pytest.raises(ConfigurationError, match=r"power of two|integer"):
+        _INTEGER_INPUTS[name](value)
+    _INTEGER_INPUTS[name](np.int64(8))  # numpy integers are integers
+
+
+def test_zero_state_rejects_a_negative_qubit_count():
+    with pytest.raises(ConfigurationError, match="n_qubits"):
+        ZeroState(-1)
 
 
 def test_cavity_reynolds_number():

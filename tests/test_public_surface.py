@@ -2,11 +2,16 @@
 
 A name in a module's ``__all__`` must appear in the code of ``src/qlbm``
 (as a name, an attribute or an import), so a mention in a docstring does
-not count and ``__init__.py``'s re-exports are left out.
+not count and ``__init__.py``'s re-exports are left out. The same holds for
+each public method or property of a public class: its name must appear as
+an attribute in that code. Dunders and dataclass-generated methods are
+exempt.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 import qlbm
 
@@ -20,9 +25,33 @@ _ALLOWED = {
 }
 
 
-def test_every_public_name_is_used_by_the_program():
+# public methods and properties kept although no program code calls them, as "Class.name": reason
+_ALLOWED_METHODS = {}
+
+# a method named like one of these types' own is called by that name on
+# arrays and containers all over the program, so a bare attribute match
+# shows nothing: such a method counts as used only where it is called on
+# ``self`` or ``cls`` in its class, or on the class by name
+_AMBIGUOUS = set().union(*(dir(t) for t in (np.ndarray, dict, list, set, tuple, str)))
+
+
+def _program_trees():
     modules = [p for p in Path(qlbm.__file__).parent.glob("*.py") if p.name != "__init__.py"]
-    trees = {p.name: ast.parse(p.read_text()) for p in modules}
+    return {p.name: ast.parse(p.read_text()) for p in modules}
+
+
+def _public_names(trees) -> dict[str, str]:
+    """Each name in a module's ``__all__``, mapped to its module."""
+    public = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.update((name, module) for name in ast.literal_eval(node.value))
+    return public
+
+
+def test_every_public_name_is_used_by_the_program():
+    trees = _program_trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -32,10 +61,35 @@ def test_every_public_name_is_used_by_the_program():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    public = {}
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                public.update((name, module) for name in ast.literal_eval(node.value))
+    public = _public_names(trees)
     unused = {name: module for name, module in public.items() if name not in used and name not in _ALLOWED}
     assert unused == {}
+
+
+def test_every_public_method_is_used_by_the_program():
+    trees = _program_trees()
+    public = _public_names(trees)
+    classes = [node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)]
+    attrs = set()  # every attribute name the program reads
+    typed = set()  # (class, attribute) read on self / cls in the class, or on the class by name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    typed.add((node.value.id, node.attr))
+    for cls in classes:
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("self", "cls"):
+                typed.add((cls.name, node.attr))
+    unused = set()
+    for cls in classes:
+        if cls.name not in public:
+            continue
+        for item in cls.body:
+            if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                continue
+            used = (cls.name, item.name) in typed if item.name in _AMBIGUOUS else item.name in attrs
+            if not used and f"{cls.name}.{item.name}" not in _ALLOWED_METHODS:
+                unused.add(f"{cls.name}.{item.name}")
+    assert unused == set()

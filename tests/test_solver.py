@@ -13,6 +13,7 @@ from qlbm import _kernels
 from qlbm.circuits import (
     GateOp,
     RegisterLayout,
+    apply_ops_numpy,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
     build_stream_function_circuit,
@@ -43,7 +44,7 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from qlbm.statevector import QuantumState, apply_circuit, postselect_many
+from qlbm.statevector import QuantumState, postselect_many
 
 
 _DATA = Path(__file__).parent / "data"
@@ -150,6 +151,41 @@ def test_sampling_backend_approximates_statevector():
         D1Q2, field0, (0.1,), 2, backend="sampling", shots=1 << 16, seed=5
     )
     assert relative_error(sampled.final, exact.final).max() < 0.05
+
+
+def test_sampling_backend_records_the_measured_share_in_the_site_sector(monkeypatch):
+    hists = []
+
+    def spy(*args, _sample=qlbm.solver.sample, **kwargs):
+        hists.append(_sample(*args, **kwargs))
+        return hists[-1]
+
+    monkeypatch.setattr(qlbm.solver, "sample", spy)
+    shots = 1 << 12
+    result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, 0.1), 3, backend="sampling", shots=shots, seed=4)
+    layout = RegisterLayout.for_scheme(D2Q5, 4)
+    n_sites, plan = layout.n_sites, qlbm.solver._selection_plan(layout)
+    assert len(hists) == len(result.records) == 3
+    for record, hist in zip(result.records, hists):
+        assert list(record.select_probs) == sorted(plan)
+        share = hist.counts[:n_sites].sum() / shots
+        assert 0 < share < 1
+        assert abs(record.success_prob - share) <= 1e-12
+    assert abs(result.success_prob - math.prod(h.counts[:n_sites].sum() / shots for h in hists)) <= 1e-12
+
+
+def test_sampling_backend_selection_agrees_with_the_statevector_backend():
+    field0 = _impulse_field(D2Q5, 8)
+    exact = run_advection_diffusion(D2Q5, field0, (0.1, 0.1), 1).success_prob
+    shots = 1 << 20
+    sampled = run_advection_diffusion(D2Q5, field0, (0.1, 0.1), 1, backend="sampling", shots=shots, seed=6).success_prob
+    assert abs(sampled - exact) <= 5 * math.sqrt(exact * (1 - exact) / shots)
+
+
+def test_measured_selection_of_a_histogram_with_no_match_reads_zero():
+    counts = np.array([0, 5, 0, 3])  # qubit 0 always 1
+    assert qlbm.solver._measured_selection(counts, {0: 0, 1: 1}) == {0: 0.0, 1: 0.0}
+    assert qlbm.solver._measured_selection(counts, {0: 1, 1: 1}) == {0: 1.0, 1: 3 / 8}
 
 
 def test_sampling_backend_is_seed_deterministic():
@@ -489,7 +525,7 @@ def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
     unit, scale = unit_amplitudes(vec)
     amps = np.zeros(1 << layout.qubit_count, dtype=complex)
     amps[: unit.size] = unit
-    full = apply_circuit(QuantumState(layout.qubit_count, amps, scale), ops[1:])
+    full = QuantumState(layout.qubit_count, apply_ops_numpy(amps, ops[1:], layout.qubit_count), scale)
     full, probs = postselect_many(full, plan)
     base = sum(v << q for q, v in plan.items())
     sites = QuantumState(state.n_qubits, full.amplitudes[base : base + layout.n_sites], full.norm_factor)

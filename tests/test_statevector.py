@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlbm.circuits import GateOp
+from qlbm.circuits import GateOp, apply_ops_numpy
 from qlbm.errors import ConfigurationError, PostSelectionError
 from qlbm.statevector import (
     MAX_SHOTS,
     QuantumState,
     SampleHistogram,
+    ZeroState,
     apply_circuit,
     fidelity_from_histogram,
     postselect,
     postselect_many,
     sample,
 )
+
+from prepared_state import load_ops
+
+
+def _basis_zero(n_qubits):
+    amps = np.zeros(1 << n_qubits)
+    amps[0] = 1.0
+    return QuantumState(n_qubits, amps)
 
 
 def _random_state(n_qubits, seed):
@@ -34,13 +43,13 @@ def _random_state(n_qubits, seed):
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8).filter(lambda v: any(x != 0.0 for x in v)))
 def test_encode_decode_round_trip(values):
     vector = np.pad(values, (0, 8 - len(values)))
-    state = apply_circuit(QuantumState.zero(3), [GateOp("PREP", (0, 1, 2), params=vector)])
+    state = apply_circuit(ZeroState(3), [GateOp("PREP", (0, 1, 2), params=vector)])
     decoded = state.amplitudes[: len(values)].real * state.norm_factor
     np.testing.assert_allclose(decoded, values, atol=1e-12)
 
 
 def test_zero_state_is_basis_zero():
-    state = QuantumState.zero(3)
+    state = apply_circuit(ZeroState(3), [])
     assert state.amplitudes[0] == 1.0
     assert np.all(state.amplitudes[1:] == 0.0)
 
@@ -64,7 +73,7 @@ def test_postselect_keeps_decoded_magnitudes():
     state = _random_state(4, 21)
     state.norm_factor = 2.5
     before = state.amplitudes.copy() * state.norm_factor
-    after, p = postselect(state.copy(), 2, 1)
+    after, p = postselect(state, 2, 1)
     idx = np.arange(16)
     survivors = ((idx >> 2) & 1) == 1
     np.testing.assert_allclose(
@@ -74,53 +83,48 @@ def test_postselect_keeps_decoded_magnitudes():
 
 
 def test_postselect_rejects_impossible_branch():
-    state = QuantumState.zero(2)
     with pytest.raises(PostSelectionError, match="probability"):
-        postselect(state, 0, 1)
+        postselect(_basis_zero(2), 0, 1)
 
 
 @pytest.mark.parametrize("qubit", [-1, 2, 5])
 def test_postselect_rejects_qubit_outside_state(qubit):
     with pytest.raises(ConfigurationError, match="outside"):
-        postselect(QuantumState.zero(2), qubit, 0)
+        postselect(_basis_zero(2), qubit, 0)
 
 
 def test_postselect_many_composes():
     state = _random_state(4, 3)
-    joint, probs = postselect_many(state.copy(), {0: 1, 3: 0})
-    serial = state.copy()
-    serial, p0 = postselect(serial, 0, 1)
+    joint, probs = postselect_many(state, {0: 1, 3: 0})
+    serial, p0 = postselect(state, 0, 1)
     serial, p3 = postselect(serial, 3, 0)
     np.testing.assert_allclose(joint.amplitudes, serial.amplitudes, atol=1e-14)
     assert probs == {0: p0, 3: p3}
 
 
 def test_apply_circuit_hadamard_chain():
-    state = QuantumState.zero(2)
-    apply_circuit(state, [GateOp("H", (0,)), GateOp("H", (1,))])
+    state = apply_circuit(ZeroState(2), [GateOp("H", (0,)), GateOp("H", (1,))])
     np.testing.assert_allclose(state.amplitudes, np.full(4, 0.5), atol=1e-15)
 
 
 def test_apply_circuit_respects_control_polarity():
     # X on qubit 1 controlled on qubit 0 being 0: |00> -> |10>.
-    state = QuantumState.zero(2)
-    apply_circuit(state, [GateOp("X", (1,), controls=(0,), control_values=(0,))])
+    state = apply_circuit(ZeroState(2), [GateOp("X", (1,), controls=(0,), control_values=(0,))])
     np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
 
 def test_apply_circuit_global_phase():
-    state = _random_state(3, 5)
-    expected = state.amplitudes * np.exp(0.25j)
-    apply_circuit(state, [GateOp("GPHASE", (), params=(0.25,))])
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+    amps = _random_state(3, 5).amplitudes
+    op = GateOp("GPHASE", (), params=(0.25,))
+    state = apply_circuit(ZeroState(3), load_ops(amps) + [op])
+    np.testing.assert_allclose(state.amplitudes, apply_ops_numpy(amps, [op], 3), atol=1e-15)
 
 
 def test_selecting_apply_drops_an_h_layer_into_a_block_sum():
     # H on every qubit, then qubits 1 and 2 selected to 0: each fused H and
     # selection halves the state, leaving qubit 0 in |+> with p = 1/2 twice
-    state = QuantumState.zero(3)
     ops = [GateOp("H", (q,)) for q in range(3)]
-    out, probs = apply_circuit(state, ops, select={2: 0, 1: 0})
+    out, probs = apply_circuit(ZeroState(3), ops, select={2: 0, 1: 0})
     assert out.n_qubits == 1
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
     assert list(probs) == [1, 2]  # selection order: qubit 1's last gate comes first
@@ -129,12 +133,10 @@ def test_selecting_apply_drops_an_h_layer_into_a_block_sum():
 
 
 def test_selecting_apply_follows_the_selected_value_of_a_dropped_control():
-    # qubit 1 is never targeted, so it is selected at load; the X controlled
-    # on it being 1 is skipped, the one controlled on it being 0 runs
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 1.0
+    # qubit 1 is never targeted, so it is selected at the start; the X
+    # controlled on it being 1 is skipped, the one controlled on it being 0 runs
     ops = [GateOp("X", (0,), (1,), (1,)), GateOp("RY", (0,), (1,), (0,), params=(np.pi / 2,))]
-    out, probs = apply_circuit(QuantumState(2, amps), ops, select={1: 0})
+    out, probs = apply_circuit(ZeroState(2), ops, select={1: 0})
     assert probs == {1: 1.0}
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
 
@@ -145,20 +147,20 @@ def test_selecting_apply_raises_at_a_selection_mid_circuit(kind):
     # selection, MCX is applied by its kernel first); gates follow it
     ops = [GateOp(kind, (1,)), GateOp("H", (0,), (1,), (0,)), GateOp("H", (0,))]
     with pytest.raises(PostSelectionError, match="qubit 1 = 0"):
-        apply_circuit(QuantumState.zero(2), ops, select={1: 0})
+        apply_circuit(ZeroState(2), ops, select={1: 0})
 
 
 @pytest.mark.parametrize("op", [GateOp("H", (3,)), GateOp("H", (0,), (5,), (1,))], ids=["target", "control"])
 @pytest.mark.parametrize("plan", [None, {0: 0}])
 def test_apply_rejects_a_gate_outside_the_state(op, plan):
     with pytest.raises(ConfigurationError, match="outside a 2-qubit state"):
-        apply_circuit(QuantumState.zero(2), [op], select=plan)
+        apply_circuit(ZeroState(2), [op], select=plan)
 
 
 @pytest.mark.parametrize("plan", [{2: 0}, {-1: 0}, {0: 2}, {1: -1}])
 def test_selecting_apply_rejects_a_bad_plan(plan):
     with pytest.raises(ConfigurationError, match="select"):
-        apply_circuit(QuantumState.zero(2), [GateOp("H", (0,))], select=plan)
+        apply_circuit(ZeroState(2), [GateOp("H", (0,))], select=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +180,21 @@ def test_sampling_is_deterministic_per_seed():
 
 def test_sample_rejects_nonpositive_shots():
     with pytest.raises(ConfigurationError, match="shots"):
-        sample(QuantumState.zero(2), 0, seed=1)
+        sample(_basis_zero(2), 0, seed=1)
 
 
 def test_sample_takes_up_to_the_largest_multinomial_count():
-    hist = sample(QuantumState.zero(1), MAX_SHOTS, seed=1)
+    hist = sample(_basis_zero(1), MAX_SHOTS, seed=1)
     assert hist.counts.tolist() == [MAX_SHOTS, 0]
     with pytest.raises(ConfigurationError, match="shots"):
-        sample(QuantumState.zero(1), MAX_SHOTS + 1, seed=1)
+        sample(_basis_zero(1), MAX_SHOTS + 1, seed=1)
 
 
 def test_fidelity_from_exact_histogram_is_one():
     # Counts exactly proportional to probabilities reconstruct the state
     # (nonnegative real amplitudes), so fidelity is 1.
     values = np.array([1.0, 2.0, 2.0, 4.0])
-    state = apply_circuit(QuantumState.zero(2), [GateOp("PREP", (0, 1), params=values)])
+    state = apply_circuit(ZeroState(2), [GateOp("PREP", (0, 1), params=values)])
     counts = (state.probabilities() * 100).round().astype(np.int64)
     hist = SampleHistogram(2, int(counts.sum()), counts)
     assert fidelity_from_histogram(state, hist) == pytest.approx(1.0, abs=1e-12)
