@@ -62,8 +62,10 @@ from .solver import (
 from .statevector import (
     QuantumState,
     SampleHistogram,
+    ZeroState,
     apply_circuit,
     fidelity_from_histogram,
+    plan_circuit,
     postselect,
     sample,
 )

@@ -8,11 +8,11 @@ kernel writes through those views, in place, without index arrays (the
 bit-axis layout of standard statevector simulators, Häner & Steiger,
 arXiv:1704.01127).
 
-Control conditions arrive as a bit mask plus expected value, so any mix of
-0/1-polarity controls is one argument pair.
+The indices depend only on the gate's bits, so they are built once, when a
+circuit is planned (:func:`halves`, :func:`diag_layout`), and each kernel
+call takes the view shape and indices ready-made. Controls arrive as
+(bit, value) pairs, so any mix of 0/1-polarity controls is one argument.
 """
-
-import numpy as np
 
 
 def active_backend() -> str:
@@ -20,55 +20,65 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _controlled(amps, c_mask, c_val):
-    """(2,)*n view of ``amps`` and the per-axis index fixing every control."""
-    n = amps.size.bit_length() - 1
-    idx = [(c_val >> q) & 1 if (c_mask >> q) & 1 else slice(None) for q in range(n - 1, -1, -1)]
-    return amps.reshape((2,) * n), idx
+def _controlled(n, controls):
+    """Per-axis index of the (2,)*n view fixing every control, given as (bit, value) pairs."""
+    idx = [slice(None)] * n
+    for bit, value in controls:
+        idx[n - 1 - bit] = value
+    return idx
 
 
-def _halves(amps, t_mask, c_mask, c_val):
-    """Writable views of the controlled target=0 and target=1 amplitudes.
+def halves(n, target, controls):
+    """Indices of the controlled target=0 and target=1 halves of the (2,)*n view.
 
-    The trailing Ellipsis keeps the result a view even when the target and
-    controls fix every axis (plain integer indexing would return a scalar).
+    ``target`` is the target's bit. The trailing Ellipsis keeps the result
+    a view even when the target and controls fix every axis (plain integer
+    indexing would return a scalar).
     """
-    view, idx = _controlled(amps, c_mask, c_val)
-    axis = len(idx) - t_mask.bit_length()
-    idx[axis] = 0
-    v0 = view[(*idx, ...)]
-    idx[axis] = 1
-    return v0, view[(*idx, ...)]
+    idx = _controlled(n, controls)
+    idx[n - 1 - target] = 0
+    i0 = (*idx, ...)
+    idx[n - 1 - target] = 1
+    return i0, (*idx, ...)
 
 
-def apply_1q(amps, t_mask, c_mask, c_val, u00, u01, u10, u11):
-    v0, v1 = _halves(amps, t_mask, c_mask, c_val)
+def diag_layout(n, qpos, controls):
+    """Index of the controlled view, and the axis order and shape that fit a diagonal's phases to it.
+
+    Phase k of the diagonal belongs where bit b of k is bit ``qpos[b]`` of
+    the amplitude index. Axis j of ``phases.reshape((2,) * m)`` carries bit
+    ``qpos[m - 1 - j]``; ``order`` sorts the axes by descending bit like the
+    view, and ``shape`` gives every other free bit a broadcast axis of length 1.
+    """
+    idx = _controlled(n, controls)
+    m = len(qpos)
+    order = tuple(sorted(range(m), key=lambda j: qpos[m - 1 - j], reverse=True))
+    free = [n - 1 - a for a, i in enumerate(idx) if isinstance(i, slice)]
+    return (*idx, ...), order, tuple(2 if q in qpos else 1 for q in free)
+
+
+def apply_1q(amps, shape, i0, i1, u00, u01, u10, u11):
+    view = amps.reshape(shape)
+    v0, v1 = view[i0], view[i1]
     a0 = v0.copy()
     v0[...] = u00 * a0 + u01 * v1
     v1[...] = u10 * a0 + u11 * v1
 
 
-def apply_mcx(amps, t_mask, c_mask, c_val):
-    v0, v1 = _halves(amps, t_mask, c_mask, c_val)
+def apply_mcx(amps, shape, i0, i1):
+    view = amps.reshape(shape)
+    v0, v1 = view[i0], view[i1]
     a0 = v0.copy()
     v0[...] = v1
     v1[...] = a0
 
 
-def apply_phase(amps, t_mask, c_mask, c_val, phase):
-    _, v1 = _halves(amps, t_mask, c_mask, c_val)
+def apply_phase(amps, shape, i1, phase):
+    v1 = amps.reshape(shape)[i1]
     v1 *= phase
 
 
-def apply_diag(amps, qpos, phases, c_mask, c_val):
-    """Multiply amplitude i by phases[k], where bit b of k is bit qpos[b] of i."""
-    view, idx = _controlled(amps, c_mask, c_val)
-    sub = view[(*idx, ...)]
-    qpos = [int(q) for q in qpos]
-    m = len(qpos)
-    # axis j of phases.reshape((2,)*m) carries qubit qpos[m-1-j]; order the
-    # axes by descending qubit like the view, then give every other free
-    # qubit a broadcast axis of length 1
-    order = sorted(range(m), key=lambda j: qpos[m - 1 - j], reverse=True)
-    free = [len(idx) - 1 - a for a, i in enumerate(idx) if isinstance(i, slice)]
-    sub *= phases.reshape((2,) * m).transpose(order).reshape([2 if q in qpos else 1 for q in free])
+def apply_diag(amps, shape, index, phasor):
+    """Multiply the controlled view by ``phasor``, shaped by :func:`diag_layout` to broadcast over it."""
+    sub = amps.reshape(shape)[index]
+    sub *= phasor

@@ -82,10 +82,11 @@ class GateOp:
     order. DIAG carries one phase per basis state of its targets (targets[0]
     least significant). PREP loads a real vector onto targets that are all
     |0>, normalized by :func:`unit_amplitudes`; its parameter is that vector,
-    one entry per basis state of the targets. DIAG and PREP hold theirs as a
-    read-only float64 array: one that is already read-only and owns its
-    memory, such as :func:`encoding_vector` returns, cannot change under the
-    gate and is kept as it is; anything else, a tuple included, is copied.
+    one entry per basis state of the targets. Every parameter but a PREP's
+    must be finite. DIAG and PREP hold theirs as a read-only float64 array:
+    one that is already read-only and owns its memory, such as
+    :func:`encoding_vector` returns, cannot change under the gate and is kept
+    as it is; anything else, a tuple included, is copied.
     """
 
     kind: str
@@ -119,6 +120,13 @@ class GateOp:
                 f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
                 f"got {len(targets)} and {len(self.params)}"
             )
+        # a PREP's vector is checked where it is loaded, by unit_amplitudes, as an EncodingError
+        if kind == "DIAG":
+            finite = np.isfinite(self.params).all()
+        else:
+            finite = kind == "PREP" or all(map(math.isfinite, self.params))
+        if not finite:
+            raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
         if len(controls) != len(self.control_values):
             raise ConfigurationError("controls and control_values must pair up")
         if not _BITS.issuperset(self.control_values):

@@ -37,7 +37,7 @@ from .solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from .statevector import MAX_SHOTS
+from .statevector import MAX_SHOTS, require_shots
 
 __all__ = ["main"]
 
@@ -233,8 +233,7 @@ def _cmd_advdiff(cfg: dict) -> int:
         raise ConfigurationError(
             f"velocity {cfg['velocity']} does not match dimension {scheme.dimension}"
         )
-    if not 1 <= cfg["shots"] <= MAX_SHOTS:
-        raise ConfigurationError(f"--shots must lie in [1, 2**63 - 1], got {cfg['shots']}")
+    require_shots(cfg["shots"], "--shots")
     field0 = _initial_field(scheme, cfg)
     result = run_advection_diffusion(
         scheme, field0, cfg["velocity"], cfg["steps"],

@@ -18,7 +18,13 @@ Each job runs a fresh PREP of its fields in front of the built gates; a
 vorticity job also builds its collision afresh, the one other section that
 depends on the fields (through the velocity). Every other gate
 (source-fold, the stream-function collision, streaming, macro, boundary)
-runs as built. A job whose inputs are all exactly zero (``np.any`` is
+runs as built. The gate structure is therefore fixed for a run, so each
+run also plans each kind of job once with
+:func:`~qlbm.statevector.plan_circuit` (advection one plan, the frugal
+cavity one per circuit, the single cavity one per sector pass), from the
+circuits built at rest, and every job replays its plan with
+:func:`~qlbm.statevector.apply_circuit`. The plans belong to the run and
+go with it. A job whose inputs are all exactly zero (``np.any`` is
 false) is idle: it runs nothing and records ``zero_input``. Magnitude plays
 no part, as the PREP scales by the peak. The sampling backend of
 :func:`run_advection_diffusion` runs the same gates without selecting,
@@ -34,6 +40,7 @@ counts that as ``concurrent_depth``, and the simulator runs them in turn.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -61,10 +68,13 @@ from .lattice import (
     velocity_from_stream_function,
 )
 from .statevector import (
+    CircuitPlan,
     QuantumState,
     ZeroState,
     apply_circuit,
     fidelity_from_histogram,
+    plan_circuit,
+    require_shots,
     sample,
 )
 
@@ -164,24 +174,25 @@ def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = 
     return state.amplitudes[: layout.n_sites].real * state.norm_factor * _decode_factor(layout, folded)
 
 
-def _selection_plan(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
-    plan = {q: 0 for q in layout.a + layout.d + layout.b}
+def _selection(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
+    """Qubit -> value of every register but the sites: ancilla, links and wall flag 0, source flag ``s_value``."""
+    select = {q: 0 for q in layout.a + layout.d + layout.b}
     if layout.n_s:
-        plan[layout.s[0]] = s_value
-    return plan
+        select[layout.s[0]] = s_value
+    return select
 
 
-def _measured_selection(counts: np.ndarray, plan: dict[int, int]) -> dict[int, float]:
-    """Measured ``select_probs`` of a histogram's ``counts``, per planned qubit in sorted order.
+def _measured_selection(counts: np.ndarray, select: dict[int, int]) -> dict[int, float]:
+    """Measured ``select_probs`` of a histogram's ``counts``, per selected qubit in sorted order.
 
-    Each is the share of the shots matching every earlier planned value that
+    Each is the share of the shots matching every earlier selected value that
     also hold the qubit's own (0.0 when none matched), so their product is
-    the share of all shots that hold every planned value.
+    the share of all shots that hold every selected value.
     """
     probs, matched = {}, int(counts.sum())
-    for dropped, q in enumerate(sorted(plan)):
+    for dropped, q in enumerate(sorted(select)):
         # each earlier qubit lies below q and is gone, so q sits at bit q - dropped
-        counts = counts.reshape(-1, 2, 1 << (q - dropped))[:, plan[q], :]
+        counts = counts.reshape(-1, 2, 1 << (q - dropped))[:, select[q], :]
         kept = int(counts.sum())
         probs[q] = kept / matched if matched else 0.0
         matched = kept
@@ -193,12 +204,17 @@ def _prep(layout: RegisterLayout, scheme: LatticeScheme, field, source=None) -> 
     return GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field, source=source))
 
 
-def _run_job(ops, layout: RegisterLayout, step: int, job: str, s_value: int = 0) -> tuple[QuantumState, StepRecord]:
-    """Apply ``ops``, a PREP first, to |0> and select every register but the sites as they finish.
+def _job_plan(ops, layout: RegisterLayout, s_value: int = 0) -> CircuitPlan:
+    """Plan of a job running ``ops`` from |0> that selects every register but the sites as they finish."""
+    return plan_circuit(ZeroState(layout.qubit_count), ops, _selection(layout, s_value))
 
-    The returned state holds the ``layout.n_sites`` site amplitudes only.
+
+def _run_job(plan: CircuitPlan, ops, step: int, job: str) -> tuple[QuantumState, StepRecord]:
+    """Replay ``plan``, a :func:`_job_plan`, on ``ops``, a PREP first.
+
+    The returned state holds the site amplitudes only.
     """
-    state, probs = apply_circuit(ZeroState(layout.qubit_count), ops, select=_selection_plan(layout, s_value))
+    state, probs = apply_circuit(plan, ops)
     return state, StepRecord(step, job, probs, state.norm_factor)
 
 
@@ -233,11 +249,17 @@ def run_advection_diffusion(
     extent = field.shape[0]
     if field.shape != (extent,) * scheme.dimension:
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
-    if backend == "sampling" and np.any(field < 0):
-        raise EncodingError("the sampling backend cannot recover negative field values")
+    if backend == "sampling":
+        require_shots(shots)
+        if np.any(field < 0):
+            raise EncodingError("the sampling backend cannot recover negative field values")
     circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
     layout = circ.layout
     body = circ.gates[1:]  # every section after the encode PREP
+    if backend == "statevector":
+        plan = _job_plan(circ.gates, layout)
+    else:
+        plan = plan_circuit(ZeroState(layout.qubit_count), circ.gates)
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
@@ -247,13 +269,13 @@ def run_advection_diffusion(
             continue
         ops = [_prep(layout, scheme, field), *body]
         if backend == "statevector":
-            state, record = _run_job(ops, layout, step, "advection")
+            state, record = _run_job(plan, ops, step, "advection")
             flat = decode_field(state, layout)
         else:
-            state = apply_circuit(ZeroState(layout.qubit_count), ops)
+            state = apply_circuit(plan, ops)
             hist = sample(state, shots, seed + 7919 * step)
             flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
-            record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection_plan(layout)), state.norm_factor)
+            record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection(layout)), state.norm_factor)
         field = flat.reshape(field.shape)
         if not np.all(np.isfinite(field)):
             raise SimulationError("advection run diverged", step=step)
@@ -274,18 +296,18 @@ _SINGLE_SF_TAIL = ["source-fold", "collision-stream-function", "streaming-stream
 _SINGLE_W_TAIL = ["streaming-vorticity", "macro", "boundary"]
 
 
-def _sf_job(circ, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
+def _sf_job(circ, plan, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
     """Stream-function update on the built frugal circuit: a fresh PREP, then every built gate after its own."""
     extent = psi.shape[0]
     if not (np.any(psi) or np.any(scaled_source)):
         return np.zeros((extent, extent)), _idle(step, "stream-function")
     layout = circ.layout
     ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.gates[1:]]
-    state, record = _run_job(ops, layout, step, "stream-function")
+    state, record = _run_job(plan, ops, step, "stream-function")
     return decode_field(state, layout, folded=True).reshape(extent, extent), record
 
 
-def _vorticity_job(circ, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
+def _vorticity_job(circ, plan, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
     """Vorticity update on the built frugal circuit: a fresh PREP and collision, then the built tail."""
     extent = omega.shape[0]
     if not np.any(omega):
@@ -296,11 +318,18 @@ def _vorticity_job(circ, omega, velocity_fields, step) -> tuple[np.ndarray, Step
         *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
         *circ.section_ops(_FRUGAL_W_TAIL),
     ]
-    state, record = _run_job(ops, layout, step, "vorticity")
+    state, record = _run_job(plan, ops, step, "vorticity")
     return decode_field(state, layout).reshape(extent, extent), record
 
 
-def _single_step(circ, psi, omega, scaled_source, velocity_fields, step):
+def _single_plans(circ) -> tuple[CircuitPlan, CircuitPlan]:
+    """Plans of the two sector passes of the built combined gate list, each with its own PREP in front."""
+    sf_ops = circ.section_ops(["encode", *_SINGLE_SF_TAIL])
+    w_ops = circ.section_ops(["encode", "collision-vorticity", *_SINGLE_W_TAIL])
+    return _job_plan(sf_ops, circ.layout), _job_plan(w_ops, circ.layout, s_value=1)
+
+
+def _single_step(circ, plans, psi, omega, scaled_source, velocity_fields, step):
     """Both cavity updates on the built combined gate list, one sector pass each."""
     extent = psi.shape[0]
     psi_new, omega_new = np.zeros((extent, extent)), np.zeros((extent, extent))
@@ -308,7 +337,7 @@ def _single_step(circ, psi, omega, scaled_source, velocity_fields, step):
     layout = circ.layout
     if np.any(psi) or np.any(scaled_source):
         ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.section_ops(_SINGLE_SF_TAIL)]
-        state, records[0] = _run_job(ops, layout, step, "stream-function")
+        state, records[0] = _run_job(plans[0], ops, step, "stream-function")
         psi_new = decode_field(state, layout, folded=True).reshape(extent, extent)
     if np.any(omega):
         ops = [
@@ -316,7 +345,7 @@ def _single_step(circ, psi, omega, scaled_source, velocity_fields, step):
             *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
             *circ.section_ops(_SINGLE_W_TAIL),
         ]
-        state, records[1] = _run_job(ops, layout, step, "vorticity", s_value=1)
+        state, records[1] = _run_job(plans[1], ops, step, "vorticity")
         omega_new = decode_field(state, layout).reshape(extent, extent)
     return psi_new, omega_new, records
 
@@ -326,8 +355,10 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
 
     The frugal variant runs two separate circuits per step, one after the
     other; the single variant executes sector passes of the combined gate
-    list. Either is built once, from the fields at rest. Both decode, then
-    impose the wall values classically.
+    list. Either is built once, from the fields at rest, and each circuit or
+    sector pass is planned once from it: the rest collision has the
+    structure of every step's. Both decode, then impose the wall values
+    classically.
     """
     if variant not in ("frugal", "single"):
         raise ConfigurationError(f"unknown cavity variant {variant!r}")
@@ -340,19 +371,21 @@ def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: s
     if variant == "frugal":
         sf_circ = build_stream_function_circuit(D2Q5, n, psi, omega)
         w_circ = build_vorticity_circuit(D2Q5, n, omega, rest)
+        sf_plan, w_plan = _job_plan(sf_circ.gates, sf_circ.layout), _job_plan(w_circ.gates, w_circ.layout)
     else:
         circ = build_single_cavity_circuit(D2Q5, n, psi, omega, omega, rest)
+        plans = _single_plans(circ)
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
         u, v = velocity_from_stream_function(psi, spec.delta)
         vel = np.stack([u, v])
         if variant == "frugal":
-            psi_new, rec_sf = _sf_job(sf_circ, psi, scale * omega, step)
-            omega_new, rec_w = _vorticity_job(w_circ, omega, vel, step)
+            psi_new, rec_sf = _sf_job(sf_circ, sf_plan, psi, scale * omega, step)
+            omega_new, rec_w = _vorticity_job(w_circ, w_plan, omega, vel, step)
             records += [rec_sf, rec_w]
         else:
-            psi_new, omega_new, recs = _single_step(circ, psi, omega, scale * omega, vel, step)
+            psi_new, omega_new, recs = _single_step(circ, plans, psi, omega, scale * omega, vel, step)
             records += recs
         psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
@@ -389,14 +422,16 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     for _ in range(steps - 1):
         field = step_advection_diffusion(D1Q3, field, velocity)
     circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity)
-    state, _ = _run_job(circ.gates, circ.layout, steps, "advection")
+    state, _ = _run_job(_job_plan(circ.gates, circ.layout), circ.gates, steps, "advection")
     return state
 
 
 def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | None = None) -> FidelityResult:
     """Mean reconstruction infidelity per shot count, with a log-log slope fit."""
-    if trials < 1:
-        raise ConfigurationError("need at least one trial")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ConfigurationError(f"need at least one trial, got {trials!r}")
+    for shots in shots_list:
+        require_shots(shots, "each shot count")
     if len(set(shots_list)) < 2:
         raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {list(shots_list)}")
     state = state or reference_sweep_state()

@@ -7,22 +7,31 @@ invariant under where in the pipeline the selection happens.
 
 Every circuit starts from |0...0>, a :class:`ZeroState`, and its amplitudes
 enter one way: a ``PREP`` gate writes its unit vector onto qubits that are
-still outside the amplitude array. Gate application dispatches to the
-strided-view kernels in :mod:`qlbm._kernels`. A qubit is in the array only
-between its first gate and its last, so :func:`apply_circuit` allocates
-nothing of the state's size: each qubit enters the array at the first gate
-that needs it there. Given a selection plan, it selects each planned qubit
-in the same gate loop, right after the last gate that targets it, and drops
-it from the state, so every later gate runs on half as many amplitudes. An
-uncontrolled single-qubit gate on an entering qubit is one write of the two
-new halves, and one followed by a selection is one contraction (gate
-fusion, Häner & Steiger, arXiv:1704.01127).
+still outside the amplitude array. A qubit is in the array only between its
+first gate and its last, so a run allocates nothing of the state's size:
+each qubit enters the array at the first gate that needs it there. Given a
+selection, each selected qubit is projected right after the last gate that
+targets it and dropped from the state, so every later gate runs on half as
+many amplitudes. An uncontrolled single-qubit gate on an entering qubit is
+one write of the two new halves, and one followed by a selection is one
+contraction (gate fusion, Häner & Steiger, arXiv:1704.01127).
+
+Which qubits are in the array at each gate, and at which bits, follows from
+the gate structure and the selection alone. So a circuit runs in two parts:
+:func:`plan_circuit` walks the gates once and resolves all of it into a
+:class:`CircuitPlan`, a flat tuple of steps with the view indices of the
+strided-view kernels in :mod:`qlbm._kernels` and the phasors of the gates'
+parameters; :func:`apply_circuit` replays the plan on gates of the same
+structure, loading each PREP's vector and recomputing the phasors only of
+gates whose parameters changed. A solver plans each kind of job once per
+run and replays the plan per job.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -36,10 +45,13 @@ __all__ = [
     "MAX_SHOTS",
     "QuantumState",
     "ZeroState",
+    "CircuitPlan",
     "SampleHistogram",
+    "plan_circuit",
     "apply_circuit",
     "postselect",
     "postselect_many",
+    "require_shots",
     "sample",
     "fidelity_from_histogram",
 ]
@@ -81,48 +93,68 @@ class ZeroState:
         require_count(self.n_qubits, "n_qubits")
 
 
-def apply_circuit(start: ZeroState, ops, select: dict[int, int] | None = None):
-    """Run a gate sequence from |0...0>; with ``select``, post-select while the gates run.
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """The gate loop of one circuit structure and selection, resolved by :func:`plan_circuit`.
 
-    A PREP writes its vector, normalized by
-    :func:`~qlbm.circuits.unit_amplitudes`, onto its targets and multiplies
-    the norm factor by the norm it was scaled from. Its targets must still
-    be outside the amplitude array, so in |0>: a PREP onto a qubit that an
-    earlier gate made enter raises :class:`ConfigurationError`.
+    ``structure`` holds ``(kind, targets, controls, control_values)`` of each
+    gate the plan was made from; :func:`apply_circuit` replays ``steps`` on
+    gates of that structure. Each step is ``(tag, gate index, args)`` with
+    every decision of the loop taken: where qubits enter and leave the
+    amplitude array, which gates are skipped, each kernel's view shape and
+    indices, and the matrix of each single-qubit gate as planned. Each DIAG
+    step keeps the phasors of its planned phases once a replay has computed
+    them. A plan holds no amplitudes and no PREP vector. ``n_qubits`` is
+    the state's qubit count and ``kept`` the count left after the
+    selection, if ``selecting``.
+    """
+
+    n_qubits: int
+    structure: tuple
+    steps: tuple
+    kept: int
+    selecting: bool
+
+
+def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) -> CircuitPlan:
+    """Resolve the gate loop of ``ops`` from |0...0> once, with or without a selection.
 
     Each qubit is either in the amplitude array or known to hold a value.
     Every qubit starts out known to hold 0, and enters the array at its
     sorted bit position at the first gate that needs it there. A PREP's
     unit vector goes straight into place; onto an empty array it is the new
-    array. An uncontrolled single-qubit gate U on an entering qubit writes
-    the two new halves ``U[0, 0] * a`` and ``U[1, 0] * a`` at once. A
-    diagonal gate lets no qubit enter: on a qubit that holds 0 it applies
-    its phases at that qubit's 0. A control on a known qubit is dropped when
-    the value matches, and the gate is skipped when it does not. A qubit
-    that no gate made enter and no selection planned enters in |0> at the
-    end, so the returned state holds every qubit not selected.
+    array. Its targets must still be outside the array, so in |0>: a PREP
+    onto a qubit that an earlier gate made enter raises
+    :class:`ConfigurationError`. An uncontrolled single-qubit gate U on an
+    entering qubit writes the two new halves ``U[0, 0] * a`` and
+    ``U[1, 0] * a`` at once. A diagonal gate lets no qubit enter: on a
+    qubit that holds 0 it applies its phases at that qubit's 0. A control
+    on a known qubit is dropped when the value matches, and the gate is
+    skipped when it does not. A qubit that no gate made enter and no
+    selection planned enters in |0> at the end, so the returned state holds
+    every qubit not selected.
 
-    ``select`` maps qubit -> value (0 or 1). Each planned qubit is projected
-    onto its value and leaves the state right after the last gate that
-    targets it, or at the start when no gate does; the amplitude array
-    halves and the qubit is known to hold its value from then on. Dropping
-    a later control on it is exact, because the projector commutes with a
-    gate that only controls on the qubit. When that last gate is an
+    ``select`` maps qubit -> value (the integer 0 or 1). Each selected qubit
+    is projected onto its value and leaves the state right after the last
+    gate that targets it, or at the start when no gate does; the amplitude
+    array halves and the qubit is known to hold its value from then on.
+    Dropping a later control on it is exact, because the projector commutes
+    with a gate that only controls on the qubit. When that last gate is an
     uncontrolled single-qubit gate U, gate and selection are one contraction
     of the two halves, ``U[v, 0] * a0 + U[v, 1] * a1``. A qubit that never
-    entered holds 0 for certain, so selecting 0 has probability 1. Every
-    selection raises :class:`PostSelectionError` below
-    ``_MIN_SELECT_PROBABILITY``.
+    entered holds 0 for certain: selecting 0 has probability 1, and
+    selecting 1 raises :class:`PostSelectionError` here.
 
-    Without ``select``, returns the new state over every qubit. With it,
-    returns ``(selected, probs)``: the state over the kept qubits (in their
-    original order, so bit k is the k-th lowest kept qubit) and the
-    conditional probability of each selection, in selection order.
+    All of that follows from the gate structure and the selection alone.
+    The plan also holds the matrix of each single-qubit gate as computed
+    from its parameters here, and the phasors of each DIAG once a replay
+    has computed them from the planned phases, so replays on the same gates
+    compute none of them again.
     """
     n_qubits = start.n_qubits
-    plan = {} if select is None else _checked_plan(select, n_qubits)
+    wanted = {} if select is None else _checked_selection(select, n_qubits)
     ops = list(ops)
-    last = dict.fromkeys(plan, -1)
+    last = dict.fromkeys(wanted, -1)
     for i, op in enumerate(ops):
         if op.qubits and max(op.qubits) >= n_qubits:
             raise ConfigurationError(f"{op.kind} on qubit {max(op.qubits)} is outside a {n_qubits}-qubit state")
@@ -130,44 +162,39 @@ def apply_circuit(start: ZeroState, ops, select: dict[int, int] | None = None):
             if q in last:
                 last[q] = i
     due: dict[int, list[int]] = {}
-    for q in sorted(plan):
+    for q in sorted(wanted):
         due.setdefault(last[q], []).append(q)
 
-    amps, norm = np.ones(1, dtype=np.complex128), 1.0
-    known = dict.fromkeys(range(n_qubits), 0)  # qubit -> value, for qubits outside amps
-    bit_of: dict[int, int] = {}  # qubit -> bit, for qubits in amps
-    probs: dict[int, float] = {}
+    known = dict.fromkeys(range(n_qubits), 0)  # qubit -> value, for qubits outside the array
+    bits: list[int] = []  # the qubits in the array, ascending: qubit bits[k] is bit k
+    bit_of: dict[int, int] = {}  # the same, as qubit -> bit
+    steps: list[tuple] = []
 
     def renumber(qubits):
         nonlocal bit_of
-        bit_of = {q: b for b, q in enumerate(sorted(qubits))}
+        bits[:] = sorted(qubits)
+        bit_of = dict(zip(bits, range(len(bits))))
 
-    def enter(targets, unit=_KET0):
-        nonlocal amps
-        amps = _product(unit, targets, amps, sorted(bit_of))
+    def enter(tag, i, targets, *payload):
+        # axes of the outer product unit x amps, sorted to descending qubits
+        axes = [*targets[::-1], *reversed(bits)]
+        order = tuple(sorted(range(len(axes)), key=axes.__getitem__, reverse=True))
+        steps.append((tag, i, ((2,) * len(targets), (2,) * len(bits), order, *payload)))
         for q in targets:
             del known[q]
-        renumber([*bit_of, *targets])
+        renumber([*bits, *targets])
 
-    def drop(q, row=None):
-        nonlocal amps, norm
+    def drop(q, i=None, fused=(None, None)):
+        # fused: the params and selected row of a single-qubit gate i applied in the same contraction
+        value = wanted[q]
         if q in known:  # never entered, so it holds 0
-            if plan[q] != known[q]:
-                raise PostSelectionError(f"selecting qubit {q} = {plan[q]} has probability 0")
-            probs[q] = 1.0
+            if value != known[q]:
+                raise PostSelectionError(f"selecting qubit {q} = {value} has probability 0")
+            steps.append(("known", None, (q,)))
             return
-        amps, p = _drop_bit(amps, bit_of[q], plan[q], q, row)
-        norm *= np.sqrt(p)
-        probs[q] = p
-        known[q] = plan[q]
-        renumber(k for k in bit_of if k != q)
-
-    def masks(live):
-        cmask = cval = 0
-        for q, v in live:
-            cmask |= 1 << bit_of[q]
-            cval |= v << bit_of[q]
-        return cmask, cval
+        steps.append(("drop", i, (q, bit_of[q], value, *fused)))
+        known[q] = value
+        renumber(k for k in bits if k != q)
 
     for q in due.get(-1, ()):
         drop(q)
@@ -176,91 +203,197 @@ def apply_circuit(start: ZeroState, ops, select: dict[int, int] | None = None):
         if kind == "GPHASE" and op.controls:
             raise ConfigurationError("controlled global phase is not supported")
         chosen = due.get(i, ())
-        live = []  # controls on qubits in amps
+        live = []  # controls on qubits in the array
         for q, v in zip(op.controls, op.control_values):
             if q in bit_of:
                 live.append((q, v))
             elif v != known[q]:
                 break  # the control holds the other value: the gate acts as identity
         else:
-            # a target outside amps has not entered yet and holds 0, because
-            # a qubit is dropped only after the last gate that targets it
+            # a target outside the array has not entered yet and holds 0,
+            # because a qubit is dropped only after the last gate that targets it
             entering = [q for q in op.targets if q in known]
             if kind == "PREP":
                 for q in op.targets:
                     if q in bit_of:
                         raise ConfigurationError(f"PREP onto qubit {q} after a gate on it: a PREP loads only qubits still in |0>")
-                unit, scale = unit_amplitudes(op.params)
-                enter(op.targets, unit)
-                norm *= scale
+                enter("load", i, op.targets)
             elif kind == "PHASE" and entering:
                 pass  # diag(1, e^{i theta}) on a qubit that holds 0
             elif kind == "DIAG":
-                targets, phases = _fix_known(op.targets, op.params, known)
-                qpos = np.array([bit_of[q] for q in targets], dtype=np.int64)
-                _kernels.apply_diag(amps, qpos, np.exp(1j * phases), *masks(live))
+                # axis j of the (2,) * m phases carries targets[m - 1 - j]; a known target is fixed at its value
+                fix = tuple(known.get(q, slice(None)) for q in reversed(op.targets))
+                qpos = [bit_of[q] for q in op.targets if q in bit_of]
+                n = len(bits)
+                index, order, shape = _kernels.diag_layout(n, qpos, [(bit_of[q], v) for q, v in live])
+                fit = ((2,) * len(op.targets), fix, (2,) * len(qpos), order, shape)
+                steps.append(("diag", i, ((2,) * n, index, _Phasors(op.params, fit))))
             elif entering and not live and kind != "MCX":
-                enter(op.targets, gate_matrix_1q(op)[:, 0])  # U|0> in one write
+                enter("enter", i, op.targets, op.params, gate_matrix_1q(op)[:, 0])  # U|0> in one write
             else:
                 for q in entering:
-                    enter((q,))
-                cmask, cval = masks(live)
+                    enter("enter", None, (q,), None, _KET0)
+                n = len(bits)
+                if kind == "GPHASE":
+                    steps.append(("gphase", i, (op.params, _phase(op))))
+                    continue
+                i0, i1 = _kernels.halves(n, bit_of[op.targets[0]], [(bit_of[q], v) for q, v in live])
                 if kind == "MCX":
-                    _kernels.apply_mcx(amps, 1 << bit_of[op.targets[0]], cmask, cval)
+                    steps.append(("mcx", i, ((2,) * n, i0, i1)))
                 elif kind == "PHASE":
-                    _kernels.apply_phase(amps, 1 << bit_of[op.targets[0]], cmask, cval, complex(np.exp(1j * op.params[0])))
-                elif kind == "GPHASE":
-                    amps *= np.exp(1j * op.params[0])
+                    steps.append(("phase", i, ((2,) * n, i1, op.params, _phase(op))))
+                elif chosen and not live:
+                    (q,) = chosen
+                    drop(q, i, (op.params, gate_matrix_1q(op)[wanted[q]]))
+                    continue
                 else:
-                    u = gate_matrix_1q(op)
-                    if chosen and not cmask:
-                        (q,) = chosen
-                        drop(q, u[plan[q]])
-                        continue
-                    _kernels.apply_1q(
-                        amps, 1 << bit_of[op.targets[0]], cmask, cval,
-                        complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]),
-                    )
+                    steps.append(("1q", i, ((2,) * n, i0, i1, op.params, _entries(gate_matrix_1q(op)))))
         for q in chosen:
             drop(q)
-    for q in sorted(known.keys() - plan.keys()):
-        enter((q,))
-    if select is None:
-        return QuantumState(n_qubits, amps, norm)
-    return QuantumState(len(bit_of), amps, norm), probs
+    for q in sorted(known.keys() - wanted.keys()):
+        enter("enter", None, (q,), None, _KET0)
+    return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None)
 
 
-def _checked_plan(select, n_qubits: int) -> dict[int, int]:
-    for qubit, value in select.items():
-        if not 0 <= qubit < n_qubits:
-            raise ConfigurationError(f"selected qubit {qubit} is outside a {n_qubits}-qubit state")
-        if value not in (0, 1):
-            raise ConfigurationError(f"selection value for qubit {qubit} must be 0 or 1, got {value!r}")
-    return dict(select)
+def apply_circuit(plan: CircuitPlan, ops):
+    """Run ``ops`` from |0...0> as ``plan`` resolved them; with a selection, post-select while they run.
 
+    ``ops`` must have the structure the plan was made from, else
+    :class:`ConfigurationError`; their parameters may differ. A PREP
+    writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
+    and multiplies the norm factor by the norm it was scaled from. A gate
+    that carries the very parameter object it was planned with runs on the
+    plan's matrix or phasors; one with other parameters, such as a DIAG
+    rebuilt per job, has them computed afresh. Each selection raises
+    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
 
-def _product(unit: np.ndarray, targets, amps: np.ndarray, qubits) -> np.ndarray:
-    """The product of ``unit`` on ``targets`` and ``amps`` on ``qubits``, one new array.
-
-    Index bit j of ``unit`` is ``targets[j]``; bit k of ``amps`` is
-    ``qubits[k]``, which are ascending. Bit k of the result is the k-th
-    lowest of all the qubits. When every target lies above every qubit and
-    the targets ascend, the outer product is already in that order and is
-    written once: the unit vector onto an empty array, or a column ``U|0>``
-    for a qubit entering above the others (the mirror of :func:`_drop_bit`'s
-    ``row``).
+    Without a selection, returns the new state over every qubit. With one,
+    returns ``(selected, probs)``: the state over the kept qubits (in their
+    original order, so bit k is the k-th lowest kept qubit) and the
+    conditional probability of each selection, in selection order.
     """
-    axes = [*targets[::-1], *qubits[::-1]]  # the qubit on each axis of the outer product
-    prod = np.multiply.outer(unit.reshape((2,) * len(targets)), amps.reshape((2,) * len(qubits)))
-    order = sorted(range(len(axes)), key=axes.__getitem__, reverse=True)
+    ops = list(ops)
+    if _structure(ops) != plan.structure:
+        raise ConfigurationError("the gates do not have the structure the plan was made for")
+    amps, norm, probs = np.ones(1, dtype=np.complex128), 1.0, {}
+    for tag, i, args in plan.steps:
+        if tag == "mcx":
+            _kernels.apply_mcx(amps, *args)
+        elif tag == "diag":
+            shape, index, phasors = args
+            _kernels.apply_diag(amps, shape, index, phasors(ops[i].params))
+        elif tag == "drop":
+            q, bit, value, params, row = args
+            if i is not None and ops[i].params is not params:
+                row = gate_matrix_1q(ops[i])[value]
+            amps, p = _drop_bit(amps, bit, value, q, row)
+            norm *= np.sqrt(p)
+            probs[q] = p
+        elif tag == "enter":
+            ushape, ashape, order, params, column = args
+            if i is not None and ops[i].params is not params:
+                column = gate_matrix_1q(ops[i])[:, 0]
+            amps = _product(column, amps, ushape, ashape, order)
+        elif tag == "load":
+            unit, scale = unit_amplitudes(ops[i].params)
+            amps = _product(unit, amps, *args)
+            norm *= scale
+        elif tag == "known":
+            probs[args[0]] = 1.0
+        elif tag == "1q":
+            shape, i0, i1, params, entries = args
+            if ops[i].params is not params:
+                entries = _entries(gate_matrix_1q(ops[i]))
+            _kernels.apply_1q(amps, shape, i0, i1, *entries)
+        elif tag == "phase":
+            shape, i1, params, phase = args
+            if ops[i].params is not params:
+                phase = _phase(ops[i])
+            _kernels.apply_phase(amps, shape, i1, phase)
+        else:  # "gphase"
+            params, phase = args
+            if ops[i].params is not params:
+                phase = _phase(ops[i])
+            amps *= phase
+    if not plan.selecting:
+        return QuantumState(plan.n_qubits, amps, norm)
+    return QuantumState(plan.kept, amps, norm), probs
+
+
+def _structure(ops) -> tuple:
+    return tuple((op.kind, op.targets, op.controls, op.control_values) for op in ops)
+
+
+def _checked_selection(select, n_qubits: int) -> dict[int, int]:
+    checked = {}
+    for qubit, value in select.items():
+        if not (isinstance(qubit, numbers.Integral) and 0 <= qubit < n_qubits):
+            raise ConfigurationError(f"selected qubit {qubit!r} is not a qubit of a {n_qubits}-qubit state")
+        checked[int(qubit)] = _bit(value, f"selection value for qubit {qubit}")
+    return checked
+
+
+def _bit(value, name: str) -> int:
+    """``value`` as the int 0 or 1 (numpy integers count), or :class:`ConfigurationError` naming it as ``name``."""
+    if not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise ConfigurationError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def _entries(u: np.ndarray) -> tuple[complex, ...]:
+    return complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1])
+
+
+def _phase(op):
+    return np.exp(1j * op.params[0])
+
+
+class _Phasors:
+    """e^{i phases} of one DIAG of a plan, fitted to its view.
+
+    Those of the planned phases are computed at the first replay that
+    carries that very read-only array, and kept: a DIAG built once for a
+    run costs one ``np.exp`` per run, and one rebuilt per job, whose
+    planned phases no replay carries, costs none beyond its own.
+    """
+
+    __slots__ = ("planned", "fit", "phasor")
+
+    def __init__(self, planned: np.ndarray, fit: tuple):
+        self.planned, self.fit, self.phasor = planned, fit, None
+
+    def __call__(self, phases: np.ndarray) -> np.ndarray:
+        if phases is not self.planned:
+            return _phasor(phases, *self.fit)
+        if self.phasor is None:
+            self.phasor = _phasor(phases, *self.fit)
+        return self.phasor
+
+
+def _phasor(phases: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray:
+    """e^{i phases} of a diagonal with its known targets fixed, fitted to its view.
+
+    The other arguments are a plan's ``fit``: the phases' (2,) * m shape,
+    the index fixing each known target, the shape left, and the axis order
+    and broadcast shape of :func:`~qlbm._kernels.diag_layout`.
+    """
+    phasor = 1j * phases.reshape(dshape)[fix].reshape(-1)
+    np.exp(phasor, out=phasor)  # in place: a second array of this size would page-fault in
+    return phasor.reshape(mshape).transpose(order).reshape(shape)
+
+
+def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.ndarray:
+    """The product of ``unit`` on the entering qubits and ``amps``, one new array.
+
+    ``order`` sorts the axes of the outer product to descending qubits, so
+    bit k of the result is the k-th lowest of all the qubits. When every
+    entering qubit lies above every qubit in ``amps`` and they ascend, the
+    outer product is already in that order and is written once: the unit
+    vector onto an empty array, or a column ``U|0>`` for a qubit entering
+    above the others (the mirror of :func:`_drop_bit`'s ``row``).
+    """
+    prod = np.multiply.outer(unit.reshape(ushape), amps.reshape(ashape))
     return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
-
-
-def _fix_known(targets, phases: np.ndarray, known: dict[int, int]) -> tuple[list[int], np.ndarray]:
-    """A diagonal's targets in the array and its phases with every known target fixed at its value."""
-    # axis j of the (2,) * m view carries targets[m - 1 - j]
-    index = tuple(known.get(q, slice(None)) for q in reversed(targets))
-    return [q for q in targets if q not in known], phases.reshape((2,) * len(targets))[index].reshape(-1)
 
 
 def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> tuple[np.ndarray, float]:
@@ -295,8 +428,7 @@ def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumStat
     Returns the projected state and the selection probability. The norm
     factor absorbs sqrt(p), keeping decoded magnitudes unchanged.
     """
-    if value not in (0, 1):
-        raise ConfigurationError("selection value must be 0 or 1")
+    value = _bit(value, "selection value")
     if not 0 <= qubit < state.n_qubits:
         raise ConfigurationError(f"qubit {qubit} is outside a {state.n_qubits}-qubit state")
     amps = state.amplitudes
@@ -338,10 +470,19 @@ class SampleHistogram:
         return self.counts / self.shots
 
 
+def require_shots(shots, name: str = "shots") -> int:
+    """``shots`` as an int in [1, ``MAX_SHOTS``] (numpy integers count).
+
+    Anything else raises :class:`ConfigurationError` naming it as ``name``.
+    """
+    if not isinstance(shots, numbers.Integral) or not 1 <= shots <= MAX_SHOTS:
+        raise ConfigurationError(f"{name} must be an integer in [1, 2**63 - 1], got {shots!r}")
+    return int(shots)
+
+
 def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     """Draw measurement counts with a counter-based generator (reproducible)."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ConfigurationError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    shots = require_shots(shots)
     rng = np.random.Generator(np.random.Philox(seed))
     p = state.probabilities()
     p = p / p.sum()

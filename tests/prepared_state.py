@@ -3,11 +3,14 @@
 ``apply_circuit`` starts every circuit from |0...0>, so a test that runs
 gates on a prepared state ``amps`` puts :func:`load_ops` in front of them
 and checks the result against ``apply_ops_numpy`` on ``amps``.
+:func:`run_from_zero` plans a gate list and replays it once, the one-off
+form of the solver's plan-per-run, replay-per-job.
 """
 
 import numpy as np
 
 from qlbm.circuits import GateOp
+from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
 
 
 def load_ops(amps, norm: float = 1.0) -> list[GateOp]:
@@ -22,3 +25,9 @@ def load_ops(amps, norm: float = 1.0) -> list[GateOp]:
     if np.iscomplexobj(amps):
         ops.append(GateOp("DIAG", qubits, params=np.angle(amps)))
     return ops
+
+
+def run_from_zero(n_qubits: int, ops, select=None):
+    """``apply_circuit(plan_circuit(ZeroState(n_qubits), ops, select), ops)``."""
+    ops = list(ops)
+    return apply_circuit(plan_circuit(ZeroState(n_qubits), ops, select), ops)

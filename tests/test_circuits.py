@@ -42,9 +42,8 @@ from qlbm.circuits import (
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
 from qlbm.resources import count_resources
-from qlbm.statevector import ZeroState, apply_circuit
 
-from prepared_state import load_ops
+from prepared_state import load_ops, run_from_zero
 
 # ---------------------------------------------------------------------------
 # dense reference, independent of the module's application paths
@@ -143,6 +142,21 @@ def test_gate_op_rejects_overlapping_qubits():
 ])
 def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
     with pytest.raises(ConfigurationError):
+        GateOp(kind, targets, params=params)
+
+
+@pytest.mark.parametrize("kind, targets, params", [
+    ("DIAG", (0,), [math.nan, 0.0]),
+    ("DIAG", (1, 0), [0.0, math.inf, 0.0, 0.0]),
+    ("RY", (0,), (math.nan,)),
+    ("RZ", (0,), (-math.inf,)),
+    ("PHASE", (0,), (math.inf,)),
+    ("GPHASE", (), (math.nan,)),
+    ("U1Q", (0,), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, 0.0)),
+])
+def test_gate_op_rejects_non_finite_parameters(kind, targets, params):
+    # a PREP's vector is checked when it is loaded or lowered, as an EncodingError
+    with pytest.raises(ConfigurationError, match="finite"):
         GateOp(kind, targets, params=params)
 
 
@@ -377,9 +391,9 @@ def test_prep_load_ladder_and_lowering_agree_with_the_dense_reference(m):
     prepared = apply_ops_numpy(zero, before, n)
     assert np.abs(prepared).max() < 1.0  # a non-target qubit is in superposition
     expected = _dense_load(prepared, targets, prep.params)
-    loaded = apply_circuit(ZeroState(n), before + [prep])
+    loaded = run_from_zero(n, before + [prep])
     ladder = apply_ops_numpy(zero, before + [prep], n)
-    lowered = apply_circuit(ZeroState(n), before + lower_op(prep))
+    lowered = run_from_zero(n, before + lower_op(prep))
     for got in (loaded.amplitudes, ladder, lowered.amplitudes):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert loaded.norm_factor == unit_amplitudes(prep.params)[1]
@@ -387,7 +401,7 @@ def test_prep_load_ladder_and_lowering_agree_with_the_dense_reference(m):
 
 
 def test_prep_on_every_qubit_loads_the_vector_in_target_order():
-    state = apply_circuit(ZeroState(2), [GateOp("PREP", (1, 0), params=(1.0, -2.0, 3.0, 4.0))])
+    state = run_from_zero(2, [GateOp("PREP", (1, 0), params=(1.0, -2.0, 3.0, 4.0))])
     np.testing.assert_allclose(state.amplitudes, np.array([1.0, 3.0, -2.0, 4.0]) / math.sqrt(30.0), rtol=0, atol=1e-15)
     assert state.norm_factor == pytest.approx(math.sqrt(30.0), rel=1e-15)
 
@@ -397,7 +411,7 @@ def test_prep_load_selects_like_the_reference(m):
     n, targets, before, prep = _prep_case(m, seed=60 + m)
     plan = {q: 0 for q in range(n) if q not in targets}
     plan[targets[-1]] = 1
-    selected, probs = apply_circuit(ZeroState(n), before + [prep], select=plan)
+    selected, probs = run_from_zero(n, before + [prep], select=plan)
     full = _dense_load(apply_ops_numpy(_ket0(n), before, n), targets, prep.params)
     keep = [i for i in range(1 << n) if all(((i >> q) & 1) == v for q, v in plan.items())]
     expected = full[keep] / np.linalg.norm(full[keep])
@@ -409,20 +423,20 @@ def test_prep_load_selects_like_the_reference(m):
 def test_prep_rejects_a_target_that_is_not_zero(select):
     ops = [GateOp("RY", (1,), params=(1e-5,)), GateOp("PREP", (0, 1), params=(1.0, 2.0, 3.0, 4.0))]
     with pytest.raises(ConfigurationError, match=r"qubit 1 .*\|0>"):
-        apply_circuit(ZeroState(3), ops, select=select)
+        run_from_zero(3, ops, select=select)
     # the rule is structural: gates that return a target to |0> still put it in the array
     with pytest.raises(ConfigurationError, match=r"qubit 0 .*\|0>"):
-        apply_circuit(ZeroState(3), [GateOp("X", (0,)), GateOp("X", (0,)), ops[1]], select=select)
+        run_from_zero(3, [GateOp("X", (0,)), GateOp("X", (0,)), ops[1]], select=select)
     # a qubit outside the targets may hold anything
     ops[0] = GateOp("H", (2,))
-    apply_circuit(ZeroState(3), ops, select=select)
+    run_from_zero(3, ops, select=select)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0, 0, 0])])
 def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
     prep = GateOp("PREP", (0, 1), params=bad)
     with pytest.raises(EncodingError):
-        apply_circuit(ZeroState(2), [prep])
+        run_from_zero(2, [prep])
     with pytest.raises(EncodingError):
         lower_op(prep)
 
@@ -806,14 +820,14 @@ def test_simulator_runs_lowered_pipeline_like_the_reference(name):
     low_body = lowered.section_ops([name for name, _, _ in lowered.sections[1:]])
     reference = apply_ops_numpy(amps, body, n)
     load = load_ops(amps)
-    direct = apply_circuit(ZeroState(n), load + body).amplitudes
-    low = apply_circuit(ZeroState(n), load + low_body).amplitudes
+    direct = run_from_zero(n, load + body).amplitudes
+    low = run_from_zero(n, load + low_body).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
     np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
     # the whole circuit, PREP first, from |0>
     reference = apply_ops_numpy(_ket0(n), circ.gates, n)
-    direct = apply_circuit(ZeroState(n), circ.gates).amplitudes
-    low = apply_circuit(ZeroState(n), lowered.gates).amplitudes
+    direct = run_from_zero(n, circ.gates).amplitudes
+    low = run_from_zero(n, lowered.gates).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)
     np.testing.assert_allclose(low, reference, rtol=0, atol=1e-10)
 

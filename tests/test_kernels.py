@@ -4,8 +4,9 @@ reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
 MCX is a permutation, so it must match exactly; the others to rounding.
 ``apply_circuit`` runs from a ``ZeroState``, where each qubit enters the
 array at its first gate; a random state is loaded by a PREP and DIAG in
-front of the gates. With a selection plan it must agree with the reference
-run in full followed by ``postselect`` in the order the plan was carried out.
+front of the gates. With a selection it must agree with the reference run
+in full followed by ``postselect`` in the order the selection was carried
+out, also when one ``plan_circuit`` plan is replayed on fresh parameters.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlbm import _kernels
-from qlbm.circuits import GATE_KINDS, GateOp, _control_mask_val, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
+from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
 from qlbm.errors import ConfigurationError, PostSelectionError
-from qlbm.statevector import QuantumState, ZeroState, apply_circuit, postselect
+from qlbm.statevector import QuantumState, ZeroState, apply_circuit, plan_circuit, postselect
 
-from prepared_state import load_ops
+from prepared_state import load_ops, run_from_zero
 
 
 def _random_state(n_qubits, seed):
@@ -28,18 +29,23 @@ def _random_state(n_qubits, seed):
 
 
 def _apply_kernel(amps, op):
-    """Call the kernel for ``op`` directly, with its mask-based arguments."""
-    cmask, cval = _control_mask_val(op)
+    """Call the kernel for ``op`` directly, with view indices built from its controls."""
+    n = amps.size.bit_length() - 1
+    shape = (2,) * n
+    controls = list(zip(op.controls, op.control_values))
     if op.kind == "DIAG":
-        qpos = np.array(op.targets, dtype=np.int64)
-        _kernels.apply_diag(amps, qpos, np.exp(1j * np.asarray(op.params)), cmask, cval)
-    elif op.kind == "MCX":
-        _kernels.apply_mcx(amps, 1 << op.targets[0], cmask, cval)
+        index, order, fit = _kernels.diag_layout(n, list(op.targets), controls)
+        phasor = np.exp(1j * np.asarray(op.params)).reshape((2,) * len(op.targets)).transpose(order).reshape(fit)
+        _kernels.apply_diag(amps, shape, index, phasor)
+        return
+    i0, i1 = _kernels.halves(n, op.targets[0], controls)
+    if op.kind == "MCX":
+        _kernels.apply_mcx(amps, shape, i0, i1)
     elif op.kind == "PHASE":
-        _kernels.apply_phase(amps, 1 << op.targets[0], cmask, cval, complex(np.exp(1j * op.params[0])))
+        _kernels.apply_phase(amps, shape, i1, complex(np.exp(1j * op.params[0])))
     else:
         u = gate_matrix_1q(op)
-        _kernels.apply_1q(amps, 1 << op.targets[0], cmask, cval, *(complex(x) for x in u.ravel()))
+        _kernels.apply_1q(amps, shape, i0, i1, *(complex(x) for x in u.ravel()))
 
 
 def _check_against_reference(op, n_qubits, seed, atol=1e-12):
@@ -114,11 +120,11 @@ def test_diag_with_unsorted_qubits_and_one_control_like_the_cavity():
 
 
 def test_control_mask_excludes_unmatched_indices():
-    # With control mask 0b10 and value 0b10, amplitudes with that bit clear
+    # With a control on bit 1 being 1, amplitudes with that bit clear
     # must be untouched, bitwise.
     state = _random_state(4, 99)
     out = state.copy()
-    _kernels.apply_phase(out, 1, 0b10, 0b10, 1j)
+    _kernels.apply_phase(out, (2,) * 4, _kernels.halves(4, 0, [(1, 1)])[1], 1j)
     idx = np.arange(16)
     untouched = (idx & 0b10) == 0
     np.testing.assert_array_equal(out[untouched], state[untouched])
@@ -127,8 +133,9 @@ def test_control_mask_excludes_unmatched_indices():
 def test_mcx_is_self_inverse():
     state = _random_state(5, 7)
     out = state.copy()
-    _kernels.apply_mcx(out, 1 << 1, 0b10100, 0b10100)
-    _kernels.apply_mcx(out, 1 << 1, 0b10100, 0b10100)
+    halves = _kernels.halves(5, 1, [(2, 1), (4, 1)])
+    _kernels.apply_mcx(out, (2,) * 5, *halves)
+    _kernels.apply_mcx(out, (2,) * 5, *halves)
     np.testing.assert_array_equal(out, state)
 
 
@@ -178,7 +185,7 @@ def _circuits(draw, max_qubits=6):
 def test_apply_circuit_matches_reference_on_random_gates(circuit, seed):
     n_qubits, ops = circuit
     state = _random_state(n_qubits, seed)
-    out = apply_circuit(ZeroState(n_qubits), load_ops(state) + ops).amplitudes
+    out = run_from_zero(n_qubits, load_ops(state) + ops).amplitudes
     np.testing.assert_allclose(out, apply_ops_numpy(state, ops, n_qubits), rtol=0, atol=1e-12)
 
 
@@ -188,7 +195,7 @@ def test_apply_circuit_rejects_controlled_global_phase(drawn):
     n_qubits, qubits, value = drawn
     op = GateOp("GPHASE", (), (qubits[0],), (value,), params=(0.4,))
     with pytest.raises(ConfigurationError):
-        apply_circuit(ZeroState(n_qubits), [op])
+        run_from_zero(n_qubits, [op])
 
 
 @st.composite
@@ -212,20 +219,38 @@ def _kept(n_qubits, plan):
     return kept
 
 
+def _new_payload(ops, rng):
+    """``ops`` with fresh parameters: new DIAG phases and RY / RZ / PHASE / GPHASE angles, the rest as they are."""
+    fresh = []
+    for op in ops:
+        if op.kind in ("DIAG", "RY", "RZ", "PHASE", "GPHASE"):
+            op = GateOp(op.kind, op.targets, op.controls, op.control_values,
+                        params=tuple(rng.uniform(-np.pi, np.pi, len(op.params))))
+        fresh.append(op)
+    return fresh
+
+
 @settings(max_examples=200, deadline=None)
 @given(_selected_circuits(), st.integers(0, 2**16))
 def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
+    # one plan, replayed on the gates it was made from and then on two fresh
+    # payloads of the same structure: loaded state, DIAG phases and angles
     n_qubits, ops, plan = circuit
-    amps = _random_state(n_qubits, seed)
-    out, probs = apply_circuit(ZeroState(n_qubits), load_ops(amps, 1.7) + ops, select=plan)
-    ref = QuantumState(n_qubits, apply_ops_numpy(amps, ops, n_qubits), 1.7)
-    assert sorted(probs) == sorted(plan)
-    for q, p in probs.items():
-        ref, p_ref = postselect(ref, q, plan[q])
-        assert abs(p - p_ref) <= 1e-12
-    assert out.n_qubits == n_qubits - len(plan)
-    np.testing.assert_allclose(out.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
-    assert abs(out.norm_factor - ref.norm_factor) <= 1e-12
+    rng = np.random.default_rng(seed)
+    runs = [(_random_state(n_qubits, seed), ops)]
+    runs += [(_random_state(n_qubits, seed + k), _new_payload(ops, rng)) for k in (1, 2)]
+    planned = load_ops(runs[0][0], 1.7) + ops
+    circuit_plan = plan_circuit(ZeroState(n_qubits), planned, plan)
+    for k, (amps, body) in enumerate(runs):
+        out, probs = apply_circuit(circuit_plan, planned if k == 0 else load_ops(amps, 1.7) + body)
+        ref = QuantumState(n_qubits, apply_ops_numpy(amps, body, n_qubits), 1.7)
+        assert sorted(probs) == sorted(plan)
+        for q, p in probs.items():
+            ref, p_ref = postselect(ref, q, plan[q])
+            assert abs(p - p_ref) <= 1e-12
+        assert out.n_qubits == n_qubits - len(plan)
+        np.testing.assert_allclose(out.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
+        assert abs(out.norm_factor - ref.norm_factor) <= 1e-12
 
 
 @st.composite
@@ -260,7 +285,7 @@ def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
         loaded[sum(((sub >> j) & 1) << q for j, q in enumerate(ops[0].targets))] = value
     full = apply_ops_numpy(loaded, ops[1:], n_qubits)
 
-    out = apply_circuit(ZeroState(n_qubits), ops)
+    out = run_from_zero(n_qubits, ops)
     assert out.n_qubits == n_qubits
     np.testing.assert_allclose(out.amplitudes, full, rtol=0, atol=1e-12)
     assert abs(out.norm_factor - scale) <= 1e-12 * scale
@@ -273,9 +298,9 @@ def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
             ref, ref_probs[q] = postselect(ref, q, plan[q])
         except PostSelectionError:
             with pytest.raises(PostSelectionError):
-                apply_circuit(ZeroState(n_qubits), ops, select=plan)
+                run_from_zero(n_qubits, ops, select=plan)
             return
-    selected, probs = apply_circuit(ZeroState(n_qubits), ops, select=plan)
+    selected, probs = run_from_zero(n_qubits, ops, select=plan)
     assert list(probs) == list(ref_probs)
     for q, p in probs.items():
         assert abs(p - ref_probs[q]) <= 1e-12

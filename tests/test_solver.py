@@ -164,10 +164,10 @@ def test_sampling_backend_records_the_measured_share_in_the_site_sector(monkeypa
     shots = 1 << 12
     result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, 0.1), 3, backend="sampling", shots=shots, seed=4)
     layout = RegisterLayout.for_scheme(D2Q5, 4)
-    n_sites, plan = layout.n_sites, qlbm.solver._selection_plan(layout)
+    n_sites, select = layout.n_sites, qlbm.solver._selection(layout)
     assert len(hists) == len(result.records) == 3
     for record, hist in zip(result.records, hists):
-        assert list(record.select_probs) == sorted(plan)
+        assert list(record.select_probs) == sorted(select)
         share = hist.counts[:n_sites].sum() / shots
         assert 0 < share < 1
         assert abs(record.success_prob - share) <= 1e-12
@@ -516,11 +516,11 @@ def _builder_jobs():
 def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
     name, ops, layout, vec, s_value, folded = job
     assert ops[0] == GateOp("PREP", layout.encoded_qubits, params=vec)
-    state, record = qlbm.solver._run_job(ops, layout, 1, name, s_value=s_value)
+    state, record = qlbm.solver._run_job(qlbm.solver._job_plan(ops, layout, s_value), ops, 1, name)
     assert state.n_qubits == len(layout.site_qubits)
     assert state.amplitudes.size == layout.n_sites
 
-    plan = qlbm.solver._selection_plan(layout, s_value)
+    plan = qlbm.solver._selection(layout, s_value)
     # the reference loads the vector itself, not through the PREP under test
     unit, scale = unit_amplitudes(vec)
     amps = np.zeros(1 << layout.qubit_count, dtype=complex)
@@ -542,8 +542,10 @@ _JOB_PATH = ("apply_circuit", "decode_field", "_sf_job", "_vorticity_job")
 
 @pytest.mark.parametrize("case", ["statevector", "sampling", "frugal", "single"])
 def test_every_job_calls_the_traced_names_once(monkeypatch, case):
-    calls = dict.fromkeys(_JOB_PATH, 0)
-    for name in _JOB_PATH:
+    # and each run plans once per kind of job: advection one circuit, the
+    # frugal cavity two circuits, the single cavity two sector passes
+    calls = dict.fromkeys((*_JOB_PATH, "plan_circuit"), 0)
+    for name in calls:
         def spy(*args, _name=name, _fn=getattr(qlbm.solver, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -563,6 +565,7 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
         "decode_field": selected,
         "_sf_job": frugal_steps,
         "_vorticity_job": frugal_steps,
+        "plan_circuit": 2 if case in ("frugal", "single") else 1,
     }
 
 
@@ -593,6 +596,30 @@ def test_fidelity_sweep_slope_and_rows():
 def test_fidelity_sweep_rejects_zero_trials():
     with pytest.raises(ConfigurationError, match="trial"):
         fidelity_sweep([128], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("shots, trials", [
+    ([100, 1000], 1.5),
+    ([100, 1000], 1.0),
+    ([100.7, 1000], 1),
+    ([100, 1000.0], 1),
+    ([0, 1000], 1),
+    ([100, 1 << 63], 1),
+], ids=["fractional-trials", "float-trials", "fractional-shots", "float-shots", "zero-shots", "too-many-shots"])
+def test_fidelity_sweep_requires_integral_counts(shots, trials):
+    with pytest.raises(ConfigurationError, match="trial|shot"):
+        fidelity_sweep(shots, trials, seed=0, state=QuantumState(1, [0.6, 0.8]))
+
+
+def test_fidelity_sweep_takes_numpy_integer_counts():
+    result = fidelity_sweep(list(np.array([64, 256])), np.int64(2), seed=0, state=QuantumState(1, [0.6, 0.8]))
+    assert result.shots == [64, 256] and len(result.rows) == 4
+
+
+@pytest.mark.parametrize("shots", [2.5, 0, np.float64(4.0)], ids=repr)
+def test_sampling_backend_requires_an_integral_shot_count(shots):
+    with pytest.raises(ConfigurationError, match="shots"):
+        run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, 0.1), 1, backend="sampling", shots=shots)
 
 
 @pytest.mark.parametrize("shots", [[], [1024], [1024, 1024]], ids=["none", "one", "repeated"])

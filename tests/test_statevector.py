@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qlbm.circuits import GateOp, apply_ops_numpy
 from qlbm.errors import ConfigurationError, PostSelectionError
+import qlbm
 from qlbm.statevector import (
     MAX_SHOTS,
     QuantumState,
@@ -14,12 +15,13 @@ from qlbm.statevector import (
     ZeroState,
     apply_circuit,
     fidelity_from_histogram,
+    plan_circuit,
     postselect,
     postselect_many,
     sample,
 )
 
-from prepared_state import load_ops
+from prepared_state import load_ops, run_from_zero
 
 
 def _basis_zero(n_qubits):
@@ -43,13 +45,13 @@ def _random_state(n_qubits, seed):
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8).filter(lambda v: any(x != 0.0 for x in v)))
 def test_encode_decode_round_trip(values):
     vector = np.pad(values, (0, 8 - len(values)))
-    state = apply_circuit(ZeroState(3), [GateOp("PREP", (0, 1, 2), params=vector)])
+    state = run_from_zero(3, [GateOp("PREP", (0, 1, 2), params=vector)])
     decoded = state.amplitudes[: len(values)].real * state.norm_factor
     np.testing.assert_allclose(decoded, values, atol=1e-12)
 
 
 def test_zero_state_is_basis_zero():
-    state = apply_circuit(ZeroState(3), [])
+    state = run_from_zero(3, [])
     assert state.amplitudes[0] == 1.0
     assert np.all(state.amplitudes[1:] == 0.0)
 
@@ -103,20 +105,20 @@ def test_postselect_many_composes():
 
 
 def test_apply_circuit_hadamard_chain():
-    state = apply_circuit(ZeroState(2), [GateOp("H", (0,)), GateOp("H", (1,))])
+    state = run_from_zero(2, [GateOp("H", (0,)), GateOp("H", (1,))])
     np.testing.assert_allclose(state.amplitudes, np.full(4, 0.5), atol=1e-15)
 
 
 def test_apply_circuit_respects_control_polarity():
     # X on qubit 1 controlled on qubit 0 being 0: |00> -> |10>.
-    state = apply_circuit(ZeroState(2), [GateOp("X", (1,), controls=(0,), control_values=(0,))])
+    state = run_from_zero(2, [GateOp("X", (1,), controls=(0,), control_values=(0,))])
     np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
 
 def test_apply_circuit_global_phase():
     amps = _random_state(3, 5).amplitudes
     op = GateOp("GPHASE", (), params=(0.25,))
-    state = apply_circuit(ZeroState(3), load_ops(amps) + [op])
+    state = run_from_zero(3, load_ops(amps) + [op])
     np.testing.assert_allclose(state.amplitudes, apply_ops_numpy(amps, [op], 3), atol=1e-15)
 
 
@@ -124,7 +126,7 @@ def test_selecting_apply_drops_an_h_layer_into_a_block_sum():
     # H on every qubit, then qubits 1 and 2 selected to 0: each fused H and
     # selection halves the state, leaving qubit 0 in |+> with p = 1/2 twice
     ops = [GateOp("H", (q,)) for q in range(3)]
-    out, probs = apply_circuit(ZeroState(3), ops, select={2: 0, 1: 0})
+    out, probs = run_from_zero(3, ops, select={2: 0, 1: 0})
     assert out.n_qubits == 1
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
     assert list(probs) == [1, 2]  # selection order: qubit 1's last gate comes first
@@ -136,7 +138,7 @@ def test_selecting_apply_follows_the_selected_value_of_a_dropped_control():
     # qubit 1 is never targeted, so it is selected at the start; the X
     # controlled on it being 1 is skipped, the one controlled on it being 0 runs
     ops = [GateOp("X", (0,), (1,), (1,)), GateOp("RY", (0,), (1,), (0,), params=(np.pi / 2,))]
-    out, probs = apply_circuit(ZeroState(2), ops, select={1: 0})
+    out, probs = run_from_zero(2, ops, select={1: 0})
     assert probs == {1: 1.0}
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
 
@@ -147,20 +149,108 @@ def test_selecting_apply_raises_at_a_selection_mid_circuit(kind):
     # selection, MCX is applied by its kernel first); gates follow it
     ops = [GateOp(kind, (1,)), GateOp("H", (0,), (1,), (0,)), GateOp("H", (0,))]
     with pytest.raises(PostSelectionError, match="qubit 1 = 0"):
-        apply_circuit(ZeroState(2), ops, select={1: 0})
+        run_from_zero(2, ops, select={1: 0})
 
 
 @pytest.mark.parametrize("op", [GateOp("H", (3,)), GateOp("H", (0,), (5,), (1,))], ids=["target", "control"])
 @pytest.mark.parametrize("plan", [None, {0: 0}])
 def test_apply_rejects_a_gate_outside_the_state(op, plan):
     with pytest.raises(ConfigurationError, match="outside a 2-qubit state"):
-        apply_circuit(ZeroState(2), [op], select=plan)
+        run_from_zero(2, [op], select=plan)
 
 
 @pytest.mark.parametrize("plan", [{2: 0}, {-1: 0}, {0: 2}, {1: -1}])
 def test_selecting_apply_rejects_a_bad_plan(plan):
     with pytest.raises(ConfigurationError, match="select"):
-        apply_circuit(ZeroState(2), [GateOp("H", (0,))], select=plan)
+        run_from_zero(2, [GateOp("H", (0,))], select=plan)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5, "1", None, 2, -1])
+def test_plan_rejects_a_selection_value_that_is_not_the_integer_0_or_1(value):
+    with pytest.raises(ConfigurationError, match="qubit 0 must be 0 or 1"):
+        plan_circuit(ZeroState(2), [GateOp("H", (0,))], {0: value})
+
+
+@pytest.mark.parametrize("qubit", [1.0, "1", None])
+def test_plan_rejects_a_selected_qubit_that_is_not_an_integer(qubit):
+    with pytest.raises(ConfigurationError, match="selected qubit"):
+        plan_circuit(ZeroState(2), [GateOp("H", (1,))], {qubit: 0})
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), True], ids=["int", "numpy", "bool"])
+def test_plan_takes_an_integral_selection_value_as_an_int(value):
+    ops = [GateOp("H", (0,)), GateOp("H", (1,))]
+    state, probs = run_from_zero(2, ops, select={np.int64(1): value})
+    assert probs == {1: pytest.approx(0.5)} and type(next(iter(probs))) is int
+    np.testing.assert_allclose(state.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
+
+
+def test_the_top_level_names_alone_run_a_selecting_circuit():
+    ops = [qlbm.GateOp("H", (0,)), qlbm.GateOp("X", (1,), (0,), (1,))]
+    state, probs = qlbm.apply_circuit(qlbm.plan_circuit(qlbm.ZeroState(2), ops, {1: 1}), ops)
+    assert isinstance(state, qlbm.QuantumState) and state.n_qubits == 1
+    np.testing.assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+    assert probs == {1: pytest.approx(0.5)}
+
+
+# ---------------------------------------------------------------------------
+# one plan, replayed
+# ---------------------------------------------------------------------------
+
+
+def _diag_case(phases, angle, select):
+    """Hadamards, then a DIAG over an entered, a never-entered and a controlling qubit, and an RY."""
+    ops = [
+        GateOp("H", (0,)),
+        GateOp("H", (1,)),
+        GateOp("DIAG", (2, 0, 3), (1,), (1,), params=phases),
+        GateOp("RY", (0,), params=(angle,)),
+        GateOp("H", (1,)),
+    ]
+    return ops, plan_circuit(ZeroState(4), ops, select)
+
+
+@pytest.mark.parametrize("select", [None, {1: 0, 2: 0}], ids=["full", "selected"])
+def test_a_plan_replayed_on_other_parameters_matches_a_fresh_plan(select):
+    # the plan of gates A holds A's phasors and matrices; run on gates B of
+    # the same structure it must compute B's, not reuse A's
+    rng = np.random.default_rng(8)
+    ops_a, plan_a = _diag_case(rng.uniform(-3, 3, 8), 0.4, select)
+    ops_b, plan_b = _diag_case(rng.uniform(-3, 3, 8), 1.3, select)
+
+    def run(plan, ops):
+        out = apply_circuit(plan, ops)
+        return (out, {}) if select is None else out
+
+    (a, _), (b, b_probs) = run(plan_a, ops_a), run(plan_a, ops_b)
+    fresh, fresh_probs = run(plan_b, ops_b)
+    np.testing.assert_array_equal(b.amplitudes, fresh.amplitudes)
+    assert b_probs == fresh_probs and b.norm_factor == fresh.norm_factor
+    assert not np.allclose(a.amplitudes, b.amplitudes)
+
+
+def test_a_plan_holds_no_prep_vector():
+    vector = np.array([3.0, 1.0, 4.0, 1.0])
+    ops = [GateOp("PREP", (0, 1), params=vector), GateOp("H", (2,))]
+    plan = plan_circuit(ZeroState(3), ops)
+    assert not any(x is ops[0].params for step in plan.steps for x in step)
+    # a second vector of the same structure loads through the same plan
+    other = [GateOp("PREP", (0, 1), params=vector[::-1]), ops[1]]
+    np.testing.assert_array_equal(apply_circuit(plan, other).amplitudes, run_from_zero(3, other).amplitudes)
+
+
+@pytest.mark.parametrize("ops", [
+    [GateOp("X", (0,)), GateOp("H", (1,), (0,), (1,))],
+    [GateOp("H", (1,)), GateOp("H", (1,), (0,), (1,))],
+    [GateOp("H", (0,)), GateOp("H", (1,), (0,), (0,))],
+    [GateOp("H", (0,)), GateOp("H", (1,))],
+    [GateOp("H", (0,))],
+    [GateOp("H", (0,)), GateOp("H", (1,), (0,), (1,)), GateOp("H", (0,))],
+], ids=["kind", "target", "control-value", "controls", "shorter", "longer"])
+def test_apply_rejects_gates_of_another_structure_than_the_plan(ops):
+    plan = plan_circuit(ZeroState(2), [GateOp("H", (0,)), GateOp("H", (1,), (0,), (1,))])
+    with pytest.raises(ConfigurationError, match="structure"):
+        apply_circuit(plan, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +273,18 @@ def test_sample_rejects_nonpositive_shots():
         sample(_basis_zero(2), 0, seed=1)
 
 
+@pytest.mark.parametrize("shots", [2.9, 2.0, np.float64(3.0), "10", None, -1], ids=repr)
+def test_sample_requires_an_integral_shot_count(shots):
+    with pytest.raises(ConfigurationError, match="shots must be an integer"):
+        sample(QuantumState(1, [0.6, 0.8]), shots, 0)
+
+
+def test_sample_takes_a_numpy_integer_shot_count_as_an_int():
+    hist = sample(QuantumState(1, [0.6, 0.8]), np.int64(3), 0)
+    assert type(hist.shots) is int and hist.counts.sum() == 3
+    assert hist.frequencies().sum() == pytest.approx(1.0)
+
+
 def test_sample_takes_up_to_the_largest_multinomial_count():
     hist = sample(_basis_zero(1), MAX_SHOTS, seed=1)
     assert hist.counts.tolist() == [MAX_SHOTS, 0]
@@ -194,7 +296,7 @@ def test_fidelity_from_exact_histogram_is_one():
     # Counts exactly proportional to probabilities reconstruct the state
     # (nonnegative real amplitudes), so fidelity is 1.
     values = np.array([1.0, 2.0, 2.0, 4.0])
-    state = apply_circuit(ZeroState(2), [GateOp("PREP", (0, 1), params=values)])
+    state = run_from_zero(2, [GateOp("PREP", (0, 1), params=values)])
     counts = (state.probabilities() * 100).round().astype(np.int64)
     hist = SampleHistogram(2, int(counts.sum()), counts)
     assert fidelity_from_histogram(state, hist) == pytest.approx(1.0, abs=1e-12)
