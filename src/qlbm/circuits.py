@@ -9,9 +9,18 @@ CNOT with exact unitary equality, which is what the resource estimator
 counts. Every whole-pipeline builder's encode section is one ``PREP`` gate
 that holds the amplitude layout to load. The simulator applies it by
 loading; lowering expands it into the Möttönen rotation network
-(arXiv:quant-ph/0407010), whose gate structure depends only on the qubit
-count, so the estimator counts a cached structure-only template and never
-computes the angles.
+(arXiv:quant-ph/0407010).
+
+The estimator counts without lowering. :func:`slot_programs` gives each
+gate's lowering as cached slot programs of ``(target slot, control slot)``
+pairs, with no angles:
+
+- one program per multi-controlled core template, with the X wraps of
+  0-polarity controls as a program of their own;
+- one per ``PREP`` qubit count, because the rotation network's structure
+  depends only on that count;
+- one per RZ stage of a diagonal. The level walk of :func:`_diag_stages`,
+  which the lowering also takes, tells which stages are present.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -20,11 +29,12 @@ collision ancilla a on top.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +60,8 @@ __all__ = [
     "build_single_cavity_circuit",
     "lower_op",
     "lowered_rows",
+    "SlotProgram",
+    "slot_programs",
     "lower_circuit",
     "iter_lowered",
     "apply_ops_numpy",
@@ -842,27 +854,43 @@ def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     return targets + op.controls, merged
 
 
+def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Level walk of a diagonal: its two leaf phases and its present RZ stages.
+
+    Each level splits the phases into halves by their top index bit k. The
+    mean of the halves passes down to the next level; their difference is
+    the angle vector of the multiplexed RZ stage on slot k, which the lower
+    slots control. A stage is present where the difference is not all zero.
+    Stages come as ``(k, difference)`` pairs in lowering order, smallest k
+    first.
+    """
+    stages = []
+    while phases.size > 2:
+        half = phases.size >> 1
+        low, high = phases[:half], phases[half:]
+        diff = high - low
+        if np.any(diff):
+            stages.append((half.bit_length() - 1, diff))
+        phases = (low + high) / 2.0
+    stages.reverse()
+    return phases, stages
+
+
 def _diag_rows(phases: np.ndarray) -> list[tuple]:
     """Exact diagonal phase gate as multiplexed RZ stages plus a global phase.
 
     Slot j is bit j of the phase index; the top slot is the target of the
     last stage, which the lower slots control.
     """
-    if phases.size == 2:
-        rows = []
-        if phases[0]:
-            rows.append(("GPHASE", -1, -1, (float(phases[0]),)))
-        delta = float(phases[1] - phases[0])
-        if delta:
-            rows.append(("PHASE", 0, -1, (delta,)))
-        return rows
-    half = phases.size >> 1
-    low, high = phases[:half], phases[half:]
-    rows = _diag_rows((low + high) / 2.0)
-    diff = high - low
-    if np.any(diff):
-        k = half.bit_length() - 1
-        transformed = (_fwht(diff) / half).tolist()
+    leaf, stages = _diag_stages(phases)
+    rows = []
+    if leaf[0]:
+        rows.append(("GPHASE", -1, -1, (float(leaf[0]),)))
+    delta = float(leaf[1] - leaf[0])
+    if delta:
+        rows.append(("PHASE", 0, -1, (delta,)))
+    for k, diff in stages:
+        transformed = (_fwht(diff) / (1 << k)).tolist()
         for gray, flip in _gray_ladder(k):
             rows.append(("RZ", k, -1, (transformed[gray],)))
             rows.append(("MCX", k, flip, ()))
@@ -912,6 +940,83 @@ def lowered_rows(op: GateOp) -> tuple[Sequence[tuple], tuple[int, ...]]:
         wrap = tuple(("X", i, -1, ()) for i, v in enumerate(op.control_values) if not v)
         rows = wrap + rows + wrap
     return rows, op.controls + op.targets
+
+
+class SlotProgram(NamedTuple):
+    """The structure of some basis rows: ``(target slot, control slot)`` per row.
+
+    The control slot is -1 for a single-qubit row; global phases, which
+    touch no qubit, are left out. ``cnot`` and ``single_qubit`` count the rows.
+    """
+
+    rows: tuple[tuple[int, int], ...]
+    cnot: int
+    single_qubit: int
+
+
+def _slot_program(rows) -> SlotProgram:
+    """The slot pairs of basis rows, equal pairs sharing one tuple."""
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    pairs = tuple(shared.setdefault((t, c), (t, c)) for _, t, c, _ in rows if t >= 0)
+    single = sum(n for (_, c), n in collections.Counter(pairs).items() if c < 0)
+    return SlotProgram(pairs, len(pairs) - single, single)
+
+
+_NO_ROWS = SlotProgram((), 0, 0)
+_ONE_ROW = SlotProgram(((0, -1),), 0, 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _core_program(kind: str, m: int, params: tuple) -> SlotProgram:
+    return _slot_program(_core_template(kind, m, params))
+
+
+@functools.lru_cache(maxsize=None)
+def _prep_program(m: int) -> SlotProgram:
+    return _slot_program(_prep_template(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_program(k: int) -> SlotProgram:
+    """The gray-code ladder of a diagonal's RZ stage on slot k."""
+    rotate, flips = (k, -1), [(k, c) for c in range(k)]
+    pairs = tuple(itertools.chain.from_iterable((rotate, flips[flip]) for _, flip in _gray_ladder(k)))
+    return SlotProgram(pairs, 1 << k, 1 << k)
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
+    """The X on each 0-polarity control's slot that wraps a controlled core."""
+    return _slot_program(("X", i, -1, ()) for i, v in enumerate(control_values) if not v)
+
+
+def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], SlotProgram]:
+    """The structure of one gate's lowering, for counting without its rows.
+
+    Returns the slot programs whose rows, run in order, are the lowering's
+    rows less its global phases; the qubit each slot stands for; and the
+    program of X gates on the 0-polarity controls, which runs before those
+    programs and again after them. Every program is cached per gate shape,
+    and a diagonal's stages come from the level walk its lowering takes, so
+    no angle is computed.
+    """
+    kind = op.kind
+    if kind == "PREP":
+        return (_prep_program(len(op.targets)),), op.targets, _NO_ROWS
+    if kind == "GPHASE":
+        if op.controls:
+            raise ConfigurationError("controlled global phase is not supported")
+        return (), (), _NO_ROWS
+    if kind == "DIAG":
+        qubits, phases = _merged_diag_phases(op)
+        leaf, stages = _diag_stages(phases)
+        programs = [_ONE_ROW] if leaf[1] - leaf[0] else []
+        programs += [_stage_program(k) for k, _ in stages]
+        return programs, qubits, _NO_ROWS
+    if not op.controls and kind != "MCX":
+        return (_ONE_ROW,), op.targets, _NO_ROWS
+    core = _core_program(kind, len(op.controls), op.params)
+    return (core,), op.controls + op.targets, _flip_program(op.control_values)
 
 
 def lower_op(op: GateOp) -> list[GateOp]:

@@ -12,6 +12,7 @@ replaces every link population with its equilibrium value, streams, and sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import struct
@@ -249,21 +250,35 @@ def equilibrium_distribution(scheme: LatticeScheme, field: np.ndarray, velocity)
     return k * field[None, ...]
 
 
+def _wrap_halves(shift: int, n: int) -> list[tuple[slice, slice]]:
+    """(destination, source) slices of a periodic shift by ``shift`` along an axis of n points."""
+    k = shift % n
+    if not k:
+        return [(slice(None), slice(None))]
+    return [(slice(k, None), slice(None, n - k)), (slice(None, k), slice(n - k, None))]
+
+
 def stream_periodic(scheme: LatticeScheme, populations: np.ndarray) -> np.ndarray:
     """Shift each link population by its link vector (periodic wrap).
 
     populations[a] moves by e_a: the value at site r lands on r + e_a. For the
-    [j, i] = (y, x) layout this is a roll by (e_y, e_x) on axes (0, 1).
+    [j, i] = (y, x) layout this is a roll by (e_y, e_x) on axes (0, 1), done
+    as one slice copy per wrapped block.
     """
     populations = np.asarray(populations)
     if populations.shape[0] != scheme.n_links:
         raise ConfigurationError("populations leading axis must equal the link count")
+    if populations.ndim != 1 + scheme.dimension:
+        raise ConfigurationError(
+            f"populations need one link axis and {scheme.dimension} site axes, got shape {populations.shape}"
+        )
     out = np.empty_like(populations)
     for a, e in enumerate(scheme.links):
-        if scheme.dimension == 1:
-            out[a] = np.roll(populations[a], e[0])
-        else:
-            out[a] = np.roll(populations[a], (e[1], e[0]), axis=(0, 1))
+        # the site axes run (y, x): a link's components in reverse
+        axes = [_wrap_halves(shift, n) for shift, n in zip(e[::-1], populations.shape[1:])]
+        for blocks in itertools.product(*axes):
+            dst, src = zip(*blocks)
+            out[(a, *dst)] = populations[(a, *src)]
     return out
 
 
@@ -295,7 +310,8 @@ def step_poisson(scheme, psi, source, params: FlowParams | None = None) -> np.nd
         raise ConfigurationError(f"psi shape {psi.shape} != source shape {source.shape}")
     require_power_of_two(*psi.shape)
     gamma = -params.dt * params.diffusion(scheme)
-    g = equilibrium_distribution(scheme, psi + gamma * source, np.zeros(scheme.dimension))
+    # the equilibrium at rest: its coefficients are the weights themselves
+    g = scheme.weight_array.reshape((scheme.n_links,) + (1,) * psi.ndim) * (psi + gamma * source)
     return macro_moment(stream_periodic(scheme, g))
 
 
@@ -307,9 +323,8 @@ def velocity_from_stream_function(psi: np.ndarray, delta: float = 1.0):
     """
     psi = np.asarray(psi, dtype=float)
     order = 2 if min(psi.shape) >= 3 else 1
-    u = np.gradient(psi, delta, axis=0, edge_order=order)
-    v = -np.gradient(psi, delta, axis=1, edge_order=order)
-    return u, v
+    u, dpsi_dx = np.gradient(psi, delta, axis=(0, 1), edge_order=order)
+    return u, -dpsi_dx
 
 
 def apply_cavity_boundaries(psi, omega, spec: CavitySpec):

@@ -1,17 +1,26 @@
 """Gate counting, depth, and runtime estimates for the lowered circuits.
 
-The counter never builds the lowered gate list. For each gate it takes the
-basis rows of its lowering from :func:`qlbm.circuits.lowered_rows`: plain
-``(kind, target slot, control slot, params)`` tuples plus the qubit each
-slot stands for. Multi-controlled gates share one memoized template per
-shape, and each encode section's one ``PREP`` gate is counted from a
-memoized template of its rotation network's structure, which computes no
-angles. So the 64 x 64 combined circuit (about a million gates after
-lowering) is counted on Python ints and floats without one ``GateOp`` per
-lowered gate. Depth is the length of the longest per-qubit dependency chain;
-runtime replaces unit layers with per-gate durations on the same chains.
-Global-phase bookkeeping gates touch no qubits and are excluded from every
-count. Section tallies follow the circuit's section spans.
+The counter never builds the lowered gate list, nor the rows of one gate's
+lowering. For each gate, :func:`qlbm.circuits.slot_programs` gives slot
+programs: ``(target slot, control slot)`` pairs with their CNOT and
+single-qubit counts, and the qubit each slot stands for. A program is
+cached per gate shape. A multi-controlled gate's comes from its core
+template, and the X gates on its 0-polarity controls are a program of
+their own, run before the core and after it. Each encode section's one
+``PREP`` gate has one program per qubit count, from the structure of its
+rotation network, which computes no angles. A diagonal is counted from its
+stage ladders. The level walk that lowers it tells which multiplexed-RZ
+stages are present, and each present stage replays one cached gray-code
+ladder, with no angle computed.
+
+A gate's programs run on local copies of its qubits' layer counts and
+ready times, which are written back once the gate is done. So the 64 x 64
+combined circuit, about a million gates after lowering, is counted on
+Python ints and floats. Depth is the length of the longest per-qubit
+dependency chain. Runtime replaces unit layers with per-gate durations on
+the same chains, adding them in the order of the lowered gates. Global-phase
+bookkeeping gates touch no qubits and are excluded from every count. Section
+tallies follow the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,
@@ -22,6 +31,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,8 +43,9 @@ from .circuits import (
     build_stream_function_circuit,
     build_vorticity_circuit,
     iter_lowered,  # noqa: F401  (perfbench/spans.py hooks qlbm.resources.iter_lowered)
-    lowered_rows,
+    slot_programs,
 )
+from .errors import ConfigurationError
 from .lattice import (
     CavitySpec,
     D2Q5,
@@ -59,10 +71,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GateDurationTable:
-    """Wall-clock cost per gate used for the runtime estimate (seconds)."""
+    """Wall-clock cost per gate used for the runtime estimate (seconds).
+
+    Each duration is a finite real number >= 0, kept as a ``float``.
+    """
 
     single_qubit: float = 3.5e-8
     cnot: float = 5.3e-7
+
+    def __post_init__(self):
+        for name in ("single_qubit", "cnot"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (0 <= value < math.inf):
+                raise ConfigurationError(f"{name} duration must be a finite real number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass
@@ -107,6 +129,23 @@ class ResourceReport:
         }
 
 
+def _replay(rows, layers: list, ready: list, t1q: float, tcx: float) -> None:
+    """Advance each slot's layer and ready time through the rows of a slot program."""
+    for t, c in rows:
+        if c < 0:
+            layers[t] += 1
+            ready[t] += t1q
+        else:
+            lt, lc = layers[t], layers[c]
+            if lc > lt:
+                lt = lc
+            layers[t] = layers[c] = lt + 1
+            rt, rc = ready[t], ready[c]
+            if rc > rt:
+                rt = rc
+            ready[t] = ready[c] = rt + tcx
+
+
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
     """Count the lowered circuit without materializing it."""
     durations = durations or GateDurationTable()
@@ -118,20 +157,16 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
     for section, start, stop in circ.sections:
         cnot = single = 0
         for op in circ.gates[start:stop]:
-            rows, qubits = lowered_rows(op)
-            for _, t, c, _ in rows:
-                if c >= 0:
-                    cnot += 1
-                    qt, qc = qubits[t], qubits[c]
-                    lt, lc = last_layer[qt], last_layer[qc]
-                    rt, rc = ready_at[qt], ready_at[qc]
-                    last_layer[qt] = last_layer[qc] = (lt if lt > lc else lc) + 1
-                    ready_at[qt] = ready_at[qc] = (rt if rt > rc else rc) + tcx
-                elif t >= 0:  # t < 0 is the global phase, which touches no qubit
-                    single += 1
-                    qt = qubits[t]
-                    last_layer[qt] += 1
-                    ready_at[qt] += t1q
+            programs, qubits, flips = slot_programs(op)
+            layers = [last_layer[q] for q in qubits]
+            ready = [ready_at[q] for q in qubits]
+            for program in (flips, *programs, flips):
+                _replay(program.rows, layers, ready, t1q, tcx)
+                cnot += program.cnot
+                single += program.single_qubit
+            for q, layer, done in zip(qubits, layers, ready):
+                last_layer[q] = layer
+                ready_at[q] = done
         if cnot or single:
             tally = sections.setdefault(section, SectionTally())
             tally.cnot += cnot

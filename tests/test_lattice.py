@@ -227,6 +227,33 @@ def test_stream_periodic_rejects_bad_link_axis():
         stream_periodic(D1Q2, np.zeros((3, 8)))
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 8), (3, 4, 4), (5, 8), (5, 2, 2, 2)])
+def test_stream_periodic_rejects_site_axes_other_than_the_scheme_dimension(shape):
+    scheme = {2: D1Q2, 3: D1Q3, 5: D2Q5}[shape[0]]
+    with pytest.raises(ConfigurationError, match="site axes"):
+        stream_periodic(scheme, np.zeros(shape))
+
+
+def _rolled(scheme, populations):
+    """Reference streaming: one ``np.roll`` per link."""
+    out = np.empty_like(populations)
+    for a, e in enumerate(scheme.links):
+        if scheme.dimension == 1:
+            out[a] = np.roll(populations[a], e[0])
+        else:
+            out[a] = np.roll(populations[a], (e[1], e[0]), axis=(0, 1))
+    return out
+
+
+@pytest.mark.parametrize("extent", [2, 3, 4, 5, 8, 16, 32])
+@pytest.mark.parametrize("scheme", [D1Q2, D1Q3, D2Q5], ids=lambda s: s.name)
+def test_stream_periodic_equals_a_roll_per_link(scheme, extent):
+    rng = np.random.default_rng(extent)
+    populations = rng.standard_normal((scheme.n_links,) + (extent,) * scheme.dimension)
+    populations[populations < -1.0] = -0.0  # signed zeros must land where the roll puts them
+    assert stream_periodic(scheme, populations).tobytes() == _rolled(scheme, populations).tobytes()
+
+
 def test_step_rejects_non_power_of_two_extent():
     with pytest.raises(ConfigurationError, match="power of two"):
         step_advection_diffusion(D1Q2, np.zeros(12), (0.1,))
@@ -330,6 +357,16 @@ def test_poisson_relaxation_converges_to_dense_solution():
     np.testing.assert_allclose(psi, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize("extent", [2, 8, 32])
+def test_poisson_sweep_streams_the_equilibrium_at_rest(extent):
+    rng = np.random.default_rng(extent)
+    psi, source = rng.standard_normal((2, extent, extent))
+    params = FlowParams()
+    folded = psi + -params.dt * params.diffusion(D2Q5) * source
+    g = equilibrium_distribution(D2Q5, folded, (0.0, 0.0))
+    assert step_poisson(D2Q5, psi, source, params).tobytes() == macro_moment(_rolled(D2Q5, g)).tobytes()
+
+
 def test_poisson_rejects_mismatched_shapes():
     with pytest.raises(ConfigurationError, match="shape"):
         step_poisson(D2Q5, np.zeros((4, 4)), np.zeros((8, 8)))
@@ -347,6 +384,16 @@ def test_velocity_from_stream_function_linear_field_is_exact():
     u, v = velocity_from_stream_function(x * y)
     np.testing.assert_allclose(u, x, atol=1e-12)
     np.testing.assert_allclose(v, -y, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (3, 3), (4, 7), (8, 8), (16, 16), (32, 32)])
+def test_velocity_equals_one_gradient_call_per_axis(shape):
+    rng = np.random.default_rng(shape[1])
+    psi = rng.standard_normal(shape)
+    order = 2 if min(shape) >= 3 else 1
+    u, v = velocity_from_stream_function(psi, 0.25)
+    assert u.tobytes() == np.gradient(psi, 0.25, axis=0, edge_order=order).tobytes()
+    assert v.tobytes() == (-np.gradient(psi, 0.25, axis=1, edge_order=order)).tobytes()
 
 
 def test_cavity_boundaries_zero_stream_function_walls():

@@ -17,6 +17,8 @@ from qlbm.circuits import (
     build_advection_diffusion_circuit,
     iter_lowered,
     lower_circuit,
+    lowered_rows,
+    slot_programs,
 )
 from qlbm.errors import ConfigurationError
 from qlbm.lattice import D1Q3
@@ -46,6 +48,19 @@ def test_duration_defaults():
     table = GateDurationTable()
     assert table.single_qubit == 3.5e-8
     assert table.cnot == 5.3e-7
+
+
+@pytest.mark.parametrize("field", ["single_qubit", "cnot"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-12, "a", None, True, 1j])
+def test_duration_table_rejects_what_is_not_a_finite_real_at_least_zero(field, bad):
+    with pytest.raises(ConfigurationError, match=field):
+        GateDurationTable(**{field: bad})
+
+
+def test_duration_table_keeps_each_duration_as_a_float():
+    table = GateDurationTable(np.float32(0.5), 0)
+    assert (table.single_qubit, table.cnot) == (0.5, 0.0)
+    assert type(table.single_qubit) is float and type(table.cnot) is float
 
 
 def test_count_serial_chain_by_hand():
@@ -142,9 +157,13 @@ def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
     return cnot, single, max(layers), max(ready)
 
 
+# random floats never make a diagonal's level difference vanish; these do
+_FEW_PHASES = st.sampled_from([0.0, 0.5, -0.5])
+
+
 @st.composite
 def _controlled_gates(draw):
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 8))
     ops = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["MCX", "H", "X", "RY", "RZ", "PHASE", "DIAG", "GPHASE", "PREP"]))
@@ -164,7 +183,8 @@ def _controlled_gates(draw):
         controls = tuple(qubits[n_targets : n_targets + m])
         values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
         n_params = {"MCX": 0, "H": 0, "X": 0, "DIAG": 1 << n_targets}.get(kind, 1)
-        params = tuple(draw(st.lists(st.floats(-3, 3), min_size=n_params, max_size=n_params)))
+        values_of = _FEW_PHASES if kind == "DIAG" and draw(st.booleans()) else st.floats(-3, 3)
+        params = tuple(draw(st.lists(values_of, min_size=n_params, max_size=n_params)))
         ops.append(GateOp(kind, targets, controls, values, params))
     return n, ops
 
@@ -175,6 +195,48 @@ def test_counts_match_the_materialized_lowering_on_random_controlled_gates(case)
     n, ops = case
     circ = _tiny_circuit(ops, n_qubits=n)
     rep = count_resources(circ, "random")
+    assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_controlled_gates())
+def test_slot_programs_run_the_rows_of_the_lowering(case):
+    # slot for slot, the rows counted are the lowering's rows less its global phases
+    _, ops = case
+    for op in ops:
+        programs, qubits, flips = slot_programs(op)
+        counted = [(qubits[t], qubits[c] if c >= 0 else None)
+                   for program in (flips, *programs, flips) for t, c in program.rows]
+        rows, row_qubits = lowered_rows(op)
+        lowered = [(row_qubits[t], row_qubits[c] if c >= 0 else None) for _, t, c, _ in rows if t >= 0]
+        assert counted == lowered
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_counts_match_the_materialized_lowering_on_mcx_of_mixed_polarity(m):
+    controls = tuple(range(1, m + 1))
+    for values in {tuple((i + shift) % 2 for i in range(m)) for shift in (0, 1)} | {(1,) * m}:
+        circ = _tiny_circuit([GateOp("H", (m,)), GateOp("MCX", (0,), controls, values)], n_qubits=m + 1)
+        rep = count_resources(circ, "mcx")
+        assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+
+
+_TOP_FREE = [0.1, -0.7, 0.4, 2.0] * 2  # three targets, no dependence on the top one
+
+
+@pytest.mark.parametrize("targets, controls, values, phases, cnot, single", [
+    ((0, 1, 2), (), (), [0.0] * 8, 0, 0),
+    ((0, 1, 2), (3,), (0,), [0.0] * 8, 0, 0),
+    ((0, 1, 2), (), (), _TOP_FREE, 2, 3),  # the top stage is skipped: slot 1's ladder and the leaf PHASE
+    ((2, 0, 3), (1,), (1,), _TOP_FREE, 2 + 8, 3 + 8),  # the control's stage remains
+    ((1,), (), (), [0.3, 0.3], 0, 0),  # a global phase alone
+    ((1, 0), (), (), [0.5, 0.5, -0.5, -0.5], 2, 2),  # zero leaf delta: no PHASE, only the top stage
+])
+def test_counts_match_the_materialized_lowering_on_diagonals_with_vanishing_levels(
+        targets, controls, values, phases, cnot, single):
+    circ = _tiny_circuit([GateOp("H", (targets[0],)), GateOp("DIAG", targets, controls, values, phases)], n_qubits=4)
+    rep = count_resources(circ, "diag")
+    assert (rep.cnot, rep.single_qubit - 1) == (cnot, single)
     assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
 
 
@@ -234,14 +296,18 @@ def test_comparison_csv_matches_the_frozen_bytes(tmp_path):
 
 
 def test_comparison_at_extent_64_matches_the_parent():
-    # the extent-64 encode PREP spans 16 qubits, past the frozen extents <= 8
-    got = {name: (r.cnot, r.single_qubit, r.depth) for name, r in compare_single_vs_frugal(64).reports.items()}
+    # the extent-64 encode PREP spans 16 qubits and streaming has 9-control
+    # MCX gates, past the frozen extents <= 8; runtimes are exact
+    got = {
+        name: (r.cnot, r.single_qubit, r.depth, r.runtime_seconds)
+        for name, r in compare_single_vs_frugal(64).reports.items()
+    }
     assert got == {
-        "single": (394998, 604865, 750292),
-        "stream-function": (107446, 142471, 208093),
-        "vorticity": (107438, 142462, 208125),
-        "stream-function-nb": (103350, 138373, 200028),
-        "vorticity-nb": (103342, 138364, 200060),
+        "single": (394998, 604865, 750292, 0.20378069500049462),
+        "stream-function": (107446, 142471, 208093, 0.05743295999999515),
+        "vorticity": (107438, 142462, 208125, 0.05744005499999518),
+        "stream-function-nb": (103350, 138373, 200028, 0.05515434999999119),
+        "vorticity-nb": (103342, 138364, 200060, 0.055161444999991226),
     }
 
 
