@@ -11,16 +11,20 @@ that holds the amplitude layout to load. The simulator applies it by
 loading; lowering expands it into the Möttönen rotation network
 (arXiv:quant-ph/0407010).
 
-The estimator counts without lowering. :func:`slot_programs` gives each
-gate's lowering as cached slot programs of ``(target slot, control slot)``
-pairs, with no angles:
+Each gate's lowering is described once, by :func:`slot_programs`: cached
+slot programs of ``(target slot, control slot)`` rows, one per gate shape.
+A single-qubit row holds its ``(kind, params)`` or is left open; the gate
+being lowered fills its open rows with its own angles. There is
 
 - one program per multi-controlled core template, with the X wraps of
   0-polarity controls as a program of their own;
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
-- one per RZ stage of a diagonal. The level walk of :func:`_diag_stages`,
-  which the lowering also takes, tells which stages are present.
+- one gray-code ladder per RZ stage of a diagonal. The level walk of
+  :func:`_diag_stages` tells which stages are present.
+
+:func:`lower_op` replays the programs onto a gate's qubits and fills the
+open rows; the estimator replays the same programs and computes no angle.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -29,7 +33,6 @@ collision ancilla a on top.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -46,7 +49,6 @@ __all__ = [
     "RegisterLayout",
     "CircuitIR",
     "gate_matrix_1q",
-    "build_state_prep",
     "build_shift_ops",
     "build_streaming_ops",
     "build_collision_ops",
@@ -59,7 +61,6 @@ __all__ = [
     "build_stream_function_circuit",
     "build_single_cavity_circuit",
     "lower_op",
-    "lowered_rows",
     "SlotProgram",
     "slot_programs",
     "lower_circuit",
@@ -327,58 +328,8 @@ class CircuitIR:
 
 
 # ---------------------------------------------------------------------------
-# state preparation (multiplexed RY tree over real, signed vectors)
+# amplitude normalization
 # ---------------------------------------------------------------------------
-
-
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform, natural (Hadamard) ordering."""
-    a = np.array(values, dtype=float)
-    n = a.size
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        y = a[:, 1, :].copy()
-        a[:, 0, :] = x + y
-        a[:, 1, :] = x - y
-        a = a.reshape(n)
-        h <<= 1
-    return a
-
-
-def _gray_ladder(k: int) -> Iterator[tuple[int, int]]:
-    """(angle index, control position) per rung of the k-control gray-code ladder.
-
-    Rung i rotates by the transformed angle of gray code i, then flips the
-    target on the control whose bit changes between gray codes i and i + 1
-    (the last rung wraps round on the top control).
-    """
-    last = (1 << k) - 1
-    for i in range(last + 1):
-        flip = k - 1 if i == last else ((i + 1) & -(i + 1)).bit_length() - 1
-        yield i ^ (i >> 1), flip
-
-
-def _multiplexed_rotation(kind: str, target: int, controls: tuple[int, ...], angles) -> list[GateOp]:
-    """Uniformly-controlled RY/RZ: rotation angle angles[b] on control branch b.
-
-    Gray-code ladder: alternating single-qubit rotations on the target and
-    CNOTs whose controls walk the gray sequence, 2^k rotations + 2^k CNOTs.
-    Branch b's bit i is the value of controls[i].
-    """
-    angles = np.asarray(angles, dtype=float)
-    k = len(controls)
-    if angles.shape != (1 << k,):
-        raise ConfigurationError(f"need {1 << k} angles for {k} controls, got {angles.shape}")
-    if k == 0:
-        return [GateOp(kind, (target,), params=(float(angles[0]),))]
-    transformed = (_fwht(angles) / (1 << k)).tolist()
-    ops: list[GateOp] = []
-    for gray, flip in _gray_ladder(k):
-        ops.append(GateOp(kind, (target,), params=(transformed[gray],)))
-        ops.append(GateOp("MCX", (target,), (controls[flip],), (1,)))
-    return ops
 
 
 def unit_amplitudes(values) -> tuple[np.ndarray, float]:
@@ -398,34 +349,6 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     unit_norm = float(np.linalg.norm(unit))
     unit /= unit_norm
     return unit, peak * unit_norm
-
-
-def build_state_prep(vector, qubits: tuple[int, ...]) -> list[GateOp]:
-    """Rotation network preparing a real unit vector from the all-zeros state.
-
-    One multiplexed-RY stage per qubit, root (most significant) first. Signs
-    enter only at the leaf stage, whose angles use the signed pair values;
-    every higher stage rotates by branch norms.
-    """
-    v = np.asarray(vector, dtype=float)
-    m = len(qubits)
-    if v.shape != (1 << m,):
-        raise ConfigurationError(f"vector length {v.shape} does not fit {m} qubits")
-    if not np.isclose(np.linalg.norm(v), 1.0, atol=1e-12):
-        raise ConfigurationError("state prep expects a normalized vector")
-    ops: list[GateOp] = []
-    for j in range(m - 1, -1, -1):
-        blocks = 1 << (m - 1 - j)
-        half = 1 << j
-        halves = v.reshape(blocks, 2, half)
-        if j == 0:
-            lo, hi = halves[:, 0, 0], halves[:, 1, 0]  # signed leaf pairs
-        else:
-            lo = np.linalg.norm(halves[:, 0, :], axis=1)
-            hi = np.linalg.norm(halves[:, 1, :], axis=1)
-        angles = 2.0 * np.arctan2(hi, lo)
-        ops.extend(_multiplexed_rotation("RY", qubits[j], tuple(qubits[j + 1 :]), angles))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +613,28 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # lowering to single-qubit + CNOT
 # ---------------------------------------------------------------------------
 #
-# A lowering is a sequence of basis rows ``(kind, target, control, params)``
-# on relative qubit slots: ``control`` is -1 for a single-qubit gate,
-# ``target`` is -1 for the global phase, and every controlled row is a CNOT on
-# control value 1. :func:`lowered_rows` pairs the rows with the qubit each slot
-# stands for; :func:`lower_op` and :func:`iter_lowered` emit gates from them
-# and the resource counter walks them as they are.
+# A gate's lowering is written once, as the cached slot programs of
+# :func:`slot_programs`. A program is a list of rows ``(target slot, control
+# slot)`` on relative qubit slots. A row with a control is a CNOT on control
+# value 1; every other row is a single-qubit gate, whose ``(kind, params)``
+# the program holds, or leaves open as ``None`` when the kind and angle
+# depend on the gate being lowered. :func:`lower_op` replays a gate's
+# programs on its qubits and fills the open rows from :func:`_own_gates`;
+# the resource counter replays the same programs and never computes an angle.
 #
-# MCX and controlled single-qubit gates lower through one template per shape
-# (kind, number of controls, params): the all-ones-controls core, with the
-# controls on slots 0..m-1 and the target on slot m, expanded once and shared
-# by every gate of that shape. The recursion builds rows on slots from the
-# bottom up, and its inner MCX is a smaller cached core with its slots
-# remapped. Zero-polarity controls are wrapped in X when the template is
-# emitted. Diagonals depend on their phases and are expanded per gate. State
-# preparation has one template per qubit count that holds the structure of
-# the rotation network only: its rotation rows carry no angle, so it serves
-# counting, while :func:`lower_op` builds the network with its angles.
+# There is one program per gate shape:
+#
+# - an MCX or controlled single-qubit gate: the all-ones-controls core of
+#   (kind, number of controls, params), with the controls on slots 0..m-1
+#   and the target on slot m. The recursion builds basis rows on slots from
+#   the bottom up, and its inner MCX is a smaller cached core with its slots
+#   remapped. The X gates on 0-polarity controls are a program of their own,
+#   run before the core and again after it;
+# - a uniformly-controlled rotation: one gray-code ladder per control count
+#   (:func:`_ladder_program`), every rotation open. A PREP chains one ladder
+#   per target; a diagonal runs the ladder of each RZ stage its level walk
+#   finds present;
+# - an uncontrolled single-qubit gate: one open row.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -828,19 +756,6 @@ def _core_template(kind: str, m: int, params: tuple) -> tuple[tuple, ...]:
     return tuple(_multi_controlled_rows(u, slots, m))
 
 
-def _emit(rows, qubits: tuple[int, ...]) -> list[GateOp]:
-    """Gates of basis rows with slot s placed on qubits[s]."""
-    ops = []
-    for kind, t, c, params in rows:
-        if c >= 0:
-            ops.append(GateOp(kind, (qubits[t],), (qubits[c],), (1,), params))
-        elif t >= 0:
-            ops.append(GateOp(kind, (qubits[t],), params=params))
-        else:
-            ops.append(GateOp(kind, (), params=params))
-    return ops
-
-
 def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     """Fold a diagonal's controls into the diagonal itself."""
     phases = op.params
@@ -862,7 +777,7 @@ def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.nda
     the angle vector of the multiplexed RZ stage on slot k, which the lower
     slots control. A stage is present where the difference is not all zero.
     Stages come as ``(k, difference)`` pairs in lowering order, smallest k
-    first.
+    first. The leaf phases give the global phase and the PHASE on slot 0.
     """
     stages = []
     while phases.size > 2:
@@ -876,129 +791,115 @@ def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.nda
     return phases, stages
 
 
-def _diag_rows(phases: np.ndarray) -> list[tuple]:
-    """Exact diagonal phase gate as multiplexed RZ stages plus a global phase.
+def _fwht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform, natural (Hadamard) ordering."""
+    a = np.array(values, dtype=float)
+    n = a.size
+    h = 1
+    while h < n:
+        a = a.reshape(-1, 2, h)
+        x = a[:, 0, :].copy()
+        y = a[:, 1, :].copy()
+        a[:, 0, :] = x + y
+        a[:, 1, :] = x - y
+        a = a.reshape(n)
+        h <<= 1
+    return a
 
-    Slot j is bit j of the phase index; the top slot is the target of the
-    last stage, which the lower slots control.
+
+def _ladder_angles(angles: np.ndarray) -> list[float]:
+    """Rotation angle of each rung of :func:`_ladder_program`, in rung order.
+
+    ``angles[b]`` is the rotation on control branch b, whose bit i is the
+    value of control slot i; rung r rotates by the transformed angle of gray
+    code r.
     """
-    leaf, stages = _diag_stages(phases)
-    rows = []
-    if leaf[0]:
-        rows.append(("GPHASE", -1, -1, (float(leaf[0]),)))
-    delta = float(leaf[1] - leaf[0])
-    if delta:
-        rows.append(("PHASE", 0, -1, (delta,)))
-    for k, diff in stages:
-        transformed = (_fwht(diff) / (1 << k)).tolist()
-        for gray, flip in _gray_ladder(k):
-            rows.append(("RZ", k, -1, (transformed[gray],)))
-            rows.append(("MCX", k, flip, ()))
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _prep_template(m: int) -> tuple[tuple, ...]:
-    """Rows of :func:`build_state_prep` on slots 0..m-1, without the angles.
-
-    The same rows in the same order for every vector: each stage's
-    multiplexed rotation emits all of its rungs whatever the angles.
-    Repeated rows are one shared tuple.
-    """
-    rows: list[tuple] = []
-    for j in range(m - 1, -1, -1):
-        rotate = ("RY", j, -1, ())
-        if j == m - 1:
-            rows.append(rotate)
-            continue
-        flips = [("MCX", j, c, ()) for c in range(j + 1, m)]
-        for _, flip in _gray_ladder(m - 1 - j):
-            rows += (rotate, flips[flip])
-    return tuple(rows)
-
-
-def lowered_rows(op: GateOp) -> tuple[Sequence[tuple], tuple[int, ...]]:
-    """Basis rows of one gate's lowering, and the qubit each slot stands for.
-
-    The rows are exact for every kind but PREP, whose rows give the
-    rotation network's structure with no angles (see :func:`lower_op`).
-    """
-    kind = op.kind
-    if kind == "PREP":
-        return _prep_template(len(op.targets)), op.targets
-    if kind == "GPHASE":
-        if op.controls:
-            raise ConfigurationError("controlled global phase is not supported")
-        return (("GPHASE", -1, -1, op.params),), ()
-    if kind == "DIAG":
-        qubits, phases = _merged_diag_phases(op)
-        return _diag_rows(phases), qubits
-    if not op.controls and kind != "MCX":
-        return ((kind, 0, -1, op.params),), op.targets
-    rows = _core_template(kind, len(op.controls), op.params)
-    if 0 in op.control_values:
-        wrap = tuple(("X", i, -1, ()) for i, v in enumerate(op.control_values) if not v)
-        rows = wrap + rows + wrap
-    return rows, op.controls + op.targets
+    rung = np.arange(angles.size)
+    return (_fwht(angles) / angles.size)[rung ^ (rung >> 1)].tolist()
 
 
 class SlotProgram(NamedTuple):
-    """The structure of some basis rows: ``(target slot, control slot)`` per row.
+    """One cached piece of a lowering: ``(target slot, control slot)`` per row.
 
-    The control slot is -1 for a single-qubit row; global phases, which
-    touch no qubit, are left out. ``cnot`` and ``single_qubit`` count the rows.
+    The control slot is -1 for a single-qubit row; any other row is a CNOT.
+    ``gates`` holds the ``(kind, params)`` of each single-qubit row in order,
+    or ``None`` for a row whose kind and angle come from the gate being
+    lowered. Global phases, which touch no qubit, are no row of any program.
+    ``cnot`` and ``single_qubit`` count the rows.
     """
 
     rows: tuple[tuple[int, int], ...]
     cnot: int
     single_qubit: int
+    gates: tuple[tuple[str, tuple] | None, ...]
 
 
-def _slot_program(rows) -> SlotProgram:
-    """The slot pairs of basis rows, equal pairs sharing one tuple."""
+def _slot_program(pairs, gates) -> SlotProgram:
+    """The program of these slot pairs and single-qubit gates, equal pairs sharing one tuple."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
-    pairs = tuple(shared.setdefault((t, c), (t, c)) for _, t, c, _ in rows if t >= 0)
-    single = sum(n for (_, c), n in collections.Counter(pairs).items() if c < 0)
-    return SlotProgram(pairs, len(pairs) - single, single)
+    pairs = tuple(shared.setdefault(pair, pair) for pair in pairs)
+    gates = tuple(gates)
+    return SlotProgram(pairs, len(pairs) - len(gates), len(gates), gates)
 
 
-_NO_ROWS = SlotProgram((), 0, 0)
-_ONE_ROW = SlotProgram(((0, -1),), 0, 1)
+_NO_ROWS = SlotProgram((), 0, 0, ())
+_ONE_ROW = SlotProgram(((0, -1),), 0, 1, (None,))
 
 
 @functools.lru_cache(maxsize=128)
 def _core_program(kind: str, m: int, params: tuple) -> SlotProgram:
-    return _slot_program(_core_template(kind, m, params))
+    rows = _core_template(kind, m, params)
+    return _slot_program(((t, c) for _, t, c, _ in rows), ((k, p) for k, _, c, p in rows if c < 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_program(k: int) -> SlotProgram:
+    """Uniformly-controlled rotation on slot k, controlled by slots 0..k-1.
+
+    The gray-code ladder: rung r rotates slot k, then flips it on the control
+    whose bit changes between gray codes r and r + 1; the last rung wraps
+    round on the top control. 2^k open rotations and 2^k CNOTs; with no
+    control it is the bare rotation.
+    """
+    if k == 0:
+        return _ONE_ROW
+    last = (1 << k) - 1
+    pairs = []
+    for r in range(last + 1):
+        flip = k - 1 if r == last else ((r + 1) & -(r + 1)).bit_length() - 1
+        pairs += ((k, -1), (k, flip))
+    return _slot_program(pairs, (None,) * (last + 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _prep_program(m: int) -> SlotProgram:
-    return _slot_program(_prep_template(m))
+    """The Möttönen rotation network of a PREP on slots 0..m-1.
 
-
-@functools.lru_cache(maxsize=None)
-def _stage_program(k: int) -> SlotProgram:
-    """The gray-code ladder of a diagonal's RZ stage on slot k."""
-    rotate, flips = (k, -1), [(k, c) for c in range(k)]
-    pairs = tuple(itertools.chain.from_iterable((rotate, flips[flip]) for _, flip in _gray_ladder(k)))
-    return SlotProgram(pairs, 1 << k, 1 << k)
+    One ladder per slot j, top slot first: the RY on slot j controlled by
+    the slots above it.
+    """
+    pairs: list[tuple[int, int]] = []
+    for j in range(m - 1, -1, -1):
+        slot = (*range(j + 1, m), j)
+        pairs += ((slot[t], slot[c] if c >= 0 else -1) for t, c in _ladder_program(m - 1 - j).rows)
+    return _slot_program(pairs, (None,) * ((1 << m) - 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
     """The X on each 0-polarity control's slot that wraps a controlled core."""
-    return _slot_program(("X", i, -1, ()) for i, v in enumerate(control_values) if not v)
+    flipped = [i for i, v in enumerate(control_values) if not v]
+    return _slot_program(((i, -1) for i in flipped), [("X", ())] * len(flipped))
 
 
 def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], SlotProgram]:
-    """The structure of one gate's lowering, for counting without its rows.
+    """One gate's lowering, as the slot programs that describe it.
 
-    Returns the slot programs whose rows, run in order, are the lowering's
-    rows less its global phases; the qubit each slot stands for; and the
-    program of X gates on the 0-polarity controls, which runs before those
-    programs and again after them. Every program is cached per gate shape,
-    and a diagonal's stages come from the level walk its lowering takes, so
-    no angle is computed.
+    Returns the slot programs whose rows, run in order, are the lowering
+    less its global phases; the qubit each slot stands for; and the program
+    of X gates on the 0-polarity controls, which runs before those programs
+    and again after them. Every program is cached per gate shape, and a
+    diagonal's stages come from its level walk, so no angle is computed.
     """
     kind = op.kind
     if kind == "PREP":
@@ -1011,7 +912,7 @@ def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], S
         qubits, phases = _merged_diag_phases(op)
         leaf, stages = _diag_stages(phases)
         programs = [_ONE_ROW] if leaf[1] - leaf[0] else []
-        programs += [_stage_program(k) for k, _ in stages]
+        programs += [_ladder_program(k) for k, _ in stages]
         return programs, qubits, _NO_ROWS
     if not op.controls and kind != "MCX":
         return (_ONE_ROW,), op.targets, _NO_ROWS
@@ -1019,15 +920,60 @@ def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], S
     return (core,), op.controls + op.targets, _flip_program(op.control_values)
 
 
+def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
+    """The global phases that lead a gate's lowering, and the ``(kind, params)``
+    of its open rows, in the order :func:`slot_programs` runs them."""
+    kind = op.kind
+    if kind == "GPHASE":
+        return [op], []
+    if kind == "PREP":
+        # signs enter only at the leaf stage (j = 0), whose angles use the
+        # signed pair values; every higher stage rotates by branch norms
+        v = unit_amplitudes(op.params)[0]
+        m = len(op.targets)
+        gates = []
+        for j in range(m - 1, -1, -1):
+            halves = v.reshape(1 << (m - 1 - j), 2, 1 << j)
+            if j == 0:
+                lo, hi = halves[:, 0, 0], halves[:, 1, 0]
+            else:
+                lo = np.linalg.norm(halves[:, 0, :], axis=1)
+                hi = np.linalg.norm(halves[:, 1, :], axis=1)
+            gates += (("RY", (angle,)) for angle in _ladder_angles(2.0 * np.arctan2(hi, lo)))
+        return [], gates
+    if kind == "DIAG":
+        leaf, stages = _diag_stages(_merged_diag_phases(op)[1])
+        phases = [GateOp("GPHASE", (), params=(float(leaf[0]),))] if leaf[0] else []
+        delta = float(leaf[1] - leaf[0])
+        gates = [("PHASE", (delta,))] if delta else []
+        for _, diff in stages:
+            gates += (("RZ", (angle,)) for angle in _ladder_angles(diff))
+        return phases, gates
+    if not op.controls and kind != "MCX":
+        return [], [(kind, op.params)]
+    return [], []
+
+
 def lower_op(op: GateOp) -> list[GateOp]:
     """Rewrite one gate into the single-qubit + CNOT basis, exactly.
 
-    A PREP becomes the rotation network that prepares its unit vector from
-    |0> on its targets; on a target register in |0> the two agree.
+    The gate's slot programs run on its qubits, their open rows filled from
+    the gate's own angles. A PREP becomes the rotation network that prepares
+    its unit vector from |0> on its targets; on a target register in |0> the
+    two agree.
     """
-    if op.kind == "PREP":
-        return build_state_prep(unit_amplitudes(op.params)[0], op.targets)
-    return _emit(*lowered_rows(op))
+    programs, qubits, flips = slot_programs(op)
+    ops, own = _own_gates(op)
+    own = iter(own)
+    for program in (flips, *programs, flips):
+        gates = iter(program.gates)
+        for t, c in program.rows:
+            if c >= 0:
+                ops.append(GateOp("MCX", (qubits[t],), (qubits[c],), (1,)))
+            else:
+                kind, params = next(gates) or next(own)
+                ops.append(GateOp(kind, (qubits[t],), params=params))
+    return ops
 
 
 def iter_lowered(circ: CircuitIR) -> Iterator[tuple[str, GateOp]]:

@@ -200,15 +200,15 @@ class CavityHistory:
 
 
 def require_count(value: int, name: str) -> None:
-    """Reject ``value`` unless it is an integer >= 0 (numpy integers count), reporting it as ``name``."""
-    if not isinstance(value, numbers.Integral) or value < 0:
+    """Reject ``value`` unless it is an integer >= 0 (numpy integers count, bools do not), reporting it as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def require_power_of_two(*extents: int, name: str = "extent") -> None:
-    """Reject any extent that is not an integer power of two >= 2, reporting it as ``name``."""
+    """Reject any extent that is not an integer power of two >= 2 (a bool is not), reporting it as ``name``."""
     for n in extents:
-        if not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
             raise ConfigurationError(f"{name} {n!r} is not a power of two >= 2")
 
 

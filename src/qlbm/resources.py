@@ -1,17 +1,18 @@
 """Gate counting, depth, and runtime estimates for the lowered circuits.
 
-The counter never builds the lowered gate list, nor the rows of one gate's
-lowering. For each gate, :func:`qlbm.circuits.slot_programs` gives slot
-programs: ``(target slot, control slot)`` pairs with their CNOT and
-single-qubit counts, and the qubit each slot stands for. A program is
-cached per gate shape. A multi-controlled gate's comes from its core
-template, and the X gates on its 0-polarity controls are a program of
-their own, run before the core and after it. Each encode section's one
-``PREP`` gate has one program per qubit count, from the structure of its
-rotation network, which computes no angles. A diagonal is counted from its
-stage ladders. The level walk that lowers it tells which multiplexed-RZ
-stages are present, and each present stage replays one cached gray-code
-ladder, with no angle computed.
+The counter never builds the lowered gate list. It reads the one
+description of each gate's lowering that :func:`qlbm.circuits.lower_op`
+also replays: the cached slot programs of
+:func:`qlbm.circuits.slot_programs`, ``(target slot, control slot)`` rows
+with their CNOT and single-qubit counts, and the qubit each slot stands
+for. A program is cached per gate shape; the single-qubit rows whose
+angles depend on the gate are left open, and the counter never fills them.
+A multi-controlled gate's program comes from its core template, and the X
+gates on its 0-polarity controls are a program of their own, run before the
+core and after it. Each encode section's one ``PREP`` gate has one program
+per qubit count, its rotation network. A diagonal's level walk tells which
+multiplexed-RZ stages are present, and each present stage replays one
+cached gray-code ladder.
 
 A gate's programs run on local copies of its qubits' layer counts and
 ready times, which are written back once the gate is done. So the 64 x 64

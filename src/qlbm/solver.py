@@ -428,7 +428,7 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
 
 def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | None = None) -> FidelityResult:
     """Mean reconstruction infidelity per shot count, with a log-log slope fit."""
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials!r}")
     for shots in shots_list:
         require_shots(shots, "each shot count")

@@ -327,15 +327,15 @@ def _structure(ops) -> tuple:
 def _checked_selection(select, n_qubits: int) -> dict[int, int]:
     checked = {}
     for qubit, value in select.items():
-        if not (isinstance(qubit, numbers.Integral) and 0 <= qubit < n_qubits):
+        if isinstance(qubit, bool) or not (isinstance(qubit, numbers.Integral) and 0 <= qubit < n_qubits):
             raise ConfigurationError(f"selected qubit {qubit!r} is not a qubit of a {n_qubits}-qubit state")
         checked[int(qubit)] = _bit(value, f"selection value for qubit {qubit}")
     return checked
 
 
 def _bit(value, name: str) -> int:
-    """``value`` as the int 0 or 1 (numpy integers count), or :class:`ConfigurationError` naming it as ``name``."""
-    if not isinstance(value, numbers.Integral) or value not in (0, 1):
+    """``value`` as the int 0 or 1 (numpy integers count, bools do not), or :class:`ConfigurationError` naming it as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
         raise ConfigurationError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
 
@@ -471,11 +471,11 @@ class SampleHistogram:
 
 
 def require_shots(shots, name: str = "shots") -> int:
-    """``shots`` as an int in [1, ``MAX_SHOTS``] (numpy integers count).
+    """``shots`` as an int in [1, ``MAX_SHOTS``] (numpy integers count, bools do not).
 
     Anything else raises :class:`ConfigurationError` naming it as ``name``.
     """
-    if not isinstance(shots, numbers.Integral) or not 1 <= shots <= MAX_SHOTS:
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or not 1 <= shots <= MAX_SHOTS:
         raise ConfigurationError(f"{name} must be an integer in [1, 2**63 - 1], got {shots!r}")
     return int(shots)
 
@@ -485,7 +485,10 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     shots = require_shots(shots)
     rng = np.random.Generator(np.random.Philox(seed))
     p = state.probabilities()
-    p = p / p.sum()
+    total = p.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ConfigurationError(f"cannot sample a state whose probabilities sum to {float(total)!r}: it needs finite amplitudes, not all zero")
+    p = p / total
     counts = rng.multinomial(shots, p)
     return SampleHistogram(state.n_qubits, shots, counts)
 

@@ -7,6 +7,7 @@ lists must match their parents as unitaries, and the standard decompositions
 must land on their known CNOT counts.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from qlbm.circuits import (
     build_macro_ops,
     build_shift_ops,
     build_single_cavity_circuit,
-    build_state_prep,
     build_stream_function_circuit,
     build_streaming_ops,
     build_vorticity_circuit,
@@ -36,12 +36,12 @@ from qlbm.circuits import (
     iter_lowered,
     lower_circuit,
     lower_op,
-    lowered_rows,
+    slot_programs,
     unit_amplitudes,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
-from qlbm.resources import count_resources
+from qlbm.resources import build_comparison_circuits, count_resources
 
 from prepared_state import load_ops, run_from_zero
 
@@ -139,6 +139,7 @@ def test_gate_op_rejects_overlapping_qubits():
     ("U1Q", (0,), (1.0, 0.0, 0.0, 0.0)),
     ("DIAG", (0, 1), (0.1, 0.2)),
     ("DIAG", (), (0.1,)),
+    ("PREP", (0, 1), (0.1, 0.2, 0.3)),
 ])
 def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
     with pytest.raises(ConfigurationError):
@@ -341,22 +342,12 @@ def test_cavity_wall_mask_counts():
 )
 def test_state_prep_reaches_signed_target(values):
     v = np.asarray(values) / np.linalg.norm(values)
-    ops = build_state_prep(v, (0, 1, 2))
+    ops = lower_op(GateOp("PREP", (0, 1, 2), params=v))
     state = np.zeros(8, dtype=complex)
     state[0] = 1.0
     out = apply_ops_numpy(state, ops, 3)
     np.testing.assert_allclose(out.real, v, atol=1e-10)
     np.testing.assert_allclose(out.imag, 0.0, atol=1e-12)
-
-
-def test_state_prep_rejects_unnormalized_vector():
-    with pytest.raises(ConfigurationError, match="normalized"):
-        build_state_prep(np.ones(4), (0, 1))
-
-
-def test_state_prep_rejects_wrong_length():
-    with pytest.raises(ConfigurationError, match="does not fit"):
-        build_state_prep(np.ones(3) / np.sqrt(3), (0, 1))
 
 
 def _prep_case(m, seed):
@@ -441,17 +432,39 @@ def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
         lower_op(prep)
 
 
+def _rotation_network(targets):
+    """(target, control or None) per row of the Möttönen network, from its definition.
+
+    Target j, top first, gets a uniformly-controlled RY from the targets
+    above it: 2^k RY rungs, each followed by a CNOT from the control whose
+    bit differs between gray codes r and r + 1 (mod 2^k).
+    """
+    rows = []
+    for j in range(len(targets) - 1, -1, -1):
+        controls = targets[j + 1 :]
+        k = len(controls)
+        rows.append((targets[j], None))
+        if k == 0:
+            continue
+        for r in range(1 << k):
+            nxt = (r + 1) % (1 << k)
+            changed = (r ^ (r >> 1)) ^ (nxt ^ (nxt >> 1))
+            rows.append((targets[j], controls[changed.bit_length() - 1]))
+            if nxt:
+                rows.append((targets[j], None))
+    return rows
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_prep_template_has_the_rows_of_the_state_prep_network(m):
     rng = np.random.default_rng(m)
     targets = tuple(int(q) for q in rng.permutation(m + 1)[:m])
     prep = GateOp("PREP", targets, params=rng.standard_normal(1 << m))
-    rows, qubits = lowered_rows(prep)
-    assert qubits == targets
-    network = build_state_prep(unit_amplitudes(prep.params)[0], targets)
-    structure = [(kind, (qubits[t],), (qubits[c],) if c >= 0 else ()) for kind, t, c, _ in rows]
-    assert structure == [(op.kind, op.targets, op.controls) for op in network]
-    assert {params for *_, params in rows} == {()}  # structure only: no angle is computed
+    (program,), qubits, flips = slot_programs(prep)
+    assert qubits == targets and flips.rows == ()
+    assert [(qubits[t], qubits[c] if c >= 0 else None) for t, c in program.rows] == _rotation_network(targets)
+    assert (program.cnot, program.single_qubit) == ((1 << m) - 2, (1 << m) - 1)
+    assert set(program.gates) == {None}  # structure only: every angle comes from the vector
 
 
 def test_prep_gates_compare_by_value_and_hold_a_read_only_copy():
@@ -771,6 +784,35 @@ def test_lower_op_rejects_controlled_global_phase():
         list(iter_lowered(circ))
     with pytest.raises(ConfigurationError, match="controlled global phase"):
         lower_circuit(circ)
+
+
+def _lowering_digest(circ: CircuitIR) -> str:
+    """sha256 of the lowered gates, every parameter by its float bits."""
+    h = hashlib.sha256()
+    for op in lower_circuit(circ).gates:
+        row = (op.kind, [int(q) for q in op.targets], [int(q) for q in op.controls],
+               [int(v) for v in op.control_values], [float(p).hex() for p in op.params])
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+# recorded from the earlier, separately written lowering: any change to a
+# lowered gate, or to one bit of an angle, fails here
+_FROZEN_LOWERING = {
+    "single": "3293544c19c298e95349fdab7ceeb2989e51efbbce00875282230601047bb67f",
+    "stream-function": "964bb48253e6c70ebbee69faf5dd3c157e380d8ffd9443662397cab98350a002",
+    "vorticity": "0c30adc6bc30704e39dfcb1c6b64405b3aaa0a8dcc8eca946314a6da345b4d4d",
+    "stream-function-nb": "cfcbabbf1d7bc8b3cb618da13f2c6154a40cf25036adf3061d1d47f3fea9e7f0",
+    "vorticity-nb": "d3bf0b6b52565f59e7128e93f645449c592bbbb3fccee3d0eac8fe9452b5a802",
+    "advection-d2q5": "f8f6c9578dda382d621e35debe405deab90fcf6caf3d70b059ccb31424e4044a",
+}
+
+
+def test_lowering_matches_the_frozen_gates_bit_for_bit():
+    # every PREP, DIAG, MCX and controlled rotation the builders emit, angles to the last bit
+    circuits = build_comparison_circuits(2)
+    circuits["advection-d2q5"] = build_advection_diffusion_circuit(D2Q5, 4, np.arange(1.0, 17.0) / 16.0, (0.1, -0.05))
+    assert {name: _lowering_digest(circ) for name, circ in circuits.items()} == _FROZEN_LOWERING
 
 
 # ---------------------------------------------------------------------------

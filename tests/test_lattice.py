@@ -141,7 +141,7 @@ _INTEGER_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGER_INPUTS))
-@pytest.mark.parametrize("value", [8.0, 2.5, "8"])
+@pytest.mark.parametrize("value", [8.0, 2.5, "8", True])
 def test_non_integer_extents_and_counts_are_rejected(name, value):
     with pytest.raises(ConfigurationError, match=r"power of two|integer"):
         _INTEGER_INPUTS[name](value)

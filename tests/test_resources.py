@@ -15,9 +15,10 @@ from qlbm.circuits import (
     GateOp,
     RegisterLayout,
     build_advection_diffusion_circuit,
+    circuit_unitary,
     iter_lowered,
     lower_circuit,
-    lowered_rows,
+    lower_op,
     slot_programs,
 )
 from qlbm.errors import ConfigurationError
@@ -201,15 +202,26 @@ def test_counts_match_the_materialized_lowering_on_random_controlled_gates(case)
 @settings(max_examples=60, deadline=None)
 @given(_controlled_gates())
 def test_slot_programs_run_the_rows_of_the_lowering(case):
-    # slot for slot, the rows counted are the lowering's rows less its global phases
+    # slot for slot, the rows counted are the lowered gates less the global phases
     _, ops = case
     for op in ops:
         programs, qubits, flips = slot_programs(op)
-        counted = [(qubits[t], qubits[c] if c >= 0 else None)
-                   for program in (flips, *programs, flips) for t, c in program.rows]
-        rows, row_qubits = lowered_rows(op)
-        lowered = [(row_qubits[t], row_qubits[c] if c >= 0 else None) for _, t, c, _ in rows if t >= 0]
-        assert counted == lowered
+        run = (flips, *programs, flips)
+        counted = [(qubits[t], qubits[c] if c >= 0 else None) for program in run for t, c in program.rows]
+        lowered = [low for low in lower_op(op) if low.kind != "GPHASE"]
+        assert counted == [(low.targets[0], low.controls[0] if low.controls else None) for low in lowered]
+        assert sum(program.cnot for program in run) == sum(1 for low in lowered if low.controls)
+        assert sum(program.single_qubit for program in run) == sum(1 for low in lowered if not low.controls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_controlled_gates())
+def test_lowering_matches_the_dense_unitary_of_each_gate(case):
+    # counts and lowering share one description, so only the dense reference keeps it honest
+    n, ops = case
+    for op in ops:
+        if op.kind != "PREP":  # a PREP is a load from |0>, not a unitary
+            np.testing.assert_allclose(circuit_unitary(lower_op(op), n), circuit_unitary([op], n), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("m", range(8))

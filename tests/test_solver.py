@@ -605,10 +605,18 @@ def test_fidelity_sweep_rejects_zero_trials():
     ([100, 1000.0], 1),
     ([0, 1000], 1),
     ([100, 1 << 63], 1),
-], ids=["fractional-trials", "float-trials", "fractional-shots", "float-shots", "zero-shots", "too-many-shots"])
+    ([100, 1000], True),
+    ([True, 1000], 1),
+], ids=["fractional-trials", "float-trials", "fractional-shots", "float-shots", "zero-shots", "too-many-shots",
+        "bool-trials", "bool-shots"])
 def test_fidelity_sweep_requires_integral_counts(shots, trials):
     with pytest.raises(ConfigurationError, match="trial|shot"):
         fidelity_sweep(shots, trials, seed=0, state=QuantumState(1, [0.6, 0.8]))
+
+
+def test_fidelity_sweep_rejects_a_state_it_cannot_sample():
+    with pytest.raises(ConfigurationError, match="cannot sample"):
+        fidelity_sweep([64, 256], 1, seed=0, state=QuantumState(1, [0.0, 0.0]))
 
 
 def test_fidelity_sweep_takes_numpy_integer_counts():

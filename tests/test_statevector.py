@@ -165,19 +165,19 @@ def test_selecting_apply_rejects_a_bad_plan(plan):
         run_from_zero(2, [GateOp("H", (0,))], select=plan)
 
 
-@pytest.mark.parametrize("value", [1.0, 0.5, "1", None, 2, -1])
+@pytest.mark.parametrize("value", [1.0, 0.5, "1", None, 2, -1, True, False])
 def test_plan_rejects_a_selection_value_that_is_not_the_integer_0_or_1(value):
     with pytest.raises(ConfigurationError, match="qubit 0 must be 0 or 1"):
         plan_circuit(ZeroState(2), [GateOp("H", (0,))], {0: value})
 
 
-@pytest.mark.parametrize("qubit", [1.0, "1", None])
+@pytest.mark.parametrize("qubit", [1.0, "1", None, True])
 def test_plan_rejects_a_selected_qubit_that_is_not_an_integer(qubit):
     with pytest.raises(ConfigurationError, match="selected qubit"):
         plan_circuit(ZeroState(2), [GateOp("H", (1,))], {qubit: 0})
 
 
-@pytest.mark.parametrize("value", [1, np.int64(1), True], ids=["int", "numpy", "bool"])
+@pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "numpy"])
 def test_plan_takes_an_integral_selection_value_as_an_int(value):
     ops = [GateOp("H", (0,)), GateOp("H", (1,))]
     state, probs = run_from_zero(2, ops, select={np.int64(1): value})
@@ -273,10 +273,17 @@ def test_sample_rejects_nonpositive_shots():
         sample(_basis_zero(2), 0, seed=1)
 
 
-@pytest.mark.parametrize("shots", [2.9, 2.0, np.float64(3.0), "10", None, -1], ids=repr)
+@pytest.mark.parametrize("shots", [2.9, 2.0, np.float64(3.0), "10", None, -1, True], ids=repr)
 def test_sample_requires_an_integral_shot_count(shots):
     with pytest.raises(ConfigurationError, match="shots must be an integer"):
         sample(QuantumState(1, [0.6, 0.8]), shots, 0)
+
+
+@pytest.mark.parametrize("amplitudes", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]], ids=["zero", "nan", "inf"])
+def test_sample_rejects_a_state_with_no_finite_probabilities(amplitudes):
+    # rejected before the division that would warn and hand numpy NaN probabilities
+    with pytest.raises(ConfigurationError, match="cannot sample"):
+        sample(QuantumState(1, amplitudes), 10, 0)
 
 
 def test_sample_takes_a_numpy_integer_shot_count_as_an_int():
