@@ -30,7 +30,6 @@ from .lattice import (
     D1Q3,
     D2Q5,
     CavitySpec,
-    FlowParams,
     LatticeScheme,
     load_field_csv,
     load_field_qlbf,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -144,6 +145,9 @@ class GateOp:
             raise ConfigurationError("controls and control_values must pair up")
         if not _BITS.issuperset(self.control_values):
             raise ConfigurationError("control values must be 0 or 1")
+        for q in (*targets, *controls):
+            if type(q) is not int and (isinstance(q, bool) or not isinstance(q, numbers.Integral)):
+                raise ConfigurationError(f"qubit index {q!r} in {kind} is not an integer")
         seen = {*targets, *controls}
         if len(seen) != len(targets) + len(controls):
             raise ConfigurationError(f"overlapping target/control qubits in {kind}")
@@ -475,14 +479,14 @@ def cavity_wall_mask(extent: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source=None, source_scale: float = 1.0) -> np.ndarray:
+def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source=None) -> np.ndarray:
     """Unnormalized amplitude layout for the encode stage, as a read-only array.
 
     The field is replicated across the link codes actually used by the scheme
     (codes past n_links stay zero). With a source field present the source
-    flag splits the space: s = 0 carries the field, s = 1 carries
-    source_scale * source, both replicated the same way. Being read-only, it
-    becomes a PREP's parameter without a copy.
+    flag splits the space: s = 0 carries the field, s = 1 carries the
+    source, both replicated the same way. Being read-only, it becomes a
+    PREP's parameter without a copy.
     """
     field = np.asarray(field, dtype=float).ravel()
     if field.size != layout.n_sites:
@@ -496,7 +500,7 @@ def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source
     for code in range(scheme.n_links):
         v[code * n_sites : (code + 1) * n_sites] = field
     if source is not None:
-        source = np.asarray(source, dtype=float).ravel() * source_scale
+        source = np.asarray(source, dtype=float).ravel()
         off = n_sites * codes
         for code in range(scheme.n_links):
             v[off + code * n_sites : off + (code + 1) * n_sites] = source

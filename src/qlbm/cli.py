@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, QLBMError
 from .lattice import (
     CavitySpec,
-    FlowParams,
     require_power_of_two,
     save_field_csv,
     save_field_qlbf,
@@ -266,14 +265,13 @@ def _cmd_advdiff(cfg: dict) -> int:
 
 def _cmd_cavity(cfg: dict) -> int:
     spec = CavitySpec(n=cfg["extent"], lid_velocity=cfg["lid_velocity"], steps=cfg["steps"])
-    params = FlowParams(lid_velocity=cfg["lid_velocity"])
     if cfg["variant"] == "classical":
-        hist = solve_cavity_classical(spec, params)
+        hist = solve_cavity_classical(spec)
         psi, omega = hist.psi[-1], hist.omega[-1]
         records: list = []
         success_prob = shot_multiplier = None  # no circuit runs
     else:
-        run = run_cavity(spec, params, variant=cfg["variant"])
+        run = run_cavity(spec, variant=cfg["variant"])
         psi, omega = run.psi[-1], run.omega[-1]
         records, success_prob, shot_multiplier = run.records, run.success_prob, run.shot_multiplier
     out = _ensure_out(cfg)
@@ -286,7 +284,7 @@ def _cmd_cavity(cfg: dict) -> int:
         "extent": cfg["extent"],
         "steps": cfg["steps"],
         "lid_velocity": cfg["lid_velocity"],
-        "reynolds": params.reynolds(cfg["extent"]),
+        "reynolds": spec.reynolds,
         "psi_min": float(psi.min()),
         "psi_max": float(psi.max()),
         "success_prob": success_prob,

@@ -8,6 +8,9 @@ distributions carry a leading link axis: ``(n_links,) + field.shape``.
 
 The solvers run in the full-replacement regime (relaxation ratio 1): each step
 replaces every link population with its equilibrium value, streams, and sums.
+So the diffusion constant is a property of the scheme alone,
+``LatticeScheme.diffusion`` = c_s^2 / 2, and a cavity is set up by its
+:class:`CavitySpec` alone, which also gives its Reynolds number.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import ConfigurationError, SimulationError
 
 __all__ = [
     "LatticeScheme",
-    "FlowParams",
     "CavitySpec",
     "CavityHistory",
     "D1Q2",
@@ -94,6 +96,11 @@ class LatticeScheme:
         return sum(w * e[0] * e[0] for w, e in zip(self.weights, self.links))
 
     @cached_property
+    def diffusion(self) -> float:
+        """Diffusion constant of the full-replacement regime: D = c_s^2 (tau - dt/2) at tau = dt = 1."""
+        return float(self.sound_speed_sq) / 2
+
+    @cached_property
     def weight_array(self) -> np.ndarray:
         return _read_only(np.array([float(w) for w in self.weights]))
 
@@ -145,33 +152,6 @@ def scheme_by_name(name: str) -> LatticeScheme:
 
 
 @dataclass(frozen=True)
-class FlowParams:
-    """Relaxation and flow parameters shared by the solvers.
-
-    The solvers support only the full-replacement regime, relaxation ratio
-    dt/tau = 1. The diffusion constant is derived per scheme:
-    D = c_s^2 (tau - dt/2).
-    """
-
-    tau: float = 1.0
-    dt: float = 1.0
-    lid_velocity: float = 1.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0 for x in (self.tau, self.dt)):
-            raise ConfigurationError(f"tau and dt must be finite and positive, got {self.tau} and {self.dt}")
-        if abs(self.dt / self.tau - 1.0) > 1e-12:
-            raise ConfigurationError("only the full-replacement regime (dt/tau = 1) is supported")
-
-    def diffusion(self, scheme: LatticeScheme) -> float:
-        return float(scheme.sound_speed_sq) * (self.tau - self.dt / 2.0)
-
-    def reynolds(self, extent: int) -> float:
-        """Effective Reynolds number of a lid-driven cavity of the given extent."""
-        return self.lid_velocity * (extent - 1) / self.diffusion(D2Q5)
-
-
-@dataclass(frozen=True)
 class CavitySpec:
     """Lid-driven cavity setup: n x n grid, top row sliding with lid_velocity."""
 
@@ -189,6 +169,11 @@ class CavitySpec:
         if not self.delta > 0:
             raise ConfigurationError(f"grid spacing must be positive, got {self.delta}")
         require_power_of_two(self.n)
+
+    @property
+    def reynolds(self) -> float:
+        """Effective Reynolds number: lid velocity times the n - 1 spacings, over D2Q5's diffusion."""
+        return self.lid_velocity * (self.n - 1) / D2Q5.diffusion
 
 
 @dataclass
@@ -295,21 +280,20 @@ def step_advection_diffusion(scheme, field, velocity) -> np.ndarray:
     return macro_moment(stream_periodic(scheme, f))
 
 
-def step_poisson(scheme, psi, source, params: FlowParams | None = None) -> np.ndarray:
+def step_poisson(scheme, psi, source) -> np.ndarray:
     """One relaxation sweep of the lattice Poisson iteration for grad^2 psi = source.
 
     The source is folded into the link populations before streaming,
-    g_a = w_a (psi + gamma*source) with gamma = -dt*D, so the fixed point of
+    g_a = w_a (psi + gamma*source) with gamma = -D (dt = 1), so the fixed point of
     the iteration solves the 5-point system grad^2 psi = link-average(source).
     Callers re-impose Dirichlet values between sweeps.
     """
-    params = params or FlowParams()
     psi = np.asarray(psi, dtype=float)
     source = np.asarray(source, dtype=float)
     if psi.shape != source.shape:
         raise ConfigurationError(f"psi shape {psi.shape} != source shape {source.shape}")
     require_power_of_two(*psi.shape)
-    gamma = -params.dt * params.diffusion(scheme)
+    gamma = -scheme.diffusion
     # the equilibrium at rest: its coefficients are the weights themselves
     g = scheme.weight_array.reshape((scheme.n_links,) + (1,) * psi.ndim) * (psi + gamma * source)
     return macro_moment(stream_periodic(scheme, g))
@@ -356,7 +340,7 @@ def apply_cavity_boundaries(psi, omega, spec: CavitySpec):
     return psi2, omega2
 
 
-def cavity_step_classical(psi, omega, spec: CavitySpec, params: FlowParams):
+def cavity_step_classical(psi, omega, spec: CavitySpec):
     """One coupled cavity step from (psi_t, omega_t) to (psi_{t+1}, omega_{t+1}).
 
     Both field updates are computed from the previous step's fields (Jacobi
@@ -366,22 +350,19 @@ def cavity_step_classical(psi, omega, spec: CavitySpec, params: FlowParams):
     - stream function: one Poisson relaxation sweep with source -omega_t.
     """
     u, v = velocity_from_stream_function(psi, spec.delta)
-    k = collision_coefficients(D2Q5, np.stack([u, v]), psi.shape)
-    f_streamed = stream_periodic(D2Q5, k * omega[None, ...])
-    omega_next = macro_moment(f_streamed)
-    psi_next = step_poisson(D2Q5, psi, -omega, params)
+    omega_next = step_advection_diffusion(D2Q5, omega, np.stack([u, v]))
+    psi_next = step_poisson(D2Q5, psi, -omega)
     return apply_cavity_boundaries(psi_next, omega_next, spec)
 
 
-def solve_cavity_classical(spec: CavitySpec, params: FlowParams | None = None) -> CavityHistory:
+def solve_cavity_classical(spec: CavitySpec) -> CavityHistory:
     """Run the classical lid-driven cavity for spec.steps steps from rest."""
-    params = params or FlowParams(lid_velocity=spec.lid_velocity)
     psi = np.zeros((spec.n, spec.n))
     omega = np.zeros((spec.n, spec.n))
     psi_hist = [psi]
     omega_hist = [omega]
     for step in range(1, spec.steps + 1):
-        psi, omega = cavity_step_classical(psi, omega, spec, params)
+        psi, omega = cavity_step_classical(psi, omega, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
             raise SimulationError("cavity run diverged", step=step)
         psi_hist.append(psi)

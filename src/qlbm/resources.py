@@ -50,7 +50,6 @@ from .errors import ConfigurationError
 from .lattice import (
     CavitySpec,
     D2Q5,
-    FlowParams,
     require_power_of_two,
     solve_cavity_classical,
     velocity_from_stream_function,
@@ -206,8 +205,7 @@ def representative_cavity_fields(extent: int, steps: int = 80):
 def build_comparison_circuits(extent: int) -> dict[str, CircuitIR]:
     """The five counted variants at one lattice extent."""
     psi, omega, vel = representative_cavity_fields(extent)
-    scale = FlowParams().dt * FlowParams().diffusion(D2Q5)
-    source = scale * omega
+    source = D2Q5.diffusion * omega
     return {
         "single": build_single_cavity_circuit(D2Q5, extent, psi, source, omega, vel),
         "stream-function": build_stream_function_circuit(D2Q5, extent, psi, source),

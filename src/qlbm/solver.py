@@ -20,10 +20,9 @@ depends on the fields (through the velocity). Every other gate
 (source-fold, the stream-function collision, streaming, macro, boundary)
 runs as built. The gate structure is therefore fixed for a run, so each
 run also plans each kind of job once with
-:func:`~qlbm.statevector.plan_circuit` (advection one plan, the frugal
-cavity one per circuit, the single cavity one per sector pass), from the
-circuits built at rest, and every job replays its plan with
-:func:`~qlbm.statevector.apply_circuit`. The plans belong to the run and
+:func:`~qlbm.statevector.plan_circuit` (advection one plan, the cavity one
+per job), from the circuits built at rest, and every job replays its plan
+with :func:`~qlbm.statevector.apply_circuit`. The plans belong to the run and
 go with it. A job whose inputs are all exactly zero (``np.any`` is
 false) is idle: it runs nothing and records ``zero_input``. Magnitude plays
 no part, as the PREP scales by the peak. The sampling backend of
@@ -33,8 +32,13 @@ shares of shots that hold each selected value.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
-On hardware the two frugal circuits run concurrently; the resource estimator
-counts that as ``concurrent_depth``, and the simulator runs them in turn.
+Both variants run the same job path, ``_cavity_job``; they differ only in
+the jobs it is given, one per circuit of the frugal pair or one per sector
+pass of the single combined gate list. Each job is described once per run
+by its built circuit, its plan, the built gates it replays, the source-flag
+sector it selects and whether its decode is folded. On hardware the two
+frugal circuits run concurrently; the resource estimator counts that as
+``concurrent_depth``, and the simulator runs them in turn.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import (
+    CircuitIR,
     GateOp,
     RegisterLayout,
     build_advection_diffusion_circuit,
@@ -60,7 +66,6 @@ from .lattice import (
     CavitySpec,
     D1Q3,
     D2Q5,
-    FlowParams,
     LatticeScheme,
     apply_cavity_boundaries,
     require_count,
@@ -94,11 +99,11 @@ __all__ = [
 ERROR_FLOOR = 1e-9
 
 
-def relative_error(result, reference, floor: float = ERROR_FLOOR) -> np.ndarray:
-    """Elementwise |result - reference| / max(|reference|, floor)."""
+def relative_error(result, reference) -> np.ndarray:
+    """Elementwise |result - reference| / max(|reference|, ERROR_FLOOR)."""
     result = np.asarray(result, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    return np.abs(result - reference) / np.maximum(np.abs(reference), floor)
+    return np.abs(result - reference) / np.maximum(np.abs(reference), ERROR_FLOOR)
 
 
 @dataclass
@@ -289,104 +294,91 @@ def run_advection_diffusion(
 # ---------------------------------------------------------------------------
 
 
-# sections of the built circuit each cavity job runs as they are, after its
-# fresh PREP (and, in a vorticity job, its fresh collision)
-_FRUGAL_W_TAIL = ["streaming", "macro", "boundary"]
+# the sections of the combined gate list each sector pass replays as built,
+# after its fresh PREP (and, in the vorticity pass, its fresh collision)
 _SINGLE_SF_TAIL = ["source-fold", "collision-stream-function", "streaming-stream-function", "macro", "boundary"]
 _SINGLE_W_TAIL = ["streaming-vorticity", "macro", "boundary"]
 
 
-def _sf_job(circ, plan, psi, scaled_source, step) -> tuple[np.ndarray, StepRecord]:
-    """Stream-function update on the built frugal circuit: a fresh PREP, then every built gate after its own."""
-    extent = psi.shape[0]
-    if not (np.any(psi) or np.any(scaled_source)):
-        return np.zeros((extent, extent)), _idle(step, "stream-function")
-    layout = circ.layout
-    ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.gates[1:]]
-    state, record = _run_job(plan, ops, step, "stream-function")
-    return decode_field(state, layout, folded=True).reshape(extent, extent), record
+class _CavityJob(NamedTuple):
+    """One job of a cavity step, made once per run.
+
+    Its built circuit, the plan of the sections it runs, the gates it replays
+    as built after its fresh ones, the source-flag sector it selects, and
+    whether its decode is folded.
+    """
+
+    circ: CircuitIR
+    plan: CircuitPlan
+    tail: list
+    sector: int
+    folded: bool
 
 
-def _vorticity_job(circ, plan, omega, velocity_fields, step) -> tuple[np.ndarray, StepRecord]:
-    """Vorticity update on the built frugal circuit: a fresh PREP and collision, then the built tail."""
-    extent = omega.shape[0]
-    if not np.any(omega):
-        return np.zeros((extent, extent)), _idle(step, "vorticity")
-    layout = circ.layout
-    ops = [
-        _prep(layout, D2Q5, omega),
-        *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
-        *circ.section_ops(_FRUGAL_W_TAIL),
-    ]
-    state, record = _run_job(plan, ops, step, "vorticity")
-    return decode_field(state, layout).reshape(extent, extent), record
+def _cavity_jobs(variant: str, n: int) -> tuple[_CavityJob, _CavityJob]:
+    """The (stream-function, vorticity) jobs of ``variant``, built and planned once from the fields at rest.
 
-
-def _single_plans(circ) -> tuple[CircuitPlan, CircuitPlan]:
-    """Plans of the two sector passes of the built combined gate list, each with its own PREP in front."""
-    sf_ops = circ.section_ops(["encode", *_SINGLE_SF_TAIL])
-    w_ops = circ.section_ops(["encode", "collision-vorticity", *_SINGLE_W_TAIL])
-    return _job_plan(sf_ops, circ.layout), _job_plan(w_ops, circ.layout, s_value=1)
-
-
-def _single_step(circ, plans, psi, omega, scaled_source, velocity_fields, step):
-    """Both cavity updates on the built combined gate list, one sector pass each."""
-    extent = psi.shape[0]
-    psi_new, omega_new = np.zeros((extent, extent)), np.zeros((extent, extent))
-    records = [_idle(step, "stream-function"), _idle(step, "vorticity")]
-    layout = circ.layout
-    if np.any(psi) or np.any(scaled_source):
-        ops = [_prep(layout, D2Q5, psi, scaled_source), *circ.section_ops(_SINGLE_SF_TAIL)]
-        state, records[0] = _run_job(plans[0], ops, step, "stream-function")
-        psi_new = decode_field(state, layout, folded=True).reshape(extent, extent)
-    if np.any(omega):
-        ops = [
-            _prep(layout, D2Q5, np.zeros((extent, extent)), omega),
-            *build_vorticity_collision_ops(layout, D2Q5, velocity_fields),
-            *circ.section_ops(_SINGLE_W_TAIL),
+    Each job runs the encode and the other sections it rebuilds fresh (the
+    vorticity collision), then its tail; the rest collision has the structure
+    of every step's, so one plan serves every step.
+    """
+    rest, still = np.zeros((n, n)), np.zeros((2, n, n))
+    if variant == "frugal":
+        sf_circ = build_stream_function_circuit(D2Q5, n, rest, rest)
+        w_circ = build_vorticity_circuit(D2Q5, n, rest, still)
+        jobs = [
+            (sf_circ, [], ["source-fold", "collision", "streaming", "macro", "boundary"], 0, True),
+            (w_circ, ["collision"], ["streaming", "macro", "boundary"], 0, False),
         ]
-        state, records[1] = _run_job(plans[1], ops, step, "vorticity")
-        omega_new = decode_field(state, layout).reshape(extent, extent)
-    return psi_new, omega_new, records
+    else:
+        circ = build_single_cavity_circuit(D2Q5, n, rest, rest, rest, still)
+        jobs = [(circ, [], _SINGLE_SF_TAIL, 0, True), (circ, ["collision-vorticity"], _SINGLE_W_TAIL, 1, False)]
+    return tuple(
+        _CavityJob(circ, _job_plan(circ.section_ops(["encode", *fresh, *tail]), circ.layout, sector),
+                   circ.section_ops(tail), sector, folded)
+        for circ, fresh, tail, sector, folded in jobs
+    )
 
 
-def run_cavity(spec: CavitySpec, params: FlowParams | None = None, *, variant: str = "frugal") -> CavityRunResult:
+def _cavity_job(job: _CavityJob, step: int, name: str, field, source=None, velocity=None):
+    """Run one cavity job on the previous step's fields and decode its new field.
+
+    A fresh PREP loads ``field`` into the job's sector (and ``source`` into
+    sector 1); given ``velocity``, a fresh vorticity collision follows it; the
+    built tail runs as it is.
+    """
+    layout = job.circ.layout
+    if job.sector:
+        field, source = np.zeros_like(field), field
+    prep = _prep(layout, D2Q5, field, source)
+    if not np.any(prep.params):
+        return np.zeros(field.shape), _idle(step, name)
+    ops = [prep]
+    if velocity is not None:
+        ops += build_vorticity_collision_ops(layout, D2Q5, velocity)
+    state, record = _run_job(job.plan, ops + job.tail, step, name)
+    return decode_field(state, layout, folded=job.folded).reshape(field.shape), record
+
+
+def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
     """Lid-driven cavity on the gate pipeline ("frugal" pair or "single" list).
 
-    The frugal variant runs two separate circuits per step, one after the
-    other; the single variant executes sector passes of the combined gate
-    list. Either is built once, from the fields at rest, and each circuit or
-    sector pass is planned once from it: the rest collision has the
-    structure of every step's. Both decode, then impose the wall values
-    classically.
+    Each step runs the stream-function job, then the vorticity job: on the
+    frugal variant each on its own circuit, on the single variant each as a
+    sector pass of the combined gate list. Both decode, then impose the wall
+    values classically.
     """
     if variant not in ("frugal", "single"):
         raise ConfigurationError(f"unknown cavity variant {variant!r}")
-    params = params or FlowParams(lid_velocity=spec.lid_velocity)
-    n = spec.n
-    scale = params.dt * params.diffusion(D2Q5)
-    psi = np.zeros((n, n))
-    omega = np.zeros((n, n))
-    rest = np.zeros((2, n, n))
-    if variant == "frugal":
-        sf_circ = build_stream_function_circuit(D2Q5, n, psi, omega)
-        w_circ = build_vorticity_circuit(D2Q5, n, omega, rest)
-        sf_plan, w_plan = _job_plan(sf_circ.gates, sf_circ.layout), _job_plan(w_circ.gates, w_circ.layout)
-    else:
-        circ = build_single_cavity_circuit(D2Q5, n, psi, omega, omega, rest)
-        plans = _single_plans(circ)
+    sf_job, w_job = _cavity_jobs(variant, spec.n)
+    psi, omega = np.zeros((spec.n, spec.n)), np.zeros((spec.n, spec.n))
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
-        u, v = velocity_from_stream_function(psi, spec.delta)
-        vel = np.stack([u, v])
-        if variant == "frugal":
-            psi_new, rec_sf = _sf_job(sf_circ, sf_plan, psi, scale * omega, step)
-            omega_new, rec_w = _vorticity_job(w_circ, w_plan, omega, vel, step)
-            records += [rec_sf, rec_w]
-        else:
-            psi_new, omega_new, recs = _single_step(circ, plans, psi, omega, scale * omega, vel, step)
-            records += recs
+        velocity = np.stack(velocity_from_stream_function(psi, spec.delta))
+        psi_new, rec_sf = _cavity_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
+        omega_new, rec_w = _cavity_job(w_job, step, "vorticity", omega, velocity=velocity)
+        records += [rec_sf, rec_w]
         psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
             raise SimulationError("cavity run diverged", step=step)

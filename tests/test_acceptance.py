@@ -30,7 +30,6 @@ from qlbm.lattice import (
     D1Q3,
     D2Q5,
     CavitySpec,
-    FlowParams,
     solve_cavity_classical,
     step_advection_diffusion,
     velocity_from_stream_function,
@@ -220,7 +219,7 @@ def test_criterion_6_lowering_preserves_unitaries():
     hist = solve_cavity_classical(spec)
     psi, omega = hist.psi[-1], hist.omega[-1]
     u, v = velocity_from_stream_function(psi)
-    scale = FlowParams().diffusion(D2Q5)
+    scale = D2Q5.diffusion
     sf = build_stream_function_circuit(D2Q5, 2, psi, scale * omega)
     cases.append(("stream-function-pipeline", sf.gates, lower_circuit(sf).gates, sf.n_qubits, None))
     vort = build_vorticity_circuit(D2Q5, 2, omega, np.stack([u, v]))
@@ -297,7 +296,7 @@ def test_criterion_8_qubit_counts_scale_logarithmically():
     hist = solve_cavity_classical(spec)
     psi, omega = hist.psi[-1], hist.omega[-1]
     u, v = velocity_from_stream_function(psi)
-    scale = FlowParams().diffusion(D2Q5)
+    scale = D2Q5.diffusion
     assert build_stream_function_circuit(D2Q5, 8, psi, scale * omega).n_qubits == 1 + 3 + 6 + 1 + 1
     assert build_vorticity_circuit(D2Q5, 8, omega, np.stack([u, v])).n_qubits == 1 + 3 + 6 + 1
 

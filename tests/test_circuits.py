@@ -161,9 +161,18 @@ def test_gate_op_rejects_non_finite_parameters(kind, targets, params):
         GateOp(kind, targets, params=params)
 
 
-@pytest.mark.parametrize("targets, controls", [((-1,), ()), ((0,), (-2,))])
-def test_gate_op_rejects_negative_qubits(targets, controls):
-    with pytest.raises(ConfigurationError, match="negative"):
+@pytest.mark.parametrize("targets, controls, match", [
+    ((-1,), (), "negative"),
+    ((0,), (-2,), "negative"),
+    ((np.int64(-1),), (), "negative"),  # a numpy integer passes the integer check
+    ((1.5,), (), "integer"),
+    ((True,), (), "integer"),
+    ((0,), (True,), "integer"),
+    (("1",), (), "integer"),
+], ids=["targets0-controls0", "targets1-controls1", "numpy-target", "float-target", "bool-target", "bool-control",
+        "str-target"])
+def test_gate_op_rejects_negative_qubits(targets, controls, match):
+    with pytest.raises(ConfigurationError, match=match):
         GateOp("MCX", targets, controls, (1,) * len(controls))
 
 
@@ -542,7 +551,7 @@ def test_encoding_vector_source_sector():
     layout = RegisterLayout.for_scheme(D2Q5, 4, source=True)
     field = np.arange(16.0)
     source = np.ones(16)
-    vec = encoding_vector(layout, D2Q5, field, source=source, source_scale=0.25)
+    vec = encoding_vector(layout, D2Q5, field, source=0.25 * source)
     block = 16 * 8  # sites * codes
     np.testing.assert_array_equal(vec[:16], field)
     np.testing.assert_array_equal(vec[block : block + 16], 0.25 * source)

@@ -5,7 +5,6 @@ system it is supposed to converge to, built here from scratch so the two
 implementations share no code.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,6 @@ from qlbm.lattice import (
     D1Q3,
     D2Q5,
     CavitySpec,
-    FlowParams,
     LatticeScheme,
     apply_cavity_boundaries,
     cavity_step_classical,
@@ -103,24 +101,10 @@ def test_scheme_by_name_rejects_unknown():
 
 
 def test_flow_params_defaults():
-    params = FlowParams()
-    assert params.diffusion(D1Q2) == pytest.approx(0.5)
-    assert params.diffusion(D1Q3) == pytest.approx(1.0 / 6.0)
-    assert params.diffusion(D2Q5) == pytest.approx(1.0 / 6.0)
-
-
-def test_flow_params_rejects_partial_relaxation():
-    with pytest.raises(ConfigurationError, match="full-replacement"):
-        FlowParams(tau=2.0, dt=1.0)
-
-
-@pytest.mark.parametrize("name", ["tau", "dt"])
-@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0], ids=["zero", "nan", "inf", "negative"])
-def test_flow_params_rejects_non_finite_or_non_positive_times(name, value):
-    with pytest.raises(ConfigurationError, match="finite and positive"):
-        FlowParams(**{name: value})
-    with pytest.raises(ConfigurationError, match="finite and positive"):
-        FlowParams(tau=value, dt=value)
+    # the full-replacement regime's D = c_s^2 / 2, per scheme
+    assert D1Q2.diffusion == pytest.approx(0.5)
+    assert D1Q3.diffusion == pytest.approx(1.0 / 6.0)
+    assert D2Q5.diffusion == pytest.approx(1.0 / 6.0)
 
 
 def test_require_power_of_two_reports_the_name_it_is_given():
@@ -154,7 +138,7 @@ def test_zero_state_rejects_a_negative_qubit_count():
 
 
 def test_cavity_reynolds_number():
-    assert FlowParams(lid_velocity=1.0).reynolds(8) == 42.0
+    assert CavitySpec(8, 1.0).reynolds == 42.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +345,9 @@ def test_poisson_relaxation_converges_to_dense_solution():
 def test_poisson_sweep_streams_the_equilibrium_at_rest(extent):
     rng = np.random.default_rng(extent)
     psi, source = rng.standard_normal((2, extent, extent))
-    params = FlowParams()
-    folded = psi + -params.dt * params.diffusion(D2Q5) * source
+    folded = psi + -D2Q5.diffusion * source
     g = equilibrium_distribution(D2Q5, folded, (0.0, 0.0))
-    assert step_poisson(D2Q5, psi, source, params).tobytes() == macro_moment(_rolled(D2Q5, g)).tobytes()
+    assert step_poisson(D2Q5, psi, source).tobytes() == macro_moment(_rolled(D2Q5, g)).tobytes()
 
 
 def test_poisson_rejects_mismatched_shapes():
@@ -482,15 +465,14 @@ def test_cavity_collision_coefficients_stay_subunit():
 def test_cavity_step_matches_manual_composition():
     rng = np.random.default_rng(9)
     spec = CavitySpec(n=8)
-    params = FlowParams(lid_velocity=spec.lid_velocity)
     psi = rng.random((8, 8)) * 0.1
     omega = rng.random((8, 8)) * 0.1
-    psi2, omega2 = cavity_step_classical(psi, omega, spec, params)
+    psi2, omega2 = cavity_step_classical(psi, omega, spec)
 
     u, v = velocity_from_stream_function(psi, spec.delta)
     k = collision_coefficients(D2Q5, np.stack([u, v]), (8, 8))
     omega_raw = macro_moment(stream_periodic(D2Q5, k * omega[None, ...]))
-    psi_raw = step_poisson(D2Q5, psi, -omega, params)
+    psi_raw = step_poisson(D2Q5, psi, -omega)
     psi_ref, omega_ref = apply_cavity_boundaries(psi_raw, omega_raw, spec)
     np.testing.assert_allclose(psi2, psi_ref, atol=1e-14)
     np.testing.assert_allclose(omega2, omega_ref, atol=1e-14)

@@ -5,7 +5,9 @@ A name in a module's ``__all__`` must appear in the code of ``src/qlbm``
 not count and ``__init__.py``'s re-exports are left out. The same holds for
 each public method or property of a public class: its name must appear as
 an attribute in that code. Dunders and dataclass-generated methods are
-exempt.
+exempt. And each defaulted parameter of a public function must be passed,
+by keyword or by position, in some call of that code to a function of its
+name.
 """
 
 import ast
@@ -27,6 +29,14 @@ _ALLOWED = {
 
 # public methods and properties kept although no program code calls them, as "Class.name": reason
 _ALLOWED_METHODS = {}
+
+# defaulted parameters no program call passes, kept as "function.parameter": reason
+_ALLOWED_DEFAULTS = {
+    "fidelity_sweep.state": "tests sweep a small state; the CLI sweeps the default reference state",
+    "main.argv": "tests pass argument lists; the console script reads sys.argv",
+    "representative_cavity_fields.steps": "tests develop the fields for fewer steps to stay fast",
+    "scaling_sweep.durations": "the API's way to sweep with a gate-duration table other than the default",
+}
 
 # a method named like one of these types' own is called by that name on
 # arrays and containers all over the program, so a bare attribute match
@@ -93,3 +103,32 @@ def test_every_public_method_is_used_by_the_program():
             if not used and f"{cls.name}.{item.name}" not in _ALLOWED_METHODS:
                 unused.add(f"{cls.name}.{item.name}")
     assert unused == set()
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> dict[str, int | None]:
+    """Each defaulted parameter of ``fn``, mapped to its position (None when keyword-only)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    params = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    params.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+    return params
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    trees = _program_trees()
+    public = _public_names(trees)
+    passed = set()  # (called name, position or keyword) of every argument the program passes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, k.arg) for k in node.keywords if k.arg)
+    unpassed = set()
+    for tree in trees.values():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in public:
+                for param, position in _defaulted_parameters(fn).items():
+                    if (fn.name, param) not in passed and (fn.name, position) not in passed:
+                        unpassed.add(f"{fn.name}.{param}")
+    assert unpassed == set(_ALLOWED_DEFAULTS)

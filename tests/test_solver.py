@@ -28,7 +28,6 @@ from qlbm.lattice import (
     D1Q3,
     D2Q5,
     CavitySpec,
-    FlowParams,
     solve_cavity_classical,
     step_advection_diffusion,
     velocity_from_stream_function,
@@ -451,9 +450,8 @@ def test_cavity_builds_once_per_run_and_rebuilds_only_the_field_sections(monkeyp
 
     monkeypatch.setattr(qlbm.solver, "build_vorticity_collision_ops", spy)
     spec = CavitySpec(n=4, lid_velocity=0.7, steps=4)
-    params = FlowParams(lid_velocity=spec.lid_velocity)
-    scale = params.dt * params.diffusion(D2Q5)
-    result = run_cavity(spec, params, variant=variant)
+    scale = D2Q5.diffusion
+    result = run_cavity(spec, variant=variant)
 
     jobs = _CAVITY_JOBS[variant]
     circuits = dict(built)
@@ -537,7 +535,7 @@ def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
 
 # the names the benchmark's tracer wraps on qlbm.solver, which every job must
 # call through the module so that no traced layer reads as absent
-_JOB_PATH = ("apply_circuit", "decode_field", "_sf_job", "_vorticity_job")
+_JOB_PATH = ("apply_circuit", "decode_field")
 
 
 @pytest.mark.parametrize("case", ["statevector", "sampling", "frugal", "single"])
@@ -559,12 +557,9 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
     live = sum(not r.zero_input for r in result.records)
     assert live > 0
     selected = 0 if case == "sampling" else live
-    frugal_steps = steps if case == "frugal" else 0
     assert calls == {
         "apply_circuit": live,
         "decode_field": selected,
-        "_sf_job": frugal_steps,
-        "_vorticity_job": frugal_steps,
         "plan_circuit": 2 if case in ("frugal", "single") else 1,
     }
 
