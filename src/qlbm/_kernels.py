@@ -12,6 +12,8 @@ The indices depend only on the gate's bits, so they are built once, when a
 circuit is planned (:func:`halves`, :func:`diag_layout`), and each kernel
 call takes the view shape and indices ready-made. Controls arrive as
 (bit, value) pairs, so any mix of 0/1-polarity controls is one argument.
+A BLOCK's two halves are those of its flag within the controlled view:
+:func:`diag_layout` with the flag as one more control.
 """
 
 
@@ -78,7 +80,22 @@ def apply_phase(amps, shape, i1, phase):
     v1 *= phase
 
 
-def apply_diag(amps, shape, index, phasor):
-    """Multiply the controlled view by ``phasor``, shaped by :func:`diag_layout` to broadcast over it."""
+def apply_diag(amps, shape, index, factor):
+    """Multiply the controlled view by ``factor``, shaped by :func:`diag_layout` to broadcast over it.
+
+    ``factor`` is a DIAG's phasors, or the coefficients of a BLOCK selected
+    on its flag.
+    """
     sub = amps.reshape(shape)[index]
-    sub *= phasor
+    sub *= factor
+
+
+def apply_block(amps, shape, i0, i1, k, s):
+    """Per basis state, ``[[k, s], [s, k]]`` on the two halves, ``k`` and ``s`` shaped by :func:`diag_layout` to broadcast over them."""
+    view = amps.reshape(shape)
+    v0, v1 = view[i0], view[i1]
+    a0 = v0.copy()
+    v0 *= k
+    v0 += s * v1
+    v1 *= k
+    v1 += s * a0

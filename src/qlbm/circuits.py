@@ -3,13 +3,16 @@
 The circuit intermediate representation is a flat list of :class:`GateOp`
 records over a :class:`RegisterLayout`, grouped into named sections
 (encode / collision / streaming / macro / boundary). Builders emit a
-high-level vocabulary (state preparation, joint diagonals, multi-controlled
+high-level vocabulary (state preparation, block encodings, multi-controlled
 X); :func:`lower_circuit` rewrites everything into single-qubit gates plus
 CNOT with exact unitary equality, which is what the resource estimator
 counts. Every whole-pipeline builder's encode section is one ``PREP`` gate
 that holds the amplitude layout to load. The simulator applies it by
 loading; lowering expands it into the Möttönen rotation network
-(arXiv:quant-ph/0407010).
+(arXiv:quant-ph/0407010). The collision and the wall projector are each one
+``BLOCK`` gate that holds its coefficients k. Where its flag is selected
+right after it, the simulator multiplies the amplitudes by k; lowering
+expands it into Hadamards on the flag around a diagonal of +/- arccos(k).
 
 Each gate's lowering is described once, by :func:`slot_programs`: cached
 slot programs of ``(target slot, control slot)`` rows, one per gate shape.
@@ -21,7 +24,9 @@ being lowered fills its open rows with its own angles. There is
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
 - one gray-code ladder per RZ stage of a diagonal. The level walk of
-  :func:`_diag_stages` tells which stages are present.
+  :func:`_diag_stages` tells which stages are present;
+- one H row per ``BLOCK`` flag slot, run before and after the programs of
+  the BLOCK's diagonal.
 
 :func:`lower_op` replays the programs onto a gate's qubits and fills the
 open rows; the estimator replays the same programs and computes no angle.
@@ -72,13 +77,14 @@ __all__ = [
 ]
 
 # (target count, parameter count) per kind; DIAG and PREP take any number of
-# targets and one parameter per basis state of them
+# targets and one parameter per basis state of them, BLOCK one per basis
+# state of its targets but the last
 _GATE_SHAPES = {
     "H": (1, 0), "X": (1, 0), "MCX": (1, 0),
-    "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1), "U1Q": (1, 8),
+    "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1),
     "GPHASE": (0, 1),
 }
-_ARRAY_KINDS = frozenset({"DIAG", "PREP"})  # params held as a read-only float64 array
+_ARRAY_KINDS = frozenset({"DIAG", "PREP", "BLOCK"})  # params held as a read-only float64 array
 GATE_KINDS = frozenset(_GATE_SHAPES) | _ARRAY_KINDS
 _BITS = frozenset((0, 1))
 
@@ -92,13 +98,20 @@ class GateOp:
 
     Controls apply to every kind but PREP. ``control_values`` holds the
     required bit (0 or 1) per control qubit. Parameters are angles except
-    for U1Q, which carries its 2x2 matrix as (re, im) pairs in row-major
-    order. DIAG carries one phase per basis state of its targets (targets[0]
-    least significant). PREP loads a real vector onto targets that are all
-    |0>, normalized by :func:`unit_amplitudes`; its parameter is that vector,
-    one entry per basis state of the targets. Every parameter but a PREP's
-    must be finite. DIAG and PREP hold theirs as a read-only float64 array:
-    one that is already read-only and owns its memory, such as
+    for PREP and BLOCK. DIAG carries one phase per basis state of its
+    targets (targets[0] least significant). PREP loads a real vector onto
+    targets that are all |0>, normalized by :func:`unit_amplitudes`; its
+    parameter is that vector, one entry per basis state of the targets.
+    BLOCK is a block encoding: its targets are value qubits and then a flag,
+    and its parameter ``k`` holds one coefficient per basis state of the
+    value qubits. On value index j it applies ``[[k, i s], [i s, k]]`` to the
+    flag, with ``s = sqrt(1 - k[j]^2)``, which is H on the flag, the DIAG of
+    phases ``+arccos(k)`` (flag 0) and ``-arccos(k)`` (flag 1), and H again;
+    selecting flag 0 afterwards leaves the value amplitudes scaled by k.
+    Each k must lie in [-1, 1], up to a float slop that is clipped away,
+    else :class:`CoefficientRangeError`. Every other parameter but a PREP's
+    must be finite. DIAG, PREP and BLOCK hold theirs as a read-only float64
+    array: one that is already read-only and owns its memory, such as
     :func:`encoding_vector` returns, cannot change under the gate and is kept
     as it is; anything else, a tuple included, is copied.
     """
@@ -117,7 +130,7 @@ class GateOp:
                 raise ConfigurationError(f"unknown gate kind {kind!r}")
             if not targets:
                 raise ConfigurationError(f"{kind} needs at least one target")
-            shape = (len(targets), 1 << len(targets))
+            shape = (len(targets), 1 << (len(targets) - (kind == "BLOCK")))
         if kind in _ARRAY_KINDS:
             if kind == "PREP" and controls:
                 raise ConfigurationError("PREP takes no controls")
@@ -138,9 +151,11 @@ class GateOp:
         if kind == "DIAG":
             finite = np.isfinite(self.params).all()
         else:
-            finite = kind == "PREP" or all(map(math.isfinite, self.params))
+            finite = kind in ("PREP", "BLOCK") or all(map(math.isfinite, self.params))
         if not finite:
             raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
+        if kind == "BLOCK":
+            _check_coefficients(self)  # its range check rejects a NaN or infinity too
         if len(controls) != len(self.control_values):
             raise ConfigurationError("controls and control_values must pair up")
         if not _BITS.issuperset(self.control_values):
@@ -167,12 +182,24 @@ class GateOp:
         return self.params == other.params
 
     def __hash__(self):
-        # an array has no hash, so DIAG and PREP leave it out; equal gates still hash equal
+        # an array has no hash, so DIAG, PREP and BLOCK leave it out; equal gates still hash equal
         return hash(self._key() + (None if self.kind in _ARRAY_KINDS else self.params,))
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
+
+
+def _check_coefficients(op: GateOp) -> None:
+    """Hold a BLOCK's coefficients to [-1, 1]: raise past the slack, clip within it."""
+    # written so that NaN, which compares false both ways, is rejected too
+    worst = float(np.abs(op.params).max())
+    if not worst <= 1.0 + _COEFF_SLACK:
+        raise CoefficientRangeError(f"collision coefficients must lie in [-1, 1]; max |k| = {worst:.6g}")
+    if worst > 1.0:
+        k = np.clip(op.params, -1.0, 1.0)
+        k.flags.writeable = False
+        object.__setattr__(op, "params", k)
 
 
 def gate_matrix_1q(op: GateOp) -> np.ndarray:
@@ -192,11 +219,6 @@ def gate_matrix_1q(op: GateOp) -> np.ndarray:
     if k == "PHASE":
         (theta,) = op.params
         return np.array([[1, 0], [0, np.exp(1j * theta)]])
-    if k == "U1Q":
-        p = op.params
-        return np.array(
-            [[p[0] + 1j * p[1], p[2] + 1j * p[3]], [p[4] + 1j * p[5], p[6] + 1j * p[7]]]
-        )
     raise ConfigurationError(f"{k} has no 2x2 matrix")
 
 
@@ -406,37 +428,21 @@ def build_streaming_ops(layout: RegisterLayout, scheme: LatticeScheme, controls=
     return ops
 
 
-def _coefficient_angles(k_flat: np.ndarray) -> np.ndarray:
-    # written so that NaN, which compares false both ways, is rejected too
-    if not np.all(np.abs(k_flat) <= 1.0 + _COEFF_SLACK):
-        worst = float(np.max(np.abs(k_flat)))
-        raise CoefficientRangeError(
-            f"collision coefficients must lie in [-1, 1]; max |k| = {worst:.6g}"
-        )
-    return np.arccos(np.clip(k_flat, -1.0, 1.0))
-
-
 def build_collision_ops(layout: RegisterLayout, k_flat, value_qubits: tuple[int, ...], controls=(), control_values=()) -> list[GateOp]:
     """Block-encoded collision: scale basis state j of value_qubits by k_flat[j].
 
-    Hadamards sandwich a joint diagonal paired with the ancilla carrying
-    phases +/- arccos(k); selecting ancilla 0 afterwards leaves exactly the
-    diagonal of coefficients. Coefficients must lie in [-1, 1].
+    One BLOCK on the value qubits and the ancilla: selecting ancilla 0
+    afterwards leaves exactly the diagonal of coefficients. It lowers to
+    Hadamards on the ancilla around a joint diagonal of phases
+    +/- arccos(k). Coefficients must lie in [-1, 1].
     """
     k_flat = np.asarray(k_flat, dtype=float).ravel()
     if k_flat.size != 1 << len(value_qubits):
         raise ConfigurationError(
             f"got {k_flat.size} coefficients for {len(value_qubits)} qubits"
         )
-    theta = _coefficient_angles(k_flat)
     (anc,) = layout.a
-    phases = np.concatenate([theta, -theta])
-    phases.flags.writeable = False  # the gate keeps it without a copy
-    return [
-        GateOp("H", (anc,)),
-        GateOp("DIAG", tuple(value_qubits) + (anc,), tuple(controls), tuple(control_values), phases),
-        GateOp("H", (anc,)),
-    ]
+    return [GateOp("BLOCK", tuple(value_qubits) + (anc,), tuple(controls), tuple(control_values), k_flat)]
 
 
 def build_macro_ops(layout: RegisterLayout) -> list[GateOp]:
@@ -447,8 +453,9 @@ def build_macro_ops(layout: RegisterLayout) -> list[GateOp]:
 def build_boundary_ops(layout: RegisterLayout, wall_mask) -> list[GateOp]:
     """Block-encoded wall projector: zero every site where wall_mask is true.
 
-    Same sandwich construction as the collision block but over the wall flag:
-    the two branches carry phases +/- pi/2 on wall sites (averaging to zero)
+    One BLOCK on the sites and the wall flag, like the collision block, with
+    coefficient 0 on wall sites and 1 on interior sites. Lowered, the two
+    flag branches carry phases +/- pi/2 on wall sites (averaging to zero)
     and 0 on interior sites (averaging to one).
     """
     if not layout.n_b:
@@ -456,15 +463,9 @@ def build_boundary_ops(layout: RegisterLayout, wall_mask) -> list[GateOp]:
     mask = np.asarray(wall_mask, dtype=bool).ravel()
     if mask.size != layout.n_sites:
         raise ConfigurationError(f"wall mask covers {mask.size} sites, expected {layout.n_sites}")
-    (bq,) = layout.b
-    half = np.where(mask, math.pi / 2.0, 0.0)
-    phases = np.concatenate([half, -half])
-    phases.flags.writeable = False
-    return [
-        GateOp("H", (bq,)),
-        GateOp("DIAG", layout.site_qubits + (bq,), params=phases),
-        GateOp("H", (bq,)),
-    ]
+    k = np.where(mask, 0.0, 1.0)
+    k.flags.writeable = False  # the gate keeps it without a copy
+    return [GateOp("BLOCK", layout.site_qubits + layout.b, params=k)]
 
 
 def cavity_wall_mask(extent: int) -> np.ndarray:
@@ -638,7 +639,8 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   (:func:`_ladder_program`), every rotation open. A PREP chains one ladder
 #   per target; a diagonal runs the ladder of each RZ stage its level walk
 #   finds present;
-# - an uncontrolled single-qubit gate: one open row.
+# - an uncontrolled single-qubit gate: one open row;
+# - a BLOCK: the programs of its diagonal between two H rows on the flag.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -758,6 +760,18 @@ def _core_template(kind: str, m: int, params: tuple) -> tuple[tuple, ...]:
         )
     u = gate_matrix_1q(GateOp(kind, (m,), params=params))
     return tuple(_multi_controlled_rows(u, slots, m))
+
+
+def _block_diag(op: GateOp) -> GateOp:
+    """The diagonal of a BLOCK's lowering: phases +arccos(k) on flag 0 and -arccos(k) on flag 1.
+
+    It keeps the BLOCK's targets and controls; the Hadamards on the flag
+    around it need no control, as they cancel where the diagonal is idle.
+    """
+    theta = np.arccos(op.params)
+    phases = np.concatenate([theta, -theta])
+    phases.flags.writeable = False  # the gate keeps it without a copy
+    return GateOp("DIAG", op.targets, op.controls, op.control_values, phases)
 
 
 def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
@@ -890,6 +904,12 @@ def _prep_program(m: int) -> SlotProgram:
 
 
 @functools.lru_cache(maxsize=None)
+def _hadamard_program(slot: int) -> SlotProgram:
+    """The H on a BLOCK's flag, the last of its targets, that runs before and after its diagonal."""
+    return _slot_program(((slot, -1),), [("H", ())])
+
+
+@functools.lru_cache(maxsize=None)
 def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
     """The X on each 0-polarity control's slot that wraps a controlled core."""
     flipped = [i for i, v in enumerate(control_values) if not v]
@@ -918,6 +938,10 @@ def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], S
         programs = [_ONE_ROW] if leaf[1] - leaf[0] else []
         programs += [_ladder_program(k) for k, _ in stages]
         return programs, qubits, _NO_ROWS
+    if kind == "BLOCK":
+        programs, qubits, _ = slot_programs(_block_diag(op))
+        flag = _hadamard_program(len(op.targets) - 1)
+        return (flag, *programs, flag), qubits, _NO_ROWS
     if not op.controls and kind != "MCX":
         return (_ONE_ROW,), op.targets, _NO_ROWS
     core = _core_program(kind, len(op.controls), op.params)
@@ -945,6 +969,8 @@ def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
                 hi = np.linalg.norm(halves[:, 1, :], axis=1)
             gates += (("RY", (angle,)) for angle in _ladder_angles(2.0 * np.arctan2(hi, lo)))
         return [], gates
+    if kind == "BLOCK":
+        return _own_gates(_block_diag(op))
     if kind == "DIAG":
         leaf, stages = _diag_stages(_merged_diag_phases(op)[1])
         phases = [GateOp("GPHASE", (), params=(float(leaf[0]),))] if leaf[0] else []
@@ -1015,7 +1041,8 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
 
     Vectorized fancy-indexing reference path, deliberately separate from the
     compiled kernels so the two implementations can check each other. A PREP
-    runs as its rotation network (:func:`lower_op`).
+    runs as its rotation network (:func:`lower_op`), a BLOCK as its
+    Hadamards around its diagonal.
     """
     arr = np.asarray(array, dtype=complex).copy()
     if arr.shape[0] != 1 << n_qubits:
@@ -1024,6 +1051,10 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
     for op in ops:
         if op.kind == "PREP":
             arr = apply_ops_numpy(arr, lower_op(op), n_qubits)
+            continue
+        if op.kind == "BLOCK":
+            flag = GateOp("H", op.targets[-1:])
+            arr = apply_ops_numpy(arr, [flag, _block_diag(op), flag], n_qubits)
             continue
         cmask, cval = _control_mask_val(op)
         if op.kind == "GPHASE":

@@ -185,8 +185,13 @@ def _ensure_out(cfg: dict) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value: float) -> float | None:
+    """A run-level total as strict JSON holds it: null (None) when it is not finite."""
+    return value if math.isfinite(value) else None
 
 
 def _records_payload(records) -> list[dict]:
@@ -253,8 +258,8 @@ def _cmd_advdiff(cfg: dict) -> int:
         "backend": cfg["backend"],
         "final_mass": float(result.final.sum()),
         "max_relative_error_vs_classical": max_err,
-        "success_prob": result.success_prob,
-        "shot_multiplier": result.shot_multiplier,
+        "success_prob": _finite_or_null(result.success_prob),
+        "shot_multiplier": _finite_or_null(result.shot_multiplier),
         "records": _records_payload(result.records),
     })
     print(f"advdiff {scheme.name} {cfg['extent']} sites, {cfg['steps']} steps: "
@@ -273,7 +278,8 @@ def _cmd_cavity(cfg: dict) -> int:
     else:
         run = run_cavity(spec, variant=cfg["variant"])
         psi, omega = run.psi[-1], run.omega[-1]
-        records, success_prob, shot_multiplier = run.records, run.success_prob, run.shot_multiplier
+        records = run.records
+        success_prob, shot_multiplier = _finite_or_null(run.success_prob), _finite_or_null(run.shot_multiplier)
     out = _ensure_out(cfg)
     save_field_csv(os.path.join(out, "psi_final.csv"), psi)
     save_field_qlbf(os.path.join(out, "psi_final.qlbf"), psi)

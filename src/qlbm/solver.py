@@ -6,13 +6,16 @@ job's fields. On the statevector backend every job runs on one path,
 ``_run_job``, which selects every register but the sites while the gates
 run. The simulator runs the circuit the resource estimator counts; the
 PREP loads the amplitude layout, where the estimator counts the
-rotation network. A qubit is in the state only between its first gate and
-its last: the PREP's unit vector is the job's first array, the collision
-ancilla and the wall flag enter at their first Hadamard, and each selected
-qubit leaves right after the last gate that targets it (the collision
-ancilla after collision, each link qubit after its merge Hadamard, the wall
-flag after the wall projector, a source flag after the PREP when no later
-gate targets it). So the job returns the site amplitudes alone and the
+rotation network, and each block encoding (the collision and the wall
+projector, one ``BLOCK`` gate each) multiplies the amplitudes by its
+coefficients, where the estimator counts the Hadamards and the diagonal it
+lowers to. A qubit is in the state only between its first gate and its
+last: the PREP's unit vector is the job's first array, and each selected
+qubit leaves right after the last gate that targets it (each link qubit
+after its merge Hadamard, a source flag after the PREP when no later gate
+targets it). The collision ancilla and the wall flag never enter: each
+holds 0 until its BLOCK, which is its only gate, and is selected onto 0
+right after it. So the job returns the site amplitudes alone and the
 caller decodes the field from them. Each run builds its circuit(s) once.
 Each job runs a fresh PREP of its fields in front of the built gates; a
 vorticity job also builds its collision afresh, the one other section that
@@ -142,9 +145,14 @@ class _RunTotals:
 
     @property
     def shot_multiplier(self) -> float:
-        """Factor by which selection multiplies the shot cost: 1 / success_prob (inf when that is 0)."""
-        p = self.success_prob
-        return 1.0 / p if p > 0 else math.inf
+        """Factor by which selection multiplies the run's shot cost: the sum of 1 / success_prob over the records that ran.
+
+        Each job is prepared afresh from a classical readout of the one
+        before it, so the shot costs of a run's jobs add; an idle record runs
+        nothing and costs none. It is inf when a job that ran cannot succeed.
+        """
+        return sum(1.0 / p if p > 0 else math.inf
+                   for p in (r.success_prob for r in self.records if not r.zero_input))
 
 
 @dataclass

@@ -12,19 +12,22 @@ first gate and its last, so a run allocates nothing of the state's size:
 each qubit enters the array at the first gate that needs it there. Given a
 selection, each selected qubit is projected right after the last gate that
 targets it and dropped from the state, so every later gate runs on half as
-many amplitudes. An uncontrolled single-qubit gate on an entering qubit is
-one write of the two new halves, and one followed by a selection is one
-contraction (gate fusion, Häner & Steiger, arXiv:1704.01127).
+many amplitudes. An uncontrolled single-qubit gate followed by a selection
+is one contraction (gate fusion, Häner & Steiger, arXiv:1704.01127). A
+``BLOCK`` whose flag still holds 0 and is selected right after it never
+lets the flag in: what survives the selection is the value amplitudes times
+k, so the gate and its selection are one multiplication, in place.
 
 Which qubits are in the array at each gate, and at which bits, follows from
 the gate structure and the selection alone. So a circuit runs in two parts:
 :func:`plan_circuit` walks the gates once and resolves all of it into a
 :class:`CircuitPlan`, a flat tuple of steps with the view indices of the
-strided-view kernels in :mod:`qlbm._kernels` and the phasors of the gates'
-parameters; :func:`apply_circuit` replays the plan on gates of the same
-structure, loading each PREP's vector and recomputing the phasors only of
-gates whose parameters changed. A solver plans each kind of job once per
-run and replays the plan per job.
+strided-view kernels in :mod:`qlbm._kernels` and the matrices of the
+single-qubit gates; :func:`apply_circuit` replays the plan on gates of the
+same structure, loading each PREP's vector, fitting each BLOCK's
+coefficients and each DIAG's phasors to their views, and recomputing the
+matrices only of gates whose parameters changed. A solver plans each kind
+of job once per run and replays the plan per job.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -102,11 +105,11 @@ class CircuitPlan:
     gates of that structure. Each step is ``(tag, gate index, args)`` with
     every decision of the loop taken: where qubits enter and leave the
     amplitude array, which gates are skipped, each kernel's view shape and
-    indices, and the matrix of each single-qubit gate as planned. Each DIAG
-    step keeps the phasors of its planned phases once a replay has computed
-    them. A plan holds no amplitudes and no PREP vector. ``n_qubits`` is
-    the state's qubit count and ``kept`` the count left after the
-    selection, if ``selecting``.
+    indices, and the matrix of each single-qubit gate as planned. A DIAG or
+    BLOCK step holds how to fit its gate's per-basis-state parameters to its
+    view, not the parameters. A plan holds no amplitudes and no PREP vector.
+    ``n_qubits`` is the state's qubit count and ``kept`` the count left
+    after the selection, if ``selecting``.
     """
 
     n_qubits: int
@@ -125,14 +128,15 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     unit vector goes straight into place; onto an empty array it is the new
     array. Its targets must still be outside the array, so in |0>: a PREP
     onto a qubit that an earlier gate made enter raises
-    :class:`ConfigurationError`. An uncontrolled single-qubit gate U on an
-    entering qubit writes the two new halves ``U[0, 0] * a`` and
-    ``U[1, 0] * a`` at once. A diagonal gate lets no qubit enter: on a
-    qubit that holds 0 it applies its phases at that qubit's 0. A control
-    on a known qubit is dropped when the value matches, and the gate is
-    skipped when it does not. A qubit that no gate made enter and no
-    selection planned enters in |0> at the end, so the returned state holds
-    every qubit not selected.
+    :class:`ConfigurationError`. Any other qubit enters in |0>. A diagonal
+    gate lets no qubit enter: on a qubit that holds 0 it applies its phases
+    at that qubit's 0. A BLOCK lets none of its value qubits enter, as it is
+    diagonal on them; unless the selection below applies, its flag enters
+    in |0> if it holds 0, and ``[[k, i s], [i s, k]]`` runs on the flag's
+    two halves. A control on a known qubit is dropped when the value
+    matches, and the gate is skipped when it does not. A qubit that no gate
+    made enter and no selection planned enters in |0> at the end, so the
+    returned state holds every qubit not selected.
 
     ``select`` maps qubit -> value (the integer 0 or 1). Each selected qubit
     is projected onto its value and leaves the state right after the last
@@ -141,15 +145,17 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     Dropping a later control on it is exact, because the projector commutes
     with a gate that only controls on the qubit. When that last gate is an
     uncontrolled single-qubit gate U, gate and selection are one contraction
-    of the two halves, ``U[v, 0] * a0 + U[v, 1] * a1``. A qubit that never
-    entered holds 0 for certain: selecting 0 has probability 1, and
-    selecting 1 raises :class:`PostSelectionError` here.
+    of the two halves, ``U[v, 0] * a0 + U[v, 1] * a1``. When that last gate
+    is a BLOCK whose flag holds 0, and the flag is selected onto 0 before
+    any other qubit the BLOCK targets, the flag never enters: gate and
+    selection multiply the controlled view by k, in place, and renormalize.
+    A qubit that never entered holds 0 for certain: selecting 0 has
+    probability 1, and selecting 1 raises :class:`PostSelectionError` here.
 
     All of that follows from the gate structure and the selection alone.
     The plan also holds the matrix of each single-qubit gate as computed
-    from its parameters here, and the phasors of each DIAG once a replay
-    has computed them from the planned phases, so replays on the same gates
-    compute none of them again.
+    from its parameters here, so replays on the same gates compute none of
+    them again.
     """
     n_qubits = start.n_qubits
     wanted = {} if select is None else _checked_selection(select, n_qubits)
@@ -175,11 +181,11 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         bits[:] = sorted(qubits)
         bit_of = dict(zip(bits, range(len(bits))))
 
-    def enter(tag, i, targets, *payload):
+    def enter(tag, i, targets):
         # axes of the outer product unit x amps, sorted to descending qubits
         axes = [*targets[::-1], *reversed(bits)]
         order = tuple(sorted(range(len(axes)), key=axes.__getitem__, reverse=True))
-        steps.append((tag, i, ((2,) * len(targets), (2,) * len(bits), order, *payload)))
+        steps.append((tag, i, ((2,) * len(targets), (2,) * len(bits), order)))
         for q in targets:
             del known[q]
         renumber([*bits, *targets])
@@ -195,6 +201,15 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         steps.append(("drop", i, (q, bit_of[q], value, *fused)))
         known[q] = value
         renumber(k for k in bits if k != q)
+
+    def view(targets, controls):
+        # the controlled view's index, and the fit to that view of values with
+        # one entry per basis state of ``targets``: axis j of their (2,) * m
+        # reshape carries targets[m - 1 - j], and a known target is fixed at its value
+        fix = tuple(known.get(q, slice(None)) for q in reversed(targets))
+        qpos = [bit_of[q] for q in targets if q in bit_of]
+        index, order, shape = _kernels.diag_layout(len(bits), qpos, [(bit_of[q], v) for q, v in controls])
+        return index, ((2,) * len(targets), fix, (2,) * len(qpos), order, shape)
 
     for q in due.get(-1, ()):
         drop(q)
@@ -221,18 +236,24 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
             elif kind == "PHASE" and entering:
                 pass  # diag(1, e^{i theta}) on a qubit that holds 0
             elif kind == "DIAG":
-                # axis j of the (2,) * m phases carries targets[m - 1 - j]; a known target is fixed at its value
-                fix = tuple(known.get(q, slice(None)) for q in reversed(op.targets))
-                qpos = [bit_of[q] for q in op.targets if q in bit_of]
-                n = len(bits)
-                index, order, shape = _kernels.diag_layout(n, qpos, [(bit_of[q], v) for q, v in live])
-                fit = ((2,) * len(op.targets), fix, (2,) * len(qpos), order, shape)
-                steps.append(("diag", i, ((2,) * n, index, _Phasors(op.params, fit))))
-            elif entering and not live and kind != "MCX":
-                enter("enter", i, op.targets, op.params, gate_matrix_1q(op)[:, 0])  # U|0> in one write
+                index, fit = view(op.targets, live)
+                steps.append(("diag", i, ((2,) * len(bits), index, fit)))
+            elif kind == "BLOCK":
+                *values, flag = op.targets
+                if flag in known and chosen and chosen[0] == flag and wanted[flag] == 0:
+                    # the flag holds 0 and leaves at once: the gate and its selection scale by k
+                    index, fit = view(values, live)
+                    steps.append(("select", i, ((2,) * len(bits), index, fit, flag)))
+                    chosen = chosen[1:]
+                else:
+                    if flag in known:
+                        enter("enter", None, (flag,))
+                    i0, fit = view(values, [*live, (flag, 0)])
+                    i1, _ = view(values, [*live, (flag, 1)])
+                    steps.append(("block", i, ((2,) * len(bits), i0, i1, fit)))
             else:
                 for q in entering:
-                    enter("enter", None, (q,), None, _KET0)
+                    enter("enter", None, (q,))
                 n = len(bits)
                 if kind == "GPHASE":
                     steps.append(("gphase", i, (op.params, _phase(op))))
@@ -251,7 +272,7 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         for q in chosen:
             drop(q)
     for q in sorted(known.keys() - wanted.keys()):
-        enter("enter", None, (q,), None, _KET0)
+        enter("enter", None, (q,))
     return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None)
 
 
@@ -261,10 +282,12 @@ def apply_circuit(plan: CircuitPlan, ops):
     ``ops`` must have the structure the plan was made from, else
     :class:`ConfigurationError`; their parameters may differ. A PREP
     writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
-    and multiplies the norm factor by the norm it was scaled from. A gate
-    that carries the very parameter object it was planned with runs on the
-    plan's matrix or phasors; one with other parameters, such as a DIAG
-    rebuilt per job, has them computed afresh. Each selection raises
+    and multiplies the norm factor by the norm it was scaled from. A DIAG's
+    phasors and a BLOCK's coefficients are fitted to their views from the
+    gate's own parameters, such as those of a BLOCK rebuilt per job. A
+    single-qubit gate that carries the very parameter object it was planned
+    with runs on the plan's matrix; one with other parameters has it
+    computed afresh. Each selection raises
     :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
 
     Without a selection, returns the new state over every qubit. With one,
@@ -280,8 +303,18 @@ def apply_circuit(plan: CircuitPlan, ops):
         if tag == "mcx":
             _kernels.apply_mcx(amps, *args)
         elif tag == "diag":
-            shape, index, phasors = args
-            _kernels.apply_diag(amps, shape, index, phasors(ops[i].params))
+            shape, index, fit = args
+            _kernels.apply_diag(amps, shape, index, _phasor(ops[i].params, *fit))
+        elif tag == "select":
+            shape, index, fit, q = args
+            _kernels.apply_diag(amps, shape, index, _fitted(ops[i].params, *fit))
+            p = _normalize(amps, q, 0)
+            norm *= np.sqrt(p)
+            probs[q] = p
+        elif tag == "block":
+            shape, i0, i1, fit = args
+            k = _fitted(ops[i].params, *fit)
+            _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
         elif tag == "drop":
             q, bit, value, params, row = args
             if i is not None and ops[i].params is not params:
@@ -290,10 +323,7 @@ def apply_circuit(plan: CircuitPlan, ops):
             norm *= np.sqrt(p)
             probs[q] = p
         elif tag == "enter":
-            ushape, ashape, order, params, column = args
-            if i is not None and ops[i].params is not params:
-                column = gate_matrix_1q(ops[i])[:, 0]
-            amps = _product(column, amps, ushape, ashape, order)
+            amps = _product(_KET0, amps, *args)
         elif tag == "load":
             unit, scale = unit_amplitudes(ops[i].params)
             amps = _product(unit, amps, *args)
@@ -348,38 +378,19 @@ def _phase(op):
     return np.exp(1j * op.params[0])
 
 
-class _Phasors:
-    """e^{i phases} of one DIAG of a plan, fitted to its view.
+def _fitted(values: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray:
+    """Per-basis-state ``values`` of a gate's targets with its known targets fixed, fitted to its view.
 
-    Those of the planned phases are computed at the first replay that
-    carries that very read-only array, and kept: a DIAG built once for a
-    run costs one ``np.exp`` per run, and one rebuilt per job, whose
-    planned phases no replay carries, costs none beyond its own.
-    """
-
-    __slots__ = ("planned", "fit", "phasor")
-
-    def __init__(self, planned: np.ndarray, fit: tuple):
-        self.planned, self.fit, self.phasor = planned, fit, None
-
-    def __call__(self, phases: np.ndarray) -> np.ndarray:
-        if phases is not self.planned:
-            return _phasor(phases, *self.fit)
-        if self.phasor is None:
-            self.phasor = _phasor(phases, *self.fit)
-        return self.phasor
-
-
-def _phasor(phases: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray:
-    """e^{i phases} of a diagonal with its known targets fixed, fitted to its view.
-
-    The other arguments are a plan's ``fit``: the phases' (2,) * m shape,
+    The other arguments are a plan's ``fit``: the values' (2,) * m shape,
     the index fixing each known target, the shape left, and the axis order
     and broadcast shape of :func:`~qlbm._kernels.diag_layout`.
     """
-    phasor = 1j * phases.reshape(dshape)[fix].reshape(-1)
-    np.exp(phasor, out=phasor)  # in place: a second array of this size would page-fault in
-    return phasor.reshape(mshape).transpose(order).reshape(shape)
+    return values.reshape(dshape)[fix].reshape(mshape).transpose(order).reshape(shape)
+
+
+def _phasor(phases: np.ndarray, *fit) -> np.ndarray:
+    """e^{i phases} of a diagonal, fitted to its view like :func:`_fitted`."""
+    return np.exp(1j * _fitted(phases, *fit))
 
 
 def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.ndarray:
@@ -389,8 +400,7 @@ def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.nd
     bit k of the result is the k-th lowest of all the qubits. When every
     entering qubit lies above every qubit in ``amps`` and they ascend, the
     outer product is already in that order and is written once: the unit
-    vector onto an empty array, or a column ``U|0>`` for a qubit entering
-    above the others (the mirror of :func:`_drop_bit`'s ``row``).
+    vector onto an empty array, or |0> for a qubit entering above the others.
     """
     prod = np.multiply.outer(unit.reshape(ushape), amps.reshape(ashape))
     return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
@@ -415,11 +425,16 @@ def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> t
         other *= complex(row[1])
         kept += other
     kept = kept.reshape(-1)
-    p = float(np.vdot(kept, kept).real)
+    return kept, _normalize(kept, qubit, value)
+
+
+def _normalize(amps: np.ndarray, qubit: int, value: int) -> float:
+    """Scale ``amps``, what is left of a selection of ``qubit`` = ``value``, to unit norm; return its probability."""
+    p = float(np.vdot(amps, amps).real)
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
-    kept *= 1.0 / np.sqrt(p)  # a complex array divides far slower than it multiplies
-    return kept, p
+    amps *= 1.0 / np.sqrt(p)  # a complex array divides far slower than it multiplies
+    return p
 
 
 def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumState, float]:

@@ -153,6 +153,7 @@ def test_criterion_5_block_encodings_apply_their_operators():
         layout = RegisterLayout(n_r0=n_value)
         k = rng.uniform(-1.0, 1.0, 1 << n_value)
         ops = build_collision_ops(layout, k, layout.r0)
+        assert [op.kind for op in ops] == ["BLOCK"]
         vec = np.zeros(1 << layout.qubit_count, dtype=complex)
         block = 1 << n_value
         vec[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
@@ -169,7 +170,9 @@ def test_criterion_5_block_encodings_apply_their_operators():
         vec = np.zeros(1 << layout.qubit_count, dtype=complex)
         vec[: layout.n_sites] = field
         vec /= np.linalg.norm(vec)
-        out = apply_ops_numpy(vec, build_boundary_ops(layout, mask), layout.qubit_count)
+        ops = build_boundary_ops(layout, mask)
+        assert [op.kind for op in ops] == ["BLOCK"]
+        out = apply_ops_numpy(vec, ops, layout.qubit_count)
         sites = out[: layout.n_sites]
         worst_wall = max(worst_wall, float(np.abs(sites[mask]).max()))
         keep = vec[: layout.n_sites][~mask]

@@ -38,6 +38,7 @@ from qlbm.circuits import (
     lower_op,
     slot_programs,
     unit_amplitudes,
+    _controlled_1q_rows,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
@@ -73,6 +74,17 @@ def _dense_op(op: GateOp, n_qubits: int) -> np.ndarray:
         return mat
     if op.kind == "GPHASE":
         return np.exp(1j * op.params[0]) * np.eye(dim)
+    if op.kind == "BLOCK":
+        *values, flag = op.targets
+        for i in range(dim):
+            if not all(((i >> q) & 1) == v for q, v in zip(op.controls, op.control_values)):
+                mat[i, i] = 1.0
+                continue
+            k = op.params[sum(((i >> q) & 1) << pos for pos, q in enumerate(values))]
+            s = 1j * math.sqrt(1.0 - k * k)
+            mat[i, i] = k
+            mat[i ^ (1 << flag), i] = s
+        return mat
     u = np.array([[0, 1], [1, 0]], dtype=complex) if op.kind == "MCX" else gate_matrix_1q(op)
     t = op.targets[0]
     for i in range(dim):
@@ -136,7 +148,7 @@ def test_gate_op_rejects_overlapping_qubits():
     ("RY", (0,), ()),
     ("RZ", (0,), (0.1, 0.2)),
     ("MCX", (0,), (0.5,)),
-    ("U1Q", (0,), (1.0, 0.0, 0.0, 0.0)),
+    ("BLOCK", (0, 1), (0.1, 0.2, 0.3, 0.4)),  # one coefficient per value index: two here
     ("DIAG", (0, 1), (0.1, 0.2)),
     ("DIAG", (), (0.1,)),
     ("PREP", (0, 1), (0.1, 0.2, 0.3)),
@@ -153,7 +165,6 @@ def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
     ("RZ", (0,), (-math.inf,)),
     ("PHASE", (0,), (math.inf,)),
     ("GPHASE", (), (math.nan,)),
-    ("U1Q", (0,), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, 0.0)),
 ])
 def test_gate_op_rejects_non_finite_parameters(kind, targets, params):
     # a PREP's vector is checked when it is loaded or lowered, as an EncodingError
@@ -289,6 +300,7 @@ def test_collision_block_applies_exact_diagonal(seed):
     value_qubits = layout.r0 + layout.d
     k = rng.uniform(-1.0, 1.0, 8)
     ops = build_collision_ops(layout, k, value_qubits)
+    assert [(op.kind, op.targets) for op in ops] == [("BLOCK", value_qubits + layout.a)]
     vec = rng.standard_normal(1 << layout.qubit_count).astype(complex)
     vec[8:] = 0.0  # ancilla 0 block only
     out = apply_ops_numpy(vec, ops, layout.qubit_count)
@@ -331,6 +343,48 @@ def test_boundary_block_needs_wall_flag():
     layout = RegisterLayout.for_scheme(D2Q5, 4)
     with pytest.raises(ConfigurationError, match="wall flag"):
         build_boundary_ops(layout, cavity_wall_mask(4))
+
+
+@pytest.mark.parametrize("params, error, match", [
+    ([0.5, 1.5], CoefficientRangeError, "max \\|k\\|"),
+    ([-1.0 - 1e-6, 0.0], CoefficientRangeError, "max \\|k\\|"),
+    ([math.nan, 0.0], CoefficientRangeError, "max \\|k\\|"),
+    ([0.0, -math.inf], CoefficientRangeError, "max \\|k\\|"),
+    ([0.5, 0.5, 0.5, 0.5], ConfigurationError, "parameter"),
+    ([0.5], ConfigurationError, "parameter"),
+    (np.ones((2, 1)), ConfigurationError, "flat vector"),
+], ids=["above-one", "below-minus-one", "nan", "infinite", "too-many", "too-few", "not-flat"])
+def test_block_gate_rejects_bad_coefficients(params, error, match):
+    with pytest.raises(error, match=match):
+        GateOp("BLOCK", (0, 1), params=params)
+
+
+def test_block_gate_clips_coefficients_within_the_slack():
+    op = GateOp("BLOCK", (0, 1), params=[1.0 + 1e-12, -1.0 - 1e-12])
+    np.testing.assert_array_equal(op.params, [1.0, -1.0])
+    assert not op.params.flags.writeable
+    kept = np.array([0.25, -1.0])
+    kept.flags.writeable = False
+    assert GateOp("BLOCK", (0, 1), params=kept).params is kept  # in range: kept as it is
+
+
+@pytest.mark.parametrize("controls, values", [((), ()), ((1,), (1,)), ((1,), (0,)), ((4, 1), (0, 1))],
+                         ids=["uncontrolled", "control-1", "control-0", "mixed-controls"])
+def test_block_matches_its_lowering_and_the_dense_reference(controls, values):
+    rng = np.random.default_rng(len(controls) + 7 * sum(values))
+    k = rng.uniform(-1.0, 1.0, 4)
+    k[0] = 0.0  # a wall site of the projector
+    op = GateOp("BLOCK", (2, 0, 3), controls, values, params=k)  # value qubits 2, 0; flag 3
+    dense = _dense_op(op, 5)
+    np.testing.assert_allclose(dense @ dense.conj().T, np.eye(32), atol=1e-12)
+    np.testing.assert_allclose(circuit_unitary([op], 5), dense, rtol=0, atol=1e-12)
+    lowered = lower_op(op)
+    assert lowered[0] == lowered[-1] == GateOp("H", (3,))
+    np.testing.assert_allclose(circuit_unitary(lowered, 5), dense, rtol=0, atol=1e-10)
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    amps /= np.linalg.norm(amps)
+    out = run_from_zero(5, load_ops(amps) + [op]).amplitudes
+    np.testing.assert_allclose(out, dense @ amps, rtol=0, atol=1e-12)
 
 
 def test_cavity_wall_mask_counts():
@@ -509,11 +563,11 @@ def test_diag_gates_hold_read_only_phases_and_compare_by_value():
     assert a.params[0] == 0.1 and a.params.dtype == np.float64
     with pytest.raises(ValueError):
         a.params[0] = 1.0
-    # the builders hand over read-only phases that own their memory, kept without a copy
+    # the builders emit one BLOCK each, holding read-only coefficients that own their memory
     layout = RegisterLayout.for_scheme(D1Q3, 4, boundary=True)
-    for _, diag, _ in (build_collision_ops(layout, np.full(4, 0.5), layout.d),
-                       build_boundary_ops(layout, [True, False, False, True])):
-        assert diag.kind == "DIAG" and not diag.params.flags.writeable and diag.params.base is None
+    for (block,) in (build_collision_ops(layout, np.full(4, 0.5), layout.d),
+                     build_boundary_ops(layout, [True, False, False, True])):
+        assert block.kind == "BLOCK" and not block.params.flags.writeable and block.params.base is None
 
 
 @pytest.mark.parametrize("params, match", [
@@ -612,14 +666,14 @@ def test_zero_polarity_controls_are_wrapped_in_x():
 
 
 def test_controlled_1q_lowering_random_unitary():
+    # no gate kind carries an arbitrary 2x2 unitary, so the ABC rows are checked directly
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    p = []
-    for r in range(2):
-        for c in range(2):
-            p += [float(q[r, c].real), float(q[r, c].imag)]
-    op = GateOp("U1Q", (0,), controls=(1,), control_values=(1,), params=tuple(p))
-    np.testing.assert_allclose(circuit_unitary(lower_op(op), 2), _dense_op(op, 2), atol=1e-12)
+    rows = _controlled_1q_rows(q, 1, 0)
+    ops = [GateOp(kind, (t,), (c,), (1,)) if c >= 0 else GateOp(kind, (t,), params=p) for kind, t, c, p in rows]
+    expected = np.eye(4, dtype=complex)
+    expected[np.ix_([2, 3], [2, 3])] = q  # control qubit 1 set: basis states 2 and 3
+    np.testing.assert_allclose(circuit_unitary(ops, 2), expected, atol=1e-12)
 
 
 def test_diag_lowering_is_exact_with_expected_cnots():
@@ -652,7 +706,7 @@ def test_lower_circuit_produces_only_basis_gates():
         if op.kind == "MCX":
             assert len(op.controls) == 1 and op.control_values == (1,)
         else:
-            assert op.kind in ("H", "X", "RY", "RZ", "PHASE", "U1Q", "GPHASE")
+            assert op.kind in ("H", "X", "RY", "RZ", "PHASE", "GPHASE")
             assert not op.controls
 
 
@@ -688,7 +742,7 @@ def test_lowered_sections_keep_order_and_names():
 def _is_basis(op: GateOp) -> bool:
     if op.controls:
         return op.kind == "MCX" and len(op.controls) == 1 and op.control_values == (1,)
-    return op.kind in ("H", "X", "RY", "RZ", "PHASE", "U1Q", "GPHASE")
+    return op.kind in ("H", "X", "RY", "RZ", "PHASE", "GPHASE")
 
 
 def _naive_lowered(circ: CircuitIR) -> list:
@@ -753,8 +807,6 @@ def test_sections_cover_every_gate_once_and_count_like_the_naive_expansion(name)
 
 def _mixed_controlled_gates():
     rng = np.random.default_rng(32)
-    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    u1q = tuple(float(x) for z in q.ravel() for x in (z.real, z.imag))
     ops = []
     for m in range(7):
         controls = tuple(rng.permutation(7)[:m].tolist())
@@ -762,7 +814,7 @@ def _mixed_controlled_gates():
         values = tuple(rng.integers(0, 2, m).tolist())
         ops.append(GateOp("MCX", (target,), controls, values))
         ops.append(GateOp("RY", (target,), controls, values, (float(rng.uniform(-3, 3)),)))
-        ops.append(GateOp("U1Q", (target,), controls, values, u1q))
+        ops.append(GateOp("H", (target,), controls, values))
     return ops
 
 
@@ -774,7 +826,7 @@ def test_iter_lowered_equals_naive_expansion_for_mixed_polarity_controls():
     assert all(_is_basis(op) for _, op in stream)
 
 
-@pytest.mark.parametrize("index", range(12))  # 0-3 controls of MCX, RY and U1Q
+@pytest.mark.parametrize("index", range(12))  # 0-3 controls of MCX, RY and H
 def test_templated_lowering_of_mixed_polarity_controls_is_exact(index):
     op = _mixed_controlled_gates()[index]
     lowered = lower_op(op)

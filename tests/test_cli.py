@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import qlbm.cli
 from qlbm.cli import main
 from qlbm.lattice import load_field_qlbf
+from qlbm.solver import AdvectionResult, StepRecord
 
 
 def _run(capsys, *argv):
@@ -45,11 +47,48 @@ def test_advdiff_writes_outputs_and_passes(tmp_path, capsys):
 
 
 def _check_run_totals(summary):
-    """The run's success probability and shot multiplier against its records' selections."""
+    """The run's success probability and shot multiplier against its records' selections.
+
+    The success probability is the product over the records; the shot
+    multiplier adds up each record's own 1 / success_prob, idle records left out.
+    """
     p = math.prod(p for record in summary["records"] for p in record["select_probs"].values())
     assert p < 1.0
     assert abs(summary["success_prob"] - p) <= 1e-12 * p
-    assert abs(summary["shot_multiplier"] - 1.0 / p) <= 1e-12 / p
+    shots = sum(1.0 / record["success_prob"] for record in summary["records"] if not record["zero_input"])
+    assert abs(summary["shot_multiplier"] - shots) <= 1e-12 * shots
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, refusing the NaN and Infinity that strict JSON has no word for."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_default_cavity_writes_a_strict_json_summary_with_a_finite_shot_multiplier(tmp_path, capsys):
+    # 80 steps: the product of 158 jobs' success probabilities underflows to 0.0
+    code, _, _ = _run(capsys, "cavity", "--out", str(tmp_path))
+    assert code == 0
+    summary = _strict_json(tmp_path / "cavity_summary.json")
+    assert summary["steps"] == 80 and summary["success_prob"] == 0.0
+    assert math.isfinite(summary["shot_multiplier"]) and summary["shot_multiplier"] > len(summary["records"])
+    shots = sum(1.0 / record["success_prob"] for record in summary["records"] if not record["zero_input"])
+    assert abs(summary["shot_multiplier"] - shots) <= 1e-12 * shots
+
+
+def test_a_run_total_that_is_not_finite_is_written_as_null(tmp_path, capsys, monkeypatch):
+    # a sampled step whose shots all miss the site sector cannot succeed: its 1 / success_prob is inf
+    def no_success(scheme, field0, *args, **kwargs):
+        field0 = np.asarray(field0, dtype=float)
+        return AdvectionResult(scheme.name, np.stack([field0, field0]), [StepRecord(1, "advection", {0: 0.0})])
+
+    monkeypatch.setattr(qlbm.cli, "run_advection_diffusion", no_success)
+    code, _, _ = _run(capsys, "advdiff", "--extent", "16", "--steps", "1", "--out", str(tmp_path))
+    assert code == 0
+    summary = _strict_json(tmp_path / "advdiff_summary.json")
+    assert summary["success_prob"] == 0.0 and summary["shot_multiplier"] is None
 
 
 def test_advdiff_2d_scheme(tmp_path, capsys):

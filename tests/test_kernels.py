@@ -7,13 +7,18 @@ array at its first gate; a random state is loaded by a PREP and DIAG in
 front of the gates. With a selection it must agree with the reference run
 in full followed by ``postselect`` in the order the selection was carried
 out, also when one ``plan_circuit`` plan is replayed on fresh parameters.
+The random circuits draw every gate kind. A BLOCK runs on its two halves
+when its flag is in the array or stays unselected; on a flag that holds 0
+and is selected right after it, it scales the value amplitudes by k.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import qlbm.circuits
+import qlbm.statevector
 from qlbm import _kernels
 from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
 from qlbm.errors import ConfigurationError, PostSelectionError
@@ -37,6 +42,13 @@ def _apply_kernel(amps, op):
         index, order, fit = _kernels.diag_layout(n, list(op.targets), controls)
         phasor = np.exp(1j * np.asarray(op.params)).reshape((2,) * len(op.targets)).transpose(order).reshape(fit)
         _kernels.apply_diag(amps, shape, index, phasor)
+        return
+    if op.kind == "BLOCK":
+        *values, flag = op.targets
+        i0, order, fit = _kernels.diag_layout(n, values, controls + [(flag, 0)])
+        i1, _, _ = _kernels.diag_layout(n, values, controls + [(flag, 1)])
+        k = op.params.reshape((2,) * len(values)).transpose(order).reshape(fit)
+        _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
         return
     i0, i1 = _kernels.halves(n, op.targets[0], controls)
     if op.kind == "MCX":
@@ -86,26 +98,28 @@ def _op_of_kind(kind, targets, controls=(), control_values=()):
     if kind == "DIAG":
         angles = np.linspace(-2.5, 3.0, 1 << len(targets))
         return GateOp("DIAG", targets, controls, control_values, params=tuple(angles))
-    params = {"U1Q": (0.6, 0.0, 0.0, 0.8, 0.0, -0.8, -0.6, 0.0), "PHASE": (1.1,), "RY": (0.9,)}
+    if kind == "BLOCK":  # value qubits targets[:-1], flag targets[-1]; a wall site (k = 0) among them
+        return GateOp("BLOCK", targets, controls, control_values, params=np.linspace(0.0, -0.9, 1 << (len(targets) - 1)))
+    params = {"PHASE": (1.1,), "RY": (0.9,)}
     return GateOp(kind, targets[:1], controls, control_values, params=params.get(kind, ()))
 
 
-@pytest.mark.parametrize("kind", ["U1Q", "RY", "MCX", "PHASE", "DIAG"])
+@pytest.mark.parametrize("kind", ["RY", "MCX", "PHASE", "DIAG", "BLOCK"])
 def test_kernel_on_gate_covering_every_qubit(kind):
     # target plus controls fix every axis: the sub-views are 0-d and must
     # still be written through, not returned as detached scalars
-    targets = (2, 0) if kind == "DIAG" else (1,)
-    controls = (1,) if kind == "DIAG" else (2, 0)
+    targets = (2, 0) if kind in ("DIAG", "BLOCK") else (1,)
+    controls = (1,) if kind in ("DIAG", "BLOCK") else (2, 0)
     _check_against_reference(_op_of_kind(kind, targets, controls, (1,) * len(controls)), 3, 11)
     _check_against_reference(_op_of_kind(kind, targets, controls, (0,) * len(controls)), 3, 12)
 
 
-@pytest.mark.parametrize("kind", ["U1Q", "H", "MCX", "PHASE", "DIAG"])
+@pytest.mark.parametrize("kind", ["H", "MCX", "PHASE", "DIAG", "BLOCK"])
 def test_kernel_on_one_qubit(kind):
     _check_against_reference(_op_of_kind(kind, (0,)), 1, 5)
 
 
-@pytest.mark.parametrize("kind", ["U1Q", "X", "MCX", "PHASE", "DIAG"])
+@pytest.mark.parametrize("kind", ["X", "MCX", "PHASE", "DIAG", "BLOCK"])
 def test_kernel_with_zero_polarity_controls(kind):
     _check_against_reference(_op_of_kind(kind, (1, 4), (5, 0, 2), (0, 0, 0)), 6, 21)
     _check_against_reference(_op_of_kind(kind, (3, 1), (0, 4), (0, 1)), 6, 22)
@@ -144,28 +158,27 @@ def test_active_backend_reports_a_known_name():
 
 
 _angle = st.floats(-np.pi, np.pi, allow_nan=False)
+# BLOCK coefficients away from 0 and +/-1, where the reference's H.DIAG.H
+# rounds relative to k and to sqrt(1 - k^2) alike, so a selection of small
+# probability cannot amplify its rounding past the tolerances below
+_coefficient = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
 
 
 @st.composite
 def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE", "PREP"}))):
     kind = draw(st.sampled_from(kinds))
     qubits = draw(st.permutations(range(n_qubits)))
-    n_targets = draw(st.integers(1, n_qubits)) if kind == "DIAG" else 1
+    n_targets = draw(st.integers(1, n_qubits)) if kind in ("DIAG", "BLOCK") else 1
     n_controls = draw(st.integers(0, n_qubits - n_targets))
     targets = tuple(qubits[:n_targets])
     controls = tuple(qubits[n_targets : n_targets + n_controls])
     values = tuple(draw(st.lists(st.integers(0, 1), min_size=n_controls, max_size=n_controls)))
     if kind == "DIAG":
         params = draw(st.lists(_angle, min_size=1 << n_targets, max_size=1 << n_targets))
+    elif kind == "BLOCK":
+        params = draw(st.lists(_coefficient, min_size=1 << (n_targets - 1), max_size=1 << (n_targets - 1)))
     elif kind in ("RY", "RZ", "PHASE"):
         params = [draw(_angle)]
-    elif kind == "U1Q":
-        a, b, c = draw(_angle), draw(_angle), draw(_angle)
-        u = np.array([
-            [np.cos(a), -np.exp(1j * c) * np.sin(a)],
-            [np.exp(1j * b) * np.sin(a), np.exp(1j * (b + c)) * np.cos(a)],
-        ])
-        params = [x for z in u.ravel() for x in (z.real, z.imag)]
     else:
         params = []
     return GateOp(kind, targets, controls, values, params=tuple(params))
@@ -220,10 +233,13 @@ def _kept(n_qubits, plan):
 
 
 def _new_payload(ops, rng):
-    """``ops`` with fresh parameters: new DIAG phases and RY / RZ / PHASE / GPHASE angles, the rest as they are."""
+    """``ops`` with fresh parameters: new DIAG phases, BLOCK coefficients and RY / RZ / PHASE / GPHASE angles, the rest as they are."""
     fresh = []
     for op in ops:
-        if op.kind in ("DIAG", "RY", "RZ", "PHASE", "GPHASE"):
+        if op.kind == "BLOCK":
+            k = rng.uniform(0.05, 0.95, len(op.params)) * rng.choice([-1.0, 1.0], len(op.params))
+            op = GateOp(op.kind, op.targets, op.controls, op.control_values, params=k)
+        elif op.kind in ("DIAG", "RY", "RZ", "PHASE", "GPHASE"):
             op = GateOp(op.kind, op.targets, op.controls, op.control_values,
                         params=tuple(rng.uniform(-np.pi, np.pi, len(op.params))))
         fresh.append(op)
@@ -307,3 +323,97 @@ def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
     assert selected.n_qubits == n_qubits - len(plan)
     np.testing.assert_allclose(selected.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
     assert abs(selected.norm_factor - ref.norm_factor) <= 1e-12 * scale
+
+
+@st.composite
+def _blocks_on_a_flag_at_zero(draw):
+    """A PREP onto every qubit but a flag, one BLOCK into that flag, and a selection of flag 0.
+
+    The BLOCK's value qubits and controls (of either polarity) are random
+    subsets of the loaded qubits; its coefficients include the wall
+    projector's 0 and 1. The selection may hold other qubits too.
+    """
+    n_qubits = draw(st.integers(1, 6))
+    qubits = draw(st.permutations(range(n_qubits)))
+    flag, loaded = qubits[0], tuple(qubits[1:])
+    n_values = draw(st.integers(0, len(loaded)))
+    n_controls = draw(st.integers(0, len(loaded) - n_values))
+    values, controls = loaded[:n_values], loaded[n_values : n_values + n_controls]
+    polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=n_controls, max_size=n_controls)))
+    k = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1.0, -1.0]), min_size=1 << n_values, max_size=1 << n_values))
+    others = draw(st.lists(st.sampled_from(loaded), unique=True)) if loaded else []
+    select = {flag: 0, **{q: draw(st.integers(0, 1)) for q in others}}
+    return n_qubits, values, flag, controls, polarity, k, select
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks_on_a_flag_at_zero(), st.integers(0, 2**16))
+def test_selected_block_on_a_flag_at_zero_scales_by_its_coefficients(case, seed):
+    n_qubits, values, flag, controls, polarity, k, select = case
+    rng = np.random.default_rng(seed)
+    loaded = tuple(q for q in range(n_qubits) if q != flag)
+    vector = rng.standard_normal(1 << len(loaded))
+    block = GateOp("BLOCK", values + (flag,), controls, polarity, params=k)
+    ops = [GateOp("PREP", loaded, params=vector), block] if loaded else [block]
+    plan = plan_circuit(ZeroState(n_qubits), ops, select)
+    # a control selected to the other value skips the gate; else the flag
+    # is selected right after it, at once unless a value qubit below it goes first
+    skipped = any(select.get(q, v) != v for q, v in zip(controls, polarity))
+    fast = all(q > flag for q in select if q in values)
+    tags = [tag for tag, _, _ in plan.steps if tag in ("select", "block")]
+    assert tags == ([] if skipped else ["select"] if fast else ["block"])
+
+    # the definition: where the controls hold, the flag-0 amplitude becomes
+    # k times the loaded one and the flag-1 amplitude i sqrt(1 - k^2) times it
+    idx = np.arange(1 << n_qubits)
+
+    def index_of(qubits, at):
+        return sum((((at >> q) & 1) << j for j, q in enumerate(qubits)), np.zeros_like(at))
+
+    unit = unit_amplitudes(vector)[0] if loaded else np.ones(1)
+    held = ((idx >> flag) & 1) == 0
+    full = np.where(held, unit[index_of(loaded, idx)], 0.0).astype(complex)
+    on = idx[held & np.all([((idx >> q) & 1) == v for q, v in zip(controls, polarity)], axis=0)]
+    coefficients = np.asarray(k)[index_of(values, on)]
+    full[on | (1 << flag)] = 1j * np.sqrt(1.0 - coefficients**2) * full[on]
+    full[on] *= coefficients
+    # selection order: after the last gate that targets the qubit, the BLOCK (1) or the PREP (0)
+    ref, ref_probs = QuantumState(n_qubits, full), {}
+    try:
+        for q in sorted(select, key=lambda q: (q in values or q == flag, q)):
+            ref, ref_probs[q] = postselect(ref, q, select[q])
+    except PostSelectionError:
+        with pytest.raises(PostSelectionError):
+            apply_circuit(plan, ops)
+        return
+    selected, probs = apply_circuit(plan, ops)
+    assert list(probs) == list(ref_probs)
+    for q, p in probs.items():
+        assert abs(p - ref_probs[q]) <= 1e-12
+    np.testing.assert_allclose(selected.amplitudes, ref.amplitudes[_kept(n_qubits, select)], rtol=0, atol=1e-12)
+
+
+def test_selected_block_on_a_flag_at_zero_runs_no_phases_and_no_drop(monkeypatch):
+    # the gate and its selection are one multiplication by k: no arccos or
+    # exponential of a phase, and no halving of the array for the flag
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    k = np.array([0.5, -0.25, 1.0, 0.0])
+    ops = [GateOp("PREP", (0, 1, 2), params=np.arange(1.0, 9.0)), GateOp("BLOCK", (0, 2, 3), (1,), (0,), params=k)]
+    with monkeypatch.context() as patch:
+        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.statevector, "_phasor"),
+                             (qlbm.circuits, "_block_diag"), (np, "exp"), (np, "arccos")):
+            patch.setattr(module, name, refuse)
+        selected, probs = run_from_zero(4, ops, select={3: 0})
+    expected = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
+    expected[[0, 1, 4, 5]] *= k  # bit 1 clear: the control holds; value index = bit 0 + 2 * bit 2
+    np.testing.assert_allclose(selected.amplitudes, expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
+    assert list(probs) == [3] and abs(probs[3] - np.vdot(expected, expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_random_circuits_draw_every_gate_kind(kind):
+    # a new gate kind must reach the apply-versus-reference properties above
+    find(_circuits_from_zero(), lambda case: any(op.kind == kind for op in case[1]),
+         settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from qlbm.circuits import (
+    GATE_KINDS,
     CircuitIR,
     GateOp,
     RegisterLayout,
@@ -158,8 +159,10 @@ def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
     return cnot, single, max(layers), max(ready)
 
 
-# random floats never make a diagonal's level difference vanish; these do
+# random floats never make a diagonal's level difference vanish; these do,
+# and so do the coefficients of a wall projector
 _FEW_PHASES = st.sampled_from([0.0, 0.5, -0.5])
+_FEW_COEFFICIENTS = st.sampled_from([0.0, 1.0, -1.0])
 
 
 @st.composite
@@ -167,7 +170,7 @@ def _controlled_gates(draw):
     n = draw(st.integers(2, 8))
     ops = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["MCX", "H", "X", "RY", "RZ", "PHASE", "DIAG", "GPHASE", "PREP"]))
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
         qubits = draw(st.permutations(range(n)))
         if kind == "GPHASE":
             ops.append(GateOp("GPHASE", (), params=(draw(st.floats(-3, 3)),)))
@@ -178,13 +181,16 @@ def _controlled_gates(draw):
             vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size).filter(any))
             ops.append(GateOp("PREP", targets, params=vector))
             continue
-        n_targets = draw(st.integers(1, min(3, n))) if kind == "DIAG" else 1
+        n_targets = draw(st.integers(1, min(3, n))) if kind in ("DIAG", "BLOCK") else 1
         m = draw(st.integers(0, n - n_targets))
         targets = tuple(qubits[:n_targets])
         controls = tuple(qubits[n_targets : n_targets + m])
         values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
-        n_params = {"MCX": 0, "H": 0, "X": 0, "DIAG": 1 << n_targets}.get(kind, 1)
-        values_of = _FEW_PHASES if kind == "DIAG" and draw(st.booleans()) else st.floats(-3, 3)
+        n_params = {"MCX": 0, "H": 0, "X": 0, "DIAG": 1 << n_targets, "BLOCK": 1 << (n_targets - 1)}.get(kind, 1)
+        if kind == "BLOCK":
+            values_of = _FEW_COEFFICIENTS if draw(st.booleans()) else st.floats(-1, 1)
+        else:
+            values_of = _FEW_PHASES if kind == "DIAG" and draw(st.booleans()) else st.floats(-3, 3)
         params = tuple(draw(st.lists(values_of, min_size=n_params, max_size=n_params)))
         ops.append(GateOp(kind, targets, controls, values, params))
     return n, ops
@@ -222,6 +228,13 @@ def test_lowering_matches_the_dense_unitary_of_each_gate(case):
     for op in ops:
         if op.kind != "PREP":  # a PREP is a load from |0>, not a unitary
             np.testing.assert_allclose(circuit_unitary(lower_op(op), n), circuit_unitary([op], n), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_random_controlled_gates_draw_every_gate_kind(kind):
+    # a new gate kind must reach the counting and lowering properties above
+    find(_controlled_gates(), lambda case: any(op.kind == kind for op in case[1]),
+         settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))
 
 
 @pytest.mark.parametrize("m", range(8))

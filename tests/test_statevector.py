@@ -212,8 +212,8 @@ def _diag_case(phases, angle, select):
 
 @pytest.mark.parametrize("select", [None, {1: 0, 2: 0}], ids=["full", "selected"])
 def test_a_plan_replayed_on_other_parameters_matches_a_fresh_plan(select):
-    # the plan of gates A holds A's phasors and matrices; run on gates B of
-    # the same structure it must compute B's, not reuse A's
+    # the plan of gates A holds A's matrices; run on gates B of the same
+    # structure it must use B's matrices and phases, not A's
     rng = np.random.default_rng(8)
     ops_a, plan_a = _diag_case(rng.uniform(-3, 3, 8), 0.4, select)
     ops_b, plan_b = _diag_case(rng.uniform(-3, 3, 8), 1.3, select)
