@@ -19,8 +19,9 @@ slot programs of ``(target slot, control slot)`` rows, one per gate shape.
 A single-qubit row holds its ``(kind, params)`` or is left open; the gate
 being lowered fills its open rows with its own angles. There is
 
-- one program per multi-controlled core template, with the X wraps of
-  0-polarity controls as a program of their own;
+- one program per multi-controlled core, which the square-root recursion
+  writes row by row, run between two runs of the program of X gates on the
+  0-polarity controls;
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
 - one gray-code ladder per RZ stage of a diagonal. The level walk of
@@ -631,10 +632,10 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #
 # - an MCX or controlled single-qubit gate: the all-ones-controls core of
 #   (kind, number of controls, params), with the controls on slots 0..m-1
-#   and the target on slot m. The recursion builds basis rows on slots from
-#   the bottom up, and its inner MCX is a smaller cached core with its slots
-#   remapped. The X gates on 0-polarity controls are a program of their own,
-#   run before the core and again after it;
+#   and the target on slot m. The recursion appends its rows to the core's
+#   program as it goes, and its inner MCX is the smaller cached core, whose
+#   slots are already the right ones. The X gates on 0-polarity controls are
+#   a program of their own, run before the core and again after it;
 # - a uniformly-controlled rotation: one gray-code ladder per control count
 #   (:func:`_ladder_program`), every rotation open. A PREP chains one ladder
 #   per target; a diagonal runs the ladder of each RZ stage its level walk
@@ -669,27 +670,22 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
-def _controlled_1q_rows(u: np.ndarray, control: int, target: int) -> list[tuple]:
-    """Singly-controlled 2x2 unitary with two CNOTs (ABC decomposition)."""
+def _controlled_1q(u: np.ndarray, control: int, target: int, pairs: list, gates: list) -> None:
+    """Append a singly-controlled 2x2 unitary with two CNOTs (ABC decomposition) to a program's rows.
+
+    A rotation whose angle is zero is left out.
+    """
     alpha, beta, gamma, delta = _zyz_angles(u)
-    rows: list[tuple] = []
-    c_angle = (delta - beta) / 2.0
-    if c_angle:
-        rows.append(("RZ", target, -1, (c_angle,)))
-    rows.append(("MCX", target, control, ()))
-    b_rz = -(delta + beta) / 2.0
-    if b_rz:
-        rows.append(("RZ", target, -1, (b_rz,)))
-    if gamma:
-        rows.append(("RY", target, -1, (-gamma / 2.0,)))
-    rows.append(("MCX", target, control, ()))
-    if gamma:
-        rows.append(("RY", target, -1, (gamma / 2.0,)))
-    if beta:
-        rows.append(("RZ", target, -1, (beta,)))
-    if alpha:
-        rows.append(("PHASE", control, -1, (alpha,)))
-    return rows
+    for kind, slot, angle in (
+        ("RZ", target, (delta - beta) / 2.0), ("MCX", control, None), ("RZ", target, -(delta + beta) / 2.0),
+        ("RY", target, -gamma / 2.0), ("MCX", control, None), ("RY", target, gamma / 2.0),
+        ("RZ", target, beta), ("PHASE", control, alpha),
+    ):
+        if kind == "MCX":
+            pairs.append((target, slot))
+        elif angle:
+            pairs.append((slot, -1))
+            gates.append((kind, (angle,)))
 
 
 _TOFFOLI_T = math.pi / 4.0
@@ -716,75 +712,24 @@ _TOFFOLI_ROWS = (
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _multi_controlled_rows(u: np.ndarray, controls: tuple[int, ...], target: int) -> list[tuple]:
-    """C^m(U) on all-ones controls (m >= 1), ancilla-free square-root recursion."""
-    if len(controls) == 1:
-        return _controlled_1q_rows(u, controls[0], target)
-    v = _sqrt_2x2(u)
-    rest, last = controls[:-1], controls[-1]
-    # C^{m-1}(X) from rest onto last: the smaller core, its slots remapped
-    mcx = [(k, controls[t], controls[c] if c >= 0 else -1, p) for k, t, c, p in _core_template("MCX", len(rest), ())]
-    return [
-        *_controlled_1q_rows(v, last, target),
-        *mcx,
-        *_controlled_1q_rows(v.conj().T, last, target),
-        *mcx,
-        *_multi_controlled_rows(v, rest, target),
-    ]
+def _diagonal(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
+    """The qubits and phases of a diagonal gate, its controls folded into the diagonal.
 
-
-@functools.lru_cache(maxsize=128)
-def _core_template(kind: str, m: int, params: tuple) -> tuple[tuple, ...]:
-    """Basis rows of the all-ones-controls core of one gate shape.
-
-    Controls sit on slots 0..m-1 and the target on slot m; params that
-    compare equal share one template.
+    A DIAG's phases are its own. A BLOCK's lowering runs the diagonal of
+    phases +arccos(k) on flag 0 and -arccos(k) on flag 1 between Hadamards on
+    the flag, which need no control, as they cancel where the diagonal is idle.
     """
-    slots = tuple(range(m))
-    if kind == "MCX":
-        if m == 0:
-            return (("X", 0, -1, ()),)
-        if m == 1:
-            return (("MCX", 1, 0, ()),)
-        if m == 2:
-            return _TOFFOLI_ROWS
-        return tuple(_multi_controlled_rows(_X_MAT, slots, m))
-    if m == 1 and kind == "RZ":
-        # two-CNOT special case: half rotations cancel on the idle branch
-        (theta,) = params
-        return (
-            ("RZ", 1, -1, (theta / 2.0,)),
-            ("MCX", 1, 0, ()),
-            ("RZ", 1, -1, (-theta / 2.0,)),
-            ("MCX", 1, 0, ()),
-        )
-    u = gate_matrix_1q(GateOp(kind, (m,), params=params))
-    return tuple(_multi_controlled_rows(u, slots, m))
-
-
-def _block_diag(op: GateOp) -> GateOp:
-    """The diagonal of a BLOCK's lowering: phases +arccos(k) on flag 0 and -arccos(k) on flag 1.
-
-    It keeps the BLOCK's targets and controls; the Hadamards on the flag
-    around it need no control, as they cancel where the diagonal is idle.
-    """
-    theta = np.arccos(op.params)
-    phases = np.concatenate([theta, -theta])
-    phases.flags.writeable = False  # the gate keeps it without a copy
-    return GateOp("DIAG", op.targets, op.controls, op.control_values, phases)
-
-
-def _merged_diag_phases(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """Fold a diagonal's controls into the diagonal itself."""
     phases = op.params
-    targets = op.targets
+    if op.kind == "BLOCK":
+        theta = np.arccos(phases)
+        phases = np.concatenate([theta, -theta])
     if not op.controls:
-        return targets, phases
+        return op.targets, phases
     nc = len(op.controls)
     match = sum(v << i for i, v in enumerate(op.control_values))
     merged = np.zeros(phases.size << nc)
     merged[match * phases.size : (match + 1) * phases.size] = phases
-    return targets + op.controls, merged
+    return op.targets + op.controls, merged
 
 
 def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
@@ -860,14 +805,47 @@ def _slot_program(pairs, gates) -> SlotProgram:
     return SlotProgram(pairs, len(pairs) - len(gates), len(gates), gates)
 
 
-_NO_ROWS = SlotProgram((), 0, 0, ())
 _ONE_ROW = SlotProgram(((0, -1),), 0, 1, (None,))
+
+
+def _multi_controlled(u: np.ndarray, m: int, target: int, pairs: list, gates: list) -> None:
+    """Append C^m(U) on all-ones controls 0..m-1 (m >= 1) to a program's rows: the ancilla-free square-root recursion."""
+    if m == 1:
+        _controlled_1q(u, 0, target, pairs, gates)
+        return
+    v = _sqrt_2x2(u)
+    mcx = _core_program("MCX", m - 1, ())  # C^{m-1}(X) from slots 0..m-2 onto slot m-1
+    for w in (v, v.conj().T):
+        _controlled_1q(w, m - 1, target, pairs, gates)
+        pairs += mcx.rows
+        gates += mcx.gates
+    _multi_controlled(v, m - 1, target, pairs, gates)
 
 
 @functools.lru_cache(maxsize=128)
 def _core_program(kind: str, m: int, params: tuple) -> SlotProgram:
-    rows = _core_template(kind, m, params)
-    return _slot_program(((t, c) for _, t, c, _ in rows), ((k, p) for k, _, c, p in rows if c < 0))
+    """The all-ones-controls core of one gate shape: controls on slots 0..m-1, the target on slot m.
+
+    Params that compare equal share one program.
+    """
+    if kind == "MCX" and m == 2:
+        rows = _TOFFOLI_ROWS
+        return _slot_program(((t, c) for _, t, c, _ in rows), ((k, p) for k, _, c, p in rows if c < 0))
+    pairs: list[tuple[int, int]] = []
+    gates: list[tuple[str, tuple]] = []
+    if kind == "MCX" and m == 0:
+        pairs, gates = [(0, -1)], [("X", ())]
+    elif kind == "MCX" and m == 1:
+        pairs = [(1, 0)]
+    elif kind == "RZ" and m == 1:
+        # two-CNOT special case: half rotations cancel on the idle branch
+        (theta,) = params
+        pairs = [(1, -1), (1, 0), (1, -1), (1, 0)]
+        gates = [("RZ", (theta / 2.0,)), ("RZ", (-theta / 2.0,))]
+    else:
+        u = _X_MAT if kind == "MCX" else gate_matrix_1q(GateOp(kind, (m,), params=params))
+        _multi_controlled(u, m, m, pairs, gates)
+    return _slot_program(pairs, gates)
 
 
 @functools.lru_cache(maxsize=None)
@@ -916,36 +894,35 @@ def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
     return _slot_program(((i, -1) for i in flipped), [("X", ())] * len(flipped))
 
 
-def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...], SlotProgram]:
+def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...]]:
     """One gate's lowering, as the slot programs that describe it.
 
     Returns the slot programs whose rows, run in order, are the lowering
-    less its global phases; the qubit each slot stands for; and the program
-    of X gates on the 0-polarity controls, which runs before those programs
-    and again after them. Every program is cached per gate shape, and a
+    less its global phases, and the qubit each slot stands for. A
+    multi-controlled core runs between two runs of the program of X gates on
+    its 0-polarity controls. Every program is cached per gate shape, and a
     diagonal's stages come from its level walk, so no angle is computed.
     """
     kind = op.kind
     if kind == "PREP":
-        return (_prep_program(len(op.targets)),), op.targets, _NO_ROWS
+        return (_prep_program(len(op.targets)),), op.targets
     if kind == "GPHASE":
         if op.controls:
             raise ConfigurationError("controlled global phase is not supported")
-        return (), (), _NO_ROWS
-    if kind == "DIAG":
-        qubits, phases = _merged_diag_phases(op)
+        return (), ()
+    if kind in ("DIAG", "BLOCK"):
+        qubits, phases = _diagonal(op)
         leaf, stages = _diag_stages(phases)
         programs = [_ONE_ROW] if leaf[1] - leaf[0] else []
         programs += [_ladder_program(k) for k, _ in stages]
-        return programs, qubits, _NO_ROWS
-    if kind == "BLOCK":
-        programs, qubits, _ = slot_programs(_block_diag(op))
-        flag = _hadamard_program(len(op.targets) - 1)
-        return (flag, *programs, flag), qubits, _NO_ROWS
+        if kind == "BLOCK":
+            flag = _hadamard_program(len(op.targets) - 1)
+            programs = [flag, *programs, flag]
+        return programs, qubits
     if not op.controls and kind != "MCX":
-        return (_ONE_ROW,), op.targets, _NO_ROWS
-    core = _core_program(kind, len(op.controls), op.params)
-    return (core,), op.controls + op.targets, _flip_program(op.control_values)
+        return (_ONE_ROW,), op.targets
+    flips = _flip_program(op.control_values)
+    return (flips, _core_program(kind, len(op.controls), op.params), flips), op.controls + op.targets
 
 
 def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
@@ -969,10 +946,8 @@ def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
                 hi = np.linalg.norm(halves[:, 1, :], axis=1)
             gates += (("RY", (angle,)) for angle in _ladder_angles(2.0 * np.arctan2(hi, lo)))
         return [], gates
-    if kind == "BLOCK":
-        return _own_gates(_block_diag(op))
-    if kind == "DIAG":
-        leaf, stages = _diag_stages(_merged_diag_phases(op)[1])
+    if kind in ("DIAG", "BLOCK"):
+        leaf, stages = _diag_stages(_diagonal(op)[1])
         phases = [GateOp("GPHASE", (), params=(float(leaf[0]),))] if leaf[0] else []
         delta = float(leaf[1] - leaf[0])
         gates = [("PHASE", (delta,))] if delta else []
@@ -992,10 +967,10 @@ def lower_op(op: GateOp) -> list[GateOp]:
     its unit vector from |0> on its targets; on a target register in |0> the
     two agree.
     """
-    programs, qubits, flips = slot_programs(op)
+    programs, qubits = slot_programs(op)
     ops, own = _own_gates(op)
     own = iter(own)
-    for program in (flips, *programs, flips):
+    for program in programs:
         gates = iter(program.gates)
         for t, c in program.rows:
             if c >= 0:
@@ -1052,22 +1027,21 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
         if op.kind == "PREP":
             arr = apply_ops_numpy(arr, lower_op(op), n_qubits)
             continue
-        if op.kind == "BLOCK":
-            flag = GateOp("H", op.targets[-1:])
-            arr = apply_ops_numpy(arr, [flag, _block_diag(op), flag], n_qubits)
-            continue
         cmask, cval = _control_mask_val(op)
         if op.kind == "GPHASE":
             (theta,) = op.params
             sel = (idx & cmask) == cval
             arr[sel] *= np.exp(1j * theta)
             continue
-        if op.kind == "DIAG":
-            qubits, phases = _merged_diag_phases(op)
+        if op.kind in ("DIAG", "BLOCK"):
+            flag = [GateOp("H", op.targets[-1:])] if op.kind == "BLOCK" else []  # around a BLOCK's diagonal
+            arr = apply_ops_numpy(arr, flag, n_qubits)
+            qubits, phases = _diagonal(op)
             sub = np.zeros_like(idx)
             for pos, q in enumerate(qubits):
                 sub |= ((idx >> q) & 1) << pos
             arr *= np.exp(1j * phases[sub]).reshape((-1,) + (1,) * (arr.ndim - 1))
+            arr = apply_ops_numpy(arr, flag, n_qubits)
             continue
         if op.kind == "MCX":
             t = op.targets[0]

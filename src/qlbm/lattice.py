@@ -153,21 +153,19 @@ def scheme_by_name(name: str) -> LatticeScheme:
 
 @dataclass(frozen=True)
 class CavitySpec:
-    """Lid-driven cavity setup: n x n grid, top row sliding with lid_velocity."""
+    """Lid-driven cavity setup: n x n grid, top row sliding with lid_velocity.
+
+    Everything runs in lattice units: the grid spacing and the time step are 1.
+    """
 
     n: int
     lid_velocity: float = 1.0
     steps: int = 80
-    delta: float = 1.0
 
     def __post_init__(self):
         require_count(self.steps, "steps")
-        if not (math.isfinite(self.lid_velocity) and math.isfinite(self.delta)):
-            raise ConfigurationError(
-                f"lid velocity and grid spacing must be finite, got {self.lid_velocity} and {self.delta}"
-            )
-        if not self.delta > 0:
-            raise ConfigurationError(f"grid spacing must be positive, got {self.delta}")
+        if not math.isfinite(self.lid_velocity):
+            raise ConfigurationError(f"lid velocity must be finite, got {self.lid_velocity}")
         require_power_of_two(self.n)
 
     @property
@@ -299,15 +297,15 @@ def step_poisson(scheme, psi, source) -> np.ndarray:
     return macro_moment(stream_periodic(scheme, g))
 
 
-def velocity_from_stream_function(psi: np.ndarray, delta: float = 1.0):
-    """(u, v) = (dpsi/dy, -dpsi/dx), second-order, one-sided at the edges.
+def velocity_from_stream_function(psi: np.ndarray):
+    """(u, v) = (dpsi/dy, -dpsi/dx) on the unit grid, second-order, one-sided at the edges.
 
     Grids too small for the second-order edge stencil (under 3 points per
     axis) drop to first order; a 2 x 2 cavity is all walls regardless.
     """
     psi = np.asarray(psi, dtype=float)
     order = 2 if min(psi.shape) >= 3 else 1
-    u, dpsi_dx = np.gradient(psi, delta, axis=(0, 1), edge_order=order)
+    u, dpsi_dx = np.gradient(psi, axis=(0, 1), edge_order=order)
     return u, -dpsi_dx
 
 
@@ -316,12 +314,11 @@ def apply_cavity_boundaries(psi, omega, spec: CavitySpec):
 
     psi is zeroed on all four walls. Wall vorticity comes from the second-order
     Taylor expansion about each wall with the no-slip/lid tangential velocity:
-    omega_wall = -2 (psi_first_interior/delta^2 + U_wall/delta), U_wall being
+    omega_wall = -2 (psi_first_interior + U_wall) on the unit grid, U_wall being
     lid_velocity on the top row and 0 elsewhere. The top row is written last so
     lid-row corners take the lid value.
     """
     n = spec.n
-    d = spec.delta
     u_lid = spec.lid_velocity
     psi2 = np.asarray(psi, dtype=float).copy()
     omega2 = np.asarray(omega, dtype=float).copy()
@@ -333,10 +330,10 @@ def apply_cavity_boundaries(psi, omega, spec: CavitySpec):
     psi2[:, 0] = 0.0
     psi2[:, -1] = 0.0
 
-    omega2[0, :] = -2.0 * psi2[1, :] / d**2
-    omega2[:, 0] = -2.0 * psi2[:, 1] / d**2
-    omega2[:, -1] = -2.0 * psi2[:, -2] / d**2
-    omega2[-1, :] = -2.0 * (psi2[-2, :] / d**2 + u_lid / d)
+    omega2[0, :] = -2.0 * psi2[1, :]
+    omega2[:, 0] = -2.0 * psi2[:, 1]
+    omega2[:, -1] = -2.0 * psi2[:, -2]
+    omega2[-1, :] = -2.0 * (psi2[-2, :] + u_lid)
     return psi2, omega2
 
 
@@ -349,7 +346,7 @@ def cavity_step_classical(psi, omega, spec: CavitySpec):
     - vorticity: advection-diffusion with velocities derived from psi_t,
     - stream function: one Poisson relaxation sweep with source -omega_t.
     """
-    u, v = velocity_from_stream_function(psi, spec.delta)
+    u, v = velocity_from_stream_function(psi)
     omega_next = step_advection_diffusion(D2Q5, omega, np.stack([u, v]))
     psi_next = step_poisson(D2Q5, psi, -omega)
     return apply_cavity_boundaries(psi_next, omega_next, spec)

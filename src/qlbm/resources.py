@@ -7,12 +7,12 @@ also replays: the cached slot programs of
 with their CNOT and single-qubit counts, and the qubit each slot stands
 for. A program is cached per gate shape; the single-qubit rows whose
 angles depend on the gate are left open, and the counter never fills them.
-A multi-controlled gate's program comes from its core template, and the X
-gates on its 0-polarity controls are a program of their own, run before the
-core and after it. Each encode section's one ``PREP`` gate has one program
-per qubit count, its rotation network. A diagonal's level walk tells which
-multiplexed-RZ stages are present, and each present stage replays one
-cached gray-code ladder.
+A multi-controlled gate's core program is written row by row by the
+square-root recursion, and runs between two runs of the program of X gates
+on its 0-polarity controls. Each encode section's one ``PREP`` gate has one
+program per qubit count, its rotation network. A diagonal's level walk
+tells which multiplexed-RZ stages are present, and each present stage
+replays one cached gray-code ladder.
 
 A gate's programs run on local copies of its qubits' layer counts and
 ready times, which are written back once the gate is done. So the 64 x 64
@@ -157,10 +157,10 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
     for section, start, stop in circ.sections:
         cnot = single = 0
         for op in circ.gates[start:stop]:
-            programs, qubits, flips = slot_programs(op)
+            programs, qubits = slot_programs(op)
             layers = [last_layer[q] for q in qubits]
             ready = [ready_at[q] for q in qubits]
-            for program in (flips, *programs, flips):
+            for program in programs:
                 _replay(program.rows, layers, ready, t1q, tcx)
                 cnot += program.cnot
                 single += program.single_qubit
@@ -198,7 +198,7 @@ def representative_cavity_fields(extent: int, steps: int = 80):
     spec = CavitySpec(n=extent, lid_velocity=1.0, steps=steps)
     hist = solve_cavity_classical(spec)
     psi, omega = hist.psi[-1], hist.omega[-1]
-    u, v = velocity_from_stream_function(psi, spec.delta)
+    u, v = velocity_from_stream_function(psi)
     return psi, omega, np.stack([u, v])
 
 

@@ -383,7 +383,7 @@ def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
-        velocity = np.stack(velocity_from_stream_function(psi, spec.delta))
+        velocity = np.stack(velocity_from_stream_function(psi))
         psi_new, rec_sf = _cavity_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
         omega_new, rec_w = _cavity_job(w_job, step, "vorticity", omega, velocity=velocity)
         records += [rec_sf, rec_w]

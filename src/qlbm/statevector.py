@@ -22,12 +22,12 @@ Which qubits are in the array at each gate, and at which bits, follows from
 the gate structure and the selection alone. So a circuit runs in two parts:
 :func:`plan_circuit` walks the gates once and resolves all of it into a
 :class:`CircuitPlan`, a flat tuple of steps with the view indices of the
-strided-view kernels in :mod:`qlbm._kernels` and the matrices of the
-single-qubit gates; :func:`apply_circuit` replays the plan on gates of the
-same structure, loading each PREP's vector, fitting each BLOCK's
-coefficients and each DIAG's phasors to their views, and recomputing the
-matrices only of gates whose parameters changed. A solver plans each kind
-of job once per run and replays the plan per job.
+strided-view kernels in :mod:`qlbm._kernels` and nothing of any gate's
+parameters; :func:`apply_circuit` replays the plan on gates of the same
+structure and reads every parameter from the gates it runs: it loads each
+PREP's vector, fits each BLOCK's coefficients and each DIAG's phasors to
+their views, and computes each single-qubit matrix and phase. A solver
+plans each kind of job once per run and replays the plan per job.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -104,10 +104,11 @@ class CircuitPlan:
     gate the plan was made from; :func:`apply_circuit` replays ``steps`` on
     gates of that structure. Each step is ``(tag, gate index, args)`` with
     every decision of the loop taken: where qubits enter and leave the
-    amplitude array, which gates are skipped, each kernel's view shape and
-    indices, and the matrix of each single-qubit gate as planned. A DIAG or
-    BLOCK step holds how to fit its gate's per-basis-state parameters to its
-    view, not the parameters. A plan holds no amplitudes and no PREP vector.
+    amplitude array, which gates are skipped, and each kernel's view shape
+    and indices. A plan holds structure only: no amplitudes, and no gate's
+    parameters nor anything computed from them. So a DIAG or BLOCK step holds
+    how to fit its gate's per-basis-state parameters to its view, and a
+    single-qubit step holds no matrix.
     ``n_qubits`` is the state's qubit count and ``kept`` the count left
     after the selection, if ``selecting``.
     """
@@ -152,10 +153,8 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     A qubit that never entered holds 0 for certain: selecting 0 has
     probability 1, and selecting 1 raises :class:`PostSelectionError` here.
 
-    All of that follows from the gate structure and the selection alone.
-    The plan also holds the matrix of each single-qubit gate as computed
-    from its parameters here, so replays on the same gates compute none of
-    them again.
+    All of that follows from the gate structure and the selection alone,
+    and the plan holds nothing else.
     """
     n_qubits = start.n_qubits
     wanted = {} if select is None else _checked_selection(select, n_qubits)
@@ -190,15 +189,15 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
             del known[q]
         renumber([*bits, *targets])
 
-    def drop(q, i=None, fused=(None, None)):
-        # fused: the params and selected row of a single-qubit gate i applied in the same contraction
+    def drop(q, i=None):
+        # i: a single-qubit gate applied in the same contraction
         value = wanted[q]
         if q in known:  # never entered, so it holds 0
             if value != known[q]:
                 raise PostSelectionError(f"selecting qubit {q} = {value} has probability 0")
             steps.append(("known", None, (q,)))
             return
-        steps.append(("drop", i, (q, bit_of[q], value, *fused)))
+        steps.append(("drop", i, (q, bit_of[q], value)))
         known[q] = value
         renumber(k for k in bits if k != q)
 
@@ -256,19 +255,19 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
                     enter("enter", None, (q,))
                 n = len(bits)
                 if kind == "GPHASE":
-                    steps.append(("gphase", i, (op.params, _phase(op))))
+                    steps.append(("gphase", i, ()))
                     continue
                 i0, i1 = _kernels.halves(n, bit_of[op.targets[0]], [(bit_of[q], v) for q, v in live])
                 if kind == "MCX":
                     steps.append(("mcx", i, ((2,) * n, i0, i1)))
                 elif kind == "PHASE":
-                    steps.append(("phase", i, ((2,) * n, i1, op.params, _phase(op))))
+                    steps.append(("phase", i, ((2,) * n, i1)))
                 elif chosen and not live:
                     (q,) = chosen
-                    drop(q, i, (op.params, gate_matrix_1q(op)[wanted[q]]))
+                    drop(q, i)
                     continue
                 else:
-                    steps.append(("1q", i, ((2,) * n, i0, i1, op.params, _entries(gate_matrix_1q(op)))))
+                    steps.append(("1q", i, ((2,) * n, i0, i1)))
         for q in chosen:
             drop(q)
     for q in sorted(known.keys() - wanted.keys()):
@@ -284,10 +283,8 @@ def apply_circuit(plan: CircuitPlan, ops):
     writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
     and multiplies the norm factor by the norm it was scaled from. A DIAG's
     phasors and a BLOCK's coefficients are fitted to their views from the
-    gate's own parameters, such as those of a BLOCK rebuilt per job. A
-    single-qubit gate that carries the very parameter object it was planned
-    with runs on the plan's matrix; one with other parameters has it
-    computed afresh. Each selection raises
+    gate's own parameters, such as those of a BLOCK rebuilt per job, and so
+    is each single-qubit gate's matrix or phase. Each selection raises
     :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
 
     Without a selection, returns the new state over every qubit. With one,
@@ -316,9 +313,8 @@ def apply_circuit(plan: CircuitPlan, ops):
             k = _fitted(ops[i].params, *fit)
             _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
         elif tag == "drop":
-            q, bit, value, params, row = args
-            if i is not None and ops[i].params is not params:
-                row = gate_matrix_1q(ops[i])[value]
+            q, bit, value = args
+            row = None if i is None else gate_matrix_1q(ops[i])[value]
             amps, p = _drop_bit(amps, bit, value, q, row)
             norm *= np.sqrt(p)
             probs[q] = p
@@ -331,20 +327,11 @@ def apply_circuit(plan: CircuitPlan, ops):
         elif tag == "known":
             probs[args[0]] = 1.0
         elif tag == "1q":
-            shape, i0, i1, params, entries = args
-            if ops[i].params is not params:
-                entries = _entries(gate_matrix_1q(ops[i]))
-            _kernels.apply_1q(amps, shape, i0, i1, *entries)
+            _kernels.apply_1q(amps, *args, *gate_matrix_1q(ops[i]).ravel())
         elif tag == "phase":
-            shape, i1, params, phase = args
-            if ops[i].params is not params:
-                phase = _phase(ops[i])
-            _kernels.apply_phase(amps, shape, i1, phase)
+            _kernels.apply_phase(amps, *args, _phase(ops[i]))
         else:  # "gphase"
-            params, phase = args
-            if ops[i].params is not params:
-                phase = _phase(ops[i])
-            amps *= phase
+            amps *= _phase(ops[i])
     if not plan.selecting:
         return QuantumState(plan.n_qubits, amps, norm)
     return QuantumState(plan.kept, amps, norm), probs
@@ -368,10 +355,6 @@ def _bit(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
         raise ConfigurationError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
-
-
-def _entries(u: np.ndarray) -> tuple[complex, ...]:
-    return complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1])
 
 
 def _phase(op):

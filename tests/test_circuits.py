@@ -38,7 +38,7 @@ from qlbm.circuits import (
     lower_op,
     slot_programs,
     unit_amplitudes,
-    _controlled_1q_rows,
+    _controlled_1q,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
@@ -523,8 +523,8 @@ def test_prep_template_has_the_rows_of_the_state_prep_network(m):
     rng = np.random.default_rng(m)
     targets = tuple(int(q) for q in rng.permutation(m + 1)[:m])
     prep = GateOp("PREP", targets, params=rng.standard_normal(1 << m))
-    (program,), qubits, flips = slot_programs(prep)
-    assert qubits == targets and flips.rows == ()
+    (program,), qubits = slot_programs(prep)
+    assert qubits == targets
     assert [(qubits[t], qubits[c] if c >= 0 else None) for t, c in program.rows] == _rotation_network(targets)
     assert (program.cnot, program.single_qubit) == ((1 << m) - 2, (1 << m) - 1)
     assert set(program.gates) == {None}  # structure only: every angle comes from the vector
@@ -669,8 +669,16 @@ def test_controlled_1q_lowering_random_unitary():
     # no gate kind carries an arbitrary 2x2 unitary, so the ABC rows are checked directly
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    rows = _controlled_1q_rows(q, 1, 0)
-    ops = [GateOp(kind, (t,), (c,), (1,)) if c >= 0 else GateOp(kind, (t,), params=p) for kind, t, c, p in rows]
+    pairs, gates = [], []
+    _controlled_1q(q, 1, 0, pairs, gates)
+    gates = iter(gates)
+    ops = []
+    for t, c in pairs:
+        if c >= 0:
+            ops.append(GateOp("MCX", (t,), (c,), (1,)))
+        else:
+            kind, params = next(gates)
+            ops.append(GateOp(kind, (t,), params=params))
     expected = np.eye(4, dtype=complex)
     expected[np.ix_([2, 3], [2, 3])] = q  # control qubit 1 set: basis states 2 and 3
     np.testing.assert_allclose(circuit_unitary(ops, 2), expected, atol=1e-12)

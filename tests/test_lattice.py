@@ -374,9 +374,9 @@ def test_velocity_equals_one_gradient_call_per_axis(shape):
     rng = np.random.default_rng(shape[1])
     psi = rng.standard_normal(shape)
     order = 2 if min(shape) >= 3 else 1
-    u, v = velocity_from_stream_function(psi, 0.25)
-    assert u.tobytes() == np.gradient(psi, 0.25, axis=0, edge_order=order).tobytes()
-    assert v.tobytes() == (-np.gradient(psi, 0.25, axis=1, edge_order=order)).tobytes()
+    u, v = velocity_from_stream_function(psi)
+    assert u.tobytes() == np.gradient(psi, axis=0, edge_order=order).tobytes()
+    assert v.tobytes() == (-np.gradient(psi, axis=1, edge_order=order)).tobytes()
 
 
 def test_cavity_boundaries_zero_stream_function_walls():
@@ -391,7 +391,7 @@ def test_cavity_boundaries_zero_stream_function_walls():
 
 def test_cavity_boundaries_wall_vorticity_formula():
     rng = np.random.default_rng(6)
-    spec = CavitySpec(n=8, lid_velocity=1.0, delta=1.0)
+    spec = CavitySpec(n=8, lid_velocity=1.0)
     psi_in = rng.random((8, 8))
     _, omega = apply_cavity_boundaries(psi_in, np.zeros((8, 8)), spec)
     psi = psi_in.copy()
@@ -405,7 +405,7 @@ def test_cavity_boundaries_wall_vorticity_formula():
 def test_cavity_boundaries_lid_row_wins_corners():
     spec = CavitySpec(n=4, lid_velocity=1.0)
     _, omega = apply_cavity_boundaries(np.zeros((4, 4)), np.zeros((4, 4)), spec)
-    # All psi are zero, so side walls give 0 but the lid row gives -2 U/delta,
+    # All psi are zero, so side walls give 0 but the lid row gives -2 U,
     # including at its two corners.
     np.testing.assert_allclose(omega[-1, :], -2.0)
     np.testing.assert_allclose(omega[0, :], 0.0)
@@ -417,17 +417,11 @@ def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
         CavitySpec(n=n, steps=1)
 
 
-@pytest.mark.parametrize("field", ["lid_velocity", "delta"])
+@pytest.mark.parametrize("field", ["lid_velocity"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_cavity_spec_rejects_non_finite_values(field, bad):
     with pytest.raises(ConfigurationError, match="finite"):
         CavitySpec(n=4, steps=1, **{field: bad})
-
-
-@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
-def test_cavity_spec_rejects_a_grid_spacing_that_is_not_positive_and_finite(delta):
-    with pytest.raises(ConfigurationError):
-        CavitySpec(n=8, lid_velocity=0.7, steps=3, delta=delta)
 
 
 def test_cavity_at_rest_stays_at_rest():
@@ -456,7 +450,7 @@ def test_cavity_collision_coefficients_stay_subunit():
     hist = solve_cavity_classical(spec)
     worst = 0.0
     for t in range(spec.steps):
-        u, v = velocity_from_stream_function(hist.psi[t], spec.delta)
+        u, v = velocity_from_stream_function(hist.psi[t])
         k = collision_coefficients(D2Q5, np.stack([u, v]), (8, 8))
         worst = max(worst, np.abs(k).max())
     assert worst < 1.0
@@ -469,7 +463,7 @@ def test_cavity_step_matches_manual_composition():
     omega = rng.random((8, 8)) * 0.1
     psi2, omega2 = cavity_step_classical(psi, omega, spec)
 
-    u, v = velocity_from_stream_function(psi, spec.delta)
+    u, v = velocity_from_stream_function(psi)
     k = collision_coefficients(D2Q5, np.stack([u, v]), (8, 8))
     omega_raw = macro_moment(stream_periodic(D2Q5, k * omega[None, ...]))
     psi_raw = step_poisson(D2Q5, psi, -omega)

@@ -3,6 +3,7 @@ the combined-versus-pair cavity comparison numbers."""
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from qlbm.resources import (
     write_comparison_csv,
     write_comparison_json,
 )
+from qlbm.solver import _selection
+from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
 
 _1Q = GateDurationTable().single_qubit
 _CX = GateDurationTable().cnot
@@ -166,7 +169,7 @@ _FEW_COEFFICIENTS = st.sampled_from([0.0, 1.0, -1.0])
 
 
 @st.composite
-def _controlled_gates(draw):
+def _controlled_gates(draw, max_controls=7):
     n = draw(st.integers(2, 8))
     ops = []
     for _ in range(draw(st.integers(1, 6))):
@@ -182,7 +185,7 @@ def _controlled_gates(draw):
             ops.append(GateOp("PREP", targets, params=vector))
             continue
         n_targets = draw(st.integers(1, min(3, n))) if kind in ("DIAG", "BLOCK") else 1
-        m = draw(st.integers(0, n - n_targets))
+        m = draw(st.integers(0, min(n - n_targets, max_controls)))
         targets = tuple(qubits[:n_targets])
         controls = tuple(qubits[n_targets : n_targets + m])
         values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
@@ -211,23 +214,49 @@ def test_slot_programs_run_the_rows_of_the_lowering(case):
     # slot for slot, the rows counted are the lowered gates less the global phases
     _, ops = case
     for op in ops:
-        programs, qubits, flips = slot_programs(op)
-        run = (flips, *programs, flips)
-        counted = [(qubits[t], qubits[c] if c >= 0 else None) for program in run for t, c in program.rows]
+        programs, qubits = slot_programs(op)
+        counted = [(qubits[t], qubits[c] if c >= 0 else None) for program in programs for t, c in program.rows]
         lowered = [low for low in lower_op(op) if low.kind != "GPHASE"]
         assert counted == [(low.targets[0], low.controls[0] if low.controls else None) for low in lowered]
-        assert sum(program.cnot for program in run) == sum(1 for low in lowered if low.controls)
-        assert sum(program.single_qubit for program in run) == sum(1 for low in lowered if not low.controls)
+        assert sum(program.cnot for program in programs) == sum(1 for low in lowered if low.controls)
+        assert sum(program.single_qubit for program in programs) == sum(1 for low in lowered if not low.controls)
 
 
+def _renamed(ops, qubits):
+    """``ops`` with qubit ``qubits[i]`` renamed i."""
+    slot = {q: i for i, q in enumerate(qubits)}.__getitem__
+    return [GateOp(op.kind, tuple(map(slot, op.targets)), tuple(map(slot, op.controls)), op.control_values, op.params)
+            for op in ops]
+
+
+def _assert_lowering_matches_the_dense_unitary(op):
+    # the lowering touches only the gate's own qubits, so both unitaries are
+    # compared on those alone: the same check as on every qubit of the case,
+    # whose unitaries are these two times the identity on the other qubits
+    low = lower_op(op)
+    assert {q for gate in low for q in gate.qubits} <= set(op.qubits)
+    k = len(op.qubits)
+    np.testing.assert_allclose(circuit_unitary(_renamed(low, op.qubits), k), circuit_unitary(_renamed([op], op.qubits), k),
+                               rtol=0, atol=1e-9)
+
+
+# the builders emit at most 6 controls at the paper's extent 8; the 7 of
+# extent 16 cost seconds each on a dense 8-qubit unitary, so a fixed case
+# checks them below, once per run
 @settings(max_examples=40, deadline=None)
-@given(_controlled_gates())
+@given(_controlled_gates(max_controls=6))
 def test_lowering_matches_the_dense_unitary_of_each_gate(case):
     # counts and lowering share one description, so only the dense reference keeps it honest
-    n, ops = case
+    _, ops = case
     for op in ops:
         if op.kind != "PREP":  # a PREP is a load from |0>, not a unitary
-            np.testing.assert_allclose(circuit_unitary(lower_op(op), n), circuit_unitary([op], n), rtol=0, atol=1e-9)
+            _assert_lowering_matches_the_dense_unitary(op)
+
+
+def test_lowering_matches_the_dense_unitary_of_a_seven_control_mcx():
+    op = GateOp("MCX", (3,), (5, 0, 7, 1, 6, 2, 4), (1, 0, 1, 1, 0, 0, 1))
+    assert sum(1 for gate in lower_op(op) if gate.controls) == 2104
+    _assert_lowering_matches_the_dense_unitary(op)
 
 
 @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
@@ -334,6 +363,25 @@ def test_comparison_at_extent_64_matches_the_parent():
         "stream-function-nb": (103350, 138373, 200028, 0.05515434999999119),
         "vorticity-nb": (103342, 138364, 200060, 0.055161444999991226),
     }
+
+
+def test_the_counted_circuits_run_like_the_built_ones_at_the_headline_size():
+    # the lowered gates are what the counts describe; through the simulator,
+    # with the solver's selection, they must give the built circuits' amplitudes
+    for name, circ in build_comparison_circuits(8).items():
+        lowered = lower_circuit(circ).gates
+        for sector in (0, 1) if circ.layout.n_s else (0,):
+            select = _selection(circ.layout, sector)
+            runs = [apply_circuit(plan_circuit(ZeroState(circ.n_qubits), ops, select), ops)
+                    for ops in (circ.gates, lowered)]
+            (built, built_probs), (low, low_probs) = runs
+            # selected in another order, so each conditional probability differs, but not their product
+            assert set(low_probs) == set(built_probs), (name, sector)
+            assert math.prod(low_probs.values()) == pytest.approx(math.prod(built_probs.values()), rel=1e-12)
+            np.testing.assert_allclose(low.amplitudes, built.amplitudes, rtol=0, atol=1e-12, err_msg=f"{name}, s = {sector}")
+            # a lowered PREP prepares the unit vector; the built one also carries the norm it was scaled from
+            prep_norm = np.linalg.norm(circ.gates[0].params)
+            assert built.norm_factor / low.norm_factor == pytest.approx(prep_norm, rel=1e-12), (name, sector)
 
 
 def test_comparison_runtime_tracks_depth_direction():

@@ -475,7 +475,7 @@ def test_cavity_builds_once_per_run_and_rebuilds_only_the_field_sections(monkeyp
         if collides:
             collision, rest = rest[:1], rest[1:]  # one BLOCK
             assert all(a is b for a, b in zip(collision, next(fresh)))
-            velocity = np.stack(velocity_from_stream_function(psi, spec.delta))
+            velocity = np.stack(velocity_from_stream_function(psi))
             assert collision == build_vorticity_collision_ops(circ.layout, D2Q5, velocity)
         expected = circ.section_ops(tail)
         assert len(rest) == len(expected) and all(a is b for a, b in zip(rest, expected))

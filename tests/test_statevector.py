@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlbm.circuits import GateOp, apply_ops_numpy
+from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy
 from qlbm.errors import ConfigurationError, PostSelectionError
 import qlbm
 from qlbm.statevector import (
@@ -212,8 +212,8 @@ def _diag_case(phases, angle, select):
 
 @pytest.mark.parametrize("select", [None, {1: 0, 2: 0}], ids=["full", "selected"])
 def test_a_plan_replayed_on_other_parameters_matches_a_fresh_plan(select):
-    # the plan of gates A holds A's matrices; run on gates B of the same
-    # structure it must use B's matrices and phases, not A's
+    # run on gates B of the same structure, the plan of gates A must give
+    # what B's own plan gives: B's matrices and phases, not A's
     rng = np.random.default_rng(8)
     ops_a, plan_a = _diag_case(rng.uniform(-3, 3, 8), 0.4, select)
     ops_b, plan_b = _diag_case(rng.uniform(-3, 3, 8), 1.3, select)
@@ -229,14 +229,50 @@ def test_a_plan_replayed_on_other_parameters_matches_a_fresh_plan(select):
     assert not np.allclose(a.amplitudes, b.amplitudes)
 
 
+def _every_kind(rng):
+    """Gates of every kind with parameters drawn from ``rng``: each call has the same structure."""
+    return [
+        GateOp("PREP", (0, 1), params=rng.uniform(0.5, 2.0, 4)),
+        GateOp("H", (2,)),
+        GateOp("PHASE", (2,), params=(rng.uniform(-3, 3),)),
+        GateOp("RY", (3,), params=(rng.uniform(-3, 3),)),
+        GateOp("RZ", (0,), (2,), (1,), (rng.uniform(-3, 3),)),
+        GateOp("X", (1,)),
+        GateOp("GPHASE", (), params=(rng.uniform(-3, 3),)),
+        GateOp("MCX", (3,), (0, 1), (1, 0)),
+        GateOp("DIAG", (0, 1), params=rng.uniform(-3, 3, 4)),
+        GateOp("BLOCK", (0, 4), params=rng.uniform(-1, 1, 2)),  # flag selected at once: a scaling by k
+        GateOp("BLOCK", (1, 5), (2,), (0,), rng.uniform(-1, 1, 2)),  # flag kept: runs on its two halves
+        GateOp("H", (3,)),  # selected right after: one contraction with its selection
+    ]
+
+
+def _nodes(value):
+    """``value`` and, if it is a tuple, everything nested in it."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
 def test_a_plan_holds_no_prep_vector():
-    vector = np.array([3.0, 1.0, 4.0, 1.0])
-    ops = [GateOp("PREP", (0, 1), params=vector), GateOp("H", (2,))]
-    plan = plan_circuit(ZeroState(3), ops)
-    assert not any(x is ops[0].params for step in plan.steps for x in step)
-    # a second vector of the same structure loads through the same plan
-    other = [GateOp("PREP", (0, 1), params=vector[::-1]), ops[1]]
-    np.testing.assert_array_equal(apply_circuit(plan, other).amplitudes, run_from_zero(3, other).amplitudes)
+    # nor any other gate's parameters, nor a matrix or phase computed from
+    # them: every step is tuples of tags, qubits, bits, shapes, axis orders
+    # and view indices
+    rng = np.random.default_rng(21)
+    ops = _every_kind(rng)
+    assert {op.kind for op in ops} == GATE_KINDS
+    select = {3: 0, 4: 0}
+    plan = plan_circuit(ZeroState(6), ops, select)
+    assert {tag for tag, _, _ in plan.steps} >= {"load", "1q", "phase", "gphase", "mcx", "diag", "select", "block", "drop"}
+    nodes = list(_nodes(plan.steps))
+    assert not any(node is op.params for node in nodes for op in ops if len(op.params))  # () is one object
+    assert {type(node) for node in nodes} <= {tuple, str, int, slice, type(None), type(Ellipsis)}
+    # gates of the same structure with other parameters run through the same plan
+    other = _every_kind(rng)
+    (got, got_probs), (fresh, fresh_probs) = apply_circuit(plan, other), run_from_zero(6, other, select)
+    np.testing.assert_array_equal(got.amplitudes, fresh.amplitudes)
+    assert got_probs == fresh_probs and got.norm_factor == fresh.norm_factor
 
 
 @pytest.mark.parametrize("ops", [
