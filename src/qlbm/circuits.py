@@ -59,6 +59,7 @@ __all__ = [
     "build_shift_ops",
     "build_streaming_ops",
     "build_collision_ops",
+    "build_advection_collision_ops",
     "build_vorticity_collision_ops",
     "build_macro_ops",
     "build_boundary_ops",
@@ -517,6 +518,16 @@ def _collision_k_uniform(scheme: LatticeScheme, velocity, n_codes: int) -> np.nd
     return out
 
 
+def build_advection_collision_ops(layout: RegisterLayout, scheme: LatticeScheme, velocity) -> list[GateOp]:
+    """Collision of an advected-scalar step at one ``velocity`` for every site.
+
+    The only section of a transport step besides the encode that depends on
+    its inputs: link code j is scaled by its equilibrium coefficient k_j,
+    unused codes by 1.
+    """
+    return build_collision_ops(layout, _collision_k_uniform(scheme, velocity, 1 << layout.n_d), layout.d)
+
+
 def build_vorticity_collision_ops(layout: RegisterLayout, scheme: LatticeScheme, velocity_fields) -> list[GateOp]:
     """Site-wise collision of the vorticity update, from the velocity at each site.
 
@@ -542,8 +553,7 @@ def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field,
     layout = RegisterLayout.for_scheme(scheme, extent)
     circ = CircuitIR(layout)
     circ.add_section("encode", _encode(layout, encoding_vector(layout, scheme, field)))
-    k = _collision_k_uniform(scheme, velocity, 1 << layout.n_d)
-    circ.add_section("collision", build_collision_ops(layout, k, layout.d))
+    circ.add_section("collision", build_advection_collision_ops(layout, scheme, velocity))
     circ.add_section("streaming", build_streaming_ops(layout, scheme))
     circ.add_section("macro", build_macro_ops(layout))
     return circ
@@ -1048,15 +1058,15 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
             sel = ((idx & cmask) == cval) & (((idx >> t) & 1) == 0)
             lo = idx[sel]
             hi = lo | (1 << t)
-            arr[lo], arr[hi] = arr[hi].copy(), arr[lo].copy()
+            arr[lo], arr[hi] = arr[hi], arr[lo]  # fancy indexing copies
             continue
         u = gate_matrix_1q(op)
         t = op.targets[0]
         sel = ((idx & cmask) == cval) & (((idx >> t) & 1) == 0)
         lo = idx[sel]
         hi = lo | (1 << t)
-        a_lo = arr[lo].copy()
-        a_hi = arr[hi].copy()
+        a_lo = arr[lo]
+        a_hi = arr[hi]
         arr[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi
         arr[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
     return arr

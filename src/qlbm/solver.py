@@ -16,18 +16,24 @@ after its merge Hadamard, a source flag after the PREP when no later gate
 targets it). The collision ancilla and the wall flag never enter: each
 holds 0 until its BLOCK, which is its only gate, and is selected onto 0
 right after it. So the job returns the site amplitudes alone and the
-caller decodes the field from them. Each run builds its circuit(s) once.
-Each job runs a fresh PREP of its fields in front of the built gates; a
-vorticity job also builds its collision afresh, the one other section that
-depends on the fields (through the velocity). Every other gate
-(source-fold, the stream-function collision, streaming, macro, boundary)
-runs as built. The gate structure is therefore fixed for a run, so each
-run also plans each kind of job once with
+caller decodes the field from them.
+
+Every run at one shape repeats the same gate structure; only the loaded
+fields and the collisions' coefficients change. So each job shape
+(transport: scheme, extent and backend; cavity: variant and extent) is set
+up once per process and kept in a small fixed-size ``functools.lru_cache``:
+its circuit(s) are built at rest and planned with
 :func:`~qlbm.statevector.plan_circuit` (advection one plan, the cavity one
-per job), from the circuits built at rest, and every job replays its plan
-with :func:`~qlbm.statevector.apply_circuit`. The plans belong to the run and
-go with it. A job whose inputs are all exactly zero (``np.any`` is
-false) is idle: it runs nothing and records ``zero_input``. Magnitude plays
+per job), and the set-up keeps only the layout, the plan and the tail, the
+field-independent gates each job replays as built (source-fold, the
+stream-function collision, streaming, macro, boundary): no PREP and no
+array of the state's size. A job builds only its fresh gates, a PREP of
+its fields and the collision its velocity sets (one per transport run, one
+per vorticity job), and replays the cached plan on them and the tail with
+:func:`~qlbm.statevector.apply_circuit`. This pays where one process runs
+many jobs of one shape; the first run at a shape also builds and plans.
+A job whose inputs are all exactly zero (``np.any`` is false) is
+idle: it runs nothing and records ``zero_input``. Magnitude plays
 no part, as the PREP scales by the peak. The sampling backend of
 :func:`run_advection_diffusion` runs the same gates without selecting,
 samples the whole state, and records as ``select_probs`` the measured
@@ -37,15 +43,16 @@ The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
 Both variants run the same job path, ``_cavity_job``; they differ only in
 the jobs it is given, one per circuit of the frugal pair or one per sector
-pass of the single combined gate list. Each job is described once per run
-by its built circuit, its plan, the built gates it replays, the source-flag
-sector it selects and whether its decode is folded. On hardware the two
+pass of the single combined gate list. Each job is described once per shape
+by its layout, its plan, the built gates it replays, the source-flag sector
+it selects and whether its decode is folded. On hardware the two
 frugal circuits run concurrently; the resource estimator counts that as
 ``concurrent_depth``, and the simulator runs them in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
@@ -54,9 +61,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
-    CircuitIR,
     GateOp,
     RegisterLayout,
+    build_advection_collision_ops,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
     build_stream_function_circuit,
@@ -100,6 +107,9 @@ __all__ = [
 
 # error denominators are floored so near-zero sites compare absolutely
 ERROR_FLOOR = 1e-9
+
+# job shapes whose set-up each process keeps, per kind of run
+_SETUPS = 8
 
 
 def relative_error(result, reference) -> np.ndarray:
@@ -236,6 +246,37 @@ def _idle(step: int, job: str) -> StepRecord:
     return StepRecord(step, job, {}, 0.0, zero_input=True)
 
 
+class _Job(NamedTuple):
+    """One kind of job, set up once per shape.
+
+    Its layout, the plan of the gates it runs, the gates it replays as built
+    after its fresh ones, the source-flag sector it selects, and whether its
+    decode is folded.
+    """
+
+    layout: RegisterLayout
+    plan: CircuitPlan
+    tail: tuple
+    sector: int = 0
+    folded: bool = False
+
+
+@functools.lru_cache(maxsize=_SETUPS)
+def _transport(scheme: LatticeScheme, extent: int, backend: str) -> _Job:
+    """The set-up of ``scheme`` transport at ``extent`` on ``backend``, built and planned once from the field at rest.
+
+    On the statevector backend the plan selects every register but the
+    sites as they finish; on the sampling backend it selects nothing. The
+    collision at rest has the structure of every velocity's.
+    """
+    rest = np.zeros((extent,) * scheme.dimension)
+    circ = build_advection_diffusion_circuit(scheme, extent, rest, np.zeros(scheme.dimension))
+    layout = circ.layout
+    select = _selection(layout) if backend == "statevector" else None
+    plan = plan_circuit(ZeroState(layout.qubit_count), circ.gates, select)
+    return _Job(layout, plan, tuple(circ.section_ops(["streaming", "macro"])))
+
+
 def run_advection_diffusion(
     scheme: LatticeScheme,
     field0,
@@ -266,13 +307,9 @@ def run_advection_diffusion(
         require_shots(shots)
         if np.any(field < 0):
             raise EncodingError("the sampling backend cannot recover negative field values")
-    circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
-    layout = circ.layout
-    body = circ.gates[1:]  # every section after the encode PREP
-    if backend == "statevector":
-        plan = _job_plan(circ.gates, layout)
-    else:
-        plan = plan_circuit(ZeroState(layout.qubit_count), circ.gates)
+    setup = _transport(scheme, extent, backend)
+    layout = setup.layout
+    collision = build_advection_collision_ops(layout, scheme, velocity)
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
@@ -280,12 +317,12 @@ def run_advection_diffusion(
             records.append(_idle(step, "advection"))
             fields.append(field.copy())
             continue
-        ops = [_prep(layout, scheme, field), *body]
+        ops = [_prep(layout, scheme, field), *collision, *setup.tail]
         if backend == "statevector":
-            state, record = _run_job(plan, ops, step, "advection")
+            state, record = _run_job(setup.plan, ops, step, "advection")
             flat = decode_field(state, layout)
         else:
-            state = apply_circuit(plan, ops)
+            state = apply_circuit(setup.plan, ops)
             hist = sample(state, shots, seed + 7919 * step)
             flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
             record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection(layout)), state.norm_factor)
@@ -308,23 +345,9 @@ _SINGLE_SF_TAIL = ["source-fold", "collision-stream-function", "streaming-stream
 _SINGLE_W_TAIL = ["streaming-vorticity", "macro", "boundary"]
 
 
-class _CavityJob(NamedTuple):
-    """One job of a cavity step, made once per run.
-
-    Its built circuit, the plan of the sections it runs, the gates it replays
-    as built after its fresh ones, the source-flag sector it selects, and
-    whether its decode is folded.
-    """
-
-    circ: CircuitIR
-    plan: CircuitPlan
-    tail: list
-    sector: int
-    folded: bool
-
-
-def _cavity_jobs(variant: str, n: int) -> tuple[_CavityJob, _CavityJob]:
-    """The (stream-function, vorticity) jobs of ``variant``, built and planned once from the fields at rest.
+@functools.lru_cache(maxsize=_SETUPS)
+def _cavity_jobs(variant: str, n: int) -> tuple[_Job, _Job]:
+    """The (stream-function, vorticity) jobs of ``variant`` at extent ``n``, built and planned once from the fields at rest.
 
     Each job runs the encode and the other sections it rebuilds fresh (the
     vorticity collision), then its tail; the rest collision has the structure
@@ -342,29 +365,27 @@ def _cavity_jobs(variant: str, n: int) -> tuple[_CavityJob, _CavityJob]:
         circ = build_single_cavity_circuit(D2Q5, n, rest, rest, rest, still)
         jobs = [(circ, [], _SINGLE_SF_TAIL, 0, True), (circ, ["collision-vorticity"], _SINGLE_W_TAIL, 1, False)]
     return tuple(
-        _CavityJob(circ, _job_plan(circ.section_ops(["encode", *fresh, *tail]), circ.layout, sector),
-                   circ.section_ops(tail), sector, folded)
+        _Job(circ.layout, _job_plan(circ.section_ops(["encode", *fresh, *tail]), circ.layout, sector),
+                   tuple(circ.section_ops(tail)), sector, folded)
         for circ, fresh, tail, sector, folded in jobs
     )
 
 
-def _cavity_job(job: _CavityJob, step: int, name: str, field, source=None, velocity=None):
+def _cavity_job(job: _Job, step: int, name: str, field, source=None, velocity=None):
     """Run one cavity job on the previous step's fields and decode its new field.
 
     A fresh PREP loads ``field`` into the job's sector (and ``source`` into
     sector 1); given ``velocity``, a fresh vorticity collision follows it; the
     built tail runs as it is.
     """
-    layout = job.circ.layout
+    layout = job.layout
     if job.sector:
         field, source = np.zeros_like(field), field
     prep = _prep(layout, D2Q5, field, source)
     if not np.any(prep.params):
         return np.zeros(field.shape), _idle(step, name)
-    ops = [prep]
-    if velocity is not None:
-        ops += build_vorticity_collision_ops(layout, D2Q5, velocity)
-    state, record = _run_job(job.plan, ops + job.tail, step, name)
+    collision = () if velocity is None else build_vorticity_collision_ops(layout, D2Q5, velocity)
+    state, record = _run_job(job.plan, [prep, *collision, *job.tail], step, name)
     return decode_field(state, layout, folded=job.folded).reshape(field.shape), record
 
 
@@ -421,8 +442,9 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     velocity = (0.2,)
     for _ in range(steps - 1):
         field = step_advection_diffusion(D1Q3, field, velocity)
-    circ = build_advection_diffusion_circuit(D1Q3, extent, field, velocity)
-    state, _ = _run_job(_job_plan(circ.gates, circ.layout), circ.gates, steps, "advection")
+    setup = _transport(D1Q3, extent, "statevector")
+    collision = build_advection_collision_ops(setup.layout, D1Q3, velocity)
+    state, _ = _run_job(setup.plan, [_prep(setup.layout, D1Q3, field), *collision, *setup.tail], steps, "advection")
     return state
 
 

@@ -27,7 +27,8 @@ parameters; :func:`apply_circuit` replays the plan on gates of the same
 structure and reads every parameter from the gates it runs: it loads each
 PREP's vector, fits each BLOCK's coefficients and each DIAG's phasors to
 their views, and computes each single-qubit matrix and phase. A solver
-plans each kind of job once per run and replays the plan per job.
+plans each job shape once per process and replays the plan per job, which
+pays where one process runs many jobs of one shape.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """

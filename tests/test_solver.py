@@ -1,5 +1,6 @@
 """Gate-level transport drivers against the classical reference, step by step."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -14,6 +15,7 @@ from qlbm.circuits import (
     GateOp,
     RegisterLayout,
     apply_ops_numpy,
+    build_advection_collision_ops,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
     build_stream_function_circuit,
@@ -22,7 +24,7 @@ from qlbm.circuits import (
     encoding_vector,
     unit_amplitudes,
 )
-from qlbm.errors import ConfigurationError, EncodingError
+from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import (
     D1Q2,
     D1Q3,
@@ -406,18 +408,53 @@ def _spy_on_apply(monkeypatch):
     return applied
 
 
-def test_advection_builds_once_per_run_without_encode(monkeypatch):
-    # the body is built once; each step runs it behind a fresh PREP, never the built one
+def _spy_on(monkeypatch, name):
+    """The return value of every call the solver makes to ``name``, in call order."""
+    returned = []
+
+    def spy(*args, _fn=getattr(qlbm.solver, name), **kwargs):
+        out = _fn(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(qlbm.solver, name, spy)
+    return returned
+
+
+def _clear_setups():
+    qlbm.solver._transport.cache_clear()
+    qlbm.solver._cavity_jobs.cache_clear()
+
+
+def test_advection_sets_up_once_per_shape_and_builds_only_its_fresh_gates(monkeypatch):
+    # the first run at a shape builds the circuit at rest and plans it once; a
+    # second run at that shape builds and plans nothing. Every step runs a fresh
+    # PREP, the run's own collision and then the cached tail, never a built PREP
+    _clear_setups()
     built = _spy_on_builders(monkeypatch)
+    planned = _spy_on(monkeypatch, "plan_circuit")
+    collisions = _spy_on(monkeypatch, "build_advection_collision_ops")
     applied = _spy_on_apply(monkeypatch)
-    result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 5)
-    ((_, circ),) = built
-    assert len(applied) == 5
-    for step, ops in enumerate(applied):
-        prep, *body = ops
-        assert prep.kind == "PREP" and prep is not circ.gates[0]
-        assert all(a is b for a, b in zip(body, circ.gates[1:])) and len(body) == len(circ.gates) - 1
-        np.testing.assert_array_equal(prep.params, encoding_vector(circ.layout, D2Q5, result.fields[step]))
+    runs = [((0.15, -0.1), _impulse_field(D2Q5, 4)), ((-0.05, 0.2), 0.5 * _impulse_field(D2Q5, 4) + 0.1)]
+    results = []
+    for velocity, field in runs:
+        results.append(run_advection_diffusion(D2Q5, field, velocity, 5))
+        ((_, circ),) = built
+        assert len(planned) == 1
+    assert not np.any(circ.gates[0].params)  # the PREP at rest, dropped after planning
+    setup = qlbm.solver._transport(D2Q5, 4, "statevector")
+    assert setup.plan is planned[0]
+    tail = circ.section_ops(["streaming", "macro"])
+    assert len(setup.tail) == len(tail) and all(a is b for a, b in zip(setup.tail, tail))
+    assert len(collisions) == len(runs) and len(applied) == 5 * len(runs)
+    for run, ((velocity, _), result, collision) in enumerate(zip(runs, results, collisions)):
+        assert collision == build_advection_collision_ops(circ.layout, D2Q5, velocity)
+        for step, ops in enumerate(applied[5 * run : 5 * (run + 1)]):
+            prep, block, *rest = ops
+            assert prep.kind == "PREP" and prep is not circ.gates[0]
+            np.testing.assert_array_equal(prep.params, encoding_vector(circ.layout, D2Q5, result.fields[step]))
+            assert [block] == collision and block is collision[0]
+            assert len(rest) == len(setup.tail) and all(a is b for a, b in zip(rest, setup.tail))
 
 
 # per variant and job: the builder, the PREP's fields from the previous step's
@@ -440,33 +477,36 @@ _CAVITY_JOBS = {
 
 
 @pytest.mark.parametrize("variant", ["frugal", "single"])
-def test_cavity_builds_once_per_run_and_rebuilds_only_the_field_sections(monkeypatch, variant):
-    # each builder runs once; every live job is a fresh PREP of the previous step's
-    # fields, a fresh vorticity collision in the vorticity job, and otherwise the
-    # built circuit's own gates
+def test_cavity_sets_up_once_per_shape_and_rebuilds_only_the_field_sections(monkeypatch, variant):
+    # the first run at a shape runs each builder once and plans each job once; a
+    # second run at that shape builds and plans nothing. Every live job is a
+    # fresh PREP of the previous step's fields, a fresh vorticity collision in
+    # the vorticity job, and then the cached tail, the built circuit's own gates
+    _clear_setups()
     built = _spy_on_builders(monkeypatch)
+    planned = _spy_on(monkeypatch, "plan_circuit")
+    collisions = _spy_on(monkeypatch, "build_vorticity_collision_ops")
     applied = _spy_on_apply(monkeypatch)
-    collisions = []
-
-    def spy(*args, _build=qlbm.solver.build_vorticity_collision_ops, **kwargs):
-        ops = _build(*args, **kwargs)
-        collisions.append(ops)
-        return ops
-
-    monkeypatch.setattr(qlbm.solver, "build_vorticity_collision_ops", spy)
-    spec = CavitySpec(n=4, lid_velocity=0.7, steps=4)
+    specs = [CavitySpec(n=4, lid_velocity=0.7, steps=4), CavitySpec(n=4, lid_velocity=0.4, steps=3)]
     scale = D2Q5.diffusion
-    result = run_cavity(spec, variant=variant)
-
     jobs = _CAVITY_JOBS[variant]
+    results = []
+    for spec in specs:
+        results.append(run_cavity(spec, variant=variant))
+        assert len(built) == len({name for name, *_ in jobs.values()}) and len(planned) == 2
     circuits = dict(built)
-    assert len(built) == len(circuits) == len({name for name, *_ in jobs.values()})
-    live = [r for r in result.records if not r.zero_input]
-    assert len(live) == len(applied) == 2 * (spec.steps - 1)
+    assert len(circuits) == len(built)
+    setups = dict(zip(("stream-function", "vorticity"), qlbm.solver._cavity_jobs(variant, 4)))
+    assert [job.plan for job in setups.values()] == planned
+    live = [r for result in results for r in result.records if not r.zero_input]
+    assert len(live) == len(applied) == sum(2 * (spec.steps - 1) for spec in specs)
+    runs = [result for result in results for r in result.records if not r.zero_input]
     fresh = iter(collisions)
-    for record, ops in zip(live, applied):
+    for record, result, ops in zip(live, runs, applied):
         builder, fields, collides, tail = jobs[record.job]
-        circ = circuits[builder]
+        circ, setup = circuits[builder], setups[record.job]
+        expected = circ.section_ops(tail)
+        assert len(setup.tail) == len(expected) and all(a is b for a, b in zip(setup.tail, expected))
         psi, omega = result.psi[record.step - 1], result.omega[record.step - 1]
         field, source = fields(psi, omega, scale)
         prep, *rest = ops
@@ -477,9 +517,107 @@ def test_cavity_builds_once_per_run_and_rebuilds_only_the_field_sections(monkeyp
             assert all(a is b for a, b in zip(collision, next(fresh)))
             velocity = np.stack(velocity_from_stream_function(psi))
             assert collision == build_vorticity_collision_ops(circ.layout, D2Q5, velocity)
-        expected = circ.section_ops(tail)
-        assert len(rest) == len(expected) and all(a is b for a, b in zip(rest, expected))
+        assert len(rest) == len(setup.tail) and all(a is b for a, b in zip(rest, setup.tail))
     assert next(fresh, None) is None
+
+
+# ---------------------------------------------------------------------------
+# the per-shape set-up cache
+# ---------------------------------------------------------------------------
+
+
+_RUNS = {
+    "statevector": lambda k: run_advection_diffusion(D2Q5, (1 + k) * _impulse_field(D2Q5, 4), (0.15, -0.1 * k), 3),
+    "sampling": lambda k: run_advection_diffusion(D1Q3, (1 + k) * _impulse_field(D1Q3, 8), (0.2 - 0.1 * k,), 3,
+                                                  backend="sampling", shots=512, seed=k),
+    "frugal": lambda k: run_cavity(CavitySpec(n=4, lid_velocity=0.7 - 0.2 * k, steps=4), variant="frugal"),
+    "single": lambda k: run_cavity(CavitySpec(n=4, lid_velocity=0.7 - 0.2 * k, steps=4), variant="single"),
+}
+
+
+def _assert_same_run(a, b):
+    assert type(a) is type(b) and a.records == b.records
+    for name in ("fields", "psi", "omega"):
+        if hasattr(a, name):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_RUNS))
+def test_a_run_on_a_cached_set_up_is_bit_identical_to_one_after_a_cache_clear(case):
+    run = _RUNS[case]
+    _clear_setups()
+    fresh = run(0)
+    run(1)  # other inputs at the same shape
+    _assert_same_run(run(0), fresh)
+
+
+def test_shapes_never_share_a_set_up():
+    _clear_setups()
+    transport = {}
+    for scheme, extents in ((D1Q2, (4, 8)), (D1Q3, (4, 8)), (D2Q5, (2, 4))):
+        for extent in extents:
+            for backend in ("statevector", "sampling"):
+                setup = qlbm.solver._transport(scheme, extent, backend)
+                assert setup.layout == RegisterLayout.for_scheme(scheme, extent)
+                assert setup.plan.n_qubits == setup.layout.qubit_count
+                assert setup.plan.selecting == (backend == "statevector")
+                transport[scheme.name, extent, backend] = setup
+    assert len({id(s) for s in transport.values()}) == len({id(s.plan) for s in transport.values()}) == len(transport)
+    info = qlbm.solver._transport.cache_info()
+    assert info.maxsize == qlbm.solver._SETUPS and info.misses == len(transport)
+    cavity = {}
+    for variant in ("frugal", "single"):
+        for extent in (4, 8):
+            jobs = qlbm.solver._cavity_jobs(variant, extent)
+            layout = RegisterLayout.for_scheme(D2Q5, extent, source=variant == "single", boundary=True)
+            assert jobs[1].layout == layout
+            cavity[variant, extent] = jobs
+    plans = {id(job.plan) for jobs in cavity.values() for job in jobs}
+    assert len({id(jobs) for jobs in cavity.values()}) == len(cavity) and len(plans) == 2 * len(cavity)
+    assert qlbm.solver._cavity_jobs.cache_info().maxsize == qlbm.solver._SETUPS
+
+
+def _held(obj):
+    """``obj`` and everything it holds, through tuples, lists and dataclasses."""
+    yield obj
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _held(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: qlbm.solver._transport(D2Q5, 8, "statevector"),
+    lambda: qlbm.solver._transport(D1Q3, 8, "sampling"),
+    lambda: qlbm.solver._cavity_jobs("frugal", 8),
+    lambda: qlbm.solver._cavity_jobs("single", 8),
+], ids=["statevector", "sampling", "frugal", "single"])
+def test_a_cached_set_up_holds_no_prep_and_no_writable_array(setup):
+    setup = setup()
+    held = list(_held(setup))
+    (n_sites,) = {item.n_sites for item in held if isinstance(item, RegisterLayout)}
+    gates = [item for item in held if isinstance(item, GateOp)]
+    assert gates and all(gate.kind != "PREP" for gate in gates)
+    arrays = [item for item in held if isinstance(item, np.ndarray)]
+    assert all(not a.flags.writeable for a in arrays)
+    # the largest is the wall projector's one coefficient per site
+    assert all(a.size <= n_sites for a in arrays)
+
+
+def test_a_run_that_raises_leaves_the_cache_usable():
+    _clear_setups()
+    field = _impulse_field(D1Q3, 8)
+    fresh = run_advection_diffusion(D1Q3, field, (0.2,), 3)
+    with pytest.raises(CoefficientRangeError):
+        run_advection_diffusion(D1Q3, field, (5.0,), 3)  # too fast for the collision's |k| <= 1
+    _assert_same_run(run_advection_diffusion(D1Q3, field, (0.2,), 3), fresh)
+    spec = CavitySpec(n=4, lid_velocity=0.7, steps=3)
+    fresh = run_cavity(spec)
+    with pytest.raises(CoefficientRangeError):
+        run_cavity(CavitySpec(n=4, lid_velocity=50.0, steps=3))  # its step-2 vorticity collision
+    _assert_same_run(run_cavity(spec), fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +683,10 @@ _JOB_PATH = ("apply_circuit", "decode_field")
 
 @pytest.mark.parametrize("case", ["statevector", "sampling", "frugal", "single"])
 def test_every_job_calls_the_traced_names_once(monkeypatch, case):
-    # and each run plans once per kind of job: advection one circuit, the
-    # frugal cavity two circuits, the single cavity two sector passes
+    # and the first run at a shape plans once per kind of job: advection one
+    # circuit, the frugal cavity two circuits, the single cavity two sector
+    # passes; a second run at that shape plans nothing
+    _clear_setups()
     calls = dict.fromkeys((*_JOB_PATH, "plan_circuit"), 0)
     for name in calls:
         def spy(*args, _name=name, _fn=getattr(qlbm.solver, name), **kwargs):
@@ -555,18 +695,16 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
 
         monkeypatch.setattr(qlbm.solver, name, spy)
     steps = 3
-    if case in ("statevector", "sampling"):
-        result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, 0.1), steps, backend=case, shots=256)
-    else:
-        result = run_cavity(CavitySpec(n=4, steps=steps), variant=case)
-    live = sum(not r.zero_input for r in result.records)
-    assert live > 0
-    selected = 0 if case == "sampling" else live
-    assert calls == {
-        "apply_circuit": live,
-        "decode_field": selected,
-        "plan_circuit": 2 if case in ("frugal", "single") else 1,
-    }
+    for plans in (2 if case in ("frugal", "single") else 1, 0):
+        if case in ("statevector", "sampling"):
+            result = run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.1, 0.1), steps, backend=case, shots=256)
+        else:
+            result = run_cavity(CavitySpec(n=4, steps=steps), variant=case)
+        live = sum(not r.zero_input for r in result.records)
+        assert live > 0
+        selected = 0 if case == "sampling" else live
+        assert calls == {"apply_circuit": live, "decode_field": selected, "plan_circuit": plans}
+        calls.update(dict.fromkeys(calls, 0))
 
 
 # ---------------------------------------------------------------------------
