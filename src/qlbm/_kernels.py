@@ -1,9 +1,10 @@
 """Statevector kernels on strided views of the amplitude array.
 
-The amplitudes (complex128, length 2**n) are viewed as ``amps.reshape((2,) * n)``,
-so qubit ``q`` is axis ``n - 1 - q``. Fixing each control axis to its control
-value with an integer index leaves a view of the controlled subspace; fixing
-the target axis to 0 or 1 as well gives the two halves a gate mixes. Every
+The amplitudes (length 2**n; float64 or complex128, fixed per circuit plan)
+are viewed as ``amps.reshape((2,) * n)``, so qubit ``q`` is axis
+``n - 1 - q``. Fixing each control axis to its control value with an
+integer index leaves a view of the controlled subspace; fixing the target
+axis to 0 or 1 as well gives the two halves a gate mixes. Every
 kernel writes through those views, in place, without index arrays (the
 bit-axis layout of standard statevector simulators, Häner & Steiger,
 arXiv:1704.01127).
@@ -13,7 +14,9 @@ circuit is planned (:func:`halves`, :func:`diag_layout`), and each kernel
 call takes the view shape and indices ready-made. Controls arrive as
 (bit, value) pairs, so any mix of 0/1-polarity controls is one argument.
 A BLOCK's two halves are those of its flag within the controlled view:
-:func:`diag_layout` with the flag as one more control.
+:func:`diag_layout` with the flag as one more control. The kernels take
+either dtype: a real plan passes real matrices and factors, and only runs
+kernels whose result stays real.
 """
 
 

@@ -16,7 +16,10 @@ after its merge Hadamard, a source flag after the PREP when no later gate
 targets it). The collision ancilla and the wall flag never enter: each
 holds 0 until its BLOCK, which is its only gate, and is selected onto 0
 right after it. So the job returns the site amplitudes alone and the
-caller decodes the field from them.
+caller decodes the field from them. Every gate of such a job keeps real
+amplitudes real (a PREP, MCX, H, or a BLOCK selected at once), so its plan
+runs it on float64 amplitudes; the sampling backend's unselected BLOCKs
+keep its plan complex.
 
 Every run at one shape repeats the same gate structure; only the loaded
 fields and the collisions' coefficients change. So each job shape

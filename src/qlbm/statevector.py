@@ -29,6 +29,12 @@ PREP's vector, fits each BLOCK's coefficients and each DIAG's phasors to
 their views, and computes each single-qubit matrix and phase. A solver
 plans each job shape once per process and replays the plan per job, which
 pays where one process runs many jobs of one shape.
+
+The amplitude array's dtype is structure too, fixed by the plan: float64
+when every gate keeps real amplitudes real, else complex128. Every solver
+job on the selecting backend is real, so its loads, kernels, drops and
+norms move half the bytes; a :class:`QuantumState` is complex128,
+converted once at the end, on the kept qubits only.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 """
@@ -63,6 +69,9 @@ __all__ = [
 _MIN_SELECT_PROBABILITY = 1e-14
 
 _KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
+
+# gate kinds that keep real amplitudes real (a BLOCK unless it is a "block" step)
+_REAL_KINDS = frozenset({"PREP", "MCX", "H", "X", "RY", "BLOCK"})
 
 # numpy's multinomial draws take the shot count as a C long
 MAX_SHOTS = (1 << 63) - 1
@@ -111,7 +120,9 @@ class CircuitPlan:
     how to fit its gate's per-basis-state parameters to its view, and a
     single-qubit step holds no matrix.
     ``n_qubits`` is the state's qubit count and ``kept`` the count left
-    after the selection, if ``selecting``.
+    after the selection, if ``selecting``. ``dtype`` is the amplitude
+    array's, float64 or complex128, decided like the steps from structure
+    alone, so replaying the plan on other parameters never changes it.
     """
 
     n_qubits: int
@@ -119,6 +130,7 @@ class CircuitPlan:
     steps: tuple
     kept: int
     selecting: bool
+    dtype: np.dtype
 
 
 def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) -> CircuitPlan:
@@ -155,7 +167,9 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     probability 1, and selecting 1 raises :class:`PostSelectionError` here.
 
     All of that follows from the gate structure and the selection alone,
-    and the plan holds nothing else.
+    and the plan holds nothing else. So does the array's dtype: float64
+    when every gate is a PREP, MCX, H, X, RY or BLOCK and no BLOCK runs on
+    its flag's two halves, where its ``i s`` enters; else complex128.
     """
     n_qubits = start.n_qubits
     wanted = {} if select is None else _checked_selection(select, n_qubits)
@@ -273,7 +287,9 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
             drop(q)
     for q in sorted(known.keys() - wanted.keys()):
         enter("enter", None, (q,))
-    return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None)
+    real = all(op.kind in _REAL_KINDS for op in ops) and not any(tag == "block" for tag, _, _ in steps)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None, dtype)
 
 
 def apply_circuit(plan: CircuitPlan, ops):
@@ -286,7 +302,9 @@ def apply_circuit(plan: CircuitPlan, ops):
     phasors and a BLOCK's coefficients are fitted to their views from the
     gate's own parameters, such as those of a BLOCK rebuilt per job, and so
     is each single-qubit gate's matrix or phase. Each selection raises
-    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``.
+    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. The
+    array runs at the plan's dtype; on a real plan every single-qubit
+    matrix and fused drop row is real and runs as its real part.
 
     Without a selection, returns the new state over every qubit. With one,
     returns ``(selected, probs)``: the state over the kept qubits (in their
@@ -296,7 +314,8 @@ def apply_circuit(plan: CircuitPlan, ops):
     ops = list(ops)
     if _structure(ops) != plan.structure:
         raise ConfigurationError("the gates do not have the structure the plan was made for")
-    amps, norm, probs = np.ones(1, dtype=np.complex128), 1.0, {}
+    real = plan.dtype == np.float64
+    amps, norm, probs = np.ones(1, dtype=plan.dtype), 1.0, {}
     for tag, i, args in plan.steps:
         if tag == "mcx":
             _kernels.apply_mcx(amps, *args)
@@ -315,7 +334,7 @@ def apply_circuit(plan: CircuitPlan, ops):
             _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
         elif tag == "drop":
             q, bit, value = args
-            row = None if i is None else gate_matrix_1q(ops[i])[value]
+            row = None if i is None else _matrix_1q(ops[i], real)[value]
             amps, p = _drop_bit(amps, bit, value, q, row)
             norm *= np.sqrt(p)
             probs[q] = p
@@ -328,7 +347,7 @@ def apply_circuit(plan: CircuitPlan, ops):
         elif tag == "known":
             probs[args[0]] = 1.0
         elif tag == "1q":
-            _kernels.apply_1q(amps, *args, *gate_matrix_1q(ops[i]).ravel())
+            _kernels.apply_1q(amps, *args, *_matrix_1q(ops[i], real).ravel())
         elif tag == "phase":
             _kernels.apply_phase(amps, *args, _phase(ops[i]))
         else:  # "gphase"
@@ -360,6 +379,12 @@ def _bit(value, name: str) -> int:
 
 def _phase(op):
     return np.exp(1j * op.params[0])
+
+
+def _matrix_1q(op, real: bool) -> np.ndarray:
+    """A single-qubit gate's matrix, as its real part on a real plan (every 1q gate there is real)."""
+    matrix = gate_matrix_1q(op)
+    return matrix.real if real else matrix
 
 
 def _fitted(values: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray:
@@ -404,9 +429,9 @@ def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> t
     else:
         # ``amps`` is discarded, so the second term is scaled in place: one
         # new half-size array instead of three, each of which page-faults in
-        kept = np.multiply(halves[:, 0, :], complex(row[0]))
+        kept = np.multiply(halves[:, 0, :], row[0])
         other = halves[:, 1, :]
-        other *= complex(row[1])
+        other *= row[1]
         kept += other
     kept = kept.reshape(-1)
     return kept, _normalize(kept, qubit, value)
@@ -414,10 +439,12 @@ def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> t
 
 def _normalize(amps: np.ndarray, qubit: int, value: int) -> float:
     """Scale ``amps``, what is left of a selection of ``qubit`` = ``value``, to unit norm; return its probability."""
+    # a BLAS dot of the plan's dtype: ddot on a real plan, zdotc on a complex
+    # one, which sum in different orders, so p differs between them in its last bits
     p = float(np.vdot(amps, amps).real)
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
-    amps *= 1.0 / np.sqrt(p)  # a complex array divides far slower than it multiplies
+    amps *= 1.0 / np.sqrt(p)  # an array divides slower than it multiplies
     return p
 
 

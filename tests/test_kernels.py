@@ -10,6 +10,10 @@ out, also when one ``plan_circuit`` plan is replayed on fresh parameters.
 The random circuits draw every gate kind. A BLOCK runs on its two halves
 when its flag is in the array or stays unselected; on a flag that holds 0
 and is selected right after it, it scales the value amplitudes by k.
+Circuits of the real gates alone, BLOCKs selected at once among them, run
+on float64 amplitudes and are checked the same way. After selections of
+small probability the comparisons allow the rounding that such a
+selection amplifies in both runs, a bound derived in ``_selection_bounds``.
 """
 
 import numpy as np
@@ -287,14 +291,51 @@ def _circuits_from_zero(draw):
     return n_qubits, ops, {q: draw(st.integers(0, 1)) for q in planned}
 
 
-@settings(max_examples=300, deadline=None)
-@given(_circuits_from_zero())
-def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
-    n_qubits, ops, plan = circuit
-    # the reference writes the PREP's unit vector in index by index: its
-    # rotation network rounds at 1e-16, which a selection of probability
-    # 1e-13 would amplify past the tolerance (a load of a vector with
-    # entries 1e-8 and 5.3e-7 onto the selected branch does)
+def _selection_bounds(n_steps, probs):
+    """How far two float64 runs of one circuit from one unit vector may differ after selections.
+
+    Returns the bound on each amplitude and the bound on each conditional
+    probability of ``probs``, the selections' probabilities in the order
+    they were made; ``n_steps`` counts the gates and the selections. Each
+    bound is at least the 1e-12 these comparisons always had.
+
+    The derivation: each gate of either run, the simulator's kernel or the
+    dense reference's, rounds its result to within c u |x| in 2-norm, with
+    u = eps / 2 and |x| the norm of the state it acts on; c = 32 covers the
+    largest, the reference's BLOCK (two Hadamards around e^{i arccos k},
+    arccos's own rounding included). A selection projects exactly, and its
+    renormalization and probability round within a few u. Left
+    unnormalized, the state only shrinks, so the selected vector v, of
+    squared norm P = the product of the selections' probabilities, is off
+    by at most gamma = 32 u n_steps in either run. Normalizing divides by
+    sqrt(P), |v' / |v'| - v / |v|| <= 2 |v' - v| / |v|, so each run is
+    within 2 gamma / sqrt(P) of the exact result and the two are within
+    4 gamma / sqrt(P). A conditional probability is the squared norm of a
+    projection of the state normalized after the selections before it,
+    of probability P_before, and
+    ||Pa|^2 - |Pb|^2| <= (|Pa| + |Pb|) |a - b| <= 2 |a - b|: two runs'
+    differ by at most 8 gamma / sqrt(P_before). A selection of small
+    probability thus amplifies the rounding of the gates before it, in
+    both runs alike; where P is not small both bounds are below 1e-12.
+    """
+    gamma = 16 * np.finfo(float).eps * n_steps
+    before, p_bounds = 1.0, []
+    for p in probs:
+        p_bounds.append(max(1e-12, 8 * gamma / np.sqrt(before)))
+        before *= p
+    return max(1e-12, 4 * gamma / np.sqrt(before)), p_bounds
+
+
+def _check_from_zero(n_qubits, ops, plan):
+    """Run ``ops``, a PREP and then other gates, from |0...0> with and without ``plan`` against the reference.
+
+    The reference writes the PREP's unit vector in index by index, not
+    through its rotation network, whose rounding a selection of small
+    probability would amplify (a load of a vector with entries 1e-8 and
+    5.3e-7 onto the selected branch does); then it runs the other gates on
+    the whole array and post-selects in the order the simulator selects.
+    Returns the plan of the selecting run, or None when a selection raises.
+    """
     unit, scale = unit_amplitudes(ops[0].params)
     loaded = np.zeros(1 << n_qubits, dtype=complex)
     for sub, value in enumerate(unit):
@@ -315,14 +356,69 @@ def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
         except PostSelectionError:
             with pytest.raises(PostSelectionError):
                 run_from_zero(n_qubits, ops, select=plan)
-            return
-    selected, probs = run_from_zero(n_qubits, ops, select=plan)
+            return None
+    circuit_plan = plan_circuit(ZeroState(n_qubits), ops, plan)
+    selected, probs = apply_circuit(circuit_plan, ops)
     assert list(probs) == list(ref_probs)
-    for q, p in probs.items():
-        assert abs(p - ref_probs[q]) <= 1e-12
+    atol, p_atols = _selection_bounds(len(ops) + len(plan), ref_probs.values())
+    for (q, p), p_atol in zip(probs.items(), p_atols):
+        assert abs(p - ref_probs[q]) <= p_atol
     assert selected.n_qubits == n_qubits - len(plan)
-    np.testing.assert_allclose(selected.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(selected.amplitudes, ref.amplitudes[_kept(n_qubits, plan)], rtol=0, atol=atol)
     assert abs(selected.norm_factor - ref.norm_factor) <= 1e-12 * scale
+    return circuit_plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuits_from_zero())
+def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
+    _check_from_zero(*circuit)
+
+
+@st.composite
+def _real_circuits_from_zero(draw):
+    """A circuit for |0...0> of gates that keep its amplitudes real, and a selection.
+
+    A PREP onto a random subset of the qubits, then H, X, RY and MCX with
+    controls of either polarity, and BLOCKs whose flag is selected onto 0
+    right after them. The flags are the lowest qubits, one per BLOCK: no
+    other gate targets a flag, though any may control on it, so each holds
+    0 until its BLOCK and is the first qubit selected there. The other
+    qubits are loaded, targeted, controlled or never touched, and the
+    selection spans a random subset of them on either value.
+    """
+    n_qubits = draw(st.integers(1, 7))
+    flags = range(draw(st.integers(0, min(2, n_qubits - 1))))
+    others = list(range(len(flags), n_qubits))
+    loaded = draw(st.permutations(others))[: draw(st.integers(1, len(others)))]
+    vector = draw(st.lists(st.floats(-1.0, 1.0), min_size=1 << len(loaded), max_size=1 << len(loaded))
+                  .filter(lambda v: any(v)))
+
+    def controls(free):
+        chosen = draw(st.lists(st.sampled_from(free), unique=True, max_size=len(free))) if free else []
+        return tuple(chosen), tuple(draw(st.lists(st.integers(0, 1), min_size=len(chosen), max_size=len(chosen))))
+
+    ops = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind, target = draw(st.sampled_from(("H", "X", "RY", "MCX"))), draw(st.sampled_from(others))
+        params = (draw(_angle),) if kind == "RY" else ()
+        ops.append(GateOp(kind, (target,), *controls([q for q in range(n_qubits) if q != target]), params=params))
+    for flag in flags:
+        values = tuple(draw(st.permutations(others))[: draw(st.integers(0, len(others)))])
+        k = draw(st.lists(_coefficient, min_size=1 << len(values), max_size=1 << len(values)))
+        free = [q for q in range(n_qubits) if q != flag and q not in values]
+        ops.insert(draw(st.integers(0, len(ops))), GateOp("BLOCK", values + (flag,), *controls(free), params=k))
+    ops.insert(0, GateOp("PREP", tuple(loaded), params=vector))
+    planned = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    return n_qubits, ops, {**dict.fromkeys(flags, 0), **{q: draw(st.integers(0, 1)) for q in planned}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_real_circuits_from_zero())
+def test_apply_of_a_real_circuit_matches_reference_on_float64_amplitudes(circuit):
+    circuit_plan = _check_from_zero(*circuit)
+    if circuit_plan is not None:
+        assert circuit_plan.dtype == np.float64
 
 
 @st.composite
@@ -416,4 +512,19 @@ def test_selected_block_on_a_flag_at_zero_runs_no_phases_and_no_drop(monkeypatch
 def test_random_circuits_draw_every_gate_kind(kind):
     # a new gate kind must reach the apply-versus-reference properties above
     find(_circuits_from_zero(), lambda case: any(op.kind == kind for op in case[1]),
+         settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))
+
+
+@pytest.mark.parametrize("tag", ["1q", "mcx", "select", "drop", "known"])
+def test_random_real_circuits_reach_every_step_of_a_real_plan(tag):
+    # a fused drop is a Hadamard or RY right before its selection
+    def reaches(case):
+        n_qubits, ops, plan = case
+        try:
+            steps = plan_circuit(ZeroState(n_qubits), ops, plan).steps
+        except PostSelectionError:  # a qubit that holds 0 selected onto 1
+            return False
+        return any(t == tag and (t != "drop" or i is not None) for t, i, _ in steps)
+
+    find(_real_circuits_from_zero(), reaches,
          settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy
 from qlbm.errors import ConfigurationError, PostSelectionError
 import qlbm
+import qlbm.solver
+from qlbm.lattice import D1Q2, D1Q3, D2Q5, CavitySpec
 from qlbm.statevector import (
     MAX_SHOTS,
     QuantumState,
@@ -287,6 +289,102 @@ def test_apply_rejects_gates_of_another_structure_than_the_plan(ops):
     plan = plan_circuit(ZeroState(2), [GateOp("H", (0,)), GateOp("H", (1,), (0,), (1,))])
     with pytest.raises(ConfigurationError, match="structure"):
         apply_circuit(plan, ops)
+
+
+# ---------------------------------------------------------------------------
+# the amplitude dtype: float64 where every gate keeps the amplitudes real
+# ---------------------------------------------------------------------------
+
+
+def _real_case(rng):
+    """A PREP, real single-qubit gates, an MCX of mixed polarity and a BLOCK selected at once: a real plan."""
+    return [
+        GateOp("PREP", (0, 1, 2), params=rng.uniform(-1.0, 1.0, 8)),
+        GateOp("H", (0,)),
+        GateOp("RY", (1,), (2,), (0,), (rng.uniform(-3, 3),)),
+        GateOp("X", (3,), (0,), (1,)),
+        GateOp("MCX", (2,), (0, 3), (1, 0)),
+        GateOp("BLOCK", (1, 2, 4), (0,), (1,), rng.uniform(-0.9, 0.9, 4)),
+        GateOp("H", (1,)),
+    ]
+
+
+_REAL_SELECT = {4: 0, 1: 0}
+
+# each one more gate turns a real plan complex: a BLOCK on a flag that is not
+# selected at once runs as [[k, i s], [i s, k]] on the flag's two halves
+_COMPLEX_GATES = {
+    "DIAG": GateOp("DIAG", (0, 3), params=(0.1, 0.2, -0.3, 0.4)),
+    "RZ": GateOp("RZ", (2,), params=(0.5,)),
+    "PHASE": GateOp("PHASE", (0,), (3,), (1,), (0.6,)),
+    "GPHASE": GateOp("GPHASE", (), params=(0.7,)),
+    "BLOCK-unselected": GateOp("BLOCK", (0, 5), params=(0.3, -0.8)),
+}
+
+
+@pytest.mark.parametrize("select", [_REAL_SELECT, None], ids=["selected", "full"])
+def test_a_plan_is_real_only_when_every_gate_keeps_the_amplitudes_real(select):
+    ops = _real_case(np.random.default_rng(31))
+    plan = plan_circuit(ZeroState(6), ops, select)
+    # without its selection the BLOCK runs on its flag's two halves
+    assert plan.dtype == (np.float64 if select else np.complex128)
+    for name, gate in _COMPLEX_GATES.items():
+        for at in (1, len(ops)):
+            assert plan_circuit(ZeroState(6), ops[:at] + [gate] + ops[at:], select).dtype == np.complex128, (name, at)
+    # a BLOCK skipped on a control that holds the other value runs nothing
+    skipped = GateOp("BLOCK", (0, 6), (5,), (1,), (0.3, -0.8))
+    assert plan_circuit(ZeroState(7), ops + [skipped], select).dtype == plan.dtype
+
+
+@pytest.mark.parametrize("select", [_REAL_SELECT, None], ids=["selected", "full"])
+@pytest.mark.parametrize("extra", [None, *_COMPLEX_GATES], ids=str)
+def test_a_plan_keeps_its_dtype_on_other_parameters_and_returns_complex128(extra, select):
+    rngs = np.random.default_rng(32), np.random.default_rng(33)
+    runs = [_real_case(rng) + ([] if extra is None else [_COMPLEX_GATES[extra]]) for rng in rngs]
+    plan = plan_circuit(ZeroState(6), runs[0], select)
+    dtype = plan.dtype
+    for ops in runs:
+        assert plan_circuit(ZeroState(6), ops, select).dtype == dtype
+        out = apply_circuit(plan, ops)
+        state = out if select is None else out[0]
+        assert plan.dtype == dtype and state.amplitudes.dtype == np.complex128
+        assert state.amplitudes.size == 1 << (6 - len(select or ()))
+        fresh = run_from_zero(6, ops, select)
+        np.testing.assert_array_equal(state.amplitudes, (fresh if select is None else fresh[0]).amplitudes)
+
+
+def _kernel_dtypes(monkeypatch, run):
+    """The dtypes of the arrays every MCX kernel call of ``run()`` saw."""
+    seen = set()
+    mcx = qlbm._kernels.apply_mcx
+
+    def spy(amps, *args):
+        seen.add(amps.dtype)
+        mcx(amps, *args)
+
+    monkeypatch.setattr(qlbm._kernels, "apply_mcx", spy)
+    run()
+    return seen
+
+
+@pytest.mark.parametrize("scheme", [D1Q2, D1Q3, D2Q5], ids=lambda s: s.name)
+@pytest.mark.parametrize("backend", ["statevector", "sampling"])
+def test_transport_runs_real_on_the_statevector_backend_and_complex_when_sampling(monkeypatch, scheme, backend):
+    # the sampling backend keeps its BLOCKs unselected, so their i s stays in the state
+    real = backend == "statevector"
+    assert qlbm.solver._transport(scheme, 4, backend).plan.dtype == (np.float64 if real else np.complex128)
+    field = np.full((4,) * scheme.dimension, 0.1)
+    field[(1,) * scheme.dimension] = 0.3
+    velocity = (0.1,) * scheme.dimension
+    run = lambda: qlbm.solver.run_advection_diffusion(scheme, field, velocity, 2, backend=backend, shots=64)
+    assert _kernel_dtypes(monkeypatch, run) == {np.dtype(np.float64 if real else np.complex128)}
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_both_cavity_jobs_run_real(monkeypatch, variant):
+    assert [job.plan.dtype for job in qlbm.solver._cavity_jobs(variant, 4)] == [np.float64] * 2
+    run = lambda: qlbm.solver.run_cavity(CavitySpec(n=4, lid_velocity=0.7, steps=2), variant=variant)
+    assert _kernel_dtypes(monkeypatch, run) == {np.dtype(np.float64)}
 
 
 # ---------------------------------------------------------------------------
