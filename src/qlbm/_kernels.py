@@ -48,10 +48,10 @@ def halves(n, target, controls):
 
 
 def diag_layout(n, qpos, controls):
-    """Index of the controlled view, and the axis order and shape that fit a diagonal's phases to it.
+    """Index of the controlled view, and the axis order and shape that fit a BLOCK's coefficients to it.
 
-    Phase k of the diagonal belongs where bit b of k is bit ``qpos[b]`` of
-    the amplitude index. Axis j of ``phases.reshape((2,) * m)`` carries bit
+    Coefficient k belongs where bit b of k is bit ``qpos[b]`` of the
+    amplitude index. Axis j of ``values.reshape((2,) * m)`` carries bit
     ``qpos[m - 1 - j]``; ``order`` sorts the axes by descending bit like the
     view, and ``shape`` gives every other free bit a broadcast axis of length 1.
     """
@@ -86,8 +86,7 @@ def apply_phase(amps, shape, i1, phase):
 def apply_diag(amps, shape, index, factor):
     """Multiply the controlled view by ``factor``, shaped by :func:`diag_layout` to broadcast over it.
 
-    ``factor`` is a DIAG's phasors, or the coefficients of a BLOCK selected
-    on its flag.
+    ``factor`` is the coefficients of a BLOCK selected on its flag.
     """
     sub = amps.reshape(shape)[index]
     sub *= factor

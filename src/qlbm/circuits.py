@@ -78,15 +78,14 @@ __all__ = [
     "unit_amplitudes",
 ]
 
-# (target count, parameter count) per kind; DIAG and PREP take any number of
-# targets and one parameter per basis state of them, BLOCK one per basis
-# state of its targets but the last
+# (target count, parameter count) per kind; PREP takes any number of targets
+# and one parameter per basis state of them, BLOCK at least two and one per
+# basis state of its targets but the last
 _GATE_SHAPES = {
     "H": (1, 0), "X": (1, 0), "MCX": (1, 0),
     "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1),
-    "GPHASE": (0, 1),
 }
-_ARRAY_KINDS = frozenset({"DIAG", "PREP", "BLOCK"})  # params held as a read-only float64 array
+_ARRAY_KINDS = frozenset({"PREP", "BLOCK"})  # params held as a read-only float64 array
 GATE_KINDS = frozenset(_GATE_SHAPES) | _ARRAY_KINDS
 _BITS = frozenset((0, 1))
 
@@ -100,19 +99,19 @@ class GateOp:
 
     Controls apply to every kind but PREP. ``control_values`` holds the
     required bit (0 or 1) per control qubit. Parameters are angles except
-    for PREP and BLOCK. DIAG carries one phase per basis state of its
-    targets (targets[0] least significant). PREP loads a real vector onto
-    targets that are all |0>, normalized by :func:`unit_amplitudes`; its
-    parameter is that vector, one entry per basis state of the targets.
-    BLOCK is a block encoding: its targets are value qubits and then a flag,
-    and its parameter ``k`` holds one coefficient per basis state of the
-    value qubits. On value index j it applies ``[[k, i s], [i s, k]]`` to the
-    flag, with ``s = sqrt(1 - k[j]^2)``, which is H on the flag, the DIAG of
-    phases ``+arccos(k)`` (flag 0) and ``-arccos(k)`` (flag 1), and H again;
+    for PREP and BLOCK. PREP loads a real vector onto targets that are all
+    |0>, normalized by :func:`unit_amplitudes`; its parameter is that
+    vector, one entry per basis state of the targets (targets[0] least
+    significant). BLOCK is a block encoding: its targets are one or more
+    value qubits and then a flag, and its parameter ``k`` holds one
+    coefficient per basis state of the value qubits. On value index j it
+    applies ``[[k, i s], [i s, k]]`` to the flag, with
+    ``s = sqrt(1 - k[j]^2)``, which is H on the flag, the diagonal of phases
+    ``+arccos(k)`` (flag 0) and ``-arccos(k)`` (flag 1), and H again;
     selecting flag 0 afterwards leaves the value amplitudes scaled by k.
     Each k must lie in [-1, 1], up to a float slop that is clipped away,
     else :class:`CoefficientRangeError`. Every other parameter but a PREP's
-    must be finite. DIAG, PREP and BLOCK hold theirs as a read-only float64
+    must be finite. PREP and BLOCK hold theirs as a read-only float64
     array: one that is already read-only and owns its memory, such as
     :func:`encoding_vector` returns, cannot change under the gate and is kept
     as it is; anything else, a tuple included, is copied.
@@ -132,6 +131,8 @@ class GateOp:
                 raise ConfigurationError(f"unknown gate kind {kind!r}")
             if not targets:
                 raise ConfigurationError(f"{kind} needs at least one target")
+            if kind == "BLOCK" and len(targets) == 1:
+                raise ConfigurationError("BLOCK needs at least one value qubit besides its flag")
             shape = (len(targets), 1 << (len(targets) - (kind == "BLOCK")))
         if kind in _ARRAY_KINDS:
             if kind == "PREP" and controls:
@@ -150,11 +151,7 @@ class GateOp:
                 f"got {len(targets)} and {len(self.params)}"
             )
         # a PREP's vector is checked where it is loaded, by unit_amplitudes, as an EncodingError
-        if kind == "DIAG":
-            finite = np.isfinite(self.params).all()
-        else:
-            finite = kind in ("PREP", "BLOCK") or all(map(math.isfinite, self.params))
-        if not finite:
+        if not (kind in _ARRAY_KINDS or all(map(math.isfinite, self.params))):
             raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
         if kind == "BLOCK":
             _check_coefficients(self)  # its range check rejects a NaN or infinity too
@@ -184,7 +181,7 @@ class GateOp:
         return self.params == other.params
 
     def __hash__(self):
-        # an array has no hash, so DIAG, PREP and BLOCK leave it out; equal gates still hash equal
+        # an array has no hash, so PREP and BLOCK leave it out; equal gates still hash equal
         return hash(self._key() + (None if self.kind in _ARRAY_KINDS else self.params,))
 
     @property
@@ -648,10 +645,10 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   a program of their own, run before the core and again after it;
 # - a uniformly-controlled rotation: one gray-code ladder per control count
 #   (:func:`_ladder_program`), every rotation open. A PREP chains one ladder
-#   per target; a diagonal runs the ladder of each RZ stage its level walk
-#   finds present;
+#   per target;
 # - an uncontrolled single-qubit gate: one open row;
-# - a BLOCK: the programs of its diagonal between two H rows on the flag.
+# - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
+#   that the level walk of its diagonal finds present.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -723,16 +720,14 @@ _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _diagonal(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """The qubits and phases of a diagonal gate, its controls folded into the diagonal.
+    """The qubits and phases of a BLOCK's diagonal, its controls folded into the diagonal.
 
-    A DIAG's phases are its own. A BLOCK's lowering runs the diagonal of
-    phases +arccos(k) on flag 0 and -arccos(k) on flag 1 between Hadamards on
-    the flag, which need no control, as they cancel where the diagonal is idle.
+    A BLOCK's lowering runs the diagonal of phases +arccos(k) on flag 0 and
+    -arccos(k) on flag 1 between Hadamards on the flag, which need no
+    control, as they cancel where the diagonal is idle.
     """
-    phases = op.params
-    if op.kind == "BLOCK":
-        theta = np.arccos(phases)
-        phases = np.concatenate([theta, -theta])
+    theta = np.arccos(op.params)
+    phases = np.concatenate([theta, -theta])
     if not op.controls:
         return op.targets, phases
     nc = len(op.controls)
@@ -742,15 +737,17 @@ def _diagonal(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     return op.targets + op.controls, merged
 
 
-def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Level walk of a diagonal: its two leaf phases and its present RZ stages.
+def _diag_stages(phases: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Level walk of a BLOCK's diagonal: its present RZ stages.
 
     Each level splits the phases into halves by their top index bit k. The
     mean of the halves passes down to the next level; their difference is
     the angle vector of the multiplexed RZ stage on slot k, which the lower
     slots control. A stage is present where the difference is not all zero.
     Stages come as ``(k, difference)`` pairs in lowering order, smallest k
-    first. The leaf phases give the global phase and the PHASE on slot 0.
+    first. The walk stops at slot 0, a value qubit below the flag, whose two
+    phases the flag's level has averaged to exactly 0 (each +arccos(k) with
+    its -arccos(k)): the lowering has no global phase and no PHASE.
     """
     stages = []
     while phases.size > 2:
@@ -761,7 +758,7 @@ def _diag_stages(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.nda
             stages.append((half.bit_length() - 1, diff))
         phases = (low + high) / 2.0
     stages.reverse()
-    return phases, stages
+    return stages
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
@@ -797,8 +794,7 @@ class SlotProgram(NamedTuple):
     The control slot is -1 for a single-qubit row; any other row is a CNOT.
     ``gates`` holds the ``(kind, params)`` of each single-qubit row in order,
     or ``None`` for a row whose kind and angle come from the gate being
-    lowered. Global phases, which touch no qubit, are no row of any program.
-    ``cnot`` and ``single_qubit`` count the rows.
+    lowered. ``cnot`` and ``single_qubit`` count the rows.
     """
 
     rows: tuple[tuple[int, int], ...]
@@ -907,40 +903,28 @@ def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
 def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...]]:
     """One gate's lowering, as the slot programs that describe it.
 
-    Returns the slot programs whose rows, run in order, are the lowering
-    less its global phases, and the qubit each slot stands for. A
-    multi-controlled core runs between two runs of the program of X gates on
-    its 0-polarity controls. Every program is cached per gate shape, and a
-    diagonal's stages come from its level walk, so no angle is computed.
+    Returns the slot programs whose rows, run in order, are the lowering,
+    and the qubit each slot stands for. A multi-controlled core runs between
+    two runs of the program of X gates on its 0-polarity controls. Every
+    program is cached per gate shape, and a BLOCK's stages come from the
+    level walk of its diagonal, so no angle is computed.
     """
     kind = op.kind
     if kind == "PREP":
         return (_prep_program(len(op.targets)),), op.targets
-    if kind == "GPHASE":
-        if op.controls:
-            raise ConfigurationError("controlled global phase is not supported")
-        return (), ()
-    if kind in ("DIAG", "BLOCK"):
+    if kind == "BLOCK":
         qubits, phases = _diagonal(op)
-        leaf, stages = _diag_stages(phases)
-        programs = [_ONE_ROW] if leaf[1] - leaf[0] else []
-        programs += [_ladder_program(k) for k, _ in stages]
-        if kind == "BLOCK":
-            flag = _hadamard_program(len(op.targets) - 1)
-            programs = [flag, *programs, flag]
-        return programs, qubits
+        flag = _hadamard_program(len(op.targets) - 1)
+        return [flag, *(_ladder_program(k) for k, _ in _diag_stages(phases)), flag], qubits
     if not op.controls and kind != "MCX":
         return (_ONE_ROW,), op.targets
     flips = _flip_program(op.control_values)
     return (flips, _core_program(kind, len(op.controls), op.params), flips), op.controls + op.targets
 
 
-def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
-    """The global phases that lead a gate's lowering, and the ``(kind, params)``
-    of its open rows, in the order :func:`slot_programs` runs them."""
+def _own_gates(op: GateOp) -> list[tuple[str, tuple]]:
+    """The ``(kind, params)`` of a gate's open rows, in the order :func:`slot_programs` runs them."""
     kind = op.kind
-    if kind == "GPHASE":
-        return [op], []
     if kind == "PREP":
         # signs enter only at the leaf stage (j = 0), whose angles use the
         # signed pair values; every higher stage rotates by branch norms
@@ -955,18 +939,12 @@ def _own_gates(op: GateOp) -> tuple[list[GateOp], list[tuple[str, tuple]]]:
                 lo = np.linalg.norm(halves[:, 0, :], axis=1)
                 hi = np.linalg.norm(halves[:, 1, :], axis=1)
             gates += (("RY", (angle,)) for angle in _ladder_angles(2.0 * np.arctan2(hi, lo)))
-        return [], gates
-    if kind in ("DIAG", "BLOCK"):
-        leaf, stages = _diag_stages(_diagonal(op)[1])
-        phases = [GateOp("GPHASE", (), params=(float(leaf[0]),))] if leaf[0] else []
-        delta = float(leaf[1] - leaf[0])
-        gates = [("PHASE", (delta,))] if delta else []
-        for _, diff in stages:
-            gates += (("RZ", (angle,)) for angle in _ladder_angles(diff))
-        return phases, gates
+        return gates
+    if kind == "BLOCK":
+        return [("RZ", (angle,)) for _, diff in _diag_stages(_diagonal(op)[1]) for angle in _ladder_angles(diff)]
     if not op.controls and kind != "MCX":
-        return [], [(kind, op.params)]
-    return [], []
+        return [(kind, op.params)]
+    return []
 
 
 def lower_op(op: GateOp) -> list[GateOp]:
@@ -978,8 +956,8 @@ def lower_op(op: GateOp) -> list[GateOp]:
     two agree.
     """
     programs, qubits = slot_programs(op)
-    ops, own = _own_gates(op)
-    own = iter(own)
+    own = iter(_own_gates(op))
+    ops = []
     for program in programs:
         gates = iter(program.gates)
         for t, c in program.rows:
@@ -1038,13 +1016,8 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
             arr = apply_ops_numpy(arr, lower_op(op), n_qubits)
             continue
         cmask, cval = _control_mask_val(op)
-        if op.kind == "GPHASE":
-            (theta,) = op.params
-            sel = (idx & cmask) == cval
-            arr[sel] *= np.exp(1j * theta)
-            continue
-        if op.kind in ("DIAG", "BLOCK"):
-            flag = [GateOp("H", op.targets[-1:])] if op.kind == "BLOCK" else []  # around a BLOCK's diagonal
+        if op.kind == "BLOCK":
+            flag = [GateOp("H", op.targets[-1:])]  # around its diagonal
             arr = apply_ops_numpy(arr, flag, n_qubits)
             qubits, phases = _diagonal(op)
             sub = np.zeros_like(idx)

@@ -10,17 +10,16 @@ angles depend on the gate are left open, and the counter never fills them.
 A multi-controlled gate's core program is written row by row by the
 square-root recursion, and runs between two runs of the program of X gates
 on its 0-polarity controls. Each encode section's one ``PREP`` gate has one
-program per qubit count, its rotation network. A diagonal's level walk
-tells which multiplexed-RZ stages are present, and each present stage
-replays one cached gray-code ladder.
+program per qubit count, its rotation network. A ``BLOCK``'s level walk
+tells which multiplexed-RZ stages of its diagonal are present, and each
+present stage replays one cached gray-code ladder.
 
 A gate's programs run on local copies of its qubits' layer counts and
 ready times, which are written back once the gate is done. So the 64 x 64
 combined circuit, about a million gates after lowering, is counted on
 Python ints and floats. Depth is the length of the longest per-qubit
 dependency chain. Runtime replaces unit layers with per-gate durations on
-the same chains, adding them in the order of the lowered gates. Global-phase
-bookkeeping gates touch no qubits and are excluded from every count. Section
+the same chains, adding them in the order of the lowered gates. Section
 tallies follow the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair

@@ -92,6 +92,7 @@ from .statevector import (
     apply_circuit,
     fidelity_from_histogram,
     plan_circuit,
+    require_seed,
     require_shots,
     sample,
 )
@@ -303,11 +304,12 @@ def run_advection_diffusion(
     if not np.all(np.isfinite(np.asarray(velocity, dtype=float))):
         raise ConfigurationError(f"velocity must be finite, got {velocity}")
     field = np.asarray(field0, dtype=float)
-    extent = field.shape[0]
-    if field.shape != (extent,) * scheme.dimension:
+    if field.ndim != scheme.dimension or len(set(field.shape)) != 1:
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
+    extent = field.shape[0]
     if backend == "sampling":
         require_shots(shots)
+        require_seed(seed)
         if np.any(field < 0):
             raise EncodingError("the sampling backend cannot recover negative field values")
     setup = _transport(scheme, extent, backend)
@@ -457,6 +459,7 @@ def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | Non
         raise ConfigurationError(f"need at least one trial, got {trials!r}")
     for shots in shots_list:
         require_shots(shots, "each shot count")
+    require_seed(seed)
     if len(set(shots_list)) < 2:
         raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {list(shots_list)}")
     state = state or reference_sweep_state()

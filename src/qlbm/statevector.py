@@ -25,10 +25,10 @@ the gate structure and the selection alone. So a circuit runs in two parts:
 strided-view kernels in :mod:`qlbm._kernels` and nothing of any gate's
 parameters; :func:`apply_circuit` replays the plan on gates of the same
 structure and reads every parameter from the gates it runs: it loads each
-PREP's vector, fits each BLOCK's coefficients and each DIAG's phasors to
-their views, and computes each single-qubit matrix and phase. A solver
-plans each job shape once per process and replays the plan per job, which
-pays where one process runs many jobs of one shape.
+PREP's vector, fits each BLOCK's coefficients to their views, and computes
+each single-qubit matrix and phase. A solver plans each job shape once per
+process and replays the plan per job, which pays where one process runs
+many jobs of one shape.
 
 The amplitude array's dtype is structure too, fixed by the plan: float64
 when every gate keeps real amplitudes real, else complex128. Every solver
@@ -62,6 +62,7 @@ __all__ = [
     "postselect",
     "postselect_many",
     "require_shots",
+    "require_seed",
     "sample",
     "fidelity_from_histogram",
 ]
@@ -116,8 +117,8 @@ class CircuitPlan:
     every decision of the loop taken: where qubits enter and leave the
     amplitude array, which gates are skipped, and each kernel's view shape
     and indices. A plan holds structure only: no amplitudes, and no gate's
-    parameters nor anything computed from them. So a DIAG or BLOCK step holds
-    how to fit its gate's per-basis-state parameters to its view, and a
+    parameters nor anything computed from them. So a BLOCK step holds how to
+    fit its gate's per-basis-state coefficients to its view, and a
     single-qubit step holds no matrix.
     ``n_qubits`` is the state's qubit count and ``kept`` the count left
     after the selection, if ``selecting``. ``dtype`` is the amplitude
@@ -142,12 +143,11 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     unit vector goes straight into place; onto an empty array it is the new
     array. Its targets must still be outside the array, so in |0>: a PREP
     onto a qubit that an earlier gate made enter raises
-    :class:`ConfigurationError`. Any other qubit enters in |0>. A diagonal
-    gate lets no qubit enter: on a qubit that holds 0 it applies its phases
-    at that qubit's 0. A BLOCK lets none of its value qubits enter, as it is
-    diagonal on them; unless the selection below applies, its flag enters
-    in |0> if it holds 0, and ``[[k, i s], [i s, k]]`` runs on the flag's
-    two halves. A control on a known qubit is dropped when the value
+    :class:`ConfigurationError`. Any other qubit enters in |0>, but none
+    that a PHASE or BLOCK is diagonal on: on a qubit that holds 0 either
+    applies its phase or coefficients at that qubit's 0. Unless the
+    selection below applies, a BLOCK's flag enters in |0> if it holds 0, and
+    ``[[k, i s], [i s, k]]`` runs on the flag's two halves. A control on a known qubit is dropped when the value
     matches, and the gate is skipped when it does not. A qubit that no gate
     made enter and no selection planned enters in |0> at the end, so the
     returned state holds every qubit not selected.
@@ -176,7 +176,7 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     ops = list(ops)
     last = dict.fromkeys(wanted, -1)
     for i, op in enumerate(ops):
-        if op.qubits and max(op.qubits) >= n_qubits:
+        if max(op.qubits) >= n_qubits:
             raise ConfigurationError(f"{op.kind} on qubit {max(op.qubits)} is outside a {n_qubits}-qubit state")
         for q in op.targets:
             if q in last:
@@ -229,8 +229,6 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         drop(q)
     for i, op in enumerate(ops):
         kind = op.kind
-        if kind == "GPHASE" and op.controls:
-            raise ConfigurationError("controlled global phase is not supported")
         chosen = due.get(i, ())
         live = []  # controls on qubits in the array
         for q, v in zip(op.controls, op.control_values):
@@ -249,9 +247,6 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
                 enter("load", i, op.targets)
             elif kind == "PHASE" and entering:
                 pass  # diag(1, e^{i theta}) on a qubit that holds 0
-            elif kind == "DIAG":
-                index, fit = view(op.targets, live)
-                steps.append(("diag", i, ((2,) * len(bits), index, fit)))
             elif kind == "BLOCK":
                 *values, flag = op.targets
                 if flag in known and chosen and chosen[0] == flag and wanted[flag] == 0:
@@ -269,9 +264,6 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
                 for q in entering:
                     enter("enter", None, (q,))
                 n = len(bits)
-                if kind == "GPHASE":
-                    steps.append(("gphase", i, ()))
-                    continue
                 i0, i1 = _kernels.halves(n, bit_of[op.targets[0]], [(bit_of[q], v) for q, v in live])
                 if kind == "MCX":
                     steps.append(("mcx", i, ((2,) * n, i0, i1)))
@@ -298,10 +290,10 @@ def apply_circuit(plan: CircuitPlan, ops):
     ``ops`` must have the structure the plan was made from, else
     :class:`ConfigurationError`; their parameters may differ. A PREP
     writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
-    and multiplies the norm factor by the norm it was scaled from. A DIAG's
-    phasors and a BLOCK's coefficients are fitted to their views from the
-    gate's own parameters, such as those of a BLOCK rebuilt per job, and so
-    is each single-qubit gate's matrix or phase. Each selection raises
+    and multiplies the norm factor by the norm it was scaled from. A BLOCK's
+    coefficients are fitted to their views from the gate's own parameters,
+    such as those of a BLOCK rebuilt per job, and each single-qubit gate's
+    matrix or phase is computed from its own angle. Each selection raises
     :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. The
     array runs at the plan's dtype; on a real plan every single-qubit
     matrix and fused drop row is real and runs as its real part.
@@ -319,9 +311,6 @@ def apply_circuit(plan: CircuitPlan, ops):
     for tag, i, args in plan.steps:
         if tag == "mcx":
             _kernels.apply_mcx(amps, *args)
-        elif tag == "diag":
-            shape, index, fit = args
-            _kernels.apply_diag(amps, shape, index, _phasor(ops[i].params, *fit))
         elif tag == "select":
             shape, index, fit, q = args
             _kernels.apply_diag(amps, shape, index, _fitted(ops[i].params, *fit))
@@ -348,10 +337,8 @@ def apply_circuit(plan: CircuitPlan, ops):
             probs[args[0]] = 1.0
         elif tag == "1q":
             _kernels.apply_1q(amps, *args, *_matrix_1q(ops[i], real).ravel())
-        elif tag == "phase":
-            _kernels.apply_phase(amps, *args, _phase(ops[i]))
-        else:  # "gphase"
-            amps *= _phase(ops[i])
+        else:  # "phase"
+            _kernels.apply_phase(amps, *args, np.exp(1j * ops[i].params[0]))
     if not plan.selecting:
         return QuantumState(plan.n_qubits, amps, norm)
     return QuantumState(plan.kept, amps, norm), probs
@@ -377,10 +364,6 @@ def _bit(value, name: str) -> int:
     return int(value)
 
 
-def _phase(op):
-    return np.exp(1j * op.params[0])
-
-
 def _matrix_1q(op, real: bool) -> np.ndarray:
     """A single-qubit gate's matrix, as its real part on a real plan (every 1q gate there is real)."""
     matrix = gate_matrix_1q(op)
@@ -395,11 +378,6 @@ def _fitted(values: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray
     and broadcast shape of :func:`~qlbm._kernels.diag_layout`.
     """
     return values.reshape(dshape)[fix].reshape(mshape).transpose(order).reshape(shape)
-
-
-def _phasor(phases: np.ndarray, *fit) -> np.ndarray:
-    """e^{i phases} of a diagonal, fitted to its view like :func:`_fitted`."""
-    return np.exp(1j * _fitted(phases, *fit))
 
 
 def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.ndarray:
@@ -506,9 +484,16 @@ def require_shots(shots, name: str = "shots") -> int:
     return int(shots)
 
 
+def require_seed(seed) -> int:
+    """``seed`` as an int >= 0 (numpy integers count, bools do not), else :class:`ConfigurationError`."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     """Draw measurement counts with a counter-based generator (reproducible)."""
-    shots = require_shots(shots)
+    shots, seed = require_shots(shots), require_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     p = state.probabilities()
     total = p.sum()

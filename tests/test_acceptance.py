@@ -209,8 +209,8 @@ def test_criterion_6_lowering_preserves_unitaries():
     for m in (3, 4, 5):
         op = GateOp("MCX", (m,), tuple(range(m)), (1,) * m)
         cases.append((f"mcx-{m}", [op], lower_op(op), m + 1, None))
-    diag = GateOp("DIAG", (0, 1, 2), params=tuple(rng.uniform(-3, 3, 8)))
-    cases.append(("diag-3q", [diag], lower_op(diag), 3, None))
+    block = GateOp("BLOCK", (0, 1, 2), (3,), (1,), params=rng.uniform(-1, 1, 4))
+    cases.append(("controlled-block-3q", [block], lower_op(block), 4, None))
 
     # whole pipelines
     field = np.full(8, 0.1)

@@ -44,7 +44,7 @@ from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
 from qlbm.resources import build_comparison_circuits, count_resources
 
-from prepared_state import load_ops, run_from_zero
+from prepared_state import random_load, run_from_zero
 
 # ---------------------------------------------------------------------------
 # dense reference, independent of the module's application paths
@@ -61,19 +61,6 @@ def _dense_op(op: GateOp, n_qubits: int) -> np.ndarray:
     """Matrix of one gate, built directly from the definition."""
     dim = 1 << n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
-    if op.kind == "DIAG":
-        phases = np.asarray(op.params)
-        for i in range(dim):
-            if all(((i >> q) & 1) == v for q, v in zip(op.controls, op.control_values)):
-                sub = 0
-                for pos, q in enumerate(op.targets):
-                    sub |= ((i >> q) & 1) << pos
-                mat[i, i] = np.exp(1j * phases[sub])
-            else:
-                mat[i, i] = 1.0
-        return mat
-    if op.kind == "GPHASE":
-        return np.exp(1j * op.params[0]) * np.eye(dim)
     if op.kind == "BLOCK":
         *values, flag = op.targets
         for i in range(dim):
@@ -119,9 +106,14 @@ def _assert_unitary_equal(ops_a, ops_b, n_qubits, atol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def test_gate_op_rejects_unknown_kind():
+@pytest.mark.parametrize("kind, targets, params", [
+    ("CZ", (0,), ()),
+    ("DIAG", (0, 1), (0.1, 0.2, 0.3, 0.4)),  # no builder emits a diagonal of its own
+    ("GPHASE", (), (0.3,)),  # nor a global phase, nor does any lowering
+])
+def test_gate_op_rejects_unknown_kind(kind, targets, params):
     with pytest.raises(ConfigurationError, match="unknown gate kind"):
-        GateOp("CZ", (0,))
+        GateOp(kind, targets, params=params)
 
 
 def test_gate_op_rejects_unpaired_controls():
@@ -143,14 +135,10 @@ def test_gate_op_rejects_overlapping_qubits():
     ("MCX", (0, 1), ()),           # would lower, run and count as targets[0] only
     ("H", (0, 1), ()),
     ("X", (), ()),
-    ("GPHASE", (0,), (0.3,)),
-    ("GPHASE", (), ()),
     ("RY", (0,), ()),
     ("RZ", (0,), (0.1, 0.2)),
     ("MCX", (0,), (0.5,)),
     ("BLOCK", (0, 1), (0.1, 0.2, 0.3, 0.4)),  # one coefficient per value index: two here
-    ("DIAG", (0, 1), (0.1, 0.2)),
-    ("DIAG", (), (0.1,)),
     ("PREP", (0, 1), (0.1, 0.2, 0.3)),
 ])
 def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
@@ -159,12 +147,9 @@ def test_gate_op_rejects_wrong_target_or_parameter_count(kind, targets, params):
 
 
 @pytest.mark.parametrize("kind, targets, params", [
-    ("DIAG", (0,), [math.nan, 0.0]),
-    ("DIAG", (1, 0), [0.0, math.inf, 0.0, 0.0]),
     ("RY", (0,), (math.nan,)),
     ("RZ", (0,), (-math.inf,)),
     ("PHASE", (0,), (math.inf,)),
-    ("GPHASE", (), (math.nan,)),
 ])
 def test_gate_op_rejects_non_finite_parameters(kind, targets, params):
     # a PREP's vector is checked when it is loaded or lowered, as an EncodingError
@@ -381,9 +366,8 @@ def test_block_matches_its_lowering_and_the_dense_reference(controls, values):
     lowered = lower_op(op)
     assert lowered[0] == lowered[-1] == GateOp("H", (3,))
     np.testing.assert_allclose(circuit_unitary(lowered, 5), dense, rtol=0, atol=1e-10)
-    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    amps /= np.linalg.norm(amps)
-    out = run_from_zero(5, load_ops(amps) + [op]).amplitudes
+    load, amps = random_load(5, len(controls) + 7 * sum(values))
+    out = run_from_zero(5, load + [op]).amplitudes
     np.testing.assert_allclose(out, dense @ amps, rtol=0, atol=1e-12)
 
 
@@ -537,7 +521,6 @@ def test_prep_gates_compare_by_value_and_hold_a_read_only_copy():
     assert a == b and hash(a) == hash(b)
     assert a != GateOp("PREP", (0, 1), params=vector[::-1])
     assert a != GateOp("PREP", (1, 0), params=vector)
-    assert a != GateOp("DIAG", (0, 1), params=tuple(vector))
     assert [a] == [b] and a in {b}
     vector[0] = 9.0  # the gate keeps its own copy
     assert a.params[0] == 0.5 and a.params.dtype == np.float64
@@ -552,14 +535,14 @@ def test_prep_gates_compare_by_value_and_hold_a_read_only_copy():
     assert GateOp("PREP", (0, 1), params=view).params is not view
 
 
-def test_diag_gates_hold_read_only_phases_and_compare_by_value():
-    phases = np.array([0.1, -0.2, 0.3, 0.4])
-    a = GateOp("DIAG", (0, 1), params=phases)
-    b = GateOp("DIAG", (0, 1), params=tuple(phases))
+def test_block_gates_hold_read_only_coefficients_and_compare_by_value():
+    k = np.array([0.1, -0.2, 0.3, 0.4])
+    a = GateOp("BLOCK", (0, 1, 2), params=k)
+    b = GateOp("BLOCK", (0, 1, 2), params=tuple(k))
     assert a == b and hash(a) == hash(b) and a in {b}
-    assert a != GateOp("DIAG", (0, 1), params=phases[::-1])
-    assert a != GateOp("DIAG", (0, 1), (2,), (1,), params=phases)
-    phases[0] = 9.0  # a writable caller array is copied
+    assert a != GateOp("BLOCK", (0, 1, 2), params=k[::-1])
+    assert a != GateOp("BLOCK", (0, 1, 2), (3,), (1,), params=k)
+    k[0] = 0.9  # a writable caller array is copied
     assert a.params[0] == 0.1 and a.params.dtype == np.float64
     with pytest.raises(ValueError):
         a.params[0] = 1.0
@@ -570,15 +553,18 @@ def test_diag_gates_hold_read_only_phases_and_compare_by_value():
         assert block.kind == "BLOCK" and not block.params.flags.writeable and block.params.base is None
 
 
-@pytest.mark.parametrize("params, match", [
-    (np.ones((4, 1)), "flat vector"),
-    (np.ones((2, 2)), "flat vector"),
-    (np.ones(3), "parameter"),
-    (np.ones(8), "parameter"),
+@pytest.mark.parametrize("targets, params, match", [
+    ((0, 1, 2), np.ones((4, 1)), "flat vector"),
+    ((0, 1, 2), np.ones((2, 2)), "flat vector"),
+    ((0, 1, 2), np.ones(3), "parameter"),
+    ((0, 1, 2), np.ones(8), "parameter"),
+    # a flag alone: its lowering would need a global phase and a PHASE on the flag
+    ((0,), np.ones(1), "value qubit"),
+    ((), np.ones(1), "at least one target"),
 ])
-def test_diag_rejects_malformed_phase_arrays(params, match):
+def test_block_rejects_malformed_gates(targets, params, match):
     with pytest.raises(ConfigurationError, match=match):
-        GateOp("DIAG", (0, 1), params=params)
+        GateOp("BLOCK", targets, params=params)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -627,10 +613,9 @@ def test_apply_ops_numpy_matches_dense_reference():
     ops = [
         GateOp("H", (0,)),
         GateOp("RY", (1,), controls=(0,), control_values=(1,), params=(0.7,)),
-        GateOp("DIAG", (0, 2), controls=(1,), control_values=(0,), params=tuple(rng.uniform(-2, 2, 4))),
+        GateOp("BLOCK", (0, 2), controls=(1,), control_values=(0,), params=rng.uniform(-1, 1, 2)),
         GateOp("MCX", (2,), (0, 1), (1, 0)),
         GateOp("PHASE", (2,), params=(0.3,)),
-        GateOp("GPHASE", (), params=(0.11,)),
     ]
     np.testing.assert_allclose(circuit_unitary(ops, 3), _dense_circuit(ops, 3), atol=1e-12)
 
@@ -684,20 +669,25 @@ def test_controlled_1q_lowering_random_unitary():
     np.testing.assert_allclose(circuit_unitary(ops, 2), expected, atol=1e-12)
 
 
-def test_diag_lowering_is_exact_with_expected_cnots():
+def test_block_lowering_is_exact_with_expected_cnots():
+    # the flag's level averages each +arccos(k) with its -arccos(k) to 0, so
+    # only the flag's RZ stage (slot 2: 4 CNOTs, 4 RZ) sits between the two H
     rng = np.random.default_rng(13)
-    op = GateOp("DIAG", (0, 1, 2), params=tuple(rng.uniform(-3, 3, 8)))
+    op = GateOp("BLOCK", (0, 1, 2), params=rng.uniform(-1, 1, 4))
     low = lower_op(op)
-    assert _cnot_count(low) == 2**3 - 2
+    assert (_cnot_count(low), len(low) - _cnot_count(low)) == (4, 4 + 2)
     np.testing.assert_allclose(circuit_unitary(low, 3), _dense_op(op, 3), atol=1e-12)
 
 
-def test_controlled_diag_merges_controls_into_larger_diag():
+def test_controlled_block_merges_controls_into_larger_diag():
+    # qubits 0, 3, 1, 2 on slots 0-3: the RZ stages of the flag (slot 1) and
+    # of both controls (slots 2, 3) cost 2 + 4 + 8 CNOTs and as many RZ
     rng = np.random.default_rng(14)
-    op = GateOp("DIAG", (0,), controls=(1, 2), control_values=(1, 0), params=tuple(rng.uniform(-1, 1, 2)))
+    op = GateOp("BLOCK", (0, 3), controls=(1, 2), control_values=(1, 0), params=rng.uniform(-1, 1, 2))
     low = lower_op(op)
-    assert all(o.kind in ("RZ", "GPHASE", "PHASE") or (o.kind == "MCX" and len(o.controls) == 1) for o in low)
-    np.testing.assert_allclose(circuit_unitary(low, 3), _dense_op(op, 3), atol=1e-12)
+    assert all(o.kind in ("H", "RZ") or (o.kind == "MCX" and len(o.controls) == 1) for o in low)
+    assert (_cnot_count(low), len(low) - _cnot_count(low)) == (14, 14 + 2)
+    np.testing.assert_allclose(circuit_unitary(low, 4), _dense_op(op, 4), atol=1e-12)
 
 
 def test_multi_controlled_ry_lowering():
@@ -714,7 +704,7 @@ def test_lower_circuit_produces_only_basis_gates():
         if op.kind == "MCX":
             assert len(op.controls) == 1 and op.control_values == (1,)
         else:
-            assert op.kind in ("H", "X", "RY", "RZ", "PHASE", "GPHASE")
+            assert op.kind in ("H", "X", "RY", "RZ", "PHASE")
             assert not op.controls
 
 
@@ -750,7 +740,7 @@ def test_lowered_sections_keep_order_and_names():
 def _is_basis(op: GateOp) -> bool:
     if op.controls:
         return op.kind == "MCX" and len(op.controls) == 1 and op.control_values == (1,)
-    return op.kind in ("H", "X", "RY", "RZ", "PHASE", "GPHASE")
+    return op.kind in ("H", "X", "RY", "RZ", "PHASE")
 
 
 def _naive_lowered(circ: CircuitIR) -> list:
@@ -805,9 +795,8 @@ def test_sections_cover_every_gate_once_and_count_like_the_naive_expansion(name)
         assert stops[-1] == len(c.gates)
     tally = {}
     for sec, op in _naive_lowered(circ):
-        if op.targets:  # a global phase touches no qubit and is not counted
-            cnot, single = tally.get(sec, (0, 0))
-            tally[sec] = (cnot + 1, single) if op.controls else (cnot, single + 1)
+        cnot, single = tally.get(sec, (0, 0))
+        tally[sec] = (cnot + 1, single) if op.controls else (cnot, single + 1)
     for rep in (count_resources(circ, name), count_resources(low, name)):
         assert {sec: (t.cnot, t.single_qubit) for sec, t in rep.sections.items()} == tally
     assert count_resources(low, name).depth == count_resources(circ, name).depth
@@ -843,18 +832,6 @@ def test_templated_lowering_of_mixed_polarity_controls_is_exact(index):
     np.testing.assert_allclose(circuit_unitary(lowered, 7), _dense_op(op, 7), atol=1e-10)
 
 
-def test_lower_op_rejects_controlled_global_phase():
-    op = GateOp("GPHASE", (), (0,), (1,), (0.3,))
-    circ = CircuitIR(RegisterLayout(n_r0=1, n_a=0))
-    circ.add_section("body", [op])
-    with pytest.raises(ConfigurationError, match="controlled global phase"):
-        lower_op(op)
-    with pytest.raises(ConfigurationError, match="controlled global phase"):
-        list(iter_lowered(circ))
-    with pytest.raises(ConfigurationError, match="controlled global phase"):
-        lower_circuit(circ)
-
-
 def _lowering_digest(circ: CircuitIR) -> str:
     """sha256 of the lowered gates, every parameter by its float bits."""
     h = hashlib.sha256()
@@ -878,7 +855,7 @@ _FROZEN_LOWERING = {
 
 
 def test_lowering_matches_the_frozen_gates_bit_for_bit():
-    # every PREP, DIAG, MCX and controlled rotation the builders emit, angles to the last bit
+    # every PREP, BLOCK, MCX and H the builders emit, angles to the last bit
     circuits = build_comparison_circuits(2)
     circuits["advection-d2q5"] = build_advection_diffusion_circuit(D2Q5, 4, np.arange(1.0, 17.0) / 16.0, (0.1, -0.05))
     assert {name: _lowering_digest(circ) for name, circ in circuits.items()} == _FROZEN_LOWERING
@@ -924,13 +901,10 @@ def test_simulator_runs_lowered_pipeline_like_the_reference(name):
     assert n <= 8
     lowered = lower_circuit(circ)
     # the body on random amplitudes
-    rng = np.random.default_rng(3)
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    amps /= np.linalg.norm(amps)
+    load, amps = random_load(n, 3)
     body = circ.gates[1:]
     low_body = lowered.section_ops([name for name, _, _ in lowered.sections[1:]])
     reference = apply_ops_numpy(amps, body, n)
-    load = load_ops(amps)
     direct = run_from_zero(n, load + body).amplitudes
     low = run_from_zero(n, load + low_body).amplitudes
     np.testing.assert_allclose(direct, reference, rtol=0, atol=1e-10)

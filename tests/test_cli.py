@@ -322,8 +322,11 @@ def test_fidelity_rejects_inverted_shot_range(tmp_path, capsys):
     (["advdiff", "--extent", "12"], "--extent"),
     (["advdiff", "--impulse-value", "nan"], "--impulse-value"),
     (["advdiff", "--background", "inf"], "--background"),
+    (["fidelity", "--seed", "-1"], "seed"),
+    (["advdiff", "--backend", "sampling", "--seed", "-8000"], "seed"),
 ], ids=["velocity", "impulse-site", "extents", "shots-min-exp", "shots-max-exp", "one-shot-count", "shots",
-        "negative-extent", "extent-not-power-of-two", "impulse-value", "background"])
+        "negative-extent", "extent-not-power-of-two", "impulse-value", "background", "fidelity-seed",
+        "sampling-seed"])
 def test_malformed_flag_value_is_config_error(tmp_path, capsys, argv, flag):
     code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2

@@ -3,10 +3,11 @@ reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
 
 MCX is a permutation, so it must match exactly; the others to rounding.
 ``apply_circuit`` runs from a ``ZeroState``, where each qubit enters the
-array at its first gate; a random state is loaded by a PREP and DIAG in
-front of the gates. With a selection it must agree with the reference run
-in full followed by ``postselect`` in the order the selection was carried
-out, also when one ``plan_circuit`` plan is replayed on fresh parameters.
+array at its first gate; a random complex state is loaded by a PREP and
+per-qubit RZ and PHASE gates in front of the gates. With a selection it
+must agree with the reference run in full followed by ``postselect`` in the
+order the selection was carried out, also when one ``plan_circuit`` plan is
+replayed on fresh parameters.
 The random circuits draw every gate kind. A BLOCK runs on its two halves
 when its flag is in the array or stays unselected; on a flag that holds 0
 and is selected right after it, it scales the value amplitudes by k.
@@ -25,10 +26,10 @@ import qlbm.circuits
 import qlbm.statevector
 from qlbm import _kernels
 from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
-from qlbm.errors import ConfigurationError, PostSelectionError
+from qlbm.errors import PostSelectionError
 from qlbm.statevector import QuantumState, ZeroState, apply_circuit, plan_circuit, postselect
 
-from prepared_state import load_ops, run_from_zero
+from prepared_state import random_load, run_from_zero
 
 
 def _random_state(n_qubits, seed):
@@ -42,11 +43,6 @@ def _apply_kernel(amps, op):
     n = amps.size.bit_length() - 1
     shape = (2,) * n
     controls = list(zip(op.controls, op.control_values))
-    if op.kind == "DIAG":
-        index, order, fit = _kernels.diag_layout(n, list(op.targets), controls)
-        phasor = np.exp(1j * np.asarray(op.params)).reshape((2,) * len(op.targets)).transpose(order).reshape(fit)
-        _kernels.apply_diag(amps, shape, index, phasor)
-        return
     if op.kind == "BLOCK":
         *values, flag = op.targets
         i0, order, fit = _kernels.diag_layout(n, values, controls + [(flag, 0)])
@@ -92,48 +88,57 @@ def test_apply_phase_twins_agree(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_apply_diag_twins_agree(seed):
-    angles = np.random.default_rng(100 + seed).uniform(-np.pi, np.pi, 8)
-    op = GateOp("DIAG", (1, 3, 6), (4,), (1,), params=tuple(angles))
-    _check_against_reference(op, 7, seed, atol=1e-15)
+def test_apply_diag_twins_a_block_on_a_flag_that_holds_0_projected_onto_0(seed):
+    # the kernel of a BLOCK selected at once: on a flag that holds 0, the
+    # flag-0 half the BLOCK leaves is the value amplitudes times k
+    n, values, flag = 7, (1, 3, 6), 5
+    k = np.random.default_rng(100 + seed).uniform(-1.0, 1.0, 8)
+    op = GateOp("BLOCK", values + (flag,), (4,), (1,), params=k)
+    state = _random_state(n, seed)
+    held = ((np.arange(1 << n) >> flag) & 1) == 0
+    state[~held] = 0.0
+    out = state.copy()
+    index, order, fit = _kernels.diag_layout(n, list(values), [(4, 1), (flag, 0)])
+    _kernels.apply_diag(out, (2,) * n, index, k.reshape((2,) * len(values)).transpose(order).reshape(fit))
+    ref = apply_ops_numpy(state, [op], n)
+    ref[~held] = 0.0
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
 
 def _op_of_kind(kind, targets, controls=(), control_values=()):
-    if kind == "DIAG":
-        angles = np.linspace(-2.5, 3.0, 1 << len(targets))
-        return GateOp("DIAG", targets, controls, control_values, params=tuple(angles))
     if kind == "BLOCK":  # value qubits targets[:-1], flag targets[-1]; a wall site (k = 0) among them
         return GateOp("BLOCK", targets, controls, control_values, params=np.linspace(0.0, -0.9, 1 << (len(targets) - 1)))
     params = {"PHASE": (1.1,), "RY": (0.9,)}
     return GateOp(kind, targets[:1], controls, control_values, params=params.get(kind, ()))
 
 
-@pytest.mark.parametrize("kind", ["RY", "MCX", "PHASE", "DIAG", "BLOCK"])
+@pytest.mark.parametrize("kind", ["RY", "MCX", "PHASE", "BLOCK"])
 def test_kernel_on_gate_covering_every_qubit(kind):
     # target plus controls fix every axis: the sub-views are 0-d and must
     # still be written through, not returned as detached scalars
-    targets = (2, 0) if kind in ("DIAG", "BLOCK") else (1,)
-    controls = (1,) if kind in ("DIAG", "BLOCK") else (2, 0)
+    targets = (2, 0) if kind == "BLOCK" else (1,)
+    controls = (1,) if kind == "BLOCK" else (2, 0)
     _check_against_reference(_op_of_kind(kind, targets, controls, (1,) * len(controls)), 3, 11)
     _check_against_reference(_op_of_kind(kind, targets, controls, (0,) * len(controls)), 3, 12)
 
 
-@pytest.mark.parametrize("kind", ["H", "MCX", "PHASE", "DIAG", "BLOCK"])
+@pytest.mark.parametrize("kind", ["H", "MCX", "PHASE"])
 def test_kernel_on_one_qubit(kind):
     _check_against_reference(_op_of_kind(kind, (0,)), 1, 5)
 
 
-@pytest.mark.parametrize("kind", ["X", "MCX", "PHASE", "DIAG", "BLOCK"])
+@pytest.mark.parametrize("kind", ["X", "MCX", "PHASE", "BLOCK"])
 def test_kernel_with_zero_polarity_controls(kind):
     _check_against_reference(_op_of_kind(kind, (1, 4), (5, 0, 2), (0, 0, 0)), 6, 21)
     _check_against_reference(_op_of_kind(kind, (3, 1), (0, 4), (0, 1)), 6, 22)
 
 
-def test_diag_with_unsorted_qubits_and_one_control_like_the_cavity():
-    # the cavity's collision diagonal spans 14 of 16 qubits under one control
-    order = np.random.default_rng(3).permutation([q for q in range(16) if q not in (6, 11)])
-    angles = np.random.default_rng(4).uniform(-np.pi, np.pi, 1 << 14)
-    op = GateOp("DIAG", tuple(int(q) for q in order), (11,), (0,), params=tuple(angles))
+def test_block_with_unsorted_qubits_and_one_control_like_the_cavity():
+    # the single cavity circuit's vorticity collision: 13 value qubits and
+    # the ancilla flag of 16 qubits, under one control; value qubits unsorted
+    order = np.random.default_rng(3).permutation([q for q in range(16) if q not in (6, 11, 15)])
+    k = np.random.default_rng(4).uniform(-1.0, 1.0, 1 << 13)
+    op = GateOp("BLOCK", (*(int(q) for q in order), 15), (11,), (0,), params=k)
     _check_against_reference(op, 16, 8)
 
 
@@ -162,24 +167,23 @@ def test_active_backend_reports_a_known_name():
 
 
 _angle = st.floats(-np.pi, np.pi, allow_nan=False)
-# BLOCK coefficients away from 0 and +/-1, where the reference's H.DIAG.H
+# BLOCK coefficients away from 0 and +/-1, where the reference's H, diagonal, H
 # rounds relative to k and to sqrt(1 - k^2) alike, so a selection of small
 # probability cannot amplify its rounding past the tolerances below
 _coefficient = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
 
 
 @st.composite
-def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE", "PREP"}))):
-    kind = draw(st.sampled_from(kinds))
+def _gate_ops(draw, n_qubits):
+    # a BLOCK needs a value qubit besides its flag
+    kind = draw(st.sampled_from(sorted(GATE_KINDS - {"PREP"} - ({"BLOCK"} if n_qubits == 1 else set()))))
     qubits = draw(st.permutations(range(n_qubits)))
-    n_targets = draw(st.integers(1, n_qubits)) if kind in ("DIAG", "BLOCK") else 1
+    n_targets = draw(st.integers(2, n_qubits)) if kind == "BLOCK" else 1
     n_controls = draw(st.integers(0, n_qubits - n_targets))
     targets = tuple(qubits[:n_targets])
     controls = tuple(qubits[n_targets : n_targets + n_controls])
     values = tuple(draw(st.lists(st.integers(0, 1), min_size=n_controls, max_size=n_controls)))
-    if kind == "DIAG":
-        params = draw(st.lists(_angle, min_size=1 << n_targets, max_size=1 << n_targets))
-    elif kind == "BLOCK":
+    if kind == "BLOCK":
         params = draw(st.lists(_coefficient, min_size=1 << (n_targets - 1), max_size=1 << (n_targets - 1)))
     elif kind in ("RY", "RZ", "PHASE"):
         params = [draw(_angle)]
@@ -191,28 +195,16 @@ def _gate_ops(draw, n_qubits, kinds=tuple(sorted(GATE_KINDS - {"GPHASE", "PREP"}
 @st.composite
 def _circuits(draw, max_qubits=6):
     n_qubits = draw(st.integers(1, max_qubits))
-    ops = draw(st.lists(_gate_ops(n_qubits), max_size=12))
-    if draw(st.booleans()):  # an uncontrolled global phase somewhere in the list
-        ops.insert(draw(st.integers(0, len(ops))), GateOp("GPHASE", (), params=(draw(_angle),)))
-    return n_qubits, ops
+    return n_qubits, draw(st.lists(_gate_ops(n_qubits), max_size=12))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_circuits(), st.integers(0, 2**16))
 def test_apply_circuit_matches_reference_on_random_gates(circuit, seed):
     n_qubits, ops = circuit
-    state = _random_state(n_qubits, seed)
-    out = run_from_zero(n_qubits, load_ops(state) + ops).amplitudes
+    load, state = random_load(n_qubits, seed)
+    out = run_from_zero(n_qubits, load + ops).amplitudes
     np.testing.assert_allclose(out, apply_ops_numpy(state, ops, n_qubits), rtol=0, atol=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)), st.integers(0, 1))))
-def test_apply_circuit_rejects_controlled_global_phase(drawn):
-    n_qubits, qubits, value = drawn
-    op = GateOp("GPHASE", (), (qubits[0],), (value,), params=(0.4,))
-    with pytest.raises(ConfigurationError):
-        run_from_zero(n_qubits, [op])
 
 
 @st.composite
@@ -237,13 +229,13 @@ def _kept(n_qubits, plan):
 
 
 def _new_payload(ops, rng):
-    """``ops`` with fresh parameters: new DIAG phases, BLOCK coefficients and RY / RZ / PHASE / GPHASE angles, the rest as they are."""
+    """``ops`` with fresh parameters: new BLOCK coefficients and RY / RZ / PHASE angles, the rest as they are."""
     fresh = []
     for op in ops:
         if op.kind == "BLOCK":
             k = rng.uniform(0.05, 0.95, len(op.params)) * rng.choice([-1.0, 1.0], len(op.params))
             op = GateOp(op.kind, op.targets, op.controls, op.control_values, params=k)
-        elif op.kind in ("DIAG", "RY", "RZ", "PHASE", "GPHASE"):
+        elif op.kind in ("RY", "RZ", "PHASE"):
             op = GateOp(op.kind, op.targets, op.controls, op.control_values,
                         params=tuple(rng.uniform(-np.pi, np.pi, len(op.params))))
         fresh.append(op)
@@ -254,15 +246,14 @@ def _new_payload(ops, rng):
 @given(_selected_circuits(), st.integers(0, 2**16))
 def test_selecting_apply_matches_reference_then_postselect(circuit, seed):
     # one plan, replayed on the gates it was made from and then on two fresh
-    # payloads of the same structure: loaded state, DIAG phases and angles
+    # payloads of the same structure: loaded state, coefficients and angles
     n_qubits, ops, plan = circuit
     rng = np.random.default_rng(seed)
-    runs = [(_random_state(n_qubits, seed), ops)]
-    runs += [(_random_state(n_qubits, seed + k), _new_payload(ops, rng)) for k in (1, 2)]
-    planned = load_ops(runs[0][0], 1.7) + ops
-    circuit_plan = plan_circuit(ZeroState(n_qubits), planned, plan)
-    for k, (amps, body) in enumerate(runs):
-        out, probs = apply_circuit(circuit_plan, planned if k == 0 else load_ops(amps, 1.7) + body)
+    runs = [(*random_load(n_qubits, seed, 1.7), ops)]
+    runs += [(*random_load(n_qubits, seed + k, 1.7), _new_payload(ops, rng)) for k in (1, 2)]
+    circuit_plan = plan_circuit(ZeroState(n_qubits), runs[0][0] + ops, plan)
+    for load, amps, body in runs:
+        out, probs = apply_circuit(circuit_plan, load + body)
         ref = QuantumState(n_qubits, apply_ops_numpy(amps, body, n_qubits), 1.7)
         assert sorted(probs) == sorted(plan)
         for q, p in probs.items():
@@ -279,7 +270,7 @@ def _circuits_from_zero(draw):
 
     Every other qubit first appears where the random gates put it: as the
     target of a single-qubit gate with or without controls or of an MCX,
-    inside a DIAG, as a control of either polarity, or never. The plan spans
+    inside a BLOCK, as a control of either polarity, or never. The plan spans
     a random subset, never-targeted qubits on value 0 and on value 1 among them.
     """
     n_qubits, ops = draw(_circuits(max_qubits=7))
@@ -404,7 +395,7 @@ def _real_circuits_from_zero(draw):
         params = (draw(_angle),) if kind == "RY" else ()
         ops.append(GateOp(kind, (target,), *controls([q for q in range(n_qubits) if q != target]), params=params))
     for flag in flags:
-        values = tuple(draw(st.permutations(others))[: draw(st.integers(0, len(others)))])
+        values = tuple(draw(st.permutations(others))[: draw(st.integers(1, len(others)))])
         k = draw(st.lists(_coefficient, min_size=1 << len(values), max_size=1 << len(values)))
         free = [q for q in range(n_qubits) if q != flag and q not in values]
         ops.insert(draw(st.integers(0, len(ops))), GateOp("BLOCK", values + (flag,), *controls(free), params=k))
@@ -425,19 +416,19 @@ def test_apply_of_a_real_circuit_matches_reference_on_float64_amplitudes(circuit
 def _blocks_on_a_flag_at_zero(draw):
     """A PREP onto every qubit but a flag, one BLOCK into that flag, and a selection of flag 0.
 
-    The BLOCK's value qubits and controls (of either polarity) are random
-    subsets of the loaded qubits; its coefficients include the wall
+    The BLOCK's value qubits, at least one, and controls (of either
+    polarity) are random subsets of the loaded qubits; its coefficients include the wall
     projector's 0 and 1. The selection may hold other qubits too.
     """
-    n_qubits = draw(st.integers(1, 6))
+    n_qubits = draw(st.integers(2, 6))
     qubits = draw(st.permutations(range(n_qubits)))
     flag, loaded = qubits[0], tuple(qubits[1:])
-    n_values = draw(st.integers(0, len(loaded)))
+    n_values = draw(st.integers(1, len(loaded)))
     n_controls = draw(st.integers(0, len(loaded) - n_values))
     values, controls = loaded[:n_values], loaded[n_values : n_values + n_controls]
     polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=n_controls, max_size=n_controls)))
     k = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1.0, -1.0]), min_size=1 << n_values, max_size=1 << n_values))
-    others = draw(st.lists(st.sampled_from(loaded), unique=True)) if loaded else []
+    others = draw(st.lists(st.sampled_from(loaded), unique=True))
     select = {flag: 0, **{q: draw(st.integers(0, 1)) for q in others}}
     return n_qubits, values, flag, controls, polarity, k, select
 
@@ -450,7 +441,7 @@ def test_selected_block_on_a_flag_at_zero_scales_by_its_coefficients(case, seed)
     loaded = tuple(q for q in range(n_qubits) if q != flag)
     vector = rng.standard_normal(1 << len(loaded))
     block = GateOp("BLOCK", values + (flag,), controls, polarity, params=k)
-    ops = [GateOp("PREP", loaded, params=vector), block] if loaded else [block]
+    ops = [GateOp("PREP", loaded, params=vector), block]
     plan = plan_circuit(ZeroState(n_qubits), ops, select)
     # a control selected to the other value skips the gate; else the flag
     # is selected right after it, at once unless a value qubit below it goes first
@@ -466,7 +457,7 @@ def test_selected_block_on_a_flag_at_zero_scales_by_its_coefficients(case, seed)
     def index_of(qubits, at):
         return sum((((at >> q) & 1) << j for j, q in enumerate(qubits)), np.zeros_like(at))
 
-    unit = unit_amplitudes(vector)[0] if loaded else np.ones(1)
+    unit = unit_amplitudes(vector)[0]
     held = ((idx >> flag) & 1) == 0
     full = np.where(held, unit[index_of(loaded, idx)], 0.0).astype(complex)
     on = idx[held & np.all([((idx >> q) & 1) == v for q, v in zip(controls, polarity)], axis=0)]
@@ -498,8 +489,8 @@ def test_selected_block_on_a_flag_at_zero_runs_no_phases_and_no_drop(monkeypatch
     k = np.array([0.5, -0.25, 1.0, 0.0])
     ops = [GateOp("PREP", (0, 1, 2), params=np.arange(1.0, 9.0)), GateOp("BLOCK", (0, 2, 3), (1,), (0,), params=k)]
     with monkeypatch.context() as patch:
-        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.statevector, "_phasor"),
-                             (qlbm.circuits, "_diagonal"), (np, "exp"), (np, "arccos")):
+        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.circuits, "_diagonal"),
+                             (np, "exp"), (np, "arccos")):
             patch.setattr(module, name, refuse)
         selected, probs = run_from_zero(4, ops, select={3: 0})
     expected = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))

@@ -7,7 +7,7 @@ each public method or property of a public class: its name must appear as
 an attribute in that code. Dunders and dataclass-generated methods are
 exempt. And each defaulted parameter of a public function must be passed,
 by keyword or by position, in some call of that code to a function of its
-name.
+name. Likewise each gate kind is emitted by some builder or lowering.
 """
 
 import ast
@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 
 import qlbm
+from qlbm.circuits import GATE_KINDS, build_advection_diffusion_circuit, lower_circuit
+from qlbm.lattice import D1Q2, D1Q3, D2Q5
+from qlbm.resources import build_comparison_circuits
 
 # public names kept although no program code calls them, each for a reason
 _ALLOWED = {
@@ -132,3 +135,14 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
                     if (fn.name, param) not in passed and (fn.name, position) not in passed:
                         unpassed.add(f"{fn.name}.{param}")
     assert unpassed == set(_ALLOWED_DEFAULTS)
+
+
+def test_every_gate_kind_has_a_producer():
+    # a kind that no builder and no lowering emits is a branch of the
+    # simulator, the lowering and the dense reference that nothing runs
+    circuits = list(build_comparison_circuits(2).values())
+    for scheme in (D1Q2, D1Q3, D2Q5):
+        field = np.linspace(0.1, 1.0, 4 ** scheme.dimension).reshape((4,) * scheme.dimension)
+        circuits.append(build_advection_diffusion_circuit(scheme, 4, field, (0.1,) * scheme.dimension))
+    emitted = {op.kind for circ in circuits for c in (circ, lower_circuit(circ)) for op in c.gates}
+    assert emitted == GATE_KINDS

@@ -93,14 +93,14 @@ def test_count_parallel_gates_share_a_layer():
     assert rep.runtime_seconds == pytest.approx(_1Q + _CX)
 
 
-def test_count_excludes_global_phase():
+def test_count_gives_a_section_without_gates_no_tally():
     base = _tiny_circuit([GateOp("H", (0,))])
-    with_gp = _tiny_circuit([GateOp("H", (0,)), GateOp("GPHASE", (), params=(0.4,))])
-    with_gp.add_section("phase", [GateOp("GPHASE", (), params=(0.2,))])
+    with_empty = _tiny_circuit([GateOp("H", (0,))])
+    with_empty.add_section("empty", [])
     a = count_resources(base, "a")
-    b = count_resources(with_gp, "b")
+    b = count_resources(with_empty, "b")
     assert (a.cnot, a.single_qubit, a.depth) == (b.cnot, b.single_qubit, b.depth)
-    assert list(b.sections) == ["body"]  # a section of global phases alone gets no tally
+    assert list(b.sections) == ["body"]
 
 
 def test_count_lowers_toffoli_to_known_split():
@@ -127,13 +127,12 @@ def test_streamed_counts_match_materialized_lowering():
     rep = count_resources(circ, "advdiff")
 
     low = lower_circuit(circ)
-    counted = [op for op in low.gates if op.kind != "GPHASE"]
-    assert rep.cnot == sum(1 for op in counted if op.kind == "MCX")
-    assert rep.single_qubit == sum(1 for op in counted if op.kind != "MCX")
+    assert rep.cnot == sum(1 for op in low.gates if op.kind == "MCX")
+    assert rep.single_qubit == sum(1 for op in low.gates if op.kind != "MCX")
 
     # independent depth recomputation over the materialized list
     layers = np.zeros(circ.n_qubits, dtype=int)
-    for op in counted:
+    for op in low.gates:
         layer = max(layers[q] for q in op.qubits) + 1
         for q in op.qubits:
             layers[q] = layer
@@ -149,8 +148,6 @@ def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
     ready = [0.0] * circ.n_qubits
     cnot = single = 0
     for op in lower_circuit(circ).gates:
-        if op.kind == "GPHASE":
-            continue
         if op.kind == "MCX":
             cnot += 1
         else:
@@ -162,9 +159,8 @@ def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
     return cnot, single, max(layers), max(ready)
 
 
-# random floats never make a diagonal's level difference vanish; these do,
-# and so do the coefficients of a wall projector
-_FEW_PHASES = st.sampled_from([0.0, 0.5, -0.5])
+# random floats never make a BLOCK's RZ stages vanish; coefficients of 1
+# everywhere do, and these include the wall projector's
 _FEW_COEFFICIENTS = st.sampled_from([0.0, 1.0, -1.0])
 
 
@@ -175,25 +171,22 @@ def _controlled_gates(draw, max_controls=7):
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(sorted(GATE_KINDS)))
         qubits = draw(st.permutations(range(n)))
-        if kind == "GPHASE":
-            ops.append(GateOp("GPHASE", (), params=(draw(st.floats(-3, 3)),)))
-            continue
         if kind == "PREP":
             targets = tuple(qubits[: draw(st.integers(1, min(4, n)))])
             size = 1 << len(targets)
             vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size).filter(any))
             ops.append(GateOp("PREP", targets, params=vector))
             continue
-        n_targets = draw(st.integers(1, min(3, n))) if kind in ("DIAG", "BLOCK") else 1
+        n_targets = draw(st.integers(2, min(3, n))) if kind == "BLOCK" else 1
         m = draw(st.integers(0, min(n - n_targets, max_controls)))
         targets = tuple(qubits[:n_targets])
         controls = tuple(qubits[n_targets : n_targets + m])
         values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
-        n_params = {"MCX": 0, "H": 0, "X": 0, "DIAG": 1 << n_targets, "BLOCK": 1 << (n_targets - 1)}.get(kind, 1)
+        n_params = {"MCX": 0, "H": 0, "X": 0, "BLOCK": 1 << (n_targets - 1)}.get(kind, 1)
         if kind == "BLOCK":
             values_of = _FEW_COEFFICIENTS if draw(st.booleans()) else st.floats(-1, 1)
         else:
-            values_of = _FEW_PHASES if kind == "DIAG" and draw(st.booleans()) else st.floats(-3, 3)
+            values_of = st.floats(-3, 3)
         params = tuple(draw(st.lists(values_of, min_size=n_params, max_size=n_params)))
         ops.append(GateOp(kind, targets, controls, values, params))
     return n, ops
@@ -211,12 +204,12 @@ def test_counts_match_the_materialized_lowering_on_random_controlled_gates(case)
 @settings(max_examples=60, deadline=None)
 @given(_controlled_gates())
 def test_slot_programs_run_the_rows_of_the_lowering(case):
-    # slot for slot, the rows counted are the lowered gates less the global phases
+    # slot for slot, the rows counted are the lowered gates
     _, ops = case
     for op in ops:
         programs, qubits = slot_programs(op)
         counted = [(qubits[t], qubits[c] if c >= 0 else None) for program in programs for t, c in program.rows]
-        lowered = [low for low in lower_op(op) if low.kind != "GPHASE"]
+        lowered = lower_op(op)
         assert counted == [(low.targets[0], low.controls[0] if low.controls else None) for low in lowered]
         assert sum(program.cnot for program in programs) == sum(1 for low in lowered if low.controls)
         assert sum(program.single_qubit for program in programs) == sum(1 for low in lowered if not low.controls)
@@ -275,29 +268,25 @@ def test_counts_match_the_materialized_lowering_on_mcx_of_mixed_polarity(m):
         assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
 
 
-_TOP_FREE = [0.1, -0.7, 0.4, 2.0] * 2  # three targets, no dependence on the top one
-
-
-@pytest.mark.parametrize("targets, controls, values, phases, cnot, single", [
-    ((0, 1, 2), (), (), [0.0] * 8, 0, 0),
-    ((0, 1, 2), (3,), (0,), [0.0] * 8, 0, 0),
-    ((0, 1, 2), (), (), _TOP_FREE, 2, 3),  # the top stage is skipped: slot 1's ladder and the leaf PHASE
-    ((2, 0, 3), (1,), (1,), _TOP_FREE, 2 + 8, 3 + 8),  # the control's stage remains
-    ((1,), (), (), [0.3, 0.3], 0, 0),  # a global phase alone
-    ((1, 0), (), (), [0.5, 0.5, -0.5, -0.5], 2, 2),  # zero leaf delta: no PHASE, only the top stage
+# a BLOCK lowers to H on its flag, the RZ stages of its diagonal's level
+# walk, and H again; a stage on slot j costs 2^j CNOTs and 2^j RZ. The
+# flag's level averages each +arccos(k) with its -arccos(k) to 0, so no
+# value slot below it has a stage; the flag's slot and each control's slot
+# have one unless every k is 1 (every phase 0)
+@pytest.mark.parametrize("targets, controls, values, k, cnot, single", [
+    ((0, 1, 2), (), (), [1.0] * 4, 0, 2),  # no stage: the two H alone
+    ((0, 1, 2), (3,), (0,), [1.0] * 4, 0, 2),
+    ((0, 1, 2), (), (), [0.1, -0.7, 0.1, -0.7], 4, 4 + 2),  # the flag's stage on slot 2
+    ((0, 1, 2), (), (), [0.0, 1.0, 1.0, 0.0], 4, 4 + 2),  # a wall projector's coefficients
+    ((2, 0, 3), (1,), (1,), [0.1, -0.7, 0.4, 0.9], 4 + 8, 4 + 8 + 2),  # and the control's on slot 3
+    ((1, 2), (), (), [0.3, 0.3], 2, 2 + 2),  # one value qubit: no PHASE on its slot 0
 ])
-def test_counts_match_the_materialized_lowering_on_diagonals_with_vanishing_levels(
-        targets, controls, values, phases, cnot, single):
-    circ = _tiny_circuit([GateOp("H", (targets[0],)), GateOp("DIAG", targets, controls, values, phases)], n_qubits=4)
-    rep = count_resources(circ, "diag")
+def test_counts_match_the_materialized_lowering_on_blocks_with_vanishing_levels(
+        targets, controls, values, k, cnot, single):
+    circ = _tiny_circuit([GateOp("H", (targets[0],)), GateOp("BLOCK", targets, controls, values, k)], n_qubits=4)
+    rep = count_resources(circ, "block")
     assert (rep.cnot, rep.single_qubit - 1) == (cnot, single)
     assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
-
-
-def test_count_rejects_controlled_global_phase():
-    circ = _tiny_circuit([GateOp("GPHASE", (), (0,), (1,), (0.3,))])
-    with pytest.raises(ConfigurationError, match="controlled global phase"):
-        count_resources(circ, "gphase")
 
 
 # ---------------------------------------------------------------------------

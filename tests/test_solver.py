@@ -106,9 +106,11 @@ def test_advection_rejects_unknown_backend():
         run_advection_diffusion(D1Q2, np.ones(8), (0.0,), 1, backend="tensor")
 
 
-def test_advection_rejects_mismatched_field_shape():
+@pytest.mark.parametrize("scheme, field", [(D2Q5, np.ones(8)), (D2Q5, np.ones((4, 8))), (D1Q2, 0.5), (D2Q5, 0.5)],
+                         ids=["1d-for-d2q5", "not-square", "0d-for-d1q2", "0d-for-d2q5"])
+def test_advection_rejects_mismatched_field_shape(scheme, field):
     with pytest.raises(ConfigurationError, match="does not fit"):
-        run_advection_diffusion(D2Q5, np.ones(8), (0.0, 0.0), 1)
+        run_advection_diffusion(scheme, field, (0.0,) * scheme.dimension, 1)
 
 
 def test_advection_rejects_negative_steps():
@@ -772,6 +774,19 @@ def test_sampling_backend_requires_an_integral_shot_count(shots):
 def test_fidelity_sweep_needs_two_distinct_shot_counts(shots):
     with pytest.raises(ConfigurationError, match="two distinct shot counts"):
         fidelity_sweep(shots, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -8000, 2.5, True], ids=repr)
+def test_sampling_runs_reject_a_bad_seed_before_anything_runs(monkeypatch, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    for name in ("apply_circuit", "sample", "_transport", "reference_sweep_state"):
+        monkeypatch.setattr(qlbm.solver, name, refuse)
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        run_advection_diffusion(D1Q2, _impulse_field(D1Q2, 8), (0.1,), 1, backend="sampling", seed=seed)
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        fidelity_sweep([64, 256], 1, seed=seed)
 
 
 def test_fidelity_sweep_is_seed_deterministic():

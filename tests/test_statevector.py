@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy
+from qlbm.circuits import GATE_KINDS, GateOp
 from qlbm.errors import ConfigurationError, PostSelectionError
 import qlbm
 import qlbm.solver
@@ -23,7 +23,7 @@ from qlbm.statevector import (
     sample,
 )
 
-from prepared_state import load_ops, run_from_zero
+from prepared_state import run_from_zero
 
 
 def _basis_zero(n_qubits):
@@ -117,13 +117,6 @@ def test_apply_circuit_respects_control_polarity():
     np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
 
-def test_apply_circuit_global_phase():
-    amps = _random_state(3, 5).amplitudes
-    op = GateOp("GPHASE", (), params=(0.25,))
-    state = run_from_zero(3, load_ops(amps) + [op])
-    np.testing.assert_allclose(state.amplitudes, apply_ops_numpy(amps, [op], 3), atol=1e-15)
-
-
 def test_selecting_apply_drops_an_h_layer_into_a_block_sum():
     # H on every qubit, then qubits 1 and 2 selected to 0: each fused H and
     # selection halves the state, leaving qubit 0 in |+> with p = 1/2 twice
@@ -200,12 +193,12 @@ def test_the_top_level_names_alone_run_a_selecting_circuit():
 # ---------------------------------------------------------------------------
 
 
-def _diag_case(phases, angle, select):
-    """Hadamards, then a DIAG over an entered, a never-entered and a controlling qubit, and an RY."""
+def _block_case(k, angle, select):
+    """Hadamards, then a BLOCK on a never-entered and an entered value qubit, under a controlling qubit, and an RY."""
     ops = [
         GateOp("H", (0,)),
         GateOp("H", (1,)),
-        GateOp("DIAG", (2, 0, 3), (1,), (1,), params=phases),
+        GateOp("BLOCK", (2, 0, 3), (1,), (1,), params=k),
         GateOp("RY", (0,), params=(angle,)),
         GateOp("H", (1,)),
     ]
@@ -215,10 +208,10 @@ def _diag_case(phases, angle, select):
 @pytest.mark.parametrize("select", [None, {1: 0, 2: 0}], ids=["full", "selected"])
 def test_a_plan_replayed_on_other_parameters_matches_a_fresh_plan(select):
     # run on gates B of the same structure, the plan of gates A must give
-    # what B's own plan gives: B's matrices and phases, not A's
+    # what B's own plan gives: B's matrices and coefficients, not A's
     rng = np.random.default_rng(8)
-    ops_a, plan_a = _diag_case(rng.uniform(-3, 3, 8), 0.4, select)
-    ops_b, plan_b = _diag_case(rng.uniform(-3, 3, 8), 1.3, select)
+    ops_a, plan_a = _block_case(rng.uniform(-1, 1, 4), 0.4, select)
+    ops_b, plan_b = _block_case(rng.uniform(-1, 1, 4), 1.3, select)
 
     def run(plan, ops):
         out = apply_circuit(plan, ops)
@@ -240,9 +233,7 @@ def _every_kind(rng):
         GateOp("RY", (3,), params=(rng.uniform(-3, 3),)),
         GateOp("RZ", (0,), (2,), (1,), (rng.uniform(-3, 3),)),
         GateOp("X", (1,)),
-        GateOp("GPHASE", (), params=(rng.uniform(-3, 3),)),
         GateOp("MCX", (3,), (0, 1), (1, 0)),
-        GateOp("DIAG", (0, 1), params=rng.uniform(-3, 3, 4)),
         GateOp("BLOCK", (0, 4), params=rng.uniform(-1, 1, 2)),  # flag selected at once: a scaling by k
         GateOp("BLOCK", (1, 5), (2,), (0,), rng.uniform(-1, 1, 2)),  # flag kept: runs on its two halves
         GateOp("H", (3,)),  # selected right after: one contraction with its selection
@@ -266,7 +257,7 @@ def test_a_plan_holds_no_prep_vector():
     assert {op.kind for op in ops} == GATE_KINDS
     select = {3: 0, 4: 0}
     plan = plan_circuit(ZeroState(6), ops, select)
-    assert {tag for tag, _, _ in plan.steps} >= {"load", "1q", "phase", "gphase", "mcx", "diag", "select", "block", "drop"}
+    assert {tag for tag, _, _ in plan.steps} >= {"load", "1q", "phase", "mcx", "select", "block", "drop"}
     nodes = list(_nodes(plan.steps))
     assert not any(node is op.params for node in nodes for op in ops if len(op.params))  # () is one object
     assert {type(node) for node in nodes} <= {tuple, str, int, slice, type(None), type(Ellipsis)}
@@ -314,10 +305,9 @@ _REAL_SELECT = {4: 0, 1: 0}
 # each one more gate turns a real plan complex: a BLOCK on a flag that is not
 # selected at once runs as [[k, i s], [i s, k]] on the flag's two halves
 _COMPLEX_GATES = {
-    "DIAG": GateOp("DIAG", (0, 3), params=(0.1, 0.2, -0.3, 0.4)),
     "RZ": GateOp("RZ", (2,), params=(0.5,)),
+    "RZ-controlled": GateOp("RZ", (3,), (0,), (0,), (0.4,)),
     "PHASE": GateOp("PHASE", (0,), (3,), (1,), (0.6,)),
-    "GPHASE": GateOp("GPHASE", (), params=(0.7,)),
     "BLOCK-unselected": GateOp("BLOCK", (0, 5), params=(0.3, -0.8)),
 }
 
@@ -418,6 +408,17 @@ def test_sample_rejects_a_state_with_no_finite_probabilities(amplitudes):
     # rejected before the division that would warn and hand numpy NaN probabilities
     with pytest.raises(ConfigurationError, match="cannot sample"):
         sample(QuantumState(1, amplitudes), 10, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", None, True], ids=repr)
+def test_sample_requires_a_seed_that_is_an_integer_at_least_0(seed):
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        sample(QuantumState(1, [0.6, 0.8]), 10, seed)
+
+
+def test_sample_takes_a_numpy_integer_seed_like_an_int():
+    state = QuantumState(1, [0.6, 0.8])
+    np.testing.assert_array_equal(sample(state, 64, np.int64(5)).counts, sample(state, 64, 5).counts)
 
 
 def test_sample_takes_a_numpy_integer_shot_count_as_an_int():
