@@ -20,8 +20,9 @@ A single-qubit row holds its ``(kind, params)`` or is left open; the gate
 being lowered fills its open rows with its own angles. There is
 
 - one program per multi-controlled core, which the square-root recursion
-  writes row by row, run between two runs of the program of X gates on the
-  0-polarity controls;
+  assembles from small singly-controlled programs and the smaller core,
+  run between two runs of the program of X gates on the 0-polarity
+  controls;
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
 - one gray-code ladder per RZ stage of a diagonal. The level walk of
@@ -30,7 +31,9 @@ being lowered fills its open rows with its own angles. There is
   the BLOCK's diagonal.
 
 :func:`lower_op` replays the programs onto a gate's qubits and fills the
-open rows; the estimator replays the same programs and computes no angle.
+open rows. The estimator reads no row: it applies each program's cached
+longest-path transfer (:meth:`SlotProgram.longest_paths`), composed from
+the programs it is built from, and computes no angle.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -44,7 +47,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -632,20 +635,29 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # value 1; every other row is a single-qubit gate, whose ``(kind, params)``
 # the program holds, or leaves open as ``None`` when the kind and angle
 # depend on the gate being lowered. :func:`lower_op` replays a gate's
-# programs on its qubits and fills the open rows from :func:`_own_gates`;
-# the resource counter replays the same programs and never computes an angle.
+# programs on its qubits and fills the open rows from :func:`_own_gates`.
+# The resource counter reads no row and computes no angle: it applies each
+# program's longest-path transfer, a max-plus matrix over the slots
+# (Baccelli, Cohen, Olsder & Quadrat, Synchronization and Linearity, 1992),
+# cached per weights. Depth weighs every row 1; runtime weighs a row by its
+# duration, as an exact integer, so the runtime is the exact longest
+# duration path, rounded once. A program made of smaller ones keeps them as
+# its parts, and its transfer is their product; only a program written row
+# by row, a few rows long, is walked. Its rows are built from its parts'
+# when first read, which only the lowering does.
 #
 # There is one program per gate shape:
 #
 # - an MCX or controlled single-qubit gate: the all-ones-controls core of
 #   (kind, number of controls, params), with the controls on slots 0..m-1
-#   and the target on slot m. The recursion appends its rows to the core's
-#   program as it goes, and its inner MCX is the smaller cached core, whose
-#   slots are already the right ones. The X gates on 0-polarity controls are
-#   a program of their own, run before the core and again after it;
+#   and the target on slot m. Its parts are the recursion's singly-controlled
+#   chunks, each a program of its own rows, and its inner MCX, the smaller
+#   cached core, whose slots are already the right ones. The X gates on
+#   0-polarity controls are a program of their own, run before the core and
+#   again after it;
 # - a uniformly-controlled rotation: one gray-code ladder per control count
-#   (:func:`_ladder_program`), every rotation open. A PREP chains one ladder
-#   per target;
+#   (:func:`_ladder_program`), every rotation open, whose transfer has a
+#   closed form. A PREP's parts are one ladder per target;
 # - an uncontrolled single-qubit gate: one open row;
 # - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
 #   that the level walk of its diagonal finds present.
@@ -677,12 +689,13 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
-def _controlled_1q(u: np.ndarray, control: int, target: int, pairs: list, gates: list) -> None:
-    """Append a singly-controlled 2x2 unitary with two CNOTs (ABC decomposition) to a program's rows.
+def _controlled_1q(u: np.ndarray, control: int, target: int) -> SlotProgram:
+    """A singly-controlled 2x2 unitary with two CNOTs (ABC decomposition), as a program of its own rows.
 
     A rotation whose angle is zero is left out.
     """
     alpha, beta, gamma, delta = _zyz_angles(u)
+    pairs, gates = [], []
     for kind, slot, angle in (
         ("RZ", target, (delta - beta) / 2.0), ("MCX", control, None), ("RZ", target, -(delta + beta) / 2.0),
         ("RY", target, -gamma / 2.0), ("MCX", control, None), ("RY", target, gamma / 2.0),
@@ -693,6 +706,7 @@ def _controlled_1q(u: np.ndarray, control: int, target: int, pairs: list, gates:
         elif angle:
             pairs.append((slot, -1))
             gates.append((kind, (angle,)))
+    return SlotProgram(pairs, gates)
 
 
 _TOFFOLI_T = math.pi / 4.0
@@ -788,44 +802,147 @@ def _ladder_angles(angles: np.ndarray) -> list[float]:
     return (_fwht(angles) / angles.size)[rung ^ (rung >> 1)].tolist()
 
 
-class SlotProgram(NamedTuple):
+# a program's longest paths: one ``(slot i, (slot j, ...), (W_ij, ...))`` entry
+# per slot i its rows touch, each slot j that reaches it, both ascending
+LongestPaths = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+
+
+class SlotProgram:
     """One cached piece of a lowering: ``(target slot, control slot)`` per row.
 
     The control slot is -1 for a single-qubit row; any other row is a CNOT.
     ``gates`` holds the ``(kind, params)`` of each single-qubit row in order,
     or ``None`` for a row whose kind and angle come from the gate being
-    lowered. ``cnot`` and ``single_qubit`` count the rows.
+    lowered. ``cnot`` and ``single_qubit`` count the rows. A program is
+    written row by row, or is the gray-code ladder on slot ``ladder``, or is
+    made of smaller ones, its ``parts``: ``(program, slots)`` pairs whose
+    rows, run in order with slot i on ``slots[i]`` (``None``: on slot i),
+    are its rows. The rows and gates of the last two are built when first
+    read; the counter never reads them.
     """
 
-    rows: tuple[tuple[int, int], ...]
-    cnot: int
-    single_qubit: int
-    gates: tuple[tuple[str, tuple] | None, ...]
+    def __init__(self, rows=None, gates=(), *, parts=(), ladder: int | None = None):
+        self.parts: tuple[tuple[SlotProgram, tuple[int, ...] | None], ...] = tuple(parts)
+        self.ladder = ladder
+        self._paths: dict[tuple[int, int], LongestPaths] = {}
+        if rows is not None:
+            self.rows, self.gates = _shared(rows), tuple(gates)
+            self.cnot, self.single_qubit = len(self.rows) - len(self.gates), len(self.gates)
+        elif ladder:
+            self.cnot = self.single_qubit = 1 << ladder
+        else:
+            self.cnot = sum(program.cnot for program, _ in self.parts)
+            self.single_qubit = sum(program.single_qubit for program, _ in self.parts)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        if self.ladder:
+            k, last = self.ladder, (1 << self.ladder) - 1
+            flips = (((r + 1) & -(r + 1)).bit_length() - 1 for r in range(last))
+            return _shared(pair for flip in (*flips, k - 1) for pair in ((k, -1), (k, flip)))
+        return _shared(pair if slots is None else (slots[pair[0]], slots[pair[1]] if pair[1] >= 0 else -1)
+                       for program, slots in self.parts for pair in program.rows)
+
+    @functools.cached_property
+    def gates(self) -> tuple[tuple[str, tuple] | None, ...]:
+        if self.ladder:
+            return (None,) * self.single_qubit
+        return tuple(gate for program, _ in self.parts for gate in program.gates)
+
+    def longest_paths(self, w1: int, wx: int) -> LongestPaths:
+        """The max-plus transfer of the rows when a single-qubit row weighs w1 and a CNOT wx.
+
+        ``W_ij`` is the heaviest path through the rows from slot j's input to
+        slot i's output, so after the program slot i holds the largest
+        ``before[j] + W_ij``; a slot the rows leave untouched keeps its value.
+        With weights (1, 1) that is the depth; with gate durations, the
+        runtime. A ladder has a closed form; a program with parts composes
+        theirs; only a program written row by row, which is a few rows, is
+        walked. Cached per weights.
+        """
+        found = self._paths.get((w1, wx))
+        if found is None:
+            if self.ladder:
+                found = _ladder_paths(self.ladder, w1, wx)
+            else:
+                paths: dict[int, dict[int, int]] = {}
+                for program, slots in self.parts or ((self, None),):
+                    if program.parts or program.ladder:
+                        _chain(program.longest_paths(w1, wx), slots, paths)
+                    else:
+                        for t, c in program.rows:
+                            _chain(_row_paths(t, c, w1, wx), slots, paths)
+                found = tuple((i, *zip(*sorted(p.items()))) for i, p in sorted(paths.items()))
+            self._paths[w1, wx] = found
+        return found
 
 
-def _slot_program(pairs, gates) -> SlotProgram:
-    """The program of these slot pairs and single-qubit gates, equal pairs sharing one tuple."""
+def _shared(pairs) -> tuple[tuple[int, int], ...]:
+    """The slot pairs as a tuple, equal pairs sharing one tuple."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
-    pairs = tuple(shared.setdefault(pair, pair) for pair in pairs)
-    gates = tuple(gates)
-    return SlotProgram(pairs, len(pairs) - len(gates), len(gates), gates)
+    return tuple(shared.setdefault(pair, pair) for pair in pairs)
 
 
-_ONE_ROW = SlotProgram(((0, -1),), 0, 1, (None,))
+def _row_paths(t: int, c: int, w1: int, wx: int) -> LongestPaths:
+    """The longest paths through one row: a single-qubit gate on slot t, or a CNOT joining slots t and c."""
+    if c < 0:
+        return ((t, (t,), (w1,)),)
+    return ((t, (t, c), (wx, wx)), (c, (t, c), (wx, wx)))
 
 
-def _multi_controlled(u: np.ndarray, m: int, target: int, pairs: list, gates: list) -> None:
-    """Append C^m(U) on all-ones controls 0..m-1 (m >= 1) to a program's rows: the ancilla-free square-root recursion."""
+def _chain(transfer: LongestPaths, slots, paths: dict) -> None:
+    """Extend ``paths`` (slot -> {source slot: heaviest path}) through a program's longest paths.
+
+    The program's slot i stands for slot ``slots[i]`` of ``paths``.
+    """
+    done = {}
+    for i, sources, weights in transfer:
+        merged: dict[int, int] = {}
+        for j, w in zip(sources, weights):
+            if slots is not None:
+                j = slots[j]
+            for source, v in paths.get(j, {j: 0}).items():
+                v += w
+                if v > merged.get(source, -1):
+                    merged[source] = v
+        done[i if slots is None else slots[i]] = merged
+    paths.update(done)
+
+
+def _ladder_paths(k: int, w1: int, wx: int) -> LongestPaths:
+    """The longest paths through :func:`_ladder_program` (k >= 1), in closed form.
+
+    Every row acts on the target slot k, so the heaviest path from any slot
+    follows the target's chain from where it joins it. After rung r's CNOT
+    the target's path from itself weighs (r + 1)(w1 + wx), and from control
+    c, which first fires at rung 2^c - 1, wx + (r - 2^c + 1)(w1 + wx). A
+    control's output is the target's chain at the control's last rung,
+    2^k - 2^c - 1 (the wrap-round rung 2^k - 1 for c = k - 1); the target's
+    is the chain at the last rung. Every control has fired by then.
+    """
+    rung = w1 + wx
+    last = (1 << k) - 1
+    every = tuple(range(k + 1))
+    ends = (*(last - (1 << c) for c in range(k - 1)), last, last)
+    return tuple(
+        (i, every, (*(wx + (r - (1 << c) + 1) * rung for c in range(k)), (r + 1) * rung))
+        for i, r in enumerate(ends)
+    )
+
+
+_ONE_ROW = SlotProgram(((0, -1),), (None,))
+
+
+def _multi_controlled(u: np.ndarray, m: int, target: int, parts: list) -> None:
+    """Append C^m(U) on all-ones controls 0..m-1 (m >= 1) to a program's parts: the ancilla-free square-root recursion."""
     if m == 1:
-        _controlled_1q(u, 0, target, pairs, gates)
+        parts.append((_controlled_1q(u, 0, target), None))
         return
     v = _sqrt_2x2(u)
     mcx = _core_program("MCX", m - 1, ())  # C^{m-1}(X) from slots 0..m-2 onto slot m-1
     for w in (v, v.conj().T):
-        _controlled_1q(w, m - 1, target, pairs, gates)
-        pairs += mcx.rows
-        gates += mcx.gates
-    _multi_controlled(v, m - 1, target, pairs, gates)
+        parts += ((_controlled_1q(w, m - 1, target), None), (mcx, None))
+    _multi_controlled(v, m - 1, target, parts)
 
 
 @functools.lru_cache(maxsize=128)
@@ -836,22 +953,19 @@ def _core_program(kind: str, m: int, params: tuple) -> SlotProgram:
     """
     if kind == "MCX" and m == 2:
         rows = _TOFFOLI_ROWS
-        return _slot_program(((t, c) for _, t, c, _ in rows), ((k, p) for k, _, c, p in rows if c < 0))
-    pairs: list[tuple[int, int]] = []
-    gates: list[tuple[str, tuple]] = []
+        return SlotProgram(((t, c) for _, t, c, _ in rows), ((k, p) for k, _, c, p in rows if c < 0))
     if kind == "MCX" and m == 0:
-        pairs, gates = [(0, -1)], [("X", ())]
-    elif kind == "MCX" and m == 1:
-        pairs = [(1, 0)]
-    elif kind == "RZ" and m == 1:
+        return SlotProgram([(0, -1)], [("X", ())])
+    if kind == "MCX" and m == 1:
+        return SlotProgram([(1, 0)])
+    if kind == "RZ" and m == 1:
         # two-CNOT special case: half rotations cancel on the idle branch
         (theta,) = params
-        pairs = [(1, -1), (1, 0), (1, -1), (1, 0)]
-        gates = [("RZ", (theta / 2.0,)), ("RZ", (-theta / 2.0,))]
-    else:
-        u = _X_MAT if kind == "MCX" else gate_matrix_1q(GateOp(kind, (m,), params=params))
-        _multi_controlled(u, m, m, pairs, gates)
-    return _slot_program(pairs, gates)
+        return SlotProgram([(1, -1), (1, 0), (1, -1), (1, 0)], [("RZ", (theta / 2.0,)), ("RZ", (-theta / 2.0,))])
+    u = _X_MAT if kind == "MCX" else gate_matrix_1q(GateOp(kind, (m,), params=params))
+    parts: list = []
+    _multi_controlled(u, m, m, parts)
+    return SlotProgram(parts=parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -863,14 +977,7 @@ def _ladder_program(k: int) -> SlotProgram:
     round on the top control. 2^k open rotations and 2^k CNOTs; with no
     control it is the bare rotation.
     """
-    if k == 0:
-        return _ONE_ROW
-    last = (1 << k) - 1
-    pairs = []
-    for r in range(last + 1):
-        flip = k - 1 if r == last else ((r + 1) & -(r + 1)).bit_length() - 1
-        pairs += ((k, -1), (k, flip))
-    return _slot_program(pairs, (None,) * (last + 1))
+    return SlotProgram(ladder=k) if k else _ONE_ROW
 
 
 @functools.lru_cache(maxsize=None)
@@ -880,24 +987,20 @@ def _prep_program(m: int) -> SlotProgram:
     One ladder per slot j, top slot first: the RY on slot j controlled by
     the slots above it.
     """
-    pairs: list[tuple[int, int]] = []
-    for j in range(m - 1, -1, -1):
-        slot = (*range(j + 1, m), j)
-        pairs += ((slot[t], slot[c] if c >= 0 else -1) for t, c in _ladder_program(m - 1 - j).rows)
-    return _slot_program(pairs, (None,) * ((1 << m) - 1))
+    return SlotProgram(parts=[(_ladder_program(m - 1 - j), (*range(j + 1, m), j)) for j in range(m - 1, -1, -1)])
 
 
 @functools.lru_cache(maxsize=None)
 def _hadamard_program(slot: int) -> SlotProgram:
     """The H on a BLOCK's flag, the last of its targets, that runs before and after its diagonal."""
-    return _slot_program(((slot, -1),), [("H", ())])
+    return SlotProgram(((slot, -1),), [("H", ())])
 
 
 @functools.lru_cache(maxsize=None)
 def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
     """The X on each 0-polarity control's slot that wraps a controlled core."""
     flipped = [i for i, v in enumerate(control_values) if not v]
-    return _slot_program(((i, -1) for i in flipped), [("X", ())] * len(flipped))
+    return SlotProgram(((i, -1) for i in flipped), [("X", ())] * len(flipped))
 
 
 def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...]]:

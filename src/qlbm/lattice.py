@@ -15,6 +15,7 @@ So the diffusion constant is a property of the scheme alone,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -256,13 +257,22 @@ def stream_periodic(scheme: LatticeScheme, populations: np.ndarray) -> np.ndarra
             f"populations need one link axis and {scheme.dimension} site axes, got shape {populations.shape}"
         )
     out = np.empty_like(populations)
+    for dst, src in _stream_blocks(scheme, populations.shape[1:]):
+        out[dst] = populations[src]
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_blocks(scheme: LatticeScheme, sites: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """(destination, source) index of each wrapped block that :func:`stream_periodic` copies."""
+    blocks = []
     for a, e in enumerate(scheme.links):
         # the site axes run (y, x): a link's components in reverse
-        axes = [_wrap_halves(shift, n) for shift, n in zip(e[::-1], populations.shape[1:])]
-        for blocks in itertools.product(*axes):
-            dst, src = zip(*blocks)
-            out[(a, *dst)] = populations[(a, *src)]
-    return out
+        axes = [_wrap_halves(shift, n) for shift, n in zip(e[::-1], sites)]
+        for halves in itertools.product(*axes):
+            dst, src = zip(*halves)
+            blocks.append(((a, *dst), (a, *src)))
+    return tuple(blocks)
 
 
 def macro_moment(populations: np.ndarray) -> np.ndarray:

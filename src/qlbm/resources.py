@@ -3,24 +3,23 @@
 The counter never builds the lowered gate list. It reads the one
 description of each gate's lowering that :func:`qlbm.circuits.lower_op`
 also replays: the cached slot programs of
-:func:`qlbm.circuits.slot_programs`, ``(target slot, control slot)`` rows
-with their CNOT and single-qubit counts, and the qubit each slot stands
-for. A program is cached per gate shape; the single-qubit rows whose
-angles depend on the gate are left open, and the counter never fills them.
-A multi-controlled gate's core program is written row by row by the
-square-root recursion, and runs between two runs of the program of X gates
-on its 0-polarity controls. Each encode section's one ``PREP`` gate has one
-program per qubit count, its rotation network. A ``BLOCK``'s level walk
-tells which multiplexed-RZ stages of its diagonal are present, and each
-present stage replays one cached gray-code ladder.
+:func:`qlbm.circuits.slot_programs`, with their CNOT and single-qubit
+counts, and the qubit each slot stands for. A program is cached per gate
+shape; the single-qubit rows whose angles depend on the gate are left
+open, and the counter never fills them.
 
-A gate's programs run on local copies of its qubits' layer counts and
-ready times, which are written back once the gate is done. So the 64 x 64
-combined circuit, about a million gates after lowering, is counted on
-Python ints and floats. Depth is the length of the longest per-qubit
-dependency chain. Runtime replaces unit layers with per-gate durations on
-the same chains, adding them in the order of the lowered gates. Section
-tallies follow the circuit's section spans.
+Depth and runtime are longest paths through the lowered circuit, a
+dependency graph whose nodes are its gates. Each program carries its
+longest-path transfer (:meth:`qlbm.circuits.SlotProgram.longest_paths`):
+per output slot, the heaviest path from each input slot through its rows.
+The counter applies one cached transfer per program to the per-qubit
+values, in O(slots^2), and walks no row. Depth weighs every gate 1. Runtime
+weighs a gate by its duration, both durations taken as exact integers over
+their common power-of-two denominator, so the runtime is the exact longest
+duration path, rounded once to a float. A transfer is composed from those
+of the smaller programs its program is built from, so even the first count
+stays cheap. Counts and section tallies are sums of the programs' counts
+over the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,
@@ -34,6 +33,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,6 +85,16 @@ class GateDurationTable:
                 raise ConfigurationError(f"{name} duration must be a finite real number >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
 
+    def integer_weights(self) -> tuple[int, int, int]:
+        """``(single_qubit, cnot, scale)``: the durations times ``scale`` as exact ints.
+
+        A float is a dyadic rational, so its ``Fraction`` is exact, and the
+        common denominator of the two is a power of two.
+        """
+        single, cnot = Fraction(self.single_qubit), Fraction(self.cnot)
+        scale = math.lcm(single.denominator, cnot.denominator)
+        return int(single * scale), int(cnot * scale), scale
+
 
 @dataclass
 class SectionTally:
@@ -128,44 +138,36 @@ class ResourceReport:
         }
 
 
-def _replay(rows, layers: list, ready: list, t1q: float, tcx: float) -> None:
-    """Advance each slot's layer and ready time through the rows of a slot program."""
-    for t, c in rows:
-        if c < 0:
-            layers[t] += 1
-            ready[t] += t1q
-        else:
-            lt, lc = layers[t], layers[c]
-            if lc > lt:
-                lt = lc
-            layers[t] = layers[c] = lt + 1
-            rt, rc = ready[t], ready[c]
-            if rc > rt:
-                rt = rc
-            ready[t] = ready[c] = rt + tcx
+def _duration_table(durations) -> GateDurationTable:
+    """``durations``, or the default table for ``None``; anything else is a configuration error."""
+    if durations is None:
+        return GateDurationTable()
+    if not isinstance(durations, GateDurationTable):
+        raise ConfigurationError(f"durations must be a GateDurationTable or None, got {durations!r}")
+    return durations
 
 
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
     """Count the lowered circuit without materializing it."""
-    durations = durations or GateDurationTable()
-    t1q, tcx = durations.single_qubit, durations.cnot
+    durations = _duration_table(durations)
+    w1, wx, scale = durations.integer_weights()
     n = circ.n_qubits
     last_layer = [0] * n
-    ready_at = [0.0] * n
+    ready_at = [0] * n
     sections: dict[str, SectionTally] = {}
     for section, start, stop in circ.sections:
         cnot = single = 0
         for op in circ.gates[start:stop]:
             programs, qubits = slot_programs(op)
-            layers = [last_layer[q] for q in qubits]
-            ready = [ready_at[q] for q in qubits]
             for program in programs:
-                _replay(program.rows, layers, ready, t1q, tcx)
+                for values, paths in ((last_layer, program.longest_paths(1, 1)),
+                                      (ready_at, program.longest_paths(w1, wx))):
+                    after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
+                             for _, sources, weights in paths]
+                    for (i, _, _), value in zip(paths, after):
+                        values[qubits[i]] = value
                 cnot += program.cnot
                 single += program.single_qubit
-            for q, layer, done in zip(qubits, layers, ready):
-                last_layer[q] = layer
-                ready_at[q] = done
         if cnot or single:
             tally = sections.setdefault(section, SectionTally())
             tally.cnot += cnot
@@ -176,7 +178,7 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
         cnot=sum(t.cnot for t in sections.values()),
         single_qubit=sum(t.single_qubit for t in sections.values()),
         depth=max(last_layer, default=0),
-        runtime_seconds=max(ready_at, default=0.0),
+        runtime_seconds=max(ready_at, default=0) / scale,
         sections=sections,
     )
 
@@ -189,10 +191,13 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
 def representative_cavity_fields(extent: int, steps: int = 80):
     """Developed cavity fields used to parameterize the counted circuits.
 
-    The gate counts depend only on register spans, but building from real
-    evolved fields keeps every collision section honest and gives every
-    encode PREP a vector the simulator could load (no degenerate zero
-    vectors except where physics makes them so).
+    Most gate counts depend only on register spans, but a ``BLOCK``'s depend
+    on its coefficients too: the RZ stages of its diagonal of +/- arccos k
+    are present only where those phases differ, so with k = 1 everywhere it
+    has none. Building from real evolved fields gives each collision the
+    stages of a developed flow, and every encode PREP a vector the
+    simulator could load (no degenerate zero vectors except where physics
+    makes them so).
     """
     spec = CavitySpec(n=extent, lid_velocity=1.0, steps=steps)
     hist = solve_cavity_classical(spec)
@@ -284,6 +289,7 @@ class ComparisonReport:
 
 
 def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = None) -> ComparisonReport:
+    durations = _duration_table(durations)
     circuits = build_comparison_circuits(extent)
     reports = {
         name: count_resources(circ, f"{name}@{extent}", durations)
@@ -293,6 +299,7 @@ def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = 
 
 
 def scaling_sweep(extents, durations: GateDurationTable | None = None) -> list[ComparisonReport]:
+    durations = _duration_table(durations)
     require_power_of_two(*extents)
     return [compare_single_vs_frugal(e, durations) for e in extents]
 

@@ -654,11 +654,10 @@ def test_controlled_1q_lowering_random_unitary():
     # no gate kind carries an arbitrary 2x2 unitary, so the ABC rows are checked directly
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    pairs, gates = [], []
-    _controlled_1q(q, 1, 0, pairs, gates)
-    gates = iter(gates)
+    program = _controlled_1q(q, 1, 0)
+    gates = iter(program.gates)
     ops = []
-    for t, c in pairs:
+    for t, c in program.rows:
         if c >= 0:
             ops.append(GateOp("MCX", (t,), (c,), (1,)))
         else:

@@ -4,6 +4,7 @@ the combined-versus-pair cavity comparison numbers."""
 import csv
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from qlbm.circuits import (
     CircuitIR,
     GateOp,
     RegisterLayout,
+    SlotProgram,
+    _ladder_program,
     build_advection_diffusion_circuit,
     circuit_unitary,
     iter_lowered,
@@ -40,6 +43,9 @@ from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
 
 _1Q = GateDurationTable().single_qubit
 _CX = GateDurationTable().cnot
+# single-qubit rows dearer than CNOTs, so the longest runtime path is not the longest depth path
+_SLOW_1Q = GateDurationTable(single_qubit=_CX, cnot=_1Q)
+_TABLES = (GateDurationTable(), _SLOW_1Q)
 _DATA = Path(__file__).parent / "data"
 
 
@@ -66,6 +72,25 @@ def test_duration_table_keeps_each_duration_as_a_float():
     table = GateDurationTable(np.float32(0.5), 0)
     assert (table.single_qubit, table.cnot) == (0.5, 0.0)
     assert type(table.single_qubit) is float and type(table.cnot) is float
+
+
+@pytest.mark.parametrize("table", [*_TABLES, GateDurationTable(0, 0), GateDurationTable(0.75, 3)])
+def test_integer_weights_are_the_durations_over_one_power_of_two(table):
+    w1, wx, scale = table.integer_weights()
+    assert Fraction(w1, scale) == Fraction(table.single_qubit)
+    assert Fraction(wx, scale) == Fraction(table.cnot)
+    assert scale & (scale - 1) == 0
+
+
+@pytest.mark.parametrize("bad", [(1e-8, 1e-7), {"single_qubit": 1e-8, "cnot": 1e-7}, 0])
+def test_a_duration_table_that_is_not_one_is_rejected_before_anything_is_built(bad, monkeypatch):
+    monkeypatch.setattr("qlbm.resources.build_comparison_circuits", lambda extent: pytest.fail("built"))
+    with pytest.raises(ConfigurationError, match="GateDurationTable"):
+        count_resources(_tiny_circuit([GateOp("H", (0,))]), "bad", bad)
+    with pytest.raises(ConfigurationError, match="GateDurationTable"):
+        compare_single_vs_frugal(2, bad)
+    with pytest.raises(ConfigurationError, match="GateDurationTable"):
+        scaling_sweep([2, 4], bad)
 
 
 def test_count_serial_chain_by_hand():
@@ -142,10 +167,11 @@ def test_streamed_counts_match_materialized_lowering():
     assert [op for _, op in iter_lowered(circ)] == low.gates
 
 
-def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
-    """(cnot, single_qubit, depth, runtime) over the materialized lowering."""
+def _recount(circ: CircuitIR, durations: GateDurationTable) -> tuple[int, int, int, float]:
+    """(cnot, single_qubit, depth, runtime) over the materialized lowering, runtime summed exactly."""
+    t1q, tcx = Fraction(durations.single_qubit), Fraction(durations.cnot)
     layers = [0] * circ.n_qubits
-    ready = [0.0] * circ.n_qubits
+    ready = [Fraction(0)] * circ.n_qubits
     cnot = single = 0
     for op in lower_circuit(circ).gates:
         if op.kind == "MCX":
@@ -153,10 +179,15 @@ def _recount(circ: CircuitIR) -> tuple[int, int, int, float]:
         else:
             single += 1
         layer = max(layers[q] for q in op.qubits) + 1
-        done = max(ready[q] for q in op.qubits) + (_CX if op.kind == "MCX" else _1Q)
+        done = max(ready[q] for q in op.qubits) + (tcx if op.kind == "MCX" else t1q)
         for q in op.qubits:
             layers[q], ready[q] = layer, done
-    return cnot, single, max(layers), max(ready)
+    return cnot, single, max(layers), float(max(ready))
+
+
+def _counted(circ: CircuitIR, durations: GateDurationTable) -> tuple[int, int, int, float]:
+    rep = count_resources(circ, "counted", durations)
+    return rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds
 
 
 # random floats never make a BLOCK's RZ stages vanish; coefficients of 1
@@ -197,8 +228,8 @@ def _controlled_gates(draw, max_controls=7):
 def test_counts_match_the_materialized_lowering_on_random_controlled_gates(case):
     n, ops = case
     circ = _tiny_circuit(ops, n_qubits=n)
-    rep = count_resources(circ, "random")
-    assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+    for table in _TABLES:
+        assert _counted(circ, table) == _recount(circ, table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,6 +244,64 @@ def test_slot_programs_run_the_rows_of_the_lowering(case):
         assert counted == [(low.targets[0], low.controls[0] if low.controls else None) for low in lowered]
         assert sum(program.cnot for program in programs) == sum(1 for low in lowered if low.controls)
         assert sum(program.single_qubit for program in programs) == sum(1 for low in lowered if not low.controls)
+
+
+def _walked_paths(program, w1, wx):
+    """A program's longest paths, one walk of its rows per source slot."""
+    slots = sorted({s for row in program.rows for s in row if s >= 0})
+    paths = {i: {} for i in slots}
+    for j in slots:
+        reach = {j: 0}  # heaviest path from j's input to each slot it has reached
+        for t, c in program.rows:
+            if c < 0:
+                if t in reach:
+                    reach[t] += w1
+            elif t in reach or c in reach:
+                reach[t] = reach[c] = max(reach.get(t, 0), reach.get(c, 0)) + wx
+        for i, w in reach.items():
+            paths[i][j] = w
+    return tuple((i, tuple(sources), tuple(sources.values())) for i, sources in paths.items())
+
+
+# depth, and the two duration tables, whose critical paths differ
+_WEIGHTS = ((1, 1), *(table.integer_weights()[:2] for table in _TABLES))
+
+
+def _assert_composed_paths_are_walked(programs):
+    for program in programs:
+        for w1, wx in _WEIGHTS:
+            assert program.longest_paths(w1, wx) == _walked_paths(program, w1, wx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_controlled_gates())
+def test_longest_paths_of_the_drawn_programs_match_a_walk_per_source(case):
+    _, ops = case
+    _assert_composed_paths_are_walked({id(p): p for op in ops for p in slot_programs(op)[0]}.values())
+
+
+def test_longest_paths_of_the_comparison_programs_match_a_walk_per_source():
+    ops = [op for circ in build_comparison_circuits(4).values() for op in circ.gates]
+    _assert_composed_paths_are_walked({id(p): p for op in ops for p in slot_programs(op)[0]}.values())
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_the_ladder_closed_form_matches_its_walk(k):
+    program = _ladder_program(k)
+    assert program.ladder == (k or None)
+    _assert_composed_paths_are_walked([program])
+    assert program.longest_paths(1, 1) is program.longest_paths(1, 1)  # cached
+
+
+def test_longest_paths_build_no_rows_of_a_ladder_or_of_a_program_of_parts():
+    # only the lowering reads those rows, so counting never builds them
+    ladder = SlotProgram(ladder=3)
+    composed = SlotProgram(parts=[(ladder, (1, 2, 3, 0)), (SlotProgram(parts=[(ladder, None)]), None)])
+    paths = composed.longest_paths(2, 5)
+    assert "rows" not in vars(ladder) and "rows" not in vars(composed)
+    assert paths == _walked_paths(composed, 2, 5)
+    assert (composed.cnot, composed.single_qubit) == (16, 16)
+    assert (sum(c >= 0 for _, c in composed.rows), len(composed.gates)) == (16, 16)
 
 
 def _renamed(ops, qubits):
@@ -264,8 +353,8 @@ def test_counts_match_the_materialized_lowering_on_mcx_of_mixed_polarity(m):
     controls = tuple(range(1, m + 1))
     for values in {tuple((i + shift) % 2 for i in range(m)) for shift in (0, 1)} | {(1,) * m}:
         circ = _tiny_circuit([GateOp("H", (m,)), GateOp("MCX", (0,), controls, values)], n_qubits=m + 1)
-        rep = count_resources(circ, "mcx")
-        assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+        for table in _TABLES:
+            assert _counted(circ, table) == _recount(circ, table)
 
 
 # a BLOCK lowers to H on its flag, the RZ stages of its diagonal's level
@@ -286,7 +375,8 @@ def test_counts_match_the_materialized_lowering_on_blocks_with_vanishing_levels(
     circ = _tiny_circuit([GateOp("H", (targets[0],)), GateOp("BLOCK", targets, controls, values, k)], n_qubits=4)
     rep = count_resources(circ, "block")
     assert (rep.cnot, rep.single_qubit - 1) == (cnot, single)
-    assert (rep.cnot, rep.single_qubit, rep.depth, rep.runtime_seconds) == _recount(circ)
+    for table in _TABLES:
+        assert _counted(circ, table) == _recount(circ, table)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +430,18 @@ def test_comparison_csv_matches_the_frozen_bytes(tmp_path):
 
 def test_comparison_at_extent_64_matches_the_parent():
     # the extent-64 encode PREP spans 16 qubits and streaming has 9-control
-    # MCX gates, past the frozen extents <= 8; runtimes are exact
+    # MCX gates, past the frozen extents <= 8; each runtime is the exact
+    # longest duration path, rounded once
     got = {
         name: (r.cnot, r.single_qubit, r.depth, r.runtime_seconds)
         for name, r in compare_single_vs_frugal(64).reports.items()
     }
     assert got == {
-        "single": (394998, 604865, 750292, 0.20378069500049462),
-        "stream-function": (107446, 142471, 208093, 0.05743295999999515),
-        "vorticity": (107438, 142462, 208125, 0.05744005499999518),
-        "stream-function-nb": (103350, 138373, 200028, 0.05515434999999119),
-        "vorticity-nb": (103342, 138364, 200060, 0.055161444999991226),
+        "single": (394998, 604865, 750292, 0.203780695),
+        "stream-function": (107446, 142471, 208093, 0.05743296),
+        "vorticity": (107438, 142462, 208125, 0.057440055000000004),
+        "stream-function-nb": (103350, 138373, 200028, 0.05515435),
+        "vorticity-nb": (103342, 138364, 200060, 0.055161445),
     }
 
 
