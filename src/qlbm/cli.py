@@ -93,16 +93,20 @@ _SPECS = {
 def _load_manifest(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigurationError(f"manifest {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"manifest {path!r} is not readable UTF-8 text: {exc}") from None
     entries: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            entries[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
@@ -179,7 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _ensure_out(cfg: dict) -> str:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {out!r} cannot be made: {exc}") from None
     return out
 
 

@@ -442,15 +442,24 @@ def save_field_qlbf(path, field) -> None:
         fh.write(field.tobytes(order="C"))
 
 
+def _read_u32(fh) -> int:
+    # one at a time, so a rank the file cannot hold fails at its first short read
+    raw = fh.read(4)
+    if len(raw) != 4:
+        raise ConfigurationError(f"header cut short: {len(raw)} of 4 bytes left")
+    return struct.unpack("<I", raw)[0]
+
+
 def load_field_qlbf(path) -> np.ndarray:
+    """Read a field :func:`save_field_qlbf` wrote; a malformed file raises ConfigurationError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _QLBF_MAGIC:
             raise ConfigurationError(f"bad magic {magic!r}, expected {_QLBF_MAGIC!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    expected = int(np.prod(shape))
-    if data.size != expected:
-        raise ConfigurationError(f"payload has {data.size} values, header promises {expected}")
-    return data.reshape(shape).copy()
+        rank = _read_u32(fh)
+        shape = tuple(_read_u32(fh) for _ in range(rank))
+        payload = fh.read()
+    expected = math.prod(shape)
+    if len(payload) != 8 * expected:
+        raise ConfigurationError(f"payload has {len(payload)} bytes, header promises {expected} values of 8")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()

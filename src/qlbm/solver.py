@@ -2,55 +2,48 @@
 
 Every circuit runs from |0...0>, a :class:`~qlbm.statevector.ZeroState`
 with no amplitude allocated, and its first gate, the encode PREP, loads the
-job's fields. On the statevector backend every job runs on one path,
-``_run_job``, which selects every register but the sites while the gates
-run. The simulator runs the circuit the resource estimator counts; the
-PREP loads the amplitude layout, where the estimator counts the
+job's fields. The simulator runs the circuit the resource estimator counts;
+the PREP loads the amplitude layout, where the estimator counts the
 rotation network, and each block encoding (the collision and the wall
 projector, one ``BLOCK`` gate each) multiplies the amplitudes by its
 coefficients, where the estimator counts the Hadamards and the diagonal it
-lowers to. A qubit is in the state only between its first gate and its
-last: the PREP's unit vector is the job's first array, and each selected
-qubit leaves right after the last gate that targets it (each link qubit
-after its merge Hadamard, a source flag after the PREP when no later gate
-targets it). The collision ancilla and the wall flag never enter: each
-holds 0 until its BLOCK, which is its only gate, and is selected onto 0
-right after it. So the job returns the site amplitudes alone and the
-caller decodes the field from them. Every gate of such a job keeps real
-amplitudes real (a PREP, MCX, H, or a BLOCK selected at once), so its plan
-runs it on float64 amplitudes; the sampling backend's unselected BLOCKs
-keep its plan complex.
+lowers to.
 
 Every run at one shape repeats the same gate structure; only the loaded
-fields and the collisions' coefficients change. So each job shape
-(transport: scheme, extent and backend; cavity: variant and extent) is set
-up once per process and kept in a small fixed-size ``functools.lru_cache``:
-its circuit(s) are built at rest and planned with
-:func:`~qlbm.statevector.plan_circuit` (advection one plan, the cavity one
-per job), and the set-up keeps only the layout, the plan and the tail, the
-field-independent gates each job replays as built (source-fold, the
-stream-function collision, streaming, macro, boundary): no PREP and no
-array of the state's size. A job builds only its fresh gates, a PREP of
-its fields and the collision its velocity sets (one per transport run, one
-per vorticity job), and replays the cached plan on them and the tail with
-:func:`~qlbm.statevector.apply_circuit`. This pays where one process runs
-many jobs of one shape; the first run at a shape also builds and plans.
-A job whose inputs are all exactly zero (``np.any`` is false) is
-idle: it runs nothing and records ``zero_input``. Magnitude plays
-no part, as the PREP scales by the peak. The sampling backend of
-:func:`run_advection_diffusion` runs the same gates without selecting,
-samples the whole state, and records as ``select_probs`` the measured
-shares of shots that hold each selected value.
+fields and the collisions' coefficients change. So one function,
+``_setup``, sets up every kind of job once per process from a circuit
+built at rest: it plans the encode, the sections the job builds fresh and
+the rest, its tail, and keeps a ``_Job`` of the scheme, layout, plan and
+tail's built gates, the source-flag sector the job selects and whether its
+decode is folded; no PREP and no array of the state's size. The jobs of a
+shape (transport: scheme, extent and backend; cavity: variant and extent)
+sit in a small fixed-size ``functools.lru_cache``; this pays where one
+process runs many jobs of one shape.
+
+One function, ``_run_job``, runs every statevector job: a PREP of its
+fields (the single circuit's vorticity pass loads its field into sector 1)
+and the collision its velocity sets (one per transport run, one per
+vorticity job), then the tail, on the cached plan with
+:func:`~qlbm.statevector.apply_circuit`, and it decodes the new field. The
+plan selects every register but the sites while the gates run: each
+selected qubit leaves right after the last gate that targets it, and the
+collision ancilla and wall flag, which hold 0 until their one BLOCK, never
+enter. So the job ends on the site amplitudes alone, and as each of its
+gates keeps real amplitudes real (PREP, MCX, H, or a BLOCK selected at
+once), it runs on float64. A job whose load is all exactly zero (``np.any``
+is false; magnitude plays no part, as the PREP scales by the peak) is idle:
+it builds and runs nothing and records ``zero_input``. The sampling
+backend of :func:`run_advection_diffusion` is the only other place a
+circuit runs: its complex plan selects nothing, it samples the whole state
+and records as ``select_probs`` the measured shares of shots that hold
+each selected value.
 
 The cavity driver runs the stream-function job and then the vorticity job,
 both from the previous step's fields, exactly like the classical reference.
-Both variants run the same job path, ``_cavity_job``; they differ only in
-the jobs it is given, one per circuit of the frugal pair or one per sector
-pass of the single combined gate list. Each job is described once per shape
-by its layout, its plan, the built gates it replays, the source-flag sector
-it selects and whether its decode is folded. On hardware the two
-frugal circuits run concurrently; the resource estimator counts that as
-``concurrent_depth``, and the simulator runs them in turn.
+Its variants differ only in their jobs: one per circuit of the frugal pair,
+or one per sector pass of the single combined gate list. On hardware the
+two frugal circuits run concurrently; the resource estimator counts that
+as ``concurrent_depth``, and the simulator runs them in turn.
 """
 
 from __future__ import annotations
@@ -226,25 +219,6 @@ def _measured_selection(counts: np.ndarray, select: dict[int, int]) -> dict[int,
     return probs
 
 
-def _prep(layout: RegisterLayout, scheme: LatticeScheme, field, source=None) -> GateOp:
-    """The encode PREP of one job's fields."""
-    return GateOp("PREP", layout.encoded_qubits, params=encoding_vector(layout, scheme, field, source=source))
-
-
-def _job_plan(ops, layout: RegisterLayout, s_value: int = 0) -> CircuitPlan:
-    """Plan of a job running ``ops`` from |0> that selects every register but the sites as they finish."""
-    return plan_circuit(ZeroState(layout.qubit_count), ops, _selection(layout, s_value))
-
-
-def _run_job(plan: CircuitPlan, ops, step: int, job: str) -> tuple[QuantumState, StepRecord]:
-    """Replay ``plan``, a :func:`_job_plan`, on ``ops``, a PREP first.
-
-    The returned state holds the site amplitudes only.
-    """
-    state, probs = apply_circuit(plan, ops)
-    return state, StepRecord(step, job, probs, state.norm_factor)
-
-
 def _idle(step: int, job: str) -> StepRecord:
     """Record of a job whose inputs are all zero: nothing was run."""
     return StepRecord(step, job, {}, 0.0, zero_input=True)
@@ -253,11 +227,12 @@ def _idle(step: int, job: str) -> StepRecord:
 class _Job(NamedTuple):
     """One kind of job, set up once per shape.
 
-    Its layout, the plan of the gates it runs, the gates it replays as built
-    after its fresh ones, the source-flag sector it selects, and whether its
-    decode is folded.
+    Its scheme and layout, the plan of the gates it runs, the gates it
+    replays as built after its fresh ones, the source-flag sector it
+    selects, and whether its decode is folded.
     """
 
+    scheme: LatticeScheme
     layout: RegisterLayout
     plan: CircuitPlan
     tail: tuple
@@ -265,20 +240,54 @@ class _Job(NamedTuple):
     folded: bool = False
 
 
+def _setup(scheme: LatticeScheme, circ, fresh, tail, sector: int = 0, folded: bool = False, *,
+           select: bool = True) -> _Job:
+    """The job running ``circ``'s encode, its ``fresh`` sections and then its ``tail``, planned once.
+
+    ``circ`` is built at rest; its fresh sections have the structure of
+    every step's. The plan selects every register but the sites (the source
+    flag onto ``sector``) as they finish, or nothing unless ``select``.
+    """
+    layout = circ.layout
+    selection = _selection(layout, sector) if select else None
+    plan = plan_circuit(ZeroState(layout.qubit_count), circ.section_ops(["encode", *fresh, *tail]), selection)
+    return _Job(scheme, layout, plan, tuple(circ.section_ops(tail)), sector, folded)
+
+
+def _prep(job: _Job, field, source=None) -> GateOp:
+    """The encode PREP of one job's fields."""
+    return GateOp("PREP", job.layout.encoded_qubits, params=encoding_vector(job.layout, job.scheme, field, source=source))
+
+
+def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(), velocity=None):
+    """Run one statevector job on the previous step's fields: (new field, record, site state).
+
+    A fresh PREP loads ``field`` (and ``source``) into the job's sector; the
+    ``collision`` gates, or the vorticity collision ``velocity`` sets, built
+    only once the load is known not to be all zero, follow it, then the
+    tail. An all-zero load runs nothing and returns itself and no state.
+    """
+    if job.sector:
+        field, source = np.zeros_like(field), field
+    prep = _prep(job, field, source)
+    if not np.any(prep.params):
+        return field, _idle(step, name), None
+    if velocity is not None:
+        collision = build_vorticity_collision_ops(job.layout, job.scheme, velocity)
+    state, probs = apply_circuit(job.plan, [prep, *collision, *job.tail])
+    new = decode_field(state, job.layout, folded=job.folded).reshape(field.shape)
+    return new, StepRecord(step, name, probs, state.norm_factor), state
+
+
 @functools.lru_cache(maxsize=_SETUPS)
 def _transport(scheme: LatticeScheme, extent: int, backend: str) -> _Job:
-    """The set-up of ``scheme`` transport at ``extent`` on ``backend``, built and planned once from the field at rest.
+    """The job of ``scheme`` transport at ``extent`` on ``backend``, set up from the field at rest.
 
-    On the statevector backend the plan selects every register but the
-    sites as they finish; on the sampling backend it selects nothing. The
-    collision at rest has the structure of every velocity's.
+    On the sampling backend its plan selects nothing.
     """
     rest = np.zeros((extent,) * scheme.dimension)
     circ = build_advection_diffusion_circuit(scheme, extent, rest, np.zeros(scheme.dimension))
-    layout = circ.layout
-    select = _selection(layout) if backend == "statevector" else None
-    plan = plan_circuit(ZeroState(layout.qubit_count), circ.gates, select)
-    return _Job(layout, plan, tuple(circ.section_ops(["streaming", "macro"])))
+    return _setup(scheme, circ, ["collision"], ["streaming", "macro"], select=backend == "statevector")
 
 
 def run_advection_diffusion(
@@ -312,26 +321,22 @@ def run_advection_diffusion(
         require_seed(seed)
         if np.any(field < 0):
             raise EncodingError("the sampling backend cannot recover negative field values")
-    setup = _transport(scheme, extent, backend)
-    layout = setup.layout
+    job = _transport(scheme, extent, backend)
+    layout = job.layout
     collision = build_advection_collision_ops(layout, scheme, velocity)
     fields = [field.copy()]
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
-        if not np.any(field):
-            records.append(_idle(step, "advection"))
-            fields.append(field.copy())
-            continue
-        ops = [_prep(layout, scheme, field), *collision, *setup.tail]
         if backend == "statevector":
-            state, record = _run_job(setup.plan, ops, step, "advection")
-            flat = decode_field(state, layout)
+            field, record, _ = _run_job(job, step, "advection", field, collision=collision)
+        elif not np.any(field):
+            record = _idle(step, "advection")
         else:
-            state = apply_circuit(setup.plan, ops)
+            state = apply_circuit(job.plan, [_prep(job, field), *collision, *job.tail])
             hist = sample(state, shots, seed + 7919 * step)
             flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
+            field = flat.reshape(field.shape)
             record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection(layout)), state.norm_factor)
-        field = flat.reshape(field.shape)
         if not np.all(np.isfinite(field)):
             raise SimulationError("advection run diverged", step=step)
         fields.append(field.copy())
@@ -352,46 +357,19 @@ _SINGLE_W_TAIL = ["streaming-vorticity", "macro", "boundary"]
 
 @functools.lru_cache(maxsize=_SETUPS)
 def _cavity_jobs(variant: str, n: int) -> tuple[_Job, _Job]:
-    """The (stream-function, vorticity) jobs of ``variant`` at extent ``n``, built and planned once from the fields at rest.
+    """The (stream-function, vorticity) jobs of ``variant`` at extent ``n``, set up from the fields at rest.
 
-    Each job runs the encode and the other sections it rebuilds fresh (the
-    vorticity collision), then its tail; the rest collision has the structure
-    of every step's, so one plan serves every step.
+    Only the vorticity job builds a section fresh, its collision.
     """
     rest, still = np.zeros((n, n)), np.zeros((2, n, n))
     if variant == "frugal":
         sf_circ = build_stream_function_circuit(D2Q5, n, rest, rest)
         w_circ = build_vorticity_circuit(D2Q5, n, rest, still)
-        jobs = [
-            (sf_circ, [], ["source-fold", "collision", "streaming", "macro", "boundary"], 0, True),
-            (w_circ, ["collision"], ["streaming", "macro", "boundary"], 0, False),
-        ]
-    else:
-        circ = build_single_cavity_circuit(D2Q5, n, rest, rest, rest, still)
-        jobs = [(circ, [], _SINGLE_SF_TAIL, 0, True), (circ, ["collision-vorticity"], _SINGLE_W_TAIL, 1, False)]
-    return tuple(
-        _Job(circ.layout, _job_plan(circ.section_ops(["encode", *fresh, *tail]), circ.layout, sector),
-                   tuple(circ.section_ops(tail)), sector, folded)
-        for circ, fresh, tail, sector, folded in jobs
-    )
-
-
-def _cavity_job(job: _Job, step: int, name: str, field, source=None, velocity=None):
-    """Run one cavity job on the previous step's fields and decode its new field.
-
-    A fresh PREP loads ``field`` into the job's sector (and ``source`` into
-    sector 1); given ``velocity``, a fresh vorticity collision follows it; the
-    built tail runs as it is.
-    """
-    layout = job.layout
-    if job.sector:
-        field, source = np.zeros_like(field), field
-    prep = _prep(layout, D2Q5, field, source)
-    if not np.any(prep.params):
-        return np.zeros(field.shape), _idle(step, name)
-    collision = () if velocity is None else build_vorticity_collision_ops(layout, D2Q5, velocity)
-    state, record = _run_job(job.plan, [prep, *collision, *job.tail], step, name)
-    return decode_field(state, layout, folded=job.folded).reshape(field.shape), record
+        return (_setup(D2Q5, sf_circ, [], ["source-fold", "collision", "streaming", "macro", "boundary"], folded=True),
+                _setup(D2Q5, w_circ, ["collision"], ["streaming", "macro", "boundary"]))
+    circ = build_single_cavity_circuit(D2Q5, n, rest, rest, rest, still)
+    return (_setup(D2Q5, circ, [], _SINGLE_SF_TAIL, folded=True),
+            _setup(D2Q5, circ, ["collision-vorticity"], _SINGLE_W_TAIL, sector=1))
 
 
 def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
@@ -410,8 +388,8 @@ def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
         velocity = np.stack(velocity_from_stream_function(psi))
-        psi_new, rec_sf = _cavity_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
-        omega_new, rec_w = _cavity_job(w_job, step, "vorticity", omega, velocity=velocity)
+        psi_new, rec_sf, _ = _run_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
+        omega_new, rec_w, _ = _run_job(w_job, step, "vorticity", omega, velocity=velocity)
         records += [rec_sf, rec_w]
         psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
@@ -447,9 +425,9 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     velocity = (0.2,)
     for _ in range(steps - 1):
         field = step_advection_diffusion(D1Q3, field, velocity)
-    setup = _transport(D1Q3, extent, "statevector")
-    collision = build_advection_collision_ops(setup.layout, D1Q3, velocity)
-    state, _ = _run_job(setup.plan, [_prep(setup.layout, D1Q3, field), *collision, *setup.tail], steps, "advection")
+    job = _transport(D1Q3, extent, "statevector")
+    collision = build_advection_collision_ops(job.layout, D1Q3, velocity)
+    _, _, state = _run_job(job, steps, "advection", field, collision=collision)
     return state
 
 

@@ -210,6 +210,21 @@ def test_missing_manifest_is_rejected(tmp_path, capsys):
     assert "does not exist" in err
 
 
+@pytest.mark.parametrize("case", ["manifest-not-utf8", "manifest-is-a-directory", "out-is-a-file"])
+def test_an_unusable_path_is_a_config_error_that_names_it(tmp_path, capsys, case):
+    path = tmp_path / "given"
+    if case == "manifest-not-utf8":
+        path.write_bytes(b"extent = 16\n# caf\xe9\n")
+    elif case == "manifest-is-a-directory":
+        path.mkdir()
+    else:
+        path.write_text("not a directory\n")
+    option = "--out" if case == "out-is-a-file" else "--manifest"
+    code, _, err = _run(capsys, "resources", "--extents", "2", option, str(path))
+    assert code == 2
+    assert "configuration error" in err and str(path) in err
+
+
 def test_malformed_manifest_line_is_rejected(tmp_path, capsys):
     manifest = tmp_path / "run.manifest"
     manifest.write_text("extent 16\n")

@@ -5,6 +5,7 @@ system it is supposed to converge to, built here from scratch so the two
 implementations share no code.
 """
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -534,4 +535,30 @@ def test_field_binary_rejects_truncated_payload(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ConfigurationError, match="payload"):
+        load_field_qlbf(path)
+
+
+@pytest.mark.parametrize("header", [b"", b"\x02\x00", struct.pack("<I", 2), struct.pack("<I", 2) + b"\x04",
+                                    struct.pack("<I", 2**32 - 1)],
+                         ids=["no-rank", "short-rank", "no-dims", "short-dim", "rank-past-the-file"])
+def test_field_binary_rejects_a_header_cut_short(tmp_path, header):
+    path = tmp_path / "cut.qlbf"
+    path.write_bytes(b"QLBF" + header)
+    with pytest.raises(ConfigurationError, match="header cut short"):
+        load_field_qlbf(path)
+
+
+def test_field_binary_counts_the_promised_values_exactly(tmp_path):
+    # three dims of 2^32 - 1 promise (2^32 - 1)^3 values, past what int64 holds
+    path = tmp_path / "huge.qlbf"
+    path.write_bytes(b"QLBF" + struct.pack("<4I", 3, *(3 * [2**32 - 1])) + bytes(8))
+    with pytest.raises(ConfigurationError, match=f"header promises {(2**32 - 1) ** 3} values"):
+        load_field_qlbf(path)
+
+
+def test_field_binary_rejects_a_payload_of_part_values(tmp_path):
+    path = tmp_path / "part.qlbf"
+    save_field_qlbf(path, np.ones(4))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ConfigurationError, match="payload has 29 bytes"):
         load_field_qlbf(path)

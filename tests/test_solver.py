@@ -200,6 +200,46 @@ def test_sampling_backend_is_seed_deterministic():
     assert not np.array_equal(a.final, c.final)
 
 
+def _record_outputs(records) -> list:
+    """Each record's step, job and selection numbers, as plain JSON values."""
+    return [
+        {
+            "step": r.step,
+            "job": r.job,
+            "zero_input": r.zero_input,
+            "norm_factor": float(r.norm_factor),
+            "select_probs": [[q, float(p)] for q, p in r.select_probs.items()],
+        }
+        for r in records
+    ]
+
+
+# the transport runs tests/data/advection_outputs.json freezes: every scheme on
+# the statevector backend, one seeded sampling run, and one run from all zeros
+_ADVECTION_RUNS = {
+    "d1q2": lambda: run_advection_diffusion(D1Q2, _impulse_field(D1Q2, 8), (0.2,), 5),
+    "d1q3": lambda: run_advection_diffusion(D1Q3, _impulse_field(D1Q3, 8), (-0.15,), 5),
+    "d2q5": lambda: run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 4), (0.15, -0.1), 4),
+    "d1q3-sampling": lambda: run_advection_diffusion(D1Q3, _impulse_field(D1Q3, 8), (0.2,), 3,
+                                                     backend="sampling", shots=1 << 10, seed=5),
+    "d2q5-zero": lambda: run_advection_diffusion(D2Q5, np.zeros((4, 4)), (0.1, 0.1), 2),
+}
+
+
+def _advection_outputs(result) -> dict:
+    """Fields and per-record selection numbers of a transport run, as plain JSON values."""
+    return {"fields": result.fields.tolist(), "records": _record_outputs(result.records)}
+
+
+@pytest.mark.parametrize("case", sorted(_ADVECTION_RUNS))
+def test_advection_outputs_match_the_frozen_run(case):
+    # tests/data/advection_outputs.json holds {case: _advection_outputs(run)}
+    # written by json.dump(..., indent=1); JSON keeps each float's repr, so the
+    # comparison is exact, select_probs order included
+    frozen = json.loads((_DATA / "advection_outputs.json").read_text())[case]
+    assert _advection_outputs(_ADVECTION_RUNS[case]()) == frozen
+
+
 # ---------------------------------------------------------------------------
 # decoding and error helpers
 # ---------------------------------------------------------------------------
@@ -258,20 +298,7 @@ def test_cavity_single_matches_frugal():
 
 def _cavity_outputs(result) -> dict:
     """Fields and per-record selection numbers of a cavity run, as plain JSON values."""
-    return {
-        "psi": result.psi.tolist(),
-        "omega": result.omega.tolist(),
-        "records": [
-            {
-                "step": r.step,
-                "job": r.job,
-                "zero_input": r.zero_input,
-                "norm_factor": float(r.norm_factor),
-                "select_probs": [[q, float(p)] for q, p in r.select_probs.items()],
-            }
-            for r in result.records
-        ],
-    }
+    return {"psi": result.psi.tolist(), "omega": result.omega.tolist(), "records": _record_outputs(result.records)}
 
 
 @pytest.mark.parametrize("variant", ["frugal", "single"])
@@ -636,34 +663,46 @@ def _cavity_inputs(extent, seed):
 
 
 def _builder_jobs():
-    """(name, ops, layout, vec, s_value, folded) for every builder and pass; ops[0] is the PREP of vec."""
+    """(name, setup, inputs, ops, vec) for every builder and pass.
+
+    ``setup`` holds the ``_setup`` arguments of the circuit built on the
+    inputs, ``inputs`` the fields and collision ``_run_job`` takes by keyword,
+    and ``ops`` the built gates the job runs; ops[0] is the PREP of vec.
+    """
     for scheme, extent, velocity in [(D1Q2, 8, (0.2,)), (D1Q3, 8, (-0.15,)), (D2Q5, 4, (0.15, -0.1))]:
         field = _impulse_field(scheme, extent)
         circ = build_advection_diffusion_circuit(scheme, extent, field, velocity)
-        yield scheme.name, circ.gates, circ.layout, encoding_vector(circ.layout, scheme, field), 0, False
+        yield (scheme.name, (scheme, circ, ["collision"], ["streaming", "macro"]),
+               {"field": field, "collision": circ.section_ops(["collision"])}, circ.gates,
+               encoding_vector(circ.layout, scheme, field))
     psi, source, omega, velocity = _cavity_inputs(4, 1)
     circ = build_stream_function_circuit(D2Q5, 4, psi, source)
-    yield "stream-function", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, psi, source=source), 0, True
+    yield ("stream-function", (D2Q5, circ, [], ["source-fold", "collision", "streaming", "macro", "boundary"], 0, True),
+           {"field": psi, "source": source}, circ.gates, encoding_vector(circ.layout, D2Q5, psi, source=source))
     circ = build_vorticity_circuit(D2Q5, 4, omega, velocity)
-    yield "vorticity", circ.gates, circ.layout, encoding_vector(circ.layout, D2Q5, omega), 0, False
+    yield ("vorticity", (D2Q5, circ, ["collision"], ["streaming", "macro", "boundary"]),
+           {"field": omega, "velocity": velocity}, circ.gates, encoding_vector(circ.layout, D2Q5, omega))
     circ = build_single_cavity_circuit(D2Q5, 4, psi, source, omega, velocity)
     layout = circ.layout
-    yield ("single-stream-function", circ.section_ops(["encode", *qlbm.solver._SINGLE_SF_TAIL]), layout,
-           encoding_vector(layout, D2Q5, psi, source=source), 0, True)
+    sf_tail, w_tail = qlbm.solver._SINGLE_SF_TAIL, qlbm.solver._SINGLE_W_TAIL
+    yield ("single-stream-function", (D2Q5, circ, [], sf_tail, 0, True), {"field": psi, "source": source},
+           circ.section_ops(["encode", *sf_tail]), encoding_vector(layout, D2Q5, psi, source=source))
     vec = encoding_vector(layout, D2Q5, np.zeros((4, 4)), source=omega)
-    yield ("single-vorticity", [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(["collision-vorticity", *qlbm.solver._SINGLE_W_TAIL])],
-           layout, vec, 1, False)
+    yield ("single-vorticity", (D2Q5, circ, ["collision-vorticity"], w_tail, 1), {"field": omega, "velocity": velocity},
+           [GateOp("PREP", layout.encoded_qubits, params=vec), *circ.section_ops(["collision-vorticity", *w_tail])], vec)
 
 
-@pytest.mark.parametrize("job", list(_builder_jobs()), ids=lambda job: job[0])
-def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
-    name, ops, layout, vec, s_value, folded = job
+@pytest.mark.parametrize("case", list(_builder_jobs()), ids=lambda case: case[0])
+def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(case):
+    name, setup, inputs, ops, vec = case
+    job = qlbm.solver._setup(*setup)
+    layout = job.layout
     assert ops[0] == GateOp("PREP", layout.encoded_qubits, params=vec)
-    state, record = qlbm.solver._run_job(qlbm.solver._job_plan(ops, layout, s_value), ops, 1, name)
+    got, record, state = qlbm.solver._run_job(job, 1, name, **inputs)
     assert state.n_qubits == len(layout.site_qubits)
     assert state.amplitudes.size == layout.n_sites
 
-    plan = qlbm.solver._selection(layout, s_value)
+    plan = qlbm.solver._selection(layout, job.sector)
     # the reference loads the vector itself, not through the PREP under test
     unit, scale = unit_amplitudes(vec)
     amps = np.zeros(1 << layout.qubit_count, dtype=complex)
@@ -672,9 +711,8 @@ def test_job_selecting_as_it_runs_matches_full_state_then_postselect_many(job):
     full, probs = postselect_many(full, plan)
     base = sum(v << q for q, v in plan.items())
     sites = QuantumState(state.n_qubits, full.amplitudes[base : base + layout.n_sites], full.norm_factor)
-    expected = decode_field(sites, layout, folded=folded)
-    got = decode_field(state, layout, folded=folded)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    expected = decode_field(sites, layout, folded=job.folded)
+    np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
     assert abs(record.success_prob - math.prod(probs.values())) <= 1e-12 * math.prod(probs.values())
 
 
