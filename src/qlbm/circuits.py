@@ -14,26 +14,25 @@ loading; lowering expands it into the Möttönen rotation network
 right after it, the simulator multiplies the amplitudes by k; lowering
 expands it into Hadamards on the flag around a diagonal of +/- arccos(k).
 
-Each gate's lowering is described once, by :func:`slot_programs`: cached
-slot programs of ``(target slot, control slot)`` rows, one per gate shape.
+Each gate's lowering is described once, by :func:`slot_programs`: one
+cached slot program of ``(target slot, control slot)`` rows per gate shape.
 A single-qubit row holds its ``(kind, params)`` or is left open; the gate
 being lowered fills its open rows with its own angles. There is
 
-- one program per multi-controlled core, which the square-root recursion
-  assembles from small singly-controlled programs and the smaller core,
-  run between two runs of the program of X gates on the 0-polarity
-  controls;
+- one program per multi-controlled gate shape: the core, which the
+  square-root recursion assembles from small singly-controlled programs
+  and the smaller core, run between two runs of the X gates on the
+  0-polarity controls;
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
-- one gray-code ladder per RZ stage of a diagonal. The level walk of
-  :func:`_diag_stages` tells which stages are present;
-- one H row per ``BLOCK`` flag slot, run before and after the programs of
-  the BLOCK's diagonal.
+- one per ``BLOCK`` flag slot and set of RZ stages of its diagonal: a
+  gray-code ladder per stage, between two H rows on the flag. The level
+  walk of :func:`_diag_stages` tells which stages are present.
 
-:func:`lower_op` replays the programs onto a gate's qubits and fills the
-open rows. The estimator reads no row: it applies each program's cached
+:func:`lower_op` replays the program onto a gate's qubits and fills the
+open rows. The estimator reads no row: it applies each gate's cached
 longest-path transfer (:meth:`SlotProgram.longest_paths`), composed from
-the programs it is built from, and computes no angle.
+the programs its program is built from, and computes no angle.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -47,7 +46,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -629,22 +628,22 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # lowering to single-qubit + CNOT
 # ---------------------------------------------------------------------------
 #
-# A gate's lowering is written once, as the cached slot programs of
+# A gate's lowering is written once, as the cached slot program of
 # :func:`slot_programs`. A program is a list of rows ``(target slot, control
 # slot)`` on relative qubit slots. A row with a control is a CNOT on control
 # value 1; every other row is a single-qubit gate, whose ``(kind, params)``
 # the program holds, or leaves open as ``None`` when the kind and angle
 # depend on the gate being lowered. :func:`lower_op` replays a gate's
-# programs on its qubits and fills the open rows from :func:`_own_gates`.
+# program on its qubits and fills the open rows from :func:`_own_gates`.
 # The resource counter reads no row and computes no angle: it applies each
-# program's longest-path transfer, a max-plus matrix over the slots
+# gate's longest-path transfer, a max-plus matrix over the slots
 # (Baccelli, Cohen, Olsder & Quadrat, Synchronization and Linearity, 1992),
 # cached per weights. Depth weighs every row 1; runtime weighs a row by its
 # duration, as an exact integer, so the runtime is the exact longest
 # duration path, rounded once. A program made of smaller ones keeps them as
-# its parts, and its transfer is their product; only a program written row
-# by row, a few rows long, is walked. Its rows are built from its parts'
-# when first read, which only the lowering does.
+# its parts, and its transfer is their product, exact on ints; only a
+# program written row by row, a few rows long, is walked. Its rows are
+# built from its parts' when first read, which only the lowering does.
 #
 # There is one program per gate shape:
 #
@@ -652,9 +651,9 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   (kind, number of controls, params), with the controls on slots 0..m-1
 #   and the target on slot m. Its parts are the recursion's singly-controlled
 #   chunks, each a program of its own rows, and its inner MCX, the smaller
-#   cached core, whose slots are already the right ones. The X gates on
-#   0-polarity controls are a program of their own, run before the core and
-#   again after it;
+#   cached core, whose slots are already the right ones. Where a control has
+#   polarity 0, the gate's program is the core between two runs of a program
+#   of X gates on those controls' slots;
 # - a uniformly-controlled rotation: one gray-code ladder per control count
 #   (:func:`_ladder_program`), every rotation open, whose transfer has a
 #   closed form. A PREP's parts are one ladder per target;
@@ -990,43 +989,49 @@ def _prep_program(m: int) -> SlotProgram:
     return SlotProgram(parts=[(_ladder_program(m - 1 - j), (*range(j + 1, m), j)) for j in range(m - 1, -1, -1)])
 
 
-@functools.lru_cache(maxsize=None)
-def _hadamard_program(slot: int) -> SlotProgram:
-    """The H on a BLOCK's flag, the last of its targets, that runs before and after its diagonal."""
-    return SlotProgram(((slot, -1),), [("H", ())])
+@functools.lru_cache(maxsize=128)
+def _controlled_program(kind: str, m: int, params: tuple, control_values: tuple[int, ...]) -> SlotProgram:
+    """A controlled gate's lowering: its core between two runs of the X on each 0-polarity control's slot.
 
-
-@functools.lru_cache(maxsize=None)
-def _flip_program(control_values: tuple[int, ...]) -> SlotProgram:
-    """The X on each 0-polarity control's slot that wraps a controlled core."""
+    The bare core where every control has polarity 1. Params that compare
+    equal share one program, as in :func:`_core_program`.
+    """
+    core = _core_program(kind, m, params)
     flipped = [i for i, v in enumerate(control_values) if not v]
-    return SlotProgram(((i, -1) for i in flipped), [("X", ())] * len(flipped))
+    if not flipped:
+        return core
+    flips = SlotProgram(((i, -1) for i in flipped), [("X", ())] * len(flipped))
+    return SlotProgram(parts=[(flips, None), (core, None), (flips, None)])
 
 
-def slot_programs(op: GateOp) -> tuple[Sequence[SlotProgram], tuple[int, ...]]:
-    """One gate's lowering, as the slot programs that describe it.
+@functools.lru_cache(maxsize=128)
+def _block_program(flag: int, stages: tuple[int, ...]) -> SlotProgram:
+    """A BLOCK's lowering: the ladder of each RZ stage ``k`` in ``stages``, between two H on the flag slot."""
+    hadamard = SlotProgram(((flag, -1),), [("H", ())])
+    return SlotProgram(parts=[(hadamard, None), *((_ladder_program(k), None) for k in stages), (hadamard, None)])
 
-    Returns the slot programs whose rows, run in order, are the lowering,
-    and the qubit each slot stands for. A multi-controlled core runs between
-    two runs of the program of X gates on its 0-polarity controls. Every
-    program is cached per gate shape, and a BLOCK's stages come from the
-    level walk of its diagonal, so no angle is computed.
+
+def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
+    """One gate's lowering, as the slot program that describes it.
+
+    Returns the cached slot program whose rows are the lowering, and the
+    qubit each slot stands for. Its ``cnot`` and ``single_qubit`` are the
+    lowered gate's counts. A BLOCK's stages come from the level walk of its
+    diagonal, so no angle is computed.
     """
     kind = op.kind
     if kind == "PREP":
-        return (_prep_program(len(op.targets)),), op.targets
+        return _prep_program(len(op.targets)), op.targets
     if kind == "BLOCK":
         qubits, phases = _diagonal(op)
-        flag = _hadamard_program(len(op.targets) - 1)
-        return [flag, *(_ladder_program(k) for k, _ in _diag_stages(phases)), flag], qubits
+        return _block_program(len(op.targets) - 1, tuple(k for k, _ in _diag_stages(phases))), qubits
     if not op.controls and kind != "MCX":
-        return (_ONE_ROW,), op.targets
-    flips = _flip_program(op.control_values)
-    return (flips, _core_program(kind, len(op.controls), op.params), flips), op.controls + op.targets
+        return _ONE_ROW, op.targets
+    return _controlled_program(kind, len(op.controls), op.params, op.control_values), op.controls + op.targets
 
 
 def _own_gates(op: GateOp) -> list[tuple[str, tuple]]:
-    """The ``(kind, params)`` of a gate's open rows, in the order :func:`slot_programs` runs them."""
+    """The ``(kind, params)`` of a gate's open rows, in the order of its :func:`slot_programs` rows."""
     kind = op.kind
     if kind == "PREP":
         # signs enter only at the leaf stage (j = 0), whose angles use the
@@ -1053,22 +1058,21 @@ def _own_gates(op: GateOp) -> list[tuple[str, tuple]]:
 def lower_op(op: GateOp) -> list[GateOp]:
     """Rewrite one gate into the single-qubit + CNOT basis, exactly.
 
-    The gate's slot programs run on its qubits, their open rows filled from
+    The gate's slot program runs on its qubits, its open rows filled from
     the gate's own angles. A PREP becomes the rotation network that prepares
     its unit vector from |0> on its targets; on a target register in |0> the
     two agree.
     """
-    programs, qubits = slot_programs(op)
+    program, qubits = slot_programs(op)
     own = iter(_own_gates(op))
+    gates = iter(program.gates)
     ops = []
-    for program in programs:
-        gates = iter(program.gates)
-        for t, c in program.rows:
-            if c >= 0:
-                ops.append(GateOp("MCX", (qubits[t],), (qubits[c],), (1,)))
-            else:
-                kind, params = next(gates) or next(own)
-                ops.append(GateOp(kind, (qubits[t],), params=params))
+    for t, c in program.rows:
+        if c >= 0:
+            ops.append(GateOp("MCX", (qubits[t],), (qubits[c],), (1,)))
+        else:
+            kind, params = next(gates) or next(own)
+            ops.append(GateOp(kind, (qubits[t],), params=params))
     return ops
 
 

@@ -182,6 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _ensure_out(cfg: dict) -> str:
+    """The output directory, made if need be; each command calls it before its run, so a bad one fails at once."""
     out = cfg["out"]
     try:
         os.makedirs(out, exist_ok=True)
@@ -246,6 +247,7 @@ def _cmd_advdiff(cfg: dict) -> int:
         )
     require_shots(cfg["shots"], "--shots")
     field0 = _initial_field(scheme, cfg)
+    out = _ensure_out(cfg)
     result = run_advection_diffusion(
         scheme, field0, cfg["velocity"], cfg["steps"],
         backend=cfg["backend"], shots=cfg["shots"], seed=cfg["seed"],
@@ -254,7 +256,6 @@ def _cmd_advdiff(cfg: dict) -> int:
     for _ in range(cfg["steps"]):
         reference = step_advection_diffusion(scheme, reference, cfg["velocity"])
     max_err = float(relative_error(result.final, reference).max())
-    out = _ensure_out(cfg)
     save_field_csv(os.path.join(out, "field_final.csv"), result.final)
     save_field_qlbf(os.path.join(out, "field_final.qlbf"), result.final)
     _write_json(os.path.join(out, "advdiff_summary.json"), {
@@ -277,6 +278,7 @@ def _cmd_advdiff(cfg: dict) -> int:
 
 def _cmd_cavity(cfg: dict) -> int:
     spec = CavitySpec(n=cfg["extent"], lid_velocity=cfg["lid_velocity"], steps=cfg["steps"])
+    out = _ensure_out(cfg)
     if cfg["variant"] == "classical":
         hist = solve_cavity_classical(spec)
         psi, omega = hist.psi[-1], hist.omega[-1]
@@ -287,7 +289,6 @@ def _cmd_cavity(cfg: dict) -> int:
         psi, omega = run.psi[-1], run.omega[-1]
         records = run.records
         success_prob, shot_multiplier = _finite_or_null(run.success_prob), _finite_or_null(run.shot_multiplier)
-    out = _ensure_out(cfg)
     save_field_csv(os.path.join(out, "psi_final.csv"), psi)
     save_field_qlbf(os.path.join(out, "psi_final.qlbf"), psi)
     save_field_csv(os.path.join(out, "omega_final.csv"), omega)
@@ -319,8 +320,8 @@ def _cmd_fidelity(cfg: dict) -> int:
     if cfg["shots_max_exp"] > top:
         raise ConfigurationError(f"shots-max-exp must be <= {top}, got {cfg['shots_max_exp']}")
     shots = [1 << e for e in range(cfg["shots_min_exp"], cfg["shots_max_exp"] + 1)]
-    result = fidelity_sweep(shots, cfg["trials"], cfg["seed"])
     out = _ensure_out(cfg)
+    result = fidelity_sweep(shots, cfg["trials"], cfg["seed"])
     with open(os.path.join(out, "fidelity.csv"), "w", newline="") as fh:
         fh.write("shots,trial,fidelity\n")
         for s, t, f in result.rows:
@@ -339,8 +340,8 @@ def _cmd_fidelity(cfg: dict) -> int:
 
 
 def _cmd_resources(cfg: dict) -> int:
-    comparisons = scaling_sweep(cfg["extents"])
     out = _ensure_out(cfg)
+    comparisons = scaling_sweep(cfg["extents"])
     write_comparison_csv(os.path.join(out, "resources.csv"), comparisons)
     write_comparison_json(os.path.join(out, "resources.json"), comparisons)
     for comp in comparisons:

@@ -15,7 +15,6 @@ So the diffusion constant is a property of the scheme alone,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -112,6 +111,11 @@ class LatticeScheme:
     @cached_property
     def n_link_qubits(self) -> int:
         return int(np.ceil(np.log2(self.n_links)))
+
+    @cached_property
+    def _stream_blocks(self) -> dict[tuple[int, ...], tuple[tuple[tuple, tuple], ...]]:
+        # stream_periodic's blocks per site shape, found without hashing the links and weights
+        return {}
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -216,11 +220,14 @@ def collision_coefficients(scheme: LatticeScheme, velocity, shape) -> np.ndarray
     (n_links,) + shape.
     """
     u = _broadcast_velocity(scheme, velocity, shape)
-    cs2 = float(scheme.sound_speed_sq)
-    w = scheme.weight_array
-    e = scheme.link_array  # (n_links, dimension)
-    edotu = np.tensordot(e.astype(float), u, axes=([1], [0]))  # (n_links,) + shape
-    return w.reshape((scheme.n_links,) + (1,) * len(shape)) * (1.0 + edotu / cs2)
+    # e . u in einsum's own loop, not a BLAS call; the shipped schemes' link
+    # components are 0 or +/-1 on at most two axes, so each product is exact
+    # and the sum rounds once, as in any order of summation
+    k = np.einsum("ad,d...->a...", scheme.link_array.astype(float), u)  # (n_links,) + shape
+    k /= float(scheme.sound_speed_sq)
+    k += 1.0
+    k *= scheme.weight_array.reshape((scheme.n_links,) + (1,) * len(shape))
+    return k
 
 
 def equilibrium_distribution(scheme: LatticeScheme, field: np.ndarray, velocity) -> np.ndarray:
@@ -256,17 +263,20 @@ def stream_periodic(scheme: LatticeScheme, populations: np.ndarray) -> np.ndarra
         raise ConfigurationError(
             f"populations need one link axis and {scheme.dimension} site axes, got shape {populations.shape}"
         )
+    sites = populations.shape[1:]
+    blocks = scheme._stream_blocks.get(sites)
+    if blocks is None:
+        blocks = scheme._stream_blocks[sites] = _wrapped_blocks(scheme.links, sites)
     out = np.empty_like(populations)
-    for dst, src in _stream_blocks(scheme, populations.shape[1:]):
+    for dst, src in blocks:
         out[dst] = populations[src]
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _stream_blocks(scheme: LatticeScheme, sites: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+def _wrapped_blocks(links: tuple[tuple[int, ...], ...], sites: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
     """(destination, source) index of each wrapped block that :func:`stream_periodic` copies."""
     blocks = []
-    for a, e in enumerate(scheme.links):
+    for a, e in enumerate(links):
         # the site axes run (y, x): a link's components in reverse
         axes = [_wrap_halves(shift, n) for shift, n in zip(e[::-1], sites)]
         for halves in itertools.product(*axes):

@@ -2,20 +2,19 @@
 
 The counter never builds the lowered gate list. It reads the one
 description of each gate's lowering that :func:`qlbm.circuits.lower_op`
-also replays: the cached slot programs of
-:func:`qlbm.circuits.slot_programs`, with their CNOT and single-qubit
-counts, and the qubit each slot stands for. A program is cached per gate
-shape; the single-qubit rows whose angles depend on the gate are left
-open, and the counter never fills them.
+also replays: the cached slot program of :func:`qlbm.circuits.slot_programs`,
+with its CNOT and single-qubit counts, and the qubit each slot stands for.
+A program is cached per gate shape; the single-qubit rows whose angles
+depend on the gate are left open, and the counter never fills them.
 
 Depth and runtime are longest paths through the lowered circuit, a
 dependency graph whose nodes are its gates. Each program carries its
 longest-path transfer (:meth:`qlbm.circuits.SlotProgram.longest_paths`):
 per output slot, the heaviest path from each input slot through its rows.
-The counter applies one cached transfer per program to the per-qubit
-values, in O(slots^2), and walks no row. Depth weighs every gate 1. Runtime
-weighs a gate by its duration, both durations taken as exact integers over
-their common power-of-two denominator, so the runtime is the exact longest
+The counter applies one cached transfer per gate to the per-qubit values,
+in O(slots^2), and walks no row. Depth weighs every gate 1. Runtime weighs
+a gate by its duration, both durations taken as exact integers over their
+common power-of-two denominator, so the runtime is the exact longest
 duration path, rounded once to a float. A transfer is composed from those
 of the smaller programs its program is built from, so even the first count
 stays cheap. Counts and section tallies are sums of the programs' counts
@@ -29,6 +28,7 @@ sequential depth against the deeper of the two.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -49,6 +49,7 @@ from .errors import ConfigurationError
 from .lattice import (
     CavitySpec,
     D2Q5,
+    _read_only,
     require_power_of_two,
     solve_cavity_classical,
     velocity_from_stream_function,
@@ -158,16 +159,15 @@ def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | 
     for section, start, stop in circ.sections:
         cnot = single = 0
         for op in circ.gates[start:stop]:
-            programs, qubits = slot_programs(op)
-            for program in programs:
-                for values, paths in ((last_layer, program.longest_paths(1, 1)),
-                                      (ready_at, program.longest_paths(w1, wx))):
-                    after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
-                             for _, sources, weights in paths]
-                    for (i, _, _), value in zip(paths, after):
-                        values[qubits[i]] = value
-                cnot += program.cnot
-                single += program.single_qubit
+            program, qubits = slot_programs(op)
+            for values, paths in ((last_layer, program.longest_paths(1, 1)),
+                                  (ready_at, program.longest_paths(w1, wx))):
+                after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
+                         for _, sources, weights in paths]
+                for (i, _, _), value in zip(paths, after):
+                    values[qubits[i]] = value
+            cnot += program.cnot
+            single += program.single_qubit
         if cnot or single:
             tally = sections.setdefault(section, SectionTally())
             tally.cnot += cnot
@@ -198,12 +198,21 @@ def representative_cavity_fields(extent: int, steps: int = 80):
     stages of a developed flow, and every encode PREP a vector the
     simulator could load (no degenerate zero vectors except where physics
     makes them so).
+
+    Returns ``(psi, omega, velocity)``, the velocity stacked as (u, v). The
+    fields are solved once per ``(extent, steps)`` per process and shared
+    between calls, so the arrays are read-only.
     """
-    spec = CavitySpec(n=extent, lid_velocity=1.0, steps=steps)
+    # CavitySpec checks the arguments before the cache sees them, so 8.0 does not hit the entry for 8
+    return _developed_fields(CavitySpec(n=extent, lid_velocity=1.0, steps=steps))
+
+
+@functools.lru_cache(maxsize=8)
+def _developed_fields(spec: CavitySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hist = solve_cavity_classical(spec)
-    psi, omega = hist.psi[-1], hist.omega[-1]
+    psi, omega = hist.psi[-1].copy(), hist.omega[-1].copy()  # not views that keep the history alive
     u, v = velocity_from_stream_function(psi)
-    return psi, omega, np.stack([u, v])
+    return _read_only(psi), _read_only(omega), _read_only(np.stack([u, v]))
 
 
 def build_comparison_circuits(extent: int) -> dict[str, CircuitIR]:

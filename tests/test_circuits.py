@@ -507,7 +507,7 @@ def test_prep_template_has_the_rows_of_the_state_prep_network(m):
     rng = np.random.default_rng(m)
     targets = tuple(int(q) for q in rng.permutation(m + 1)[:m])
     prep = GateOp("PREP", targets, params=rng.standard_normal(1 << m))
-    (program,), qubits = slot_programs(prep)
+    program, qubits = slot_programs(prep)
     assert qubits == targets
     assert [(qubits[t], qubits[c] if c >= 0 else None) for t, c in program.rows] == _rotation_network(targets)
     assert (program.cnot, program.single_qubit) == ((1 << m) - 2, (1 << m) - 1)

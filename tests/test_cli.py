@@ -225,6 +225,22 @@ def test_an_unusable_path_is_a_config_error_that_names_it(tmp_path, capsys, case
     assert "configuration error" in err and str(path) in err
 
 
+@pytest.mark.parametrize("argv, runs", [
+    (["advdiff", "--extent", "16"], "run_advection_diffusion"),
+    (["cavity", "--extent", "8", "--variant", "frugal"], "run_cavity"),
+    (["cavity", "--extent", "8", "--variant", "classical"], "solve_cavity_classical"),
+    (["fidelity", "--trials", "1"], "fidelity_sweep"),
+    (["resources", "--extents", "2"], "scaling_sweep"),
+])
+def test_an_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, argv, runs):
+    monkeypatch.setattr(qlbm.cli, runs, lambda *args, **kwargs: pytest.fail(f"{runs} ran"))
+    path = tmp_path / "given"
+    path.write_text("not a directory\n")
+    code, _, err = _run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert "configuration error" in err and str(path) in err
+
+
 def test_malformed_manifest_line_is_rejected(tmp_path, capsys):
     manifest = tmp_path / "run.manifest"
     manifest.write_text("extent 16\n")

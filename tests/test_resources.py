@@ -2,6 +2,7 @@
 the combined-versus-pair cavity comparison numbers."""
 
 import csv
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,13 +13,18 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import qlbm.resources
 from qlbm.circuits import (
     GATE_KINDS,
     CircuitIR,
     GateOp,
     RegisterLayout,
     SlotProgram,
+    _block_program,
+    _controlled_program,
+    _core_program,
     _ladder_program,
+    _prep_program,
     build_advection_diffusion_circuit,
     circuit_unitary,
     iter_lowered,
@@ -238,12 +244,12 @@ def test_slot_programs_run_the_rows_of_the_lowering(case):
     # slot for slot, the rows counted are the lowered gates
     _, ops = case
     for op in ops:
-        programs, qubits = slot_programs(op)
-        counted = [(qubits[t], qubits[c] if c >= 0 else None) for program in programs for t, c in program.rows]
+        program, qubits = slot_programs(op)
+        counted = [(qubits[t], qubits[c] if c >= 0 else None) for t, c in program.rows]
         lowered = lower_op(op)
         assert counted == [(low.targets[0], low.controls[0] if low.controls else None) for low in lowered]
-        assert sum(program.cnot for program in programs) == sum(1 for low in lowered if low.controls)
-        assert sum(program.single_qubit for program in programs) == sum(1 for low in lowered if not low.controls)
+        assert program.cnot == sum(1 for low in lowered if low.controls)
+        assert program.single_qubit == sum(1 for low in lowered if not low.controls)
 
 
 def _walked_paths(program, w1, wx):
@@ -273,16 +279,26 @@ def _assert_composed_paths_are_walked(programs):
             assert program.longest_paths(w1, wx) == _walked_paths(program, w1, wx)
 
 
+def _gate_programs(ops):
+    """Each gate's program and the programs it is made of, once each."""
+    programs = {}
+    for op in ops:
+        program = slot_programs(op)[0]
+        for p in (program, *(part for part, _ in program.parts)):
+            programs[id(p)] = p
+    return programs.values()
+
+
 @settings(max_examples=40, deadline=None)
 @given(_controlled_gates())
 def test_longest_paths_of_the_drawn_programs_match_a_walk_per_source(case):
     _, ops = case
-    _assert_composed_paths_are_walked({id(p): p for op in ops for p in slot_programs(op)[0]}.values())
+    _assert_composed_paths_are_walked(_gate_programs(ops))
 
 
 def test_longest_paths_of_the_comparison_programs_match_a_walk_per_source():
     ops = [op for circ in build_comparison_circuits(4).values() for op in circ.gates]
-    _assert_composed_paths_are_walked({id(p): p for op in ops for p in slot_programs(op)[0]}.values())
+    _assert_composed_paths_are_walked(_gate_programs(ops))
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -302,6 +318,19 @@ def test_longest_paths_build_no_rows_of_a_ladder_or_of_a_program_of_parts():
     assert paths == _walked_paths(composed, 2, 5)
     assert (composed.cnot, composed.single_qubit) == (16, 16)
     assert (sum(c >= 0 for _, c in composed.rows), len(composed.gates)) == (16, 16)
+
+
+def test_counting_the_comparison_circuits_builds_no_rows_of_a_gate_program():
+    # a fresh cache, so no earlier lowering has built the rows of a program the count meets
+    for cache in (_core_program, _controlled_program, _block_program, _ladder_program, _prep_program):
+        cache.cache_clear()
+    circuits = build_comparison_circuits(8)
+    for circ in circuits.values():
+        count_resources(circ, "count")
+    composed = {id(p): p for circ in circuits.values() for op in circ.gates
+                for p in [slot_programs(op)[0]] if p.parts or p.ladder}
+    assert composed
+    assert not [p for p in composed.values() if "rows" in vars(p) or "gates" in vars(p)]
 
 
 def _renamed(ops, qubits):
@@ -390,6 +419,59 @@ def test_representative_fields_shapes():
     assert omega.shape == (8, 8)
     assert vel.shape == (2, 8, 8)
     assert psi.min() < 0.0  # developed flow, not a zero placeholder
+
+
+def test_representative_fields_are_read_only():
+    for array in representative_cavity_fields(8, steps=20):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("extent, steps", [(8.0, 20), (True, 20), (8, 2.0), (8, True), (6, 20), (8, -1)])
+def test_representative_fields_check_their_arguments_after_the_cache_is_filled(extent, steps):
+    representative_cavity_fields(8, steps=20)
+    representative_cavity_fields(8, steps=2)
+    with pytest.raises(ConfigurationError):
+        representative_cavity_fields(extent, steps=steps)
+
+
+def test_representative_fields_are_solved_once_per_extent(monkeypatch):
+    qlbm.resources._developed_fields.cache_clear()
+    solved = []
+    solve = qlbm.resources.solve_cavity_classical
+    monkeypatch.setattr("qlbm.resources.solve_cavity_classical", lambda spec: solved.append(spec) or solve(spec))
+    first = representative_cavity_fields(8, steps=3)
+    again = representative_cavity_fields(np.int64(8), steps=3)
+    assert [spec.steps for spec in solved] == [3]
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_a_mutated_comparison_report_leaves_the_next_one_alone():
+    expected = compare_single_vs_frugal(4).to_dict()
+    comp = compare_single_vs_frugal(4)
+    comp.reports["single"].cnot = -1
+    comp.reports["vorticity"].sections["collision"].cnot = -1
+    comp.reports.pop("stream-function-nb")
+    assert compare_single_vs_frugal(4).to_dict() == expected
+
+
+# sha256 of each ``to_dict()`` as sorted-key JSON, recorded before the fields
+# were cached and each gate's lowering became one composed program
+_COMPARISON_SHA256 = {
+    2: "ea6553b8e9cb45a95c219d053931cc033198231d83927328791525073e445b33",
+    4: "98cc0ed6d9598b6e38a9aac5817a04ca599968307d1e4edce0726806dd748cfd",
+    8: "d6317b63bfb1a305b7dabb7a39fd84fad410a8d977dbc12c55ba88489116c679",
+    16: "662a6d560e3705ee8b580c1d560cbeb649c4d0d0d3d8cf4011f1e9254be7077f",
+    32: "36a3462e9718bd6e898411ed1d3aa992285dba18c38a8d6423c04edf331cc6f4",
+    64: "4e8f9092fb1107106fa0f580e6aa0f86eb415b09ebb87be76601f96759fee479",
+    128: "f98870f2ae94ffee983e3b082620d531e81bef157ba2b127a894b4340c3f6223",
+}
+
+
+@pytest.mark.parametrize("extent", sorted(_COMPARISON_SHA256))
+def test_comparison_reports_match_the_recorded_ones(extent):
+    text = json.dumps(compare_single_vs_frugal(extent).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _COMPARISON_SHA256[extent]
 
 
 def test_comparison_circuit_variants_and_widths():
