@@ -14,9 +14,12 @@ circuit is planned (:func:`halves`, :func:`diag_layout`), and each kernel
 call takes the view shape and indices ready-made. Controls arrive as
 (bit, value) pairs, so any mix of 0/1-polarity controls is one argument.
 A BLOCK's two halves are those of its flag within the controlled view:
-:func:`diag_layout` with the flag as one more control. The kernels take
-either dtype: a real plan passes real matrices and factors, and only runs
-kernels whose result stays real.
+:func:`diag_layout` with the flag as one more control. A SHIFT's register
+is consecutive bits, so :func:`shift_layout` views them as one axis of
+2**w points and :func:`apply_shift` rotates it by one, in either direction,
+with one slice assignment. The kernels take either dtype: a real plan
+passes real matrices and factors, and only runs kernels whose result stays
+real.
 """
 
 
@@ -60,6 +63,37 @@ def diag_layout(n, qpos, controls):
     order = tuple(sorted(range(m), key=lambda j: qpos[m - 1 - j], reverse=True))
     free = [n - 1 - a for a, i in enumerate(idx) if isinstance(i, slice)]
     return (*idx, ...), order, tuple(2 if q in qpos else 1 for q in free)
+
+
+def shift_layout(n, low, width, controls):
+    """View shape of a register on bits ``low``..``low + width - 1`` as one axis, and the indices of its +1 and -1 shifts.
+
+    The shape is ``(2,) * (n - low - width) + (2**width,) + (2,) * low``.
+    Each shift's indices are ``(edge_from, edge_to, body_from, body_to)``
+    for :func:`apply_shift`, every control axis fixed to its value: +1
+    moves the body 0..2**w-2 up one point and wraps the top point round to
+    0, -1 the reverse.
+    """
+    hi, top = n - low - width, (1 << width) - 1
+    idx = [slice(None)] * (hi + 1 + low)
+    for bit, value in controls:  # a control lies above the register or below it
+        idx[n - 1 - bit if bit > low else hi + low - bit] = value
+
+    def at(point):
+        idx[hi] = point
+        return (*idx, ...)
+
+    plus = (at(top), at(0), at(slice(0, top)), at(slice(1, None)))
+    minus = (at(0), at(top), at(slice(1, None)), at(slice(0, top)))
+    return (2,) * hi + (1 << width,) + (2,) * low, plus, minus
+
+
+def apply_shift(amps, shape, edge_from, edge_to, body_from, body_to):
+    """Rotate the register axis of the controlled view by one point: the edge wraps round, the body moves."""
+    view = amps.reshape(shape)
+    edge = view[edge_from].copy()
+    view[body_to] = view[body_from]  # numpy copies an overlapping source first
+    view[edge_to] = edge
 
 
 def apply_1q(amps, shape, i0, i1, u00, u01, u10, u11):

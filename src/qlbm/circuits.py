@@ -3,16 +3,19 @@
 The circuit intermediate representation is a flat list of :class:`GateOp`
 records over a :class:`RegisterLayout`, grouped into named sections
 (encode / collision / streaming / macro / boundary). Builders emit a
-high-level vocabulary (state preparation, block encodings, multi-controlled
-X); :func:`lower_circuit` rewrites everything into single-qubit gates plus
-CNOT with exact unitary equality, which is what the resource estimator
-counts. Every whole-pipeline builder's encode section is one ``PREP`` gate
-that holds the amplitude layout to load. The simulator applies it by
-loading; lowering expands it into the Möttönen rotation network
+high-level vocabulary (``PREP``, ``BLOCK``, ``SHIFT`` and Hadamards);
+:func:`lower_circuit` rewrites everything into single-qubit gates plus CNOT
+with exact unitary equality, which is what the resource estimator counts.
+Every whole-pipeline builder's encode section is one ``PREP`` gate that
+holds the amplitude layout to load. The simulator applies it by loading;
+lowering expands it into the Möttönen rotation network
 (arXiv:quant-ph/0407010). The collision and the wall projector are each one
 ``BLOCK`` gate that holds its coefficients k. Where its flag is selected
 right after it, the simulator multiplies the amplitudes by k; lowering
 expands it into Hadamards on the flag around a diagonal of +/- arccos(k).
+Streaming is one ``SHIFT`` per link and moving axis: a controlled cyclic
++/-1 of an axis register. The simulator rotates the controlled view once;
+lowering expands it into the ripple cascade of multi-controlled X gates.
 
 Each gate's lowering is described once, by :func:`slot_programs`: one
 cached slot program of ``(target slot, control slot)`` rows per gate shape.
@@ -27,7 +30,9 @@ being lowered fills its open rows with its own angles. There is
   depends only on that count;
 - one per ``BLOCK`` flag slot and set of RZ stages of its diagonal: a
   gray-code ladder per stage, between two H rows on the flag. The level
-  walk of :func:`_diag_stages` tells which stages are present.
+  walk of :func:`_diag_stages` tells which stages are present;
+- one per ``SHIFT`` register width, control polarities and step: the
+  ripple cascade, one multi-controlled X program per register bit.
 
 :func:`lower_op` replays the program onto a gate's qubits and fills the
 open rows. The estimator reads no row: it applies each gate's cached
@@ -58,7 +63,6 @@ __all__ = [
     "RegisterLayout",
     "CircuitIR",
     "gate_matrix_1q",
-    "build_shift_ops",
     "build_streaming_ops",
     "build_collision_ops",
     "build_advection_collision_ops",
@@ -82,13 +86,13 @@ __all__ = [
 
 # (target count, parameter count) per kind; PREP takes any number of targets
 # and one parameter per basis state of them, BLOCK at least two and one per
-# basis state of its targets but the last
+# basis state of its targets but the last, SHIFT any number and its step
 _GATE_SHAPES = {
     "H": (1, 0), "X": (1, 0), "MCX": (1, 0),
     "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1),
 }
 _ARRAY_KINDS = frozenset({"PREP", "BLOCK"})  # params held as a read-only float64 array
-GATE_KINDS = frozenset(_GATE_SHAPES) | _ARRAY_KINDS
+GATE_KINDS = frozenset(_GATE_SHAPES) | _ARRAY_KINDS | {"SHIFT"}
 _BITS = frozenset((0, 1))
 
 # tolerance for collision coefficients that poke past |k| = 1 by float slop
@@ -101,8 +105,11 @@ class GateOp:
 
     Controls apply to every kind but PREP. ``control_values`` holds the
     required bit (0 or 1) per control qubit. Parameters are angles except
-    for PREP and BLOCK. PREP loads a real vector onto targets that are all
-    |0>, normalized by :func:`unit_amplitudes`; its parameter is that
+    for PREP, BLOCK and SHIFT. SHIFT adds its step, the int +1 or -1, to
+    the register its targets hold, modulo its size: the targets are
+    consecutive ascending qubits, targets[0] least significant, and the
+    parameter is ``(step,)``. PREP loads a real vector onto targets that
+    are all |0>, normalized by :func:`unit_amplitudes`; its parameter is that
     vector, one entry per basis state of the targets (targets[0] least
     significant). BLOCK is a block encoding: its targets are one or more
     value qubits and then a flag, and its parameter ``k`` holds one
@@ -135,7 +142,7 @@ class GateOp:
                 raise ConfigurationError(f"{kind} needs at least one target")
             if kind == "BLOCK" and len(targets) == 1:
                 raise ConfigurationError("BLOCK needs at least one value qubit besides its flag")
-            shape = (len(targets), 1 << (len(targets) - (kind == "BLOCK")))
+            shape = (len(targets), 1 if kind == "SHIFT" else 1 << (len(targets) - (kind == "BLOCK")))
         if kind in _ARRAY_KINDS:
             if kind == "PREP" and controls:
                 raise ConfigurationError("PREP takes no controls")
@@ -152,8 +159,13 @@ class GateOp:
                 f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
                 f"got {len(targets)} and {len(self.params)}"
             )
+        if kind == "SHIFT":
+            (step,) = self.params
+            if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step not in (1, -1):
+                raise ConfigurationError(f"SHIFT step must be the integer +1 or -1, got {step!r}")
+            object.__setattr__(self, "params", (int(step),))
         # a PREP's vector is checked where it is loaded, by unit_amplitudes, as an EncodingError
-        if not (kind in _ARRAY_KINDS or all(map(math.isfinite, self.params))):
+        elif not (kind in _ARRAY_KINDS or all(map(math.isfinite, self.params))):
             raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
         if kind == "BLOCK":
             _check_coefficients(self)  # its range check rejects a NaN or infinity too
@@ -169,6 +181,8 @@ class GateOp:
             raise ConfigurationError(f"overlapping target/control qubits in {kind}")
         if seen and min(seen) < 0:
             raise ConfigurationError(f"negative qubit index in {kind}")
+        if kind == "SHIFT" and targets != tuple(range(targets[0], targets[0] + len(targets))):
+            raise ConfigurationError(f"SHIFT register {targets} is not consecutive ascending qubits")
 
     def _key(self) -> tuple:
         return (self.kind, self.targets, self.controls, self.control_values)
@@ -367,9 +381,10 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     rule of every load: PREP applied and PREP lowered.
     """
     v = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(v)):
-        raise EncodingError("cannot amplitude-encode a field with non-finite values")
+    # the peak is NaN or infinite exactly when some value is
     peak = float(np.abs(v).max()) if v.size else 0.0
+    if not math.isfinite(peak):
+        raise EncodingError("cannot amplitude-encode a field with non-finite values")
     if peak == 0.0:
         raise EncodingError("cannot amplitude-encode an all-zero field")
     unit = v / peak
@@ -383,38 +398,11 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def build_shift_ops(register: tuple[int, ...], step: int, controls=(), control_values=()) -> list[GateOp]:
-    """Cyclic +1 (step=+1) or -1 (step=-1) shifter on a binary site register.
-
-    The incrementer is the ripple cascade: flip each qubit controlled on all
-    lower ones, widest first, ending with a bare flip of the lowest qubit.
-    The decrementer is the same ladder with inverted control polarity.
-    """
-    if step not in (+1, -1):
-        raise ConfigurationError("shift step must be +1 or -1")
-    pol = 1 if step == +1 else 0
-    controls = tuple(controls)
-    control_values = tuple(control_values)
-    ops = []
-    m = len(register)
-    for j in range(m - 1, 0, -1):
-        ops.append(
-            GateOp(
-                "MCX",
-                (register[j],),
-                tuple(register[:j]) + controls,
-                (pol,) * j + control_values,
-            )
-        )
-    ops.append(GateOp("MCX", (register[0],), controls, control_values))
-    return ops
-
-
 def build_streaming_ops(layout: RegisterLayout, scheme: LatticeScheme, controls=(), control_values=()) -> list[GateOp]:
     """Link-conditioned streaming: shift each axis register by the link vector.
 
-    Every shifter gate is additionally controlled on the link register holding
-    that link's binary code (and on any extra controls supplied).
+    One SHIFT per link and moving axis, controlled on the link register
+    holding that link's binary code (and on any extra controls supplied).
     """
     ops: list[GateOp] = []
     d = layout.d
@@ -425,7 +413,7 @@ def build_streaming_ops(layout: RegisterLayout, scheme: LatticeScheme, controls=
         for axis, comp in enumerate(link):
             if comp == 0:
                 continue
-            ops.extend(build_shift_ops(layout.axis_registers[axis], comp, base_c, base_v))
+            ops.append(GateOp("SHIFT", layout.axis_registers[axis], base_c, base_v, (comp,)))
     return ops
 
 
@@ -659,7 +647,10 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   closed form. A PREP's parts are one ladder per target;
 # - an uncontrolled single-qubit gate: one open row;
 # - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
-#   that the level walk of its diagonal finds present.
+#   that the level walk of its diagonal finds present;
+# - a SHIFT of (register width, control polarities, step): the ripple
+#   cascade, whose parts are the MCX programs of its register bits, widest
+#   first, each on the lower register bits and the gate's controls.
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
@@ -1011,6 +1002,23 @@ def _block_program(flag: int, stages: tuple[int, ...]) -> SlotProgram:
     return SlotProgram(parts=[(hadamard, None), *((_ladder_program(k), None) for k in stages), (hadamard, None)])
 
 
+@functools.lru_cache(maxsize=128)
+def _shift_program(width: int, control_values: tuple[int, ...], step: int) -> SlotProgram:
+    """A SHIFT's lowering on slots 0..width-1 (its register) and the control slots above: the ripple cascade.
+
+    The incrementer flips register bit j when every bit below it is 1,
+    widest j first, and ends with a bare flip of bit 0; the decrementer
+    runs the same ladder on bits below at 0. The gate's controls join
+    every flip.
+    """
+    pol = 1 if step == 1 else 0
+    controls = tuple(range(width, width + len(control_values)))
+    return SlotProgram(parts=[
+        (_controlled_program("MCX", j + len(controls), (), (pol,) * j + control_values), (*range(j), *controls, j))
+        for j in range(width - 1, -1, -1)
+    ])
+
+
 def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
     """One gate's lowering, as the slot program that describes it.
 
@@ -1025,6 +1033,8 @@ def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
     if kind == "BLOCK":
         qubits, phases = _diagonal(op)
         return _block_program(len(op.targets) - 1, tuple(k for k, _ in _diag_stages(phases))), qubits
+    if kind == "SHIFT":
+        return _shift_program(len(op.targets), op.control_values, op.params[0]), op.qubits
     if not op.controls and kind != "MCX":
         return _ONE_ROW, op.targets
     return _controlled_program(kind, len(op.controls), op.params, op.control_values), op.controls + op.targets
@@ -1050,7 +1060,7 @@ def _own_gates(op: GateOp) -> list[tuple[str, tuple]]:
         return gates
     if kind == "BLOCK":
         return [("RZ", (angle,)) for _, diff in _diag_stages(_diagonal(op)[1]) for angle in _ladder_angles(diff)]
-    if not op.controls and kind != "MCX":
+    if not op.controls and kind not in ("MCX", "SHIFT"):
         return [(kind, op.params)]
     return []
 
@@ -1112,7 +1122,7 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
     Vectorized fancy-indexing reference path, deliberately separate from the
     compiled kernels so the two implementations can check each other. A PREP
     runs as its rotation network (:func:`lower_op`), a BLOCK as its
-    Hadamards around its diagonal.
+    Hadamards around its diagonal, a SHIFT as arithmetic on the basis index.
     """
     arr = np.asarray(array, dtype=complex).copy()
     if arr.shape[0] != 1 << n_qubits:
@@ -1132,6 +1142,16 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
                 sub |= ((idx >> q) & 1) << pos
             arr *= np.exp(1j * phases[sub]).reshape((-1,) + (1,) * (arr.ndim - 1))
             arr = apply_ops_numpy(arr, flag, n_qubits)
+            continue
+        if op.kind == "SHIFT":
+            # where the controls hold, the register field moves to field + step mod 2^w
+            low, size = op.targets[0], 1 << len(op.targets)
+            field = (idx >> low) & (size - 1)
+            moved = idx ^ ((field ^ ((field + op.params[0]) % size)) << low)
+            dest = np.where((idx & cmask) == cval, moved, idx)
+            shifted = np.empty_like(arr)
+            shifted[dest] = arr
+            arr = shifted
             continue
         if op.kind == "MCX":
             t = op.targets[0]

@@ -29,10 +29,10 @@ plan selects every register but the sites while the gates run: each
 selected qubit leaves right after the last gate that targets it, and the
 collision ancilla and wall flag, which hold 0 until their one BLOCK, never
 enter. So the job ends on the site amplitudes alone, and as each of its
-gates keeps real amplitudes real (PREP, MCX, H, or a BLOCK selected at
+gates keeps real amplitudes real (PREP, SHIFT, H, or a BLOCK selected at
 once), it runs on float64. A job whose load is all exactly zero (``np.any``
-is false; magnitude plays no part, as the PREP scales by the peak) is idle:
-it builds and runs nothing and records ``zero_input``. The sampling
+of its fields is false; magnitude plays no part, as the PREP scales by the
+peak) is idle: it builds and runs nothing and records ``zero_input``. The sampling
 backend of :func:`run_advection_diffusion` is the only other place a
 circuit runs: its complex plan selects nothing, it samples the whole state
 and records as ``select_probs`` the measured shares of shots that hold
@@ -270,7 +270,8 @@ def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(
     if job.sector:
         field, source = np.zeros_like(field), field
     prep = _prep(job, field, source)
-    if not np.any(prep.params):
+    # the PREP replicates the fields over the links, so it is all zero exactly when they are
+    if not (np.any(field) or source is not None and np.any(source)):
         return field, _idle(step, name), None
     if velocity is not None:
         collision = build_vorticity_collision_ops(job.layout, job.scheme, velocity)

@@ -16,7 +16,11 @@ many amplitudes. An uncontrolled single-qubit gate followed by a selection
 is one contraction (gate fusion, Häner & Steiger, arXiv:1704.01127). A
 ``BLOCK`` whose flag still holds 0 and is selected right after it never
 lets the flag in: what survives the selection is the value amplitudes times
-k, so the gate and its selection are one multiplication, in place.
+k, so the gate and its selection are one multiplication, in place. A
+``SHIFT`` adds +/-1 to a register of consecutive qubits where its controls
+hold; in the array those are consecutive bits, one axis of 2**w points, and
+the gate is one rotation of that axis of the controlled view, where its
+lowering runs a cascade of multi-controlled X gates.
 
 Which qubits are in the array at each gate, and at which bits, follows from
 the gate structure and the selection alone. So a circuit runs in two parts:
@@ -72,7 +76,7 @@ _MIN_SELECT_PROBABILITY = 1e-14
 _KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
 
 # gate kinds that keep real amplitudes real (a BLOCK unless it is a "block" step)
-_REAL_KINDS = frozenset({"PREP", "MCX", "H", "X", "RY", "BLOCK"})
+_REAL_KINDS = frozenset({"PREP", "MCX", "SHIFT", "H", "X", "RY", "BLOCK"})
 
 # numpy's multinomial draws take the shot count as a C long
 MAX_SHOTS = (1 << 63) - 1
@@ -145,7 +149,10 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     onto a qubit that an earlier gate made enter raises
     :class:`ConfigurationError`. Any other qubit enters in |0>, but none
     that a PHASE or BLOCK is diagonal on: on a qubit that holds 0 either
-    applies its phase or coefficients at that qubit's 0. Unless the
+    applies its phase or coefficients at that qubit's 0. A SHIFT's
+    register qubits enter first, so its register is consecutive bits; its
+    step holds the view with the register as one axis and the indices of
+    both directions, and the replay picks one by the gate's sign. Unless the
     selection below applies, a BLOCK's flag enters in |0> if it holds 0, and
     ``[[k, i s], [i s, k]]`` runs on the flag's two halves. A control on a known qubit is dropped when the value
     matches, and the gate is skipped when it does not. A qubit that no gate
@@ -168,8 +175,8 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
 
     All of that follows from the gate structure and the selection alone,
     and the plan holds nothing else. So does the array's dtype: float64
-    when every gate is a PREP, MCX, H, X, RY or BLOCK and no BLOCK runs on
-    its flag's two halves, where its ``i s`` enters; else complex128.
+    when every gate is a PREP, MCX, SHIFT, H, X, RY or BLOCK and no BLOCK
+    runs on its flag's two halves, where its ``i s`` enters; else complex128.
     """
     n_qubits = start.n_qubits
     wanted = {} if select is None else _checked_selection(select, n_qubits)
@@ -247,6 +254,13 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
                 enter("load", i, op.targets)
             elif kind == "PHASE" and entering:
                 pass  # diag(1, e^{i theta}) on a qubit that holds 0
+            elif kind == "SHIFT":
+                for q in entering:
+                    enter("enter", None, (q,))
+                # the register is consecutive qubits, all in the array: consecutive bits
+                layout = _kernels.shift_layout(len(bits), bit_of[op.targets[0]], len(op.targets),
+                                               [(bit_of[q], v) for q, v in live])
+                steps.append(("shift", i, layout))
             elif kind == "BLOCK":
                 *values, flag = op.targets
                 if flag in known and chosen and chosen[0] == flag and wanted[flag] == 0:
@@ -292,8 +306,9 @@ def apply_circuit(plan: CircuitPlan, ops):
     writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
     and multiplies the norm factor by the norm it was scaled from. A BLOCK's
     coefficients are fitted to their views from the gate's own parameters,
-    such as those of a BLOCK rebuilt per job, and each single-qubit gate's
-    matrix or phase is computed from its own angle. Each selection raises
+    such as those of a BLOCK rebuilt per job, each single-qubit gate's
+    matrix or phase is computed from its own angle, and each SHIFT's
+    direction is its own step's. Each selection raises
     :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. The
     array runs at the plan's dtype; on a real plan every single-qubit
     matrix and fused drop row is real and runs as its real part.
@@ -311,6 +326,9 @@ def apply_circuit(plan: CircuitPlan, ops):
     for tag, i, args in plan.steps:
         if tag == "mcx":
             _kernels.apply_mcx(amps, *args)
+        elif tag == "shift":
+            shape, plus, minus = args
+            _kernels.apply_shift(amps, shape, *(plus if ops[i].params[0] > 0 else minus))
         elif tag == "select":
             shape, index, fit, q = args
             _kernels.apply_diag(amps, shape, index, _fitted(ops[i].params, *fit))

@@ -24,7 +24,6 @@ from qlbm.circuits import (
     build_boundary_ops,
     build_collision_ops,
     build_macro_ops,
-    build_shift_ops,
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_streaming_ops,
@@ -216,7 +215,7 @@ def test_layout_rejects_bad_extent():
 @settings(max_examples=20, deadline=None)
 @given(m=st.integers(1, 4), step=st.sampled_from([+1, -1]))
 def test_shift_is_a_cyclic_permutation(m, step):
-    ops = build_shift_ops(tuple(range(m)), step)
+    ops = [GateOp("SHIFT", tuple(range(m)), params=(step,))]
     u = circuit_unitary(ops, m)
     # column x should be the basis vector x + step (mod 2^m)
     expected = np.zeros_like(u)
@@ -227,14 +226,66 @@ def test_shift_is_a_cyclic_permutation(m, step):
 
 def test_shift_controls_gate_the_whole_ladder():
     # With a 0-valued control the register must not move.
-    ops = build_shift_ops((0, 1), +1, controls=(2,), control_values=(1,))
+    ops = [GateOp("SHIFT", (0, 1), (2,), (1,), (+1,))]
     u = circuit_unitary(ops, 3)
     np.testing.assert_allclose(u[:4, :4], np.eye(4), atol=1e-12)
 
 
 def test_shift_rejects_bad_step():
     with pytest.raises(ConfigurationError, match="step"):
-        build_shift_ops((0, 1), 2)
+        GateOp("SHIFT", (0, 1), params=(2,))
+
+
+@pytest.mark.parametrize("step", [True, False, 0, 1.0, -1.5, math.nan])
+def test_shift_rejects_a_step_that_is_not_the_integer_plus_or_minus_one(step):
+    with pytest.raises(ConfigurationError, match="step"):
+        GateOp("SHIFT", (0, 1), params=(step,))
+
+
+@pytest.mark.parametrize("register", [(0, 2), (1, 0), (2, 1, 0), (3, 4, 6)])
+def test_shift_rejects_a_register_that_is_not_consecutive_ascending_qubits(register):
+    with pytest.raises(ConfigurationError, match="consecutive"):
+        GateOp("SHIFT", register, params=(1,))
+
+
+def test_shift_keeps_its_step_as_an_int():
+    op = GateOp("SHIFT", (2, 3), params=(np.int64(-1),))
+    assert op.params == (-1,) and type(op.params[0]) is int
+    assert op == GateOp("SHIFT", (2, 3), params=(-1,)) != GateOp("SHIFT", (2, 3), params=(1,))
+
+
+def _shift_cases():
+    """SHIFTs of register widths 1-6, both steps, and 0-3 controls of mixed polarity, on w + c qubits."""
+    for width in range(1, 7):
+        for step in (1, -1):
+            for n_controls in range(4):
+                # the register in the middle: controls below it and above it
+                low = n_controls // 2
+                controls = (*range(low), *range(low + width, width + n_controls))
+                values = tuple((i + width) % 2 for i in range(n_controls))
+                yield GateOp("SHIFT", tuple(range(low, low + width)), controls, values, (step,))
+
+
+def _cascade(op):
+    """The ripple cascade a SHIFT lowers to, as MCX gates: bit j flips when the bits below hold the step's polarity, widest j first."""
+    pol = 1 if op.params[0] == 1 else 0
+    reg = op.targets
+    return [GateOp("MCX", (reg[j],), reg[:j] + op.controls, (pol,) * j + op.control_values)
+            for j in range(len(reg) - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("op", list(_shift_cases()), ids=str)
+def test_a_shift_applied_by_index_arithmetic_is_its_lowered_cascade(op):
+    n = len(op.qubits)
+    identity = np.eye(1 << n, dtype=complex)
+    shifted = apply_ops_numpy(identity, [op], n)
+    np.testing.assert_array_equal(shifted, apply_ops_numpy(identity, _cascade(op), n))
+    lowered = lower_op(op)
+    assert lowered == [low for mcx in _cascade(op) for low in lower_op(mcx)]
+    # past 7 qubits the lowered cascade runs thousands of gates on 2^n x 2^n
+    # unitaries, seconds each; the MCX lowerings are checked densely on their own
+    if n <= 7:
+        np.testing.assert_allclose(apply_ops_numpy(identity, lowered, n), shifted, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("scheme,extent", [(D1Q2, 8), (D1Q3, 8), (D2Q5, 4)], ids=lambda p: getattr(p, "name", p))

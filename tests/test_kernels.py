@@ -175,10 +175,15 @@ _coefficient = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
 
 @st.composite
 def _gate_ops(draw, n_qubits):
-    # a BLOCK needs a value qubit besides its flag
+    # a BLOCK needs a value qubit besides its flag; a SHIFT's register is consecutive qubits
     kind = draw(st.sampled_from(sorted(GATE_KINDS - {"PREP"} - ({"BLOCK"} if n_qubits == 1 else set()))))
     qubits = draw(st.permutations(range(n_qubits)))
     n_targets = draw(st.integers(2, n_qubits)) if kind == "BLOCK" else 1
+    if kind == "SHIFT":
+        n_targets = draw(st.integers(1, n_qubits))
+        low = draw(st.integers(0, n_qubits - n_targets))
+        register = range(low, low + n_targets)
+        qubits = [*register, *(q for q in qubits if q not in register)]
     n_controls = draw(st.integers(0, n_qubits - n_targets))
     targets = tuple(qubits[:n_targets])
     controls = tuple(qubits[n_targets : n_targets + n_controls])
@@ -187,6 +192,8 @@ def _gate_ops(draw, n_qubits):
         params = draw(st.lists(_coefficient, min_size=1 << (n_targets - 1), max_size=1 << (n_targets - 1)))
     elif kind in ("RY", "RZ", "PHASE"):
         params = [draw(_angle)]
+    elif kind == "SHIFT":
+        params = [draw(st.sampled_from([1, -1]))]
     else:
         params = []
     return GateOp(kind, targets, controls, values, params=tuple(params))
@@ -229,10 +236,12 @@ def _kept(n_qubits, plan):
 
 
 def _new_payload(ops, rng):
-    """``ops`` with fresh parameters: new BLOCK coefficients and RY / RZ / PHASE angles, the rest as they are."""
+    """``ops`` with fresh parameters: new BLOCK coefficients, RY / RZ / PHASE angles and SHIFT steps reversed, the rest as they are."""
     fresh = []
     for op in ops:
-        if op.kind == "BLOCK":
+        if op.kind == "SHIFT":  # the plan of a +1 shift replayed on a -1 shift, and the other way round
+            op = GateOp(op.kind, op.targets, op.controls, op.control_values, params=(-op.params[0],))
+        elif op.kind == "BLOCK":
             k = rng.uniform(0.05, 0.95, len(op.params)) * rng.choice([-1.0, 1.0], len(op.params))
             op = GateOp(op.kind, op.targets, op.controls, op.control_values, params=k)
         elif op.kind in ("RY", "RZ", "PHASE"):
@@ -370,9 +379,9 @@ def test_apply_from_zero_state_matches_reference_on_the_zero_array(circuit):
 def _real_circuits_from_zero(draw):
     """A circuit for |0...0> of gates that keep its amplitudes real, and a selection.
 
-    A PREP onto a random subset of the qubits, then H, X, RY and MCX with
-    controls of either polarity, and BLOCKs whose flag is selected onto 0
-    right after them. The flags are the lowest qubits, one per BLOCK: no
+    A PREP onto a random subset of the qubits, then H, X, RY, MCX and
+    SHIFT with controls of either polarity, and BLOCKs whose flag is
+    selected onto 0 right after them. The flags are the lowest qubits, one per BLOCK: no
     other gate targets a flag, though any may control on it, so each holds
     0 until its BLOCK and is the first qubit selected there. The other
     qubits are loaded, targeted, controlled or never touched, and the
@@ -391,9 +400,13 @@ def _real_circuits_from_zero(draw):
 
     ops = []
     for _ in range(draw(st.integers(0, 10))):
-        kind, target = draw(st.sampled_from(("H", "X", "RY", "MCX"))), draw(st.sampled_from(others))
-        params = (draw(_angle),) if kind == "RY" else ()
-        ops.append(GateOp(kind, (target,), *controls([q for q in range(n_qubits) if q != target]), params=params))
+        kind, target = draw(st.sampled_from(("H", "X", "RY", "MCX", "SHIFT"))), draw(st.sampled_from(others))
+        if kind == "SHIFT":  # its register: consecutive qubits of ``others`` from ``target`` up
+            targets = tuple(range(target, draw(st.integers(target, n_qubits - 1)) + 1))
+            params = (draw(st.sampled_from([1, -1])),)
+        else:
+            targets, params = (target,), (draw(_angle),) if kind == "RY" else ()
+        ops.append(GateOp(kind, targets, *controls([q for q in range(n_qubits) if q not in targets]), params=params))
     for flag in flags:
         values = tuple(draw(st.permutations(others))[: draw(st.integers(1, len(others)))])
         k = draw(st.lists(_coefficient, min_size=1 << len(values), max_size=1 << len(values)))
@@ -506,7 +519,7 @@ def test_random_circuits_draw_every_gate_kind(kind):
          settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))
 
 
-@pytest.mark.parametrize("tag", ["1q", "mcx", "select", "drop", "known"])
+@pytest.mark.parametrize("tag", ["1q", "mcx", "shift", "select", "drop", "known"])
 def test_random_real_circuits_reach_every_step_of_a_real_plan(tag):
     # a fused drop is a Hadamard or RY right before its selection
     def reaches(case):
@@ -519,3 +532,34 @@ def test_random_real_circuits_reach_every_step_of_a_real_plan(tag):
 
     find(_real_circuits_from_zero(), reaches,
          settings=settings(max_examples=1000, database=None, phases=[Phase.generate]))
+
+
+def _reaches_a_shift(case, where):
+    """Whether the plan of ``case`` runs a SHIFT with part of its register outside the array, or a control on a qubit selected away."""
+    n_qubits, ops, plan = case
+    try:
+        steps = plan_circuit(ZeroState(n_qubits), ops, plan).steps
+    except PostSelectionError:
+        return False
+    left = set()  # qubits selected away so far: dropped, or known to hold their value
+    for k, (tag, i, args) in enumerate(steps):
+        if tag in ("drop", "known"):
+            left.add(args[0])
+        elif tag == "shift":
+            op = ops[i]
+            if where == "control" and left & set(op.controls):
+                return True
+            entered = 0
+            while entered < k and steps[k - 1 - entered][0] == "enter":
+                entered += 1
+            if where == "register" and 0 < entered < len(op.targets):
+                return True
+    return False
+
+
+# random_load puts every qubit in the array first, so only the circuits from |0...0> leave part of a register out
+@pytest.mark.parametrize("strategy, where", [(_circuits_from_zero, "register"), (_selected_circuits, "control")],
+                         ids=["from-zero-register", "selecting-control"])
+def test_random_circuits_reach_a_shift_partly_outside_the_array_or_controlled_on_a_selected_qubit(strategy, where):
+    find(strategy(), lambda case: _reaches_a_shift(case, where),
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))

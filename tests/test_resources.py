@@ -25,6 +25,7 @@ from qlbm.circuits import (
     _core_program,
     _ladder_program,
     _prep_program,
+    _shift_program,
     build_advection_diffusion_circuit,
     circuit_unitary,
     iter_lowered,
@@ -214,6 +215,15 @@ def _controlled_gates(draw, max_controls=7):
             vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size).filter(any))
             ops.append(GateOp("PREP", targets, params=vector))
             continue
+        if kind == "SHIFT":  # a register of consecutive qubits, controls among the rest
+            width = draw(st.integers(1, min(4, n)))
+            low = draw(st.integers(0, n - width))
+            register = tuple(range(low, low + width))
+            others = [q for q in qubits if q not in register]
+            m = draw(st.integers(0, min(len(others), max_controls + 1 - width)))
+            values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+            ops.append(GateOp("SHIFT", register, tuple(others[:m]), values, (draw(st.sampled_from([1, -1])),)))
+            continue
         n_targets = draw(st.integers(2, min(3, n))) if kind == "BLOCK" else 1
         m = draw(st.integers(0, min(n - n_targets, max_controls)))
         targets = tuple(qubits[:n_targets])
@@ -322,7 +332,7 @@ def test_longest_paths_build_no_rows_of_a_ladder_or_of_a_program_of_parts():
 
 def test_counting_the_comparison_circuits_builds_no_rows_of_a_gate_program():
     # a fresh cache, so no earlier lowering has built the rows of a program the count meets
-    for cache in (_core_program, _controlled_program, _block_program, _ladder_program, _prep_program):
+    for cache in (_core_program, _controlled_program, _block_program, _ladder_program, _prep_program, _shift_program):
         cache.cache_clear()
     circuits = build_comparison_circuits(8)
     for circ in circuits.values():
@@ -330,6 +340,7 @@ def test_counting_the_comparison_circuits_builds_no_rows_of_a_gate_program():
     composed = {id(p): p for circ in circuits.values() for op in circ.gates
                 for p in [slot_programs(op)[0]] if p.parts or p.ladder}
     assert composed
+    assert any(op.kind == "SHIFT" for circ in circuits.values() for op in circ.gates)
     assert not [p for p in composed.values() if "rows" in vars(p) or "gates" in vars(p)]
 
 

@@ -384,7 +384,7 @@ def test_cavity_jobs_hold_only_the_qubits_their_gates_need(monkeypatch, variant)
     # the collision ancilla and the wall flag never enter, so streaming runs
     # on the sites and links alone
     sizes = []
-    for name in ("apply_1q", "apply_mcx", "apply_diag", "apply_phase"):
+    for name in ("apply_1q", "apply_mcx", "apply_shift", "apply_diag", "apply_phase"):
         def spy(amps, *args, _name=name, _fn=getattr(_kernels, name)):
             sizes.append((_name, amps.size))
             return _fn(amps, *args)
@@ -399,7 +399,8 @@ def test_cavity_jobs_hold_only_the_qubits_their_gates_need(monkeypatch, variant)
     result = run_cavity(CavitySpec(32, 0.8, 2), variant=variant)
     assert sum(not r.zero_input for r in result.records) == 2
     layout = RegisterLayout.for_scheme(D2Q5, 32, source=True, boundary=True)
-    assert {size for name, size in sizes if name == "apply_mcx"} == {layout.n_sites << layout.n_d}
+    assert {size for name, size in sizes if name == "apply_shift"} == {layout.n_sites << layout.n_d}
+    assert not [name for name, _ in sizes if name == "apply_mcx"]  # streaming is one SHIFT per link and axis
     assert max(size for _, size in sizes) == 1 << 14
 
 

@@ -234,6 +234,7 @@ def _every_kind(rng):
         GateOp("RZ", (0,), (2,), (1,), (rng.uniform(-3, 3),)),
         GateOp("X", (1,)),
         GateOp("MCX", (3,), (0, 1), (1, 0)),
+        GateOp("SHIFT", (1, 2, 3), (5,), (0,), (int(rng.choice([-1, 1])),)),
         GateOp("BLOCK", (0, 4), params=rng.uniform(-1, 1, 2)),  # flag selected at once: a scaling by k
         GateOp("BLOCK", (1, 5), (2,), (0,), rng.uniform(-1, 1, 2)),  # flag kept: runs on its two halves
         GateOp("H", (3,)),  # selected right after: one contraction with its selection
@@ -257,7 +258,7 @@ def test_a_plan_holds_no_prep_vector():
     assert {op.kind for op in ops} == GATE_KINDS
     select = {3: 0, 4: 0}
     plan = plan_circuit(ZeroState(6), ops, select)
-    assert {tag for tag, _, _ in plan.steps} >= {"load", "1q", "phase", "mcx", "select", "block", "drop"}
+    assert {tag for tag, _, _ in plan.steps} >= {"load", "1q", "phase", "mcx", "shift", "select", "block", "drop"}
     nodes = list(_nodes(plan.steps))
     assert not any(node is op.params for node in nodes for op in ops if len(op.params))  # () is one object
     assert {type(node) for node in nodes} <= {tuple, str, int, slice, type(None), type(Ellipsis)}
@@ -266,6 +267,31 @@ def test_a_plan_holds_no_prep_vector():
     (got, got_probs), (fresh, fresh_probs) = apply_circuit(plan, other), run_from_zero(6, other, select)
     np.testing.assert_array_equal(got.amplitudes, fresh.amplitudes)
     assert got_probs == fresh_probs and got.norm_factor == fresh.norm_factor
+
+
+@pytest.mark.parametrize("select", [None, {0: 1}], ids=["full", "selected"])
+def test_a_plan_of_a_plus_one_shift_replayed_on_a_minus_one_shift_gives_the_minus_one_result(select):
+    # the step is a parameter: a plan holds both directions' indices and reads the sign from the gate
+    vector = np.arange(1.0, 17.0)
+    prep = GateOp("PREP", (0, 1, 2, 3), params=vector)
+
+    def ops(step):
+        return [prep, GateOp("SHIFT", (1, 2, 3), (0,), (1,), (step,))]
+
+    def run(plan, step):
+        out = apply_circuit(plan, ops(step))
+        return out if select is None else out[0]
+
+    plan = plan_circuit(ZeroState(4), ops(1), select)  # selected: qubit 0 leaves after the PREP, before the SHIFT
+    got = run(plan, -1)
+    np.testing.assert_array_equal(got.amplitudes, run(plan_circuit(ZeroState(4), ops(-1), select), -1).amplitudes)
+    # where bit 0 is 1, the register of bits 1-3 moves down by one: the odd entries roll back one place
+    unit = vector / np.linalg.norm(vector)
+    moved = unit.copy()
+    moved[1::2] = np.roll(unit[1::2], -1)
+    expected = moved if select is None else moved[1::2] / np.linalg.norm(moved[1::2])
+    np.testing.assert_allclose(got.amplitudes, expected, rtol=0, atol=1e-15)
+    assert not np.array_equal(run(plan, 1).amplitudes, got.amplitudes)
 
 
 @pytest.mark.parametrize("ops", [
@@ -288,13 +314,14 @@ def test_apply_rejects_gates_of_another_structure_than_the_plan(ops):
 
 
 def _real_case(rng):
-    """A PREP, real single-qubit gates, an MCX of mixed polarity and a BLOCK selected at once: a real plan."""
+    """A PREP, real single-qubit gates, an MCX of mixed polarity, a SHIFT and a BLOCK selected at once: a real plan."""
     return [
         GateOp("PREP", (0, 1, 2), params=rng.uniform(-1.0, 1.0, 8)),
         GateOp("H", (0,)),
         GateOp("RY", (1,), (2,), (0,), (rng.uniform(-3, 3),)),
         GateOp("X", (3,), (0,), (1,)),
         GateOp("MCX", (2,), (0, 3), (1, 0)),
+        GateOp("SHIFT", (2, 3), (0,), (0,), (int(rng.choice([-1, 1])),)),
         GateOp("BLOCK", (1, 2, 4), (0,), (1,), rng.uniform(-0.9, 0.9, 4)),
         GateOp("H", (1,)),
     ]
@@ -344,15 +371,14 @@ def test_a_plan_keeps_its_dtype_on_other_parameters_and_returns_complex128(extra
 
 
 def _kernel_dtypes(monkeypatch, run):
-    """The dtypes of the arrays every MCX kernel call of ``run()`` saw."""
+    """The dtypes of the arrays every MCX and SHIFT kernel call of ``run()`` saw."""
     seen = set()
-    mcx = qlbm._kernels.apply_mcx
+    for name in ("apply_mcx", "apply_shift"):
+        def spy(amps, *args, _kernel=getattr(qlbm._kernels, name)):
+            seen.add(amps.dtype)
+            _kernel(amps, *args)
 
-    def spy(amps, *args):
-        seen.add(amps.dtype)
-        mcx(amps, *args)
-
-    monkeypatch.setattr(qlbm._kernels, "apply_mcx", spy)
+        monkeypatch.setattr(qlbm._kernels, name, spy)
     run()
     return seen
 
