@@ -123,7 +123,11 @@ class GateOp:
     must be finite. PREP and BLOCK hold theirs as a read-only float64
     array: one that is already read-only and owns its memory, such as
     :func:`encoding_vector` returns, cannot change under the gate and is kept
-    as it is; anything else, a tuple included, is copied.
+    as it is; anything else, a tuple included, is copied. Every other kind
+    holds its parameters as a tuple of floats (SHIFT: of its int step), so a
+    list or an array of them makes the same gate as the tuple; a bare number,
+    a string or an entry that is not a real number is a
+    :class:`ConfigurationError`.
     """
 
     kind: str
@@ -154,6 +158,8 @@ class GateOp:
             if vector.ndim != 1:
                 raise ConfigurationError(f"{kind} takes a flat vector, got shape {vector.shape}")
             object.__setattr__(self, "params", vector)
+        elif type(self.params) is not tuple or not all(isinstance(p, float) for p in self.params):
+            object.__setattr__(self, "params", _real_tuple(kind, self.params))
         if len(targets) != shape[0] or len(self.params) != shape[1]:
             raise ConfigurationError(
                 f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
@@ -203,6 +209,18 @@ class GateOp:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
+
+
+def _real_tuple(kind: str, params) -> tuple:
+    """A non-array gate's ``params`` as a tuple of floats, or for SHIFT of its entries as given."""
+    try:
+        values = None if isinstance(params, (str, bytes)) else tuple(params)
+    except TypeError:  # a bare number, or a 0-d array
+        values = None
+    if values is None or not all(isinstance(p, numbers.Real) for p in values):
+        raise ConfigurationError(f"{kind} parameters must be a sequence of real numbers, got {params!r}")
+    # SHIFT's step is checked as it was given, so a float or a bool is refused there
+    return values if kind == "SHIFT" else tuple(map(float, values))
 
 
 def _check_coefficients(op: GateOp) -> None:
@@ -261,7 +279,7 @@ class RegisterLayout:
     @classmethod
     def for_scheme(cls, scheme: LatticeScheme, extent: int, *, source: bool = False, boundary: bool = False):
         require_power_of_two(extent)
-        m = extent.bit_length() - 1
+        m = int(extent).bit_length() - 1  # a numpy integer has no bit_length
         return cls(
             n_r0=m,
             n_r1=m if scheme.dimension == 2 else 0,

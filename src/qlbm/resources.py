@@ -22,7 +22,12 @@ over the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,
-sequential depth against the deeper of the two.
+sequential depth against the deeper of the two. It builds three circuits,
+the combined one and the with-boundary pair, and walks each once. The
+boundary-free pair it reports is not built: each is its with-boundary
+circuit without the last section, ``boundary``, and without the wall flag,
+which no earlier gate may touch, so its report is the running count taken
+just before that section.
 """
 
 from __future__ import annotations
@@ -150,37 +155,64 @@ def _duration_table(durations) -> GateDurationTable:
 
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
     """Count the lowered circuit without materializing it."""
-    durations = _duration_table(durations)
+    return _count(circ, label, _duration_table(durations))[0]
+
+
+def _count(circ: CircuitIR, label: str, durations: GateDurationTable,
+           wall_free_label: str | None = None) -> tuple[ResourceReport, ResourceReport | None]:
+    """``circ``'s report, and with a ``wall_free_label`` that of the circuit without its walls.
+
+    The second report is the running count just before the first
+    ``boundary`` section (after the last gate, if there is none), over the
+    qubits but the wall flag b, whose values are still 0 there. A gate
+    before that cut that touches b is a :class:`ConfigurationError`.
+    """
     w1, wx, scale = durations.integer_weights()
     n = circ.n_qubits
     last_layer = [0] * n
     ready_at = [0] * n
     sections: dict[str, SectionTally] = {}
-    for section, start, stop in circ.sections:
-        cnot = single = 0
-        for op in circ.gates[start:stop]:
-            program, qubits = slot_programs(op)
-            for values, paths in ((last_layer, program.longest_paths(1, 1)),
-                                  (ready_at, program.longest_paths(w1, wx))):
-                after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
-                         for _, sources, weights in paths]
-                for (i, _, _), value in zip(paths, after):
-                    values[qubits[i]] = value
-            cnot += program.cnot
-            single += program.single_qubit
-        if cnot or single:
-            tally = sections.setdefault(section, SectionTally())
-            tally.cnot += cnot
-            tally.single_qubit += single
-    return ResourceReport(
-        label=label,
-        qubit_count=n,
-        cnot=sum(t.cnot for t in sections.values()),
-        single_qubit=sum(t.single_qubit for t in sections.values()),
-        depth=max(last_layer, default=0),
-        runtime_seconds=max(ready_at, default=0) / scale,
-        sections=sections,
-    )
+
+    def report(name: str, qubit_count: int) -> ResourceReport:
+        tallies = {section: SectionTally(t.cnot, t.single_qubit) for section, t in sections.items()}  # shared by no other report
+        return ResourceReport(
+            label=name,
+            qubit_count=qubit_count,
+            cnot=sum(t.cnot for t in tallies.values()),
+            single_qubit=sum(t.single_qubit for t in tallies.values()),
+            depth=max(last_layer, default=0),
+            runtime_seconds=max(ready_at, default=0) / scale,
+            sections=tallies,
+        )
+
+    def walk(spans, wall: frozenset) -> None:
+        for section, start, stop in spans:
+            cnot = single = 0
+            for op in circ.gates[start:stop]:
+                if wall and not wall.isdisjoint(op.qubits):
+                    raise ConfigurationError(
+                        f"{op.kind} in section {section!r} touches the wall flag before the boundary section"
+                    )
+                program, qubits = slot_programs(op)
+                for values, paths in ((last_layer, program.longest_paths(1, 1)),
+                                      (ready_at, program.longest_paths(w1, wx))):
+                    after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
+                             for _, sources, weights in paths]
+                    for (i, _, _), value in zip(paths, after):
+                        values[qubits[i]] = value
+                cnot += program.cnot
+                single += program.single_qubit
+            if cnot or single:
+                tally = sections.setdefault(section, SectionTally())
+                tally.cnot += cnot
+                tally.single_qubit += single
+
+    cut = next((i for i, span in enumerate(circ.sections) if span[0] == "boundary"), len(circ.sections))
+    wall = frozenset(circ.layout.b if wall_free_label is not None else ())
+    walk(circ.sections[:cut], wall)
+    wall_free = None if wall_free_label is None else report(wall_free_label, n - circ.layout.n_b)
+    walk(circ.sections[cut:], frozenset())
+    return report(label, n), wall_free
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +248,17 @@ def _developed_fields(spec: CavitySpec) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def build_comparison_circuits(extent: int) -> dict[str, CircuitIR]:
-    """The five counted variants at one lattice extent."""
+    """The three counted circuits at one lattice extent: the combined one and the with-boundary pair.
+
+    The boundary-free pair is not built: its reports are read off the pair's
+    count (:func:`compare_single_vs_frugal`).
+    """
     psi, omega, vel = representative_cavity_fields(extent)
     source = D2Q5.diffusion * omega
     return {
         "single": build_single_cavity_circuit(D2Q5, extent, psi, source, omega, vel),
         "stream-function": build_stream_function_circuit(D2Q5, extent, psi, source),
         "vorticity": build_vorticity_circuit(D2Q5, extent, omega, vel),
-        "stream-function-nb": build_stream_function_circuit(D2Q5, extent, psi, source, boundary=False),
-        "vorticity-nb": build_vorticity_circuit(D2Q5, extent, omega, vel, boundary=False),
     }
 
 
@@ -298,13 +332,27 @@ class ComparisonReport:
 
 
 def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = None) -> ComparisonReport:
+    """Count the combined cavity circuit against the per-field pair at one extent.
+
+    Reports five variants: ``single``, ``stream-function``, ``vorticity``,
+    and the boundary-free pair ``stream-function-nb`` and ``vorticity-nb``.
+    Only the first three are built and each is counted once. A pair
+    circuit built with ``boundary=False`` is the with-boundary one without
+    its last section, ``boundary``, and without the wall flag b, which no
+    gate before that section touches. So each ``-nb`` report is the
+    running count of its with-boundary circuit just before ``boundary``
+    (with a :class:`ConfigurationError` if a gate there touches b), over
+    one qubit fewer.
+    """
     durations = _duration_table(durations)
+    require_power_of_two(extent)
+    extent = int(extent)  # a numpy integer would not serialize in to_dict()
     circuits = build_comparison_circuits(extent)
-    reports = {
-        name: count_resources(circ, f"{name}@{extent}", durations)
-        for name, circ in circuits.items()
-    }
-    return ComparisonReport(extent=extent, reports=reports)
+    reports = {"single": count_resources(circuits.pop("single"), f"single@{extent}", durations)}
+    wall_free = {}
+    for name, circ in circuits.items():
+        reports[name], wall_free[f"{name}-nb"] = _count(circ, f"{name}@{extent}", durations, f"{name}-nb@{extent}")
+    return ComparisonReport(extent=extent, reports=reports | wall_free)
 
 
 def scaling_sweep(extents, durations: GateDurationTable | None = None) -> list[ComparisonReport]:

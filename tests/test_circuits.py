@@ -41,7 +41,7 @@ from qlbm.circuits import (
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
-from qlbm.resources import build_comparison_circuits, count_resources
+from qlbm.resources import build_comparison_circuits, count_resources, representative_cavity_fields
 
 from prepared_state import random_load, run_from_zero
 
@@ -154,6 +154,23 @@ def test_gate_op_rejects_non_finite_parameters(kind, targets, params):
     # a PREP's vector is checked when it is loaded or lowered, as an EncodingError
     with pytest.raises(ConfigurationError, match="finite"):
         GateOp(kind, targets, params=params)
+
+
+@pytest.mark.parametrize("params", [[0.5], np.array([0.5]), (np.float64(0.5),)], ids=["list", "ndarray", "numpy-entry"])
+def test_gate_op_holds_a_sequence_of_angles_as_a_tuple_of_floats(params):
+    op = GateOp("RY", (0,), (1,), (1,), params)
+    tuple_form = GateOp("RY", (0,), (1,), (1,), (0.5,))
+    assert op.params == (0.5,) and type(op.params) is tuple and isinstance(op.params[0], float)
+    assert op == tuple_form and hash(op) == hash(tuple_form)
+    assert lower_op(op) == lower_op(tuple_form)  # the controlled program's cache takes it as a key
+
+
+@pytest.mark.parametrize("params", [0.5, np.float64(0.5), np.array(0.5), "5", b"5", ("0.5",), [[0.5]], [1j], [None]],
+                         ids=["float", "numpy-scalar", "0-d-array", "str", "bytes", "str-entry", "nested", "complex",
+                              "none"])
+def test_gate_op_rejects_parameters_that_are_not_a_sequence_of_reals(params):
+    with pytest.raises(ConfigurationError, match="sequence of real numbers"):
+        GateOp("RY", (0,), params=params)
 
 
 @pytest.mark.parametrize("targets, controls, match", [
@@ -816,17 +833,24 @@ def _exact(stream) -> list:
     ]
 
 
-def _builders_at_extent_four():
+def _builders_at_extent_four(four=4):
     rng = np.random.default_rng(31)
     psi, omega = rng.uniform(-1, 1, (2, 4, 4))
     vel = rng.uniform(-0.2, 0.2, (2, 4, 4))
     return {
-        "advection": build_advection_diffusion_circuit(D2Q5, 4, rng.random((4, 4)) + 0.1, (0.1, -0.05)),
-        "vorticity": build_vorticity_circuit(D2Q5, 4, omega, vel),
-        "stream-function": build_stream_function_circuit(D2Q5, 4, psi, 0.1 * omega),
-        "stream-function-nb": build_stream_function_circuit(D2Q5, 4, psi, 0.1 * omega, boundary=False),
-        "single": build_single_cavity_circuit(D2Q5, 4, psi, 0.1 * omega, omega, vel),
+        "advection": build_advection_diffusion_circuit(D2Q5, four, rng.random((4, 4)) + 0.1, (0.1, -0.05)),
+        "vorticity": build_vorticity_circuit(D2Q5, four, omega, vel),
+        "stream-function": build_stream_function_circuit(D2Q5, four, psi, 0.1 * omega),
+        "stream-function-nb": build_stream_function_circuit(D2Q5, four, psi, 0.1 * omega, boundary=False),
+        "single": build_single_cavity_circuit(D2Q5, four, psi, 0.1 * omega, omega, vel),
     }
+
+
+def test_every_builder_takes_a_numpy_integer_extent():
+    built = _builders_at_extent_four()
+    for name, circ in _builders_at_extent_four(np.int64(4)).items():
+        assert (circ.layout, circ.sections, circ.gates) == (built[name].layout, built[name].sections, built[name].gates)
+        assert type(circ.layout.n_r0) is int, name
 
 
 @pytest.mark.parametrize("name", ["advection", "vorticity", "stream-function", "stream-function-nb", "single"])
@@ -907,6 +931,9 @@ _FROZEN_LOWERING = {
 def test_lowering_matches_the_frozen_gates_bit_for_bit():
     # every PREP, BLOCK, MCX and H the builders emit, angles to the last bit
     circuits = build_comparison_circuits(2)
+    psi, omega, vel = representative_cavity_fields(2)
+    circuits["stream-function-nb"] = build_stream_function_circuit(D2Q5, 2, psi, D2Q5.diffusion * omega, boundary=False)
+    circuits["vorticity-nb"] = build_vorticity_circuit(D2Q5, 2, omega, vel, boundary=False)
     circuits["advection-d2q5"] = build_advection_diffusion_circuit(D2Q5, 4, np.arange(1.0, 17.0) / 16.0, (0.1, -0.05))
     assert {name: _lowering_digest(circ) for name, circ in circuits.items()} == _FROZEN_LOWERING
 

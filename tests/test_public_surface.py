@@ -35,6 +35,8 @@ _ALLOWED_METHODS = {}
 
 # defaulted parameters no program call passes, kept as "function.parameter": reason
 _ALLOWED_DEFAULTS = {
+    "build_stream_function_circuit.boundary": "tests build the boundary-free circuit that the comparison reads off the with-boundary count",
+    "build_vorticity_circuit.boundary": "tests build the boundary-free circuit that the comparison reads off the with-boundary count",
     "fidelity_sweep.state": "tests sweep a small state; the CLI sweeps the default reference state",
     "main.argv": "tests pass argument lists; the console script reads sys.argv",
     "representative_cavity_fields.steps": "tests develop the fields for fewer steps to stay fast",

@@ -27,6 +27,8 @@ from qlbm.circuits import (
     _prep_program,
     _shift_program,
     build_advection_diffusion_circuit,
+    build_stream_function_circuit,
+    build_vorticity_circuit,
     circuit_unitary,
     iter_lowered,
     lower_circuit,
@@ -34,7 +36,7 @@ from qlbm.circuits import (
     slot_programs,
 )
 from qlbm.errors import ConfigurationError
-from qlbm.lattice import D1Q3
+from qlbm.lattice import D1Q3, D2Q5
 from qlbm.resources import (
     GateDurationTable,
     build_comparison_circuits,
@@ -60,6 +62,15 @@ def _tiny_circuit(ops, n_qubits=3):
     circ = CircuitIR(RegisterLayout(n_r0=n_qubits, n_a=0))
     circ.add_section("body", ops)
     return circ
+
+
+def _comparison_and_boundary_free_circuits(extent):
+    """The three circuits a comparison counts, and the boundary-free pair built from the same fields."""
+    psi, omega, vel = representative_cavity_fields(extent)
+    return build_comparison_circuits(extent) | {
+        "stream-function-nb": build_stream_function_circuit(D2Q5, extent, psi, D2Q5.diffusion * omega, boundary=False),
+        "vorticity-nb": build_vorticity_circuit(D2Q5, extent, omega, vel, boundary=False),
+    }
 
 
 def test_duration_defaults():
@@ -334,7 +345,7 @@ def test_counting_the_comparison_circuits_builds_no_rows_of_a_gate_program():
     # a fresh cache, so no earlier lowering has built the rows of a program the count meets
     for cache in (_core_program, _controlled_program, _block_program, _ladder_program, _prep_program, _shift_program):
         cache.cache_clear()
-    circuits = build_comparison_circuits(8)
+    circuits = _comparison_and_boundary_free_circuits(8)
     for circ in circuits.values():
         count_resources(circ, "count")
     composed = {id(p): p for circ in circuits.values() for op in circ.gates
@@ -486,15 +497,67 @@ def test_comparison_reports_match_the_recorded_ones(extent):
 
 
 def test_comparison_circuit_variants_and_widths():
-    circuits = build_comparison_circuits(8)
-    assert set(circuits) == {
-        "single", "stream-function", "vorticity", "stream-function-nb", "vorticity-nb",
-    }
-    assert circuits["single"].n_qubits == 12
-    assert circuits["stream-function"].n_qubits == 12
-    assert circuits["vorticity"].n_qubits == 11
-    assert circuits["stream-function-nb"].n_qubits == 11
-    assert circuits["vorticity-nb"].n_qubits == 10
+    assert list(build_comparison_circuits(8)) == ["single", "stream-function", "vorticity"]
+    widths = {"single": 12, "stream-function": 12, "vorticity": 11, "stream-function-nb": 11, "vorticity-nb": 10}
+    assert {name: circ.n_qubits for name, circ in _comparison_and_boundary_free_circuits(8).items()} == widths
+    assert {name: rep.qubit_count for name, rep in compare_single_vs_frugal(8).reports.items()} == widths
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=["default", "slow-1q"])
+@pytest.mark.parametrize("extent", [2, 4, 8, 16, 32])
+def test_each_boundary_free_report_is_the_count_of_the_circuit_built_without_walls(extent, table):
+    comp = compare_single_vs_frugal(extent, table)
+    assert list(comp.reports) == ["single", "stream-function", "vorticity", "stream-function-nb", "vorticity-nb"]
+    circuits = _comparison_and_boundary_free_circuits(extent)
+    for name, rep in comp.reports.items():
+        assert rep.to_dict() == count_resources(circuits[name], f"{name}@{extent}", table).to_dict(), name
+    tallies = [tally for rep in comp.reports.values() for tally in rep.sections.values()]
+    assert len({id(tally) for tally in tallies}) == len(tallies)  # mutating one report leaves the others alone
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["target", "control"])
+def test_a_gate_on_the_wall_flag_before_the_boundary_section_is_rejected(control):
+    layout = RegisterLayout(n_r0=2, n_b=1)
+    (b,) = layout.b
+    on_b = GateOp("MCX", (0,), (b,), (1,)) if control else GateOp("H", (b,))
+    circ = CircuitIR(layout)
+    circ.add_section("macro", [GateOp("H", (0,)), on_b])
+    circ.add_section("boundary", [GateOp("MCX", layout.a, (b,), (1,))])
+    with pytest.raises(ConfigurationError, match="wall flag"):
+        qlbm.resources._count(circ, "walls", GateDurationTable(), "no-walls")
+    assert count_resources(circ, "walls").cnot == 1 + control  # a plain count takes the gate
+
+
+def test_a_gate_on_the_wall_flag_in_the_boundary_section_is_counted_only_with_the_walls():
+    layout = RegisterLayout(n_r0=2, n_b=1)
+    circ = CircuitIR(layout)
+    circ.add_section("macro", [GateOp("H", (0,))])
+    circ.add_section("boundary", [GateOp("MCX", layout.a, layout.b, (1,)), GateOp("H", layout.b)])
+    circ.add_section("macro", [GateOp("H", (1,))])  # after the first boundary span: cut off as well
+    walls, no_walls = qlbm.resources._count(circ, "walls", GateDurationTable(), "no-walls")
+    assert (walls.qubit_count, walls.cnot, walls.single_qubit, walls.depth) == (4, 1, 3, 2)
+    assert (no_walls.qubit_count, no_walls.cnot, no_walls.single_qubit, no_walls.depth) == (3, 0, 1, 1)
+    assert no_walls.label == "no-walls" and list(no_walls.sections) == ["macro"]
+
+
+def test_a_comparison_whose_pair_touches_the_wall_flag_early_is_rejected(monkeypatch):
+    built = build_comparison_circuits(2)
+    early = CircuitIR(built["vorticity"].layout)
+    early.add_section("encode", [GateOp("MCX", (0,), early.layout.b, (1,))])
+    early.add_section("boundary", [])
+    monkeypatch.setattr("qlbm.resources.build_comparison_circuits", lambda extent: {**built, "vorticity": early})
+    with pytest.raises(ConfigurationError, match="wall flag"):
+        compare_single_vs_frugal(2)
+
+
+def test_a_comparison_builds_the_three_counted_circuits_once_each(monkeypatch):
+    calls = []
+    for name in ("build_single_cavity_circuit", "build_stream_function_circuit", "build_vorticity_circuit"):
+        real = getattr(qlbm.resources, name)
+        monkeypatch.setattr(qlbm.resources, name,
+                            lambda *args, _real=real, _name=name, **kwargs: calls.append(_name) or _real(*args, **kwargs))
+    compare_single_vs_frugal(4)
+    assert sorted(calls) == ["build_single_cavity_circuit", "build_stream_function_circuit", "build_vorticity_circuit"]
 
 
 def test_comparison_at_extent_eight_frozen_numbers():
@@ -541,7 +604,7 @@ def test_comparison_at_extent_64_matches_the_parent():
 def test_the_counted_circuits_run_like_the_built_ones_at_the_headline_size():
     # the lowered gates are what the counts describe; through the simulator,
     # with the solver's selection, they must give the built circuits' amplitudes
-    for name, circ in build_comparison_circuits(8).items():
+    for name, circ in _comparison_and_boundary_free_circuits(8).items():
         lowered = lower_circuit(circ).gates
         for sector in (0, 1) if circ.layout.n_s else (0,):
             select = _selection(circ.layout, sector)
@@ -555,6 +618,20 @@ def test_the_counted_circuits_run_like_the_built_ones_at_the_headline_size():
             # a lowered PREP prepares the unit vector; the built one also carries the norm it was scaled from
             prep_norm = np.linalg.norm(circ.gates[0].params)
             assert built.norm_factor / low.norm_factor == pytest.approx(prep_norm, rel=1e-12), (name, sector)
+
+
+def test_a_comparison_at_a_numpy_integer_extent_is_the_one_at_the_int():
+    comp = compare_single_vs_frugal(np.int64(8))
+    assert type(comp.extent) is int
+    assert json.dumps(comp.to_dict()) == json.dumps(compare_single_vs_frugal(8).to_dict())
+
+
+def test_a_sweep_over_numpy_integer_extents_is_the_one_over_ints(tmp_path):
+    sweep = scaling_sweep([np.int64(2), np.int64(4)])
+    assert [type(comp.extent) for comp in sweep] == [int, int]
+    write_comparison_json(tmp_path / "numpy.json", sweep)
+    write_comparison_json(tmp_path / "int.json", scaling_sweep([2, 4]))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
 
 
 def test_comparison_runtime_tracks_depth_direction():

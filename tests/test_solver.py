@@ -311,6 +311,13 @@ def test_cavity_outputs_match_the_frozen_run(variant):
     assert _cavity_outputs(result) == frozen
 
 
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_cavity_takes_a_numpy_integer_extent(variant):
+    frozen = json.loads((_DATA / "cavity_outputs_extent8.json").read_text())[variant]
+    result = run_cavity(CavitySpec(n=np.int64(8), lid_velocity=0.7, steps=5), variant=variant)
+    assert _cavity_outputs(result) == frozen
+
+
 def test_cavity_rejects_unknown_variant():
     with pytest.raises(ConfigurationError, match="variant"):
         run_cavity(CavitySpec(n=8, steps=1), variant="both")
