@@ -29,15 +29,19 @@ being lowered fills its open rows with its own angles. There is
 - one per ``PREP`` qubit count, because the rotation network's structure
   depends only on that count;
 - one per ``BLOCK`` flag slot and set of RZ stages of its diagonal: a
-  gray-code ladder per stage, between two H rows on the flag. The level
-  walk of :func:`_diag_stages` tells which stages are present;
+  gray-code ladder per stage, between two H rows on the flag. The stages
+  are all or none: one on the flag's slot and one on each control's where
+  some coefficient k is not 1, else none, which one comparison tells;
 - one per ``SHIFT`` register width, control polarities and step: the
   ripple cascade, one multi-controlled X program per register bit.
 
 :func:`lower_op` replays the program onto a gate's qubits and fills the
 open rows. The estimator reads no row: it applies each gate's cached
 longest-path transfer (:meth:`SlotProgram.longest_paths`), composed from
-the programs its program is built from, and computes no angle.
+the programs its program is built from, and computes no angle. Every
+transfer of the builders' gates has max-plus rank one, so the estimator
+applies it factored (:meth:`SlotProgram.terms`), in time linear in the
+gate's slots.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -665,7 +669,8 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   closed form. A PREP's parts are one ladder per target;
 # - an uncontrolled single-qubit gate: one open row;
 # - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
-#   that the level walk of its diagonal finds present;
+#   that the level walk of its diagonal finds present: the flag's and each
+#   control's where some k is not 1 (:func:`slot_programs`), else none;
 # - a SHIFT of (register width, control polarities, step): the ripple
 #   cascade, whose parts are the MCX programs of its register bits, widest
 #   first, each on the lower register bits and the gate's controls.
@@ -814,6 +819,10 @@ def _ladder_angles(angles: np.ndarray) -> list[float]:
 # per slot i its rows touch, each slot j that reaches it, both ascending
 LongestPaths = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
+# the same transfer as max-plus terms: each ``(outs, a, ins, b)`` sets slot
+# outs[i] to a[i] + the largest before[ins[j]] + b[j]
+Terms = tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
 
 class SlotProgram:
     """One cached piece of a lowering: ``(target slot, control slot)`` per row.
@@ -833,6 +842,7 @@ class SlotProgram:
         self.parts: tuple[tuple[SlotProgram, tuple[int, ...] | None], ...] = tuple(parts)
         self.ladder = ladder
         self._paths: dict[tuple[int, int], LongestPaths] = {}
+        self._terms: dict[tuple[int, int], Terms] = {}
         if rows is not None:
             self.rows, self.gates = _shared(rows), tuple(gates)
             self.cnot, self.single_qubit = len(self.rows) - len(self.gates), len(self.gates)
@@ -883,6 +893,33 @@ class SlotProgram:
                 found = tuple((i, *zip(*sorted(p.items()))) for i, p in sorted(paths.items()))
             self._paths[w1, wx] = found
         return found
+
+    def terms(self, w1: int, wx: int) -> Terms:
+        """:meth:`longest_paths` as max-plus terms, applied in time linear in the slots.
+
+        Where ``W_ij = a_i + b_j`` holds exactly over every touched pair of
+        slots, which every gate program of the builders meets, it is one term
+        ``(outs, a, ins, b)``: the heaviest ``before[j] + b_j`` over ``ins``,
+        plus ``a_i`` on each slot of ``outs``. Else it is one term per output
+        slot, its sources and weights as they are. Every term reads the
+        values from before the program. Cached per weights.
+        """
+        found = self._terms.get((w1, wx))
+        if found is None:
+            found = self._terms[w1, wx] = _factored(self.longest_paths(w1, wx))
+        return found
+
+
+def _factored(paths: LongestPaths) -> Terms:
+    """One ``(outs, a, ins, b)`` term for a transfer of max-plus rank one, else one per output slot."""
+    if not paths:
+        return ()
+    _, ins, b = paths[0]
+    a = tuple(weights[0] - b[0] for _, _, weights in paths)
+    if all(sources == ins and all(w == shift + v for w, v in zip(weights, b))
+           for (_, sources, weights), shift in zip(paths, a)):
+        return ((tuple(i for i, _, _ in paths), a, ins, b),)
+    return tuple(((i,), (0,), sources, weights) for i, sources, weights in paths)
 
 
 def _shared(pairs) -> tuple[tuple[int, int], ...]:
@@ -1042,15 +1079,24 @@ def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
 
     Returns the cached slot program whose rows are the lowering, and the
     qubit each slot stands for. Its ``cnot`` and ``single_qubit`` are the
-    lowered gate's counts. A BLOCK's stages come from the level walk of its
-    diagonal, so no angle is computed.
+    lowered gate's counts. No angle is computed: a BLOCK's RZ stages, which
+    the level walk of :func:`_diag_stages` finds, are all or none. They are
+    none where every coefficient k is 1, and else one on the flag's slot
+    and one on each control's. On a control's level the difference of the
+    halves is the controlled block's phases or their negation, and their
+    mean is half of them. The flag's level takes the difference of
+    +arccos(k) and -arccos(k), nonzero where any k is not 1 (arccos of the
+    float below 1 is 1.5e-8, so no halving underflows), and averages them to
+    exactly 0, which leaves the value slots below without a stage.
     """
     kind = op.kind
     if kind == "PREP":
         return _prep_program(len(op.targets)), op.targets
     if kind == "BLOCK":
-        qubits, phases = _diagonal(op)
-        return _block_program(len(op.targets) - 1, tuple(k for k, _ in _diag_stages(phases))), qubits
+        flag = len(op.targets) - 1
+        # k was clipped to [-1, 1] as the gate was made, so its least is below 1 exactly where some k is not 1
+        stages = tuple(range(flag, flag + len(op.controls) + 1)) if op.params.min() < 1.0 else ()
+        return _block_program(flag, stages), op.qubits
     if kind == "SHIFT":
         return _shift_program(len(op.targets), op.control_values, op.params[0]), op.qubits
     if not op.controls and kind != "MCX":
@@ -1097,11 +1143,23 @@ def lower_op(op: GateOp) -> list[GateOp]:
     ops = []
     for t, c in program.rows:
         if c >= 0:
-            ops.append(GateOp("MCX", (qubits[t],), (qubits[c],), (1,)))
+            ops.append(_lowered_gate("MCX", (qubits[t],), (qubits[c],), (1,), ()))
         else:
             kind, params = next(gates) or next(own)
-            ops.append(GateOp(kind, (qubits[t],), params=params))
+            ops.append(_lowered_gate(kind, (qubits[t],), (), (), params))
     return ops
+
+
+def _lowered_gate(kind: str, targets: tuple, controls: tuple, control_values: tuple, params: tuple) -> GateOp:
+    """A basis gate of a lowering, made without :class:`GateOp`'s checks.
+
+    Its fields are a cached slot program's slots on the qubits of a gate
+    that passed them, and angles that are a tuple of floats, so each check
+    would pass and convert nothing.
+    """
+    gate = object.__new__(GateOp)
+    gate.__dict__.update(kind=kind, targets=targets, controls=controls, control_values=control_values, params=params)
+    return gate
 
 
 def iter_lowered(circ: CircuitIR) -> Iterator[tuple[str, GateOp]]:

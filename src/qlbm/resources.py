@@ -12,10 +12,14 @@ dependency graph whose nodes are its gates. Each program carries its
 longest-path transfer (:meth:`qlbm.circuits.SlotProgram.longest_paths`):
 per output slot, the heaviest path from each input slot through its rows.
 The counter applies one cached transfer per gate to the per-qubit values,
-in O(slots^2), and walks no row. Depth weighs every gate 1. Runtime weighs
-a gate by its duration, both durations taken as exact integers over their
-common power-of-two denominator, so the runtime is the exact longest
-duration path, rounded once to a float. A transfer is composed from those
+and walks no row. It applies the transfer as its max-plus terms
+(:meth:`qlbm.circuits.SlotProgram.terms`). Each gate of the builders has
+one, ``W_ij = a_i + b_j``: the heaviest ``v_j + b_j``, plus ``a_i`` on
+each output, in time linear in the gate's slots. Depth weighs each gate
+as 1. Runtime weighs a gate by its duration, both durations taken as exact
+integers over their common power-of-two denominator, so the runtime is the
+exact longest duration path, rounded once to a float; one too large for a
+float is a :class:`ConfigurationError`. A transfer is composed from those
 of the smaller programs its program is built from, so even the first count
 stays cheap. Counts and section tallies are sums of the programs' counts
 over the circuit's section spans.
@@ -175,13 +179,20 @@ def _count(circ: CircuitIR, label: str, durations: GateDurationTable,
 
     def report(name: str, qubit_count: int) -> ResourceReport:
         tallies = {section: SectionTally(t.cnot, t.single_qubit) for section, t in sections.items()}  # shared by no other report
+        try:
+            runtime = max(ready_at, default=0) / scale
+        except OverflowError:
+            raise ConfigurationError(
+                f"the runtime of {name} with durations single_qubit={durations.single_qubit!r} "
+                f"and cnot={durations.cnot!r} is too large for a float"
+            ) from None
         return ResourceReport(
             label=name,
             qubit_count=qubit_count,
             cnot=sum(t.cnot for t in tallies.values()),
             single_qubit=sum(t.single_qubit for t in tallies.values()),
             depth=max(last_layer, default=0),
-            runtime_seconds=max(ready_at, default=0) / scale,
+            runtime_seconds=runtime,
             sections=tallies,
         )
 
@@ -194,12 +205,11 @@ def _count(circ: CircuitIR, label: str, durations: GateDurationTable,
                         f"{op.kind} in section {section!r} touches the wall flag before the boundary section"
                     )
                 program, qubits = slot_programs(op)
-                for values, paths in ((last_layer, program.longest_paths(1, 1)),
-                                      (ready_at, program.longest_paths(w1, wx))):
-                    after = [max([values[qubits[j]] + w for j, w in zip(sources, weights)])
-                             for _, sources, weights in paths]
-                    for (i, _, _), value in zip(paths, after):
-                        values[qubits[i]] = value
+                for values, terms in ((last_layer, program.terms(1, 1)), (ready_at, program.terms(w1, wx))):
+                    peaks = [max([values[qubits[j]] + w for j, w in zip(ins, b)]) for _, _, ins, b in terms]
+                    for (outs, a, _, _), peak in zip(terms, peaks):
+                        for i, w in zip(outs, a):
+                            values[qubits[i]] = peak + w
                 cnot += program.cnot
                 single += program.single_qubit
             if cnot or single:
@@ -357,6 +367,7 @@ def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = 
 
 def scaling_sweep(extents, durations: GateDurationTable | None = None) -> list[ComparisonReport]:
     durations = _duration_table(durations)
+    extents = list(extents)  # read once, so an iterator is not spent by the check
     require_power_of_two(*extents)
     return [compare_single_vs_frugal(e, durations) for e in extents]
 

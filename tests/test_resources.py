@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from qlbm.circuits import (
     _block_program,
     _controlled_program,
     _core_program,
+    _diag_stages,
+    _diagonal,
     _ladder_program,
     _prep_program,
     _shift_program,
@@ -109,6 +112,16 @@ def test_a_duration_table_that_is_not_one_is_rejected_before_anything_is_built(b
         compare_single_vs_frugal(2, bad)
     with pytest.raises(ConfigurationError, match="GateDurationTable"):
         scaling_sweep([2, 4], bad)
+
+
+@pytest.mark.parametrize("table", [GateDurationTable(5e-324, 1e308), GateDurationTable(0, 1e308)])
+def test_a_runtime_too_large_for_a_float_is_a_configuration_error_naming_the_durations(table):
+    # the exact runtime is an int over a power of two; past the largest float it cannot be rounded to one
+    names = re.escape(f"single_qubit={table.single_qubit!r} and cnot={table.cnot!r}")
+    with pytest.raises(ConfigurationError, match=names):
+        count_resources(_tiny_circuit([GateOp("MCX", (1,), (0,), (1,)), GateOp("MCX", (0,), (1,), (1,))]), "big", table)
+    with pytest.raises(ConfigurationError, match=names):
+        compare_single_vs_frugal(2, table)
 
 
 def test_count_serial_chain_by_hand():
@@ -273,6 +286,19 @@ def test_slot_programs_run_the_rows_of_the_lowering(case):
         assert program.single_qubit == sum(1 for low in lowered if not low.controls)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_controlled_gates())
+def test_each_lowered_gate_is_the_checked_gate_of_its_fields(case):
+    # the lowering makes its basis gates without GateOp's checks; each is the one the checks would make
+    _, ops = case
+    for op in ops:
+        for low in lower_op(op):
+            checked = GateOp(low.kind, low.targets, low.controls, low.control_values, low.params)
+            assert vars(low) == vars(checked)
+            assert low == checked and hash(low) == hash(checked)
+            assert type(low.params) is tuple and all(type(p) is float for p in low.params)
+
+
 def _walked_paths(program, w1, wx):
     """A program's longest paths, one walk of its rows per source slot."""
     slots = sorted({s for row in program.rows for s in row if s >= 0})
@@ -320,6 +346,102 @@ def test_longest_paths_of_the_drawn_programs_match_a_walk_per_source(case):
 def test_longest_paths_of_the_comparison_programs_match_a_walk_per_source():
     ops = [op for circ in build_comparison_circuits(4).values() for op in circ.gates]
     _assert_composed_paths_are_walked(_gate_programs(ops))
+
+
+def _through_paths(paths, before):
+    after = list(before)
+    for i, sources, weights in paths:
+        after[i] = max(before[j] + w for j, w in zip(sources, weights))
+    return after
+
+
+def _through_terms(terms, before):
+    after = list(before)
+    for outs, a, ins, b in terms:
+        peak = max(before[j] + w for j, w in zip(ins, b))
+        for i, shift in zip(outs, a):
+            after[i] = peak + shift
+    return after
+
+
+def _assert_terms_apply_the_longest_paths(programs, rng):
+    for program in programs:
+        for w1, wx in _WEIGHTS:
+            paths, terms = program.longest_paths(w1, wx), program.terms(w1, wx)
+            assert program.terms(w1, wx) is terms  # cached
+            size = 1 + max(i for i, _, _ in paths)
+            for before in rng.integers(0, 10 * (w1 + wx) + 10, size=(3, size)).tolist():
+                assert _through_terms(terms, before) == _through_paths(paths, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_controlled_gates())
+def test_the_terms_of_the_drawn_programs_apply_their_longest_paths(case):
+    _, ops = case
+    _assert_terms_apply_the_longest_paths(_gate_programs(ops), np.random.default_rng(len(ops)))
+
+
+@pytest.mark.parametrize("extent", [2, 4, 8, 16, 32])
+def test_the_terms_of_the_comparison_programs_apply_their_longest_paths(extent):
+    ops = [op for circ in _comparison_and_boundary_free_circuits(extent).values() for op in circ.gates]
+    _assert_terms_apply_the_longest_paths(_gate_programs(ops), np.random.default_rng(extent))
+
+
+@pytest.mark.parametrize("extent", [2, 4, 8, 16])
+def test_every_gate_of_the_comparison_factors_into_one_term(extent):
+    # what keeps the count linear in each gate's slots: every transfer has max-plus rank one
+    for circ in _comparison_and_boundary_free_circuits(extent).values():
+        for op in circ.gates:
+            program = slot_programs(op)[0]
+            for w1, wx in _WEIGHTS:
+                assert len(program.terms(w1, wx)) == 1, (op.kind, w1, wx)
+
+
+def test_a_transfer_that_does_not_factor_is_counted_one_term_per_output(monkeypatch):
+    # rows on two disjoint slots: slot 0 is reached from itself only, slot 1 from itself only
+    program = SlotProgram(((0, -1), (1, -1), (1, -1)), [("H", ()), ("X", ()), ("H", ())])
+    assert program.terms(2, 5) == (((0,), (0,), (0,), (2,)), ((1,), (0,), (1,), (4,)))
+    marker = GateOp("MCX", (2,), (0,), (1,))
+    real = slot_programs
+
+    def stand_in(op):
+        return (program, (0, 2)) if op is marker else real(op)
+
+    monkeypatch.setattr("qlbm.circuits.slot_programs", stand_in)  # what lower_op replays
+    monkeypatch.setattr("qlbm.resources.slot_programs", stand_in)  # what the counter applies
+    circ = _tiny_circuit([GateOp("H", (1,)), GateOp("MCX", (2,), (1,), (1,)), GateOp("X", (0,)), marker,
+                          GateOp("MCX", (0,), (2,), (1,))])
+    assert [(op.targets, op.controls) for op in lower_circuit(circ).gates[-4:-1]] == [((0,), ()), ((2,), ()), ((2,), ())]
+    for table in _TABLES:
+        assert _counted(circ, table) == _recount(circ, table)
+
+
+_STAGE_COEFFICIENTS = [1.0, -1.0, 0.0, float(np.nextafter(1.0, 0.0)), 1.0 + 5e-10]
+
+
+@st.composite
+def _blocks(draw):
+    n_values, m = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    qubits = draw(st.permutations(range(n_values + 1 + m)))
+    size = 1 << n_values
+    coefficient = draw(st.sampled_from([
+        st.sampled_from([1.0, 1.0 + 5e-10]),  # every k 1 after clipping: no stage
+        st.sampled_from(_STAGE_COEFFICIENTS),
+        st.one_of(st.sampled_from(_STAGE_COEFFICIENTS), st.floats(-1, 1)),
+    ]))
+    k = draw(st.lists(coefficient, min_size=size, max_size=size))
+    values = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    return GateOp("BLOCK", tuple(qubits[: n_values + 1]), tuple(qubits[n_values + 1 :]), values, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocks())
+def test_the_stages_a_block_is_counted_with_are_those_of_the_level_walk(op):
+    qubits, phases = _diagonal(op)
+    walked = tuple(k for k, _ in _diag_stages(phases))
+    program, counted_on = slot_programs(op)
+    assert program is _block_program(len(op.targets) - 1, walked)
+    assert counted_on == qubits
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -649,6 +771,11 @@ def test_scaling_sweep_gaps_grow():
     depth_gaps = [c.depth_gap for c in sweep]
     assert cnot_gaps == sorted(cnot_gaps) and len(set(cnot_gaps)) == 3
     assert depth_gaps == sorted(depth_gaps) and len(set(depth_gaps)) == 3
+
+
+@pytest.mark.parametrize("extents", [(x for x in (2, 4)), (2, 4), np.array([2, 4])], ids=["generator", "tuple", "array"])
+def test_a_sweep_reads_its_extents_once(extents):
+    assert [comp.extent for comp in scaling_sweep(extents)] == [2, 4]
 
 
 def test_scaling_sweep_rejects_bad_extent():
