@@ -36,12 +36,11 @@ being lowered fills its open rows with its own angles. There is
   ripple cascade, one multi-controlled X program per register bit.
 
 :func:`lower_op` replays the program onto a gate's qubits and fills the
-open rows. The estimator reads no row: it applies each gate's cached
-longest-path transfer (:meth:`SlotProgram.longest_paths`), composed from
-the programs its program is built from, and computes no angle. Every
-transfer of the builders' gates has max-plus rank one, so the estimator
-applies it factored (:meth:`SlotProgram.terms`), in time linear in the
-gate's slots.
+open rows. The estimator reads no row and computes no angle: it applies
+each gate's cached longest-path transfer as max-plus terms
+(:meth:`SlotProgram.terms`), chained from the terms of the programs its
+program is built from. Every transfer of the builders' gates has max-plus
+rank one, so it is one term, applied in time linear in the gate's slots.
 
 Qubit order is little-endian: basis index bit k is qubit k. The site
 register for axis 0 occupies the lowest qubits, then axis 1, then the link
@@ -648,12 +647,13 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 # The resource counter reads no row and computes no angle: it applies each
 # gate's longest-path transfer, a max-plus matrix over the slots
 # (Baccelli, Cohen, Olsder & Quadrat, Synchronization and Linearity, 1992),
-# cached per weights. Depth weighs every row 1; runtime weighs a row by its
-# duration, as an exact integer, so the runtime is the exact longest
-# duration path, rounded once. A program made of smaller ones keeps them as
-# its parts, and its transfer is their product, exact on ints; only a
-# program written row by row, a few rows long, is walked. Its rows are
-# built from its parts' when first read, which only the lowering does.
+# held as its max-plus terms and cached per weights. Depth weighs every row
+# 1; runtime weighs a row by its duration, as an exact integer, so the
+# runtime is the exact longest duration path, rounded once. A program made
+# of smaller ones keeps them as its parts, and its terms are their product,
+# exact on ints; a program written row by row, a few rows long, chains one
+# term per row. Its rows are built from its parts' when first read, which
+# only the lowering does.
 #
 # There is one program per gate shape:
 #
@@ -665,8 +665,8 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   polarity 0, the gate's program is the core between two runs of a program
 #   of X gates on those controls' slots;
 # - a uniformly-controlled rotation: one gray-code ladder per control count
-#   (:func:`_ladder_program`), every rotation open, whose transfer has a
-#   closed form. A PREP's parts are one ladder per target;
+#   (:func:`_ladder_program`), every rotation open, whose transfer is one
+#   term in closed form. A PREP's parts are one ladder per target;
 # - an uncontrolled single-qubit gate: one open row;
 # - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
 #   that the level walk of its diagonal finds present: the flag's and each
@@ -815,11 +815,7 @@ def _ladder_angles(angles: np.ndarray) -> list[float]:
     return (_fwht(angles) / angles.size)[rung ^ (rung >> 1)].tolist()
 
 
-# a program's longest paths: one ``(slot i, (slot j, ...), (W_ij, ...))`` entry
-# per slot i its rows touch, each slot j that reaches it, both ascending
-LongestPaths = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-
-# the same transfer as max-plus terms: each ``(outs, a, ins, b)`` sets slot
+# a program's transfer as max-plus terms: each ``(outs, a, ins, b)`` sets slot
 # outs[i] to a[i] + the largest before[ins[j]] + b[j]
 Terms = tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
@@ -835,13 +831,12 @@ class SlotProgram:
     made of smaller ones, its ``parts``: ``(program, slots)`` pairs whose
     rows, run in order with slot i on ``slots[i]`` (``None``: on slot i),
     are its rows. The rows and gates of the last two are built when first
-    read; the counter never reads them.
+    read; the counter never reads them, only :meth:`terms`.
     """
 
     def __init__(self, rows=None, gates=(), *, parts=(), ladder: int | None = None):
         self.parts: tuple[tuple[SlotProgram, tuple[int, ...] | None], ...] = tuple(parts)
         self.ladder = ladder
-        self._paths: dict[tuple[int, int], LongestPaths] = {}
         self._terms: dict[tuple[int, int], Terms] = {}
         if rows is not None:
             self.rows, self.gates = _shared(rows), tuple(gates)
@@ -867,59 +862,53 @@ class SlotProgram:
             return (None,) * self.single_qubit
         return tuple(gate for program, _ in self.parts for gate in program.gates)
 
-    def longest_paths(self, w1: int, wx: int) -> LongestPaths:
+    def terms(self, w1: int, wx: int) -> Terms:
         """The max-plus transfer of the rows when a single-qubit row weighs w1 and a CNOT wx.
 
         ``W_ij`` is the heaviest path through the rows from slot j's input to
         slot i's output, so after the program slot i holds the largest
         ``before[j] + W_ij``; a slot the rows leave untouched keeps its value.
         With weights (1, 1) that is the depth; with gate durations, the
-        runtime. A ladder has a closed form; a program with parts composes
-        theirs; only a program written row by row, which is a few rows, is
-        walked. Cached per weights.
-        """
-        found = self._paths.get((w1, wx))
-        if found is None:
-            if self.ladder:
-                found = _ladder_paths(self.ladder, w1, wx)
-            else:
-                paths: dict[int, dict[int, int]] = {}
-                for program, slots in self.parts or ((self, None),):
-                    if program.parts or program.ladder:
-                        _chain(program.longest_paths(w1, wx), slots, paths)
-                    else:
-                        for t, c in program.rows:
-                            _chain(_row_paths(t, c, w1, wx), slots, paths)
-                found = tuple((i, *zip(*sorted(p.items()))) for i, p in sorted(paths.items()))
-            self._paths[w1, wx] = found
-        return found
-
-    def terms(self, w1: int, wx: int) -> Terms:
-        """:meth:`longest_paths` as max-plus terms, applied in time linear in the slots.
-
-        Where ``W_ij = a_i + b_j`` holds exactly over every touched pair of
-        slots, which every gate program of the builders meets, it is one term
-        ``(outs, a, ins, b)``: the heaviest ``before[j] + b_j`` over ``ins``,
-        plus ``a_i`` on each slot of ``outs``. Else it is one term per output
-        slot, its sources and weights as they are. Every term reads the
-        values from before the program. Cached per weights.
+        runtime. Where ``W_ij = a_i + b_j`` holds exactly over every touched
+        pair of slots, which every gate program of the builders meets, it is
+        one term ``(outs, a, ins, b)``: the heaviest ``before[j] + b_j`` over
+        ``ins``, plus ``a_i`` on each slot of ``outs``. Else it is one term
+        per output slot, its sources and weights as they are. Every term
+        reads the values from before the program. A ladder has a closed
+        form; a program with parts chains theirs, and a program written row
+        by row, which is a few rows, chains one term per row. Cached per
+        weights.
         """
         found = self._terms.get((w1, wx))
         if found is None:
-            found = self._terms[w1, wx] = _factored(self.longest_paths(w1, wx))
+            if self.ladder:
+                found = _ladder_terms(self.ladder, w1, wx)
+            else:
+                paths: dict[int, dict[int, int]] = {}
+                if self.parts:
+                    for program, slots in self.parts:
+                        _chain(program.terms(w1, wx), slots, paths)
+                else:
+                    for t, c in self.rows:
+                        _chain((((t,), (w1,), (t,), (0,)),) if c < 0 else (((t, c), (wx, wx), (t, c), (0, 0)),),
+                               None, paths)
+                found = _factored(paths)
+            self._terms[w1, wx] = found
         return found
 
 
-def _factored(paths: LongestPaths) -> Terms:
-    """One ``(outs, a, ins, b)`` term for a transfer of max-plus rank one, else one per output slot."""
-    if not paths:
+def _factored(paths: dict[int, dict[int, int]]) -> Terms:
+    """``paths`` (slot -> {source slot: heaviest path}) as one term if it has max-plus rank one, else one per slot."""
+    rows = [(i, tuple(sorted(p)), p) for i, p in sorted(paths.items())]
+    if not rows:
         return ()
-    _, ins, b = paths[0]
-    a = tuple(weights[0] - b[0] for _, _, weights in paths)
-    if all(sources == ins and all(w == shift + v for w, v in zip(weights, b))
-           for (_, sources, weights), shift in zip(paths, a)):
-        return ((tuple(i for i, _, _ in paths), a, ins, b),)
-    return tuple(((i,), (0,), sources, weights) for i, sources, weights in paths)
+    _, ins, first = rows[0]
+    if all(sources == ins for _, sources, _ in rows):
+        b = tuple(first[j] for j in ins)
+        a = tuple(p[ins[0]] - b[0] for _, _, p in rows)
+        if all(p[j] == shift + w for (_, _, p), shift in zip(rows, a) for j, w in zip(ins, b)):
+            return ((tuple(i for i, _, _ in rows), a, ins, b),)
+    return tuple(((i,), (0,), sources, tuple(p[j] for j in sources)) for i, sources, p in rows)
 
 
 def _shared(pairs) -> tuple[tuple[int, int], ...]:
@@ -928,51 +917,45 @@ def _shared(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(shared.setdefault(pair, pair) for pair in pairs)
 
 
-def _row_paths(t: int, c: int, w1: int, wx: int) -> LongestPaths:
-    """The longest paths through one row: a single-qubit gate on slot t, or a CNOT joining slots t and c."""
-    if c < 0:
-        return ((t, (t,), (w1,)),)
-    return ((t, (t, c), (wx, wx)), (c, (t, c), (wx, wx)))
+def _chain(terms: Terms, slots, paths: dict) -> None:
+    """Extend ``paths`` (slot -> {source slot: heaviest path}) through a program's terms.
 
-
-def _chain(transfer: LongestPaths, slots, paths: dict) -> None:
-    """Extend ``paths`` (slot -> {source slot: heaviest path}) through a program's longest paths.
-
-    The program's slot i stands for slot ``slots[i]`` of ``paths``.
+    The program's slot i stands for slot ``slots[i]`` of ``paths``. A term's
+    ``b`` may be negative, so a source is absent until first reached.
     """
     done = {}
-    for i, sources, weights in transfer:
-        merged: dict[int, int] = {}
-        for j, w in zip(sources, weights):
+    for outs, a, ins, b in terms:
+        peak: dict[int, int] = {}
+        for j, w in zip(ins, b):
             if slots is not None:
                 j = slots[j]
             for source, v in paths.get(j, {j: 0}).items():
                 v += w
-                if v > merged.get(source, -1):
-                    merged[source] = v
-        done[i if slots is None else slots[i]] = merged
+                if source not in peak or v > peak[source]:
+                    peak[source] = v
+        for i, shift in zip(outs, a):
+            done[i if slots is None else slots[i]] = {source: v + shift for source, v in peak.items()}
     paths.update(done)
 
 
-def _ladder_paths(k: int, w1: int, wx: int) -> LongestPaths:
-    """The longest paths through :func:`_ladder_program` (k >= 1), in closed form.
+def _ladder_terms(k: int, w1: int, wx: int) -> Terms:
+    """The transfer of :func:`_ladder_program` (k >= 1) in closed form: one term over slots 0..k.
 
     Every row acts on the target slot k, so the heaviest path from any slot
     follows the target's chain from where it joins it. After rung r's CNOT
     the target's path from itself weighs (r + 1)(w1 + wx), and from control
     c, which first fires at rung 2^c - 1, wx + (r - 2^c + 1)(w1 + wx). A
-    control's output is the target's chain at the control's last rung,
-    2^k - 2^c - 1 (the wrap-round rung 2^k - 1 for c = k - 1); the target's
-    is the chain at the last rung. Every control has fired by then.
+    control's output is the target's chain at the control's last rung
+    r_c = 2^k - 2^c - 1 (the wrap-round rung 2^k - 1 for c = k - 1); the
+    target's is the chain at the last rung. Every control has fired by then.
+    So ``a_i = (r_i + 1)(w1 + wx)``, ``b_c = wx - 2^c (w1 + wx)`` and
+    ``b_k = 0``.
     """
     rung = w1 + wx
     last = (1 << k) - 1
-    every = tuple(range(k + 1))
     ends = (*(last - (1 << c) for c in range(k - 1)), last, last)
-    return tuple(
-        (i, every, (*(wx + (r - (1 << c) + 1) * rung for c in range(k)), (r + 1) * rung))
-        for i, r in enumerate(ends)
-    )
+    every = tuple(range(k + 1))
+    return ((every, tuple((r + 1) * rung for r in ends), every, (*(wx - (rung << c) for c in range(k)), 0)),)
 
 
 _ONE_ROW = SlotProgram(((0, -1),), (None,))

@@ -9,20 +9,20 @@ depend on the gate are left open, and the counter never fills them.
 
 Depth and runtime are longest paths through the lowered circuit, a
 dependency graph whose nodes are its gates. Each program carries its
-longest-path transfer (:meth:`qlbm.circuits.SlotProgram.longest_paths`):
-per output slot, the heaviest path from each input slot through its rows.
+longest-path transfer as max-plus terms
+(:meth:`qlbm.circuits.SlotProgram.terms`): ``W_ij``, the heaviest path
+from input slot j to output slot i through its rows, is ``a_i + b_j``.
 The counter applies one cached transfer per gate to the per-qubit values,
-and walks no row. It applies the transfer as its max-plus terms
-(:meth:`qlbm.circuits.SlotProgram.terms`). Each gate of the builders has
-one, ``W_ij = a_i + b_j``: the heaviest ``v_j + b_j``, plus ``a_i`` on
-each output, in time linear in the gate's slots. Depth weighs each gate
-as 1. Runtime weighs a gate by its duration, both durations taken as exact
-integers over their common power-of-two denominator, so the runtime is the
-exact longest duration path, rounded once to a float; one too large for a
-float is a :class:`ConfigurationError`. A transfer is composed from those
-of the smaller programs its program is built from, so even the first count
-stays cheap. Counts and section tallies are sums of the programs' counts
-over the circuit's section spans.
+and walks no row: the heaviest ``v_j + b_j``, plus ``a_i`` on each
+output. Each gate of the builders has one term, so this takes time linear
+in the gate's slots. Depth weighs each gate as 1. Runtime weighs a gate by
+its duration, both durations taken as exact integers over their common
+power-of-two denominator, so the runtime is the exact longest duration
+path, rounded once to a float; one too large for a float is a
+:class:`ConfigurationError`. A program's terms are chained from those of
+the smaller programs it is built from, so even the first count stays
+cheap. Counts and section tallies are sums of the programs' counts over
+the circuit's section spans.
 
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,

@@ -75,6 +75,7 @@ from .lattice import (
     LatticeScheme,
     apply_cavity_boundaries,
     require_count,
+    require_power_of_two,
     step_advection_diffusion,
     velocity_from_stream_function,
 )
@@ -419,8 +420,15 @@ def reference_sweep_state(extent: int = 32, steps: int = 50) -> QuantumState:
     Three-link transport of the localized-bump initial condition, advanced
     classically to the final step and then through the circuit once, so the
     returned state is the exact post-selection target of that last step. It
-    holds the site qubits only.
+    holds the site qubits only. The bump sits at site 10, so ``extent`` is a
+    power of two >= 16; ``steps`` is at least 1. Anything else is a
+    :class:`ConfigurationError`.
     """
+    require_power_of_two(extent)
+    if extent < 16:
+        raise ConfigurationError(f"extent must be at least 16 to hold the bump at site 10, got {extent!r}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
     field = np.full(extent, 0.1)
     field[10] = 0.2
     velocity = (0.2,)
@@ -436,23 +444,22 @@ def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | Non
     """Mean reconstruction infidelity per shot count, with a log-log slope fit."""
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials!r}")
-    for shots in shots_list:
-        require_shots(shots, "each shot count")
+    shots_list = [require_shots(shots, "each shot count") for shots in shots_list]  # read once
     require_seed(seed)
     if len(set(shots_list)) < 2:
-        raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {list(shots_list)}")
+        raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {shots_list}")
     state = state or reference_sweep_state()
     rows = []
     means = []
     for i, shots in enumerate(shots_list):
         vals = []
         for t in range(trials):
-            hist = sample(state, int(shots), seed + 7919 * i + 104729 * t)
+            hist = sample(state, shots, seed + 7919 * i + 104729 * t)
             f = fidelity_from_histogram(state, hist)
-            rows.append((int(shots), t, f))
+            rows.append((shots, t, f))
             vals.append(1.0 - f)
         means.append(float(np.mean(vals)))
     log_s = np.log(np.asarray(shots_list, dtype=float))
     log_m = np.log(np.maximum(means, 1e-300))
     slope = float(np.polyfit(log_s, log_m, 1)[0])
-    return FidelityResult(list(int(s) for s in shots_list), means, -slope, rows)
+    return FidelityResult(shots_list, means, -slope, rows)

@@ -300,30 +300,47 @@ def test_each_lowered_gate_is_the_checked_gate_of_its_fields(case):
 
 
 def _walked_paths(program, w1, wx):
-    """A program's longest paths, one walk of its rows per source slot."""
-    slots = sorted({s for row in program.rows for s in row if s >= 0})
+    """A program's longest paths, one walk of its rows per source slot.
+
+    Per slot i its rows touch, ascending: ``(i, (slot j, ...), (W_ij, ...))``,
+    each slot j that reaches it ascending, ``W_ij`` the heaviest path from
+    j's input to i's output.
+    """
+    rows = program.rows
+    slots = sorted({s for row in rows for s in row if s >= 0})
     paths = {i: {} for i in slots}
     for j in slots:
-        reach = {j: 0}  # heaviest path from j's input to each slot it has reached
-        for t, c in program.rows:
+        reach = [None] * (slots[-1] + 1)  # heaviest path from j's input to each slot it has reached
+        reach[j] = 0
+        for t, c in rows:
             if c < 0:
-                if t in reach:
+                if reach[t] is not None:
                     reach[t] += w1
-            elif t in reach or c in reach:
-                reach[t] = reach[c] = max(reach.get(t, 0), reach.get(c, 0)) + wx
-        for i, w in reach.items():
-            paths[i][j] = w
+            else:
+                u, v = reach[t], reach[c]
+                if u is None or (v is not None and v > u):
+                    u = v
+                if u is not None:
+                    reach[t] = reach[c] = u + wx
+        for i in slots:
+            if reach[i] is not None:
+                paths[i][j] = reach[i]
     return tuple((i, tuple(sources), tuple(sources.values())) for i, sources in paths.items())
+
+
+def _expanded(terms):
+    """Terms as the longest paths of :func:`_walked_paths`: each output slot with its sources and weights."""
+    return tuple(sorted((i, ins, tuple(shift + w for w in b)) for outs, a, ins, b in terms for i, shift in zip(outs, a)))
 
 
 # depth, and the two duration tables, whose critical paths differ
 _WEIGHTS = ((1, 1), *(table.integer_weights()[:2] for table in _TABLES))
 
 
-def _assert_composed_paths_are_walked(programs):
+def _assert_terms_are_walked(programs):
     for program in programs:
         for w1, wx in _WEIGHTS:
-            assert program.longest_paths(w1, wx) == _walked_paths(program, w1, wx)
+            assert _expanded(program.terms(w1, wx)) == _walked_paths(program, w1, wx)
 
 
 def _gate_programs(ops):
@@ -338,14 +355,14 @@ def _gate_programs(ops):
 
 @settings(max_examples=40, deadline=None)
 @given(_controlled_gates())
-def test_longest_paths_of_the_drawn_programs_match_a_walk_per_source(case):
+def test_terms_of_the_drawn_programs_match_a_walk_per_source(case):
     _, ops = case
-    _assert_composed_paths_are_walked(_gate_programs(ops))
+    _assert_terms_are_walked(_gate_programs(ops))
 
 
-def test_longest_paths_of_the_comparison_programs_match_a_walk_per_source():
+def test_terms_of_the_comparison_programs_match_a_walk_per_source():
     ops = [op for circ in build_comparison_circuits(4).values() for op in circ.gates]
-    _assert_composed_paths_are_walked(_gate_programs(ops))
+    _assert_terms_are_walked(_gate_programs(ops))
 
 
 def _through_paths(paths, before):
@@ -364,10 +381,10 @@ def _through_terms(terms, before):
     return after
 
 
-def _assert_terms_apply_the_longest_paths(programs, rng):
+def _assert_terms_apply_the_walked_paths(programs, rng):
     for program in programs:
         for w1, wx in _WEIGHTS:
-            paths, terms = program.longest_paths(w1, wx), program.terms(w1, wx)
+            paths, terms = _walked_paths(program, w1, wx), program.terms(w1, wx)
             assert program.terms(w1, wx) is terms  # cached
             size = 1 + max(i for i, _, _ in paths)
             for before in rng.integers(0, 10 * (w1 + wx) + 10, size=(3, size)).tolist():
@@ -376,15 +393,15 @@ def _assert_terms_apply_the_longest_paths(programs, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(_controlled_gates())
-def test_the_terms_of_the_drawn_programs_apply_their_longest_paths(case):
+def test_the_terms_of_the_drawn_programs_apply_their_walked_paths(case):
     _, ops = case
-    _assert_terms_apply_the_longest_paths(_gate_programs(ops), np.random.default_rng(len(ops)))
+    _assert_terms_apply_the_walked_paths(_gate_programs(ops), np.random.default_rng(len(ops)))
 
 
 @pytest.mark.parametrize("extent", [2, 4, 8, 16, 32])
-def test_the_terms_of_the_comparison_programs_apply_their_longest_paths(extent):
+def test_the_terms_of_the_comparison_programs_apply_their_walked_paths(extent):
     ops = [op for circ in _comparison_and_boundary_free_circuits(extent).values() for op in circ.gates]
-    _assert_terms_apply_the_longest_paths(_gate_programs(ops), np.random.default_rng(extent))
+    _assert_terms_apply_the_walked_paths(_gate_programs(ops), np.random.default_rng(extent))
 
 
 @pytest.mark.parametrize("extent", [2, 4, 8, 16])
@@ -395,6 +412,14 @@ def test_every_gate_of_the_comparison_factors_into_one_term(extent):
             program = slot_programs(op)[0]
             for w1, wx in _WEIGHTS:
                 assert len(program.terms(w1, wx)) == 1, (op.kind, w1, wx)
+
+
+@pytest.mark.parametrize("rows", [((1, 0), (2, 1)), ((2, 1), (1, 0))], ids=["sources-grow", "sources-shrink"])
+def test_terms_of_a_transfer_that_does_not_factor_match_a_walk_per_source(rows):
+    # the first output slot has fewer sources than a later one, or more
+    program = SlotProgram(rows)
+    assert all(len(program.terms(w1, wx)) > 1 for w1, wx in _WEIGHTS)
+    _assert_terms_are_walked([program])
 
 
 def test_a_transfer_that_does_not_factor_is_counted_one_term_per_output(monkeypatch):
@@ -448,17 +473,18 @@ def test_the_stages_a_block_is_counted_with_are_those_of_the_level_walk(op):
 def test_the_ladder_closed_form_matches_its_walk(k):
     program = _ladder_program(k)
     assert program.ladder == (k or None)
-    _assert_composed_paths_are_walked([program])
-    assert program.longest_paths(1, 1) is program.longest_paths(1, 1)  # cached
+    assert all(len(program.terms(w1, wx)) == 1 for w1, wx in _WEIGHTS)  # a closed form over every slot
+    _assert_terms_are_walked([program])
+    assert program.terms(1, 1) is program.terms(1, 1)  # cached
 
 
-def test_longest_paths_build_no_rows_of_a_ladder_or_of_a_program_of_parts():
+def test_terms_build_no_rows_of_a_ladder_or_of_a_program_of_parts():
     # only the lowering reads those rows, so counting never builds them
     ladder = SlotProgram(ladder=3)
     composed = SlotProgram(parts=[(ladder, (1, 2, 3, 0)), (SlotProgram(parts=[(ladder, None)]), None)])
-    paths = composed.longest_paths(2, 5)
+    terms = composed.terms(2, 5)
     assert "rows" not in vars(ladder) and "rows" not in vars(composed)
-    assert paths == _walked_paths(composed, 2, 5)
+    assert _expanded(terms) == _walked_paths(composed, 2, 5)
     assert (composed.cnot, composed.single_qubit) == (16, 16)
     assert (sum(c >= 0 for _, c in composed.rows), len(composed.gates)) == (16, 16)
 

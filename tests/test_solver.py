@@ -822,6 +822,31 @@ def test_fidelity_sweep_needs_two_distinct_shot_counts(shots):
         fidelity_sweep(shots, trials=1, seed=0)
 
 
+@pytest.mark.parametrize("shots", [
+    (s for s in [16, 64]),
+    (16, 64),
+    np.array([16, 64]),
+], ids=["generator", "tuple", "numpy"])
+def test_fidelity_sweep_reads_its_shot_counts_once(shots):
+    # the check must not spend an iterator before the sweep reads it
+    state = QuantumState(1, [0.6, 0.8])
+    result = fidelity_sweep(shots, 1, 0, state)
+    assert result == fidelity_sweep([16, 64], 1, 0, state)
+    assert result.shots == [16, 64] and all(type(s) is int for s in result.shots)
+
+
+@pytest.mark.parametrize("extent", [2, 4, 8])
+def test_reference_sweep_state_rejects_an_extent_too_small_for_its_bump(extent):
+    with pytest.raises(ConfigurationError, match="extent must be at least 16"):
+        reference_sweep_state(extent=extent)
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_reference_sweep_state_rejects_fewer_than_one_step(steps):
+    with pytest.raises(ConfigurationError, match="steps must be an integer >= 1"):
+        reference_sweep_state(extent=16, steps=steps)
+
+
 @pytest.mark.parametrize("seed", [-1, -8000, 2.5, True], ids=repr)
 def test_sampling_runs_reject_a_bad_seed_before_anything_runs(monkeypatch, seed):
     def refuse(*args, **kwargs):
