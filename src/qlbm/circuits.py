@@ -101,6 +101,8 @@ _BITS = frozenset((0, 1))
 # tolerance for collision coefficients that poke past |k| = 1 by float slop
 _COEFF_SLACK = 1e-9
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float; a load's peak must reach it
+
 
 @dataclass(frozen=True)
 class GateOp:
@@ -399,7 +401,10 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
 
     The vector is divided by its peak magnitude before the norm is taken,
     so squaring cannot under- or overflow. This is the one normalization
-    rule of every load: PREP applied and PREP lowered.
+    rule of every load: PREP applied and PREP lowered. A peak below the
+    smallest normal float is an :class:`EncodingError`: a subnormal holds
+    fewer significant bits, so such a field cannot be carried at float64
+    precision.
     """
     v = np.asarray(values, dtype=float).ravel()
     # the peak is NaN or infinite exactly when some value is
@@ -408,6 +413,8 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
         raise EncodingError("cannot amplitude-encode a field with non-finite values")
     if peak == 0.0:
         raise EncodingError("cannot amplitude-encode an all-zero field")
+    if peak < _TINY:
+        raise EncodingError(f"cannot amplitude-encode a field whose peak magnitude {peak!r} is subnormal")
     unit = v / peak
     unit_norm = float(np.linalg.norm(unit))
     unit /= unit_norm
@@ -657,7 +664,8 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #
 # There is one program per gate shape:
 #
-# - an MCX or controlled single-qubit gate: the all-ones-controls core of
+# - an MCX or controlled single-qubit gate (a controlled X is the MCX it
+#   equals): the all-ones-controls core of
 #   (kind, number of controls, params), with the controls on slots 0..m-1
 #   and the target on slot m. Its parts are the recursion's singly-controlled
 #   chunks, each a program of its own rows, and its inner MCX, the smaller
@@ -1084,6 +1092,8 @@ def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
         return _shift_program(len(op.targets), op.control_values, op.params[0]), op.qubits
     if not op.controls and kind != "MCX":
         return _ONE_ROW, op.targets
+    # a controlled X is the MCX it equals
+    kind = "MCX" if kind == "X" else kind
     return _controlled_program(kind, len(op.controls), op.params, op.control_values), op.controls + op.targets
 
 
@@ -1180,8 +1190,9 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
 
     Vectorized fancy-indexing reference path, deliberately separate from the
     compiled kernels so the two implementations can check each other. A PREP
-    runs as its rotation network (:func:`lower_op`), a BLOCK as its
-    Hadamards around its diagonal, a SHIFT as arithmetic on the basis index.
+    runs as its rotation network (:func:`lower_op`), a BLOCK by its
+    definition, a 2x2 matrix on its flag per value index, a SHIFT as
+    arithmetic on the basis index.
     """
     arr = np.asarray(array, dtype=complex).copy()
     if arr.shape[0] != 1 << n_qubits:
@@ -1192,16 +1203,6 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
             arr = apply_ops_numpy(arr, lower_op(op), n_qubits)
             continue
         cmask, cval = _control_mask_val(op)
-        if op.kind == "BLOCK":
-            flag = [GateOp("H", op.targets[-1:])]  # around its diagonal
-            arr = apply_ops_numpy(arr, flag, n_qubits)
-            qubits, phases = _diagonal(op)
-            sub = np.zeros_like(idx)
-            for pos, q in enumerate(qubits):
-                sub |= ((idx >> q) & 1) << pos
-            arr *= np.exp(1j * phases[sub]).reshape((-1,) + (1,) * (arr.ndim - 1))
-            arr = apply_ops_numpy(arr, flag, n_qubits)
-            continue
         if op.kind == "SHIFT":
             # where the controls hold, the register field moves to field + step mod 2^w
             low, size = op.targets[0], 1 << len(op.targets)
@@ -1219,11 +1220,20 @@ def apply_ops_numpy(array: np.ndarray, ops: Iterable[GateOp], n_qubits: int) -> 
             hi = lo | (1 << t)
             arr[lo], arr[hi] = arr[hi], arr[lo]  # fancy indexing copies
             continue
-        u = gate_matrix_1q(op)
-        t = op.targets[0]
+        t = op.targets[-1]  # the target, or a BLOCK's flag
         sel = ((idx & cmask) == cval) & (((idx >> t) & 1) == 0)
         lo = idx[sel]
         hi = lo | (1 << t)
+        if op.kind == "BLOCK":
+            # by its definition: on value index j, [[k, i s], [i s, k]] on the flag, s = sqrt(1 - k[j]^2)
+            j = np.zeros_like(lo)
+            for pos, q in enumerate(op.targets[:-1]):
+                j |= ((lo >> q) & 1) << pos
+            k = op.params[j].reshape((-1,) + (1,) * (arr.ndim - 1))
+            s = 1j * np.sqrt(1.0 - k * k)
+            u = np.array([[k, s], [s, k]])
+        else:
+            u = gate_matrix_1q(op)
         a_lo = arr[lo]
         a_hi = arr[hi]
         arr[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi

@@ -27,7 +27,9 @@ the circuit's section spans.
 The headline comparison pits the combined cavity gate list against the pair
 of per-field circuits run concurrently: total CNOTs against summed CNOTs,
 sequential depth against the deeper of the two. It builds three circuits,
-the combined one and the with-boundary pair, and walks each once. The
+the combined one and the with-boundary pair, and walks each once. Every
+count is structural, so it builds them at rest, from zero fields, and
+runs no classical solver: the counted ``PREP``s load nothing. The
 boundary-free pair it reports is not built: each is its with-boundary
 circuit without the last section, ``boundary``, and without the wall flag,
 which no earlier gate may touch, so its report is the running count taken
@@ -37,7 +39,6 @@ just before that section.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import numbers
@@ -55,21 +56,13 @@ from .circuits import (
     slot_programs,
 )
 from .errors import ConfigurationError
-from .lattice import (
-    CavitySpec,
-    D2Q5,
-    _read_only,
-    require_power_of_two,
-    solve_cavity_classical,
-    velocity_from_stream_function,
-)
+from .lattice import D2Q5, require_power_of_two
 
 __all__ = [
     "GateDurationTable",
     "ResourceReport",
     "ComparisonReport",
     "count_resources",
-    "representative_cavity_fields",
     "build_comparison_circuits",
     "compare_single_vs_frugal",
     "scaling_sweep",
@@ -230,45 +223,24 @@ def _count(circ: CircuitIR, label: str, durations: GateDurationTable,
 # ---------------------------------------------------------------------------
 
 
-def representative_cavity_fields(extent: int, steps: int = 80):
-    """Developed cavity fields used to parameterize the counted circuits.
-
-    Most gate counts depend only on register spans, but a ``BLOCK``'s depend
-    on its coefficients too: the RZ stages of its diagonal of +/- arccos k
-    are present only where those phases differ, so with k = 1 everywhere it
-    has none. Building from real evolved fields gives each collision the
-    stages of a developed flow, and every encode PREP a vector the
-    simulator could load (no degenerate zero vectors except where physics
-    makes them so).
-
-    Returns ``(psi, omega, velocity)``, the velocity stacked as (u, v). The
-    fields are solved once per ``(extent, steps)`` per process and shared
-    between calls, so the arrays are read-only.
-    """
-    # CavitySpec checks the arguments before the cache sees them, so 8.0 does not hit the entry for 8
-    return _developed_fields(CavitySpec(n=extent, lid_velocity=1.0, steps=steps))
-
-
-@functools.lru_cache(maxsize=8)
-def _developed_fields(spec: CavitySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    hist = solve_cavity_classical(spec)
-    psi, omega = hist.psi[-1].copy(), hist.omega[-1].copy()  # not views that keep the history alive
-    u, v = velocity_from_stream_function(psi)
-    return _read_only(psi), _read_only(omega), _read_only(np.stack([u, v]))
-
-
 def build_comparison_circuits(extent: int) -> dict[str, CircuitIR]:
-    """The three counted circuits at one lattice extent: the combined one and the with-boundary pair.
+    """The three counted circuits at one lattice extent, built at rest: the combined one and the with-boundary pair.
 
-    The boundary-free pair is not built: its reports are read off the pair's
-    count (:func:`compare_single_vs_frugal`).
+    Psi, omega and the source are zero, and so is the velocity: the
+    circuits the solver builds and plans. Every count is structural. A
+    ``PREP``'s program depends only on its qubit count, so the counted
+    ``PREP``s load nothing (an all-zero load, which cannot be lowered or
+    run). A ``BLOCK``'s depends only on whether some k is not 1, and every
+    ``BLOCK`` here has such a k whatever the fields: the collision's rest
+    link weight, the wall projector's 0 on the walls. The boundary-free
+    pair is not built: its reports are read off the pair's count
+    (:func:`compare_single_vs_frugal`).
     """
-    psi, omega, vel = representative_cavity_fields(extent)
-    source = D2Q5.diffusion * omega
+    rest, still = np.zeros((extent, extent)), np.zeros((2, extent, extent))
     return {
-        "single": build_single_cavity_circuit(D2Q5, extent, psi, source, omega, vel),
-        "stream-function": build_stream_function_circuit(D2Q5, extent, psi, source),
-        "vorticity": build_vorticity_circuit(D2Q5, extent, omega, vel),
+        "single": build_single_cavity_circuit(D2Q5, extent, rest, rest, rest, still),
+        "stream-function": build_stream_function_circuit(D2Q5, extent, rest, rest),
+        "vorticity": build_vorticity_circuit(D2Q5, extent, rest, still),
     }
 
 

@@ -31,8 +31,9 @@ collision ancilla and wall flag, which hold 0 until their one BLOCK, never
 enter. So the job ends on the site amplitudes alone, and as each of its
 gates keeps real amplitudes real (PREP, SHIFT, H, or a BLOCK selected at
 once), it runs on float64. A job whose load is all exactly zero (``np.any``
-of its fields is false; magnitude plays no part, as the PREP scales by the
-peak) is idle: it builds and runs nothing and records ``zero_input``. The sampling
+of its fields is false) is idle: it builds and runs nothing and records
+``zero_input``. Any other load is scaled by its peak, which must be a
+normal float, else :class:`~qlbm.errors.EncodingError`. The sampling
 backend of :func:`run_advection_diffusion` is the only other place a
 circuit runs: its complex plan selects nothing, it samples the whole state
 and records as ``select_probs`` the measured shares of shots that hold

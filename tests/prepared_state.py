@@ -5,11 +5,24 @@ gates on a random complex state puts the gates of :func:`random_load` in
 front of them and checks the result against ``apply_ops_numpy`` run on the
 state they load. :func:`run_from_zero` plans a gate list and replays it
 once, the one-off form of the solver's plan-per-run, replay-per-job.
+:func:`developed_cavity_circuits` builds the counted cavity circuits from a
+developed flow, so their loads can be lowered and run.
 """
+
+import functools
 
 import numpy as np
 
-from qlbm.circuits import GateOp, apply_ops_numpy, unit_amplitudes
+from qlbm.circuits import (
+    CircuitIR,
+    GateOp,
+    apply_ops_numpy,
+    build_single_cavity_circuit,
+    build_stream_function_circuit,
+    build_vorticity_circuit,
+    unit_amplitudes,
+)
+from qlbm.lattice import D2Q5, CavitySpec, solve_cavity_classical, velocity_from_stream_function
 from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
 
 
@@ -40,3 +53,30 @@ def run_from_zero(n_qubits: int, ops, select=None):
     """``apply_circuit(plan_circuit(ZeroState(n_qubits), ops, select), ops)``."""
     ops = list(ops)
     return apply_circuit(plan_circuit(ZeroState(n_qubits), ops, select), ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _developed_fields(extent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    history = solve_cavity_classical(CavitySpec(n=extent, lid_velocity=1.0, steps=80))
+    psi, omega = history.psi[-1], history.omega[-1]
+    return psi, omega, np.stack(velocity_from_stream_function(psi))
+
+
+def developed_cavity_circuits(extent: int) -> dict[str, CircuitIR]:
+    """The comparison's five circuits at ``extent``, built from the cavity flow after 80 classical steps.
+
+    ``single``, the with-boundary pair and the boundary-free pair
+    (``stream-function-nb``, ``vorticity-nb``). Their counts are those of
+    the circuits the comparison builds at rest, whose loads are all zero;
+    these load a developed flow, so they can be lowered and run. The
+    fields are solved once per extent.
+    """
+    psi, omega, vel = _developed_fields(extent)
+    source = D2Q5.diffusion * omega
+    return {
+        "single": build_single_cavity_circuit(D2Q5, extent, psi, source, omega, vel),
+        "stream-function": build_stream_function_circuit(D2Q5, extent, psi, source),
+        "vorticity": build_vorticity_circuit(D2Q5, extent, omega, vel),
+        "stream-function-nb": build_stream_function_circuit(D2Q5, extent, psi, source, boundary=False),
+        "vorticity-nb": build_vorticity_circuit(D2Q5, extent, omega, vel, boundary=False),
+    }

@@ -41,9 +41,9 @@ from qlbm.circuits import (
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
-from qlbm.resources import build_comparison_circuits, count_resources, representative_cavity_fields
+from qlbm.resources import count_resources
 
-from prepared_state import random_load, run_from_zero
+from prepared_state import developed_cavity_circuits, random_load, run_from_zero
 
 # ---------------------------------------------------------------------------
 # dense reference, independent of the module's application paths
@@ -547,6 +547,27 @@ def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
         lower_op(prep)
 
 
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize("peak", [_SUBNORMAL, 1e-318, np.nextafter(np.finfo(float).tiny, 0.0)])
+def test_a_load_whose_peak_is_subnormal_is_rejected_when_run_or_lowered(peak):
+    prep = GateOp("PREP", (0, 1), params=(0.0, -peak, peak / 2, 0.0))
+    with pytest.raises(EncodingError, match="subnormal"):
+        unit_amplitudes(prep.params)
+    with pytest.raises(EncodingError, match="subnormal"):
+        run_from_zero(2, [prep])
+    with pytest.raises(EncodingError, match="subnormal"):
+        lower_op(prep)
+
+
+def test_a_load_whose_peak_is_the_smallest_normal_float_is_kept():
+    tiny = np.finfo(float).tiny
+    unit, scale = unit_amplitudes((0.0, -tiny, _SUBNORMAL))
+    assert scale == pytest.approx(tiny, rel=1e-15)
+    assert unit[1] == -1.0
+
+
 def _rotation_network(targets):
     """(target, control or None) per row of the Möttönen network, from its definition.
 
@@ -930,10 +951,7 @@ _FROZEN_LOWERING = {
 
 def test_lowering_matches_the_frozen_gates_bit_for_bit():
     # every PREP, BLOCK, MCX and H the builders emit, angles to the last bit
-    circuits = build_comparison_circuits(2)
-    psi, omega, vel = representative_cavity_fields(2)
-    circuits["stream-function-nb"] = build_stream_function_circuit(D2Q5, 2, psi, D2Q5.diffusion * omega, boundary=False)
-    circuits["vorticity-nb"] = build_vorticity_circuit(D2Q5, 2, omega, vel, boundary=False)
+    circuits = developed_cavity_circuits(2)
     circuits["advection-d2q5"] = build_advection_diffusion_circuit(D2Q5, 4, np.arange(1.0, 17.0) / 16.0, (0.1, -0.05))
     assert {name: _lowering_digest(circ) for name, circ in circuits.items()} == _FROZEN_LOWERING
 

@@ -19,14 +19,14 @@ selection amplifies in both runs, a bound derived in ``_selection_bounds``.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import qlbm.circuits
 import qlbm.statevector
 from qlbm import _kernels
 from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
-from qlbm.errors import PostSelectionError
+from qlbm.errors import EncodingError, PostSelectionError
 from qlbm.statevector import QuantumState, ZeroState, apply_circuit, plan_circuit, postselect
 
 from prepared_state import random_load, run_from_zero
@@ -302,8 +302,9 @@ def _selection_bounds(n_steps, probs):
     The derivation: each gate of either run, the simulator's kernel or the
     dense reference's, rounds its result to within c u |x| in 2-norm, with
     u = eps / 2 and |x| the norm of the state it acts on; c = 32 covers the
-    largest, the reference's BLOCK (two Hadamards around e^{i arccos k},
-    arccos's own rounding included). A selection projects exactly, and its
+    largest, a BLOCK's 2x2 step on its flag in either run (k and
+    i sqrt(1 - k^2), the square root's own rounding included, times the
+    two amplitudes of each pair, summed). A selection projects exactly, and its
     renormalization and probability round within a few u. Left
     unnormalized, the state only shrinks, so the selected vector v, of
     squared norm P = the product of the selections' probabilities, is off
@@ -334,8 +335,13 @@ def _check_from_zero(n_qubits, ops, plan):
     probability would amplify (a load of a vector with entries 1e-8 and
     5.3e-7 onto the selected branch does); then it runs the other gates on
     the whole array and post-selects in the order the simulator selects.
-    Returns the plan of the selecting run, or None when a selection raises.
+    Returns the plan of the selecting run, or None when a selection raises
+    or the PREP's peak is subnormal, which the load rejects.
     """
+    if np.abs(ops[0].params).max() < np.finfo(float).tiny:
+        with pytest.raises(EncodingError, match="subnormal"):
+            run_from_zero(n_qubits, ops)
+        return None
     unit, scale = unit_amplitudes(ops[0].params)
     loaded = np.zeros(1 << n_qubits, dtype=complex)
     for sub, value in enumerate(unit):
@@ -419,6 +425,10 @@ def _real_circuits_from_zero(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_real_circuits_from_zero())
+# a subnormal load: the two runs' norm factors once differed by one subnormal ulp, past 1e-12 of it
+@example((3, [GateOp("PREP", (2,), params=[0.0, float.fromhex("0x0.0000a7c5ac472p-1022")]),
+              GateOp("BLOCK", (2, 1), params=(0.5, 0.5)), GateOp("BLOCK", (2, 0), params=(0.5, 0.5))],
+          {0: 0, 1: 0}))
 def test_apply_of_a_real_circuit_matches_reference_on_float64_amplitudes(circuit):
     circuit_plan = _check_from_zero(*circuit)
     if circuit_plan is not None:

@@ -18,7 +18,8 @@ import numpy as np
 import qlbm
 from qlbm.circuits import GATE_KINDS, build_advection_diffusion_circuit, lower_circuit
 from qlbm.lattice import D1Q2, D1Q3, D2Q5
-from qlbm.resources import build_comparison_circuits
+
+from prepared_state import developed_cavity_circuits
 
 # public names kept although no program code calls them, each for a reason
 _ALLOWED = {
@@ -39,7 +40,6 @@ _ALLOWED_DEFAULTS = {
     "build_vorticity_circuit.boundary": "tests build the boundary-free circuit that the comparison reads off the with-boundary count",
     "fidelity_sweep.state": "tests sweep a small state; the CLI sweeps the default reference state",
     "main.argv": "tests pass argument lists; the console script reads sys.argv",
-    "representative_cavity_fields.steps": "tests develop the fields for fewer steps to stay fast",
     "scaling_sweep.durations": "the API's way to sweep with a gate-duration table other than the default",
 }
 
@@ -142,7 +142,7 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
 def test_every_gate_kind_has_a_producer():
     # a kind that no builder and no lowering emits is a branch of the
     # simulator, the lowering and the dense reference that nothing runs
-    circuits = list(build_comparison_circuits(2).values())
+    circuits = list(developed_cavity_circuits(2).values())
     for scheme in (D1Q2, D1Q3, D2Q5):
         field = np.linspace(0.1, 1.0, 4 ** scheme.dimension).reshape((4,) * scheme.dimension)
         circuits.append(build_advection_diffusion_circuit(scheme, 4, field, (0.1,) * scheme.dimension))

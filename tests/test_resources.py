@@ -45,13 +45,14 @@ from qlbm.resources import (
     build_comparison_circuits,
     compare_single_vs_frugal,
     count_resources,
-    representative_cavity_fields,
     scaling_sweep,
     write_comparison_csv,
     write_comparison_json,
 )
 from qlbm.solver import _selection
 from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
+
+from prepared_state import developed_cavity_circuits
 
 _1Q = GateDurationTable().single_qubit
 _CX = GateDurationTable().cnot
@@ -68,11 +69,11 @@ def _tiny_circuit(ops, n_qubits=3):
 
 
 def _comparison_and_boundary_free_circuits(extent):
-    """The three circuits a comparison counts, and the boundary-free pair built from the same fields."""
-    psi, omega, vel = representative_cavity_fields(extent)
+    """The three circuits a comparison counts, and the boundary-free pair built at rest like them."""
+    rest, still = np.zeros((extent, extent)), np.zeros((2, extent, extent))
     return build_comparison_circuits(extent) | {
-        "stream-function-nb": build_stream_function_circuit(D2Q5, extent, psi, D2Q5.diffusion * omega, boundary=False),
-        "vorticity-nb": build_vorticity_circuit(D2Q5, extent, omega, vel, boundary=False),
+        "stream-function-nb": build_stream_function_circuit(D2Q5, extent, rest, rest, boundary=False),
+        "vorticity-nb": build_vorticity_circuit(D2Q5, extent, rest, still, boundary=False),
     }
 
 
@@ -236,7 +237,9 @@ def _controlled_gates(draw, max_controls=7):
         if kind == "PREP":
             targets = tuple(qubits[: draw(st.integers(1, min(4, n)))])
             size = 1 << len(targets)
-            vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size).filter(any))
+            # a vector the oracle can lower: its peak is a normal float
+            vector = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)
+                          .filter(lambda v: max(map(abs, v)) >= np.finfo(float).tiny))
             ops.append(GateOp("PREP", targets, params=vector))
             continue
         if kind == "SHIFT":  # a register of consecutive qubits, controls among the rest
@@ -540,6 +543,19 @@ def test_lowering_matches_the_dense_unitary_of_a_seven_control_mcx():
     _assert_lowering_matches_the_dense_unitary(op)
 
 
+@pytest.mark.parametrize("values", [(0,), (1,), (1, 0), (0, 1), (0, 1, 0), (1, 0, 1)])
+def test_a_controlled_x_lowers_and_counts_as_the_mcx_it_is(values):
+    controls = tuple(range(1, len(values) + 1))
+    x, mcx = GateOp("X", (0,), controls, values), GateOp("MCX", (0,), controls, values)
+    assert lower_op(x) == lower_op(mcx)
+    for table in _TABLES:
+        assert _counted(_tiny_circuit([x], len(values) + 1), table) == _counted(_tiny_circuit([mcx], len(values) + 1), table)
+    for op in (x, mcx):
+        _assert_lowering_matches_the_dense_unitary(op)
+    # one control: one CNOT; two: the six-CNOT Toffoli; three: the recursion over it
+    assert count_resources(_tiny_circuit([x], len(values) + 1), "x").cnot == {1: 1, 2: 6, 3: 24}[len(values)]
+
+
 @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
 def test_random_controlled_gates_draw_every_gate_kind(kind):
     # a new gate kind must reach the counting and lowering properties above
@@ -581,39 +597,6 @@ def test_counts_match_the_materialized_lowering_on_blocks_with_vanishing_levels(
 # ---------------------------------------------------------------------------
 # cavity comparison
 # ---------------------------------------------------------------------------
-
-
-def test_representative_fields_shapes():
-    psi, omega, vel = representative_cavity_fields(8, steps=20)
-    assert psi.shape == (8, 8)
-    assert omega.shape == (8, 8)
-    assert vel.shape == (2, 8, 8)
-    assert psi.min() < 0.0  # developed flow, not a zero placeholder
-
-
-def test_representative_fields_are_read_only():
-    for array in representative_cavity_fields(8, steps=20):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
-
-
-@pytest.mark.parametrize("extent, steps", [(8.0, 20), (True, 20), (8, 2.0), (8, True), (6, 20), (8, -1)])
-def test_representative_fields_check_their_arguments_after_the_cache_is_filled(extent, steps):
-    representative_cavity_fields(8, steps=20)
-    representative_cavity_fields(8, steps=2)
-    with pytest.raises(ConfigurationError):
-        representative_cavity_fields(extent, steps=steps)
-
-
-def test_representative_fields_are_solved_once_per_extent(monkeypatch):
-    qlbm.resources._developed_fields.cache_clear()
-    solved = []
-    solve = qlbm.resources.solve_cavity_classical
-    monkeypatch.setattr("qlbm.resources.solve_cavity_classical", lambda spec: solved.append(spec) or solve(spec))
-    first = representative_cavity_fields(8, steps=3)
-    again = representative_cavity_fields(np.int64(8), steps=3)
-    assert [spec.steps for spec in solved] == [3]
-    assert all(a is b for a, b in zip(first, again))
 
 
 def test_a_mutated_comparison_report_leaves_the_next_one_alone():
@@ -661,6 +644,24 @@ def test_each_boundary_free_report_is_the_count_of_the_circuit_built_without_wal
         assert rep.to_dict() == count_resources(circuits[name], f"{name}@{extent}", table).to_dict(), name
     tallies = [tally for rep in comp.reports.values() for tally in rep.sections.values()]
     assert len({id(tally) for tally in tallies}) == len(tallies)  # mutating one report leaves the others alone
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=["default", "slow-1q"])
+@pytest.mark.parametrize("extent", [2, 4, 8, 16])
+def test_each_comparison_report_is_the_count_of_the_circuit_built_from_a_developed_flow(extent, table):
+    # the counts are structural: the circuits built at rest count as those that load a developed flow
+    reports = compare_single_vs_frugal(extent, table).reports
+    circuits = developed_cavity_circuits(extent)
+    assert list(reports) == list(circuits)
+    for name, rep in reports.items():
+        assert rep.to_dict() == count_resources(circuits[name], f"{name}@{extent}", table).to_dict(), name
+
+
+def test_a_comparison_runs_no_classical_solver(monkeypatch):
+    monkeypatch.setattr("qlbm.lattice.solve_cavity_classical", lambda spec: pytest.fail("solved"))
+    assert not hasattr(qlbm.resources, "solve_cavity_classical")
+    frozen = (_DATA / "comparison_extent8.json").read_text()
+    assert json.dumps(compare_single_vs_frugal(8).to_dict(), indent=1) + "\n" == frozen
 
 
 @pytest.mark.parametrize("control", [False, True], ids=["target", "control"])
@@ -752,7 +753,7 @@ def test_comparison_at_extent_64_matches_the_parent():
 def test_the_counted_circuits_run_like_the_built_ones_at_the_headline_size():
     # the lowered gates are what the counts describe; through the simulator,
     # with the solver's selection, they must give the built circuits' amplitudes
-    for name, circ in _comparison_and_boundary_free_circuits(8).items():
+    for name, circ in developed_cavity_circuits(8).items():
         lowered = lower_circuit(circ).gates
         for sector in (0, 1) if circ.layout.n_s else (0,):
             select = _selection(circ.layout, sector)
