@@ -158,6 +158,8 @@ class GateOp:
             vector = self.params
             if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
                     and vector.base is None and not vector.flags.writeable):
+                if np.iscomplexobj(vector):
+                    raise ConfigurationError(f"{kind} params must be real, got a complex vector")
                 vector = np.array(vector, dtype=np.float64)
                 vector.flags.writeable = False
             if vector.ndim != 1:
@@ -404,7 +406,8 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     rule of every load: PREP applied and PREP lowered. A peak below the
     smallest normal float is an :class:`EncodingError`: a subnormal holds
     fewer significant bits, so such a field cannot be carried at float64
-    precision.
+    precision. So is a norm past the largest float, which no decode could
+    scale back.
     """
     v = np.asarray(values, dtype=float).ravel()
     # the peak is NaN or infinite exactly when some value is
@@ -418,7 +421,10 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     unit = v / peak
     unit_norm = float(np.linalg.norm(unit))
     unit /= unit_norm
-    return unit, peak * unit_norm
+    norm = peak * unit_norm
+    if not math.isfinite(norm):
+        raise EncodingError(f"cannot amplitude-encode a field whose norm overflows; its peak magnitude is {peak!r}")
+    return unit, norm
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +683,8 @@ def build_single_cavity_circuit(scheme: LatticeScheme, extent: int, psi, scaled_
 #   term in closed form. A PREP's parts are one ladder per target;
 # - an uncontrolled single-qubit gate: one open row;
 # - a BLOCK: between two H rows on the flag, the ladder of each RZ stage
-#   that the level walk of its diagonal finds present: the flag's and each
-#   control's where some k is not 1 (:func:`slot_programs`), else none;
+#   (:func:`_block_stages`): the flag's and each control's where some k is
+#   not 1, else none;
 # - a SHIFT of (register width, control polarities, step): the ripple
 #   cascade, whose parts are the MCX programs of its register bits, widest
 #   first, each on the lower register bits and the gate's controls.
@@ -754,45 +760,41 @@ _TOFFOLI_ROWS = (
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _diagonal(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """The qubits and phases of a BLOCK's diagonal, its controls folded into the diagonal.
+def _block_rotates(op: GateOp) -> bool:
+    """Whether a BLOCK has RZ stages: whether some k, clipped to [-1, 1] as the gate was made, is below 1."""
+    return op.params.min() < 1.0
 
-    A BLOCK's lowering runs the diagonal of phases +arccos(k) on flag 0 and
-    -arccos(k) on flag 1 between Hadamards on the flag, which need no
-    control, as they cancel where the diagonal is idle.
+
+def _block_stages(op: GateOp) -> list[np.ndarray]:
+    """The angle vectors of a BLOCK's RZ stages, in the order of its :func:`_block_program` ladders.
+
+    The lowering runs the diagonal of +arccos(k) on flag 0 and -arccos(k)
+    on flag 1, where the controls meet their polarities, between Hadamards
+    on the flag, which cancel where the diagonal is idle. Split by its top
+    qubit, a diagonal is the RZ on that qubit by the difference of its
+    halves, uniformly controlled by the qubits below, and the diagonal of
+    their mean. The level of control i, with c controls above the flag,
+    finds the block's phases, negated for polarity 0, where the controls
+    below meet theirs, and zero elsewhere, and passes half of them down. So
+    control i's stage holds them divided by 2^(c-1-i), and the flag's is
+    -2 arccos(k) / 2^c. The flag's mean is exactly 0: the value slots have
+    no stage and there is no global phase. The stages are none where every
+    k is 1 (:func:`_block_rotates`), else these 1 + c; arccos of the float
+    below 1 is 1.5e-8, so no halving underflows.
     """
+    if not _block_rotates(op):
+        return []
     theta = np.arccos(op.params)
+    scale = 1 << len(op.controls)
     phases = np.concatenate([theta, -theta])
-    if not op.controls:
-        return op.targets, phases
-    nc = len(op.controls)
-    match = sum(v << i for i, v in enumerate(op.control_values))
-    merged = np.zeros(phases.size << nc)
-    merged[match * phases.size : (match + 1) * phases.size] = phases
-    return op.targets + op.controls, merged
-
-
-def _diag_stages(phases: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Level walk of a BLOCK's diagonal: its present RZ stages.
-
-    Each level splits the phases into halves by their top index bit k. The
-    mean of the halves passes down to the next level; their difference is
-    the angle vector of the multiplexed RZ stage on slot k, which the lower
-    slots control. A stage is present where the difference is not all zero.
-    Stages come as ``(k, difference)`` pairs in lowering order, smallest k
-    first. The walk stops at slot 0, a value qubit below the flag, whose two
-    phases the flag's level has averaged to exactly 0 (each +arccos(k) with
-    its -arccos(k)): the lowering has no global phase and no PHASE.
-    """
-    stages = []
-    while phases.size > 2:
-        half = phases.size >> 1
-        low, high = phases[:half], phases[half:]
-        diff = high - low
-        if np.any(diff):
-            stages.append((half.bit_length() - 1, diff))
-        phases = (low + high) / 2.0
-    stages.reverse()
+    stages = [-2.0 * theta / scale]
+    match = 0  # the branch where the controls below i meet their polarities
+    for i, polarity in enumerate(op.control_values):
+        scale >>= 1
+        stage = np.zeros(phases.size << i)
+        stage[match * phases.size : (match + 1) * phases.size] = (phases if polarity else -phases) / scale
+        stages.append(stage)
+        match |= polarity << i
     return stages
 
 
@@ -1070,23 +1072,16 @@ def slot_programs(op: GateOp) -> tuple[SlotProgram, tuple[int, ...]]:
 
     Returns the cached slot program whose rows are the lowering, and the
     qubit each slot stands for. Its ``cnot`` and ``single_qubit`` are the
-    lowered gate's counts. No angle is computed: a BLOCK's RZ stages, which
-    the level walk of :func:`_diag_stages` finds, are all or none. They are
-    none where every coefficient k is 1, and else one on the flag's slot
-    and one on each control's. On a control's level the difference of the
-    halves is the controlled block's phases or their negation, and their
-    mean is half of them. The flag's level takes the difference of
-    +arccos(k) and -arccos(k), nonzero where any k is not 1 (arccos of the
-    float below 1 is 1.5e-8, so no halving underflows), and averages them to
-    exactly 0, which leaves the value slots below without a stage.
+    lowered gate's counts. No angle is computed: a BLOCK's RZ stages are all
+    or none (:func:`_block_stages`), so its program needs only
+    :func:`_block_rotates`.
     """
     kind = op.kind
     if kind == "PREP":
         return _prep_program(len(op.targets)), op.targets
     if kind == "BLOCK":
         flag = len(op.targets) - 1
-        # k was clipped to [-1, 1] as the gate was made, so its least is below 1 exactly where some k is not 1
-        stages = tuple(range(flag, flag + len(op.controls) + 1)) if op.params.min() < 1.0 else ()
+        stages = tuple(range(flag, flag + len(op.controls) + 1)) if _block_rotates(op) else ()
         return _block_program(flag, stages), op.qubits
     if kind == "SHIFT":
         return _shift_program(len(op.targets), op.control_values, op.params[0]), op.qubits
@@ -1116,7 +1111,7 @@ def _own_gates(op: GateOp) -> list[tuple[str, tuple]]:
             gates += (("RY", (angle,)) for angle in _ladder_angles(2.0 * np.arctan2(hi, lo)))
         return gates
     if kind == "BLOCK":
-        return [("RZ", (angle,)) for _, diff in _diag_stages(_diagonal(op)[1]) for angle in _ladder_angles(diff)]
+        return [("RZ", (angle,)) for stage in _block_stages(op) for angle in _ladder_angles(stage)]
     if not op.controls and kind not in ("MCX", "SHIFT"):
         return [(kind, op.params)]
     return []

@@ -148,12 +148,10 @@ _SCHEMES = {s.name.lower(): s for s in (D1Q2, D1Q3, D2Q5)}
 
 
 def scheme_by_name(name: str) -> LatticeScheme:
-    try:
-        return _SCHEMES[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown lattice scheme {name!r}; choose from {sorted(_SCHEMES)}"
-        ) from None
+    scheme = _SCHEMES.get(name.lower()) if isinstance(name, str) else None
+    if scheme is None:
+        raise ConfigurationError(f"unknown lattice scheme {name!r}; choose from {sorted(_SCHEMES)}")
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,9 @@ class CavitySpec:
 
     def __post_init__(self):
         require_count(self.steps, "steps")
-        if not math.isfinite(self.lid_velocity):
-            raise ConfigurationError(f"lid velocity must be finite, got {self.lid_velocity}")
+        lid = self.lid_velocity
+        if isinstance(lid, bool) or not isinstance(lid, numbers.Real) or not math.isfinite(lid):
+            raise ConfigurationError(f"lid_velocity must be a finite real number, got {lid!r}")
         require_power_of_two(self.n)
 
     @property

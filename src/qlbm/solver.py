@@ -293,6 +293,13 @@ def _transport(scheme: LatticeScheme, extent: int, backend: str) -> _Job:
     return _setup(scheme, circ, ["collision"], ["streaming", "macro"], select=backend == "statevector")
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one; a complex value is refused, not cast to its real part."""
+    if np.iscomplexobj(value):
+        raise ConfigurationError(f"{name} must be real, got a complex value")
+    return np.asarray(value, dtype=float)
+
+
 def run_advection_diffusion(
     scheme: LatticeScheme,
     field0,
@@ -313,9 +320,9 @@ def run_advection_diffusion(
     if backend not in ("statevector", "sampling"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     require_count(steps, "steps")
-    if not np.all(np.isfinite(np.asarray(velocity, dtype=float))):
+    if not np.all(np.isfinite(_real_array(velocity, "velocity"))):
         raise ConfigurationError(f"velocity must be finite, got {velocity}")
-    field = np.asarray(field0, dtype=float)
+    field = _real_array(field0, "field0")
     if field.ndim != scheme.dimension or len(set(field.shape)) != 1:
         raise ConfigurationError(f"field shape {field.shape} does not fit {scheme.name}")
     extent = field.shape[0]

@@ -91,6 +91,7 @@ class QuantumState:
     norm_factor: float = 1.0
 
     def __post_init__(self):
+        require_count(self.n_qubits, "n_qubits")
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ConfigurationError(

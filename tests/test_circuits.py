@@ -173,6 +173,17 @@ def test_gate_op_rejects_parameters_that_are_not_a_sequence_of_reals(params):
         GateOp("RY", (0,), params=params)
 
 
+@pytest.mark.parametrize("kind, targets, params", [
+    ("PREP", (0, 1), [0.5, 0.5, 0.5, 0.5j]),
+    ("PREP", (0,), np.array([1.0, 1.0], dtype=complex)),
+    ("BLOCK", (0, 1), [0.5, 1j]),
+    ("BLOCK", (0, 1), np.array([0.5, 0.5], dtype=complex)),
+])
+def test_a_complex_prep_or_block_vector_is_refused_not_cast(kind, targets, params):
+    with pytest.raises(ConfigurationError, match=f"{kind} params must be real"):
+        GateOp(kind, targets, params=params)
+
+
 @pytest.mark.parametrize("targets, controls, match", [
     ((-1,), (), "negative"),
     ((0,), (-2,), "negative"),
@@ -538,7 +549,9 @@ def test_prep_rejects_a_target_that_is_not_zero(select):
     run_from_zero(3, ops, select=select)
 
 
-@pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0, 0, 0])])
+# the last vector is finite, but its norm overflows
+@pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0, 0, 0]),
+                                 np.full(4, 1e308)])
 def test_prep_of_a_zero_or_non_finite_vector_raises_when_run_or_lowered(bad):
     prep = GateOp("PREP", (0, 1), params=bad)
     with pytest.raises(EncodingError):
@@ -559,6 +572,12 @@ def test_a_load_whose_peak_is_subnormal_is_rejected_when_run_or_lowered(peak):
         run_from_zero(2, [prep])
     with pytest.raises(EncodingError, match="subnormal"):
         lower_op(prep)
+
+
+def test_a_load_whose_norm_is_just_below_the_largest_float_is_kept():
+    unit, scale = unit_amplitudes(np.full(4, 8e307))
+    assert scale == pytest.approx(1.6e308, rel=1e-15)
+    np.testing.assert_array_equal(unit, np.full(4, 0.5))
 
 
 def test_a_load_whose_peak_is_the_smallest_normal_float_is_kept():

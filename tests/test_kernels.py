@@ -512,7 +512,7 @@ def test_selected_block_on_a_flag_at_zero_runs_no_phases_and_no_drop(monkeypatch
     k = np.array([0.5, -0.25, 1.0, 0.0])
     ops = [GateOp("PREP", (0, 1, 2), params=np.arange(1.0, 9.0)), GateOp("BLOCK", (0, 2, 3), (1,), (0,), params=k)]
     with monkeypatch.context() as patch:
-        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.circuits, "_diagonal"),
+        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.circuits, "_block_stages"),
                              (np, "exp"), (np, "arccos")):
             patch.setattr(module, name, refuse)
         selected, probs = run_from_zero(4, ops, select={3: 0})

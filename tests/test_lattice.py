@@ -101,6 +101,12 @@ def test_scheme_by_name_rejects_unknown():
         scheme_by_name("d3q19")
 
 
+@pytest.mark.parametrize("name", [3, None, b"d2q5"])
+def test_scheme_by_name_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(ConfigurationError, match="unknown lattice scheme"):
+        scheme_by_name(name)
+
+
 def test_flow_params_defaults():
     # the full-replacement regime's D = c_s^2 / 2, per scheme
     assert D1Q2.diffusion == pytest.approx(0.5)
@@ -423,6 +429,12 @@ def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
 def test_cavity_spec_rejects_non_finite_values(field, bad):
     with pytest.raises(ConfigurationError, match="finite"):
         CavitySpec(n=4, steps=1, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, 1j])
+def test_cavity_spec_rejects_a_lid_velocity_that_is_not_a_real_number(bad):
+    with pytest.raises(ConfigurationError, match="lid_velocity must be a finite real number"):
+        CavitySpec(n=4, steps=1, lid_velocity=bad)
 
 
 def test_cavity_at_rest_stays_at_rest():

@@ -132,6 +132,28 @@ def test_cavity_rejects_non_finite_lid_velocity(bad, variant):
         run_cavity(CavitySpec(n=4, lid_velocity=bad, steps=2), variant=variant)
 
 
+def test_advection_rejects_a_field_whose_norm_overflows_at_the_load():
+    field0 = np.full(4, 1e308)
+    np.testing.assert_array_equal(np.isfinite(step_advection_diffusion(D1Q3, field0, (0.1,))), True)
+    with pytest.raises(EncodingError, match="overflows"):
+        run_advection_diffusion(D1Q3, field0, (0.1,), 1)
+
+
+@pytest.mark.parametrize("field0, velocity, name", [
+    (np.ones(4, dtype=complex), (0.1,), "field0"),
+    (np.ones(4), (0.1 + 0j,), "velocity"),
+    (np.ones(4), np.array([0.1j]), "velocity"),
+])
+def test_advection_refuses_complex_inputs_rather_than_cast_them(field0, velocity, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be real"):
+        run_advection_diffusion(D1Q3, field0, velocity, 1)
+
+
+def test_a_float_field_is_not_copied_by_the_real_input_check():
+    field0 = np.ones(4)
+    assert qlbm.solver._real_array(field0, "field0") is field0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_advection_rejects_non_finite_field(bad):
     field0 = _impulse_field(D1Q3, 8)

@@ -63,6 +63,12 @@ def test_zero_state_is_basis_zero():
     assert np.all(state.amplitudes[1:] == 0.0)
 
 
+@pytest.mark.parametrize("n_qubits", [-1, True, 1.0])
+def test_state_rejects_a_qubit_count_that_is_not_a_count(n_qubits):
+    with pytest.raises(ConfigurationError, match="n_qubits must be an integer"):
+        QuantumState(n_qubits, np.ones(2))
+
+
 def test_state_rejects_wrong_length():
     with pytest.raises(ConfigurationError, match="does not fit"):
         QuantumState(2, np.zeros(5))
