@@ -232,8 +232,9 @@ def _real_tuple(kind: str, params) -> tuple:
 
 def _check_coefficients(op: GateOp) -> None:
     """Hold a BLOCK's coefficients to [-1, 1]: raise past the slack, clip within it."""
-    # written so that NaN, which compares false both ways, is rejected too
-    worst = float(np.abs(op.params).max())
+    # the peak magnitude without an |k| temporary; NaN propagates through max and
+    # min, and compares false both ways, so it is rejected too
+    worst = max(float(op.params.max()), -float(op.params.min()))
     if not worst <= 1.0 + _COEFF_SLACK:
         raise CoefficientRangeError(f"collision coefficients must lie in [-1, 1]; max |k| = {worst:.6g}")
     if worst > 1.0:
@@ -243,12 +244,12 @@ def _check_coefficients(op: GateOp) -> None:
 
 
 def gate_matrix_1q(op: GateOp) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate kind."""
+    """2x2 matrix of a single-qubit gate kind; H's and X's are shared read-only constants."""
     k = op.kind
     if k == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        return _H_MAT
     if k == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+        return _X_MAT
     if k == "RY":
         (theta,) = op.params
         c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -398,8 +399,31 @@ class CircuitIR:
 # ---------------------------------------------------------------------------
 
 
+# entries per row of a reduction: the largest power of two at or below
+# OpenBLAS's cutoff of 10,000 entries for a threaded dot, so no row wakes a thread
+_SUM_ROW = 8192
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of |a_i|^2 over a flat float64 or complex128 array, one dot per row of 8192 entries.
+
+    Each row of at most ``_SUM_ROW`` entries is one dot on the calling
+    thread, and the rows add left to right, so the result does not depend on
+    the BLAS thread count. At ``_SUM_ROW`` entries or fewer it is the single
+    dot ``np.vdot(a, a).real``, bit for bit.
+    """
+    if a.size <= _SUM_ROW:
+        return float(np.vecdot(a, a).real)
+    rows = a[: a.size - a.size % _SUM_ROW].reshape(-1, _SUM_ROW)
+    total = 0.0
+    for row in np.vecdot(rows, rows).real.tolist():
+        total += row
+    tail = a[rows.size:]  # fewer than _SUM_ROW entries, maybe none
+    return total + float(np.vecdot(tail, tail).real)
+
+
 def unit_amplitudes(values) -> tuple[np.ndarray, float]:
-    """``values`` scaled to unit norm, and the norm it was scaled from.
+    """``values`` scaled to unit norm, as a new float64 array, and the norm it was scaled from.
 
     The vector is divided by its peak magnitude before the norm is taken,
     so squaring cannot under- or overflow. This is the one normalization
@@ -410,8 +434,8 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     scale back.
     """
     v = np.asarray(values, dtype=float).ravel()
-    # the peak is NaN or infinite exactly when some value is
-    peak = float(np.abs(v).max()) if v.size else 0.0
+    # the peak is NaN or infinite exactly when some value is: max and min propagate a NaN
+    peak = max(float(v.max()), -float(v.min())) if v.size else 0.0
     if not math.isfinite(peak):
         raise EncodingError("cannot amplitude-encode a field with non-finite values")
     if peak == 0.0:
@@ -419,7 +443,7 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     if peak < _TINY:
         raise EncodingError(f"cannot amplitude-encode a field whose peak magnitude {peak!r} is subnormal")
     unit = v / peak
-    unit_norm = float(np.linalg.norm(unit))
+    unit_norm = math.sqrt(_sum_squares(unit))
     unit /= unit_norm
     norm = peak * unit_norm
     if not math.isfinite(norm):
@@ -459,7 +483,9 @@ def build_collision_ops(layout: RegisterLayout, k_flat, value_qubits: tuple[int,
     Hadamards on the ancilla around a joint diagonal of phases
     +/- arccos(k). Coefficients must lie in [-1, 1].
     """
-    k_flat = np.asarray(k_flat, dtype=float).ravel()
+    k_flat = np.asarray(k_flat, dtype=float)
+    if k_flat.ndim != 1:  # a flat array is passed on as it is, so a read-only one it owns is not copied
+        k_flat = k_flat.ravel()
     if k_flat.size != 1 << len(value_qubits):
         raise ConfigurationError(
             f"got {k_flat.size} coefficients for {len(value_qubits)} qubits"
@@ -562,6 +588,7 @@ def build_vorticity_collision_ops(layout: RegisterLayout, scheme: LatticeScheme,
     k_flat = np.ones(n_sites << layout.n_d)
     for code in range(scheme.n_links):
         k_flat[code * n_sites : (code + 1) * n_sites] = k[code].ravel()
+    k_flat.flags.writeable = False  # the BLOCK keeps it without a copy
     return build_collision_ops(layout, k_flat, layout.site_qubits + layout.d, layout.s, (1,) * layout.n_s)
 
 
@@ -758,6 +785,8 @@ _TOFFOLI_ROWS = (
 )
 
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
+_H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_X_MAT.flags.writeable = _H_MAT.flags.writeable = False
 
 
 def _block_rotates(op: GateOp) -> bool:

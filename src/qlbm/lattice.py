@@ -199,9 +199,24 @@ def require_power_of_two(*extents: int, name: str = "extent") -> None:
             raise ConfigurationError(f"{name} {n!r} is not a power of two >= 2")
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one; a complex value is refused, not cast to its real part.
+
+    The one input rule of the classical and the gate path for a field or a
+    velocity: a complex value, or one numpy cannot read as floats, is a
+    :class:`ConfigurationError` naming it as ``name``.
+    """
+    if np.iscomplexobj(value):
+        raise ConfigurationError(f"{name} must be real, got a complex value")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be real numbers, got {type(value).__name__}") from None
+
+
 def _broadcast_velocity(scheme: LatticeScheme, velocity, shape):
     """Return velocity as an array of shape (dimension,) + shape."""
-    v = np.asarray(velocity, dtype=float)
+    v = _real_array(velocity, "velocity")
     if v.shape == (scheme.dimension,):
         return np.broadcast_to(v.reshape((scheme.dimension,) + (1,) * len(shape)), (scheme.dimension,) + tuple(shape))
     if v.shape == (scheme.dimension,) + tuple(shape):
@@ -231,7 +246,7 @@ def collision_coefficients(scheme: LatticeScheme, velocity, shape) -> np.ndarray
 
 def equilibrium_distribution(scheme: LatticeScheme, field: np.ndarray, velocity) -> np.ndarray:
     """Equilibrium link populations f_a = w_a phi (1 + e_a . u / c_s^2)."""
-    field = np.asarray(field, dtype=float)
+    field = _real_array(field, "field")
     if field.ndim != scheme.dimension:
         raise ConfigurationError(
             f"field has {field.ndim} axes but {scheme.name} is {scheme.dimension}-dimensional"
@@ -291,7 +306,7 @@ def macro_moment(populations: np.ndarray) -> np.ndarray:
 
 def step_advection_diffusion(scheme, field, velocity) -> np.ndarray:
     """One full-replacement collide-and-stream step of the advected scalar."""
-    field = np.asarray(field, dtype=float)
+    field = _real_array(field, "field")
     require_power_of_two(*field.shape)
     f = equilibrium_distribution(scheme, field, velocity)
     return macro_moment(stream_periodic(scheme, f))
@@ -305,8 +320,8 @@ def step_poisson(scheme, psi, source) -> np.ndarray:
     the iteration solves the 5-point system grad^2 psi = link-average(source).
     Callers re-impose Dirichlet values between sweeps.
     """
-    psi = np.asarray(psi, dtype=float)
-    source = np.asarray(source, dtype=float)
+    psi = _real_array(psi, "psi")
+    source = _real_array(source, "source")
     if psi.shape != source.shape:
         raise ConfigurationError(f"psi shape {psi.shape} != source shape {source.shape}")
     require_power_of_two(*psi.shape)
@@ -319,13 +334,34 @@ def step_poisson(scheme, psi, source) -> np.ndarray:
 def velocity_from_stream_function(psi: np.ndarray):
     """(u, v) = (dpsi/dy, -dpsi/dx) on the unit grid, second-order, one-sided at the edges.
 
-    Grids too small for the second-order edge stencil (under 3 points per
-    axis) drop to first order; a 2 x 2 cavity is all walls regardless.
+    ``psi`` is a 2-D field of at least 2 points per axis, else
+    :class:`ConfigurationError`. Grids too small for the second-order edge
+    stencil (under 3 points per axis) drop to first order; a 2 x 2 cavity
+    is all walls regardless.
     """
-    psi = np.asarray(psi, dtype=float)
-    order = 2 if min(psi.shape) >= 3 else 1
-    u, dpsi_dx = np.gradient(psi, axis=(0, 1), edge_order=order)
-    return u, -dpsi_dx
+    psi = _real_array(psi, "psi")
+    if psi.ndim != 2 or min(psi.shape) < 2:
+        raise ConfigurationError(f"psi must be a 2-D field of at least 2 x 2 points, got shape {psi.shape}")
+    if min(psi.shape) < 3:
+        u, dpsi_dx = np.gradient(psi, axis=(0, 1), edge_order=1)
+    else:
+        u, dpsi_dx = _second_order_derivative(psi), _second_order_derivative(psi.T).T
+    np.negative(dpsi_dx, out=dpsi_dx)
+    return u, dpsi_dx
+
+
+def _second_order_derivative(f: np.ndarray) -> np.ndarray:
+    """d f / d(axis 0) on the unit grid, as ``np.gradient(f, axis=0, edge_order=2)`` computes it, bit for bit.
+
+    Central differences inside, the one-sided three-point stencils on the
+    two edge rows; at least 3 rows.
+    """
+    out = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0
+    out[0] = -1.5 * f[0] + 2.0 * f[1] + -0.5 * f[2]
+    out[-1] = 0.5 * f[-3] + -2.0 * f[-2] + 1.5 * f[-1]
+    return out
 
 
 def apply_cavity_boundaries(psi, omega, spec: CavitySpec):

@@ -74,6 +74,7 @@ from .lattice import (
     D1Q3,
     D2Q5,
     LatticeScheme,
+    _real_array,
     apply_cavity_boundaries,
     require_count,
     require_power_of_two,
@@ -112,9 +113,14 @@ _SETUPS = 8
 
 
 def relative_error(result, reference) -> np.ndarray:
-    """Elementwise |result - reference| / max(|reference|, ERROR_FLOOR)."""
-    result = np.asarray(result, dtype=float)
-    reference = np.asarray(reference, dtype=float)
+    """Elementwise |result - reference| / max(|reference|, ERROR_FLOOR), of two arrays of one shape.
+
+    Arrays of different shapes are a :class:`ConfigurationError`, not broadcast.
+    """
+    result = _real_array(result, "result")
+    reference = _real_array(reference, "reference")
+    if result.shape != reference.shape:
+        raise ConfigurationError(f"result shape {result.shape} != reference shape {reference.shape}")
     return np.abs(result - reference) / np.maximum(np.abs(reference), ERROR_FLOOR)
 
 
@@ -291,13 +297,6 @@ def _transport(scheme: LatticeScheme, extent: int, backend: str) -> _Job:
     rest = np.zeros((extent,) * scheme.dimension)
     circ = build_advection_diffusion_circuit(scheme, extent, rest, np.zeros(scheme.dimension))
     return _setup(scheme, circ, ["collision"], ["streaming", "macro"], select=backend == "statevector")
-
-
-def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array, not copied if it is one; a complex value is refused, not cast to its real part."""
-    if np.iscomplexobj(value):
-        raise ConfigurationError(f"{name} must be real, got a complex value")
-    return np.asarray(value, dtype=float)
 
 
 def run_advection_diffusion(

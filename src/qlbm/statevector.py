@@ -9,7 +9,10 @@ Every circuit starts from |0...0>, a :class:`ZeroState`, and its amplitudes
 enter one way: a ``PREP`` gate writes its unit vector onto qubits that are
 still outside the amplitude array. A qubit is in the array only between its
 first gate and its last, so a run allocates nothing of the state's size:
-each qubit enters the array at the first gate that needs it there. Given a
+each qubit enters the array at the first gate that needs it there. A PREP
+onto the empty array, its qubits in ascending order as every solver's
+encode is, makes its unit vector the state, so the load writes the state
+once (and casts it once on a complex plan). Given a
 selection, each selected qubit is projected right after the last gate that
 targets it and dropped from the state, so every later gate runs on half as
 many amplitudes. An uncontrolled single-qubit gate followed by a selection
@@ -38,9 +41,17 @@ The amplitude array's dtype is structure too, fixed by the plan: float64
 when every gate keeps real amplitudes real, else complex128. Every solver
 job on the selecting backend is real, so its loads, kernels, drops and
 norms move half the bytes; a :class:`QuantumState` is complex128,
-converted once at the end, on the kept qubits only.
+converted once at the end, on the kept qubits only, and its amplitudes
+must be finite.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
+
+Every norm of a replay, the load's and each selection's, is
+:func:`~qlbm.circuits._sum_squares`: one dot per row of at most 8192
+amplitudes on the calling thread, the rows added left to right. No row
+reaches OpenBLAS's 10,000-entry cutoff for a threaded dot, whose split sum
+changes its last bits with the thread count and wakes a second thread, so
+a replay's result depends on the BLAS build but not on its thread count.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import _kernels
-from .circuits import gate_matrix_1q, unit_amplitudes
+from .circuits import _sum_squares, gate_matrix_1q, unit_amplitudes
 from .errors import ConfigurationError, PostSelectionError
 from .lattice import require_count
 
@@ -97,6 +108,8 @@ class QuantumState:
             raise ConfigurationError(
                 f"amplitude vector of length {self.amplitudes.size} does not fit {self.n_qubits} qubits"
             )
+        if not np.isfinite(self.amplitudes).all():
+            raise ConfigurationError("amplitudes must be finite, got a NaN or infinity")
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -145,8 +158,9 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     Each qubit is either in the amplitude array or known to hold a value.
     Every qubit starts out known to hold 0, and enters the array at its
     sorted bit position at the first gate that needs it there. A PREP's
-    unit vector goes straight into place; onto an empty array it is the new
-    array. Its targets must still be outside the array, so in |0>: a PREP
+    unit vector goes straight into place; onto the empty array, its targets
+    ascending, it is the new array itself, and its step holds no product
+    layout. Its targets must still be outside the array, so in |0>: a PREP
     onto a qubit that an earlier gate made enter raises
     :class:`ConfigurationError`. Any other qubit enters in |0>, but none
     that a PHASE or BLOCK is diagonal on: on a qubit that holds 0 either
@@ -207,7 +221,10 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         # axes of the outer product unit x amps, sorted to descending qubits
         axes = [*targets[::-1], *reversed(bits)]
         order = tuple(sorted(range(len(axes)), key=axes.__getitem__, reverse=True))
-        steps.append((tag, i, ((2,) * len(targets), (2,) * len(bits), order)))
+        if tag == "load" and not bits and order == tuple(range(len(axes))):
+            steps.append((tag, i, None))  # the unit vector is the state, in order
+        else:
+            steps.append((tag, i, ((2,) * len(targets), (2,) * len(bits), order)))
         for q in targets:
             del known[q]
         renumber([*bits, *targets])
@@ -349,8 +366,8 @@ def apply_circuit(plan: CircuitPlan, ops):
         elif tag == "enter":
             amps = _product(_KET0, amps, *args)
         elif tag == "load":
-            unit, scale = unit_amplitudes(ops[i].params)
-            amps = _product(unit, amps, *args)
+            unit, scale = unit_amplitudes(ops[i].params)  # a new array: the state never aliases the gate
+            amps = unit.astype(plan.dtype, copy=False) if args is None else _product(unit, amps, *args)
             norm *= scale
         elif tag == "known":
             probs[args[0]] = 1.0
@@ -405,8 +422,8 @@ def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.nd
     ``order`` sorts the axes of the outer product to descending qubits, so
     bit k of the result is the k-th lowest of all the qubits. When every
     entering qubit lies above every qubit in ``amps`` and they ascend, the
-    outer product is already in that order and is written once: the unit
-    vector onto an empty array, or |0> for a qubit entering above the others.
+    outer product is already in that order and is written once, as for |0>
+    on a qubit entering above the others.
     """
     prod = np.multiply.outer(unit.reshape(ushape), amps.reshape(ashape))
     return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
@@ -436,9 +453,10 @@ def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> t
 
 def _normalize(amps: np.ndarray, qubit: int, value: int) -> float:
     """Scale ``amps``, what is left of a selection of ``qubit`` = ``value``, to unit norm; return its probability."""
-    # a BLAS dot of the plan's dtype: ddot on a real plan, zdotc on a complex
-    # one, which sum in different orders, so p differs between them in its last bits
-    p = float(np.vdot(amps, amps).real)
+    # BLAS dots of the plan's dtype over rows of at most 8192 entries, on this
+    # thread: ddot on a real plan, zdotc on a complex one, which sum each row in
+    # different orders, so p differs between them in its last bits
+    p = _sum_squares(amps)
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
     amps *= 1.0 / np.sqrt(p)  # an array divides slower than it multiplies

@@ -38,6 +38,7 @@ from qlbm.circuits import (
     slot_programs,
     unit_amplitudes,
     _controlled_1q,
+    _sum_squares,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
@@ -384,6 +385,14 @@ def test_collision_block_rejects_non_finite_coefficients(bad):
         build_collision_ops(layout, [0.5, bad, 0.0, 0.0], layout.r0 + layout.d)
 
 
+def test_a_flat_read_only_coefficient_array_the_caller_owns_is_kept_by_the_block():
+    layout = RegisterLayout(n_r0=1, n_d=1)
+    k = np.array([0.5, -0.25, 1.0, 0.0])
+    k.flags.writeable = False
+    (block,) = build_collision_ops(layout, k, layout.r0 + layout.d)
+    assert block.params is k
+
+
 def test_collision_block_rejects_wrong_coefficient_count():
     layout = RegisterLayout(n_r0=1, n_d=1)
     with pytest.raises(ConfigurationError, match="coefficients"):
@@ -585,6 +594,36 @@ def test_a_load_whose_peak_is_the_smallest_normal_float_is_kept():
     unit, scale = unit_amplitudes((0.0, -tiny, _SUBNORMAL))
     assert scale == pytest.approx(tiny, rel=1e-15)
     assert unit[1] == -1.0
+
+
+_ROW = 8192  # entries per dot of _sum_squares
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 17).map(lambda k: 1 << k), st.integers(1, 5 * _ROW)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_sum_squares_is_one_dot_per_8192_entries_added_left_to_right(size, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(size)
+    if is_complex:
+        a = a + 1j * rng.standard_normal(size)
+    got = _sum_squares(a)
+    if size <= _ROW:
+        assert got == np.vdot(a, a).real  # the single dot it replaces, bit for bit
+    else:
+        want = 0.0
+        for start in range(0, size, _ROW):
+            chunk = a[start:start + _ROW]
+            want += np.vdot(chunk, chunk).real
+        assert got == want
+
+
+def test_the_h_and_x_matrices_are_shared_read_only_constants():
+    for kind in ("H", "X"):
+        matrix = gate_matrix_1q(GateOp(kind, (0,)))
+        assert matrix is gate_matrix_1q(GateOp(kind, (3,)))
+        assert not matrix.flags.writeable
+    np.testing.assert_array_equal(gate_matrix_1q(GateOp("H", (0,))), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
 def _rotation_network(targets):

@@ -386,6 +386,31 @@ def test_velocity_equals_one_gradient_call_per_axis(shape):
     assert v.tobytes() == (-np.gradient(psi, axis=1, edge_order=order)).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 64), st.integers(3, 64), st.integers(0, 2**32 - 1))
+def test_the_sliced_stencil_is_np_gradient_bit_for_bit(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    # zeros of both signs among the values, so a sign of zero shows too
+    psi = rng.standard_normal((rows, cols)) * rng.integers(-1, 2, (rows, cols))
+    u, v = velocity_from_stream_function(psi)
+    assert u.tobytes() == np.gradient(psi, axis=0, edge_order=2).tobytes()
+    assert v.tobytes() == (-np.gradient(psi, axis=1, edge_order=2)).tobytes()
+
+
+@pytest.mark.parametrize("psi", [np.ones(8), np.ones((2, 4, 4)), np.float64(1.0), np.ones((1, 4)), np.ones((4, 0))],
+                         ids=["1-d", "3-d", "0-d", "one-row", "empty"])
+def test_velocity_from_stream_function_needs_a_2d_field(psi):
+    with pytest.raises(ConfigurationError, match="2-D"):
+        velocity_from_stream_function(psi)
+
+
+@pytest.mark.parametrize("psi, source, name", [(np.ones((4, 4)) + 0j, np.ones((4, 4)), "psi"),
+                                                (np.ones((4, 4)), np.full((4, 4), 1j), "source")])
+def test_the_poisson_sweep_refuses_complex_inputs(psi, source, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be real"):
+        step_poisson(D2Q5, psi, source)
+
+
 def test_cavity_boundaries_zero_stream_function_walls():
     rng = np.random.default_rng(5)
     spec = CavitySpec(n=8)

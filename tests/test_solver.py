@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +157,49 @@ def test_a_float_field_is_not_copied_by_the_real_input_check():
     assert qlbm.solver._real_array(field0, "field0") is field0
 
 
+@pytest.mark.parametrize("field, velocity, name", [
+    (np.ones(4, dtype=complex), (0.1,), "field"),
+    (np.ones(4), (0.1 + 0j,), "velocity"),
+    (np.ones(4), np.array([0.1j]), "velocity"),
+    (np.ones(4), "fast", "velocity"),
+    (np.ones(4), (0.1, "x"), "velocity"),
+    (["a"] * 4, (0.1,), "field"),
+])
+def test_the_classical_step_refuses_complex_or_unreadable_inputs_like_the_solver(field, velocity, name):
+    # the same rule as run_advection_diffusion: no ComplexWarning cast, no raw TypeError or ValueError
+    with pytest.raises(ConfigurationError, match=f"{name} must be real"):
+        step_advection_diffusion(D1Q3, field, velocity)
+    with pytest.raises(ConfigurationError, match=f"{'field0' if name == 'field' else name} must be real"):
+        run_advection_diffusion(D1Q3, field, velocity, 1)
+
+
+# one D2Q5 run at 64 x 64 whose loads and selections hold 32,768 and 16,384
+# amplitudes, past OpenBLAS's 10,000-entry cutoff for a threaded dot
+_THREAD_RUN = """
+import hashlib
+import numpy as np
+from qlbm.lattice import D2Q5
+from qlbm.solver import run_advection_diffusion
+field = 0.1 + np.random.default_rng(5).uniform(0.0, 1.0, (64, 64))
+result = run_advection_diffusion(D2Q5, field, (0.1, 0.05), 2)
+print(hashlib.sha256(result.fields.tobytes()).hexdigest())
+for record in result.records:
+    print(record.norm_factor.hex(), [(q, p.hex()) for q, p in record.select_probs.items()])
+"""
+
+
+def test_a_run_writes_the_same_bits_on_one_blas_thread_as_on_two():
+    src = str(Path(qlbm.solver.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_advection_rejects_non_finite_field(bad):
     field0 = _impulse_field(D1Q3, 8)
@@ -295,6 +341,14 @@ def test_decode_field_reads_a_site_only_state():
 def test_relative_error_floors_small_references():
     err = relative_error([1e-12, 2.0], [0.0, 1.0])
     np.testing.assert_allclose(err, [1e-12 / ERROR_FLOOR, 1.0])
+
+
+@pytest.mark.parametrize("result, reference", [(np.ones(4), np.ones(3)), (np.ones(4), 1.0), (np.ones((2, 2)), np.ones(4))],
+                         ids=["length", "scalar", "shape"])
+def test_relative_error_refuses_arrays_of_different_shapes(result, reference):
+    # a typed error, not numpy's broadcast ValueError nor a silent broadcast
+    with pytest.raises(ConfigurationError, match="shape"):
+        relative_error(result, reference)
 
 
 # ---------------------------------------------------------------------------

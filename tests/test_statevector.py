@@ -280,6 +280,23 @@ def test_a_plan_holds_no_prep_vector():
     assert got_probs == fresh_probs and got.norm_factor == fresh.norm_factor
 
 
+@pytest.mark.parametrize("select", [None, {2: 0}], ids=["full", "selected"])
+@pytest.mark.parametrize("last", [GateOp("RY", (1,), params=(0.3,)), GateOp("PHASE", (1,), params=(0.3,))],
+                         ids=["real", "complex"])
+def test_a_prep_onto_the_empty_array_becomes_the_state_without_touching_its_gate(select, last):
+    prep = GateOp("PREP", (0, 1, 2), params=np.arange(1.0, 9.0))
+    ops = [prep, GateOp("H", (2,)), last]
+    plan = plan_circuit(ZeroState(3), ops, select)
+    assert plan.steps[0] == ("load", 0, None)  # no product layout: the unit vector is the state
+    kept = prep.params.copy()
+    first, second = (apply_circuit(plan, ops) for _ in range(2))
+    if select is not None:
+        (first, _), (second, _) = first, second
+    np.testing.assert_array_equal(prep.params, kept)
+    assert not np.shares_memory(first.amplitudes, second.amplitudes)
+    np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+
+
 @pytest.mark.parametrize("select", [None, {0: 1}], ids=["full", "selected"])
 def test_a_plan_of_a_plus_one_shift_replayed_on_a_minus_one_shift_gives_the_minus_one_result(select):
     # the step is a parameter: a plan holds both directions' indices and reads the sign from the gate
@@ -442,9 +459,19 @@ def test_sample_requires_an_integral_shot_count(shots):
 
 @pytest.mark.parametrize("amplitudes", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]], ids=["zero", "nan", "inf"])
 def test_sample_rejects_a_state_with_no_finite_probabilities(amplitudes):
-    # rejected before the division that would warn and hand numpy NaN probabilities
+    # rejected before the division that would warn and hand numpy NaN probabilities; a
+    # QuantumState refuses a NaN or infinity, so those are written into one after it is made
+    state = QuantumState(1, [0.6, 0.8])
+    state.amplitudes[:] = amplitudes
     with pytest.raises(ConfigurationError, match="cannot sample"):
-        sample(QuantumState(1, amplitudes), 10, 0)
+        sample(state, 10, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)], ids=repr)
+def test_a_quantum_state_refuses_non_finite_amplitudes(value):
+    # so fidelity_from_histogram, which reads them, can no longer return NaN
+    with pytest.raises(ConfigurationError, match="amplitudes must be finite"):
+        QuantumState(1, [value, 0.5])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", None, True], ids=repr)
