@@ -177,7 +177,7 @@ class GateOp:
             if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step not in (1, -1):
                 raise ConfigurationError(f"SHIFT step must be the integer +1 or -1, got {step!r}")
             object.__setattr__(self, "params", (int(step),))
-        # a PREP's vector is checked where it is loaded, by unit_amplitudes, as an EncodingError
+        # a PREP's vector is checked where it is loaded or lowered, by _peak_scaled, as an EncodingError
         elif not (kind in _ARRAY_KINDS or all(map(math.isfinite, self.params))):
             raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
         if kind == "BLOCK":
@@ -425,13 +425,26 @@ def _sum_squares(a: np.ndarray) -> float:
 def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     """``values`` scaled to unit norm, as a new float64 array, and the norm it was scaled from.
 
-    The vector is divided by its peak magnitude before the norm is taken,
-    so squaring cannot under- or overflow. This is the one normalization
-    rule of every load: PREP applied and PREP lowered. A peak below the
-    smallest normal float is an :class:`EncodingError`: a subnormal holds
-    fewer significant bits, so such a field cannot be carried at float64
-    precision. So is a norm past the largest float, which no decode could
-    scale back.
+    This is :func:`_peak_scaled` divided by its norm, the rule of every
+    lowered load: a PREP lowers to the rotations of this unit vector. The
+    replay keeps the peak-scaled vector and divides by the norm once, at
+    the end of the circuit.
+    """
+    unit, peak, sum_squares = _peak_scaled(values)
+    unit_norm = math.sqrt(sum_squares)
+    unit /= unit_norm
+    return unit, peak * unit_norm
+
+
+def _peak_scaled(values) -> tuple[np.ndarray, float, float]:
+    """``values`` divided by their peak magnitude, as a new flat float64 array; the peak; the array's sum of squares.
+
+    Dividing by the peak first means squaring cannot under- or overflow.
+    This is the one scaling rule of every load, PREP applied and PREP
+    lowered. A peak below the smallest normal float is an
+    :class:`EncodingError`: a subnormal holds fewer significant bits, so
+    such a field cannot be carried at float64 precision. So is a norm past
+    the largest float, which no decode could scale back.
     """
     v = np.asarray(values, dtype=float).ravel()
     # the peak is NaN or infinite exactly when some value is: max and min propagate a NaN
@@ -442,13 +455,11 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
         raise EncodingError("cannot amplitude-encode an all-zero field")
     if peak < _TINY:
         raise EncodingError(f"cannot amplitude-encode a field whose peak magnitude {peak!r} is subnormal")
-    unit = v / peak
-    unit_norm = math.sqrt(_sum_squares(unit))
-    unit /= unit_norm
-    norm = peak * unit_norm
-    if not math.isfinite(norm):
+    scaled = v / peak
+    sum_squares = _sum_squares(scaled)
+    if not math.isfinite(peak * math.sqrt(sum_squares)):
         raise EncodingError(f"cannot amplitude-encode a field whose norm overflows; its peak magnitude is {peak!r}")
-    return unit, norm
+    return scaled, peak, sum_squares
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,9 @@ def _duration_table(durations) -> GateDurationTable:
 
 
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
-    """Count the lowered circuit without materializing it."""
+    """Count the lowered circuit without materializing it; a ``circ`` that is no :class:`CircuitIR` is a :class:`ConfigurationError`."""
+    if not isinstance(circ, CircuitIR):
+        raise ConfigurationError(f"circ must be a CircuitIR, got {circ!r}")
     return _count(circ, label, _duration_table(durations))[0]
 
 

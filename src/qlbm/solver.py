@@ -236,14 +236,15 @@ class _Job(NamedTuple):
     """One kind of job, set up once per shape.
 
     Its scheme and layout, the plan of the gates it runs, the gates it
-    replays as built after its fresh ones, the source-flag sector it
-    selects, and whether its decode is folded.
+    replays as built after its fresh ones, its PREP's targets, the
+    source-flag sector it selects, and whether its decode is folded.
     """
 
     scheme: LatticeScheme
     layout: RegisterLayout
     plan: CircuitPlan
     tail: tuple
+    encoded: tuple
     sector: int = 0
     folded: bool = False
 
@@ -259,12 +260,12 @@ def _setup(scheme: LatticeScheme, circ, fresh, tail, sector: int = 0, folded: bo
     layout = circ.layout
     selection = _selection(layout, sector) if select else None
     plan = plan_circuit(ZeroState(layout.qubit_count), circ.section_ops(["encode", *fresh, *tail]), selection)
-    return _Job(scheme, layout, plan, tuple(circ.section_ops(tail)), sector, folded)
+    return _Job(scheme, layout, plan, tuple(circ.section_ops(tail)), layout.encoded_qubits, sector, folded)
 
 
 def _prep(job: _Job, field, source=None) -> GateOp:
     """The encode PREP of one job's fields."""
-    return GateOp("PREP", job.layout.encoded_qubits, params=encoding_vector(job.layout, job.scheme, field, source=source))
+    return GateOp("PREP", job.encoded, params=encoding_vector(job.layout, job.scheme, field, source=source))
 
 
 def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(), velocity=None):
@@ -273,14 +274,15 @@ def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(
     A fresh PREP loads ``field`` (and ``source``) into the job's sector; the
     ``collision`` gates, or the vorticity collision ``velocity`` sets, built
     only once the load is known not to be all zero, follow it, then the
-    tail. An all-zero load runs nothing and returns itself and no state.
+    tail. An all-zero load builds and runs nothing, not even its PREP, and
+    returns itself and no state.
     """
     if job.sector:
         field, source = np.zeros_like(field), field
-    prep = _prep(job, field, source)
     # the PREP replicates the fields over the links, so it is all zero exactly when they are
     if not (np.any(field) or source is not None and np.any(source)):
         return field, _idle(step, name), None
+    prep = _prep(job, field, source)
     if velocity is not None:
         collision = build_vorticity_collision_ops(job.layout, job.scheme, velocity)
     state, probs = apply_circuit(job.plan, [prep, *collision, *job.tail])

@@ -1,21 +1,24 @@
 """Statevector simulation: gate application, selection, sampling.
 
-Amplitudes are kept unit-normalized; the physical scale of the encoded field
-travels separately in ``norm_factor``. Post-selecting a register multiplies
-the norm factor by sqrt(p) and renormalizes, so decoded field values are
-invariant under where in the pipeline the selection happens.
+A returned state's amplitudes are unit-normalized; the physical scale of
+the encoded field travels separately in ``norm_factor``, so decoded field
+values are invariant under where in the pipeline a selection happens. While
+a circuit runs, no selection rescales the amplitudes: each one's probability
+is the kept part's sum of squares over the running total, which it then
+becomes, and the amplitudes are divided by the total's square root once, at
+the end, where the norm factor takes it up.
 
 Every circuit starts from |0...0>, a :class:`ZeroState`, and its amplitudes
-enter one way: a ``PREP`` gate writes its unit vector onto qubits that are
-still outside the amplitude array. A qubit is in the array only between its
-first gate and its last, so a run allocates nothing of the state's size:
-each qubit enters the array at the first gate that needs it there. A PREP
-onto the empty array, its qubits in ascending order as every solver's
-encode is, makes its unit vector the state, so the load writes the state
-once (and casts it once on a complex plan). Given a
-selection, each selected qubit is projected right after the last gate that
-targets it and dropped from the state, so every later gate runs on half as
-many amplitudes. An uncontrolled single-qubit gate followed by a selection
+enter one way: a ``PREP`` gate writes its vector, divided by its peak
+magnitude, onto qubits that are still outside the amplitude array. A qubit
+is in the array only between its first gate and its last, so a run
+allocates nothing of the state's size: each qubit enters the array at the
+first gate that needs it there. A PREP onto the empty array, its qubits in
+ascending order as every solver's encode is, makes its vector the state, so
+the load writes the state once (and casts it once on a complex plan). Given
+a selection, each selected qubit is projected right after the last gate
+that targets it and dropped from the state, so every later gate runs on
+half as many amplitudes. An uncontrolled single-qubit gate followed by a selection
 is one contraction (gate fusion, Häner & Steiger, arXiv:1704.01127). A
 ``BLOCK`` whose flag still holds 0 and is selected right after it never
 lets the flag in: what survives the selection is the value amplitudes times
@@ -40,13 +43,13 @@ many jobs of one shape.
 The amplitude array's dtype is structure too, fixed by the plan: float64
 when every gate keeps real amplitudes real, else complex128. Every solver
 job on the selecting backend is real, so its loads, kernels, drops and
-norms move half the bytes; a :class:`QuantumState` is complex128,
+sums of squares move half the bytes; a :class:`QuantumState` is complex128,
 converted once at the end, on the kept qubits only, and its amplitudes
 must be finite.
 :func:`postselect` and :func:`postselect_many` select a finished state and
 keep its size; they are the reference the in-loop selection is tested against.
 
-Every norm of a replay, the load's and each selection's, is
+Every sum of squares of a replay, the load's and each selection's, is
 :func:`~qlbm.circuits._sum_squares`: one dot per row of at most 8192
 amplitudes on the calling thread, the rows added left to right. No row
 reaches OpenBLAS's 10,000-entry cutoff for a threaded dot, whose split sum
@@ -56,13 +59,14 @@ a replay's result depends on the BLAS build but not on its thread count.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import _kernels
-from .circuits import _sum_squares, gate_matrix_1q, unit_amplitudes
+from .circuits import _peak_scaled, _sum_squares, gate_matrix_1q
 from .errors import ConfigurationError, PostSelectionError
 from .lattice import require_count
 
@@ -83,6 +87,12 @@ __all__ = [
 ]
 
 _MIN_SELECT_PROBABILITY = 1e-14
+
+# a replay's running sum of squares below this is scaled out of its amplitudes
+# into the norm factor: one selection, of probability at least
+# _MIN_SELECT_PROBABILITY (about 2**-47), then leaves it above 2**-547, far from
+# the subnormals below 2**-1022
+_TOTAL_FLOOR = 2.0**-500
 
 _KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
 
@@ -112,7 +122,18 @@ class QuantumState:
             raise ConfigurationError("amplitudes must be finite, got a NaN or infinity")
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """The measurement distribution: each |amplitude|^2 over their sum.
+
+        The magnitudes are divided by their peak before they are squared, so
+        no square overflows. A state with no finite nonzero peak, all zero or
+        holding a NaN or infinity written into it, is a :class:`ConfigurationError`.
+        """
+        magnitudes = np.abs(self.amplitudes)
+        peak = float(magnitudes.max())
+        if not (math.isfinite(peak) and peak > 0):
+            raise ConfigurationError(f"cannot sample a state whose peak amplitude magnitude is {peak!r}: it needs finite amplitudes, not all zero")
+        p = np.square(magnitudes / peak)
+        return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,7 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     Each qubit is either in the amplitude array or known to hold a value.
     Every qubit starts out known to hold 0, and enters the array at its
     sorted bit position at the first gate that needs it there. A PREP's
-    unit vector goes straight into place; onto the empty array, its targets
+    vector goes straight into place; onto the empty array, its targets
     ascending, it is the new array itself, and its step holds no product
     layout. Its targets must still be outside the array, so in |0>: a PREP
     onto a qubit that an earlier gate made enter raises
@@ -184,7 +205,7 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     of the two halves, ``U[v, 0] * a0 + U[v, 1] * a1``. When that last gate
     is a BLOCK whose flag holds 0, and the flag is selected onto 0 before
     any other qubit the BLOCK targets, the flag never enters: gate and
-    selection multiply the controlled view by k, in place, and renormalize.
+    selection multiply the controlled view by k, in place.
     A qubit that never entered holds 0 for certain: selecting 0 has
     probability 1, and selecting 1 raises :class:`PostSelectionError` here.
 
@@ -320,16 +341,22 @@ def apply_circuit(plan: CircuitPlan, ops):
     """Run ``ops`` from |0...0> as ``plan`` resolved them; with a selection, post-select while they run.
 
     ``ops`` must have the structure the plan was made from, else
-    :class:`ConfigurationError`; their parameters may differ. A PREP
-    writes its vector, normalized by :func:`~qlbm.circuits.unit_amplitudes`,
-    and multiplies the norm factor by the norm it was scaled from. A BLOCK's
+    :class:`ConfigurationError`; their parameters may differ. A BLOCK's
     coefficients are fitted to their views from the gate's own parameters,
     such as those of a BLOCK rebuilt per job, each single-qubit gate's
     matrix or phase is computed from its own angle, and each SHIFT's
-    direction is its own step's. Each selection raises
-    :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. The
-    array runs at the plan's dtype; on a real plan every single-qubit
-    matrix and fused drop row is real and runs as its real part.
+    direction is its own step's. The array runs at the plan's dtype; on a
+    real plan every single-qubit matrix and fused drop row is real and runs
+    as its real part.
+
+    The amplitudes run unscaled with their running sum of squares, the
+    total, and are divided by its square root once, at the end, or where
+    it falls below ``_TOTAL_FLOOR``. A PREP writes its vector divided by
+    its peak magnitude (:func:`~qlbm.circuits._peak_scaled`), and the norm
+    factor takes the peak; onto the empty array the vector replaces the one
+    amplitude left, whose magnitude, the square root of the total, the norm
+    factor takes too. Each selection raises :class:`PostSelectionError`
+    below ``_MIN_SELECT_PROBABILITY``.
 
     Without a selection, returns the new state over every qubit. With one,
     returns ``(selected, probs)``: the state over the kept qubits (in their
@@ -340,7 +367,11 @@ def apply_circuit(plan: CircuitPlan, ops):
     if _structure(ops) != plan.structure:
         raise ConfigurationError("the gates do not have the structure the plan was made for")
     real = plan.dtype == np.float64
-    amps, norm, probs = np.ones(1, dtype=plan.dtype), 1.0, {}
+    # ``amps`` is unscaled, ``total`` its sum of squares and ``norm`` times
+    # sqrt(total) the norm factor; they are rescaled once, at the end. The sums
+    # are ddot on a real plan and zdotc on a complex one, which sum each row in
+    # different orders, so a probability differs between them in its last bits
+    amps, norm, total, probs = np.ones(1, dtype=plan.dtype), 1.0, 1.0, {}
     for tag, i, args in plan.steps:
         if tag == "mcx":
             _kernels.apply_mcx(amps, *args)
@@ -350,9 +381,7 @@ def apply_circuit(plan: CircuitPlan, ops):
         elif tag == "select":
             shape, index, fit, q = args
             _kernels.apply_diag(amps, shape, index, _fitted(ops[i].params, *fit))
-            p = _normalize(amps, q, 0)
-            norm *= np.sqrt(p)
-            probs[q] = p
+            probs[q], total, norm = _selected(amps, _sum_squares(amps), total, norm, q, 0)
         elif tag == "block":
             shape, i0, i1, fit = args
             k = _fitted(ops[i].params, *fit)
@@ -360,21 +389,30 @@ def apply_circuit(plan: CircuitPlan, ops):
         elif tag == "drop":
             q, bit, value = args
             row = None if i is None else _matrix_1q(ops[i], real)[value]
-            amps, p = _drop_bit(amps, bit, value, q, row)
-            norm *= np.sqrt(p)
-            probs[q] = p
+            amps, kept = _drop_bit(amps, bit, value, row)
+            probs[q], total, norm = _selected(amps, kept, total, norm, q, value)
         elif tag == "enter":
             amps = _product(_KET0, amps, *args)
         elif tag == "load":
-            unit, scale = unit_amplitudes(ops[i].params)  # a new array: the state never aliases the gate
-            amps = unit.astype(plan.dtype, copy=False) if args is None else _product(unit, amps, *args)
-            norm *= scale
+            unit, peak, sum_squares = _peak_scaled(ops[i].params)  # a new array: the state never aliases the gate
+            if args is None:
+                # the vector replaces the one amplitude left, of magnitude sqrt(total)
+                amps = unit.astype(plan.dtype, copy=False)
+                norm *= math.sqrt(total) * peak
+                total = sum_squares
+            else:
+                amps = _product(unit, amps, *args)
+                norm *= peak
+                total *= sum_squares
         elif tag == "known":
             probs[args[0]] = 1.0
         elif tag == "1q":
             _kernels.apply_1q(amps, *args, *_matrix_1q(ops[i], real).ravel())
         else:  # "phase"
             _kernels.apply_phase(amps, *args, np.exp(1j * ops[i].params[0]))
+    scale = math.sqrt(total)
+    amps *= 1.0 / scale  # an array divides slower than it multiplies
+    norm *= scale
     if not plan.selecting:
         return QuantumState(plan.n_qubits, amps, norm)
     return QuantumState(plan.kept, amps, norm), probs
@@ -417,7 +455,7 @@ def _fitted(values: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray
 
 
 def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.ndarray:
-    """The product of ``unit`` on the entering qubits and ``amps``, one new array.
+    """The product of ``unit`` on the entering qubits (a loaded vector, or |0>) and ``amps``, one new array.
 
     ``order`` sorts the axes of the outer product to descending qubits, so
     bit k of the result is the k-th lowest of all the qubits. When every
@@ -429,17 +467,21 @@ def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.nd
     return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
 
 
-def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> tuple[np.ndarray, float]:
-    """Half of ``amps`` where ``bit`` equals ``value``, renormalized, and its probability.
+def _drop_bit(amps: np.ndarray, bit: int, value: int, row=None) -> tuple[np.ndarray, float]:
+    """Half of ``amps`` where ``bit`` equals ``value``, unscaled, and its sum of squares.
 
     With ``row``, row ``value`` of a single-qubit gate on ``bit``, the gate
     is applied to that half only: the new half is the row times the two old
-    halves. The result is a new contiguous array without ``bit``; ``amps``
-    is left scrambled.
+    halves, or the row's one entry times their sum when both entries are
+    equal, as in every H. The result is a new contiguous array without
+    ``bit``; ``amps`` is left scrambled.
     """
     halves = amps.reshape(-1, 2, 1 << bit)
     if row is None:
         kept = halves[:, value, :].copy()
+    elif row[0] == row[1]:
+        kept = np.add(halves[:, 0, :], halves[:, 1, :])
+        kept *= row[0]
     else:
         # ``amps`` is discarded, so the second term is scaled in place: one
         # new half-size array instead of three, each of which page-faults in
@@ -448,19 +490,25 @@ def _drop_bit(amps: np.ndarray, bit: int, value: int, qubit: int, row=None) -> t
         other *= row[1]
         kept += other
     kept = kept.reshape(-1)
-    return kept, _normalize(kept, qubit, value)
+    return kept, _sum_squares(kept)
 
 
-def _normalize(amps: np.ndarray, qubit: int, value: int) -> float:
-    """Scale ``amps``, what is left of a selection of ``qubit`` = ``value``, to unit norm; return its probability."""
-    # BLAS dots of the plan's dtype over rows of at most 8192 entries, on this
-    # thread: ddot on a real plan, zdotc on a complex one, which sum each row in
-    # different orders, so p differs between them in its last bits
-    p = _sum_squares(amps)
+def _selected(amps: np.ndarray, kept: float, total: float, norm: float, qubit: int, value: int) -> tuple[float, float, float]:
+    """A selection of ``qubit`` = ``value`` that left ``amps``, of sum of squares ``kept`` out of ``total``.
+
+    Returns its probability ``kept / total`` and the replay's new total and
+    norm; :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. A
+    total below ``_TOTAL_FLOOR`` is scaled out of ``amps``, in place, into
+    the norm, so a long chain of unlikely selections cannot underflow.
+    """
+    p = kept / total
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
-    amps *= 1.0 / np.sqrt(p)  # an array divides slower than it multiplies
-    return p
+    if kept < _TOTAL_FLOOR:
+        scale = math.sqrt(kept)
+        amps *= 1.0 / scale
+        return p, 1.0, norm * scale
+    return p, kept, norm
 
 
 def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumState, float]:
@@ -532,12 +580,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleHistogram:
     """Draw measurement counts with a counter-based generator (reproducible)."""
     shots, seed = require_shots(shots), require_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    p = state.probabilities()
-    total = p.sum()
-    if not (np.isfinite(total) and total > 0):
-        raise ConfigurationError(f"cannot sample a state whose probabilities sum to {float(total)!r}: it needs finite amplitudes, not all zero")
-    p = p / total
-    counts = rng.multinomial(shots, p)
+    counts = rng.multinomial(shots, state.probabilities())
     return SampleHistogram(state.n_qubits, shots, counts)
 
 

@@ -113,6 +113,12 @@ def test_a_duration_table_that_is_not_one_is_rejected_before_anything_is_built(b
         scaling_sweep([2, 4], bad)
 
 
+@pytest.mark.parametrize("circ", [None, "circuit", [GateOp("H", (0,))]], ids=["none", "string", "gate-list"])
+def test_counting_what_is_not_a_circuit_is_a_configuration_error_naming_it(circ):
+    with pytest.raises(ConfigurationError, match="circ must be a CircuitIR"):
+        count_resources(circ, "x")
+
+
 @pytest.mark.parametrize("table", [GateDurationTable(5e-324, 1e308), GateDurationTable(0, 1e308)])
 def test_a_runtime_too_large_for_a_float_is_a_configuration_error_naming_the_durations(table):
     # the exact runtime is an int over a power of two; past the largest float it cannot be rounded to one

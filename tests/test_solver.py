@@ -436,6 +436,21 @@ def test_cavity_records_both_jobs_every_step():
         assert rec.select_probs
 
 
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_a_cavity_run_builds_an_encoding_vector_for_its_live_jobs_only(monkeypatch, variant):
+    # both jobs of the first step load all-zero fields and build nothing
+    built = []
+
+    def spy(*args, _fn=qlbm.solver.encoding_vector, **kwargs):
+        built.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(qlbm.solver, "encoding_vector", spy)
+    result = run_cavity(CavitySpec(n=8, steps=3), variant=variant)
+    live = sum(not r.zero_input for r in result.records)
+    assert len(built) == live == len(result.records) - 2
+
+
 @pytest.mark.parametrize("run", [
     lambda: run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 8), (0.15, -0.1), 3),
     lambda: run_cavity(CavitySpec(n=8, steps=4), variant="frugal"),

@@ -1,5 +1,7 @@
 """Statevector mechanics: loading, selection accounting, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,19 @@ def test_selecting_apply_raises_at_a_selection_mid_circuit(kind):
     ops = [GateOp(kind, (1,)), GateOp("H", (0,), (1,), (0,)), GateOp("H", (0,))]
     with pytest.raises(PostSelectionError, match="qubit 1 = 0"):
         run_from_zero(2, ops, select={1: 0})
+
+
+def test_a_chain_of_unlikely_selections_keeps_each_probability_and_the_norm():
+    # 30 selections of probability 1e-12 each: the squared norm of what is kept
+    # falls to 1e-360, past the smallest float, unless it is scaled out on the way
+    n, p = 30, 1e-12
+    ops = [GateOp("RY", (q,), params=(2.0 * math.asin(math.sqrt(p)),)) for q in range(n)]
+    selected, probs = run_from_zero(n, ops, select=dict.fromkeys(range(n), 1))
+    assert list(probs) == list(range(n))
+    for q in range(n):
+        assert probs[q] == pytest.approx(p, rel=1e-12)
+    assert selected.norm_factor == pytest.approx(p ** (n / 2), rel=1e-12)
+    assert np.vdot(selected.amplitudes, selected.amplitudes).real == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("op", [GateOp("H", (3,)), GateOp("H", (0,), (5,), (1,))], ids=["target", "control"])
@@ -465,6 +480,11 @@ def test_sample_rejects_a_state_with_no_finite_probabilities(amplitudes):
     state.amplitudes[:] = amplitudes
     with pytest.raises(ConfigurationError, match="cannot sample"):
         sample(state, 10, 0)
+
+
+def test_sample_takes_huge_finite_amplitudes():
+    # squared, 1e200 overflows; divided by the peak first, it is 1
+    assert sample(QuantumState(1, [1e200, 0.0]), 10, 1).counts.tolist() == [10, 0]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)], ids=repr)
