@@ -53,13 +53,13 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CoefficientRangeError, ConfigurationError, EncodingError
-from .lattice import LatticeScheme, collision_coefficients, require_power_of_two
+from .lattice import LatticeScheme, _coefficients_into, collision_coefficients, require_power_of_two
 
 __all__ = [
     "GateOp",
@@ -140,6 +140,8 @@ class GateOp:
     controls: tuple[int, ...] = ()
     control_values: tuple[int, ...] = ()
     params: tuple[float, ...] | np.ndarray = ()
+    # the structure a plan compares, computed once: kind, targets, controls, control values
+    _key: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, targets, controls = self.kind, self.targets, self.controls
@@ -196,14 +198,12 @@ class GateOp:
             raise ConfigurationError(f"negative qubit index in {kind}")
         if kind == "SHIFT" and targets != tuple(range(targets[0], targets[0] + len(targets))):
             raise ConfigurationError(f"SHIFT register {targets} is not consecutive ascending qubits")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.targets, self.controls, self.control_values)
+        object.__setattr__(self, "_key", (kind, targets, controls, self.control_values))
 
     def __eq__(self, other):
         if not isinstance(other, GateOp):
             return NotImplemented
-        if self._key() != other._key():
+        if self._key != other._key:
             return False
         if self.kind in _ARRAY_KINDS:
             return np.array_equal(self.params, other.params)
@@ -211,7 +211,7 @@ class GateOp:
 
     def __hash__(self):
         # an array has no hash, so PREP and BLOCK leave it out; equal gates still hash equal
-        return hash(self._key() + (None if self.kind in _ARRAY_KINDS else self.params,))
+        return hash(self._key + (None if self.kind in _ARRAY_KINDS else self.params,))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -436,8 +436,8 @@ def unit_amplitudes(values) -> tuple[np.ndarray, float]:
     return unit, peak * unit_norm
 
 
-def _peak_scaled(values) -> tuple[np.ndarray, float, float]:
-    """``values`` divided by their peak magnitude, as a new flat float64 array; the peak; the array's sum of squares.
+def _peak_scaled(values, out=None) -> tuple[np.ndarray, float, float]:
+    """``values`` divided by their peak magnitude, as a new flat float64 array or into ``out``; the peak; the array's sum of squares.
 
     Dividing by the peak first means squaring cannot under- or overflow.
     This is the one scaling rule of every load, PREP applied and PREP
@@ -455,7 +455,7 @@ def _peak_scaled(values) -> tuple[np.ndarray, float, float]:
         raise EncodingError("cannot amplitude-encode an all-zero field")
     if peak < _TINY:
         raise EncodingError(f"cannot amplitude-encode a field whose peak magnitude {peak!r} is subnormal")
-    scaled = v / peak
+    scaled = np.divide(v, peak, out=out)
     sum_squares = _sum_squares(scaled)
     if not math.isfinite(peak * math.sqrt(sum_squares)):
         raise EncodingError(f"cannot amplitude-encode a field whose norm overflows; its peak magnitude is {peak!r}")
@@ -558,13 +558,10 @@ def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source
     if source is not None and not layout.n_s:
         raise ConfigurationError("layout has no source flag but a source was given")
     v = np.zeros(n_sites * codes * sectors)
-    for code in range(scheme.n_links):
-        v[code * n_sites : (code + 1) * n_sites] = field
+    used = v.reshape(sectors, codes, n_sites)[:, : scheme.n_links]  # one (n_links, n_sites) view per sector
+    used[0] = field
     if source is not None:
-        source = np.asarray(source, dtype=float).ravel()
-        off = n_sites * codes
-        for code in range(scheme.n_links):
-            v[off + code * n_sites : off + (code + 1) * n_sites] = source
+        used[1] = np.asarray(source, dtype=float).ravel()
     v.flags.writeable = False
     return v
 
@@ -594,11 +591,11 @@ def build_vorticity_collision_ops(layout: RegisterLayout, scheme: LatticeScheme,
     controlled on s = 1, the vorticity sector.
     """
     velocity_fields = np.asarray(velocity_fields, dtype=float)
-    k = collision_coefficients(scheme, velocity_fields, velocity_fields[0].shape)
-    n_sites = layout.n_sites
-    k_flat = np.ones(n_sites << layout.n_d)
-    for code in range(scheme.n_links):
-        k_flat[code * n_sites : (code + 1) * n_sites] = k[code].ravel()
+    shape = velocity_fields.shape[1:]
+    k_flat = np.ones(layout.n_sites << layout.n_d)
+    # the used codes' coefficients, written straight into their head of k_flat
+    head = k_flat[: scheme.n_links * layout.n_sites].reshape((scheme.n_links, *shape))
+    _coefficients_into(scheme, velocity_fields, shape, head)
     k_flat.flags.writeable = False  # the BLOCK keeps it without a copy
     return build_collision_ops(layout, k_flat, layout.site_qubits + layout.d, layout.s, (1,) * layout.n_s)
 
@@ -1186,7 +1183,8 @@ def _lowered_gate(kind: str, targets: tuple, controls: tuple, control_values: tu
     would pass and convert nothing.
     """
     gate = object.__new__(GateOp)
-    gate.__dict__.update(kind=kind, targets=targets, controls=controls, control_values=control_values, params=params)
+    gate.__dict__.update(kind=kind, targets=targets, controls=controls, control_values=control_values, params=params,
+                         _key=(kind, targets, controls, control_values))
     return gate
 
 

@@ -233,11 +233,16 @@ def collision_coefficients(scheme: LatticeScheme, velocity, shape) -> np.ndarray
     component fields of shape (dimension,) + shape. Returns shape
     (n_links,) + shape.
     """
+    return _coefficients_into(scheme, velocity, shape, None)
+
+
+def _coefficients_into(scheme: LatticeScheme, velocity, shape, out) -> np.ndarray:
+    """:func:`collision_coefficients`, written into ``out`` of shape (n_links,) + shape (a new array if None)."""
     u = _broadcast_velocity(scheme, velocity, shape)
     # e . u in einsum's own loop, not a BLAS call; the shipped schemes' link
     # components are 0 or +/-1 on at most two axes, so each product is exact
     # and the sum rounds once, as in any order of summation
-    k = np.einsum("ad,d...->a...", scheme.link_array.astype(float), u)  # (n_links,) + shape
+    k = np.einsum("ad,d...->a...", scheme.link_array.astype(float), u, out=out)  # (n_links,) + shape
     k /= float(scheme.sound_speed_sq)
     k += 1.0
     k *= scheme.weight_array.reshape((scheme.n_links,) + (1,) * len(shape))
@@ -332,7 +337,7 @@ def step_poisson(scheme, psi, source) -> np.ndarray:
 
 
 def velocity_from_stream_function(psi: np.ndarray):
-    """(u, v) = (dpsi/dy, -dpsi/dx) on the unit grid, second-order, one-sided at the edges.
+    """(u, v) = (dpsi/dy, -dpsi/dx) on the unit grid, second-order, one-sided at the edges, as the rows of one (2, ny, nx) array.
 
     ``psi`` is a 2-D field of at least 2 points per axis, else
     :class:`ConfigurationError`. Grids too small for the second-order edge
@@ -342,26 +347,26 @@ def velocity_from_stream_function(psi: np.ndarray):
     psi = _real_array(psi, "psi")
     if psi.ndim != 2 or min(psi.shape) < 2:
         raise ConfigurationError(f"psi must be a 2-D field of at least 2 x 2 points, got shape {psi.shape}")
+    velocity = np.empty((2, *psi.shape))
     if min(psi.shape) < 3:
-        u, dpsi_dx = np.gradient(psi, axis=(0, 1), edge_order=1)
+        velocity[:] = np.gradient(psi, axis=(0, 1), edge_order=1)
     else:
-        u, dpsi_dx = _second_order_derivative(psi), _second_order_derivative(psi.T).T
-    np.negative(dpsi_dx, out=dpsi_dx)
-    return u, dpsi_dx
+        _second_order_derivative(psi, velocity[0])
+        _second_order_derivative(psi.T, velocity[1].T)
+    np.negative(velocity[1], out=velocity[1])
+    return velocity
 
 
-def _second_order_derivative(f: np.ndarray) -> np.ndarray:
-    """d f / d(axis 0) on the unit grid, as ``np.gradient(f, axis=0, edge_order=2)`` computes it, bit for bit.
+def _second_order_derivative(f: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` d f / d(axis 0) on the unit grid, as ``np.gradient(f, axis=0, edge_order=2)`` computes it, bit for bit.
 
     Central differences inside, the one-sided three-point stencils on the
     two edge rows; at least 3 rows.
     """
-    out = np.empty_like(f)
     np.subtract(f[2:], f[:-2], out=out[1:-1])
     out[1:-1] /= 2.0
     out[0] = -1.5 * f[0] + 2.0 * f[1] + -0.5 * f[2]
     out[-1] = 0.5 * f[-3] + -2.0 * f[-2] + 1.5 * f[-1]
-    return out
 
 
 def apply_cavity_boundaries(psi, omega, spec: CavitySpec):

@@ -15,10 +15,12 @@ fields and the collisions' coefficients change. So one function,
 built at rest: it plans the encode, the sections the job builds fresh and
 the rest, its tail, and keeps a ``_Job`` of the scheme, layout, plan and
 tail's built gates, the source-flag sector the job selects and whether its
-decode is folded; no PREP and no array of the state's size. The jobs of a
-shape (transport: scheme, extent and backend; cavity: variant and extent)
-sit in a small fixed-size ``functools.lru_cache``; this pays where one
-process runs many jobs of one shape.
+decode is folded; no PREP, and no writable array but the plan's two work
+arrays and the views bound on them. The jobs of a shape (transport:
+scheme, extent and backend; cavity: variant and extent) sit in a small
+fixed-size ``functools.lru_cache``; this pays where one process runs many
+jobs of one shape, and the plan's lock keeps two threads' replays of one
+job apart.
 
 One function, ``_run_job``, runs every statevector job: a PREP of its
 fields (the single circuit's vorticity pass loads its field into sector 1)
@@ -30,7 +32,7 @@ selected qubit leaves right after the last gate that targets it, and the
 collision ancilla and wall flag, which hold 0 until their one BLOCK, never
 enter. So the job ends on the site amplitudes alone, and as each of its
 gates keeps real amplitudes real (PREP, SHIFT, H, or a BLOCK selected at
-once), it runs on float64. A job whose load is all exactly zero (``np.any``
+once), it runs on float64. A job whose load is all exactly zero (``any()``
 of its fields is false) is idle: it builds and runs nothing and records
 ``zero_input``. Any other load is scaled by its peak, which must be a
 normal float, else :class:`~qlbm.errors.EncodingError`. The sampling
@@ -280,7 +282,7 @@ def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(
     if job.sector:
         field, source = np.zeros_like(field), field
     # the PREP replicates the fields over the links, so it is all zero exactly when they are
-    if not (np.any(field) or source is not None and np.any(source)):
+    if not (field.any() or source is not None and source.any()):
         return field, _idle(step, name), None
     prep = _prep(job, field, source)
     if velocity is not None:
@@ -321,7 +323,7 @@ def run_advection_diffusion(
     if backend not in ("statevector", "sampling"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     require_count(steps, "steps")
-    if not np.all(np.isfinite(_real_array(velocity, "velocity"))):
+    if not np.isfinite(_real_array(velocity, "velocity")).all():
         raise ConfigurationError(f"velocity must be finite, got {velocity}")
     field = _real_array(field0, "field0")
     if field.ndim != scheme.dimension or len(set(field.shape)) != 1:
@@ -330,7 +332,7 @@ def run_advection_diffusion(
     if backend == "sampling":
         require_shots(shots)
         require_seed(seed)
-        if np.any(field < 0):
+        if (field < 0).any():
             raise EncodingError("the sampling backend cannot recover negative field values")
     job = _transport(scheme, extent, backend)
     layout = job.layout
@@ -340,7 +342,7 @@ def run_advection_diffusion(
     for step in range(1, steps + 1):
         if backend == "statevector":
             field, record, _ = _run_job(job, step, "advection", field, collision=collision)
-        elif not np.any(field):
+        elif not field.any():
             record = _idle(step, "advection")
         else:
             state = apply_circuit(job.plan, [_prep(job, field), *collision, *job.tail])
@@ -348,7 +350,7 @@ def run_advection_diffusion(
             flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
             field = flat.reshape(field.shape)
             record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection(layout)), state.norm_factor)
-        if not np.all(np.isfinite(field)):
+        if not np.isfinite(field).all():
             raise SimulationError("advection run diverged", step=step)
         fields.append(field.copy())
         records.append(record)
@@ -391,6 +393,8 @@ def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
     sector pass of the combined gate list. Both decode, then impose the wall
     values classically.
     """
+    if not isinstance(spec, CavitySpec):
+        raise ConfigurationError(f"spec must be a CavitySpec, got {type(spec).__name__}")
     if variant not in ("frugal", "single"):
         raise ConfigurationError(f"unknown cavity variant {variant!r}")
     sf_job, w_job = _cavity_jobs(variant, spec.n)
@@ -398,12 +402,12 @@ def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
     psi_hist, omega_hist = [psi], [omega]
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
-        velocity = np.stack(velocity_from_stream_function(psi))
+        velocity = velocity_from_stream_function(psi)
         psi_new, rec_sf, _ = _run_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
         omega_new, rec_w, _ = _run_job(w_job, step, "vorticity", omega, velocity=velocity)
         records += [rec_sf, rec_w]
         psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(omega))):
+        if not (np.isfinite(psi).all() and np.isfinite(omega).all()):
             raise SimulationError("cavity run diverged", step=step)
         psi_hist.append(psi)
         omega_hist.append(omega)
@@ -457,7 +461,10 @@ def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | Non
     require_seed(seed)
     if len(set(shots_list)) < 2:
         raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {shots_list}")
-    state = state or reference_sweep_state()
+    if state is None:
+        state = reference_sweep_state()
+    elif not isinstance(state, QuantumState):
+        raise ConfigurationError(f"state must be a QuantumState, got {type(state).__name__}")
     rows = []
     means = []
     for i, shots in enumerate(shots_list):

@@ -11,11 +11,11 @@ the end, where the norm factor takes it up.
 Every circuit starts from |0...0>, a :class:`ZeroState`, and its amplitudes
 enter one way: a ``PREP`` gate writes its vector, divided by its peak
 magnitude, onto qubits that are still outside the amplitude array. A qubit
-is in the array only between its first gate and its last, so a run
-allocates nothing of the state's size: each qubit enters the array at the
-first gate that needs it there. A PREP onto the empty array, its qubits in
-ascending order as every solver's encode is, makes its vector the state, so
-the load writes the state once (and casts it once on a complex plan). Given
+is in the array only between its first gate and its last, so no array of
+the state's size is needed: each qubit enters the array at the first gate
+that needs it there. A PREP onto the empty array, its qubits in ascending
+order as every solver's encode is, makes its vector the state, so the load
+writes the state once (and casts it once on a complex plan). Given
 a selection, each selected qubit is projected right after the last gate
 that targets it and dropped from the state, so every later gate runs on
 half as many amplitudes. An uncontrolled single-qubit gate followed by a selection
@@ -29,16 +29,23 @@ the gate is one rotation of that axis of the controlled view, where its
 lowering runs a cascade of multi-controlled X gates.
 
 Which qubits are in the array at each gate, and at which bits, follows from
-the gate structure and the selection alone. So a circuit runs in two parts:
-:func:`plan_circuit` walks the gates once and resolves all of it into a
-:class:`CircuitPlan`, a flat tuple of steps with the view indices of the
-strided-view kernels in :mod:`qlbm._kernels` and nothing of any gate's
-parameters; :func:`apply_circuit` replays the plan on gates of the same
-structure and reads every parameter from the gates it runs: it loads each
+the gate structure and the selection alone, and so do the sizes of the
+arrays a run keeps. So a circuit runs in two parts: :func:`plan_circuit`
+walks the gates once and resolves all of it into a :class:`CircuitPlan`, a
+flat tuple of steps with the view indices of the strided-view kernels in
+:mod:`qlbm._kernels` and nothing of any gate's parameters. It then sizes
+two work arrays, each to the largest array a run keeps in it, and binds
+each step's views onto them: the array a load or a drop writes, the halves
+or controlled view a kernel writes and the scratch it keeps old values in.
+:func:`apply_circuit` replays the bound steps on gates of the same
+structure, each step a few ufunc calls on its views with no reshape or
+index, and reads every parameter from the gates it runs: it loads each
 PREP's vector, fits each BLOCK's coefficients to their views, and computes
-each single-qubit matrix and phase. A solver plans each job shape once per
-process and replays the plan per job, which pays where one process runs
-many jobs of one shape.
+each single-qubit matrix and phase. A warm replay allocates no array of the
+state's size; it returns a new array, never a work array, and the replays
+of one plan take turns on its lock, as a solver keeps its plans for the
+whole process. A solver plans each job shape once per process and replays
+the plan per job, which pays where one process runs many jobs of one shape.
 
 The amplitude array's dtype is structure too, fixed by the plan: float64
 when every gate keeps real amplitudes real, else complex128. Every solver
@@ -61,6 +68,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -95,6 +104,7 @@ _MIN_SELECT_PROBABILITY = 1e-14
 _TOTAL_FLOOR = 2.0**-500
 
 _KET0 = np.array([1.0, 0.0])  # a qubit entering in |0>
+_KET0.flags.writeable = False  # plans hold views of it
 
 # gate kinds that keep real amplitudes real (a BLOCK unless it is a "block" step)
 _REAL_KINDS = frozenset({"PREP", "MCX", "SHIFT", "H", "X", "RY", "BLOCK"})
@@ -113,7 +123,10 @@ class QuantumState:
 
     def __post_init__(self):
         require_count(self.n_qubits, "n_qubits")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        try:
+            self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"amplitudes must be complex numbers, got {type(self.amplitudes).__name__}") from None
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ConfigurationError(
                 f"amplitude vector of length {self.amplitudes.size} does not fit {self.n_qubits} qubits"
@@ -148,21 +161,32 @@ class ZeroState:
 
 @dataclass(frozen=True, eq=False)
 class CircuitPlan:
-    """The gate loop of one circuit structure and selection, resolved by :func:`plan_circuit`.
+    """The gate loop of one circuit structure and selection, resolved by :func:`plan_circuit`, and the arrays it runs on.
 
     ``structure`` holds ``(kind, targets, controls, control_values)`` of each
-    gate the plan was made from; :func:`apply_circuit` replays ``steps`` on
-    gates of that structure. Each step is ``(tag, gate index, args)`` with
-    every decision of the loop taken: where qubits enter and leave the
-    amplitude array, which gates are skipped, and each kernel's view shape
-    and indices. A plan holds structure only: no amplitudes, and no gate's
-    parameters nor anything computed from them. So a BLOCK step holds how to
-    fit its gate's per-basis-state coefficients to its view, and a
-    single-qubit step holds no matrix.
-    ``n_qubits`` is the state's qubit count and ``kept`` the count left
-    after the selection, if ``selecting``. ``dtype`` is the amplitude
-    array's, float64 or complex128, decided like the steps from structure
-    alone, so replaying the plan on other parameters never changes it.
+    gate the plan was made from; :func:`apply_circuit` replays the plan on
+    gates of that structure. ``steps`` is the loop with every decision
+    taken, one ``(tag, gate index, args)`` per step: where qubits enter and
+    leave the amplitude array, which gates are skipped, and each kernel's
+    view shape and indices. It holds tuples of tags, qubits, shapes and
+    indices alone, so a BLOCK step holds how to fit its gate's
+    per-basis-state coefficients to its view, and a single-qubit step holds
+    no matrix. ``n_qubits`` is the state's qubit count and ``kept`` the
+    count left after the selection, if ``selecting``. ``dtype`` is the
+    amplitude array's, float64 or complex128, decided like the steps from
+    structure alone, so replaying the plan on other parameters never changes it.
+
+    Besides structure a plan holds scratch: ``work``, two arrays each sized
+    to the largest array a replay keeps in it, and ``bound``, the steps as
+    the replay runs them, ``(tag, gate index, amps, views)``: ``amps`` is
+    the flat live array the step leaves, and ``views`` are the views of
+    the work arrays it reads and writes, bound once here. A step that
+    changes the array (a load, a qubit entering in |0>, a drop) writes the
+    other work array, so the two alternate. A plan never holds a gate's
+    parameters nor anything computed from them, only what follows from
+    gate kinds: a drop fused with an H or an X holds its row. A replay
+    writes the work arrays, so the replays of one plan, which the solvers
+    keep for the whole process, take turns on ``lock``.
     """
 
     n_qubits: int
@@ -171,6 +195,9 @@ class CircuitPlan:
     kept: int
     selecting: bool
     dtype: np.dtype
+    work: tuple = dataclass_field(repr=False)
+    bound: tuple = dataclass_field(repr=False)
+    lock: threading.Lock = dataclass_field(default_factory=threading.Lock, repr=False)
 
 
 def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) -> CircuitPlan:
@@ -187,7 +214,8 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     that a PHASE or BLOCK is diagonal on: on a qubit that holds 0 either
     applies its phase or coefficients at that qubit's 0. A SHIFT's
     register qubits enter first, so its register is consecutive bits; its
-    step holds the view with the register as one axis and the indices of
+    step holds the view shape with the register as one axis, the controlled
+    view's index and the register's axis in it, its bound step the views of
     both directions, and the replay picks one by the gate's sign. Unless the
     selection below applies, a BLOCK's flag enters in |0> if it holds 0, and
     ``[[k, i s], [i s, k]]`` runs on the flag's two halves. A control on a known qubit is dropped when the value
@@ -213,10 +241,19 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
     and the plan holds nothing else. So does the array's dtype: float64
     when every gate is a PREP, MCX, SHIFT, H, X, RY or BLOCK and no BLOCK
     runs on its flag's two halves, where its ``i s`` enters; else complex128.
+    Last, the plan sizes its two work arrays and binds every step's views
+    onto them (:class:`CircuitPlan`'s ``work`` and ``bound``).
+
+    ``start`` that is not a :class:`ZeroState`, ``select`` that is not a
+    mapping, or ``ops`` that is not iterable is a :class:`ConfigurationError`.
     """
+    if not isinstance(start, ZeroState):
+        raise ConfigurationError(f"start must be a ZeroState, got {type(start).__name__}")
     n_qubits = start.n_qubits
+    if select is not None and not isinstance(select, Mapping):
+        raise ConfigurationError(f"select must be a mapping of qubit -> value, got {type(select).__name__}")
     wanted = {} if select is None else _checked_selection(select, n_qubits)
-    ops = list(ops)
+    ops = _gate_list(ops)
     last = dict.fromkeys(wanted, -1)
     for i, op in enumerate(ops):
         if max(op.qubits) >= n_qubits:
@@ -334,7 +371,92 @@ def plan_circuit(start: ZeroState, ops, select: dict[int, int] | None = None) ->
         enter("enter", None, (q,))
     real = all(op.kind in _REAL_KINDS for op in ops) and not any(tag == "block" for tag, _, _ in steps)
     dtype = np.dtype(np.float64 if real else np.complex128)
-    return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None, dtype)
+    work, bound = _bind(steps, ops, dtype)
+    return CircuitPlan(n_qubits, _structure(ops), tuple(steps), len(bits), select is not None, dtype, work, bound)
+
+
+def _grown(tag: str, i, args, ops, n: int) -> int:
+    """The array's qubit count after step ``(tag, i, args)``, given ``n`` before it."""
+    if tag == "load":
+        return n + len(ops[i].targets)
+    if tag == "enter":
+        return n + 1
+    return n - 1 if tag == "drop" else n
+
+
+def _scratch(tag: str, args) -> int:
+    """Amplitudes of the idle work array that step ``(tag, _, args)`` uses as scratch."""
+    if tag not in ("1q", "mcx", "block", "shift"):
+        return 0
+    # a shift's controlled view, or the target=0 half of a gate's
+    shape, index = args[:2]
+    size = math.prod(s for s, x in zip(shape, index) if not isinstance(x, int))
+    return 2 * size if tag in ("1q", "block") else size
+
+
+def _bind(steps, ops, dtype) -> tuple[tuple, tuple]:
+    """The two work arrays of ``steps`` and the steps bound on them, ``(tag, i, amps, views)``.
+
+    The live array starts as the one amplitude of the empty array, at the
+    head of work array 0; each load, entry and drop writes its result at the
+    head of the other work array, and the scratch a kernel needs comes from
+    the head of the one the live array is not in.
+    """
+    need, cur, n = [1, 0], 0, 0  # amplitudes per work array; the live array's array and qubit count
+    for tag, i, args in steps:
+        grown = _grown(tag, i, args, ops, n)
+        if grown != n:
+            n, cur = grown, cur ^ 1
+            need[cur] = max(need[cur], 1 << n)
+        else:
+            need[cur ^ 1] = max(need[cur ^ 1], _scratch(tag, args))
+    work = tuple(np.empty(size, dtype) for size in need)
+    real = dtype == np.float64
+    bound, cur, n = [], 0, 0
+    for tag, i, args in steps:
+        amps, idle = work[cur][: 1 << n], work[cur ^ 1]
+        grown = _grown(tag, i, args, ops, n)
+        if grown != n:
+            new = idle[: 1 << grown]
+            if tag == "drop":
+                q, bit, value = args
+                half = amps.reshape(-1, 2, 1 << bit)
+                # a drop fused with a gate of no parameter holds that gate's row
+                row = None if i is None or ops[i].params else _matrix_1q(ops[i], real)[value]
+                views = (half[:, 0, :], half[:, 1, :], new.reshape(-1, 1 << bit), q, value, row)
+            elif args is not None:
+                # the entering qubits' unit vector times the array, written
+                # through the transpose that sorts their outer product's axes;
+                # an entry holds |0>'s, a load the shape its vector takes
+                ushape, ashape, order = args
+                into = new.reshape((2,) * grown).transpose(sorted(range(grown), key=order.__getitem__))
+                unit = ushape + (1,) * n
+                source = amps.reshape((1,) * len(ushape) + ashape)
+                views = (_KET0.reshape(unit) if tag == "enter" else unit, source, into)
+            else:
+                views = ()  # a load onto the empty array writes ``new`` itself
+            amps, cur, n = new, cur ^ 1, grown
+        elif tag == "known":
+            views = args
+        elif tag == "shift":
+            shape, index, axis = args
+            view = amps.reshape(shape)[index]
+            rotated = idle[: view.size].reshape(view.shape)
+            views = (view, rotated, *_kernels.shift_views(view, rotated, axis))
+        elif tag == "select":
+            shape, index, fit, q = args
+            views = (amps.reshape(shape)[index], fit, q)
+        elif tag == "phase":
+            shape, i1 = args
+            views = (amps.reshape(shape)[i1],)
+        else:  # "1q", "mcx", "block": the halves of the controlled view, and scratch of their shape
+            view = amps.reshape(args[0])
+            v0, v1 = view[args[1]], view[args[2]]
+            h = v0.size
+            a = idle[:h].reshape(v0.shape)
+            views = (v0, v1, a) if tag == "mcx" else (v0, v1, a, idle[h : 2 * h].reshape(v0.shape), *args[3:])
+        bound.append((tag, i, amps, views))
+    return work, tuple(bound)
 
 
 def apply_circuit(plan: CircuitPlan, ops):
@@ -358,68 +480,95 @@ def apply_circuit(plan: CircuitPlan, ops):
     factor takes too. Each selection raises :class:`PostSelectionError`
     below ``_MIN_SELECT_PROBABILITY``.
 
+    The replay writes the plan's work arrays through the views bound on
+    them, holding the plan's lock, so replays of one plan from several
+    threads run one at a time. The scale at the end writes a new array, so
+    the returned amplitudes never alias a work array, and a later replay
+    leaves them as they are.
+
     Without a selection, returns the new state over every qubit. With one,
     returns ``(selected, probs)``: the state over the kept qubits (in their
     original order, so bit k is the k-th lowest kept qubit) and the
     conditional probability of each selection, in selection order.
+    ``plan`` that is not a :class:`CircuitPlan` or ``ops`` that is not
+    iterable is a :class:`ConfigurationError`.
     """
-    ops = list(ops)
+    if not isinstance(plan, CircuitPlan):
+        raise ConfigurationError(f"plan must be a CircuitPlan, got {type(plan).__name__}")
+    ops = _gate_list(ops)
     if _structure(ops) != plan.structure:
         raise ConfigurationError("the gates do not have the structure the plan was made for")
     real = plan.dtype == np.float64
-    # ``amps`` is unscaled, ``total`` its sum of squares and ``norm`` times
-    # sqrt(total) the norm factor; they are rescaled once, at the end. The sums
-    # are ddot on a real plan and zdotc on a complex one, which sum each row in
-    # different orders, so a probability differs between them in its last bits
-    amps, norm, total, probs = np.ones(1, dtype=plan.dtype), 1.0, 1.0, {}
-    for tag, i, args in plan.steps:
-        if tag == "mcx":
-            _kernels.apply_mcx(amps, *args)
-        elif tag == "shift":
-            shape, plus, minus = args
-            _kernels.apply_shift(amps, shape, *(plus if ops[i].params[0] > 0 else minus))
-        elif tag == "select":
-            shape, index, fit, q = args
-            _kernels.apply_diag(amps, shape, index, _fitted(ops[i].params, *fit))
-            probs[q], total, norm = _selected(amps, _sum_squares(amps), total, norm, q, 0)
-        elif tag == "block":
-            shape, i0, i1, fit = args
-            k = _fitted(ops[i].params, *fit)
-            _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
-        elif tag == "drop":
-            q, bit, value = args
-            row = None if i is None else _matrix_1q(ops[i], real)[value]
-            amps, kept = _drop_bit(amps, bit, value, row)
-            probs[q], total, norm = _selected(amps, kept, total, norm, q, value)
-        elif tag == "enter":
-            amps = _product(_KET0, amps, *args)
-        elif tag == "load":
-            unit, peak, sum_squares = _peak_scaled(ops[i].params)  # a new array: the state never aliases the gate
-            if args is None:
-                # the vector replaces the one amplitude left, of magnitude sqrt(total)
-                amps = unit.astype(plan.dtype, copy=False)
-                norm *= math.sqrt(total) * peak
-                total = sum_squares
-            else:
-                amps = _product(unit, amps, *args)
-                norm *= peak
-                total *= sum_squares
-        elif tag == "known":
-            probs[args[0]] = 1.0
-        elif tag == "1q":
-            _kernels.apply_1q(amps, *args, *_matrix_1q(ops[i], real).ravel())
-        else:  # "phase"
-            _kernels.apply_phase(amps, *args, np.exp(1j * ops[i].params[0]))
-    scale = math.sqrt(total)
-    amps *= 1.0 / scale  # an array divides slower than it multiplies
+    with plan.lock:
+        # ``amps`` is unscaled, ``total`` its sum of squares and ``norm`` times
+        # sqrt(total) the norm factor; they are rescaled once, at the end. The sums
+        # are ddot on a real plan and zdotc on a complex one, which sum each row in
+        # different orders, so a probability differs between them in its last bits
+        amps, norm, total, probs = plan.work[0][:1], 1.0, 1.0, {}
+        amps[0] = 1.0  # the empty array's one amplitude; each step rebinds ``amps`` to the array it leaves
+        for tag, i, amps, views in plan.bound:
+            if tag == "mcx":
+                _kernels.apply_mcx(*views)
+            elif tag == "shift":
+                view, rotated, plus, minus = views
+                _kernels.apply_shift(view, rotated, *(plus if ops[i].params[0] > 0 else minus))
+            elif tag == "select":
+                sub, fit, q = views
+                _kernels.apply_diag(sub, _fitted(ops[i].params, *fit))
+                probs[q], total, norm = _selected(amps, total, norm, q, 0)
+            elif tag == "block":
+                v0, v1, a, b, fit = views
+                k = _fitted(ops[i].params, *fit)
+                _kernels.apply_block(v0, v1, a, b, k, 1j * np.sqrt(1.0 - k * k))
+            elif tag == "drop":
+                h0, h1, kept, q, value, row = views
+                if row is None and i is not None:
+                    row = _matrix_1q(ops[i], real)[value]
+                _drop_bit(h0, h1, kept, value, row)
+                probs[q], total, norm = _selected(amps, total, norm, q, value)
+            elif tag == "enter":
+                ket, source, into = views
+                np.multiply(ket, source, out=into)
+            elif tag == "load":
+                if not views:
+                    # the vector replaces the one amplitude left, of magnitude sqrt(total)
+                    unit, peak, sum_squares = _peak_scaled(ops[i].params, amps if real else None)
+                    if not real:
+                        amps[...] = unit
+                    norm *= math.sqrt(total) * peak
+                    total = sum_squares
+                else:
+                    ushape, source, into = views
+                    unit, peak, sum_squares = _peak_scaled(ops[i].params)
+                    np.multiply(unit.reshape(ushape), source, out=into)
+                    norm *= peak
+                    total *= sum_squares
+            elif tag == "known":
+                probs[views[0]] = 1.0
+            elif tag == "1q":
+                _kernels.apply_1q(*views, *_matrix_1q(ops[i], real).ravel())
+            else:  # "phase"
+                _kernels.apply_phase(*views, np.exp(1j * ops[i].params[0]))
+        scale = math.sqrt(total)
+        # a new array, so the state never aliases a work array; an array divides
+        # slower than it multiplies
+        amps = np.multiply(amps, 1.0 / scale, out=np.empty(amps.size, np.complex128))
     norm *= scale
     if not plan.selecting:
         return QuantumState(plan.n_qubits, amps, norm)
     return QuantumState(plan.kept, amps, norm), probs
 
 
+def _gate_list(ops) -> list:
+    """``ops`` as a list, or :class:`ConfigurationError` if it is not iterable."""
+    try:
+        return list(ops)
+    except TypeError:
+        raise ConfigurationError(f"ops must be an iterable of GateOp, got {type(ops).__name__}") from None
+
+
 def _structure(ops) -> tuple:
-    return tuple((op.kind, op.targets, op.controls, op.control_values) for op in ops)
+    return tuple(op._key for op in ops)
 
 
 def _checked_selection(select, n_qubits: int) -> dict[int, int]:
@@ -454,53 +603,37 @@ def _fitted(values: np.ndarray, dshape, fix, mshape, order, shape) -> np.ndarray
     return values.reshape(dshape)[fix].reshape(mshape).transpose(order).reshape(shape)
 
 
-def _product(unit: np.ndarray, amps: np.ndarray, ushape, ashape, order) -> np.ndarray:
-    """The product of ``unit`` on the entering qubits (a loaded vector, or |0>) and ``amps``, one new array.
+def _drop_bit(h0: np.ndarray, h1: np.ndarray, kept: np.ndarray, value: int, row=None) -> None:
+    """Write into ``kept`` the half ``h0`` or ``h1`` of an array where a bit equals ``value``, unscaled.
 
-    ``order`` sorts the axes of the outer product to descending qubits, so
-    bit k of the result is the k-th lowest of all the qubits. When every
-    entering qubit lies above every qubit in ``amps`` and they ascend, the
-    outer product is already in that order and is written once, as for |0>
-    on a qubit entering above the others.
-    """
-    prod = np.multiply.outer(unit.reshape(ushape), amps.reshape(ashape))
-    return np.ascontiguousarray(prod.transpose(order)).reshape(-1)
-
-
-def _drop_bit(amps: np.ndarray, bit: int, value: int, row=None) -> tuple[np.ndarray, float]:
-    """Half of ``amps`` where ``bit`` equals ``value``, unscaled, and its sum of squares.
-
-    With ``row``, row ``value`` of a single-qubit gate on ``bit``, the gate
+    ``h0`` and ``h1`` are the bit's two halves, views of shape ``kept``'s.
+    With ``row``, row ``value`` of a single-qubit gate on the bit, the gate
     is applied to that half only: the new half is the row times the two old
     halves, or the row's one entry times their sum when both entries are
-    equal, as in every H. The result is a new contiguous array without
-    ``bit``; ``amps`` is left scrambled.
+    equal, as in every H. The old array is left scrambled.
     """
-    halves = amps.reshape(-1, 2, 1 << bit)
     if row is None:
-        kept = halves[:, value, :].copy()
+        kept[...] = h1 if value else h0
     elif row[0] == row[1]:
-        kept = np.add(halves[:, 0, :], halves[:, 1, :])
+        np.add(h0, h1, out=kept)
         kept *= row[0]
     else:
-        # ``amps`` is discarded, so the second term is scaled in place: one
-        # new half-size array instead of three, each of which page-faults in
-        kept = np.multiply(halves[:, 0, :], row[0])
-        other = halves[:, 1, :]
-        other *= row[1]
-        kept += other
-    kept = kept.reshape(-1)
-    return kept, _sum_squares(kept)
+        # the old array is discarded, so the second term is scaled in place
+        np.multiply(h0, row[0], out=kept)
+        h1 *= row[1]
+        kept += h1
 
 
-def _selected(amps: np.ndarray, kept: float, total: float, norm: float, qubit: int, value: int) -> tuple[float, float, float]:
-    """A selection of ``qubit`` = ``value`` that left ``amps``, of sum of squares ``kept`` out of ``total``.
+def _selected(amps: np.ndarray, total: float, norm: float, qubit: int, value: int) -> tuple[float, float, float]:
+    """A selection of ``qubit`` = ``value`` that left ``amps`` out of an array of sum of squares ``total``.
 
-    Returns its probability ``kept / total`` and the replay's new total and
-    norm; :class:`PostSelectionError` below ``_MIN_SELECT_PROBABILITY``. A
-    total below ``_TOTAL_FLOOR`` is scaled out of ``amps``, in place, into
-    the norm, so a long chain of unlikely selections cannot underflow.
+    Returns its probability, the kept sum of squares over ``total``, and the
+    replay's new total and norm; :class:`PostSelectionError` below
+    ``_MIN_SELECT_PROBABILITY``. A total below ``_TOTAL_FLOOR`` is scaled
+    out of ``amps``, in place, into the norm, so a long chain of unlikely
+    selections cannot underflow.
     """
+    kept = _sum_squares(amps)
     p = kept / total
     if p < _MIN_SELECT_PROBABILITY:
         raise PostSelectionError(f"selecting qubit {qubit} = {value} has probability {p:.3e}")
@@ -518,6 +651,8 @@ def postselect(state: QuantumState, qubit: int, value: int) -> tuple[QuantumStat
     factor absorbs sqrt(p), keeping decoded magnitudes unchanged.
     """
     value = _bit(value, "selection value")
+    if isinstance(qubit, bool) or not isinstance(qubit, numbers.Integral):
+        raise ConfigurationError(f"qubit must be an integer, got {qubit!r}")
     if not 0 <= qubit < state.n_qubits:
         raise ConfigurationError(f"qubit {qubit} is outside a {state.n_qubits}-qubit state")
     amps = state.amplitudes
@@ -544,16 +679,25 @@ def postselect_many(state: QuantumState, plan: dict[int, int]) -> tuple[QuantumS
 
 @dataclass
 class SampleHistogram:
-    """Measured counts over computational basis states."""
+    """Measured counts over computational basis states: nonnegative, one per state, summing to ``shots``.
+
+    Anything else is a :class:`ConfigurationError`.
+    """
 
     n_qubits: int
     shots: int
     counts: np.ndarray = dataclass_field(repr=False)
 
     def __post_init__(self):
+        require_count(self.n_qubits, "n_qubits")
+        self.shots = require_shots(self.shots)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (1 << self.n_qubits,):
             raise ConfigurationError("counts length must be 2^n_qubits")
+        if (self.counts < 0).any():
+            raise ConfigurationError("counts must be nonnegative")
+        if int(self.counts.sum()) != self.shots:
+            raise ConfigurationError(f"counts sum to {int(self.counts.sum())}, not to the {self.shots} shots")
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots

@@ -39,25 +39,27 @@ def _random_state(n_qubits, seed):
 
 
 def _apply_kernel(amps, op):
-    """Call the kernel for ``op`` directly, with view indices built from its controls."""
+    """Call the kernel for ``op`` directly, on views bound from indices built from its controls."""
     n = amps.size.bit_length() - 1
-    shape = (2,) * n
+    view = amps.reshape((2,) * n)
     controls = list(zip(op.controls, op.control_values))
     if op.kind == "BLOCK":
         *values, flag = op.targets
         i0, order, fit = _kernels.diag_layout(n, values, controls + [(flag, 0)])
         i1, _, _ = _kernels.diag_layout(n, values, controls + [(flag, 1)])
         k = op.params.reshape((2,) * len(values)).transpose(order).reshape(fit)
-        _kernels.apply_block(amps, shape, i0, i1, k, 1j * np.sqrt(1.0 - k * k))
+        v0, v1 = view[i0], view[i1]
+        _kernels.apply_block(v0, v1, np.empty_like(v0), np.empty_like(v0), k, 1j * np.sqrt(1.0 - k * k))
         return
     i0, i1 = _kernels.halves(n, op.targets[0], controls)
+    v0, v1 = view[i0], view[i1]
     if op.kind == "MCX":
-        _kernels.apply_mcx(amps, shape, i0, i1)
+        _kernels.apply_mcx(v0, v1, np.empty_like(v0))
     elif op.kind == "PHASE":
-        _kernels.apply_phase(amps, shape, i1, complex(np.exp(1j * op.params[0])))
+        _kernels.apply_phase(v1, complex(np.exp(1j * op.params[0])))
     else:
         u = gate_matrix_1q(op)
-        _kernels.apply_1q(amps, shape, i0, i1, *(complex(x) for x in u.ravel()))
+        _kernels.apply_1q(v0, v1, np.empty_like(v0), np.empty_like(v0), *(complex(x) for x in u.ravel()))
 
 
 def _check_against_reference(op, n_qubits, seed, atol=1e-12):
@@ -99,7 +101,7 @@ def test_apply_diag_twins_a_block_on_a_flag_that_holds_0_projected_onto_0(seed):
     state[~held] = 0.0
     out = state.copy()
     index, order, fit = _kernels.diag_layout(n, list(values), [(4, 1), (flag, 0)])
-    _kernels.apply_diag(out, (2,) * n, index, k.reshape((2,) * len(values)).transpose(order).reshape(fit))
+    _kernels.apply_diag(out.reshape((2,) * n)[index], k.reshape((2,) * len(values)).transpose(order).reshape(fit))
     ref = apply_ops_numpy(state, [op], n)
     ref[~held] = 0.0
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
@@ -147,7 +149,7 @@ def test_control_mask_excludes_unmatched_indices():
     # must be untouched, bitwise.
     state = _random_state(4, 99)
     out = state.copy()
-    _kernels.apply_phase(out, (2,) * 4, _kernels.halves(4, 0, [(1, 1)])[1], 1j)
+    _kernels.apply_phase(out.reshape((2,) * 4)[_kernels.halves(4, 0, [(1, 1)])[1]], 1j)
     idx = np.arange(16)
     untouched = (idx & 0b10) == 0
     np.testing.assert_array_equal(out[untouched], state[untouched])
@@ -156,9 +158,10 @@ def test_control_mask_excludes_unmatched_indices():
 def test_mcx_is_self_inverse():
     state = _random_state(5, 7)
     out = state.copy()
-    halves = _kernels.halves(5, 1, [(2, 1), (4, 1)])
-    _kernels.apply_mcx(out, (2,) * 5, *halves)
-    _kernels.apply_mcx(out, (2,) * 5, *halves)
+    i0, i1 = _kernels.halves(5, 1, [(2, 1), (4, 1)])
+    v0, v1 = out.reshape((2,) * 5)[i0], out.reshape((2,) * 5)[i1]
+    _kernels.apply_mcx(v0, v1, np.empty_like(v0))
+    _kernels.apply_mcx(v0, v1, np.empty_like(v0))
     np.testing.assert_array_equal(out, state)
 
 

@@ -386,6 +386,12 @@ def test_velocity_equals_one_gradient_call_per_axis(shape):
     assert v.tobytes() == (-np.gradient(psi, axis=1, edge_order=order)).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (4, 7)])
+def test_velocity_from_stream_function_returns_one_array_whose_rows_are_u_and_v(shape):
+    velocity = velocity_from_stream_function(np.random.default_rng(7).standard_normal(shape))
+    assert isinstance(velocity, np.ndarray) and velocity.shape == (2, *shape) and velocity.flags.c_contiguous
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 64), st.integers(3, 64), st.integers(0, 2**32 - 1))
 def test_the_sliced_stencil_is_np_gradient_bit_for_bit(rows, cols, seed):

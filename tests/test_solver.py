@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,7 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from qlbm.statevector import QuantumState, postselect_many
+from qlbm.statevector import CircuitPlan, QuantumState, apply_circuit, postselect_many
 
 
 _DATA = Path(__file__).parent / "data"
@@ -480,18 +482,21 @@ def test_shot_multiplier_is_infinite_when_a_run_cannot_succeed():
 def test_cavity_jobs_hold_only_the_qubits_their_gates_need(monkeypatch, variant):
     # at extent 32 a job's PREP fills 2^14 of the 2^16 amplitudes of its qubits;
     # the collision ancilla and the wall flag never enter, so streaming runs
-    # on the sites and links alone
+    # on the sites and links alone. A kernel takes views bound on the live
+    # array of its plan step, so each view is mapped to that array's size
+    live = {id(view): amps.size for job in qlbm.solver._cavity_jobs(variant, 32)
+            for _, _, amps, views in job.plan.bound for view in views}
     sizes = []
     for name in ("apply_1q", "apply_mcx", "apply_shift", "apply_diag", "apply_phase"):
-        def spy(amps, *args, _name=name, _fn=getattr(_kernels, name)):
-            sizes.append((_name, amps.size))
-            return _fn(amps, *args)
+        def spy(view, *args, _name=name, _fn=getattr(_kernels, name)):
+            sizes.append((_name, live[id(view)]))
+            return _fn(view, *args)
 
         monkeypatch.setattr(_kernels, name, spy)
 
-    def spy_drop(amps, *args, _fn=qlbm.statevector._drop_bit):
-        sizes.append(("drop", amps.size))
-        return _fn(amps, *args)
+    def spy_drop(h0, *args, _fn=qlbm.statevector._drop_bit):
+        sizes.append(("drop", 2 * h0.size))  # the array it halves
+        return _fn(h0, *args)
 
     monkeypatch.setattr(qlbm.statevector, "_drop_bit", spy_drop)
     result = run_cavity(CavitySpec(32, 0.8, 2), variant=variant)
@@ -729,9 +734,147 @@ def test_a_cached_set_up_holds_no_prep_and_no_writable_array(setup):
     gates = [item for item in held if isinstance(item, GateOp)]
     assert gates and all(gate.kind != "PREP" for gate in gates)
     arrays = [item for item in held if isinstance(item, np.ndarray)]
-    assert all(not a.flags.writeable for a in arrays)
-    # the largest is the wall projector's one coefficient per site
-    assert all(a.size <= n_sites for a in arrays)
+    # the only writable arrays are the plans' work arrays and the views bound on them
+    plans = [item for item in held if isinstance(item, CircuitPlan)]
+    work = [w for plan in plans for w in plan.work]
+    assert plans and all(a.flags.writeable == any(np.shares_memory(a, w) for w in work) for a in arrays)
+    # of the rest, the largest is the wall projector's one coefficient per site
+    assert all(a.size <= n_sites for a in arrays if not a.flags.writeable)
+
+
+def _solver_replays():
+    """(name, plan, ops, other ops) for every plan the solvers keep: two sets of gates of the plan's structure."""
+    rng = np.random.default_rng(41)
+    n = 8
+    for scheme in (D1Q2, D1Q3, D2Q5):
+        for backend in ("statevector", "sampling"):
+            job = qlbm.solver._transport(scheme, n, backend)
+            runs = [[qlbm.solver._prep(job, rng.uniform(0.5, 1.5, (n,) * scheme.dimension)),
+                     *build_advection_collision_ops(job.layout, scheme, rng.uniform(-0.1, 0.1, scheme.dimension)),
+                     *job.tail] for _ in range(2)]
+            yield f"{scheme.name}-{backend}", job.plan, *runs
+    for variant in ("frugal", "single"):
+        sf_job, w_job = qlbm.solver._cavity_jobs(variant, n)
+        yield f"{variant}-stream-function", sf_job.plan, *(
+            [qlbm.solver._prep(sf_job, rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n))), *sf_job.tail]
+            for _ in range(2))
+        runs = []
+        for _ in range(2):
+            omega = rng.uniform(-1, 1, (n, n))
+            field, source = (np.zeros_like(omega), omega) if w_job.sector else (omega, None)
+            runs.append([qlbm.solver._prep(w_job, field, source),
+                         *build_vorticity_collision_ops(w_job.layout, D2Q5, rng.uniform(-0.1, 0.1, (2, n, n))),
+                         *w_job.tail])
+        yield f"{variant}-vorticity", w_job.plan, *runs
+
+
+def _replayed(plan, ops):
+    """(amplitudes, probs, norm factor) of one replay."""
+    out = apply_circuit(plan, ops)
+    state, probs = out if plan.selecting else (out, None)
+    return state.amplitudes, probs, state.norm_factor
+
+
+@pytest.mark.parametrize("case", list(_solver_replays()), ids=lambda case: case[0])
+def test_two_replays_of_a_solver_plan_return_independent_arrays(case):
+    # the replay runs on the plan's work arrays; what it returns is its own
+    _, plan, ops, _ = case
+    first, second = _replayed(plan, ops), _replayed(plan, ops)
+    assert not np.shares_memory(first[0], second[0])
+    assert not any(np.shares_memory(amps, w) for amps in (first[0], second[0]) for w in plan.work)
+    kept = second[0].copy()
+    first[0][:] = 7.0
+    np.testing.assert_array_equal(second[0], kept)
+    np.testing.assert_array_equal(_replayed(plan, ops)[0], kept)
+
+
+@pytest.mark.parametrize("case", [case for case in _solver_replays() if case[0] in ("D2Q5-statevector", "D1Q3-sampling", "single-vorticity")],
+                         ids=lambda case: case[0])
+def test_two_threads_replaying_one_plan_get_the_serial_results(case):
+    # each thread replays its own gates; the threads start together and the
+    # interpreter switches between them every microsecond, so without the
+    # plan's lock their replays interleave on its work arrays
+    _, plan, ops_a, ops_b = case
+    expected = [_replayed(plan, ops_a), _replayed(plan, ops_b)]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def replay(k, ops):
+        start.wait()
+        for _ in range(50):
+            results[k].append(_replayed(plan, ops))
+
+    threads = [threading.Thread(target=replay, args=(k, ops)) for k, ops in enumerate((ops_a, ops_b))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(expected, results):
+        assert len(got) == 50
+        for amps, probs, norm in got:
+            np.testing.assert_array_equal(amps, want[0])
+            assert probs == want[1] and norm == want[2]
+
+
+def test_a_warm_replay_allocates_no_array_of_the_loads_size():
+    # the load writes its vector into the plan's work array, and every later
+    # step writes through views bound on the work arrays
+    job = qlbm.solver._transport(D2Q5, 64, "statevector")
+    rng = np.random.default_rng(43)
+    prep = qlbm.solver._prep(job, rng.uniform(0.5, 1.5, (64, 64)))
+    ops = [prep, *build_advection_collision_ops(job.layout, D2Q5, (0.1, 0.05)), *job.tail]
+    apply_circuit(job.plan, ops)
+    tracemalloc.start()
+    try:
+        apply_circuit(job.plan, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep.params.size == 1 << 15 and peak < prep.params.nbytes // 2
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_a_cavity_plan_at_extent_32_holds_work_arrays_of_its_largest_live_array(variant):
+    for job in qlbm.solver._cavity_jobs(variant, 32):
+        largest = max(amps.size for _, _, amps, _ in job.plan.bound)
+        assert largest < 1 << job.layout.qubit_count
+        assert max(w.size for w in job.plan.work) == largest
+        assert sum(w.nbytes for w in job.plan.work) <= 192 << 10
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_a_cavity_step_passes_its_velocity_array_to_the_collision_as_it_is(monkeypatch, variant):
+    computed, passed = [], []
+
+    def spy_velocity(psi, _fn=qlbm.solver.velocity_from_stream_function):
+        computed.append(_fn(psi))
+        return computed[-1]
+
+    def spy_collision(layout, scheme, velocity, _fn=qlbm.solver.build_vorticity_collision_ops):
+        passed.append(velocity)
+        return _fn(layout, scheme, velocity)
+
+    monkeypatch.setattr(qlbm.solver, "velocity_from_stream_function", spy_velocity)
+    monkeypatch.setattr(qlbm.solver, "build_vorticity_collision_ops", spy_collision)
+    run_cavity(CavitySpec(8, 0.8, 3), variant=variant)
+    # step 1's vorticity job is idle: its field is all zero
+    assert len(computed) == 3 and len(passed) == 2 and all(v is w for v, w in zip(passed, computed[1:]))
+
+
+def test_run_cavity_refuses_a_spec_that_is_not_a_cavity_spec():
+    with pytest.raises(ConfigurationError, match="spec must be a CavitySpec, got NoneType"):
+        run_cavity(None)
+
+
+def test_fidelity_sweep_refuses_a_state_that_is_not_a_quantum_state():
+    with pytest.raises(ConfigurationError, match="state must be a QuantumState, got str"):
+        fidelity_sweep([1, 2], 1, 0, state="x")
 
 
 def test_a_run_that_raises_leaves_the_cache_usable():

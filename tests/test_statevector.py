@@ -295,6 +295,36 @@ def test_a_plan_holds_no_prep_vector():
     assert got_probs == fresh_probs and got.norm_factor == fresh.norm_factor
 
 
+def test_a_plans_bound_views_are_of_its_own_work_arrays_and_never_of_a_gate():
+    rng = np.random.default_rng(22)
+    ops = _every_kind(rng)
+    plan = plan_circuit(ZeroState(6), ops, {3: 0, 4: 0})
+    views = [node for node in _nodes(plan.bound) if isinstance(node, np.ndarray)]
+    assert {tag for tag, _, _, _ in plan.bound} == {tag for tag, _, _ in plan.steps}
+    assert all(not np.shares_memory(view, op.params) for view in views for op in ops if len(op.params))
+    writable = [view for view in views if view.flags.writeable]
+    assert writable and all(any(np.shares_memory(view, w) for w in plan.work) for view in writable)
+    # each work array holds at most the largest live array, not the 2^6 of every qubit
+    assert max(w.size for w in plan.work) == max(amps.size for _, _, amps, _ in plan.bound) < 1 << 6
+
+
+@pytest.mark.parametrize("select", [None, {3: 0, 4: 0}], ids=["full", "selected"])
+def test_two_replays_of_a_complex_plan_return_independent_arrays(select):
+    rng = np.random.default_rng(23)
+    ops = _every_kind(rng)
+    plan = plan_circuit(ZeroState(6), ops, select)
+    assert plan.dtype == np.complex128
+    first, second = (apply_circuit(plan, ops) for _ in range(2))
+    if select is not None:
+        (first, _), (second, _) = first, second
+    kept = second.amplitudes.copy()
+    assert not any(np.shares_memory(state.amplitudes, w) for state in (first, second) for w in plan.work)
+    first.amplitudes[:] = 7.0
+    np.testing.assert_array_equal(second.amplitudes, kept)
+    third = apply_circuit(plan, ops)
+    np.testing.assert_array_equal((third if select is None else third[0]).amplitudes, kept)
+
+
 @pytest.mark.parametrize("select", [None, {2: 0}], ids=["full", "selected"])
 @pytest.mark.parametrize("last", [GateOp("RY", (1,), params=(0.3,)), GateOp("PHASE", (1,), params=(0.3,))],
                          ids=["real", "complex"])
@@ -538,3 +568,57 @@ def test_infidelity_shrinks_with_shots():
     )
     assert large < small / 50  # 256x the shots, ~1/shots scaling
 
+
+
+# ---------------------------------------------------------------------------
+# typed errors at the statevector boundary
+# ---------------------------------------------------------------------------
+
+
+_TWO_H = [GateOp("H", (0,)), GateOp("H", (1,))]
+
+
+def test_plan_circuit_refuses_a_start_that_is_not_a_zero_state():
+    with pytest.raises(ConfigurationError, match="start must be a ZeroState, got int"):
+        plan_circuit(2, _TWO_H)
+
+
+def test_plan_circuit_refuses_a_selection_that_is_not_a_mapping():
+    with pytest.raises(ConfigurationError, match="select must be a mapping of qubit -> value, got list"):
+        plan_circuit(ZeroState(2), _TWO_H, [0])
+
+
+def test_apply_circuit_refuses_a_plan_that_is_not_a_circuit_plan():
+    with pytest.raises(ConfigurationError, match="plan must be a CircuitPlan, got NoneType"):
+        apply_circuit(None, _TWO_H)
+
+
+def test_apply_circuit_refuses_gates_that_are_not_iterable():
+    with pytest.raises(ConfigurationError, match="ops must be an iterable of GateOp, got NoneType"):
+        apply_circuit(plan_circuit(ZeroState(2), _TWO_H), None)
+
+
+def test_a_quantum_state_refuses_amplitudes_that_are_not_numbers():
+    with pytest.raises(ConfigurationError, match="amplitudes must be complex numbers, got str"):
+        QuantumState(1, "ab")
+
+
+def test_postselect_refuses_a_qubit_that_is_not_an_integer():
+    with pytest.raises(ConfigurationError, match="qubit must be an integer, got 'a'"):
+        postselect(_basis_zero(1), "a", 0)
+
+
+@pytest.mark.parametrize("counts", [[-1, 4], [4, -1]])
+def test_a_histogram_refuses_negative_counts(counts):
+    with pytest.raises(ConfigurationError, match="counts must be nonnegative"):
+        SampleHistogram(1, 3, counts)
+
+
+def test_a_histogram_refuses_counts_that_do_not_sum_to_its_shots():
+    with pytest.raises(ConfigurationError, match="counts sum to 2, not to the 5 shots"):
+        SampleHistogram(1, 5, [1, 1])
+
+
+def test_a_histogram_refuses_a_shot_count_below_one():
+    with pytest.raises(ConfigurationError, match="shots must be an integer"):
+        SampleHistogram(1, 0, [0, 0])
