@@ -59,7 +59,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CoefficientRangeError, ConfigurationError, EncodingError
-from .lattice import LatticeScheme, _coefficients_into, collision_coefficients, require_power_of_two
+from .lattice import LatticeScheme, _coefficients_into, _real_array, collision_coefficients, require_power_of_two
 
 __all__ = [
     "GateOp",
@@ -157,33 +157,19 @@ class GateOp:
         if kind in _ARRAY_KINDS:
             if kind == "PREP" and controls:
                 raise ConfigurationError("PREP takes no controls")
-            vector = self.params
-            if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
-                    and vector.base is None and not vector.flags.writeable):
-                if np.iscomplexobj(vector):
-                    raise ConfigurationError(f"{kind} params must be real, got a complex vector")
-                vector = np.array(vector, dtype=np.float64)
-                vector.flags.writeable = False
-            if vector.ndim != 1:
-                raise ConfigurationError(f"{kind} takes a flat vector, got shape {vector.shape}")
-            object.__setattr__(self, "params", vector)
-        elif type(self.params) is not tuple or not all(isinstance(p, float) for p in self.params):
-            object.__setattr__(self, "params", _real_tuple(kind, self.params))
-        if len(targets) != shape[0] or len(self.params) != shape[1]:
-            raise ConfigurationError(
-                f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), "
-                f"got {len(targets)} and {len(self.params)}"
-            )
-        if kind == "SHIFT":
-            (step,) = self.params
-            if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step not in (1, -1):
-                raise ConfigurationError(f"SHIFT step must be the integer +1 or -1, got {step!r}")
-            object.__setattr__(self, "params", (int(step),))
-        # a PREP's vector is checked where it is loaded or lowered, by _peak_scaled, as an EncodingError
-        elif not (kind in _ARRAY_KINDS or all(map(math.isfinite, self.params))):
-            raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
-        if kind == "BLOCK":
-            _check_coefficients(self)  # its range check rejects a NaN or infinity too
+            object.__setattr__(self, "params", _array_params(kind, targets, self.params))
+        else:
+            if type(self.params) is not tuple or not all(isinstance(p, float) for p in self.params):
+                object.__setattr__(self, "params", _real_tuple(kind, self.params))
+            if len(targets) != shape[0] or len(self.params) != shape[1]:
+                raise _shape_error(kind, shape, targets, self.params)
+            if kind == "SHIFT":
+                (step,) = self.params
+                if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step not in (1, -1):
+                    raise ConfigurationError(f"SHIFT step must be the integer +1 or -1, got {step!r}")
+                object.__setattr__(self, "params", (int(step),))
+            elif not all(map(math.isfinite, self.params)):
+                raise ConfigurationError(f"{kind} parameters must be finite, got a NaN or infinity")
         if len(controls) != len(self.control_values):
             raise ConfigurationError("controls and control_values must pair up")
         if not _BITS.issuperset(self.control_values):
@@ -230,17 +216,46 @@ def _real_tuple(kind: str, params) -> tuple:
     return values if kind == "SHIFT" else tuple(map(float, values))
 
 
-def _check_coefficients(op: GateOp) -> None:
-    """Hold a BLOCK's coefficients to [-1, 1]: raise past the slack, clip within it."""
+def _shape_error(kind: str, shape: tuple[int, int], targets: tuple, params) -> ConfigurationError:
+    return ConfigurationError(
+        f"{kind} takes {shape[0]} target(s) and {shape[1]} parameter(s), got {len(targets)} and {len(params)}"
+    )
+
+
+def _array_params(kind: str, targets: tuple, params) -> np.ndarray:
+    """A PREP's or BLOCK's ``params`` on ``targets`` as the read-only float64 vector the gate holds.
+
+    The parameter checks of these kinds, in one place: a read-only float64
+    array that owns its memory is kept as it is and anything else is
+    copied, a complex value is refused, the vector must be flat and hold
+    one entry per basis state of the targets (a BLOCK's but its flag), and
+    a BLOCK's coefficients are held to [-1, 1]: past the slack, or NaN, is
+    a :class:`CoefficientRangeError`, and within it they are clipped into
+    a new array.
+    """
+    vector = params
+    if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+            and vector.base is None and not vector.flags.writeable):
+        if np.iscomplexobj(vector):
+            raise ConfigurationError(f"{kind} params must be real, got a complex vector")
+        vector = np.array(vector, dtype=np.float64)
+        vector.flags.writeable = False
+    if vector.ndim != 1:
+        raise ConfigurationError(f"{kind} takes a flat vector, got shape {vector.shape}")
+    size = 1 << (len(targets) - (kind == "BLOCK"))
+    if len(vector) != size:
+        raise _shape_error(kind, (len(targets), size), targets, vector)
+    if kind == "PREP":
+        return vector  # its values are checked where it is loaded or lowered, by _peak_scaled, as an EncodingError
     # the peak magnitude without an |k| temporary; NaN propagates through max and
-    # min, and compares false both ways, so it is rejected too
-    worst = max(float(op.params.max()), -float(op.params.min()))
+    # min, and compares false both ways, so it is rejected too, and so is an infinity
+    worst = max(float(vector.max()), -float(vector.min()))
     if not worst <= 1.0 + _COEFF_SLACK:
         raise CoefficientRangeError(f"collision coefficients must lie in [-1, 1]; max |k| = {worst:.6g}")
     if worst > 1.0:
-        k = np.clip(op.params, -1.0, 1.0)
-        k.flags.writeable = False
-        object.__setattr__(op, "params", k)
+        vector = np.clip(vector, -1.0, 1.0)
+        vector.flags.writeable = False
+    return vector
 
 
 def gate_matrix_1q(op: GateOp) -> np.ndarray:
@@ -547,23 +562,30 @@ def encoding_vector(layout: RegisterLayout, scheme: LatticeScheme, field, source
     (codes past n_links stay zero). With a source field present the source
     flag splits the space: s = 0 carries the field, s = 1 carries the
     source, both replicated the same way. Being read-only, it becomes a
-    PREP's parameter without a copy.
+    PREP's parameter without a copy. ``field`` and ``source`` each hold one
+    real value per site, else :class:`ConfigurationError` naming it.
     """
-    field = np.asarray(field, dtype=float).ravel()
-    if field.size != layout.n_sites:
-        raise ConfigurationError(f"field has {field.size} sites, layout expects {layout.n_sites}")
     n_sites = layout.n_sites
-    codes = 1 << layout.n_d
-    sectors = 1 << layout.n_s
-    if source is not None and not layout.n_s:
-        raise ConfigurationError("layout has no source flag but a source was given")
-    v = np.zeros(n_sites * codes * sectors)
-    used = v.reshape(sectors, codes, n_sites)[:, : scheme.n_links]  # one (n_links, n_sites) view per sector
+    field = _site_values(field, "field", n_sites)
+    if source is not None:
+        if not layout.n_s:
+            raise ConfigurationError("layout has no source flag but a source was given")
+        source = _site_values(source, "source", n_sites)
+    v = np.zeros(n_sites << (layout.n_d + layout.n_s))
+    used = v.reshape(1 << layout.n_s, 1 << layout.n_d, n_sites)[:, : scheme.n_links]  # one (n_links, n_sites) view per sector
     used[0] = field
     if source is not None:
-        used[1] = np.asarray(source, dtype=float).ravel()
+        used[1] = source
     v.flags.writeable = False
     return v
+
+
+def _site_values(values, name: str, n_sites: int) -> np.ndarray:
+    """``values`` as a flat float array of one real value per site, else :class:`ConfigurationError` naming it."""
+    flat = _real_array(values, name).ravel()
+    if flat.size != n_sites:
+        raise ConfigurationError(f"{name} has {flat.size} sites, layout expects {n_sites}")
+    return flat
 
 
 def _collision_k_uniform(scheme: LatticeScheme, velocity, n_codes: int) -> np.ndarray:
@@ -588,20 +610,29 @@ def build_vorticity_collision_ops(layout: RegisterLayout, scheme: LatticeScheme,
 
     The only section of a cavity step besides the encode that depends on the
     fields. On a layout with a source flag (the combined circuit) it runs
-    controlled on s = 1, the vorticity sector.
+    controlled on s = 1, the vorticity sector. ``velocity_fields`` holds one
+    real component field per axis, of the sites' ``(y, x)`` shape, else
+    :class:`ConfigurationError`.
     """
-    velocity_fields = np.asarray(velocity_fields, dtype=float)
-    shape = velocity_fields.shape[1:]
-    k_flat = np.ones(layout.n_sites << layout.n_d)
+    velocity = _real_array(velocity_fields, "velocity_fields")
+    shape = tuple(1 << len(r) for r in reversed(layout.axis_registers))  # the sites' (y, x) axes
+    if velocity.shape != (scheme.dimension, *shape) or scheme.n_links > 1 << layout.n_d:
+        raise ConfigurationError(
+            f"velocity_fields shape {velocity.shape} does not fit {scheme.name} on {layout.n_sites} sites"
+            f" and {layout.n_d} link qubits; expected {(scheme.dimension, *shape)}"
+        )
+    used = scheme.n_links * layout.n_sites
+    k_flat = np.empty(layout.n_sites << layout.n_d)
+    k_flat[used:] = 1.0  # unused link codes keep their amplitudes
     # the used codes' coefficients, written straight into their head of k_flat
-    head = k_flat[: scheme.n_links * layout.n_sites].reshape((scheme.n_links, *shape))
-    _coefficients_into(scheme, velocity_fields, shape, head)
+    _coefficients_into(scheme, velocity, shape, k_flat[:used].reshape((scheme.n_links, *shape)))
     k_flat.flags.writeable = False  # the BLOCK keeps it without a copy
-    return build_collision_ops(layout, k_flat, layout.site_qubits + layout.d, layout.s, (1,) * layout.n_s)
+    targets = layout.site_qubits + layout.d + layout.a
+    return [_layout_gate("BLOCK", targets, layout.s, (1,) * layout.n_s, k_flat)]
 
 
 def _encode(layout: RegisterLayout, vector) -> list[GateOp]:
-    return [GateOp("PREP", layout.encoded_qubits, params=vector)]
+    return [_layout_gate("PREP", layout.encoded_qubits, (), (), vector)]
 
 
 def build_advection_diffusion_circuit(scheme: LatticeScheme, extent: int, field, velocity) -> CircuitIR:
@@ -1186,6 +1217,17 @@ def _lowered_gate(kind: str, targets: tuple, controls: tuple, control_values: tu
     gate.__dict__.update(kind=kind, targets=targets, controls=controls, control_values=control_values, params=params,
                          _key=(kind, targets, controls, control_values))
     return gate
+
+
+def _layout_gate(kind: str, targets: tuple, controls: tuple, control_values: tuple, params) -> GateOp:
+    """A PREP or BLOCK on a :class:`RegisterLayout`'s qubits, made with :class:`GateOp`'s parameter checks only.
+
+    Its targets, controls and control values are tuples of a layout's
+    distinct registers and polarities 1, so each structural check would
+    pass; its parameters go through :func:`_array_params`, as in
+    :class:`GateOp`.
+    """
+    return _lowered_gate(kind, targets, controls, control_values, _array_params(kind, targets, params))
 
 
 def iter_lowered(circ: CircuitIR) -> Iterator[tuple[str, GateOp]]:

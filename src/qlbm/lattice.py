@@ -109,6 +109,15 @@ class LatticeScheme:
         return _read_only(np.array(self.links, dtype=np.int64))
 
     @cached_property
+    def _link_floats(self) -> np.ndarray:
+        # the link table and c_s^2 as the collision coefficients compute with them
+        return _read_only(self.link_array.astype(float))
+
+    @cached_property
+    def _sound_speed_sq_float(self) -> float:
+        return float(self.sound_speed_sq)
+
+    @cached_property
     def n_link_qubits(self) -> int:
         return int(np.ceil(np.log2(self.n_links)))
 
@@ -242,8 +251,8 @@ def _coefficients_into(scheme: LatticeScheme, velocity, shape, out) -> np.ndarra
     # e . u in einsum's own loop, not a BLAS call; the shipped schemes' link
     # components are 0 or +/-1 on at most two axes, so each product is exact
     # and the sum rounds once, as in any order of summation
-    k = np.einsum("ad,d...->a...", scheme.link_array.astype(float), u, out=out)  # (n_links,) + shape
-    k /= float(scheme.sound_speed_sq)
+    k = np.einsum("ad,d...->a...", scheme._link_floats, u, out=out)  # (n_links,) + shape
+    k /= scheme._sound_speed_sq_float
     k += 1.0
     k *= scheme.weight_array.reshape((scheme.n_links,) + (1,) * len(shape))
     return k
@@ -370,31 +379,35 @@ def _second_order_derivative(f: np.ndarray, out: np.ndarray) -> None:
 
 
 def apply_cavity_boundaries(psi, omega, spec: CavitySpec):
-    """Impose cavity walls on freshly updated (psi, omega) fields.
+    """Impose cavity walls on freshly updated (psi, omega) fields, as new arrays.
 
     psi is zeroed on all four walls. Wall vorticity comes from the second-order
     Taylor expansion about each wall with the no-slip/lid tangential velocity:
     omega_wall = -2 (psi_first_interior + U_wall) on the unit grid, U_wall being
     lid_velocity on the top row and 0 elsewhere. The top row is written last so
-    lid-row corners take the lid value.
+    lid-row corners take the lid value. The inputs are left as they are; a
+    complex field is a :class:`ConfigurationError`.
     """
     n = spec.n
-    u_lid = spec.lid_velocity
-    psi2 = np.asarray(psi, dtype=float).copy()
-    omega2 = np.asarray(omega, dtype=float).copy()
+    psi2 = _real_array(psi, "psi").copy()
+    omega2 = _real_array(omega, "omega").copy()
     if psi2.shape != (n, n) or omega2.shape != (n, n):
         raise ConfigurationError(f"cavity fields must be {n}x{n}")
-
-    psi2[0, :] = 0.0
-    psi2[-1, :] = 0.0
-    psi2[:, 0] = 0.0
-    psi2[:, -1] = 0.0
-
-    omega2[0, :] = -2.0 * psi2[1, :]
-    omega2[:, 0] = -2.0 * psi2[:, 1]
-    omega2[:, -1] = -2.0 * psi2[:, -2]
-    omega2[-1, :] = -2.0 * (psi2[-2, :] + u_lid)
+    _impose_cavity_walls(psi2, omega2, spec.lid_velocity)
     return psi2, omega2
+
+
+def _impose_cavity_walls(psi: np.ndarray, omega: np.ndarray, u_lid: float) -> None:
+    """:func:`apply_cavity_boundaries`, written in place into two n x n float arrays."""
+    psi[0, :] = 0.0
+    psi[-1, :] = 0.0
+    psi[:, 0] = 0.0
+    psi[:, -1] = 0.0
+
+    omega[0, :] = -2.0 * psi[1, :]
+    omega[:, 0] = -2.0 * psi[:, 1]
+    omega[:, -1] = -2.0 * psi[:, -2]
+    omega[-1, :] = -2.0 * (psi[-2, :] + u_lid)
 
 
 def cavity_step_classical(psi, omega, spec: CavitySpec):

@@ -27,6 +27,10 @@ fields (the single circuit's vorticity pass loads its field into sector 1)
 and the collision its velocity sets (one per transport run, one per
 vorticity job), then the tail, on the cached plan with
 :func:`~qlbm.statevector.apply_circuit`, and it decodes the new field. The
+PREP and the vorticity collision take their qubits from the layout and are
+made with :class:`~qlbm.circuits.GateOp`'s parameter checks only. A run
+decodes each step's field once, into its row of the run's ``(steps+1, ...)``
+history, which the result holds as it is. The
 plan selects every register but the sites while the gates run: each
 selected qubit leaves right after the last gate that targets it, and the
 collision ancilla and wall flag, which hold 0 until their one BLOCK, never
@@ -42,7 +46,9 @@ and records as ``select_probs`` the measured shares of shots that hold
 each selected value.
 
 The cavity driver runs the stream-function job and then the vorticity job,
-both from the previous step's fields, exactly like the classical reference.
+both from the previous step's fields, exactly like the classical reference;
+it computes the velocity only for a live vorticity job, and imposes the
+walls in place on the new rows.
 Its variants differ only in their jobs: one per circuit of the frugal pair,
 or one per sector pass of the single combined gate list. On hardware the
 two frugal circuits run concurrently; the resource estimator counts that
@@ -62,6 +68,7 @@ import numpy as np
 from .circuits import (
     GateOp,
     RegisterLayout,
+    _layout_gate,
     build_advection_collision_ops,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
@@ -76,8 +83,8 @@ from .lattice import (
     D1Q3,
     D2Q5,
     LatticeScheme,
+    _impose_cavity_walls,
     _real_array,
-    apply_cavity_boundaries,
     require_count,
     require_power_of_two,
     step_advection_diffusion,
@@ -195,13 +202,17 @@ def _decode_factor(layout: RegisterLayout, folded: bool) -> float:
     return float(np.sqrt(2.0) ** (layout.n_d + (1 if folded else 0)))
 
 
-def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = False) -> np.ndarray:
+def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = False, out=None) -> np.ndarray:
     """Read the updated field out of a selected state.
 
     Every register but the sites must already be selected away, which leaves
-    the site amplitudes first. Returns the flat real field over the sites.
+    the site amplitudes first. Returns the flat real field over the sites,
+    written into ``out``, a flat float64 array of one entry per site, when
+    one is given.
     """
-    return state.amplitudes[: layout.n_sites].real * state.norm_factor * _decode_factor(layout, folded)
+    field = np.multiply(state.amplitudes[: layout.n_sites].real, state.norm_factor, out=out)
+    field *= _decode_factor(layout, folded)
+    return field
 
 
 def _selection(layout: RegisterLayout, s_value: int = 0) -> dict[int, int]:
@@ -266,30 +277,35 @@ def _setup(scheme: LatticeScheme, circ, fresh, tail, sector: int = 0, folded: bo
 
 
 def _prep(job: _Job, field, source=None) -> GateOp:
-    """The encode PREP of one job's fields."""
-    return GateOp("PREP", job.encoded, params=encoding_vector(job.layout, job.scheme, field, source=source))
+    """The encode PREP of one job's fields, on the targets its layout gave at set-up."""
+    return _layout_gate("PREP", job.encoded, (), (), encoding_vector(job.layout, job.scheme, field, source=source))
 
 
-def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(), velocity=None):
+def _run_job(job: _Job, step: int, name: str, field, source=None, *, collision=(), velocity=None, out=None):
     """Run one statevector job on the previous step's fields: (new field, record, site state).
 
     A fresh PREP loads ``field`` (and ``source``) into the job's sector; the
     ``collision`` gates, or the vorticity collision ``velocity`` sets, built
     only once the load is known not to be all zero, follow it, then the
-    tail. An all-zero load builds and runs nothing, not even its PREP, and
-    returns itself and no state.
+    tail. The new field is written into ``out``, a C-contiguous float64
+    array of the field's shape (a new one if None), which is returned. An
+    all-zero load builds and runs nothing, not even its PREP: its new field
+    is the field it loaded, and it has no state.
     """
+    if out is None:
+        out = np.empty(field.shape)
     if job.sector:
         field, source = np.zeros_like(field), field
     # the PREP replicates the fields over the links, so it is all zero exactly when they are
     if not (field.any() or source is not None and source.any()):
-        return field, _idle(step, name), None
+        out[...] = field
+        return out, _idle(step, name), None
     prep = _prep(job, field, source)
     if velocity is not None:
         collision = build_vorticity_collision_ops(job.layout, job.scheme, velocity)
     state, probs = apply_circuit(job.plan, [prep, *collision, *job.tail])
-    new = decode_field(state, job.layout, folded=job.folded).reshape(field.shape)
-    return new, StepRecord(step, name, probs, state.norm_factor), state
+    decode_field(state, job.layout, folded=job.folded, out=out.reshape(-1))
+    return out, StepRecord(step, name, probs, state.norm_factor), state
 
 
 @functools.lru_cache(maxsize=_SETUPS)
@@ -337,24 +353,28 @@ def run_advection_diffusion(
     job = _transport(scheme, extent, backend)
     layout = job.layout
     collision = build_advection_collision_ops(layout, scheme, velocity)
-    fields = [field.copy()]
+    # each step's field is written once, into its row
+    fields = np.empty((steps + 1, *field.shape))
+    fields[0] = field
     records: list[StepRecord] = []
     for step in range(1, steps + 1):
+        field, row = fields[step - 1], fields[step]
         if backend == "statevector":
-            field, record, _ = _run_job(job, step, "advection", field, collision=collision)
+            _, record, _ = _run_job(job, step, "advection", field, collision=collision, out=row)
         elif not field.any():
+            row[...] = field
             record = _idle(step, "advection")
         else:
             state = apply_circuit(job.plan, [_prep(job, field), *collision, *job.tail])
             hist = sample(state, shots, seed + 7919 * step)
-            flat = np.sqrt(hist.frequencies()[: layout.n_sites]) * state.norm_factor * _decode_factor(layout, False)
-            field = flat.reshape(field.shape)
+            flat = np.sqrt(hist.frequencies()[: layout.n_sites], out=row.reshape(-1))
+            flat *= state.norm_factor
+            flat *= _decode_factor(layout, False)
             record = StepRecord(step, "advection", _measured_selection(hist.counts, _selection(layout)), state.norm_factor)
-        if not np.isfinite(field).all():
+        if not np.isfinite(row).all():
             raise SimulationError("advection run diverged", step=step)
-        fields.append(field.copy())
         records.append(record)
-    return AdvectionResult(scheme.name, np.stack(fields), records)
+    return AdvectionResult(scheme.name, fields, records)
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +410,32 @@ def run_cavity(spec: CavitySpec, *, variant: str = "frugal") -> CavityRunResult:
 
     Each step runs the stream-function job, then the vorticity job: on the
     frugal variant each on its own circuit, on the single variant each as a
-    sector pass of the combined gate list. Both decode, then impose the wall
-    values classically.
+    sector pass of the combined gate list. The velocity is computed only
+    when the vorticity job is live, its field not all zero. Both jobs decode
+    into the step's rows of the ``psi`` and ``omega`` histories, where the
+    wall values are then imposed classically, in place.
     """
     if not isinstance(spec, CavitySpec):
         raise ConfigurationError(f"spec must be a CavitySpec, got {type(spec).__name__}")
     if variant not in ("frugal", "single"):
         raise ConfigurationError(f"unknown cavity variant {variant!r}")
     sf_job, w_job = _cavity_jobs(variant, spec.n)
-    psi, omega = np.zeros((spec.n, spec.n)), np.zeros((spec.n, spec.n))
-    psi_hist, omega_hist = [psi], [omega]
+    # each step's fields are decoded into their rows and get their walls there
+    shape = (spec.steps + 1, spec.n, spec.n)
+    psi_hist, omega_hist = np.empty(shape), np.empty(shape)
+    psi_hist[0] = omega_hist[0] = 0.0
     records: list[StepRecord] = []
     for step in range(1, spec.steps + 1):
-        velocity = velocity_from_stream_function(psi)
-        psi_new, rec_sf, _ = _run_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega)
-        omega_new, rec_w, _ = _run_job(w_job, step, "vorticity", omega, velocity=velocity)
+        psi, omega, psi_new, omega_new = psi_hist[step - 1], omega_hist[step - 1], psi_hist[step], omega_hist[step]
+        # the vorticity job is idle while omega is all zero, and then needs no velocity
+        velocity = velocity_from_stream_function(psi) if omega.any() else None
+        _, rec_sf, _ = _run_job(sf_job, step, "stream-function", psi, D2Q5.diffusion * omega, out=psi_new)
+        _, rec_w, _ = _run_job(w_job, step, "vorticity", omega, velocity=velocity, out=omega_new)
         records += [rec_sf, rec_w]
-        psi, omega = apply_cavity_boundaries(psi_new, omega_new, spec)
-        if not (np.isfinite(psi).all() and np.isfinite(omega).all()):
+        _impose_cavity_walls(psi_new, omega_new, spec.lid_velocity)
+        if not (np.isfinite(psi_new).all() and np.isfinite(omega_new).all()):
             raise SimulationError("cavity run diverged", step=step)
-        psi_hist.append(psi)
-        omega_hist.append(omega)
-    return CavityRunResult(variant, np.stack(psi_hist), np.stack(omega_hist), records)
+    return CavityRunResult(variant, psi_hist, omega_hist, records)
 
 
 # ---------------------------------------------------------------------------

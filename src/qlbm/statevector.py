@@ -131,7 +131,9 @@ class QuantumState:
             raise ConfigurationError(
                 f"amplitude vector of length {self.amplitudes.size} does not fit {self.n_qubits} qubits"
             )
-        if not np.isfinite(self.amplitudes).all():
+        amps = self.amplitudes
+        # a complex amplitude is finite exactly when both its parts are
+        if not np.isfinite(amps.view(np.float64) if amps.flags.c_contiguous else amps).all():
             raise ConfigurationError("amplitudes must be finite, got a NaN or infinity")
 
     def probabilities(self) -> np.ndarray:
@@ -551,12 +553,14 @@ def apply_circuit(plan: CircuitPlan, ops):
                 _kernels.apply_phase(*views, np.exp(1j * ops[i].params[0]))
         scale = math.sqrt(total)
         # a new array, so the state never aliases a work array; an array divides
-        # slower than it multiplies
-        amps = np.multiply(amps, 1.0 / scale, out=np.empty(amps.size, np.complex128))
+        # slower than it multiplies. A real plan writes the real part of the zeroed
+        # array, which is the cast without a mixed-dtype loop
+        state = np.zeros(amps.size, np.complex128)
+        np.multiply(amps, 1.0 / scale, out=state.real if real else state)
     norm *= scale
     if not plan.selecting:
-        return QuantumState(plan.n_qubits, amps, norm)
-    return QuantumState(plan.kept, amps, norm), probs
+        return QuantumState(plan.n_qubits, state, norm)
+    return QuantumState(plan.kept, state, norm), probs
 
 
 def _gate_list(ops) -> list:

@@ -28,6 +28,7 @@ from qlbm.circuits import (
     build_stream_function_circuit,
     build_streaming_ops,
     build_vorticity_circuit,
+    build_vorticity_collision_ops,
     cavity_wall_mask,
     circuit_unitary,
     encoding_vector,
@@ -930,6 +931,59 @@ def test_every_builder_takes_a_numpy_integer_extent():
     for name, circ in _builders_at_extent_four(np.int64(4)).items():
         assert (circ.layout, circ.sections, circ.gates) == (built[name].layout, built[name].sections, built[name].gates)
         assert type(circ.layout.n_r0) is int, name
+
+
+@pytest.mark.parametrize("extent", [2, 4, 8])
+def test_every_gate_a_builder_emits_passes_the_public_constructor(extent):
+    # the PREP and the vorticity BLOCK skip GateOp's structural checks; each is
+    # rebuilt here through them, and must come out the same gate
+    rng = np.random.default_rng(extent)
+    psi, omega = rng.uniform(-1, 1, (2, extent, extent))
+    vel = rng.uniform(-0.2, 0.2, (2, extent, extent))
+    circuits = [
+        build_advection_diffusion_circuit(D1Q2, extent, rng.random(extent) + 0.1, (0.1,)),
+        build_advection_diffusion_circuit(D1Q3, extent, rng.random(extent) + 0.1, (-0.1,)),
+        build_advection_diffusion_circuit(D2Q5, extent, rng.random((extent, extent)) + 0.1, (0.1, -0.05)),
+        build_vorticity_circuit(D2Q5, extent, omega, vel),
+        build_vorticity_circuit(D2Q5, extent, omega, vel, boundary=False),
+        build_stream_function_circuit(D2Q5, extent, psi, 0.1 * omega),
+        build_stream_function_circuit(D2Q5, extent, psi, 0.1 * omega, boundary=False),
+        build_single_cavity_circuit(D2Q5, extent, psi, 0.1 * omega, omega, vel),
+    ]
+    kinds = set()
+    for circ in circuits:
+        for gate in circ.gates:
+            public = GateOp(gate.kind, gate.targets, gate.controls, gate.control_values, gate.params)
+            assert public == gate and public._key == gate._key
+            kinds.add(gate.kind)
+    assert {"PREP", "BLOCK"} <= kinds
+
+
+@pytest.mark.parametrize("field, source, match", [
+    (np.ones(16), np.ones(4), "source has 4 sites"),
+    (np.ones(9), None, "field has 9 sites"),
+    (np.ones(16) + 0j, None, "field must be real"),
+    (np.ones(16), np.full(16, 1j), "source must be real"),
+    ("psi", None, "field must be real"),
+], ids=["short-source", "short-field", "complex-field", "complex-source", "str-field"])
+def test_encoding_vector_refuses_a_field_or_source_it_cannot_lay_out(field, source, match):
+    layout = RegisterLayout.for_scheme(D2Q5, 4, source=True)
+    # the test session turns warnings into errors, so a ComplexWarning cast would fail here too
+    with pytest.raises(ConfigurationError, match=match):
+        encoding_vector(layout, D2Q5, field, source=source)
+
+
+@pytest.mark.parametrize("velocity, match", [
+    (np.zeros((2, 3, 3)), "velocity_fields shape \\(2, 3, 3\\)"),
+    (np.zeros((2, 16)), "velocity_fields shape \\(2, 16\\)"),
+    (np.zeros(2), "velocity_fields shape \\(2,\\)"),
+    ("fast", "velocity_fields must be real"),
+    (np.full((2, 4, 4), 0.1j), "velocity_fields must be real"),
+], ids=["3x3", "flat", "constant", "str", "complex"])
+def test_the_vorticity_collision_refuses_a_velocity_that_does_not_fit_its_sites(velocity, match):
+    layout = RegisterLayout.for_scheme(D2Q5, 4, boundary=True)
+    with pytest.raises(ConfigurationError, match=match):
+        build_vorticity_collision_ops(layout, D2Q5, velocity)
 
 
 @pytest.mark.parametrize("name", ["advection", "vorticity", "stream-function", "stream-function-nb", "single"])

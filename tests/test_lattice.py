@@ -449,6 +449,26 @@ def test_cavity_boundaries_lid_row_wins_corners():
     np.testing.assert_allclose(omega[0, :], 0.0)
 
 
+def test_cavity_boundaries_return_new_arrays_and_leave_their_inputs_as_they_were():
+    rng = np.random.default_rng(7)
+    psi, omega = rng.random((8, 8)), rng.random((8, 8))
+    saved = psi.copy(), omega.copy()
+    walled = apply_cavity_boundaries(psi, omega, CavitySpec(n=8, lid_velocity=0.5))
+    np.testing.assert_array_equal(psi, saved[0])
+    np.testing.assert_array_equal(omega, saved[1])
+    assert not any(np.shares_memory(out, given) for out in walled for given in (psi, omega, *saved))
+    assert not np.shares_memory(*walled)
+
+
+@pytest.mark.parametrize("psi, omega, name", [(np.ones((4, 4)), np.full((4, 4), 1j), "omega"),
+                                               (np.ones((4, 4)) + 0j, np.ones((4, 4)), "psi"),
+                                               (np.ones((4, 4)), "wall", "omega")])
+def test_cavity_boundaries_refuse_a_complex_or_unreadable_field(psi, omega, name):
+    # the test session turns warnings into errors, so a ComplexWarning cast would fail here too
+    with pytest.raises(ConfigurationError, match=f"{name} must be real"):
+        apply_cavity_boundaries(psi, omega, CavitySpec(n=4))
+
+
 @pytest.mark.parametrize("n", [-4, 0, 1, 3, 6, 12])
 def test_cavity_spec_rejects_extent_not_a_power_of_two(n):
     with pytest.raises(ConfigurationError, match="power of two"):

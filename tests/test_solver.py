@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qlbm.circuits
+import qlbm.lattice
 import qlbm.solver
 import qlbm.statevector
 from qlbm import _kernels
@@ -29,7 +31,7 @@ from qlbm.circuits import (
     encoding_vector,
     unit_amplitudes,
 )
-from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
+from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError, SimulationError
 from qlbm.lattice import (
     D1Q2,
     D1Q3,
@@ -862,9 +864,11 @@ def test_a_cavity_step_passes_its_velocity_array_to_the_collision_as_it_is(monke
 
     monkeypatch.setattr(qlbm.solver, "velocity_from_stream_function", spy_velocity)
     monkeypatch.setattr(qlbm.solver, "build_vorticity_collision_ops", spy_collision)
-    run_cavity(CavitySpec(8, 0.8, 3), variant=variant)
-    # step 1's vorticity job is idle: its field is all zero
-    assert len(computed) == 3 and len(passed) == 2 and all(v is w for v, w in zip(passed, computed[1:]))
+    result = run_cavity(CavitySpec(8, 0.8, 3), variant=variant)
+    # step 1's vorticity job is idle, its field all zero, and needs no velocity: one
+    # velocity per live vorticity job, each the very array its collision got
+    live = sum(not r.zero_input for r in result.records if r.job == "vorticity")
+    assert len(computed) == len(passed) == live == 2 and all(v is w for v, w in zip(passed, computed))
 
 
 def test_run_cavity_refuses_a_spec_that_is_not_a_cavity_spec():
@@ -987,6 +991,138 @@ def test_every_job_calls_the_traced_names_once(monkeypatch, case):
         selected = 0 if case == "sampling" else live
         assert calls == {"apply_circuit": live, "decode_field": selected, "plan_circuit": plans}
         calls.update(dict.fromkeys(calls, 0))
+
+
+# ---------------------------------------------------------------------------
+# the gates a job makes per step, and the outputs a run writes once
+# ---------------------------------------------------------------------------
+
+
+def _per_step_gate_makers():
+    """(name, make, params) per gate a cavity job makes each step: make(params) builds it as the solver does.
+
+    The PREP comes from ``_prep`` with its encoding vector replaced by
+    ``params``, the BLOCK from the fast constructor on the targets and controls
+    :func:`build_vorticity_collision_ops` gives it; ``params`` are good ones.
+    """
+    rng = np.random.default_rng(17)
+    for variant in ("frugal", "single"):
+        sf_job, w_job = qlbm.solver._cavity_jobs(variant, 4)
+        vec = encoding_vector(sf_job.layout, D2Q5, rng.uniform(-1, 1, (4, 4)), source=rng.uniform(-1, 1, (4, 4)))
+        yield f"{variant}-prep", lambda p, job=sf_job: _prep_of(job, p), vec
+        (block,) = build_vorticity_collision_ops(w_job.layout, D2Q5, rng.uniform(-0.1, 0.1, (2, 4, 4)))
+        yield f"{variant}-block", lambda p, b=block: qlbm.circuits._layout_gate(
+            "BLOCK", b.targets, b.controls, b.control_values, p), block.params
+
+
+def _prep_of(job, vector):
+    saved = qlbm.solver.encoding_vector
+    qlbm.solver.encoding_vector = lambda *args, **kwargs: vector
+    try:
+        return qlbm.solver._prep(job, np.ones((4, 4)))
+    finally:
+        qlbm.solver.encoding_vector = saved
+
+
+_GATE_MAKERS = list(_per_step_gate_makers())
+
+
+@pytest.mark.parametrize("name, make, params", _GATE_MAKERS, ids=[case[0] for case in _GATE_MAKERS])
+def test_a_per_step_gate_refuses_a_wrong_length_a_2d_array_and_a_complex_vector(name, make, params):
+    with pytest.raises(ConfigurationError, match="parameter"):
+        make(params[:-1])
+    with pytest.raises(ConfigurationError, match="flat vector"):
+        make(params.reshape(2, -1))
+    with pytest.raises(ConfigurationError, match="params must be real"):
+        make(params + 0j)
+
+
+@pytest.mark.parametrize("name, make, params", _GATE_MAKERS, ids=[case[0] for case in _GATE_MAKERS])
+def test_a_per_step_gate_copies_a_writable_or_non_owning_vector_and_keeps_a_read_only_one(name, make, params):
+    writable = params.copy()
+    view = np.concatenate([params, params])[: params.size]
+    view.flags.writeable = False
+    for given in (writable, view):
+        gate = make(given)
+        assert not np.shares_memory(gate.params, given) and not gate.params.flags.writeable
+        np.testing.assert_array_equal(gate.params, params)
+    assert make(params).params is params
+
+
+@pytest.mark.parametrize("name, make, params", _GATE_MAKERS, ids=[case[0] for case in _GATE_MAKERS])
+def test_a_per_step_gate_equals_the_one_the_public_constructor_builds(name, make, params):
+    gate = make(params)
+    public = GateOp(gate.kind, gate.targets, gate.controls, gate.control_values, gate.params)
+    assert gate == public and gate._key == public._key and hash(gate) == hash(public)
+
+
+@pytest.mark.parametrize("variant", ["frugal", "single"])
+def test_the_vorticity_block_holds_its_coefficients_to_the_unit_range(variant):
+    layout = qlbm.solver._cavity_jobs(variant, 4)[1].layout
+    slack = qlbm.circuits._COEFF_SLACK
+    # a moving D2Q5 link's k is (1 + 3u) / 6, so u = 5/3 makes it 1
+    for u in (5 / 3 + 1e-6, math.nan):
+        velocity = np.zeros((2, 4, 4))
+        velocity[0, 1, 2] = u
+        with pytest.raises(CoefficientRangeError, match="max \\|k\\|"):
+            build_vorticity_collision_ops(layout, D2Q5, velocity)
+    velocity = np.zeros((2, 4, 4))
+    velocity[0, 1, 2] = 5 / 3 + 1e-12
+    raw = qlbm.lattice.collision_coefficients(D2Q5, velocity, (4, 4))
+    assert 1.0 < raw.max() <= 1.0 + slack
+    (block,) = build_vorticity_collision_ops(layout, D2Q5, velocity)
+    assert block.params.max() == 1.0 and not block.params.flags.writeable
+    np.testing.assert_array_equal(block.params[: raw.size], np.clip(raw, -1.0, 1.0).ravel())
+
+
+def test_a_cavity_too_fast_for_its_collision_still_raises_a_coefficient_range_error():
+    with pytest.raises(CoefficientRangeError, match="max \\|k\\|"):
+        run_cavity(CavitySpec(8, 1e6, 3))
+
+
+_OUTPUT_RUNS = {
+    "statevector": lambda: run_advection_diffusion(D2Q5, _impulse_field(D2Q5, 8), (0.15, -0.1), 3),
+    "sampling": lambda: run_advection_diffusion(D1Q3, _impulse_field(D1Q3, 8), (0.2,), 3, backend="sampling",
+                                                shots=512, seed=3),
+    "frugal": lambda: run_cavity(CavitySpec(8, 0.7, 4), variant="frugal"),
+    "single": lambda: run_cavity(CavitySpec(8, 0.7, 4), variant="single"),
+}
+
+
+def _outputs(result):
+    return [getattr(result, name) for name in ("fields", "psi", "omega") if hasattr(result, name)]
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUT_RUNS))
+def test_a_runs_output_rows_own_their_memory(case):
+    first, second = _OUTPUT_RUNS[case](), _OUTPUT_RUNS[case]()
+    plans = [qlbm.solver._transport(D2Q5, 8, "statevector"), qlbm.solver._transport(D1Q3, 8, "sampling"),
+             *qlbm.solver._cavity_jobs("frugal", 8), *qlbm.solver._cavity_jobs("single", 8)]
+    work = [w for job in plans for w in job.plan.work]
+    ours, theirs = _outputs(first), _outputs(second)
+    for i, history in enumerate(ours):
+        assert history.flags.owndata and history.flags.c_contiguous
+        others = [*theirs, *work, *ours[i + 1:]]
+        assert not any(np.shares_memory(row, other) for row in history for other in others)
+    _assert_same_run(first, second)
+
+
+@pytest.mark.parametrize("case, step", [("statevector", 2), ("frugal", 2), ("frugal", 3), ("single", 3)])
+def test_a_run_whose_decode_turns_non_finite_raises_at_that_step(monkeypatch, case, step):
+    decoded = []
+
+    def spy(state, layout, _fn=qlbm.solver.decode_field, **kwargs):
+        field = _fn(state, layout, **kwargs)
+        decoded.append(field)
+        # advection decodes once a step; the cavity twice from step 2 on, its step-1 jobs idle
+        if len(decoded) == (step if case == "statevector" else 2 * step - 3):
+            field[9] = math.inf  # site (1, 1), inside the walls
+        return field
+
+    monkeypatch.setattr(qlbm.solver, "decode_field", spy)
+    with pytest.raises(SimulationError, match="diverged") as raised:
+        _OUTPUT_RUNS[case]()
+    assert raised.value.step == step
 
 
 # ---------------------------------------------------------------------------
