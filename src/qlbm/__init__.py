@@ -14,8 +14,6 @@ from .circuits import (
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
-    circuit_unitary,
-    lower_circuit,
 )
 from .errors import (
     CoefficientRangeError,
@@ -41,6 +39,7 @@ from .lattice import (
     step_poisson,
     velocity_from_stream_function,
 )
+from .lowering import lower_circuit
 from .resources import (
     ComparisonReport,
     GateDurationTable,
@@ -65,7 +64,6 @@ from .statevector import (
     apply_circuit,
     fidelity_from_histogram,
     plan_circuit,
-    postselect,
     sample,
 )
 

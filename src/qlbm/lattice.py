@@ -37,6 +37,7 @@ __all__ = [
     "scheme_by_name",
     "require_count",
     "require_power_of_two",
+    "require_scheme",
     "collision_coefficients",
     "equilibrium_distribution",
     "stream_periodic",
@@ -206,6 +207,12 @@ def require_power_of_two(*extents: int, name: str = "extent") -> None:
     for n in extents:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
             raise ConfigurationError(f"{name} {n!r} is not a power of two >= 2")
+
+
+def require_scheme(scheme) -> None:
+    """Reject a ``scheme`` that is not a :class:`LatticeScheme` with a :class:`ConfigurationError` naming it."""
+    if not isinstance(scheme, LatticeScheme):
+        raise ConfigurationError(f"scheme must be a LatticeScheme, got {scheme!r}")
 
 
 def _real_array(value, name: str) -> np.ndarray:
@@ -419,8 +426,7 @@ def cavity_step_classical(psi, omega, spec: CavitySpec):
     - vorticity: advection-diffusion with velocities derived from psi_t,
     - stream function: one Poisson relaxation sweep with source -omega_t.
     """
-    u, v = velocity_from_stream_function(psi)
-    omega_next = step_advection_diffusion(D2Q5, omega, np.stack([u, v]))
+    omega_next = step_advection_diffusion(D2Q5, omega, velocity_from_stream_function(psi))
     psi_next = step_poisson(D2Q5, psi, -omega)
     return apply_cavity_boundaries(psi_next, omega_next, spec)
 

@@ -1,8 +1,8 @@
 """Gate counting, depth, and runtime estimates for the lowered circuits.
 
 The counter never builds the lowered gate list. It reads the one
-description of each gate's lowering that :func:`qlbm.circuits.lower_op`
-also replays: the cached slot program of :func:`qlbm.circuits.slot_programs`,
+description of each gate's lowering that :func:`qlbm.lowering.lower_op`
+also replays: the cached slot program of :func:`qlbm.lowering.slot_programs`,
 with its CNOT and single-qubit counts, and the qubit each slot stands for.
 A program is cached per gate shape; the single-qubit rows whose angles
 depend on the gate are left open, and the counter never fills them.
@@ -10,7 +10,7 @@ depend on the gate are left open, and the counter never fills them.
 Depth and runtime are longest paths through the lowered circuit, a
 dependency graph whose nodes are its gates. Each program carries its
 longest-path transfer as max-plus terms
-(:meth:`qlbm.circuits.SlotProgram.terms`): ``W_ij``, the heaviest path
+(:meth:`qlbm.lowering.SlotProgram.terms`): ``W_ij``, the heaviest path
 from input slot j to output slot i through its rows, is ``a_i + b_j``.
 The counter applies one cached transfer per gate to the per-qubit values,
 and walks no row: the heaviest ``v_j + b_j``, plus ``a_i`` on each
@@ -49,14 +49,17 @@ import numpy as np
 
 from .circuits import (
     CircuitIR,
+    _require_circuit,
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
-    iter_lowered,  # noqa: F401  (perfbench/spans.py hooks qlbm.resources.iter_lowered)
-    slot_programs,
 )
 from .errors import ConfigurationError
 from .lattice import D2Q5, require_power_of_two
+from .lowering import (
+    iter_lowered,  # noqa: F401  (perfbench/spans.py hooks qlbm.resources.iter_lowered)
+    slot_programs,
+)
 
 __all__ = [
     "GateDurationTable",
@@ -152,8 +155,7 @@ def _duration_table(durations) -> GateDurationTable:
 
 def count_resources(circ: CircuitIR, label: str, durations: GateDurationTable | None = None) -> ResourceReport:
     """Count the lowered circuit without materializing it; a ``circ`` that is no :class:`CircuitIR` is a :class:`ConfigurationError`."""
-    if not isinstance(circ, CircuitIR):
-        raise ConfigurationError(f"circ must be a CircuitIR, got {circ!r}")
+    _require_circuit(circ)
     return _count(circ, label, _duration_table(durations))[0]
 
 
@@ -340,8 +342,12 @@ def compare_single_vs_frugal(extent: int, durations: GateDurationTable | None = 
 
 
 def scaling_sweep(extents, durations: GateDurationTable | None = None) -> list[ComparisonReport]:
+    """:func:`compare_single_vs_frugal` at each of ``extents``, an iterable of powers of two, else :class:`ConfigurationError`."""
     durations = _duration_table(durations)
-    extents = list(extents)  # read once, so an iterator is not spent by the check
+    try:
+        extents = list(extents)  # read once, so an iterator is not spent by the check
+    except TypeError:
+        raise ConfigurationError(f"extents must be an iterable of lattice extents, got {type(extents).__name__}") from None
     require_power_of_two(*extents)
     return [compare_single_vs_frugal(e, durations) for e in extents]
 

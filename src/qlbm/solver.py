@@ -87,6 +87,7 @@ from .lattice import (
     _real_array,
     require_count,
     require_power_of_two,
+    require_scheme,
     step_advection_diffusion,
     velocity_from_stream_function,
 )
@@ -94,6 +95,7 @@ from .statevector import (
     CircuitPlan,
     QuantumState,
     ZeroState,
+    _require_state,
     apply_circuit,
     fidelity_from_histogram,
     plan_circuit,
@@ -208,8 +210,13 @@ def decode_field(state: QuantumState, layout: RegisterLayout, *, folded: bool = 
     Every register but the sites must already be selected away, which leaves
     the site amplitudes first. Returns the flat real field over the sites,
     written into ``out``, a flat float64 array of one entry per site, when
-    one is given.
+    one is given. A ``state`` that is not a :class:`QuantumState` or a
+    ``layout`` that is not a :class:`RegisterLayout` is a
+    :class:`ConfigurationError`.
     """
+    _require_state(state, "state")
+    if not isinstance(layout, RegisterLayout):
+        raise ConfigurationError(f"layout must be a RegisterLayout, got {type(layout).__name__}")
     field = np.multiply(state.amplitudes[: layout.n_sites].real, state.norm_factor, out=out)
     field *= _decode_factor(layout, folded)
     return field
@@ -335,7 +342,10 @@ def run_advection_diffusion(
     each step's field from measured counts (shot noise then propagates into
     subsequent steps, since every step re-encodes the previous output).
     Counts carry no sign, so the sampling backend rejects negative fields.
+    A ``scheme`` that is not a :class:`~qlbm.lattice.LatticeScheme` is a
+    :class:`ConfigurationError`.
     """
+    require_scheme(scheme)
     if backend not in ("statevector", "sampling"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     require_count(steps, "steps")
@@ -481,14 +491,17 @@ def fidelity_sweep(shots_list, trials: int, seed: int, state: QuantumState | Non
     """Mean reconstruction infidelity per shot count, with a log-log slope fit."""
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials!r}")
-    shots_list = [require_shots(shots, "each shot count") for shots in shots_list]  # read once
+    try:
+        counts = iter(shots_list)
+    except TypeError:
+        raise ConfigurationError(f"shots_list must be an iterable of shot counts, got {type(shots_list).__name__}") from None
+    shots_list = [require_shots(shots, "each shot count") for shots in counts]  # read once
     require_seed(seed)
     if len(set(shots_list)) < 2:
         raise ConfigurationError(f"a slope needs at least two distinct shot counts, got {shots_list}")
     if state is None:
         state = reference_sweep_state()
-    elif not isinstance(state, QuantumState):
-        raise ConfigurationError(f"state must be a QuantumState, got {type(state).__name__}")
+    _require_state(state, "state")
     rows = []
     means = []
     for i, shots in enumerate(shots_list):

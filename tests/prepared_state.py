@@ -16,14 +16,15 @@ import numpy as np
 from qlbm.circuits import (
     CircuitIR,
     GateOp,
-    apply_ops_numpy,
     build_single_cavity_circuit,
     build_stream_function_circuit,
     build_vorticity_circuit,
-    unit_amplitudes,
 )
 from qlbm.lattice import D2Q5, CavitySpec, solve_cavity_classical, velocity_from_stream_function
+from qlbm.lowering import unit_amplitudes
 from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
+
+from dense_reference import apply_ops_numpy
 
 
 def random_load(n_qubits: int, seed: int, norm: float = 1.0) -> tuple[list[GateOp], np.ndarray]:
@@ -59,7 +60,7 @@ def run_from_zero(n_qubits: int, ops, select=None):
 def _developed_fields(extent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     history = solve_cavity_classical(CavitySpec(n=extent, lid_velocity=1.0, steps=80))
     psi, omega = history.psi[-1], history.omega[-1]
-    return psi, omega, np.stack(velocity_from_stream_function(psi))
+    return psi, omega, velocity_from_stream_function(psi)
 
 
 def developed_cavity_circuits(extent: int) -> dict[str, CircuitIR]:

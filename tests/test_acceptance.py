@@ -13,7 +13,6 @@ import numpy as np
 from qlbm.circuits import (
     GateOp,
     RegisterLayout,
-    apply_ops_numpy,
     build_advection_diffusion_circuit,
     build_boundary_ops,
     build_collision_ops,
@@ -21,9 +20,6 @@ from qlbm.circuits import (
     build_stream_function_circuit,
     build_vorticity_circuit,
     cavity_wall_mask,
-    circuit_unitary,
-    lower_circuit,
-    lower_op,
 )
 from qlbm.lattice import (
     D1Q2,
@@ -34,6 +30,7 @@ from qlbm.lattice import (
     step_advection_diffusion,
     velocity_from_stream_function,
 )
+from qlbm.lowering import lower_circuit, lower_op
 from qlbm.resources import compare_single_vs_frugal, scaling_sweep
 from qlbm.solver import (
     fidelity_sweep,
@@ -41,6 +38,8 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
+
+from dense_reference import apply_ops_numpy, circuit_unitary
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

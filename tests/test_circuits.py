@@ -1,8 +1,9 @@
 """Circuit construction and lowering.
 
 Verification runs on three mutually checking paths: a dense matrix builder
-written here from the gate definitions, the module's fancy-indexing
-``apply_ops_numpy``, and (at solver level) the compiled kernels. Lowered gate
+written here from the gate definitions, the fancy-indexing
+``dense_reference.apply_ops_numpy``, and (at solver level) the strided-view
+kernels. Lowered gate
 lists must match their parents as unitaries, and the standard decompositions
 must land on their known CNOT counts.
 """
@@ -19,7 +20,6 @@ from qlbm.circuits import (
     CircuitIR,
     GateOp,
     RegisterLayout,
-    apply_ops_numpy,
     build_advection_diffusion_circuit,
     build_boundary_ops,
     build_collision_ops,
@@ -30,21 +30,16 @@ from qlbm.circuits import (
     build_vorticity_circuit,
     build_vorticity_collision_ops,
     cavity_wall_mask,
-    circuit_unitary,
     encoding_vector,
     gate_matrix_1q,
-    iter_lowered,
-    lower_circuit,
-    lower_op,
-    slot_programs,
-    unit_amplitudes,
-    _controlled_1q,
     _sum_squares,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError
 from qlbm.lattice import D1Q2, D1Q3, D2Q5, stream_periodic
+from qlbm.lowering import iter_lowered, lower_circuit, lower_op, slot_programs, unit_amplitudes, _controlled_1q
 from qlbm.resources import count_resources
 
+from dense_reference import apply_ops_numpy, circuit_unitary
 from prepared_state import developed_cavity_circuits, random_load, run_from_zero
 
 # ---------------------------------------------------------------------------
@@ -199,6 +194,73 @@ def test_a_complex_prep_or_block_vector_is_refused_not_cast(kind, targets, param
 def test_gate_op_rejects_negative_qubits(targets, controls, match):
     with pytest.raises(ConfigurationError, match=match):
         GateOp("MCX", targets, controls, (1,) * len(controls))
+
+
+@pytest.mark.parametrize("args", [
+    (("X", [0], [1], [1]), ("X", (0,), (1,), (1,))),
+    (("H", [0]), ("H", (0,))),
+    (("RY", np.array([2]), np.array([0, 1]), [np.int64(1), 0], (0.5,)), ("RY", (2,), (0, 1), (1, 0), (0.5,))),
+    (("SHIFT", range(2), [2], [0], (1,)), ("SHIFT", (0, 1), (2,), (0,), (1,))),
+], ids=["controlled-x", "hadamard", "numpy-qubits", "range-shift"])
+def test_a_gate_given_integer_sequences_is_the_gate_given_tuples(args):
+    given, tuple_form = GateOp(*args[0]), GateOp(*args[1])
+    for name in ("targets", "controls", "control_values"):
+        value = getattr(given, name)
+        assert type(value) is tuple and all(type(q) is int for q in value)
+    assert given == tuple_form and hash(given) == hash(tuple_form) and given.qubits == tuple_form.qubits
+    n = max(given.qubits) + 1
+    prep = GateOp("PREP", tuple(range(n)), params=np.arange(1.0, (1 << n) + 1))
+    np.testing.assert_array_equal(run_from_zero(n, [prep, given]).amplitudes, run_from_zero(n, [prep, tuple_form]).amplitudes)
+    assert lower_op(given) == lower_op(tuple_form)
+
+
+@pytest.mark.parametrize("targets, controls, control_values, name", [
+    (0, (), (), "targets"),
+    ("0", (), (), "targets"),
+    ((0,), 1, (1,), "controls"),
+    ((0,), (1,), 1, "control_values"),
+    ((0,), (1,), (True,), "control_values"),
+    ((0,), (1,), [1.0], "control_values"),
+    (None, (), (), "targets"),
+], ids=["bare-target", "str-target", "bare-control", "bare-value", "bool-value", "float-value", "none-targets"])
+def test_a_gate_refuses_qubits_that_are_not_a_sequence_of_integers(targets, controls, control_values, name):
+    with pytest.raises(ConfigurationError, match=f"X {name} must be a sequence of integers"):
+        GateOp("X", targets, controls, control_values)
+
+
+def test_add_section_refuses_an_entry_that_is_not_a_gate():
+    circ = CircuitIR(RegisterLayout(n_r0=2, n_a=0))
+    with pytest.raises(ConfigurationError, match="section 'x' holds an entry that is not a GateOp"):
+        circ.add_section("x", [1])
+    with pytest.raises(ConfigurationError, match="ops must be an iterable of GateOp, got NoneType"):
+        circ.add_section("x", None)
+    assert circ.gates == [] and circ.sections == []
+
+
+def test_the_lowering_refuses_what_is_not_a_gate_or_a_circuit():
+    with pytest.raises(ConfigurationError, match="op must be a GateOp, got None"):
+        lower_op(None)
+    with pytest.raises(ConfigurationError, match="circ must be a CircuitIR, got None"):
+        iter_lowered(None)
+    with pytest.raises(ConfigurationError, match="circ must be a CircuitIR, got None"):
+        lower_circuit(None)
+
+
+@pytest.mark.parametrize("values, match", [
+    (np.array([1.0, 1j]), "values must be real, got a complex value"),
+    ("ab", "values must be real numbers, got str"),
+], ids=["complex", "str"])
+def test_unit_amplitudes_refuses_values_that_are_not_real(values, match):
+    with pytest.raises(ConfigurationError, match=match):
+        unit_amplitudes(values)
+
+
+def test_the_builders_refuse_a_scheme_that_is_not_a_lattice_scheme():
+    with pytest.raises(ConfigurationError, match="scheme must be a LatticeScheme, got None"):
+        build_advection_diffusion_circuit(None, 4, np.ones(4), (0.1,))
+    layout = RegisterLayout.for_scheme(D1Q3, 4)
+    with pytest.raises(ConfigurationError, match="scheme must be a LatticeScheme, got None"):
+        encoding_vector(layout, None, np.ones(4))
 
 
 def test_add_section_rejects_qubit_outside_the_layout():

@@ -1,5 +1,5 @@
 """Each strided-view kernel must agree with its twin in the independent dense
-reference, ``circuits.apply_ops_numpy`` applied to the equivalent GateOp.
+reference, ``dense_reference.apply_ops_numpy`` applied to the equivalent GateOp.
 
 MCX is a permutation, so it must match exactly; the others to rounding.
 ``apply_circuit`` runs from a ``ZeroState``, where each qubit enters the
@@ -22,13 +22,15 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-import qlbm.circuits
+import qlbm.lowering
 import qlbm.statevector
 from qlbm import _kernels
-from qlbm.circuits import GATE_KINDS, GateOp, apply_ops_numpy, gate_matrix_1q, unit_amplitudes
+from qlbm.circuits import GATE_KINDS, GateOp, gate_matrix_1q
 from qlbm.errors import EncodingError, PostSelectionError
-from qlbm.statevector import QuantumState, ZeroState, apply_circuit, plan_circuit, postselect
+from qlbm.lowering import unit_amplitudes
+from qlbm.statevector import QuantumState, ZeroState, apply_circuit, plan_circuit
 
+from dense_reference import apply_ops_numpy, postselect
 from prepared_state import random_load, run_from_zero
 
 
@@ -515,7 +517,7 @@ def test_selected_block_on_a_flag_at_zero_runs_no_phases_and_no_drop(monkeypatch
     k = np.array([0.5, -0.25, 1.0, 0.0])
     ops = [GateOp("PREP", (0, 1, 2), params=np.arange(1.0, 9.0)), GateOp("BLOCK", (0, 2, 3), (1,), (0,), params=k)]
     with monkeypatch.context() as patch:
-        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.circuits, "_block_stages"),
+        for module, name in ((qlbm.statevector, "_drop_bit"), (qlbm.lowering, "_block_stages"),
                              (np, "exp"), (np, "arccos")):
             patch.setattr(module, name, refuse)
         selected, probs = run_from_zero(4, ops, select={3: 0})

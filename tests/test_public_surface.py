@@ -7,7 +7,9 @@ each public method or property of a public class: its name must appear as
 an attribute in that code. Dunders and dataclass-generated methods are
 exempt. And each defaulted parameter of a public function must be passed,
 by keyword or by position, in some call of that code to a function of its
-name. Likewise each gate kind is emitted by some builder or lowering.
+name. Likewise each gate kind is emitted by some builder or lowering. And
+the lowering is one module that the circuit IR, the simulator and the
+solvers do not import.
 """
 
 import ast
@@ -16,16 +18,15 @@ from pathlib import Path
 import numpy as np
 
 import qlbm
-from qlbm.circuits import GATE_KINDS, build_advection_diffusion_circuit, lower_circuit
+from qlbm.circuits import GATE_KINDS, build_advection_diffusion_circuit
 from qlbm.lattice import D1Q2, D1Q3, D2Q5
+from qlbm.lowering import lower_circuit
 
 from prepared_state import developed_cavity_circuits
 
 # public names kept although no program code calls them, each for a reason
 _ALLOWED = {
     "lower_circuit": "the lowering reference the resource counts are checked against",
-    "circuit_unitary": "the dense reference the simulator is checked against",
-    "postselect_many": "the selection reference the in-loop selection is checked against",
     "load_field_csv": "reads the field CSV files the CLI writes",
     "load_field_qlbf": "reads the field .qlbf files the CLI writes",
 }
@@ -148,3 +149,37 @@ def test_every_gate_kind_has_a_producer():
         circuits.append(build_advection_diffusion_circuit(scheme, 4, field, (0.1,) * scheme.dimension))
     emitted = {op.kind for circ in circuits for c in (circ, lower_circuit(circ)) for op in c.gates}
     assert emitted == GATE_KINDS
+
+
+def _imported_modules(tree) -> set[str]:
+    """Each module a tree imports from, relative ones as ``qlbm.<name>``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None:  # from . import x
+            found.update(f"qlbm.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(f"qlbm.{node.module}" if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names - {"__all__"}
+
+
+def test_the_lowering_lives_in_its_own_module_that_the_ir_and_the_simulator_do_not_import():
+    trees = _program_trees()
+    lowering = _top_level_names(trees["lowering.py"])
+    assert {"SlotProgram", "slot_programs", "lower_op", "iter_lowered", "lower_circuit", "unit_amplitudes"} <= lowering
+    assert lowering & _top_level_names(trees["circuits.py"]) == set()
+    for module in ("circuits.py", "statevector.py", "solver.py"):
+        assert "qlbm.lowering" not in _imported_modules(trees[module]), module

@@ -20,6 +20,13 @@ from qlbm.circuits import (
     CircuitIR,
     GateOp,
     RegisterLayout,
+    build_advection_diffusion_circuit,
+    build_stream_function_circuit,
+    build_vorticity_circuit,
+)
+from qlbm.errors import ConfigurationError
+from qlbm.lattice import D1Q3, D2Q5
+from qlbm.lowering import (
     SlotProgram,
     _block_program,
     _controlled_program,
@@ -27,17 +34,11 @@ from qlbm.circuits import (
     _ladder_program,
     _prep_program,
     _shift_program,
-    build_advection_diffusion_circuit,
-    build_stream_function_circuit,
-    build_vorticity_circuit,
-    circuit_unitary,
     iter_lowered,
     lower_circuit,
     lower_op,
     slot_programs,
 )
-from qlbm.errors import ConfigurationError
-from qlbm.lattice import D1Q3, D2Q5
 from qlbm.resources import (
     GateDurationTable,
     build_comparison_circuits,
@@ -50,6 +51,7 @@ from qlbm.resources import (
 from qlbm.solver import _selection
 from qlbm.statevector import ZeroState, apply_circuit, plan_circuit
 
+from dense_reference import circuit_unitary
 from prepared_state import developed_cavity_circuits
 
 _1Q = GateDurationTable().single_qubit
@@ -439,7 +441,7 @@ def test_a_transfer_that_does_not_factor_is_counted_one_term_per_output(monkeypa
     def stand_in(op):
         return (program, (0, 2)) if op is marker else real(op)
 
-    monkeypatch.setattr("qlbm.circuits.slot_programs", stand_in)  # what lower_op replays
+    monkeypatch.setattr("qlbm.lowering.slot_programs", stand_in)  # what lower_op replays
     monkeypatch.setattr("qlbm.resources.slot_programs", stand_in)  # what the counter applies
     circ = _tiny_circuit([GateOp("H", (1,)), GateOp("MCX", (2,), (1,), (1,)), GateOp("X", (0,)), marker,
                           GateOp("MCX", (0,), (2,), (1,))])
@@ -843,3 +845,8 @@ def test_comparison_json_schema(tmp_path):
     assert comp["single_cnot"] == comp["variants"]["single"]["cnot"]
     assert comp["cnot_gap"] == comp["single_cnot"] - comp["frugal_nb_cnot"]
     assert "sections" in comp["variants"]["vorticity"]
+
+
+def test_a_scaling_sweep_refuses_extents_that_are_not_iterable():
+    with pytest.raises(ConfigurationError, match="extents must be an iterable of lattice extents, got NoneType"):
+        scaling_sweep(None)

@@ -21,7 +21,6 @@ from qlbm import _kernels
 from qlbm.circuits import (
     GateOp,
     RegisterLayout,
-    apply_ops_numpy,
     build_advection_collision_ops,
     build_advection_diffusion_circuit,
     build_single_cavity_circuit,
@@ -29,7 +28,6 @@ from qlbm.circuits import (
     build_vorticity_circuit,
     build_vorticity_collision_ops,
     encoding_vector,
-    unit_amplitudes,
 )
 from qlbm.errors import CoefficientRangeError, ConfigurationError, EncodingError, SimulationError
 from qlbm.lattice import (
@@ -41,6 +39,7 @@ from qlbm.lattice import (
     step_advection_diffusion,
     velocity_from_stream_function,
 )
+from qlbm.lowering import unit_amplitudes
 from qlbm.solver import (
     ERROR_FLOOR,
     CavityRunResult,
@@ -52,7 +51,9 @@ from qlbm.solver import (
     run_advection_diffusion,
     run_cavity,
 )
-from qlbm.statevector import CircuitPlan, QuantumState, apply_circuit, postselect_many
+from qlbm.statevector import CircuitPlan, QuantumState, apply_circuit
+
+from dense_reference import apply_ops_numpy, postselect_many
 
 
 _DATA = Path(__file__).parent / "data"
@@ -1236,3 +1237,21 @@ def test_fidelity_sweep_is_seed_deterministic():
     b = fidelity_sweep([256, 512], trials=2, seed=3, state=state)
     assert a.rows == b.rows
     assert a.slope == b.slope
+
+
+def test_decode_field_refuses_a_state_or_layout_of_the_wrong_type():
+    layout = RegisterLayout.for_scheme(D1Q3, 4)
+    with pytest.raises(ConfigurationError, match="state must be a QuantumState, got NoneType"):
+        decode_field(None, layout)
+    with pytest.raises(ConfigurationError, match="layout must be a RegisterLayout, got NoneType"):
+        decode_field(QuantumState(1, [1.0, 0.0]), None)
+
+
+def test_fidelity_sweep_refuses_shot_counts_that_are_not_iterable():
+    with pytest.raises(ConfigurationError, match="shots_list must be an iterable of shot counts, got NoneType"):
+        fidelity_sweep(None, 1, 0)
+
+
+def test_an_advection_run_refuses_a_scheme_that_is_not_a_lattice_scheme():
+    with pytest.raises(ConfigurationError, match="scheme must be a LatticeScheme, got None"):
+        run_advection_diffusion(None, np.ones(4), (0.1,), 1)
